@@ -2,7 +2,7 @@
 
 Exit status: 0 success, 1 negative analysis (a checked profile is not an
 equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap
-or search-space bound).
+or search-space bound), 4 resource limit hit (recursion depth or memory).
 """
 
 from __future__ import annotations
@@ -515,6 +515,9 @@ def run(argv: list[str]) -> int:
     except (GameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"limit: {type(exc).__name__}: input too large or too deeply nested", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -2,16 +2,26 @@
 
 The row player's payoffs are given as a matrix of fractions; the column
 player receives the constant sum minus the entry.  ``solve_constant_sum``
-finds an exact minimax/maximin pair by exhaustive support enumeration with
-rational Gaussian elimination, so results carry no rounding at all.
+finds an exact minimax/maximin pair by exhaustive square support
+enumeration (Shapley & Snow 1950).  The payoffs are scaled once to
+integers, and each square system is solved by fraction-free (Bareiss)
+elimination, whose divisions are all exact; fractions are built only for
+accepted solutions, so results carry no rounding at all.
+
+Under ties the row mix is the smallest accepted mix on the first row
+support, in lexicographic order over all nonempty subsets, that has an
+accepted square pair; the column mix follows the same rule over column
+supports.  This is not always the lexicographically greatest optimal
+strategy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .core import GameError
 
@@ -57,22 +67,53 @@ def matrix_game(rows: Iterable[Iterable[object]], total: object) -> MatrixGame:
     return MatrixGame(payoffs, Fraction(total))
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when the system is singular."""
-    n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+def _integer_solve(aug: list[list[int]]) -> tuple[list[int], int] | None:
+    """Fraction-free (Bareiss) Gauss-Jordan on an n x (n+1) augmented integer
+    matrix.  Returns numerators over one positive shared determinant, or None
+    when the system is singular.  Every division is exact (Bareiss 1968).
+
+    Each step drops the column it clears, so after the last step every row
+    holds just its right-hand side, scaled by the determinant.
+    """
+    n = len(aug)
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][0]), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [x / factor for x in aug[col]]
+        top = aug[col]
+        p = top[0]
+        del top[0]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                scale = aug[r][col]
-                aug[r] = [x - scale * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            if r != col:
+                row = aug[r]
+                f = row[0]
+                aug[r] = [(p * u - f * t) // previous for u, t in zip(row[1:], top)]
+        previous = p
+    if previous < 0:
+        return [-row[0] for row in aug], -previous
+    return [row[0] for row in aug], previous
+
+
+def _equalizing_mix(
+    matrix: Sequence[Sequence[int]], support: tuple[int, ...], against: tuple[int, ...]
+) -> tuple[list[int], int, int] | None:
+    """Mix on ``support`` making every column of ``against`` worth the same
+    value v: sum_i x_i M[i][j] = v for j in against, sum x_i = 1.
+
+    v is eliminated by differencing against the first column of ``against``,
+    leaving a square system in x alone.  Returns (x numerators, v numerator,
+    determinant) with determinant > 0, or None when the system is singular.
+    """
+    first = against[0]
+    aug = [[matrix[i][j] - matrix[i][first] for i in support] + [0] for j in against[1:]]
+    aug.append([1] * len(support) + [1])
+    solved = _integer_solve(aug)
+    if solved is None:
+        return None
+    mix, det = solved
+    return mix, sum(p * matrix[i][first] for i, p in zip(support, mix)), det
 
 
 def _lex_supports(size: int) -> list[tuple[int, ...]]:
@@ -82,79 +123,85 @@ def _lex_supports(size: int) -> list[tuple[int, ...]]:
     return sorted(subsets)
 
 
-def _equalizing_mix(
-    matrix: Sequence[Sequence[Fraction]], support: tuple[int, ...], against: tuple[int, ...]
-) -> tuple[list[Fraction], Fraction] | None:
-    """Mix on ``support`` making every column of ``against`` worth the same
-    value v: solve sum_i x_i M[i][j] = v for j in against, sum x_i = 1."""
-    k = len(support)
-    rows = [[matrix[i][j] for i in support] + [Fraction(-1)] for j in against]
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    solution = _solve_linear(rows, rhs)
-    if solution is None:
-        return None
-    return solution[:k], solution[k]
-
-
-def _optimal_mix(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Maximin strategy for the row player of ``matrix``.
-
-    Square support pairs are scanned with the row support in lexicographic
-    order over all nonempty subsets; among the accepted solutions for the
-    first workable row support, the lexicographically smallest distribution
-    is returned.  A square-kernel solution always exists.
-    """
-    n_rows, n_cols = len(matrix), len(matrix[0])
-    transposed = [[matrix[i][j] for i in range(n_rows)] for j in range(n_cols)]
-    for support in _lex_supports(n_rows):
-        candidates: list[tuple[tuple[Fraction, ...], Fraction]] = []
-        for against in itertools.combinations(range(n_cols), len(support)):
-            solved = _equalizing_mix(matrix, support, against)
-            if solved is None:
-                continue
-            mix_on_support, value = solved
-            if any(p < 0 for p in mix_on_support):
-                continue
-            dual = _equalizing_mix(transposed, against, support)
-            if dual is None:
-                continue
-            opponent_mix, opponent_value = dual
-            if opponent_value != value or any(p < 0 for p in opponent_mix):
-                continue
-            x = [Fraction(0)] * n_rows
-            for idx, p in zip(support, mix_on_support):
-                x[idx] = p
-            y = [Fraction(0)] * n_cols
-            for idx, p in zip(against, opponent_mix):
-                y[idx] = p
-            # x must guarantee >= value against every column and y must cap
-            # every row at value; together they certify value as the game value.
-            if any(sum(x[i] * matrix[i][j] for i in range(n_rows)) < value for j in range(n_cols)):
-                continue
-            if any(sum(matrix[i][j] * y[j] for j in range(n_cols)) > value for i in range(n_rows)):
-                continue
-            candidates.append((tuple(x), value))
-        if candidates:
-            return min(candidates)
+def _first_support_mix(
+    size: int,
+    other: int,
+    judge: Callable[[tuple[int, ...], tuple[int, ...]], tuple | None],
+    side: int,
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Scan this side's supports of ``size`` strategies in lexicographic
+    order; for the first one with any accepted square pair, return the
+    smallest of this side's mixes (entry ``side`` of the accepted pair)
+    together with the value."""
+    for support in _lex_supports(size):
+        found = [
+            (accepted[side], accepted[2])
+            for against in itertools.combinations(range(other), len(support))
+            if (accepted := judge(support, against)) is not None
+        ]
+        if found:
+            return min(found)
     raise AssertionError("no square-kernel solution found; unreachable for valid input")
 
 
 def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     """Exact minimax/maximin pair, deterministic under ties.
 
-    Each side is solved independently: the column player's own payoff
-    matrix is ``total - payoffs`` transposed, and the same enumeration runs
-    on it, so symmetric games get identical distributions on both sides.
+    The row mix is the smallest accepted mix on the first row support, in
+    lexicographic order, that has an accepted square pair; the column mix
+    follows the same rule over column supports, which is the row rule run on
+    the column player's own matrix ``total - payoffs`` transposed, so
+    symmetric games get identical distributions on both sides.  A pair of
+    supports is accepted when both equalizing systems are nonsingular with
+    non-negative solutions of equal value and the two mixes certify that
+    value against every pure strategy.  That test reads the same from either
+    side, so each pair is judged once per call and serves both scans.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
-    x, value = _optimal_mix(game.payoffs)
-    column_view = [
-        [game.total - game.payoffs[i][j] for i in range(game.rows)] for j in range(game.cols)
+    n_rows, n_cols = game.rows, game.cols
+    scale = math.lcm(*(entry.denominator for row in game.payoffs for entry in row))
+    scaled = [
+        [entry.numerator * (scale // entry.denominator) for entry in row] for row in game.payoffs
     ]
-    y, column_value = _optimal_mix(column_view)
-    assert value + column_value == game.total
+    transposed = [[scaled[i][j] for i in range(n_rows)] for j in range(n_cols)]
+    judged: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple | None] = {}
+
+    def judge(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
+        primal = _equalizing_mix(scaled, support, against)
+        if primal is None:
+            return None
+        xs, v, d = primal
+        # x must guarantee >= v against every column and y (below) must cap
+        # every row at v; together they certify v as the game value.
+        if any(p < 0 for p in xs) or any(
+            sum(p * column[i] for i, p in zip(support, xs)) < v for column in transposed
+        ):
+            return None
+        dual = _equalizing_mix(transposed, against, support)
+        if dual is None:
+            return None
+        ys, w, e = dual
+        if v * e != w * d or any(q < 0 for q in ys):
+            return None
+        if any(sum(row[j] * q for j, q in zip(against, ys)) > w for row in scaled):
+            return None
+        x = [Fraction(0)] * n_rows
+        for i, p in zip(support, xs):
+            x[i] = Fraction(p, d)
+        y = [Fraction(0)] * n_cols
+        for j, q in zip(against, ys):
+            y[j] = Fraction(q, e)
+        return tuple(x), tuple(y), Fraction(v, d * scale)
+
+    def pair(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
+        key = (support, against)
+        if key not in judged:
+            judged[key] = judge(support, against)
+        return judged[key]
+
+    x, value = _first_support_mix(n_rows, n_cols, pair, 0)
+    y, _ = _first_support_mix(n_cols, n_rows, lambda cols, rows: pair(rows, cols), 1)
     return MixedProfile(x, y, value)
 
 

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's solver code paths: the
 brute-force equilibrium filter enumerates every profile and tests the
 one-deviation property by direct tree walks, so it can referee
-``enumerate_equilibria`` and ``check_spe``.
+``enumerate_equilibria`` and ``check_spe``; ``reference_constant_sum``
+solves each side of a matrix game separately with Gaussian elimination over
+Fractions, so it can referee the integer kernel of ``solve_constant_sum``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from seqgames.core import FiniteGame, Leaf, Node, leaf, node
 from seqgames.cyclic import CyclicGame, CyclicNode
-from seqgames.matrix import MatrixGame, matrix_game
+from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
 from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine
 
 # --- the recurring games ---------------------------------------------------
@@ -213,3 +215,95 @@ def random_matrix(rng: random.Random, max_side: int = 4) -> MatrixGame:
         for _ in range(rows)
     ]
     return matrix_game(entries, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+# --- the matrix referee ------------------------------------------------------
+#
+# Plain rational support enumeration, kept independent of the library's
+# integer kernel: each side is solved on its own matrix with Gaussian
+# elimination over Fractions, and every square pair is judged from scratch.
+
+
+def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Exact Gaussian elimination; None when the system is singular."""
+    n = len(rows)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        factor = aug[col][col]
+        aug[col] = [x / factor for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                scale = aug[r][col]
+                aug[r] = [x - scale * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _equalizing_mix(matrix, support, against):
+    """Mix on ``support`` making every column of ``against`` worth the same
+    value v: solve sum_i x_i M[i][j] = v for j in against, sum x_i = 1."""
+    k = len(support)
+    rows = [[matrix[i][j] for i in support] + [Fraction(-1)] for j in against]
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    rhs = [Fraction(0)] * k + [Fraction(1)]
+    solution = _solve_linear(rows, rhs)
+    if solution is None:
+        return None
+    return solution[:k], solution[k]
+
+
+def _optimal_mix(matrix) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Maximin strategy for the row player of ``matrix``: the smallest
+    accepted mix on the first row support, in lexicographic order over all
+    nonempty subsets, that has an accepted square pair."""
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    transposed = [[matrix[i][j] for i in range(n_rows)] for j in range(n_cols)]
+    supports = sorted(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n_rows), k) for k in range(1, n_rows + 1)
+        )
+    )
+    for support in supports:
+        candidates = []
+        for against in itertools.combinations(range(n_cols), len(support)):
+            solved = _equalizing_mix(matrix, support, against)
+            if solved is None:
+                continue
+            mix_on_support, value = solved
+            if any(p < 0 for p in mix_on_support):
+                continue
+            dual = _equalizing_mix(transposed, against, support)
+            if dual is None:
+                continue
+            opponent_mix, opponent_value = dual
+            if opponent_value != value or any(p < 0 for p in opponent_mix):
+                continue
+            x = [Fraction(0)] * n_rows
+            for idx, p in zip(support, mix_on_support):
+                x[idx] = p
+            y = [Fraction(0)] * n_cols
+            for idx, p in zip(against, opponent_mix):
+                y[idx] = p
+            if any(sum(x[i] * matrix[i][j] for i in range(n_rows)) < value for j in range(n_cols)):
+                continue
+            if any(sum(matrix[i][j] * y[j] for j in range(n_cols)) > value for i in range(n_rows)):
+                continue
+            candidates.append((tuple(x), value))
+        if candidates:
+            return min(candidates)
+    raise AssertionError("no square-kernel solution found")
+
+
+def reference_constant_sum(game: MatrixGame) -> MixedProfile:
+    """The documented tie-break computed the slow way: the row side on the
+    payoffs, the column side on ``total - payoffs`` transposed."""
+    x, value = _optimal_mix(game.payoffs)
+    column_view = [
+        [game.total - game.payoffs[i][j] for i in range(game.rows)] for j in range(game.cols)
+    ]
+    y, column_value = _optimal_mix(column_view)
+    assert value + column_value == game.total
+    return MixedProfile(x, y, value)

@@ -6,8 +6,10 @@ import json
 import subprocess
 import sys
 
+import pytest
 from helpers import chain01
 
+from seqgames import cli
 from seqgames.cli import run
 from seqgames.dsl import parse
 
@@ -414,6 +416,18 @@ class TestErrors:
         path.write_text(serialize(GameDoc(("Alice", "Bertrand"), CyclicGame(nodes, "N0"))))
         assert run(["enumerate", str(path)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_limit_is_exit_4(self, capsys, corpus_dir, monkeypatch, error):
+        def exhausted(args):
+            raise error()
+
+        monkeypatch.setattr(cli, "_cmd_solve", exhausted)
+        assert run(["solve", str(corpus_dir / "zero_one_7.game")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limit: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestModuleEntryPoint:

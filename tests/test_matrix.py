@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_matrix
+from helpers import random_matrix, reference_constant_sum
 
 from seqgames.matrix import (
     DimensionMismatch,
@@ -134,3 +134,45 @@ class TestInvariants:
         for _ in range(20):
             game = random_matrix(rng)
             assert solve_constant_sum(game) == solve_constant_sum(game)
+
+
+def referee_game(rng: random.Random, index: int):
+    """Seeded games of up to 5x5 in three kinds, taken in turn: 0..2 integers
+    summing to 2 (many tied optima), rationals, and integers under a total
+    that is often negative."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    kind = index % 3
+    if kind == 0:
+        entries = [[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)]
+        return matrix_game(entries, 2)
+    if kind == 1:
+        entries = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        return matrix_game(entries, Fraction(rng.randint(-2, 5), rng.randint(1, 3)))
+    entries = [[rng.randint(-3, 9) for _ in range(cols)] for _ in range(rows)]
+    return matrix_game(entries, rng.randint(-2, 5))
+
+
+class TestReferee:
+    def test_matches_rational_reference(self):
+        rng = random.Random(53)
+        for index in range(540):
+            game = referee_game(rng, index)
+            assert solve_constant_sum(game) == reference_constant_sum(game), game
+
+    def test_tie_break_is_first_support_then_smallest_mix(self):
+        # The optimal row strategies here form a segment with ends
+        # (0, 1/3, 2/3) and (1/3, 0, 2/3).  Row supports are tried in
+        # lexicographic order and the smallest accepted mix on the first
+        # support wins, which is not the lexicographically greatest optimum.
+        game = matrix_game([[1, 2, 0], [0, 2, 0], [1, 0, 1]], 2)
+        third = Fraction(1, 3)
+        greatest = (third, Fraction(0), 2 * third)
+        profile = solve_constant_sum(game)
+        assert profile.row == (Fraction(0), third, 2 * third)
+        assert profile.column == (Fraction(0), third, 2 * third)
+        assert profile.value == 2 * third
+        assert best_response_value(game, greatest, "column") == game.total - profile.value
+        assert profile.row < greatest
