@@ -8,7 +8,6 @@ or search-space bound), 4 resource limit hit (recursion depth or memory).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -278,14 +277,9 @@ def _parse_outcome(text: str) -> tuple[int, ...]:
 def _cmd_auction(args: argparse.Namespace) -> int:
     game = par.dollar_auction(args.value)
     doc = dsl.GameDoc(("Alice", "Bertrand"), game)
-    names = list(game.shapes)
-    profiles = []
-    for combo in itertools.product(*(game.shapes[name].labels() for name in names)):
-        profile = dict(zip(names, combo))
-        report = par.check_spe_param(game, profile)
-        profiles.append((profile, report))
+    profiles = [(profile, par.check_spe_param(game, profile)) for profile in par.stationary_profiles(game)]
     equilibria = [profile for profile, report in profiles if report.ok]
-    never_bid = {name: "a" for name in names}
+    never_bid = {name: "a" for name in game.shapes}
     never_report = par.check_spe_param(game, never_bid)
     payload: dict[str, Any] = {
         "command": "auction",
@@ -506,7 +500,7 @@ def run(argv: list[str]) -> int:
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except cy.SearchSpaceTooLarge as exc:
+    except par.SearchSpaceTooLarge as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

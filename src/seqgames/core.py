@@ -169,11 +169,6 @@ def leaf_outcomes(game: FiniteGame) -> Iterator[OutcomeVector]:
         yield from leaf_outcomes(child)
 
 
-def player_count(game: FiniteGame) -> int:
-    """Number of players, read off the first leaf's outcome vector."""
-    return len(next(leaf_outcomes(game)))
-
-
 def require_two_players(game: FiniteGame) -> None:
     for outcome in leaf_outcomes(game):
         if len(outcome) != 2:

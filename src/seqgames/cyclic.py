@@ -8,39 +8,43 @@ induced play converges from every node and no one-shot deviation improves
 the deviating owner's payoff; a deviation whose continuation diverges ranks
 strictly below every convergent outcome, because divergent play never
 reaches a payoff.
+
+A cyclic game is the stage-parametric game whose payoffs all have slope 0,
+so the analyses here are thin adapters over ``parametric``: each runs on
+the game's cached ``embedding`` and hands back ``int`` payoffs.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
-from .core import GameError, Leaf, Node, FiniteGame, OutcomeVector, ShapeMismatch
+from .core import FiniteGame, Leaf, OutcomeVector, ShapeMismatch
 from .finite import SpeReport, Violation
+from .parametric import (  # DEFAULT_SEARCH_BOUND and SearchSpaceTooLarge are re-exported
+    DEFAULT_SEARCH_BOUND,
+    Divergent,
+    ParametricGame,
+    SearchSpaceTooLarge,
+    UnknownShape,
+    _require_space,
+    check_spe_param,
+    enumerate_stationary_spe,
+    from_cyclic,
+    induced_outcome_param,
+    instantiate,
+    instantiate_profile,
+)
 
-DEFAULT_SEARCH_BOUND = 2**20
-
-
-class UnknownNode(GameError):
-    """A node name is not defined in the game."""
-
-
-class SearchSpaceTooLarge(GameError):
-    """The positional-profile space exceeds the configured bound."""
+#: A node name is not defined in the game.
+UnknownNode = UnknownShape
 
 
 @dataclass(frozen=True)
 class CyclicNode:
     owner: int
     edges: tuple[tuple[str, Union[str, Leaf]], ...]
-
-    def target(self, label: str) -> Union[str, Leaf]:
-        for name, tgt in self.edges:
-            if name == label:
-                return tgt
-        raise KeyError(label)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.edges)
@@ -50,6 +54,12 @@ class CyclicNode:
 class CyclicGame:
     nodes: Mapping[str, CyclicNode]
     start: str
+
+    @cached_property
+    def embedding(self) -> ParametricGame:
+        """The slope-0 parametric game every analysis runs on, built on first
+        use and kept: a game's nodes are not to be changed once it is built."""
+        return from_cyclic(self)
 
 
 #: One chosen edge label per node name.
@@ -62,11 +72,8 @@ class Converges:
     outcome: OutcomeVector
 
 
-@dataclass(frozen=True)
-class Diverges:
-    stem: tuple[str, ...]
-    cycle: tuple[str, ...]
-
+#: Play never reaches a leaf: the lasso ``stem`` then ``cycle`` of nodes.
+Diverges = Divergent
 
 InducedResult = Union[Converges, Diverges]
 
@@ -91,20 +98,10 @@ def induced_outcome(
     if name not in game.nodes:
         raise UnknownNode(name)
     check_positional(game, profile)
-    path: list[str] = []
-    seen: dict[str, int] = {}
-    while True:
-        if name in seen:
-            first = seen[name]
-            return Diverges(stem=tuple(path[:first]), cycle=tuple(path[first:]))
-        seen[name] = len(path)
-        path.append(name)
-        target = game.nodes[name].target(profile[name])
-        if isinstance(target, Leaf):
-            return Converges(tuple(path), target.outcome)
-        if target not in game.nodes:
-            raise UnknownNode(target)
-        name = target
+    result = induced_outcome_param(game.embedding, profile, name)
+    if isinstance(result, Divergent):
+        return result
+    return Converges(result.path, tuple(v.const for v in result.outcome))
 
 
 def check_spe_cyclic(game: CyclicGame, profile: PositionalProfile) -> SpeReport:
@@ -115,31 +112,12 @@ def check_spe_cyclic(game: CyclicGame, profile: PositionalProfile) -> SpeReport:
     profile (a divergent continuation can never improve on a payoff).
     """
     check_positional(game, profile)
-    divergent = tuple(
-        name
-        for name in game.nodes
-        if isinstance(induced_outcome(game, profile, name), Diverges)
+    report = check_spe_param(game.embedding, profile)
+    violations = tuple(
+        Violation(v.where, v.action, v.profile_value.const, v.deviation_value.const)
+        for v in report.violations
     )
-    if divergent:
-        return SpeReport((), divergent)
-    violations: list[Violation] = []
-    for name, node in game.nodes.items():
-        result = induced_outcome(game, profile, name)
-        assert isinstance(result, Converges)
-        base = result.outcome[node.owner]
-        for label, target in node.edges:
-            if label == profile[name]:
-                continue
-            if isinstance(target, Leaf):
-                deviation = target.outcome[node.owner]
-            else:
-                continuation = induced_outcome(game, profile, target)
-                if isinstance(continuation, Diverges):
-                    continue
-                deviation = continuation.outcome[node.owner]
-            if deviation > base:
-                violations.append(Violation(name, label, base, deviation))
-    return SpeReport(tuple(violations))
+    return SpeReport(violations, report.divergences)
 
 
 def enumerate_positional_spe(
@@ -150,16 +128,8 @@ def enumerate_positional_spe(
     Profiles are generated in canonical order: node declaration order, edge
     order within each node.
     """
-    space = math.prod(len(node.edges) for node in game.nodes.values())
-    if space > bound:
-        raise SearchSpaceTooLarge(f"{space} positional profiles exceed bound {bound}")
-    names = list(game.nodes)
-    accepted: list[PositionalProfile] = []
-    for combo in itertools.product(*(game.nodes[name].labels() for name in names)):
-        profile = dict(zip(names, combo))
-        if check_spe_cyclic(game, profile).ok:
-            accepted.append(profile)
-    return accepted
+    _require_space(game.embedding, bound, "positional")
+    return enumerate_stationary_spe(game.embedding, bound)
 
 
 def unfold(game: CyclicGame, depth: int, terminal: OutcomeVector) -> FiniteGame:
@@ -170,22 +140,7 @@ def unfold(game: CyclicGame, depth: int, terminal: OutcomeVector) -> FiniteGame:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-
-    def rec(name: str, layer: int) -> Node:
-        if name not in game.nodes:
-            raise UnknownNode(name)
-        node = game.nodes[name]
-        branches: list[tuple[str, FiniteGame]] = []
-        for label, target in node.edges:
-            if isinstance(target, Leaf):
-                branches.append((label, target))
-            elif layer == depth:
-                branches.append((label, Leaf(tuple(terminal))))
-            else:
-                branches.append((label, rec(target, layer + 1)))
-        return Node(node.owner, tuple(branches))
-
-    return rec(game.start, 1)
+    return instantiate(game.embedding, depth, terminal)
 
 
 def unfold_profile(
@@ -200,15 +155,4 @@ def unfold_profile(
     check_positional(game, profile)
     if depth < 1:
         raise ValueError("depth must be positive")
-    out: dict[tuple[str, ...], str] = {}
-
-    def rec(name: str, layer: int, path: tuple[str, ...]) -> None:
-        node = game.nodes[name]
-        out[path] = profile[name]
-        for label, target in node.edges:
-            if isinstance(target, Leaf) or layer == depth:
-                continue
-            rec(target, layer + 1, path + (label,))
-
-    rec(game.start, 1, ())
-    return out
+    return instantiate_profile(game.embedding, profile, depth)

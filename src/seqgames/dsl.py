@@ -543,31 +543,21 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
 
         walk(game, ())
     elif isinstance(game, (CyclicGame, ParametricGame)):
-        if isinstance(game, CyclicGame):
-            points = {name: (node.owner, node.edges) for name, node in game.nodes.items()}
-            if highlight is not None:
-                check_positional(game, highlight)  # type: ignore[arg-type]
-        else:
-            points = {name: (shape.owner, shape.moves) for name, shape in game.shapes.items()}
-            if highlight is not None:
-                check_stationary(game, highlight)  # type: ignore[arg-type]
-        idents = {name: fresh() for name in points}
-        for name, (owner, _targets) in points.items():
-            label = f"{name}: {doc.players[owner]}"
+        if highlight is not None:
+            (check_positional if isinstance(game, CyclicGame) else check_stationary)(game, highlight)
+        graph = game.embedding if isinstance(game, CyclicGame) else game
+        idents = {name: fresh() for name in graph.shapes}
+        for name, shape in graph.shapes.items():
+            label = f"{name}: {doc.players[shape.owner]}"
             nodes.append(f'  {idents[name]} [label="{_dot_escape(label)}"];')
-        for name, (_owner, targets) in points.items():
-            for label, target in targets:
-                if isinstance(target, Leaf):
-                    child = fresh()
-                    nodes.append(f'  {child} [label="{",".join(map(str, target.outcome))}"];')
-                elif isinstance(target, AffineLeaf):
+        for name, shape in graph.shapes.items():
+            for label, target in shape.moves:
+                if isinstance(target, AffineLeaf):
                     child = fresh()
                     rendered = ",".join(str(v) for v in target.outcome)
                     nodes.append(f'  {child} [label="{_dot_escape(rendered)}"];')
-                elif isinstance(target, Advance):
-                    child = idents[target.shape]
                 else:
-                    child = idents[target]
+                    child = idents[target.shape]
                 bold = (
                     _HIGHLIGHT
                     if highlight is not None and highlight[name] == label  # type: ignore[index]

@@ -14,17 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .core import GameError, Leaf, OutcomeVector, ShapeMismatch
-from .cyclic import (
-    CyclicGame,
-    Diverges,
-    check_positional,
-    check_spe_cyclic,
-    enumerate_positional_spe,
-    induced_outcome,
-)
+from .core import GameError, OutcomeVector
+from .cyclic import CyclicGame, check_positional, enumerate_positional_spe
 from .parametric import (
-    Advance,
     AffineLeaf,
     Divergent,
     ParametricGame,
@@ -83,7 +75,7 @@ class BeliefPair:
 
 @dataclass(frozen=True)
 class Escalates:
-    witness: object  # Diverges lasso for cyclic games, Divergent for parametric
+    witness: Divergent  # the lasso: stem, then the cycle repeated forever
 
 
 @dataclass(frozen=True)
@@ -129,19 +121,21 @@ class SimTrace:
         return self.outcome is None
 
 
-def _decision_owners(game: CyclicGame | ParametricGame) -> dict[str, int]:
+def _engine_game(game: CyclicGame | ParametricGame) -> ParametricGame:
+    """The parametric game the analyses run on: a cyclic game's embedding."""
+    return game.embedding if isinstance(game, CyclicGame) else game
+
+
+def _kind_checks(game: CyclicGame | ParametricGame):
+    """The profile validator and enumerator whose messages name the game's
+    own points (nodes and positional profiles, or shapes and stationary)."""
     if isinstance(game, CyclicGame):
-        return {name: node.owner for name, node in game.nodes.items()}
-    if isinstance(game, ParametricGame):
-        return {name: shape.owner for name, shape in game.shapes.items()}
-    raise ShapeMismatch(f"unsupported game kind: {type(game).__name__}")
+        return check_positional, enumerate_positional_spe
+    return check_stationary, enumerate_stationary_spe
 
 
 def _check_belief(game: CyclicGame | ParametricGame, belief: Profile) -> None:
-    if isinstance(game, CyclicGame):
-        check_positional(game, belief)
-    else:
-        check_stationary(game, belief)
+    _kind_checks(game)[0](game, belief)
 
 
 def compose_beliefs(game: CyclicGame | ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
@@ -149,7 +143,7 @@ def compose_beliefs(game: CyclicGame | ParametricGame, beliefs: BeliefPair) -> d
     _check_belief(game, beliefs.belief_of_a)
     _check_belief(game, beliefs.belief_of_b)
     per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
-    return {name: per_player[owner][name] for name, owner in _decision_owners(game).items()}
+    return {name: per_player[shape.owner][name] for name, shape in _engine_game(game).shapes.items()}
 
 
 def detect_escalation(
@@ -164,23 +158,17 @@ def detect_escalation(
     ``require_equilibria`` set, each belief must pass the applicable
     equilibrium check first.
     """
+    engine = _engine_game(game)
     if require_equilibria:
-        checker = check_spe_cyclic if isinstance(game, CyclicGame) else check_spe_param
         for player, belief in enumerate((beliefs.belief_of_a, beliefs.belief_of_b)):
-            if not checker(game, belief).ok:
+            _check_belief(game, belief)
+            if not check_spe_param(engine, belief).ok:
                 raise BeliefNotEquilibrium(player)
-    effective = compose_beliefs(game, beliefs)
-    if isinstance(game, CyclicGame):
-        result = induced_outcome(game, effective)
-        if isinstance(result, Diverges):
-            return Escalates(result)
-        return Terminates(stage=len(result.path) - 1, outcome=result.outcome)
-    result = induced_outcome_param(game, effective)
+    result = induced_outcome_param(engine, compose_beliefs(game, beliefs))
     if isinstance(result, Divergent):
         return Escalates(result)
-    final_stage = result.steps - 1  # every move before the leaf advanced one stage
     return Terminates(
-        stage=final_stage,
+        stage=result.steps - 1,  # every move before the leaf advanced one stage
         outcome=tuple(value.at(0) for value in result.outcome),
     )
 
@@ -188,9 +176,7 @@ def detect_escalation(
 def equilibrium_beliefs(game: CyclicGame | ParametricGame) -> list[Profile]:
     """The belief universe for ``simulate``: all positional/stationary
     equilibria of the game, in canonical enumeration order."""
-    if isinstance(game, CyclicGame):
-        return list(enumerate_positional_spe(game))
-    return list(enumerate_stationary_spe(game))
+    return list(_kind_checks(game)[1](game))
 
 
 def simulate(
@@ -222,19 +208,17 @@ def simulate(
         return rng.below(len(beliefs))
 
     steps: list[SimStep] = []
-    cyclic = isinstance(game, CyclicGame)
-    name = game.start
+    engine = _engine_game(game)
+    name = engine.start
     stage = 0
     for _turn in range(horizon):
-        point = game.nodes[name] if cyclic else game.shapes[name]
-        index = pick(point.owner)
+        shape = engine.shapes[name]
+        index = pick(shape.owner)
         action = beliefs[index][name]
-        steps.append(SimStep(stage, point.owner, index, action))
-        target = point.target(action)
-        if isinstance(target, Leaf):
-            return SimTrace(seed, tuple(steps), target.outcome)
+        steps.append(SimStep(stage, shape.owner, index, action))
+        target = shape.target(action)
         if isinstance(target, AffineLeaf):
             return SimTrace(seed, tuple(steps), tuple(v.at(stage) for v in target.outcome))
-        name = target.shape if isinstance(target, Advance) else target
+        name = target.shape
         stage += 1
     return SimTrace(seed, tuple(steps), None)

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .core import FiniteGame, GameError, Leaf, Node, OutcomeVector, ShapeMismatch
-from .cyclic import CyclicGame, SearchSpaceTooLarge
 from .finite import SpeReport, Violation
 
 DEFAULT_SEARCH_BOUND = 2**20
@@ -24,6 +23,10 @@ DEFAULT_SEARCH_BOUND = 2**20
 
 class UnknownShape(GameError):
     """A shape name is not defined in the game."""
+
+
+class SearchSpaceTooLarge(GameError):
+    """The profile space exceeds the configured bound."""
 
 
 class InvalidValue(GameError):
@@ -105,19 +108,25 @@ StationaryProfile = Mapping[str, str]
 
 @dataclass(frozen=True)
 class ConvergesAffine:
-    """Play reaches a leaf after ``steps`` moves; the outcome is expressed
-    as affine functions of the stage at which play entered."""
+    """Play moves through the shapes of ``path`` and then takes a leaf; the
+    outcome is expressed as affine functions of the stage at which play
+    entered."""
 
-    steps: int
+    path: tuple[str, ...]
     outcome: tuple[AffineValue, ...]
+
+    @property
+    def steps(self) -> int:
+        return len(self.path)
 
 
 @dataclass(frozen=True)
 class Divergent:
-    pass
+    """Play never takes a leaf: it passes ``stem`` once, then repeats ``cycle``."""
 
+    stem: tuple[str, ...]
+    cycle: tuple[str, ...]
 
-DIVERGENT = Divergent()
 
 InducedParamResult = Union[ConvergesAffine, Divergent]
 
@@ -130,33 +139,38 @@ def check_stationary(game: ParametricGame, profile: StationaryProfile) -> None:
             raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not a move label")
 
 
+def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> InducedParamResult:
+    """Induced play from shape ``name`` under a profile already validated."""
+    path: list[str] = []
+    seen: dict[str, int] = {}
+    while name not in seen:
+        seen[name] = len(path)
+        path.append(name)
+        target = game.shapes[name].target(profile[name])
+        if isinstance(target, AffineLeaf):
+            offset = len(path) - 1  # every earlier move advanced one stage
+            return ConvergesAffine(tuple(path), tuple(v.shifted(offset) for v in target.outcome))
+        if target.shape not in game.shapes:
+            raise UnknownShape(target.shape)
+        name = target.shape
+    first = seen[name]
+    return Divergent(stem=tuple(path[:first]), cycle=tuple(path[first:]))
+
+
 def induced_outcome_param(
     game: ParametricGame, profile: StationaryProfile, from_shape: str | None = None
 ) -> InducedParamResult:
     """Follow the profile's moves from ``from_shape`` at symbolic stage n.
 
-    The profile is stationary, so revisiting a shape proves divergence;
+    The profile is stationary, so revisiting a shape proves divergence, and
+    the returned lasso splits the visited shapes at the first repeat;
     otherwise a leaf is reached within as many moves as there are shapes.
     """
     name = game.start if from_shape is None else from_shape
     if name not in game.shapes:
         raise UnknownShape(name)
     check_stationary(game, profile)
-    seen: set[str] = set()
-    offset = 0
-    steps = 0
-    while True:
-        if name in seen:
-            return DIVERGENT
-        seen.add(name)
-        target = game.shapes[name].target(profile[name])
-        steps += 1
-        if isinstance(target, AffineLeaf):
-            return ConvergesAffine(steps, tuple(v.shifted(offset) for v in target.outcome))
-        offset += 1
-        if target.shape not in game.shapes:
-            raise UnknownShape(target.shape)
-        name = target.shape
+    return _walk(game, profile, name)
 
 
 @dataclass(frozen=True)
@@ -223,11 +237,24 @@ def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeRepo
     A deviation with divergent continuation never improves on a payoff.
     """
     check_stationary(game, profile)
-    results = {name: induced_outcome_param(game, profile, name) for name in game.shapes}
+    _check_targets(game)
+    return _spe_report(game, profile)
+
+
+def _check_targets(game: ParametricGame) -> None:
+    for shape in game.shapes.values():
+        for _label, target in shape.moves:
+            if isinstance(target, Advance) and target.shape not in game.shapes:
+                raise UnknownShape(target.shape)
+
+
+def _spe_report(game: ParametricGame, profile: StationaryProfile) -> SpeReport:
+    """``check_spe_param`` on a validated profile of a game without dangling advances."""
+    results = {name: _walk(game, profile, name) for name in game.shapes}
     divergent = tuple(name for name, r in results.items() if isinstance(r, Divergent))
     if divergent:
         return SpeReport((), divergent)
-    entries = entry_stages(game)
+    entries: dict[str, EntryStages] = {}
     violations: list[Violation] = []
     for name, shape in game.shapes.items():
         result = results[name]
@@ -243,26 +270,40 @@ def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeRepo
                 if isinstance(continuation, Divergent):
                     continue
                 deviation = continuation.outcome[shape.owner].shifted(1)
-            if not _holds_at_entries(deviation, base, entries[name]):
+            if deviation.slope == base.slope:  # the same comparison at every stage
+                holds = deviation.const <= base.const
+            else:
+                entries = entries or entry_stages(game)
+                holds = _holds_at_entries(deviation, base, entries[name])
+            if not holds:
                 violations.append(Violation(name, label, base, deviation))
     return SpeReport(tuple(violations))
+
+
+def stationary_profiles(game: ParametricGame) -> Iterator[dict[str, str]]:
+    """Every stationary profile in canonical order: shape declaration order,
+    move order within each shape."""
+    names = list(game.shapes)
+    for combo in itertools.product(*(game.shapes[name].labels() for name in names)):
+        yield dict(zip(names, combo))
+
+
+def _require_space(game: ParametricGame, bound: int, kind: str = "stationary") -> None:
+    """Raise ``SearchSpaceTooLarge`` when the game has more than ``bound``
+    profiles; ``kind`` names them in the message."""
+    space = math.prod(len(shape.moves) for shape in game.shapes.values())
+    if space > bound:
+        raise SearchSpaceTooLarge(f"{space} {kind} profiles exceed bound {bound}")
 
 
 def enumerate_stationary_spe(
     game: ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
 ) -> list[StationaryProfile]:
     """Brute-force all stationary profiles and keep the equilibria, in
-    canonical order (shape declaration order, move order per shape)."""
-    space = math.prod(len(shape.moves) for shape in game.shapes.values())
-    if space > bound:
-        raise SearchSpaceTooLarge(f"{space} stationary profiles exceed bound {bound}")
-    names = list(game.shapes)
-    accepted: list[StationaryProfile] = []
-    for combo in itertools.product(*(game.shapes[name].labels() for name in names)):
-        profile = dict(zip(names, combo))
-        if check_spe_param(game, profile).ok:
-            accepted.append(profile)
-    return accepted
+    canonical order (``stationary_profiles``)."""
+    _require_space(game, bound)
+    _check_targets(game)
+    return [profile for profile in stationary_profiles(game) if _spe_report(game, profile).ok]
 
 
 def dollar_auction(value: int) -> ParametricGame:
@@ -331,8 +372,9 @@ def instantiate_profile(
     return out
 
 
-def from_cyclic(game: CyclicGame) -> ParametricGame:
-    """Embed a cyclic game as a constant-payoff (slope 0) parametric game."""
+def from_cyclic(game) -> ParametricGame:
+    """Embed a cyclic game (anything with its ``nodes`` and ``start``) as a
+    constant-payoff (slope 0) parametric game with the same names and order."""
     shapes: dict[str, Shape] = {}
     for name, node in game.nodes.items():
         moves: list[tuple[str, Union[AffineLeaf, Advance]]] = []

@@ -3,8 +3,11 @@
 The oracles here deliberately avoid the library's solver code paths: the
 brute-force equilibrium filter enumerates every profile and tests the
 one-deviation property by direct tree walks, so it can referee
-``enumerate_equilibria`` and ``check_spe``; ``reference_constant_sum``
-solves each side of a matrix game separately with Gaussian elimination over
+``enumerate_equilibria`` and ``check_spe``; the graph referees trace
+induced play step by step (on the cyclic graph itself, or at concrete
+stages of a parametric game), so they can referee the symbolic engine
+behind ``check_spe_cyclic`` and ``check_spe_param``;
+``reference_constant_sum`` solves each side of a matrix game separately with Gaussian elimination over
 Fractions, so it can referee the integer kernel of ``solve_constant_sum``.
 """
 
@@ -128,6 +131,92 @@ def all_profiles(game: FiniteGame) -> list[dict]:
 def brute_equilibria(game: FiniteGame) -> list[dict]:
     """All profiles passing the one-deviation filter (exhaustive search)."""
     return [profile for profile in all_profiles(game) if one_deviation_stable(game, profile)]
+
+
+# --- graph-game referees ----------------------------------------------------
+
+
+def trace_outcome(game: CyclicGame, profile: dict, start: str, bound: int):
+    """Independent induced-play oracle: step-by-step with an explicit bound."""
+    name = start
+    for _ in range(bound):
+        target = dict(game.nodes[name].edges)[profile[name]]
+        if isinstance(target, Leaf):
+            return target.outcome
+        name = target
+    return None  # no leaf within bound: divergent for positional profiles
+
+
+def reference_report_cyclic(game: CyclicGame, profile: dict):
+    """The divergent nodes and the improving one-shot deviations
+    ``(where, action, profile_value, deviation_value)``, by bounded tracing
+    on the graph itself.  Deviations are judged only when play converges
+    from every node, as in the library's report."""
+    bound = len(game.nodes) + 1
+    values = {name: trace_outcome(game, profile, name, bound) for name in game.nodes}
+    divergent = tuple(name for name, value in values.items() if value is None)
+    if divergent:
+        return divergent, []
+    violations = []
+    for name, node_ in game.nodes.items():
+        base = values[name][node_.owner]
+        for label, target in node_.edges:
+            if label == profile[name]:
+                continue
+            after = target.outcome if isinstance(target, Leaf) else values[target]
+            if after[node_.owner] > base:
+                violations.append((name, label, base, after[node_.owner]))
+    return divergent, violations
+
+
+def reference_is_spe(game: CyclicGame, profile: dict) -> bool:
+    """Independently coded acceptance test via bounded tracing."""
+    divergent, violations = reference_report_cyclic(game, profile)
+    return not divergent and not violations
+
+
+def reference_report_param(game: ParametricGame, profile: dict, horizon: int = 64):
+    """The divergent shapes and the ``(where, action)`` sites of improving
+    one-shot deviations, judged at concrete integer stages: a shape is
+    judged at every stage up to ``horizon`` at which some play enters it,
+    or at every stage up to ``horizon`` when no play does."""
+
+    def value(name: str, stage: int):
+        for _ in range(len(game.shapes) + 1):
+            target = dict(game.shapes[name].moves)[profile[name]]
+            if isinstance(target, AffineLeaf):
+                return tuple(v.const + v.slope * stage for v in target.outcome)
+            name, stage = target.shape, stage + 1
+        return None
+
+    divergent = tuple(name for name in game.shapes if value(name, 0) is None)
+    if divergent:
+        return divergent, []
+    entered: dict[str, list[int]] = {name: [] for name in game.shapes}
+    frontier = {game.start}
+    for stage in range(horizon + 1):
+        for name in frontier:
+            entered[name].append(stage)
+        frontier = {
+            target.shape
+            for name in frontier
+            for _label, target in game.shapes[name].moves
+            if isinstance(target, Advance)
+        }
+    violations = []
+    for name, shape in game.shapes.items():
+        for label, target in shape.moves:
+            if label == profile[name]:
+                continue
+            for stage in entered[name] or range(horizon + 1):
+                if isinstance(target, AffineLeaf):
+                    after = tuple(v.const + v.slope * stage for v in target.outcome)
+                else:
+                    after = value(target.shape, stage + 1)
+                if after is not None and after[shape.owner] > value(name, stage)[shape.owner]:
+                    violations.append((name, label))
+                    break
+    return divergent, violations
 
 
 def count_nodes(game: FiniteGame) -> int:

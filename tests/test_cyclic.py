@@ -6,9 +6,10 @@ import itertools
 import random
 
 import pytest
-from helpers import chain01, loop01, random_cyclic
+from helpers import chain01, loop01, random_cyclic, reference_is_spe, reference_report_cyclic
 
-from seqgames.core import Leaf, ShapeMismatch, leaf, node
+from seqgames import cyclic, parametric
+from seqgames.core import ShapeMismatch, leaf, node
 from seqgames.cyclic import (
     Converges,
     CyclicGame,
@@ -23,34 +24,6 @@ from seqgames.cyclic import (
     unfold_profile,
 )
 from seqgames.finite import check_spe, enumerate_equilibria
-
-
-def trace_outcome(game: CyclicGame, profile: dict, start: str, bound: int):
-    """Independent induced-play oracle: step-by-step with an explicit bound."""
-    name = start
-    for _ in range(bound):
-        target = dict(game.nodes[name].edges)[profile[name]]
-        if isinstance(target, Leaf):
-            return target.outcome
-        name = target
-    return None  # no leaf within bound: divergent for positional profiles
-
-
-def reference_is_spe(game: CyclicGame, profile: dict) -> bool:
-    """Independently coded acceptance test via bounded tracing."""
-    bound = len(game.nodes) + 1
-    values = {name: trace_outcome(game, profile, name, bound) for name in game.nodes}
-    if any(value is None for value in values.values()):
-        return False
-    for name, node_ in game.nodes.items():
-        base = values[name][node_.owner]
-        for label, target in node_.edges:
-            if label == profile[name]:
-                continue
-            after = target.outcome if isinstance(target, Leaf) else values[target]
-            if after is not None and after[node_.owner] > base:
-                return False
-    return True
 
 
 class TestInducedOutcome:
@@ -133,6 +106,58 @@ class TestCheckSpe:
             game = random_cyclic(rng)
             for profile in _profiles(game):
                 assert check_spe_cyclic(game, profile).ok == reference_is_spe(game, profile)
+
+    def test_full_report_matches_reference_on_random_games(self):
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(300):
+            game = random_cyclic(rng)
+            for profile in _profiles(game):
+                report = check_spe_cyclic(game, profile)
+                divergent, violations = reference_report_cyclic(game, profile)
+                assert report.divergences == divergent
+                assert [
+                    (v.where, v.action, v.profile_value, v.deviation_value)
+                    for v in report.violations
+                ] == violations
+                for v in report.violations:
+                    assert type(v.profile_value) is int and type(v.deviation_value) is int
+                checked += 1
+        assert checked > 2000
+
+    def test_dangling_edge_raises_unknown_node(self):
+        game = CyclicGame(
+            {
+                "A": CyclicNode(0, (("a", leaf(0, 1)), ("c", "Z"))),
+                "B": CyclicNode(1, (("a", leaf(1, 0)), ("c", "A"))),
+            },
+            "A",
+        )
+        with pytest.raises(UnknownNode):
+            check_spe_cyclic(game, {"A": "a", "B": "c"})
+        with pytest.raises(UnknownNode):
+            induced_outcome(game, {"A": "c", "B": "a"})
+
+
+class TestEngine:
+    """A cyclic game is analysed as its slope-0 parametric embedding."""
+
+    def test_embedding_is_built_once(self):
+        game = loop01()
+        assert game.embedding is game.embedding
+        assert game.embedding == parametric.from_cyclic(game)
+
+    def test_shared_names_are_the_engine_objects(self):
+        assert cyclic.SearchSpaceTooLarge is parametric.SearchSpaceTooLarge
+        assert cyclic.DEFAULT_SEARCH_BOUND is parametric.DEFAULT_SEARCH_BOUND
+        assert UnknownNode is parametric.UnknownShape
+        assert Diverges is parametric.Divergent
+
+    def test_search_bound_message_names_positional_profiles(self):
+        pair = (("x", leaf(0, 0)), ("y", leaf(1, 1)))
+        game = CyclicGame({f"N{i}": CyclicNode(0, pair) for i in range(3)}, "N0")
+        with pytest.raises(SearchSpaceTooLarge, match="^8 positional profiles exceed bound 7$"):
+            enumerate_positional_spe(game, bound=7)
 
 
 class TestEnumerate:

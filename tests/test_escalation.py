@@ -104,6 +104,10 @@ class TestDetect:
         assert isinstance(verdict, Escalates)
         assert isinstance(verdict.witness, Divergent)
 
+    def test_auction_escalation_witness_is_the_lasso(self):
+        verdict = detect_escalation(dollar_auction(100), AUCTION_CROSSED)
+        assert verdict == Escalates(Divergent(stem=("A0",), cycle=("B", "A")))
+
     def test_auction_swapped_beliefs_terminate_at_stage_zero(self):
         swapped = BeliefPair(AUCTION_CROSSED.belief_of_b, AUCTION_CROSSED.belief_of_a)
         assert detect_escalation(dollar_auction(100), swapped) == Terminates(

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from helpers import chain01, loop01
+from helpers import chain01, loop01, random_parametric, reference_report_param
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from seqgames.parametric import (
     induced_outcome_param,
     instantiate,
     instantiate_profile,
+    stationary_profiles,
 )
 
 ALICE_CONTINUES = {"A0": "c", "A": "c", "B": "a"}
@@ -96,6 +98,17 @@ class TestInducedOutcome:
             induced_outcome_param(dollar_auction(100), BOTH_CONTINUE), Divergent
         )
 
+    def test_divergence_carries_the_lasso(self):
+        assert induced_outcome_param(dollar_auction(100), BOTH_CONTINUE) == Divergent(
+            stem=("A0",), cycle=("B", "A")
+        )
+
+    def test_path_and_steps_agree(self):
+        result = induced_outcome_param(dollar_auction(100), ALICE_CONTINUES)
+        assert result.path == ("A0", "B")
+        assert result.steps == 2
+        assert tuple(v.at(0) for v in result.outcome) == (99, 0)
+
     def test_immediate_leaf(self):
         result = induced_outcome_param(dollar_auction(100), NEVER_BID, "A0")
         assert isinstance(result, ConvergesAffine)
@@ -161,6 +174,19 @@ class TestCheckSpe:
         with pytest.raises(ShapeMismatch):
             check_spe_param(dollar_auction(100), {"A0": "a"})
 
+    def test_matches_concrete_stage_reference_on_random_games(self):
+        rng = random.Random(53)
+        rejected = 0
+        for _ in range(150):
+            game = random_parametric(rng)
+            for profile in stationary_profiles(game):
+                report = check_spe_param(game, profile)
+                divergent, violations = reference_report_param(game, profile)
+                assert report.divergences == divergent
+                assert [(v.where, v.action) for v in report.violations] == violations
+                rejected += bool(violations)
+        assert rejected > 100
+
 
 class TestEnumerate:
     def test_value_100_has_exactly_the_one_sided_equilibria(self):
@@ -181,6 +207,11 @@ class TestEnumerate:
         game = dollar_auction(5)
         expected = [p for p in all_stationary(game) if check_spe_param(game, p).ok]
         assert enumerate_stationary_spe(game) == expected
+
+    def test_profiles_in_canonical_order(self):
+        assert list(stationary_profiles(dollar_auction(5))) == list(all_stationary(dollar_auction(5)))
+        assert next(stationary_profiles(dollar_auction(5))) == NEVER_BID
+        assert len(list(stationary_profiles(dollar_auction(5)))) == 8
 
 
 class TestDollarAuction:
