@@ -8,12 +8,16 @@ decision node, including nodes that equilibrium play never reaches, so
 deviation checks can reason about counterfactual positions.
 
 All values are immutable after construction and every operation is a pure
-function; sharing across threads is safe.
+function; sharing across threads is safe.  Every routine over a tree runs
+on its ``index``: preorder arrays built by one iterative pass and cached on
+the root, so the work is linear in the number of nodes (plus the hashing of
+path keys) and no depth exhausts the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Union
 
 DEFAULT_PLAYERS = ("Alice", "Bertrand")
@@ -51,9 +55,17 @@ class NotTwoPlayer(GameError):
 class Leaf:
     outcome: OutcomeVector
 
+    @cached_property
+    def index(self) -> "TreeIndex":
+        """The one-entry index of a game that is a single leaf."""
+        return TreeIndex(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Node:
+    """A decision node.  Equality and hashing compare the preorder arrays of
+    ``index``, so they do not recurse and work on trees of any depth."""
+
     owner: int
     branches: tuple[tuple[str, "FiniteGame"], ...]
 
@@ -66,12 +78,118 @@ class Node:
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.branches)
 
+    @cached_property
+    def index(self) -> "TreeIndex":
+        """The flat preorder arrays every tree routine runs on, built on first
+        use and kept: a tree is not to be changed once it is built."""
+        return TreeIndex(self)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.index, other.index  # type: ignore[attr-defined]
+        return (
+            mine.labels == theirs.labels
+            and mine.owners == theirs.owners
+            and mine.outcomes == theirs.outcomes
+        )
+
+    def __hash__(self) -> int:
+        index = self.index
+        return hash((tuple(index.owners), tuple(index.labels), tuple(index.outcomes)))
+
 
 FiniteGame = Union[Leaf, Node]
 
 #: A tree profile maps every decision-node path (from the root) to the
 #: chosen branch label at that node.
 TreeProfile = Mapping[PlayLine, str]
+
+
+class TreeIndex:
+    """A finite tree flattened once into preorder arrays.
+
+    Entry ``i`` describes the ``i``-th node in preorder (the root is 0):
+    ``owners[i]`` and ``paths[i]`` are its owner and its path from the root
+    for decision nodes and None for leaves; ``outcomes[i]`` is the payoff
+    vector of a leaf and None for decision nodes; ``labels[i]`` and
+    ``children[i]`` list its branch labels and the indices of its children
+    in branch order (both empty for leaves).  ``postorder`` lists the
+    decision nodes, each after all of its descendants, so one pass over it
+    computes values bottom-up.  The arrays hold no node objects, so caching
+    an index on its root creates no reference cycle.
+    """
+
+    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder")
+
+    def __init__(self, root: FiniteGame) -> None:
+        owners: list[int | None] = []
+        paths: list[PlayLine | None] = []
+        outcomes: list[OutcomeVector | None] = []
+        labels: list[tuple[str, ...]] = []
+        children: list[tuple[int, ...]] = []
+        postorder: list[int] = []
+        self.owners, self.paths, self.outcomes = owners, paths, outcomes
+        self.labels, self.children, self.postorder = labels, children, postorder
+        if isinstance(root, Leaf):
+            owners.append(None)
+            paths.append(None)
+            outcomes.append(root.outcome)
+            labels.append(())
+            children.append(())
+            return
+        owners.append(root.owner)
+        paths.append(())
+        outcomes.append(None)
+        labels.append(root.labels())
+        children.append(())
+        # One frame per open decision node: its index, the indices of the
+        # children seen so far, and the branches still to visit.
+        frames = [(0, [], iter(root.branches))]
+        while frames:
+            parent, kids, pending = frames[-1]
+            for label, sub in pending:
+                kids.append(len(owners))
+                children.append(())
+                if isinstance(sub, Leaf):
+                    owners.append(None)
+                    paths.append(None)
+                    outcomes.append(sub.outcome)
+                    labels.append(())
+                    continue
+                frames.append((len(owners), [], iter(sub.branches)))
+                owners.append(sub.owner)
+                paths.append(paths[parent] + (label,))  # type: ignore[operator]
+                outcomes.append(None)
+                labels.append(sub.labels())
+                break
+            else:
+                frames.pop()
+                children[parent] = tuple(kids)
+                postorder.append(parent)
+
+    def edges(self) -> Iterator[tuple[int, int, bool]]:
+        """Depth-first edge events in branch order: ``(node, position, True)``
+        before the subtree of ``children[node][position]`` and
+        ``(node, position, False)`` after it."""
+        children = self.children
+        stack = [(0, 0)]
+        while stack:
+            parent, position = stack.pop()
+            kids = children[parent]
+            if position:
+                yield parent, position - 1, False
+            while position < len(kids):
+                yield parent, position, True
+                child = kids[position]
+                position += 1
+                if children[child]:
+                    stack.append((parent, position))
+                    stack.append((child, 0))
+                    break
+                yield parent, position - 1, False
 
 
 def leaf(*outcome: int) -> Leaf:
@@ -114,14 +232,51 @@ def subgame_at(game: FiniteGame, prefix: PlayLine) -> FiniteGame:
 
 def node_paths(game: FiniteGame) -> Iterator[PlayLine]:
     """Yield the paths of all decision nodes in preorder."""
+    return (path for path in game.index.paths if path is not None)
 
-    def walk(sub: FiniteGame, path: PlayLine) -> Iterator[PlayLine]:
-        if isinstance(sub, Node):
-            yield path
-            for label, child in sub.branches:
-                yield from walk(child, path + (label,))
 
-    return walk(game, ())
+_MISSING = object()
+
+
+def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
+    """Validate ``profile`` as ``check_profile`` does and return, for every
+    node in preorder, the position of the chosen branch (None at leaves).
+
+    Sibling labels are assumed distinct, as ``parse`` and ``validate``
+    require: the key check counts decision nodes rather than distinct paths.
+    """
+    index = game.index
+    picks: list[int | None] = []
+    bad_choice = None
+    complete = True
+    decisions = 0
+    for path, names in zip(index.paths, index.labels):
+        if path is None:
+            picks.append(None)
+            continue
+        decisions += 1
+        choice = profile.get(path, _MISSING)
+        try:
+            picks.append(names.index(choice))
+        except ValueError:
+            picks.append(None)
+            if choice is _MISSING:
+                complete = False
+            elif bad_choice is None:
+                bad_choice = (path, choice)
+    if not complete or decisions != len(profile):
+        paths = set(node_paths(game))
+        keys = set(profile)
+        missing = sorted(paths - keys)
+        extra = sorted(keys - paths)
+        raise ShapeMismatch(
+            f"profile does not match game shape "
+            f"(missing {missing[:3]!r}, extra {extra[:3]!r})"
+        )
+    if bad_choice is not None:
+        path, choice = bad_choice
+        raise ShapeMismatch(f"choice {choice!r} at {path!r} is not a branch label")
+    return picks
 
 
 def check_profile(game: FiniteGame, profile: TreeProfile) -> None:
@@ -130,48 +285,30 @@ def check_profile(game: FiniteGame, profile: TreeProfile) -> None:
     The profile must assign a choice to every decision node (and nothing
     else), and every choice must be one of that node's branch labels.
     """
-    paths = set(node_paths(game))
-    keys = set(profile)
-    if paths != keys:
-        missing = sorted(paths - keys)
-        extra = sorted(keys - paths)
-        raise ShapeMismatch(
-            f"profile does not match game shape "
-            f"(missing {missing[:3]!r}, extra {extra[:3]!r})"
-        )
-    for path in paths:
-        sub = subgame_at(game, path)
-        assert isinstance(sub, Node)
-        if profile[path] not in sub.labels():
-            raise ShapeMismatch(
-                f"choice {profile[path]!r} at {path!r} is not a branch label"
-            )
+    chosen_branches(game, profile)
 
 
 def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, OutcomeVector]:
     """Follow the profile's choices from the root; return play and outcome."""
-    check_profile(game, profile)
+    picks = chosen_branches(game, profile)
+    index = game.index
     play: list[str] = []
-    current = game
-    while isinstance(current, Node):
-        label = profile[tuple(play)]
-        play.append(label)
-        current = current.branch(label)
-    return tuple(play), current.outcome
+    current = 0
+    while picks[current] is not None:
+        pick = picks[current]
+        play.append(index.labels[current][pick])
+        current = index.children[current][pick]
+    return tuple(play), index.outcomes[current]  # type: ignore[return-value]
 
 
 def leaf_outcomes(game: FiniteGame) -> Iterator[OutcomeVector]:
     """Yield every leaf outcome in preorder."""
-    if isinstance(game, Leaf):
-        yield game.outcome
-        return
-    for _label, child in game.branches:
-        yield from leaf_outcomes(child)
+    return (outcome for outcome in game.index.outcomes if outcome is not None)
 
 
 def require_two_players(game: FiniteGame) -> None:
-    for outcome in leaf_outcomes(game):
-        if len(outcome) != 2:
+    for outcome in game.index.outcomes:
+        if outcome is not None and len(outcome) != 2:
             raise NotTwoPlayer(
                 f"solvers need two players, found outcome vector of length {len(outcome)}"
             )
@@ -201,29 +338,37 @@ class ValidationReport:
 def validate(game: FiniteGame) -> ValidationReport:
     """Report structural problems: duplicate sibling labels, ragged outcome
     vectors, decision nodes without branches."""
+    index = game.index
     findings: list[Finding] = []
     arity: int | None = None
 
-    def walk(sub: FiniteGame, path: PlayLine) -> None:
+    def inspect(position: int, path: PlayLine) -> None:
         nonlocal arity
-        if isinstance(sub, Leaf):
+        outcome = index.outcomes[position]
+        if outcome is not None:
             if arity is None:
-                arity = len(sub.outcome)
-            elif len(sub.outcome) != arity:
+                arity = len(outcome)
+            elif len(outcome) != arity:
                 findings.append(
-                    Finding(ARITY_MISMATCH, path, f"outcome length {len(sub.outcome)} != {arity}")
+                    Finding(ARITY_MISMATCH, path, f"outcome length {len(outcome)} != {arity}")
                 )
             return
-        if not sub.branches:
+        names = index.labels[position]
+        if not names:
             findings.append(Finding(EMPTY_BRANCHES, path, "decision node with no branches"))
             return
         seen: set[str] = set()
-        for label, _child in sub.branches:
+        for label in names:
             if label in seen:
                 findings.append(Finding(DUPLICATE_LABEL, path, f"branch label {label!r} repeated"))
             seen.add(label)
-        for label, child in sub.branches:
-            walk(child, path + (label,))
 
-    walk(game, ())
+    inspect(0, ())
+    for parent, position, entering in index.edges():
+        if entering:
+            child = index.children[parent][position]
+            path = index.paths[child]
+            if path is None:
+                path = index.paths[parent] + (index.labels[parent][position],)  # type: ignore[operator]
+            inspect(child, path)
     return ValidationReport(tuple(findings))

@@ -25,6 +25,8 @@ LF line endings, no trailing whitespace.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -37,6 +39,7 @@ from .core import (
     ShapeMismatch,
     TreeProfile,
     check_profile,
+    chosen_branches,
     node_paths,
 )
 from .cyclic import CyclicGame, CyclicNode, PositionalProfile, check_positional
@@ -83,6 +86,58 @@ class GameDoc:
     game: Game
 
 
+_PUNCT = frozenset({"->", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*", "/"})
+
+# Blanks and comments, then one token: punctuation, a decimal integer, a
+# word, any other character (rejected by ``_scan``) or the end of input.
+# The token group always matches after the greedy skip, so nothing is ever
+# backtracked; ``findall`` returns one or two empty tokens at the end.
+_SCAN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
+# An ASCII character that no token, blank or comment start contains; an
+# ASCII text without one, in which every ">" ends a "->", scans cleanly.
+_FOREIGN = re.compile(r"[^\w \t\r\n{}(),;:=+\-*/>#]")
+
+
+def _offset(text: str, match: re.Match) -> int:
+    """Source offset of a scanned token.  The end of input sits at the
+    ``#`` of a comment that runs to the end of the text."""
+    offset = match.start(1)
+    if offset == len(text):
+        comment = text.find("#", text.rfind("\n") + 1)
+        if comment >= 0:
+            return comment
+    return offset
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of the ``index``-th token of ``text``."""
+    match = next(itertools.islice(_SCAN.finditer(text), index, None))
+    return _line_column(text, _offset(text, match))
+
+
+def _scan(text: str) -> list[str]:
+    """Token texts, ending with one empty string for the end of input.
+
+    A token is punctuation, a run of decimal digits, or a word that starts
+    with a letter or ``_`` and goes on with letters, digits or ``_`` (the
+    ``str.isalpha``/``str.isalnum`` classes).  Anything else is a
+    ``ParseError`` at the first offending character.
+    """
+    tokens = _SCAN.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()
+    if not text.isascii() or _FOREIGN.search(text) or text.count(">") != text.count("->"):
+        for index, token in enumerate(tokens):
+            first = token[:1]
+            if first and not (first.isalpha() or first == "_" or first.isdecimal() or token in _PUNCT):
+                raise ParseError(*_position(text, index), "a token", repr(first))
+    return tokens
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "name" | "int" | "punct" | "eof"
@@ -91,319 +146,267 @@ class _Token:
     column: int
 
 
-_PUNCT = {"{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*", "/"}
-
-
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = column
-        if text.startswith("->", i):
-            tokens.append(_Token("punct", "->", line, start_col))
-            i += 2
-            column += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, start_col))
-            i += 1
-            column += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        raise ParseError(line, start_col, "a token", repr(ch))
-    tokens.append(_Token("eof", "", line, column))
+    """The tokens of ``text`` with kinds and positions, ending with one
+    "eof" token.  The parser works on ``_scan``'s texts and positions only
+    the token an error names; this view is for tests and tools."""
+    tokens = []
+    for token, match in zip(_scan(text), _SCAN.finditer(text)):
+        if not token:
+            kind = "eof"
+        elif token in _PUNCT:
+            kind = "punct"
+        else:
+            kind = "int" if token[0].isdecimal() else "name"
+        tokens.append(_Token(kind, token, *_line_column(text, _offset(text, match))))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over ``_scan``'s token texts; ``pos`` indexes the
+    next token.  Positions are worked out only for errors."""
+
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _scan(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, expected: str, index: int | None = None) -> ParseError:
+        index = self.pos if index is None else index
+        token = self.tokens[index]
+        found = repr(token) if token else "end of input"
+        return ParseError(*_position(self.text, index), expected, found)
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
+    def invalid(self, index: int, message: str) -> ValidationError:
+        return ValidationError(*_position(self.text, index), message)
 
-    def fail(self, expected: str, token: _Token | None = None) -> ParseError:
-        token = token or self.peek()
-        found = "end of input" if token.kind == "eof" else repr(token.text)
-        return ParseError(token.line, token.column, expected, found)
+    def at(self, token: str) -> bool:
+        return self.tokens[self.pos] == token
 
-    def expect_punct(self, text: str) -> _Token:
-        token = self.peek()
-        if token.kind != "punct" or token.text != text:
-            raise self.fail(repr(text))
-        return self.advance()
+    def expect(self, token: str) -> None:
+        """Consume one punctuation token or keyword."""
+        if self.tokens[self.pos] != token:
+            raise self.fail(repr(token))
+        self.pos += 1
 
-    def expect_name(self, what: str = "a name") -> _Token:
-        token = self.peek()
-        if token.kind != "name":
+    def expect_name(self, what: str = "a name") -> int:
+        """Consume a name; return its token index."""
+        first = self.tokens[self.pos][:1]
+        if not (first.isalpha() or first == "_"):
             raise self.fail(what)
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        token = self.peek()
-        if token.kind != "name" or token.text != word:
-            raise self.fail(repr(word))
-        return self.advance()
-
-    def at_name(self, word: str | None = None) -> bool:
-        token = self.peek()
-        return token.kind == "name" and (word is None or token.text == word)
+        self.pos += 1
+        return self.pos - 1
 
     def skip_separators(self) -> None:
-        while self.peek().kind == "punct" and self.peek().text == ";":
-            self.advance()
+        while self.tokens[self.pos] == ";":
+            self.pos += 1
 
     def expect_int(self) -> int:
-        negative = False
-        if self.peek().kind == "punct" and self.peek().text == "-":
-            self.advance()
-            negative = True
-        token = self.peek()
-        if token.kind != "int":
+        tokens = self.tokens
+        negative = tokens[self.pos] == "-"
+        if negative:
+            self.pos += 1
+        token = tokens[self.pos]
+        if not token[:1].isdecimal():
             raise self.fail("an integer")
-        self.advance()
-        value = int(token.text)
-        return -value if negative else value
+        self.pos += 1
+        return -int(token) if negative else int(token)
 
     # --- document -----------------------------------------------------
 
     def parse_doc(self) -> GameDoc:
         players = DEFAULT_PLAYERS
-        if self.at_name("players"):
-            self.advance()
-            first = self.expect_name("a player name").text
-            second = self.expect_name("a player name").text
+        if self.at("players"):
+            self.pos += 1
+            first = self.tokens[self.expect_name("a player name")]
+            second = self.tokens[self.expect_name("a player name")]
             players = (first, second)
-        token = self.peek()
-        if self.at_name("finite"):
-            self.advance()
+        kind = self.tokens[self.pos]
+        if kind not in ("finite", "cyclic", "param", "matrix"):
+            raise self.fail("'finite', 'cyclic', 'param' or 'matrix'")
+        self.pos += 1
+        if kind == "finite":
             game: Game = self.parse_finite(players)
-        elif self.at_name("cyclic"):
-            self.advance()
-            game = self.parse_graph(players, parametric=False)
-        elif self.at_name("param"):
-            self.advance()
-            game = self.parse_graph(players, parametric=True)
-        elif self.at_name("matrix"):
-            self.advance()
+        elif kind == "matrix":
             game = self.parse_matrix()
         else:
-            raise self.fail("'finite', 'cyclic', 'param' or 'matrix'", token)
-        token = self.peek()
-        if token.kind != "eof":
-            raise self.fail("end of input", token)
+            game = self.parse_graph(players, parametric=kind == "param")
+        if self.tokens[self.pos]:
+            raise self.fail("end of input")
         return GameDoc(players, game)
 
-    def owner_index(self, token: _Token, players: tuple[str, str]) -> int:
-        if token.text not in players:
-            raise ValidationError(
-                token.line, token.column, f"unknown player {token.text!r} (players are {players})"
-            )
-        return players.index(token.text)
+    def owner_index(self, index: int, players: tuple[str, str]) -> int:
+        name = self.tokens[index]
+        if name not in players:
+            raise self.invalid(index, f"unknown player {name!r} (players are {players})")
+        return players.index(name)
 
     # --- finite trees -------------------------------------------------
 
     def parse_finite(self, players: tuple[str, str]) -> FiniteGame:
-        self.expect_punct("{")
+        self.expect("{")
         tree = self.parse_tree(players)
-        self.expect_punct("}")
+        self.expect("}")
         return tree
 
     def parse_leaf_int(self) -> Leaf:
-        self.expect_punct("(")
+        self.expect("(")
         first = self.expect_int()
-        self.expect_punct(",")
+        self.expect(",")
         second = self.expect_int()
-        self.expect_punct(")")
+        self.expect(")")
         return Leaf((first, second))
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
-        if self.at_name("leaf"):
-            self.advance()
-            return self.parse_leaf_int()
-        owner_token = self.expect_name("'leaf' or a player name")
-        owner = self.owner_index(owner_token, players)
-        self.expect_punct("{")
-        branches: list[tuple[str, FiniteGame]] = []
-        seen: dict[str, _Token] = {}
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            label_token = self.expect_name("an action label")
-            if label_token.text in seen:
-                raise ValidationError(
-                    label_token.line,
-                    label_token.column,
-                    f"duplicate branch label {label_token.text!r}",
-                )
-            seen[label_token.text] = label_token
-            self.expect_punct("->")
-            branches.append((label_token.text, self.parse_tree(players)))
-            self.skip_separators()
-        if not branches:
-            raise self.fail("at least one branch")
-        self.expect_punct("}")
-        return Node(owner, tuple(branches))
+        """``tree`` with an explicit stack of open decision nodes, so any
+        depth parses."""
+        tokens = self.tokens
+        frames: list[tuple[int, list[tuple[str, FiniteGame]], set[str]]] = []
+        labels: list[str] = []  # the label of the branch being read, per frame
+        while True:
+            if tokens[self.pos] == "leaf":
+                self.pos += 1
+                sub: FiniteGame | None = self.parse_leaf_int()
+            else:
+                owner = self.owner_index(self.expect_name("'leaf' or a player name"), players)
+                self.expect("{")
+                frames.append((owner, [], set()))
+                sub = None
+            while True:
+                if sub is not None:
+                    if not frames:
+                        return sub
+                    frames[-1][1].append((labels.pop(), sub))
+                    self.skip_separators()
+                owner, branches, seen = frames[-1]
+                if tokens[self.pos] == "}":
+                    if not branches:
+                        raise self.fail("at least one branch")
+                    self.pos += 1
+                    frames.pop()
+                    sub = Node(owner, tuple(branches))
+                    continue
+                index = self.expect_name("an action label")
+                label = tokens[index]
+                if label in seen:
+                    raise self.invalid(index, f"duplicate branch label {label!r}")
+                seen.add(label)
+                self.expect("->")
+                labels.append(label)
+                break
 
     # --- cyclic and parametric graphs ----------------------------------
 
     def parse_affine(self) -> AffineValue:
         const = self.expect_int()
-        token = self.peek()
-        if token.kind == "punct" and token.text in "+-":
-            sign = 1 if token.text == "+" else -1
-            self.advance()
+        token = self.tokens[self.pos]
+        if token in ("+", "-"):
+            sign = 1 if token == "+" else -1
+            self.pos += 1
             magnitude = self.expect_int()
-            self.expect_punct("*")
+            self.expect("*")
             name = self.expect_name("'n'")
-            if name.text != "n":
-                raise ParseError(name.line, name.column, "'n'", repr(name.text))
+            if self.tokens[name] != "n":
+                raise self.fail("'n'", name)
             return AffineValue(const, sign * magnitude)
         return AffineValue(const, 0)
 
     def parse_leaf_affine(self) -> AffineLeaf:
-        self.expect_punct("(")
+        self.expect("(")
         first = self.parse_affine()
-        self.expect_punct(",")
+        self.expect(",")
         second = self.parse_affine()
-        self.expect_punct(")")
+        self.expect(")")
         return AffineLeaf((first, second))
 
     def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
-        self.expect_keyword("start")
-        self.expect_punct("=")
-        start_token = self.expect_name("a node name")
-        self.expect_punct("{")
+        tokens = self.tokens
+        self.expect("start")
+        self.expect("=")
+        start = self.expect_name("a node name")
+        self.expect("{")
         definitions: dict[str, object] = {}
-        reference_tokens: list[_Token] = []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            name_token = self.expect_name("a node name")
-            if name_token.text in definitions:
-                raise ValidationError(
-                    name_token.line, name_token.column, f"node {name_token.text!r} defined twice"
-                )
-            self.expect_punct(":")
+        references: list[int] = []
+        while not self.at("}"):
+            name = self.expect_name("a node name")
+            if tokens[name] in definitions:
+                raise self.invalid(name, f"node {tokens[name]!r} defined twice")
+            self.expect(":")
             owner = self.owner_index(self.expect_name("a player name"), players)
-            self.expect_punct("{")
+            self.expect("{")
             edges: list[tuple[str, object]] = []
             seen: set[str] = set()
-            while not (self.peek().kind == "punct" and self.peek().text == "}"):
-                label_token = self.expect_name("an action label")
-                if label_token.text in seen:
-                    raise ValidationError(
-                        label_token.line,
-                        label_token.column,
-                        f"duplicate edge label {label_token.text!r}",
-                    )
-                seen.add(label_token.text)
-                self.expect_punct("->")
-                if self.at_name("leaf"):
-                    self.advance()
+            while not self.at("}"):
+                label = self.expect_name("an action label")
+                if tokens[label] in seen:
+                    raise self.invalid(label, f"duplicate edge label {tokens[label]!r}")
+                seen.add(tokens[label])
+                self.expect("->")
+                if self.at("leaf"):
+                    self.pos += 1
                     target: object = (
                         self.parse_leaf_affine() if parametric else self.parse_leaf_int()
                     )
                 elif parametric:
-                    self.expect_keyword("advance")
+                    self.expect("advance")
                     ref = self.expect_name("a shape name")
-                    reference_tokens.append(ref)
-                    target = Advance(ref.text)
+                    references.append(ref)
+                    target = Advance(tokens[ref])
                 else:
                     ref = self.expect_name("a node name or 'leaf'")
-                    reference_tokens.append(ref)
-                    target = ref.text
-                edges.append((label_token.text, target))
+                    references.append(ref)
+                    target = tokens[ref]
+                edges.append((tokens[label], target))
                 self.skip_separators()
             if not edges:
                 raise self.fail("at least one edge")
-            self.expect_punct("}")
+            self.expect("}")
             if parametric:
-                definitions[name_token.text] = Shape(owner, tuple(edges))  # type: ignore[arg-type]
+                definitions[tokens[name]] = Shape(owner, tuple(edges))  # type: ignore[arg-type]
             else:
-                definitions[name_token.text] = CyclicNode(owner, tuple(edges))  # type: ignore[arg-type]
+                definitions[tokens[name]] = CyclicNode(owner, tuple(edges))  # type: ignore[arg-type]
             self.skip_separators()
         if not definitions:
             raise self.fail("at least one node definition")
-        self.expect_punct("}")
-        for ref in reference_tokens:
-            if ref.text not in definitions:
-                raise ValidationError(ref.line, ref.column, f"undefined node {ref.text!r}")
-        if start_token.text not in definitions:
-            raise ValidationError(
-                start_token.line, start_token.column, f"undefined start node {start_token.text!r}"
-            )
+        self.expect("}")
+        for ref in references:
+            if tokens[ref] not in definitions:
+                raise self.invalid(ref, f"undefined node {tokens[ref]!r}")
+        if tokens[start] not in definitions:
+            raise self.invalid(start, f"undefined start node {tokens[start]!r}")
         if parametric:
-            return ParametricGame(definitions, start_token.text)  # type: ignore[arg-type]
-        return CyclicGame(definitions, start_token.text)  # type: ignore[arg-type]
+            return ParametricGame(definitions, tokens[start])  # type: ignore[arg-type]
+        return CyclicGame(definitions, tokens[start])  # type: ignore[arg-type]
 
     # --- matrices -------------------------------------------------------
 
     def parse_rational(self) -> Fraction:
         numerator = self.expect_int()
-        if self.peek().kind == "punct" and self.peek().text == "/":
-            self.advance()
-            denominator_token = self.peek()
+        if self.at("/"):
+            self.pos += 1
+            index = self.pos
             denominator = self.expect_int()
             if denominator == 0:
-                raise ValidationError(
-                    denominator_token.line, denominator_token.column, "zero denominator"
-                )
+                raise self.invalid(index, "zero denominator")
             return Fraction(numerator, denominator)
         return Fraction(numerator)
 
     def at_rational_start(self) -> bool:
-        token = self.peek()
-        return token.kind == "int" or (token.kind == "punct" and token.text == "-")
+        token = self.tokens[self.pos]
+        return token[:1].isdecimal() or token == "-"
 
     def parse_matrix(self) -> MatrixGame:
-        self.expect_keyword("sum")
-        self.expect_punct("=")
+        self.expect("sum")
+        self.expect("=")
         total = self.parse_rational()
-        self.expect_punct("{")
+        self.expect("{")
         rows: list[tuple[Fraction, ...]] = []
         width: int | None = None
         while True:
             row: list[Fraction] = []
             while self.at_rational_start():
                 if width is not None and len(row) == width:
-                    token = self.peek()
-                    raise ParseError(
-                        token.line, token.column, f"';' after {width} entries", repr(token.text)
-                    )
+                    raise self.fail(f"';' after {width} entries")
                 row.append(self.parse_rational())
             if not row:
                 raise self.fail("a matrix entry")
@@ -412,11 +415,11 @@ class _Parser:
             elif len(row) != width:
                 raise self.fail(f"a row of {width} entries")
             rows.append(tuple(row))
-            if self.peek().kind == "punct" and self.peek().text == ";":
-                self.advance()
+            if self.at(";"):
+                self.pos += 1
                 continue
             break
-        self.expect_punct("}")
+        self.expect("}")
         return MatrixGame(tuple(rows), total)
 
 
@@ -434,17 +437,23 @@ def _serialize_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _serialize_branches(
-    tree: Node, players: tuple[str, str], indent: int, out: list[str]
-) -> None:
-    pad = "  " * indent
-    for label, child in tree.branches:
-        if isinstance(child, Leaf):
-            out.append(f"{pad}{label} -> leaf({child.outcome[0]},{child.outcome[1]})")
+def _serialize_tree(tree: Node, players: tuple[str, str], out: list[str]) -> None:
+    """The lines between ``finite {`` and its ``}`` for a decision-node root,
+    with an explicit stack of branch iterators (no paths are needed)."""
+    out.append(f"  {players[tree.owner]} {{")
+    stack = [("    ", iter(tree.branches))]
+    while stack:
+        pad, pending = stack[-1]
+        for label, child in pending:
+            if isinstance(child, Leaf):
+                out.append(f"{pad}{label} -> leaf({child.outcome[0]},{child.outcome[1]})")
+            else:
+                out.append(f"{pad}{label} -> {players[child.owner]} {{")
+                stack.append((pad + "  ", iter(child.branches)))
+                break
         else:
-            out.append(f"{pad}{label} -> {players[child.owner]} {{")
-            _serialize_branches(child, players, indent + 1, out)
-            out.append(f"{pad}}}")
+            stack.pop()
+            out.append(f"{pad[2:]}}}")
 
 
 def serialize(doc: GameDoc) -> str:
@@ -456,9 +465,7 @@ def serialize(doc: GameDoc) -> str:
         if isinstance(game, Leaf):
             out.append(f"  leaf({game.outcome[0]},{game.outcome[1]})")
         else:
-            out.append(f"  {doc.players[game.owner]} {{")
-            _serialize_branches(game, doc.players, 2, out)
-            out.append("  }")
+            _serialize_tree(game, doc.players, out)
         out.append("}")
     elif isinstance(game, CyclicGame):
         out.append(f"cyclic start={game.start} {{")
@@ -525,23 +532,20 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
 
     game = doc.game
     if isinstance(game, (Leaf, Node)):
-        profile: TreeProfile | None = highlight  # type: ignore[assignment]
-        if profile is not None:
-            check_profile(game, profile)
-
-        def walk(sub: FiniteGame, path: tuple[str, ...]) -> str:
-            ident = fresh()
-            if isinstance(sub, Leaf):
-                nodes.append(f'  {ident} [label="{",".join(map(str, sub.outcome))}"];')
-                return ident
-            nodes.append(f'  {ident} [label="{_dot_escape(doc.players[sub.owner])}"];')
-            for label, child in sub.branches:
-                child_id = walk(child, path + (label,))
-                bold = _HIGHLIGHT if profile is not None and profile[path] == label else ""
-                edges.append(f'  {ident} -> {child_id} [label="{_dot_escape(label)}"{bold}];')
-            return ident
-
-        walk(game, ())
+        index = game.index
+        picks = None if highlight is None else chosen_branches(game, highlight)  # type: ignore[arg-type]
+        for position, outcome in enumerate(index.outcomes):
+            if outcome is None:
+                label = _dot_escape(doc.players[index.owners[position]])  # type: ignore[index]
+            else:
+                label = ",".join(map(str, outcome))
+            nodes.append(f'  n{position} [label="{label}"];')
+        for parent, position, entering in index.edges():
+            if not entering:  # an edge is written once its child's subtree is done
+                bold = _HIGHLIGHT if picks is not None and picks[parent] == position else ""
+                label = _dot_escape(index.labels[parent][position])
+                child = index.children[parent][position]
+                edges.append(f'  n{parent} -> n{child} [label="{label}"{bold}];')
     elif isinstance(game, (CyclicGame, ParametricGame)):
         if highlight is not None:
             (check_positional if isinstance(game, CyclicGame) else check_stationary)(game, highlight)

@@ -200,6 +200,10 @@ def simulate(
         raise NoEquilibria("no equilibrium beliefs available")
     for belief in beliefs:
         _check_belief(game, belief)
+    if isinstance(selection, FixedIndex):
+        for index in selection.indices:
+            if not 0 <= index < len(beliefs):
+                raise ValueError(f"belief index {index} is out of range for {len(beliefs)} beliefs")
     rng = SplitMix64(seed)
 
     def pick(mover: int) -> int:

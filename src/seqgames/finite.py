@@ -16,12 +16,9 @@ from typing import Union
 
 from .core import (
     FiniteGame,
-    Leaf,
-    Node,
-    OutcomeVector,
     PlayLine,
     TreeProfile,
-    check_profile,
+    chosen_branches,
     require_two_players,
 )
 
@@ -73,19 +70,19 @@ def solve(game: FiniteGame, ties: TiePolicy = TiePolicy.FIRST_BRANCH) -> TreePro
     node the owner's best branch is chosen, ties resolved by ``ties``.
     """
     require_two_players(game)
+    index = game.index
+    paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
+    values = index.outcomes.copy()
+    first = ties is TiePolicy.FIRST_BRANCH
     profile: dict[PlayLine, str] = {}
-
-    def walk(sub: FiniteGame, path: PlayLine) -> OutcomeVector:
-        if isinstance(sub, Leaf):
-            return sub.outcome
-        values = [walk(child, path + (label,)) for label, child in sub.branches]
-        best = max(value[sub.owner] for value in values)
-        tied = [i for i, value in enumerate(values) if value[sub.owner] == best]
-        pick = tied[0] if ties is TiePolicy.FIRST_BRANCH else tied[-1]
-        profile[path] = sub.branches[pick][0]
-        return values[pick]
-
-    walk(game, ())
+    for node in index.postorder:
+        owner = owners[node]
+        kids = children[node]
+        scores = [values[child][owner] for child in kids]  # type: ignore[index]
+        best = max(scores)
+        pick = scores.index(best) if first else len(scores) - 1 - scores[::-1].index(best)
+        profile[paths[node]] = labels[node][pick]  # type: ignore[index]
+        values[node] = values[kids[pick]]
     return profile
 
 
@@ -96,34 +93,50 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     owner's utility among the branch values induced by the profile below.
     The result is truncated at ``cap`` profiles, flagged rather than failed:
     tie sets multiply, so the full set can be exponential.
+
+    Each node keeps at most ``cap + 1`` entries ``(value, pick, combo)``:
+    the value, the chosen branch and one entry per child.  Entries refer to
+    their children's entries instead of copying them, and a profile dict
+    is built, in preorder, only for the returned entries of the root.
     """
     require_two_players(game)
     if cap < 1:
         raise ValueError("cap must be positive")
-
-    def rec(sub: FiniteGame, path: PlayLine) -> list[tuple[dict, OutcomeVector]]:
-        if isinstance(sub, Leaf):
-            return [({}, sub.outcome)]
-        branch_sets = [rec(child, path + (label,)) for label, child in sub.branches]
-        out: list[tuple[dict, OutcomeVector]] = []
-        for combo in itertools.product(*branch_sets):
-            values = [value for _fragment, value in combo]
-            best = max(value[sub.owner] for value in values)
-            for i, (label, _child) in enumerate(sub.branches):
-                if values[i][sub.owner] != best:
-                    continue
-                merged: dict[PlayLine, str] = {path: label}
-                for fragment, _value in combo:
-                    merged.update(fragment)
-                out.append((merged, values[i]))
+    index = game.index
+    paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
+    entries: list = [None if outcome is None else [(outcome, None, ())] for outcome in index.outcomes]
+    for node in index.postorder:
+        owner = owners[node]
+        kids = children[node]
+        out: list = []
+        for combo in itertools.product(*(entries[child] for child in kids)):
+            scores = [entry[0][owner] for entry in combo]
+            best = max(scores)
+            for pick, score in enumerate(scores):
+                if score == best:
+                    out.append((combo[pick][0], pick, combo))
             if len(out) > cap:
                 break
         # Keeping one extra entry lets the caller detect truncation; any
         # subtree overflow implies at least as many profiles at the root.
-        return out[: cap + 1]
-
-    items = rec(game, ())
-    return Enumeration(tuple(prof for prof, _value in items[:cap]), truncated=len(items) > cap)
+        entries[node] = out[: cap + 1]
+        for child in kids:
+            entries[child] = None
+    items = entries[0]
+    decisions = [node for node, path in enumerate(paths) if path is not None]
+    keys = [paths[node] for node in decisions]
+    profiles = []
+    active: list = [None] * len(paths)  # the entry each node takes in the profile being built
+    for root_entry in items[:cap]:
+        active[0] = root_entry
+        chosen = []
+        for node in decisions:  # preorder: a node's entry is set before it is read
+            _value, pick, combo = active[node]
+            chosen.append(labels[node][pick])
+            for child, entry in zip(children[node], combo):
+                active[child] = entry
+        profiles.append(dict(zip(keys, chosen)))
+    return Enumeration(tuple(profiles), truncated=len(items) > cap)
 
 
 def check_spe(game: FiniteGame, profile: TreeProfile) -> SpeReport:
@@ -131,31 +144,28 @@ def check_spe(game: FiniteGame, profile: TreeProfile) -> SpeReport:
 
     For each node, the owner's utility of following the profile is compared
     against each single deviation followed by the profile; any strict
-    improvement is reported.
+    improvement is reported.  The profile's value at every node is computed
+    bottom-up once, so each deviation is read in constant time.
     """
     require_two_players(game)
-    check_profile(game, profile)
+    picks = chosen_branches(game, profile)
+    index = game.index
+    paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
+    values = index.outcomes.copy()
+    for node in index.postorder:
+        values[node] = values[children[node][picks[node]]]  # type: ignore[index]
     violations: list[Violation] = []
-
-    def outcome_from(sub: FiniteGame, path: PlayLine) -> OutcomeVector:
-        while isinstance(sub, Node):
-            label = profile[path]
-            sub = sub.branch(label)
-            path = path + (label,)
-        return sub.outcome
-
-    def walk(sub: FiniteGame, path: PlayLine) -> None:
-        if isinstance(sub, Leaf):
-            return
-        base = outcome_from(sub, path)[sub.owner]
-        for label, child in sub.branches:
-            if label == profile[path]:
+    for node, pick in enumerate(picks):
+        if pick is None:
+            continue
+        owner = owners[node]
+        base = values[node][owner]  # type: ignore[index]
+        names = labels[node]
+        chosen = names[pick]
+        for label, child in zip(names, children[node]):
+            if label == chosen:
                 continue
-            deviation = outcome_from(child, path + (label,))[sub.owner]
+            deviation = values[child][owner]  # type: ignore[index]
             if deviation > base:
-                violations.append(Violation(path, label, base, deviation))
-        for label, child in sub.branches:
-            walk(child, path + (label,))
-
-    walk(game, ())
+                violations.append(Violation(paths[node], label, base, deviation))  # type: ignore[arg-type]
     return SpeReport(tuple(violations))

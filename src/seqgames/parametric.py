@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Union
 
 from .core import FiniteGame, GameError, Leaf, Node, OutcomeVector, ShapeMismatch
@@ -74,6 +75,14 @@ def affine_leq(f: AffineValue, g: AffineValue, start: int = 0) -> bool:
 @dataclass(frozen=True)
 class AffineLeaf:
     outcome: tuple[AffineValue, ...]
+
+    @cached_property
+    def constant(self) -> Leaf | None:
+        """The concrete leaf of a payoff that is the same at every stage
+        (every slope 0), built once; None when some payoff moves."""
+        if any(value.slope for value in self.outcome):
+            return None
+        return Leaf(tuple(value.const for value in self.outcome))
 
 
 @dataclass(frozen=True)
@@ -330,26 +339,47 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
 
     Affine payoffs are evaluated at the stage where their leaf is taken;
     an advance that would enter stage ``max_stage`` is replaced by
-    ``Leaf(terminal)``.
+    ``Leaf(terminal)``.  The subtree entered at a (shape, stage) pair is
+    built once and shared wherever that pair recurs, and a leaf whose
+    payoffs all have slope 0 is the same ``Leaf`` (``AffineLeaf.constant``)
+    at every stage.
     """
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
-
-    def rec(name: str, stage: int) -> Node:
-        if name not in game.shapes:
+    shapes = game.shapes
+    cut = Leaf(tuple(terminal))
+    built: dict[tuple[str, int], Node] = {}
+    # One frame per node under construction, depth first in move order, so
+    # an undefined shape is reported where a recursive walk meets it first.
+    stack: list[tuple] = []
+    name, stage, label = game.start, 0, None
+    while True:
+        if name not in shapes:
             raise UnknownShape(name)
-        shape = game.shapes[name]
-        branches: list[tuple[str, FiniteGame]] = []
-        for label, target in shape.moves:
-            if isinstance(target, AffineLeaf):
-                branches.append((label, Leaf(tuple(v.at(stage) for v in target.outcome))))
-            elif stage + 1 == max_stage:
-                branches.append((label, Leaf(tuple(terminal))))
+        shape = shapes[name]
+        stack.append((name, stage, shape.owner, [], iter(shape.moves), label))
+        while True:
+            name, stage, owner, branches, moves, label = stack[-1]
+            after = stage + 1
+            for move, target in moves:
+                if isinstance(target, AffineLeaf):
+                    sub = target.constant or Leaf(tuple(v.at(stage) for v in target.outcome))
+                elif after == max_stage:
+                    sub = cut
+                else:
+                    sub = built.get((target.shape, after))  # type: ignore[assignment]
+                    if sub is None:
+                        break
+                branches.append((move, sub))
             else:
-                branches.append((label, rec(target.shape, stage + 1)))
-        return Node(shape.owner, tuple(branches))
-
-    return rec(game.start, 0)
+                done = built[(name, stage)] = Node(owner, tuple(branches))
+                stack.pop()
+                if not stack:
+                    return done
+                stack[-1][3].append((label, done))
+                continue
+            name, stage, label = target.shape, after, move  # enter the missing subtree
+            break
 
 
 def instantiate_profile(
@@ -360,15 +390,17 @@ def instantiate_profile(
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
     out: dict[tuple[str, ...], str] = {}
-
-    def rec(name: str, stage: int, path: tuple[str, ...]) -> None:
+    stack: list[tuple[str, int, tuple[str, ...]]] = [(game.start, 0, ())]
+    while stack:  # preorder: children are pushed in reverse move order
+        name, stage, path = stack.pop()
         shape = game.shapes[name]
         out[path] = profile[name]
-        for label, target in shape.moves:
-            if isinstance(target, Advance) and stage + 1 < max_stage:
-                rec(target.shape, stage + 1, path + (label,))
-
-    rec(game.start, 0, ())
+        if stage + 1 < max_stage:
+            stack.extend(
+                (target.shape, stage + 1, path + (label,))
+                for label, target in reversed(shape.moves)
+                if isinstance(target, Advance)
+            )
     return out
 
 

@@ -8,17 +8,24 @@ induced play step by step (on the cyclic graph itself, or at concrete
 stages of a parametric game), so they can referee the symbolic engine
 behind ``check_spe_cyclic`` and ``check_spe_param``;
 ``reference_constant_sum`` solves each side of a matrix game separately with Gaussian elimination over
-Fractions, so it can referee the integer kernel of ``solve_constant_sum``.
+Fractions, so it can referee the integer kernel of ``solve_constant_sum``;
+the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
+``reference_enumerate_equilibria``, ``reference_check_profile``) and the
+character-by-character ``reference_tokenize`` referee the flat-array tree
+routines and the compiled token scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
-from seqgames.core import FiniteGame, Leaf, Node, leaf, node
+from seqgames.core import FiniteGame, Leaf, Node, NotTwoPlayer, ShapeMismatch, leaf, node, subgame_at
 from seqgames.cyclic import CyclicGame, CyclicNode
+from seqgames.dsl import ParseError
+from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
 from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine
 
@@ -396,3 +403,202 @@ def reference_constant_sum(game: MatrixGame) -> MixedProfile:
     y, column_value = _optimal_mix(column_view)
     assert value + column_value == game.total
     return MixedProfile(x, y, value)
+
+
+# --- the finite-tree referees ------------------------------------------------
+#
+# The recursive kernels the flat-array routines replaced, kept verbatim as
+# referees: they build every path as ``path + (label,)`` on the way down and
+# copy profile fragments on the way up, so they are quadratic and limited by
+# the recursion depth, but they state each answer directly.
+
+
+def _reference_require_two_players(game: FiniteGame) -> None:
+    def outcomes(sub: FiniteGame):
+        if isinstance(sub, Leaf):
+            yield sub.outcome
+            return
+        for _label, child in sub.branches:
+            yield from outcomes(child)
+
+    for outcome in outcomes(game):
+        if len(outcome) != 2:
+            raise NotTwoPlayer(
+                f"solvers need two players, found outcome vector of length {len(outcome)}"
+            )
+
+
+def reference_check_profile(game: FiniteGame, profile: dict) -> None:
+    paths = set(tree_paths(game))
+    keys = set(profile)
+    if paths != keys:
+        missing = sorted(paths - keys)
+        extra = sorted(keys - paths)
+        raise ShapeMismatch(
+            f"profile does not match game shape "
+            f"(missing {missing[:3]!r}, extra {extra[:3]!r})"
+        )
+    for path in paths:
+        sub = subgame_at(game, path)
+        assert isinstance(sub, Node)
+        if profile[path] not in sub.labels():
+            raise ShapeMismatch(f"choice {profile[path]!r} at {path!r} is not a branch label")
+
+
+def reference_solve(game: FiniteGame, ties: TiePolicy = TiePolicy.FIRST_BRANCH) -> dict:
+    _reference_require_two_players(game)
+    profile: dict = {}
+
+    def walk(sub: FiniteGame, path: tuple[str, ...]) -> tuple[int, ...]:
+        if isinstance(sub, Leaf):
+            return sub.outcome
+        values = [walk(child, path + (label,)) for label, child in sub.branches]
+        best = max(value[sub.owner] for value in values)
+        tied = [i for i, value in enumerate(values) if value[sub.owner] == best]
+        pick = tied[0] if ties is TiePolicy.FIRST_BRANCH else tied[-1]
+        profile[path] = sub.branches[pick][0]
+        return values[pick]
+
+    walk(game, ())
+    return profile
+
+
+def reference_enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeration:
+    _reference_require_two_players(game)
+    if cap < 1:
+        raise ValueError("cap must be positive")
+
+    def rec(sub: FiniteGame, path: tuple[str, ...]) -> list[tuple[dict, tuple[int, ...]]]:
+        if isinstance(sub, Leaf):
+            return [({}, sub.outcome)]
+        branch_sets = [rec(child, path + (label,)) for label, child in sub.branches]
+        out: list[tuple[dict, tuple[int, ...]]] = []
+        for combo in itertools.product(*branch_sets):
+            values = [value for _fragment, value in combo]
+            best = max(value[sub.owner] for value in values)
+            for i, (label, _child) in enumerate(sub.branches):
+                if values[i][sub.owner] != best:
+                    continue
+                merged: dict = {path: label}
+                for fragment, _value in combo:
+                    merged.update(fragment)
+                out.append((merged, values[i]))
+            if len(out) > cap:
+                break
+        return out[: cap + 1]
+
+    items = rec(game, ())
+    return Enumeration(tuple(prof for prof, _value in items[:cap]), truncated=len(items) > cap)
+
+
+def reference_check_spe(game: FiniteGame, profile: dict) -> SpeReport:
+    _reference_require_two_players(game)
+    reference_check_profile(game, profile)
+    violations: list[Violation] = []
+
+    def walk(sub: FiniteGame, path: tuple[str, ...]) -> None:
+        if isinstance(sub, Leaf):
+            return
+        base = follow_profile(sub, profile, path)[sub.owner]
+        for label, child in sub.branches:
+            if label == profile[path]:
+                continue
+            deviation = follow_profile(child, profile, path + (label,))[sub.owner]
+            if deviation > base:
+                violations.append(Violation(path, label, base, deviation))
+        for label, child in sub.branches:
+            walk(child, path + (label,))
+
+    walk(game, ())
+    return SpeReport(tuple(violations))
+
+
+def deep_random_tree(rng: random.Random, max_depth: int = 40, max_nodes: int = 60) -> Node:
+    """Random two-player tree with 1 to 3 branches per node, payoffs 0..2
+    (ties are frequent) and depth up to ``max_depth``: first branches rarely
+    stop and later ones often do, so long spines carry short side branches
+    within a budget of at most ``max_nodes`` nodes."""
+    budget = [rng.randint(3, max_nodes)]
+
+    def build(depth: int, stop: float) -> FiniteGame:
+        budget[0] -= 1
+        width = rng.randint(1, 3)
+        if depth and (depth >= max_depth or budget[0] < width or rng.random() < stop):
+            return leaf(rng.randint(0, 2), rng.randint(0, 2))
+        branches = [(label, build(depth + 1, 0.6 if k else 0.03)) for k, label in enumerate(_LABELS[:width])]
+        return node(rng.randint(0, 1), *branches)
+
+    tree = build(0, 0.0)
+    assert isinstance(tree, Node)
+    return tree
+
+
+# --- the tokenizer referee ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str  # "name" | "int" | "punct" | "eof"
+    text: str
+    line: int
+    column: int
+
+
+_REF_PUNCT = {"{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*", "/"}
+
+
+def reference_tokenize(text: str) -> list[RefToken]:
+    """The character-by-character tokenizer the compiled scan replaced.
+
+    It reads any ``str.isdigit`` run as an integer, so a non-decimal digit
+    such as ``²`` makes an "int" token that ``int()`` cannot convert; the
+    scan rejects it as a character that starts no token instead.
+    """
+    tokens: list[RefToken] = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            column += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        start_col = column
+        if text.startswith("->", i):
+            tokens.append(RefToken("punct", "->", line, start_col))
+            i += 2
+            column += 2
+            continue
+        if ch in _REF_PUNCT:
+            tokens.append(RefToken("punct", ch, line, start_col))
+            i += 1
+            column += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(RefToken("int", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(RefToken("name", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        raise ParseError(line, start_col, "a token", repr(ch))
+    tokens.append(RefToken("eof", "", line, column))
+    return tokens

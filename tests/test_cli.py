@@ -317,6 +317,26 @@ class TestSimulate:
         # seed 42 on the loop: Alice continues, Bertrand abandons
         assert lines == ["0,Alice,1,c", "1,Bertrand,1,a", "end,converged,1,0"]
 
+    @pytest.mark.parametrize("policy", ["fixed:2,0", "fixed:-1,0"])
+    def test_belief_index_out_of_range_is_a_usage_error(self, capsys, corpus_dir, policy):
+        code = run(
+            [
+                "simulate",
+                str(corpus_dir / "zero_one_cyclic.game"),
+                "--horizon",
+                "5",
+                "--seed",
+                "1",
+                "--policy",
+                policy,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: belief index ")
+        assert "2 beliefs" in captured.err
+
     def test_simulate_the_auction(self, capsys, corpus_dir):
         code, out = invoke(
             capsys,

@@ -151,3 +151,25 @@ class TestValidate:
     def test_empty_branches(self):
         report = validate(Node(0, ()))
         assert [f.kind for f in report.findings] == ["empty-branches"]
+
+
+class TestNodeEquality:
+    def test_equal_trees_are_equal_and_hash_alike(self):
+        assert pennies_seq() == pennies_seq()
+        assert hash(pennies_seq()) == hash(pennies_seq())
+        assert len({pennies_seq(), pennies_seq()}) == 1
+
+    def test_every_field_counts(self):
+        base = pennies_seq()
+        left, right = base.branches
+        assert node(1, left, right) != base  # owner at the root
+        assert node(0, ("q", left[1]), right) != base  # a label
+        assert node(0, left, ("f", node(1, *right[1].branches[:1]))) != base  # a branch count
+        inner = node(0, ("p", leaf(2, 0)), ("f", leaf(1, 2)))  # one payoff differs
+        assert node(0, left, ("f", node(1, ("p", right[1].branches[0][1]), ("f", inner)))) != base
+        assert node(0, ("a", node(1, ("b", leaf(0, 0))))) != node(0, ("a", node(0, ("b", leaf(0, 0)))))
+
+    def test_nodes_and_leaves_differ(self):
+        assert node(0, ("a", leaf(0, 1))) != leaf(0, 1)
+        assert leaf(0, 1) != node(0, ("a", leaf(0, 1)))
+        assert node(0, ("a", leaf(0, 1))) != node(0, ("a", node(0, ("a", leaf(0, 1)))))

@@ -13,6 +13,7 @@ from helpers import (
     random_matrix,
     random_parametric,
     random_tree,
+    reference_tokenize,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,69 @@ class TestParseErrors:
 
     def test_validation_error_is_a_parse_error(self):
         assert issubclass(ValidationError, ParseError)
+
+
+# Non-decimal digits (``str.isdigit`` but not ``isdecimal``) are the one
+# place the scan parts from the reference tokenizer: the reference reads
+# them as an integer that ``int()`` then rejects, the scan as a character
+# that starts no token.
+_TOKEN_CHARS = st.one_of(
+    st.sampled_from(list("leafplayers(){}->,;:=+-*/#_ \t\r\n0123456789xyzXYZ@>.²³½É١Ⅷ")),
+    st.characters(),
+)
+
+
+def _scan_outcome(tokenize, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, exc.expected, exc.found)
+
+
+def _reference_outcome(text: str):
+    """``reference_tokenize``'s outcome, with its first integer token that
+    holds a non-decimal digit turned into an error at that digit."""
+    outcome = _scan_outcome(reference_tokenize, text)
+    end = len(text)
+    if outcome[0] == "error":
+        line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        end = line_starts[outcome[1] - 1] + outcome[2] - 1
+    for token in reference_tokenize(text[:end])[:-1]:
+        if token.kind != "int":
+            continue
+        for j, ch in enumerate(token.text):
+            if not ch.isdecimal():
+                return ("error", token.line, token.column + j, "a token", repr(ch))
+    return outcome
+
+
+class TestTokenizer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=_TOKEN_CHARS, max_size=60))
+    def test_matches_the_reference_tokenizer(self, text):
+        assert _scan_outcome(_tokenize, text) == _reference_outcome(text)
+
+    @pytest.mark.parametrize("name", GAME_FILES)
+    def test_matches_the_reference_on_the_corpus(self, corpus_dir, name):
+        text = (corpus_dir / name).read_text()
+        assert _scan_outcome(_tokenize, text) == _scan_outcome(reference_tokenize, text)
+
+    def test_non_decimal_digit_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("finite { leaf(²,1) }")
+        assert (err.value.line, err.value.column) == (1, 15)
+        assert (err.value.expected, err.value.found) == ("a token", "'²'")
+
+    def test_unicode_letters_and_decimal_digits_still_scan(self):
+        doc = parse("players É B\nfinite { É { x١ -> leaf(١٢,-3) } }")
+        assert doc.players == ("É", "B")
+        assert doc.game == node(0, ("x١", leaf(12, -3)))
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        with pytest.raises(ParseError) as err:
+            parse("finite { leaf(0,1)  # no closing brace")
+        assert (err.value.line, err.value.column) == (1, 21)
+        assert err.value.found == "end of input"
 
 
 def _token_offsets(text: str):

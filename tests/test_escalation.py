@@ -182,6 +182,16 @@ class TestSimulate:
         with pytest.raises(NoEquilibria):
             simulate(hopeless, 10, 0)
 
+    @pytest.mark.parametrize("indices", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_fixed_index_out_of_range_is_refused_before_the_first_step(self, indices):
+        bad = next(i for i in indices if not 0 <= i < 2)
+        with pytest.raises(ValueError, match=rf"belief index {bad} .* 2 beliefs"):
+            simulate(loop01(), 5, 1, FixedIndex(indices))
+
+    def test_fixed_index_is_checked_against_an_explicit_belief_list(self):
+        with pytest.raises(ValueError, match="1 beliefs"):
+            simulate(loop01(), 5, 1, FixedIndex((0, 1)), equilibria=[{"A": "c", "B": "a"}])
+
     def test_explicit_belief_list_is_used(self):
         trace = simulate(loop01(), 10, 0, FixedIndex((0, 0)), equilibria=[{"A": "c", "B": "a"}])
         assert not trace.horizon_hit

@@ -8,13 +8,19 @@ import pytest
 from helpers import (
     brute_equilibria,
     chain01,
+    deep_random_tree,
     pennies_equilibrium,
     pennies_seq,
+    random_profile,
     random_tree,
+    reference_check_profile,
+    reference_check_spe,
+    reference_enumerate_equilibria,
+    reference_solve,
     tree_paths,
 )
 
-from seqgames.core import NotTwoPlayer, Leaf, induced_play, leaf, node
+from seqgames.core import NotTwoPlayer, Leaf, ShapeMismatch, check_profile, induced_play, leaf, node
 from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
 
 
@@ -197,3 +203,69 @@ class TestCheckSpe:
         report = check_spe(game, profile)
         assert not report.ok
         assert report.violations[0].where == ("y",)
+
+
+@pytest.fixture(scope="module")
+def referee_trees() -> list:
+    """300 seeded trees: 1-3 branches, payoffs 0..2 (ties are frequent),
+    depth up to 40."""
+    rng = random.Random(404)
+    return [deep_random_tree(rng, max_nodes=40) for _ in range(300)]
+
+
+def items(profile: dict) -> list:
+    """A profile's entries in insertion order, so order is compared too."""
+    return list(profile.items())
+
+
+def shape_error(check, game, profile):
+    try:
+        check(game, profile)
+    except ShapeMismatch as exc:
+        return str(exc)
+    return None
+
+
+class TestRecursiveReferees:
+    """The flat preorder kernels give the recursive kernels' answers exactly:
+    same dicts in the same insertion order, same violation order, same
+    enumeration order and truncation flag, same shape errors."""
+
+    def test_trees_are_deep_and_tied(self, referee_trees):
+        depths = [max(len(path) for path in tree_paths(game)) + 1 for game in referee_trees]
+        assert max(depths) >= 35
+        assert sum(enumerate_equilibria(game, cap=4).truncated for game in referee_trees) >= 50
+
+    def test_solve(self, referee_trees):
+        for game in referee_trees:
+            for ties in TiePolicy:
+                assert items(solve(game, ties)) == items(reference_solve(game, ties))
+
+    @pytest.mark.parametrize("cap", [1, 4, 1024])
+    def test_enumerate_equilibria(self, referee_trees, cap):
+        for game in referee_trees:
+            got = enumerate_equilibria(game, cap)
+            want = reference_enumerate_equilibria(game, cap)
+            assert got == want
+            assert [list(p) for p in got.profiles] == [list(p) for p in want.profiles]
+
+    def test_check_spe(self, referee_trees):
+        rng = random.Random(405)
+        for game in referee_trees:
+            profiles = [solve(game, ties) for ties in TiePolicy]
+            profiles += [random_profile(rng, game) for _ in range(3)]
+            for profile in profiles:
+                assert check_spe(game, profile) == reference_check_spe(game, profile)
+
+    def test_check_profile(self, referee_trees):
+        rng = random.Random(406)
+        for game in referee_trees:
+            good = random_profile(rng, game)
+            path = rng.choice(sorted(good))
+            missing = {key: value for key, value in good.items() if key != path}
+            extra = {**good, path + ("w",): "x"}
+            bad_label = {**good, path: "w"}
+            for profile in (good, missing, extra, bad_label):
+                expected = shape_error(reference_check_profile, game, profile)
+                assert shape_error(check_profile, game, profile) == expected
+                assert (expected is None) == (profile is good)
