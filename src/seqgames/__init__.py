@@ -22,7 +22,6 @@ from .core import (
     node,
     outcome_of,
     subgame_at,
-    validate,
 )
 from .cyclic import (
     Converges,

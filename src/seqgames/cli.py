@@ -267,11 +267,12 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_outcome(text: str) -> tuple[int, ...]:
+def _parse_outcome(text: str) -> tuple[int, int]:
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        first, second = (int(part.strip()) for part in text.split(","))
     except ValueError:
         raise GameError(f"expected an outcome like '1,0', got {text!r}") from None
+    return first, second
 
 
 def _cmd_auction(args: argparse.Namespace) -> int:
@@ -505,6 +506,10 @@ def run(argv: list[str]) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        detail = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {detail}", file=sys.stderr)
         return 2
     except (GameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -204,17 +204,10 @@ def node(owner: int, *branches: tuple[str, FiniteGame]) -> Node:
 
 def outcome_of(game: FiniteGame, play: PlayLine) -> OutcomeVector:
     """Follow ``play`` from the root and return the leaf outcome reached."""
-    current = game
-    for position, label in enumerate(play):
-        if isinstance(current, Leaf):
-            raise InvalidPlay(position, label)
-        try:
-            current = current.branch(label)
-        except KeyError:
-            raise InvalidPlay(position, label) from None
-    if isinstance(current, Node):
+    reached = subgame_at(game, play)
+    if isinstance(reached, Node):
         raise InvalidPlay(len(play), None)
-    return current.outcome
+    return reached.outcome
 
 
 def subgame_at(game: FiniteGame, prefix: PlayLine) -> FiniteGame:
@@ -239,11 +232,14 @@ _MISSING = object()
 
 
 def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
-    """Validate ``profile`` as ``check_profile`` does and return, for every
-    node in preorder, the position of the chosen branch (None at leaves).
+    """Raise ShapeMismatch unless ``profile`` fits ``game`` exactly, and
+    return, for every node in preorder, the position of the chosen branch
+    (None at leaves).
 
-    Sibling labels are assumed distinct, as ``parse`` and ``validate``
-    require: the key check counts decision nodes rather than distinct paths.
+    The profile must assign a choice to every decision node (and nothing
+    else), and every choice must be one of that node's branch labels.
+    Sibling labels are assumed distinct, as ``parse`` requires: the key
+    check counts decision nodes rather than distinct paths.
     """
     index = game.index
     picks: list[int | None] = []
@@ -279,15 +275,6 @@ def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
     return picks
 
 
-def check_profile(game: FiniteGame, profile: TreeProfile) -> None:
-    """Raise ShapeMismatch unless ``profile`` fits ``game`` exactly.
-
-    The profile must assign a choice to every decision node (and nothing
-    else), and every choice must be one of that node's branch labels.
-    """
-    chosen_branches(game, profile)
-
-
 def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, OutcomeVector]:
     """Follow the profile's choices from the root; return play and outcome."""
     picks = chosen_branches(game, profile)
@@ -301,74 +288,9 @@ def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, Outc
     return tuple(play), index.outcomes[current]  # type: ignore[return-value]
 
 
-def leaf_outcomes(game: FiniteGame) -> Iterator[OutcomeVector]:
-    """Yield every leaf outcome in preorder."""
-    return (outcome for outcome in game.index.outcomes if outcome is not None)
-
-
 def require_two_players(game: FiniteGame) -> None:
     for outcome in game.index.outcomes:
         if outcome is not None and len(outcome) != 2:
             raise NotTwoPlayer(
                 f"solvers need two players, found outcome vector of length {len(outcome)}"
             )
-
-
-DUPLICATE_LABEL = "duplicate-label"
-ARITY_MISMATCH = "arity-mismatch"
-EMPTY_BRANCHES = "empty-branches"
-
-
-@dataclass(frozen=True)
-class Finding:
-    kind: str
-    path: PlayLine
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate(game: FiniteGame) -> ValidationReport:
-    """Report structural problems: duplicate sibling labels, ragged outcome
-    vectors, decision nodes without branches."""
-    index = game.index
-    findings: list[Finding] = []
-    arity: int | None = None
-
-    def inspect(position: int, path: PlayLine) -> None:
-        nonlocal arity
-        outcome = index.outcomes[position]
-        if outcome is not None:
-            if arity is None:
-                arity = len(outcome)
-            elif len(outcome) != arity:
-                findings.append(
-                    Finding(ARITY_MISMATCH, path, f"outcome length {len(outcome)} != {arity}")
-                )
-            return
-        names = index.labels[position]
-        if not names:
-            findings.append(Finding(EMPTY_BRANCHES, path, "decision node with no branches"))
-            return
-        seen: set[str] = set()
-        for label in names:
-            if label in seen:
-                findings.append(Finding(DUPLICATE_LABEL, path, f"branch label {label!r} repeated"))
-            seen.add(label)
-
-    inspect(0, ())
-    for parent, position, entering in index.edges():
-        if entering:
-            child = index.children[parent][position]
-            path = index.paths[child]
-            if path is None:
-                path = index.paths[parent] + (index.labels[parent][position],)  # type: ignore[operator]
-            inspect(child, path)
-    return ValidationReport(tuple(findings))

@@ -38,7 +38,6 @@ from .core import (
     Node,
     ShapeMismatch,
     TreeProfile,
-    check_profile,
     chosen_branches,
     node_paths,
 )
@@ -615,7 +614,7 @@ def parse_profile_text(text: str, game: Game) -> dict:
         profile = {
             (() if key == "." else tuple(key.split())): action for key, action in entries.items()
         }
-        check_profile(game, profile)
+        chosen_branches(game, profile)
         return profile
     if isinstance(game, CyclicGame):
         check_positional(game, entries)

@@ -168,6 +168,38 @@ class TestCheck:
             )
             assert code == 0
 
+    @pytest.mark.parametrize(
+        "game, profile, root_choice, message",
+        [
+            (
+                "zero_one_7.game",
+                "loop_alice_abandons.profile",
+                None,
+                "profile does not match game shape "
+                "(missing [(), ('c',), ('c', 'c')], extra [('A',), ('B',)])",
+            ),
+            (
+                "matching_pennies_seq.game",
+                "pennies_eq_first.profile",
+                "q",
+                "choice 'q' at () is not a branch label",
+            ),
+        ],
+    )
+    def test_tree_profile_errors(
+        self, capsys, corpus_dir, tmp_path, game, profile, root_choice, message
+    ):
+        path = corpus_dir / "profiles" / profile
+        if root_choice is not None:
+            edited = tmp_path / profile
+            edited.write_text(path.read_text().replace(". = p", f". = {root_choice}"))
+            path = edited
+        code = run(["check", str(corpus_dir / game), "--profile", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestUnfold:
     def test_depth_seven_matches_corpus_file(self, capsys, corpus_dir):
@@ -196,17 +228,22 @@ class TestUnfold:
         )
         assert code == 2
 
-    def test_bad_terminal(self, capsys, corpus_dir):
-        code, _out = invoke(
-            capsys,
-            "unfold",
-            str(corpus_dir / "zero_one_cyclic.game"),
-            "--depth",
-            "3",
-            "--terminal",
-            "zero,one",
+    @pytest.mark.parametrize("terminal", ["zero,one", "1", "1,2,3"])
+    def test_bad_terminal(self, capsys, corpus_dir, terminal):
+        code = run(
+            [
+                "unfold",
+                str(corpus_dir / "zero_one_cyclic.game"),
+                "--depth",
+                "1",
+                "--terminal",
+                terminal,
+            ]
         )
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: expected an outcome like '1,0', got {terminal!r}\n"
 
 
 class TestAuction:
@@ -243,6 +280,12 @@ class TestAuction:
     def test_invalid_value(self, capsys):
         code, _out = invoke(capsys, "auction", "--value", "0")
         assert code == 2
+
+    def test_bad_terminal(self, capsys):
+        code = run(["auction", "--value", "3", "--max-stage", "2", "--terminal", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: expected an outcome like '1,0', got '1'\n"
 
 
 class TestSimulate:
@@ -414,6 +457,21 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert run(["solve", "does-not-exist.game"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{dir}"],
+            ["check", "{corpus}/zero_one_7.game", "--profile", "{dir}"],
+            ["solve", "{corpus}/zero_one_7.game", "--out", "{dir}"],
+        ],
+    )
+    def test_unreadable_path_is_a_usage_error(self, capsys, corpus_dir, tmp_path, argv):
+        argv = [arg.format(dir=tmp_path, corpus=corpus_dir) for arg in argv]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}: Is a directory\n"
 
     def test_parse_error_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.game"

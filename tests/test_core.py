@@ -9,18 +9,13 @@ import pytest
 from helpers import all_plays, pennies_equilibrium, pennies_seq, random_profile, random_tree
 
 from seqgames.core import (
-    ARITY_MISMATCH,
-    DUPLICATE_LABEL,
     InvalidPlay,
-    Leaf,
-    Node,
     ShapeMismatch,
     induced_play,
     leaf,
     node,
     outcome_of,
     subgame_at,
-    validate,
 )
 
 
@@ -130,27 +125,6 @@ class TestSubgameAt:
                 for cut in range(len(play) + 1):
                     sub = subgame_at(game, play[:cut])
                     assert outcome_of(sub, play[cut:]) == outcome_of(game, play)
-
-
-class TestValidate:
-    def test_well_formed_game(self):
-        assert validate(pennies_seq()).ok
-
-    def test_duplicate_sibling_labels(self):
-        bad = Node(0, (("c", leaf(0, 1)), ("c", leaf(1, 0))))
-        report = validate(bad)
-        assert not report.ok
-        assert [f.kind for f in report.findings] == [DUPLICATE_LABEL]
-
-    def test_ragged_outcomes(self):
-        bad = node(0, ("a", leaf(0, 1)), ("b", Leaf((1, 0, 0))))
-        report = validate(bad)
-        assert [f.kind for f in report.findings] == [ARITY_MISMATCH]
-        assert report.findings[0].path == ("b",)
-
-    def test_empty_branches(self):
-        report = validate(Node(0, ()))
-        assert [f.kind for f in report.findings] == ["empty-branches"]
 
 
 class TestNodeEquality:

@@ -114,6 +114,16 @@ class TestParseErrors:
         with pytest.raises(ValidationError):
             parse("finite { Alice { c -> leaf(0,1) c -> leaf(1,0) } }")
 
+    def test_outcome_of_wrong_length(self):
+        with pytest.raises(ParseError) as err:
+            parse("finite { Alice { a -> leaf(0,1) b -> leaf(1,0,0) } }")
+        assert (err.value.line, err.value.column) == (1, 46)
+
+    def test_decision_node_without_branches(self):
+        with pytest.raises(ParseError) as err:
+            parse("finite { Alice { } }")
+        assert (err.value.line, err.value.column) == (1, 18)
+
     def test_dangling_node_reference(self):
         with pytest.raises(ValidationError):
             parse("cyclic start=A { A: Alice { c -> Z } }")

@@ -20,7 +20,7 @@ from helpers import (
     tree_paths,
 )
 
-from seqgames.core import NotTwoPlayer, Leaf, ShapeMismatch, check_profile, induced_play, leaf, node
+from seqgames.core import NotTwoPlayer, Leaf, ShapeMismatch, chosen_branches, induced_play, leaf, node
 from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
 
 
@@ -267,5 +267,5 @@ class TestRecursiveReferees:
             bad_label = {**good, path: "w"}
             for profile in (good, missing, extra, bad_label):
                 expected = shape_error(reference_check_profile, game, profile)
-                assert shape_error(check_profile, game, profile) == expected
+                assert shape_error(chosen_branches, game, profile) == expected
                 assert (expected is None) == (profile is good)

@@ -1,10 +1,11 @@
 """Golden CLI corpus: exit code, stdout and stderr of ``cli.run`` pinned byte
 for byte over the canonical corpus.
 
-Every ``corpus/*.game`` is run through ``enumerate``, ``check`` and
-``export --dot`` (with and without each ``corpus/profiles/*.profile``),
-``simulate --horizon 40`` (three policies, two seeds) and ``unfold --depth
-6``; ``auction`` runs at two sizes.  Each case runs in text and in JSON.
+Every ``corpus/*.game`` is run through ``solve`` (both tie policies),
+``matrix``, ``enumerate``, ``check`` and ``export --dot`` (with and without
+each ``corpus/profiles/*.profile``), ``simulate --horizon 40`` (three
+policies, two seeds) and ``unfold --depth 6``; ``auction`` runs at two
+sizes.  Each case runs in text and in JSON.
 Only cases that exit 0 or 1 are stored, so the file holds analyses rather
 than usage errors.  Paths are relative to the repository root, which is
 the working directory while a case runs.
@@ -37,6 +38,9 @@ def candidate_cases() -> list[list[str]]:
     )
     base: list[list[str]] = []
     for game in games:
+        base.append(["solve", game])
+        base.append(["solve", game, "--ties", "last"])
+        base.append(["matrix", game])
         base.append(["enumerate", game])
         base.append(["export", game, "--dot"])
         for profile in profiles:
