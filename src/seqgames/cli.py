@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import cyclic as cy
@@ -28,13 +27,26 @@ _PROFILE_HELP = (
 )
 
 
+class _UsageError(Exception):
+    """A command given a game kind or option value it does not take; ``run``
+    prints the message as it is and exits 2."""
+
+
 def _load_doc(path: str) -> dsl.GameDoc:
     with open(path, "r", encoding="utf-8") as handle:
         return dsl.parse(handle.read())
 
 
+def _load_game(args: argparse.Namespace, *kinds: str) -> dsl.GameDoc:
+    """The game file of ``args``, which must hold a game of one of ``kinds``."""
+    doc = _load_doc(args.file)
+    if _kind(doc.game) not in kinds:
+        raise _UsageError(f"{args.command} needs a {' or '.join(kinds)} game, got {_kind(doc.game)}")
+    return doc
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -112,12 +124,8 @@ def _kind(game) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.file)
-    if not isinstance(doc.game, (Leaf, Node)):
-        print(f"solve needs a finite game, got {_kind(doc.game)}", file=sys.stderr)
-        return 2
-    ties = fin.TiePolicy.FIRST_BRANCH if args.ties == "first" else fin.TiePolicy.LAST_BRANCH
-    profile = fin.solve(doc.game, ties)
+    doc = _load_game(args, "finite")
+    profile = fin.solve(doc.game, fin.TiePolicy(args.ties))
     play, outcome = induced_play(doc.game, profile)
     payload = {
         "command": "solve",
@@ -138,15 +146,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.file)
-    game = doc.game
-    if isinstance(game, (Leaf, Node)):
+    game = _load_doc(args.file).game
+    kind = _kind(game)
+    if kind == "matrix":
+        raise _UsageError("enumerate does not apply to matrix games; use the matrix command")
+    if kind == "finite":
         result = fin.enumerate_equilibria(game, cap=args.cap)
         entries = []
-        plays = []
         for profile in result.profiles:
             play, outcome = induced_play(game, profile)
-            plays.append(play)
             entries.append(
                 {
                     "profile": _profile_json(game, profile),
@@ -154,7 +162,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     "outcome": list(outcome),
                 }
             )
-        distinct = sorted(set(plays))
+        distinct = sorted({tuple(entry["play"]) for entry in entries})
         payload = {
             "command": "enumerate",
             "kind": "finite",
@@ -176,69 +184,40 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             )
         _render(args, payload, text)
         return 3 if result.truncated else 0
-    if isinstance(game, cy.CyclicGame):
-        accepted = cy.enumerate_positional_spe(game)
-        entries = []
-        for profile in accepted:
-            result = cy.induced_outcome(game, profile)
-            assert isinstance(result, cy.Converges)
-            entries.append(
-                {
-                    "profile": dict(profile),
-                    "path": list(result.path),
-                    "outcome": list(result.outcome),
-                }
-            )
-        payload = {
-            "command": "enumerate",
-            "kind": "cyclic",
-            "profile_count": len(accepted),
-            "equilibria": entries,
-        }
-        text = ["kind: cyclic", f"positional equilibria: {len(accepted)}"]
-        for entry in entries:
-            text.append(
-                f"  {_profile_text(game, entry['profile'])} -> {_outcome_text(entry['outcome'])}"
-            )
-        _render(args, payload, text)
-        return 0
-    if isinstance(game, par.ParametricGame):
-        accepted = par.enumerate_stationary_spe(game)
-        entries = []
-        for profile in accepted:
-            result = par.induced_outcome_param(game, profile)
-            assert isinstance(result, par.ConvergesAffine)
-            entries.append(
-                {
-                    "profile": dict(profile),
-                    "steps": result.steps,
-                    "outcome_from_start": [v.at(0) for v in result.outcome],
-                }
-            )
-        payload = {
-            "command": "enumerate",
-            "kind": "param",
-            "profile_count": len(accepted),
-            "equilibria": entries,
-        }
-        text = ["kind: param", f"stationary equilibria: {len(accepted)}"]
-        for entry in entries:
-            text.append(
-                f"  {_profile_text(game, entry['profile'])} -> "
-                f"{_outcome_text(entry['outcome_from_start'])} (from start)"
-            )
-        _render(args, payload, text)
-        return 0
-    print("enumerate does not apply to matrix games; use the matrix command", file=sys.stderr)
-    return 2
+    # A cyclic game is walked on its slope-0 embedding, whose values are its payoffs at every stage.
+    if kind == "cyclic":
+        wording, accepted, walked = "positional", cy.enumerate_positional_spe(game), game.embedding
+        route_key, outcome_key, suffix = "path", "outcome", ""
+    else:
+        wording, accepted, walked = "stationary", par.enumerate_stationary_spe(game), game
+        route_key, outcome_key, suffix = "steps", "outcome_from_start", " (from start)"
+    entries = []
+    for profile in accepted:
+        result = par.induced_outcome_param(walked, profile)
+        entries.append(
+            {
+                "profile": dict(profile),
+                route_key: list(result.path) if kind == "cyclic" else result.steps,
+                outcome_key: [v.at(0) for v in result.outcome],
+            }
+        )
+    payload = {
+        "command": "enumerate",
+        "kind": kind,
+        "profile_count": len(accepted),
+        "equilibria": entries,
+    }
+    text = [f"kind: {kind}", f"{wording} equilibria: {len(accepted)}"]
+    for entry in entries:
+        text.append(f"  {_profile_text(game, entry['profile'])} -> {_outcome_text(entry[outcome_key])}{suffix}")
+    _render(args, payload, text)
+    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.file)
-    game = doc.game
+    game = _load_doc(args.file).game
     if isinstance(game, MatrixGame):
-        print("check does not apply to matrix games", file=sys.stderr)
-        return 2
+        raise _UsageError("check does not apply to matrix games")
     with open(args.profile, "r", encoding="utf-8") as handle:
         profile = dsl.parse_profile_text(handle.read(), game)
     if isinstance(game, (Leaf, Node)):
@@ -253,10 +232,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.file)
-    if not isinstance(doc.game, cy.CyclicGame):
-        print(f"unfold needs a cyclic game, got {_kind(doc.game)}", file=sys.stderr)
-        return 2
+    doc = _load_game(args, "cyclic")
     terminal = _parse_outcome(args.terminal)
     tree = cy.unfold(doc.game, args.depth, terminal)
     rendered = dsl.serialize(dsl.GameDoc(doc.players, tree))
@@ -321,23 +297,20 @@ def _cmd_auction(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json" and args.seed is None:
-        print("simulate requires --seed in JSON mode", file=sys.stderr)
-        return 2
+        raise _UsageError("simulate requires --seed in JSON mode")
     seed = args.seed if args.seed is not None else 0
-    doc = _load_doc(args.file)
+    doc = _load_game(args, "cyclic", "param")
     game = doc.game
-    if not isinstance(game, (cy.CyclicGame, par.ParametricGame)):
-        print(f"simulate needs a cyclic or param game, got {_kind(game)}", file=sys.stderr)
-        return 2
     if args.policy == "uniform":
         policy: esc.BeliefSelectionPolicy = esc.Uniform()
     else:
+        tag, _, rest = args.policy.partition(":")
         try:
-            _tag, _, rest = args.policy.partition(":")
+            if tag != "fixed":
+                raise ValueError(tag)
             i, j = (int(part) for part in rest.split(","))
         except ValueError:
-            print("policy must be 'uniform' or 'fixed:i,j'", file=sys.stderr)
-            return 2
+            raise _UsageError("policy must be 'uniform' or 'fixed:i,j'") from None
         policy = esc.FixedIndex((i, j))
     trace = esc.simulate(game, args.horizon, seed, policy)
     steps = [
@@ -367,15 +340,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         text.append(f"verdict: terminated, outcome {_outcome_text(trace.outcome)}")
     if args.out:
-        lines = [
-            f"{step.stage},{doc.players[step.mover]},{step.belief_index},{step.action}"
-            for step in trace.steps
-        ]
-        lines.append(
-            "end,horizon"
-            if trace.horizon_hit
-            else "end,converged," + ",".join(str(v) for v in trace.outcome)
-        )
+        lines = [f"{step['stage']},{step['mover']},{step['belief']},{step['action']}" for step in steps]
+        lines.append("end,horizon" if trace.horizon_hit else "end,converged," + _outcome_text(trace.outcome))
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         args.out = None  # trace went to the file; report goes to stdout
@@ -384,28 +350,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.file)
-    if not isinstance(doc.game, MatrixGame):
-        print(f"matrix needs a matrix game, got {_kind(doc.game)}", file=sys.stderr)
-        return 2
+    doc = _load_game(args, "matrix")
     profile = solve_constant_sum(doc.game)
-
-    def frac(value: Fraction) -> str:
-        return str(value)
-
     payload = {
         "command": "matrix",
         "rows": doc.game.rows,
         "cols": doc.game.cols,
-        "sum": frac(doc.game.total),
-        "row": [frac(p) for p in profile.row],
-        "column": [frac(p) for p in profile.column],
-        "value": frac(profile.value),
+        "sum": str(doc.game.total),
+        "row": [str(p) for p in profile.row],
+        "column": [str(p) for p in profile.column],
+        "value": str(profile.value),
     }
     text = [
-        f"row distribution: {' '.join(frac(p) for p in profile.row)}",
-        f"column distribution: {' '.join(frac(p) for p in profile.column)}",
-        f"value (row player): {frac(profile.value)}",
+        f"row distribution: {' '.join(str(p) for p in profile.row)}",
+        f"column distribution: {' '.join(str(p) for p in profile.column)}",
+        f"value (row player): {profile.value}",
     ]
     _render(args, payload, text)
     return 0
@@ -429,63 +388,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out: bool = True) -> None:
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        if out:
-            p.add_argument("--out", help="write output to PATH instead of stdout")
+    def command(name: str, summary: str, file: bool = True) -> argparse.ArgumentParser:
+        # ``_cmd_<name>`` is looked up on every build, so a patched command runs.
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=globals()[f"_cmd_{name}"])
+        if file:
+            p.add_argument("file")
+        return p
 
-    p = sub.add_parser("solve", help="one backward-induction equilibrium of a finite game")
-    p.add_argument("file")
+    p = command("solve", "one backward-induction equilibrium of a finite game")
     p.add_argument("--ties", choices=["first", "last"], default="first")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("enumerate", help="all equilibria (finite profiles or positional/stationary)")
-    p.add_argument("file")
+    p = command("enumerate", "all equilibria (finite profiles or positional/stationary)")
     p.add_argument("--cap", type=int, default=fin.DEFAULT_CAP)
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("check", help="verify a profile file against a game")
-    p.add_argument("file")
+    p = command("check", "verify a profile file against a game")
     p.add_argument("--profile", required=True, help=_PROFILE_HELP)
-    common(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("unfold", help="unroll a cyclic game into a finite .game tree")
-    p.add_argument("file")
+    p = command("unfold", "unroll a cyclic game into a finite .game tree")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--terminal", required=True, help="outcome at the cut, e.g. '1,0'")
-    common(p)
-    p.set_defaults(func=_cmd_unfold)
 
-    p = sub.add_parser("auction", help="build and analyse the unit-bid all-pay auction")
+    p = command("auction", "build and analyse the unit-bid all-pay auction", file=False)
     p.add_argument("--value", type=int, required=True)
     p.add_argument("--max-stage", type=int, default=None)
     p.add_argument("--terminal", default=None, help="truncation outcome (default 0,0)")
-    common(p)
-    p.set_defaults(func=_cmd_auction)
 
-    p = sub.add_parser("simulate", help="memoryless agents re-selecting equilibrium beliefs")
-    p.add_argument("file")
+    p = command("simulate", "memoryless agents re-selecting equilibrium beliefs")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--policy", default="uniform", help="'uniform' or 'fixed:i,j'")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("matrix", help="exact mixed equilibrium of a constant-sum matrix")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_matrix)
+    command("matrix", "exact mixed equilibrium of a constant-sum matrix")
 
-    p = sub.add_parser("export", help="DOT export, optionally highlighting a profile")
-    p.add_argument("file")
+    p = command("export", "DOT export, optionally highlighting a profile")
     p.add_argument("--profile", default=None)
     p.add_argument("--dot", action="store_true", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_export)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--out", help="write output to PATH instead of stdout")
     return parser
 
 
@@ -498,6 +440,9 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -137,30 +137,6 @@ def _scan(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text`` with kinds and positions, ending with one
-    "eof" token.  The parser works on ``_scan``'s texts and positions only
-    the token an error names; this view is for tests and tools."""
-    tokens = []
-    for token, match in zip(_scan(text), _SCAN.finditer(text)):
-        if not token:
-            kind = "eof"
-        elif token in _PUNCT:
-            kind = "punct"
-        else:
-            kind = "int" if token[0].isdecimal() else "name"
-        tokens.append(_Token(kind, token, *_line_column(text, _offset(text, match))))
-    return tokens
-
-
 class _Parser:
     """Recursive descent over ``_scan``'s token texts; ``pos`` indexes the
     next token.  Positions are worked out only for errors."""

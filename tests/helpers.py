@@ -12,7 +12,8 @@ Fractions, so it can referee the integer kernel of ``solve_constant_sum``;
 the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
 ``reference_enumerate_equilibria``, ``reference_check_profile``) and the
 character-by-character ``reference_tokenize`` referee the flat-array tree
-routines and the compiled token scan.
+routines and the compiled token scan, which ``scan_tokenize`` exposes in the
+same token form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from seqgames.core import FiniteGame, Leaf, Node, NotTwoPlayer, ShapeMismatch, leaf, node, subgame_at
 from seqgames.cyclic import CyclicGame, CyclicNode
-from seqgames.dsl import ParseError
+from seqgames.dsl import _PUNCT, _SCAN, ParseError, _line_column, _offset, _scan
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
 from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine
@@ -601,4 +602,20 @@ def reference_tokenize(text: str) -> list[RefToken]:
             continue
         raise ParseError(line, start_col, "a token", repr(ch))
     tokens.append(RefToken("eof", "", line, column))
+    return tokens
+
+
+def scan_tokenize(text: str) -> list[RefToken]:
+    """The tokens of the parser's compiled scan with kinds and positions,
+    ending with one "eof" token.  The parser works on the scan's texts and
+    positions only the token an error names; this view is for the tests."""
+    tokens = []
+    for token, match in zip(_scan(text), _SCAN.finditer(text)):
+        if not token:
+            kind = "eof"
+        elif token in _PUNCT:
+            kind = "punct"
+        else:
+            kind = "int" if token[0].isdecimal() else "name"
+        tokens.append(RefToken(kind, token, *_line_column(text, _offset(text, match))))
     return tokens

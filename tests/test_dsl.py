@@ -14,6 +14,7 @@ from helpers import (
     random_parametric,
     random_tree,
     reference_tokenize,
+    scan_tokenize,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from seqgames.dsl import (
     GameDoc,
     ParseError,
     ValidationError,
-    _tokenize,
     parse,
     parse_profile_text,
     render_profile,
@@ -192,12 +192,12 @@ class TestTokenizer:
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet=_TOKEN_CHARS, max_size=60))
     def test_matches_the_reference_tokenizer(self, text):
-        assert _scan_outcome(_tokenize, text) == _reference_outcome(text)
+        assert _scan_outcome(scan_tokenize, text) == _reference_outcome(text)
 
     @pytest.mark.parametrize("name", GAME_FILES)
     def test_matches_the_reference_on_the_corpus(self, corpus_dir, name):
         text = (corpus_dir / name).read_text()
-        assert _scan_outcome(_tokenize, text) == _scan_outcome(reference_tokenize, text)
+        assert _scan_outcome(scan_tokenize, text) == _scan_outcome(reference_tokenize, text)
 
     def test_non_decimal_digit_is_a_parse_error(self):
         with pytest.raises(ParseError) as err:
@@ -222,7 +222,7 @@ def _token_offsets(text: str):
     line_starts = [0]
     for line in lines[:-1]:
         line_starts.append(line_starts[-1] + len(line) + 1)
-    for token in _tokenize(text):
+    for token in scan_tokenize(text):
         if token.kind == "eof":
             continue
         yield line_starts[token.line - 1] + token.column - 1, token
