@@ -79,7 +79,7 @@ def _value_json(value: object) -> object:
     return value if isinstance(value, int) else str(value)
 
 
-def _report_json(game, report: fin.SpeReport) -> dict[str, Any]:
+def _report_json(report: fin.SpeReport) -> dict[str, Any]:
     def where(v: fin.Violation) -> str:
         return dsl.render_tree_path(v.where) if isinstance(v.where, tuple) else str(v.where)
 
@@ -98,11 +98,11 @@ def _report_json(game, report: fin.SpeReport) -> dict[str, Any]:
     }
 
 
-def _report_text(game, report: fin.SpeReport) -> list[str]:
+def _report_text(report: fin.SpeReport) -> list[str]:
     lines = [f"ok: {'yes' if report.ok else 'no'}"]
     for name in report.divergences:
         lines.append(f"diverges from: {name}")
-    for item in _report_json(game, report)["violations"]:
+    for item in _report_json(report)["violations"]:
         lines.append(
             f"violation at {item['at']}: playing {item['action']} yields "
             f"{item['deviation_value']} > {item['profile_value']}"
@@ -184,16 +184,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             )
         _render(args, payload, text)
         return 3 if result.truncated else 0
-    # A cyclic game is walked on its slope-0 embedding, whose values are its payoffs at every stage.
     if kind == "cyclic":
-        wording, accepted, walked = "positional", cy.enumerate_positional_spe(game), game.embedding
         route_key, outcome_key, suffix = "path", "outcome", ""
     else:
-        wording, accepted, walked = "stationary", par.enumerate_stationary_spe(game), game
         route_key, outcome_key, suffix = "steps", "outcome_from_start", " (from start)"
+    accepted = par.enumerate_stationary_spe(game)
     entries = []
     for profile in accepted:
-        result = par.induced_outcome_param(walked, profile)
+        result = par.induced_outcome_param(game, profile)
+        # A cyclic game's values are its payoffs at every stage, so stage 0 reads them.
         entries.append(
             {
                 "profile": dict(profile),
@@ -207,7 +206,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "profile_count": len(accepted),
         "equilibria": entries,
     }
-    text = [f"kind: {kind}", f"{wording} equilibria: {len(accepted)}"]
+    text = [f"kind: {kind}", f"{game.PROFILE} equilibria: {len(accepted)}"]
     for entry in entries:
         text.append(f"  {_profile_text(game, entry['profile'])} -> {_outcome_text(entry[outcome_key])}{suffix}")
     _render(args, payload, text)
@@ -226,8 +225,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = cy.check_spe_cyclic(game, profile)
     else:
         report = par.check_spe_param(game, profile)
-    payload = {"command": "check", "kind": _kind(game), **_report_json(game, report)}
-    _render(args, payload, _report_text(game, report))
+    payload = {"command": "check", "kind": _kind(game), **_report_json(report)}
+    _render(args, payload, _report_text(report))
     return 0 if report.ok else 1
 
 
@@ -263,18 +262,18 @@ def _cmd_auction(args: argparse.Namespace) -> int:
         "value": args.value,
         "game": dsl.serialize(doc),
         "profiles": [
-            {"profile": dict(profile), **_report_json(game, report)}
+            {"profile": dict(profile), **_report_json(report)}
             for profile, report in profiles
         ],
         "equilibrium_count": len(equilibria),
         "equilibria": [dict(profile) for profile in equilibria],
-        "never_bid": _report_json(game, never_report),
+        "never_bid": _report_json(never_report),
     }
     text = [f"value: {args.value}", f"stationary equilibria: {len(equilibria)}"]
     for profile in equilibria:
         text.append(f"  {_profile_text(game, profile)}")
     text.append("never-bid profile (abandon everywhere): " + ("equilibrium" if never_report.ok else "NOT an equilibrium"))
-    text.extend("  " + line for line in _report_text(game, never_report)[1:])
+    text.extend("  " + line for line in _report_text(never_report)[1:])
     if args.max_stage is not None:
         terminal = _parse_outcome(args.terminal) if args.terminal else (0, 0)
         tree = par.instantiate(game, args.max_stage, terminal)

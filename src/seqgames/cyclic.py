@@ -11,7 +11,8 @@ reaches a payoff.
 
 A cyclic game is the stage-parametric game whose payoffs all have slope 0,
 so the analyses here are thin adapters over ``parametric``: each runs on
-the game's cached ``embedding`` and hands back ``int`` payoffs.
+the game's cached ``embedding``, words its messages in the game's own
+terms (``POINT``, ``CHOICE``, ``PROFILE``) and hands back ``int`` payoffs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Union
 
-from .core import FiniteGame, Leaf, OutcomeVector, ShapeMismatch
+from .core import FiniteGame, Leaf, OutcomeVector
 from .finite import SpeReport, Violation
 from .parametric import (  # DEFAULT_SEARCH_BOUND and SearchSpaceTooLarge are re-exported
     DEFAULT_SEARCH_BOUND,
@@ -28,14 +29,14 @@ from .parametric import (  # DEFAULT_SEARCH_BOUND and SearchSpaceTooLarge are re
     ParametricGame,
     SearchSpaceTooLarge,
     UnknownShape,
-    _require_space,
     check_spe_param,
-    enumerate_stationary_spe,
+    check_stationary,
     from_cyclic,
     induced_outcome_param,
     instantiate,
     instantiate_profile,
 )
+from .parametric import enumerate_stationary_spe as enumerate_positional_spe  # one enumerator, either kind
 
 #: A node name is not defined in the game.
 UnknownNode = UnknownShape
@@ -54,6 +55,9 @@ class CyclicNode:
 class CyclicGame:
     nodes: Mapping[str, CyclicNode]
     start: str
+
+    # How messages name a decision point, a choice there and a profile.
+    POINT, CHOICE, PROFILE = "node", "edge", "positional"
 
     @cached_property
     def embedding(self) -> ParametricGame:
@@ -78,14 +82,6 @@ Diverges = Divergent
 InducedResult = Union[Converges, Diverges]
 
 
-def check_positional(game: CyclicGame, profile: PositionalProfile) -> None:
-    if set(profile) != set(game.nodes):
-        raise ShapeMismatch("profile must choose exactly one edge per node")
-    for name, node in game.nodes.items():
-        if profile[name] not in node.labels():
-            raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not an edge label")
-
-
 def induced_outcome(
     game: CyclicGame, profile: PositionalProfile, from_node: str | None = None
 ) -> InducedResult:
@@ -94,11 +90,7 @@ def induced_outcome(
     Choices are positional, so revisiting a node proves divergence; the
     returned lasso splits the visited nodes at the first repeat.
     """
-    name = game.start if from_node is None else from_node
-    if name not in game.nodes:
-        raise UnknownNode(name)
-    check_positional(game, profile)
-    result = induced_outcome_param(game.embedding, profile, name)
+    result = induced_outcome_param(game, profile, from_node)
     if isinstance(result, Divergent):
         return result
     return Converges(result.path, tuple(v.const for v in result.outcome))
@@ -111,25 +103,12 @@ def check_spe_cyclic(game: CyclicGame, profile: PositionalProfile) -> SpeReport:
     each node's alternatives are priced by deviating once and resuming the
     profile (a divergent continuation can never improve on a payoff).
     """
-    check_positional(game, profile)
-    report = check_spe_param(game.embedding, profile)
+    report = check_spe_param(game, profile)
     violations = tuple(
         Violation(v.where, v.action, v.profile_value.const, v.deviation_value.const)
         for v in report.violations
     )
     return SpeReport(violations, report.divergences)
-
-
-def enumerate_positional_spe(
-    game: CyclicGame, bound: int = DEFAULT_SEARCH_BOUND
-) -> list[PositionalProfile]:
-    """Brute-force all positional profiles and keep the equilibria.
-
-    Profiles are generated in canonical order: node declaration order, edge
-    order within each node.
-    """
-    _require_space(game.embedding, bound, "positional")
-    return enumerate_stationary_spe(game.embedding, bound)
 
 
 def unfold(game: CyclicGame, depth: int, terminal: OutcomeVector) -> FiniteGame:
@@ -152,7 +131,7 @@ def unfold_profile(
     the restriction plays the positional choice there.  Independent of the
     terminal used to cut the unfolding.
     """
-    check_positional(game, profile)
     if depth < 1:
+        check_stationary(game, profile)  # a bad profile is reported before a bad depth
         raise ValueError("depth must be positive")
-    return instantiate_profile(game.embedding, profile, depth)
+    return instantiate_profile(game, profile, depth)

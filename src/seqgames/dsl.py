@@ -41,7 +41,7 @@ from .core import (
     chosen_branches,
     node_paths,
 )
-from .cyclic import CyclicGame, CyclicNode, PositionalProfile, check_positional
+from .cyclic import CyclicGame, CyclicNode, PositionalProfile
 from .matrix import MatrixGame
 from .parametric import (
     Advance,
@@ -54,6 +54,7 @@ from .parametric import (
 )
 
 Game = Union[FiniteGame, CyclicGame, ParametricGame, MatrixGame]
+_GRAPHS = (CyclicGame, ParametricGame)
 
 
 class ParseError(Exception):
@@ -296,6 +297,7 @@ class _Parser:
 
     def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
         tokens = self.tokens
+        point_class, game_class = (Shape, ParametricGame) if parametric else (CyclicNode, CyclicGame)
         self.expect("start")
         self.expect("=")
         start = self.expect_name("a node name")
@@ -336,10 +338,7 @@ class _Parser:
             if not edges:
                 raise self.fail("at least one edge")
             self.expect("}")
-            if parametric:
-                definitions[tokens[name]] = Shape(owner, tuple(edges))  # type: ignore[arg-type]
-            else:
-                definitions[tokens[name]] = CyclicNode(owner, tuple(edges))  # type: ignore[arg-type]
+            definitions[tokens[name]] = point_class(owner, tuple(edges))  # type: ignore[arg-type]
             self.skip_separators()
         if not definitions:
             raise self.fail("at least one node definition")
@@ -349,9 +348,7 @@ class _Parser:
                 raise self.invalid(ref, f"undefined node {tokens[ref]!r}")
         if tokens[start] not in definitions:
             raise self.invalid(start, f"undefined start node {tokens[start]!r}")
-        if parametric:
-            return ParametricGame(definitions, tokens[start])  # type: ignore[arg-type]
-        return CyclicGame(definitions, tokens[start])  # type: ignore[arg-type]
+        return game_class(definitions, tokens[start])  # type: ignore[arg-type]
 
     # --- matrices -------------------------------------------------------
 
@@ -442,26 +439,17 @@ def serialize(doc: GameDoc) -> str:
         else:
             _serialize_tree(game, doc.players, out)
         out.append("}")
-    elif isinstance(game, CyclicGame):
-        out.append(f"cyclic start={game.start} {{")
-        for name, node in game.nodes.items():
-            out.append(f"  {name}: {doc.players[node.owner]} {{")
-            for label, target in node.edges:
-                if isinstance(target, Leaf):
-                    out.append(f"    {label} -> leaf({target.outcome[0]},{target.outcome[1]})")
-                else:
-                    out.append(f"    {label} -> {target}")
-            out.append("  }")
-        out.append("}")
-    elif isinstance(game, ParametricGame):
-        out.append(f"param start={game.start} {{")
-        for name, shape in game.shapes.items():
+    elif isinstance(game, _GRAPHS):
+        # A slope-0 payoff prints as its constant, so a cyclic game's leaves read as ints.
+        keyword, advance = ("cyclic", "") if isinstance(game, CyclicGame) else ("param", "advance ")
+        out.append(f"{keyword} start={game.start} {{")
+        for name, shape in game.embedding.shapes.items():
             out.append(f"  {name}: {doc.players[shape.owner]} {{")
             for label, target in shape.moves:
                 if isinstance(target, AffineLeaf):
                     out.append(f"    {label} -> leaf({target.outcome[0]},{target.outcome[1]})")
                 else:
-                    out.append(f"    {label} -> advance {target.shape}")
+                    out.append(f"    {label} -> {advance}{target.shape}")
             out.append("  }")
         out.append("}")
     elif isinstance(game, MatrixGame):
@@ -497,14 +485,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     lines = ["digraph game {"]
     nodes: list[str] = []
     edges: list[str] = []
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
-        return name
-
+    fresh = (f"n{number}" for number in itertools.count())  # node names in creation order
     game = doc.game
     if isinstance(game, (Leaf, Node)):
         index = game.index
@@ -521,18 +502,18 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
                 label = _dot_escape(index.labels[parent][position])
                 child = index.children[parent][position]
                 edges.append(f'  n{parent} -> n{child} [label="{label}"{bold}];')
-    elif isinstance(game, (CyclicGame, ParametricGame)):
+    elif isinstance(game, _GRAPHS):
         if highlight is not None:
-            (check_positional if isinstance(game, CyclicGame) else check_stationary)(game, highlight)
-        graph = game.embedding if isinstance(game, CyclicGame) else game
-        idents = {name: fresh() for name in graph.shapes}
+            check_stationary(game, highlight)
+        graph = game.embedding
+        idents = {name: next(fresh) for name in graph.shapes}
         for name, shape in graph.shapes.items():
             label = f"{name}: {doc.players[shape.owner]}"
             nodes.append(f'  {idents[name]} [label="{_dot_escape(label)}"];')
         for name, shape in graph.shapes.items():
             for label, target in shape.moves:
                 if isinstance(target, AffineLeaf):
-                    child = fresh()
+                    child = next(fresh)
                     rendered = ",".join(str(v) for v in target.outcome)
                     nodes.append(f'  {child} [label="{_dot_escape(rendered)}"];')
                 else:
@@ -546,7 +527,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     elif isinstance(game, MatrixGame):
         if highlight is not None:
             raise ShapeMismatch("matrix games have no highlightable profile")
-        ident = fresh()
+        ident = next(fresh)
         label = f"matrix {game.rows}x{game.cols} sum={_serialize_rational(game.total)}"
         nodes.append(f'  {ident} [label="{_dot_escape(label)}"];')
     else:
@@ -592,26 +573,24 @@ def parse_profile_text(text: str, game: Game) -> dict:
         }
         chosen_branches(game, profile)
         return profile
-    if isinstance(game, CyclicGame):
-        check_positional(game, entries)
-        return entries
-    if isinstance(game, ParametricGame):
+    if isinstance(game, _GRAPHS):
         check_stationary(game, entries)
         return entries
     raise ShapeMismatch("matrix games take no profile")
 
 
 def render_profile(game: Game, profile: AnyProfile) -> str:
-    """Canonical profile-file text for ``game``."""
+    """Canonical profile-file text for ``game``; the profile must fit the
+    game as ``parse_profile_text`` requires."""
     if isinstance(game, (Leaf, Node)):
+        chosen_branches(game, profile)  # type: ignore[arg-type]
         lines = [
             f"{render_tree_path(path)} = {profile[path]}"  # type: ignore[index]
             for path in node_paths(game)
         ]
-    elif isinstance(game, CyclicGame):
-        lines = [f"{name} = {profile[name]}" for name in game.nodes]  # type: ignore[index]
-    elif isinstance(game, ParametricGame):
-        lines = [f"{name} = {profile[name]}" for name in game.shapes]  # type: ignore[index]
+    elif isinstance(game, _GRAPHS):
+        check_stationary(game, profile)  # type: ignore[arg-type]
+        lines = [f"{name} = {profile[name]}" for name in game.embedding.shapes]  # type: ignore[index]
     else:
         raise ShapeMismatch("matrix games take no profile")
     return "\n".join(lines) + "\n" if lines else ""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .core import GameError, OutcomeVector
-from .cyclic import CyclicGame, check_positional, enumerate_positional_spe
+from .cyclic import CyclicGame
 from .parametric import (
     AffineLeaf,
     Divergent,
@@ -121,29 +121,17 @@ class SimTrace:
         return self.outcome is None
 
 
-def _engine_game(game: CyclicGame | ParametricGame) -> ParametricGame:
-    """The parametric game the analyses run on: a cyclic game's embedding."""
-    return game.embedding if isinstance(game, CyclicGame) else game
-
-
-def _kind_checks(game: CyclicGame | ParametricGame):
-    """The profile validator and enumerator whose messages name the game's
-    own points (nodes and positional profiles, or shapes and stationary)."""
-    if isinstance(game, CyclicGame):
-        return check_positional, enumerate_positional_spe
-    return check_stationary, enumerate_stationary_spe
-
-
-def _check_belief(game: CyclicGame | ParametricGame, belief: Profile) -> None:
-    _kind_checks(game)[0](game, belief)
-
-
 def compose_beliefs(game: CyclicGame | ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
     """Effective profile: the owner's own action from the owner's own belief."""
-    _check_belief(game, beliefs.belief_of_a)
-    _check_belief(game, beliefs.belief_of_b)
+    check_stationary(game, beliefs.belief_of_a)
+    check_stationary(game, beliefs.belief_of_b)
+    return _composed(game, beliefs)
+
+
+def _composed(game: CyclicGame | ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
+    """``compose_beliefs`` for validated beliefs."""
     per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
-    return {name: per_player[shape.owner][name] for name, shape in _engine_game(game).shapes.items()}
+    return {name: per_player[shape.owner][name] for name, shape in game.embedding.shapes.items()}
 
 
 def detect_escalation(
@@ -155,16 +143,15 @@ def detect_escalation(
 
     Divergence is escalation; convergence terminates at the stage of the
     first abandoning move, with the concrete outcome.  With
-    ``require_equilibria`` set, each belief must pass the applicable
-    equilibrium check first.
+    ``require_equilibria`` set, each belief must pass the equilibrium check
+    first.
     """
-    engine = _engine_game(game)
-    if require_equilibria:
-        for player, belief in enumerate((beliefs.belief_of_a, beliefs.belief_of_b)):
-            _check_belief(game, belief)
-            if not check_spe_param(engine, belief).ok:
-                raise BeliefNotEquilibrium(player)
-    result = induced_outcome_param(engine, compose_beliefs(game, beliefs))
+    for player, belief in enumerate((beliefs.belief_of_a, beliefs.belief_of_b)):
+        if not require_equilibria:
+            check_stationary(game, belief)
+        elif not check_spe_param(game, belief).ok:  # validates the belief first
+            raise BeliefNotEquilibrium(player)
+    result = induced_outcome_param(game, _composed(game, beliefs))
     if isinstance(result, Divergent):
         return Escalates(result)
     return Terminates(
@@ -176,7 +163,7 @@ def detect_escalation(
 def equilibrium_beliefs(game: CyclicGame | ParametricGame) -> list[Profile]:
     """The belief universe for ``simulate``: all positional/stationary
     equilibria of the game, in canonical enumeration order."""
-    return list(_kind_checks(game)[1](game))
+    return enumerate_stationary_spe(game)
 
 
 def simulate(
@@ -199,7 +186,7 @@ def simulate(
     if not beliefs:
         raise NoEquilibria("no equilibrium beliefs available")
     for belief in beliefs:
-        _check_belief(game, belief)
+        check_stationary(game, belief)
     if isinstance(selection, FixedIndex):
         for index in selection.indices:
             if not 0 <= index < len(beliefs):
@@ -212,7 +199,7 @@ def simulate(
         return rng.below(len(beliefs))
 
     steps: list[SimStep] = []
-    engine = _engine_game(game)
+    engine = game.embedding
     name = engine.start
     stage = 0
     for _turn in range(horizon):

@@ -6,6 +6,9 @@ whose per-player payoffs are affine in ``n``, or advances to another shape
 at stage ``n + 1``.  Stationary profiles choose one move per shape, so
 equilibrium inequalities can be decided symbolically for all stages at
 once by comparing affine coefficients.
+
+The profile functions also take a ``CyclicGame``: they run on its
+``embedding`` and word their messages with its ``POINT``, ``CHOICE`` and ``PROFILE``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .core import FiniteGame, GameError, Leaf, Node, OutcomeVector, ShapeMismatch
 from .finite import SpeReport, Violation
+
+if TYPE_CHECKING:
+    from .cyclic import CyclicGame
 
 DEFAULT_SEARCH_BOUND = 2**20
 
@@ -110,6 +116,14 @@ class ParametricGame:
     shapes: Mapping[str, Shape]
     start: str
 
+    # How messages name a decision point, a choice there and a profile.
+    POINT, CHOICE, PROFILE = "shape", "move", "stationary"
+
+    @property
+    def embedding(self) -> ParametricGame:
+        """The game the analyses run on: this one (see ``CyclicGame.embedding``)."""
+        return self
+
 
 #: One chosen move label per shape name.
 StationaryProfile = Mapping[str, str]
@@ -140,12 +154,15 @@ class Divergent:
 InducedParamResult = Union[ConvergesAffine, Divergent]
 
 
-def check_stationary(game: ParametricGame, profile: StationaryProfile) -> None:
-    if set(profile) != set(game.shapes):
-        raise ShapeMismatch("profile must choose exactly one move per shape")
-    for name, shape in game.shapes.items():
+def check_stationary(game: CyclicGame | ParametricGame, profile: StationaryProfile) -> None:
+    """Raise ``ShapeMismatch`` unless ``profile`` picks one label at every decision point."""
+    shapes, choice = game.embedding.shapes, game.CHOICE
+    if set(profile) != set(shapes):
+        raise ShapeMismatch(f"profile must choose exactly one {choice} per {game.POINT}")
+    for name, shape in shapes.items():
         if profile[name] not in shape.labels():
-            raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not a move label")
+            article = "an" if choice[0] in "aeiou" else "a"
+            raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
 
 
 def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> InducedParamResult:
@@ -167,7 +184,7 @@ def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> Induce
 
 
 def induced_outcome_param(
-    game: ParametricGame, profile: StationaryProfile, from_shape: str | None = None
+    game: CyclicGame | ParametricGame, profile: StationaryProfile, from_shape: str | None = None
 ) -> InducedParamResult:
     """Follow the profile's moves from ``from_shape`` at symbolic stage n.
 
@@ -175,11 +192,12 @@ def induced_outcome_param(
     the returned lasso splits the visited shapes at the first repeat;
     otherwise a leaf is reached within as many moves as there are shapes.
     """
-    name = game.start if from_shape is None else from_shape
-    if name not in game.shapes:
+    graph = game.embedding
+    name = graph.start if from_shape is None else from_shape
+    if name not in graph.shapes:
         raise UnknownShape(name)
     check_stationary(game, profile)
-    return _walk(game, profile, name)
+    return _walk(graph, profile, name)
 
 
 @dataclass(frozen=True)
@@ -237,7 +255,7 @@ def _holds_at_entries(deviation: AffineValue, base: AffineValue, info: EntryStag
     return affine_leq(deviation, base, info.stages[0])
 
 
-def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeReport:
+def check_spe_param(game: CyclicGame | ParametricGame, profile: StationaryProfile) -> SpeReport:
     """Symbolic equilibrium check over all stages at once.
 
     Requires convergence from every shape; then, per shape, every
@@ -246,8 +264,8 @@ def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeRepo
     A deviation with divergent continuation never improves on a payoff.
     """
     check_stationary(game, profile)
-    _check_targets(game)
-    return _spe_report(game, profile)
+    _check_targets(game.embedding)
+    return _spe_report(game.embedding, profile)
 
 
 def _check_targets(game: ParametricGame) -> None:
@@ -297,22 +315,17 @@ def stationary_profiles(game: ParametricGame) -> Iterator[dict[str, str]]:
         yield dict(zip(names, combo))
 
 
-def _require_space(game: ParametricGame, bound: int, kind: str = "stationary") -> None:
-    """Raise ``SearchSpaceTooLarge`` when the game has more than ``bound``
-    profiles; ``kind`` names them in the message."""
-    space = math.prod(len(shape.moves) for shape in game.shapes.values())
-    if space > bound:
-        raise SearchSpaceTooLarge(f"{space} {kind} profiles exceed bound {bound}")
-
-
 def enumerate_stationary_spe(
-    game: ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
+    game: CyclicGame | ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
 ) -> list[StationaryProfile]:
     """Brute-force all stationary profiles and keep the equilibria, in
     canonical order (``stationary_profiles``)."""
-    _require_space(game, bound)
-    _check_targets(game)
-    return [profile for profile in stationary_profiles(game) if _spe_report(game, profile).ok]
+    graph = game.embedding
+    space = math.prod(len(shape.moves) for shape in graph.shapes.values())
+    if space > bound:
+        raise SearchSpaceTooLarge(f"{space} {game.PROFILE} profiles exceed bound {bound}")
+    _check_targets(graph)
+    return [profile for profile in stationary_profiles(graph) if _spe_report(graph, profile).ok]
 
 
 def dollar_auction(value: int) -> ParametricGame:
@@ -383,17 +396,18 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
 
 
 def instantiate_profile(
-    game: ParametricGame, profile: StationaryProfile, max_stage: int
+    game: CyclicGame | ParametricGame, profile: StationaryProfile, max_stage: int
 ) -> dict[tuple[str, ...], str]:
     """Restrict a stationary profile to the tree built by ``instantiate``."""
     check_stationary(game, profile)
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
+    graph = game.embedding
     out: dict[tuple[str, ...], str] = {}
-    stack: list[tuple[str, int, tuple[str, ...]]] = [(game.start, 0, ())]
+    stack: list[tuple[str, int, tuple[str, ...]]] = [(graph.start, 0, ())]
     while stack:  # preorder: children are pushed in reverse move order
         name, stage, path = stack.pop()
-        shape = game.shapes[name]
+        shape = graph.shapes[name]
         out[path] = profile[name]
         if stage + 1 < max_stage:
             stack.extend(

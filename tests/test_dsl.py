@@ -363,6 +363,45 @@ class TestProfileFiles:
         assert parse_profile_text(text, game) == {"A": "a", "B": "c"}
         assert "A = a" in text
 
+    @pytest.mark.parametrize(
+        "game, profile, message",
+        [
+            (loop01(), {"A": "a"}, "profile must choose exactly one edge per node"),
+            (loop01(), {"A": "zz", "B": "a"}, "choice 'zz' at 'A' is not an edge label"),
+            (dollar_auction(100), {"A0": "a", "A": "zz", "B": "a"}, "choice 'zz' at 'A' is not a move label"),
+            (dollar_auction(100), {"A0": "a", "B": "a"}, "profile must choose exactly one move per shape"),
+        ],
+        ids=["cyclic-missing", "cyclic-wrong", "param-wrong", "param-missing"],
+    )
+    def test_render_rejects_what_parse_rejects_graph(self, game, profile, message):
+        from seqgames.core import ShapeMismatch
+
+        text = "".join(f"{key} = {action}\n" for key, action in profile.items())
+        for call in (lambda: render_profile(game, profile), lambda: parse_profile_text(text, game)):
+            with pytest.raises(ShapeMismatch) as caught:
+                call()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("fault", ["missing", "wrong"])
+    def test_render_rejects_what_parse_rejects_tree(self, fault):
+        from helpers import pennies_equilibrium
+
+        from seqgames.core import ShapeMismatch
+        from seqgames.dsl import render_tree_path
+
+        game = pennies_seq()
+        profile = pennies_equilibrium("p")
+        if fault == "missing":
+            del profile[("p",)]
+        else:
+            profile[("f",)] = "zz"
+        text = "".join(f"{render_tree_path(path)} = {action}\n" for path, action in profile.items())
+        with pytest.raises(ShapeMismatch) as parsed:
+            parse_profile_text(text, game)
+        with pytest.raises(ShapeMismatch) as rendered:
+            render_profile(game, profile)
+        assert str(rendered.value) == str(parsed.value)
+
     def test_comments_and_blanks_ignored(self):
         game = loop01()
         text = "# crossed\nA = c\n\nB = a  # his side\n"

@@ -1,0 +1,115 @@
+"""Each graph kind words its profile errors in its own terms.
+
+A cyclic game has nodes, edges and positional profiles; a stage-parametric
+game has shapes, moves and stationary profiles.  Every public entry point
+that takes a graph profile reports a wrong label or a missing key with the
+exact ``ShapeMismatch`` text of the game's kind, and the enumerators name
+the profile kind when the search bound is exceeded.
+"""
+
+from __future__ import annotations
+
+import pytest
+from helpers import loop01
+
+from seqgames import cyclic as cy
+from seqgames import dsl
+from seqgames import escalation as esc
+from seqgames import parametric as par
+from seqgames.core import ShapeMismatch
+
+LOOP_GOOD = {"A": "a", "B": "c"}
+LOOP_WRONG = {"A": "zz", "B": "a"}
+LOOP_MISSING = {"A": "a"}
+AUCTION_GOOD = {"A0": "a", "A": "a", "B": "c"}
+AUCTION_WRONG = {"A0": "zz", "A": "a", "B": "a"}
+AUCTION_MISSING = {"A0": "a", "A": "a"}
+
+LOOP_MESSAGES = {
+    "wrong": "choice 'zz' at 'A' is not an edge label",
+    "missing": "profile must choose exactly one edge per node",
+}
+AUCTION_MESSAGES = {
+    "wrong": "choice 'zz' at 'A0' is not a move label",
+    "missing": "profile must choose exactly one move per shape",
+}
+
+
+def _text(profile: dict) -> str:
+    return "".join(f"{key} = {action}\n" for key, action in profile.items())
+
+
+def _entries(game, good, check, induced, restrict):
+    """(name, call) for every public entry point taking a profile of ``game``."""
+    doc = dsl.GameDoc(("Alice", "Bertrand"), game)
+    return [
+        ("check_spe", lambda p: check(game, p)),
+        ("induced_outcome", lambda p: induced(game, p)),
+        ("restrict_profile", lambda p: restrict(game, p, 2)),
+        ("compose_beliefs a", lambda p: esc.compose_beliefs(game, esc.BeliefPair(p, good))),
+        ("compose_beliefs b", lambda p: esc.compose_beliefs(game, esc.BeliefPair(good, p))),
+        ("detect_escalation a", lambda p: esc.detect_escalation(game, esc.BeliefPair(p, good))),
+        ("detect_escalation b", lambda p: esc.detect_escalation(game, esc.BeliefPair(good, p))),
+        (
+            "detect_escalation a unchecked",
+            lambda p: esc.detect_escalation(game, esc.BeliefPair(p, good), require_equilibria=False),
+        ),
+        (
+            "detect_escalation b unchecked",
+            lambda p: esc.detect_escalation(game, esc.BeliefPair(good, p), require_equilibria=False),
+        ),
+        ("simulate", lambda p: esc.simulate(game, 5, 1, equilibria=[good, p])),
+        ("to_dot", lambda p: dsl.to_dot(doc, p)),
+        ("parse_profile_text", lambda p: dsl.parse_profile_text(_text(p), game)),
+    ]
+
+
+CASES = [
+    (f"{kind} {entry} {fault}", call, profile, messages[fault])
+    for kind, game, good, check, induced, restrict, faulty, messages in (
+        (
+            "cyclic",
+            loop01(),
+            LOOP_GOOD,
+            cy.check_spe_cyclic,
+            cy.induced_outcome,
+            cy.unfold_profile,
+            {"wrong": LOOP_WRONG, "missing": LOOP_MISSING},
+            LOOP_MESSAGES,
+        ),
+        (
+            "param",
+            par.dollar_auction(100),
+            AUCTION_GOOD,
+            par.check_spe_param,
+            par.induced_outcome_param,
+            par.instantiate_profile,
+            {"wrong": AUCTION_WRONG, "missing": AUCTION_MISSING},
+            AUCTION_MESSAGES,
+        ),
+    )
+    for entry, call in _entries(game, good, check, induced, restrict)
+    for fault, profile in faulty.items()
+]
+
+
+@pytest.mark.parametrize("call, profile, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_profile_error_names_the_kind(call, profile, message):
+    with pytest.raises(ShapeMismatch) as caught:
+        call(profile)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call", [cy.enumerate_positional_spe, par.enumerate_stationary_spe])
+@pytest.mark.parametrize(
+    "game, message",
+    [
+        (loop01(), "4 positional profiles exceed bound 3"),
+        (loop01().embedding, "4 stationary profiles exceed bound 3"),
+    ],
+    ids=["positional", "stationary"],
+)
+def test_bound_message_names_the_profile_kind(call, game, message):
+    with pytest.raises(cy.SearchSpaceTooLarge) as caught:
+        call(game, bound=3)
+    assert str(caught.value) == message
