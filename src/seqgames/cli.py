@@ -8,6 +8,7 @@ or search-space bound), 4 resource limit hit (recursion depth or memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -388,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, file: bool = True) -> argparse.ArgumentParser:
-        # ``_cmd_<name>`` is looked up on every build, so a patched command runs.
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=globals()[f"_cmd_{name}"])
         if file:
             p.add_argument("file")
         return p
@@ -430,15 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process: parsing leaves it as it was
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
+    try:  # ``_cmd_<command>`` is looked up on every run, so a patched command runs
+        return globals()[f"_cmd_{args.command}"](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -70,6 +70,12 @@ class CyclicGame:
 PositionalProfile = Mapping[str, str]
 
 
+def _cyclic(game: CyclicGame, instead: str) -> CyclicGame:
+    if not isinstance(game, CyclicGame):  # stage-0 values hold at every stage only at slope 0
+        raise TypeError(f"expected a CyclicGame, got {type(game).__name__}; use parametric.{instead}")
+    return game
+
+
 @dataclass(frozen=True)
 class Converges:
     path: tuple[str, ...]
@@ -90,7 +96,7 @@ def induced_outcome(
     Choices are positional, so revisiting a node proves divergence; the
     returned lasso splits the visited nodes at the first repeat.
     """
-    result = induced_outcome_param(game, profile, from_node)
+    result = induced_outcome_param(_cyclic(game, "induced_outcome_param"), profile, from_node)
     if isinstance(result, Divergent):
         return result
     return Converges(result.path, tuple(v.const for v in result.outcome))
@@ -103,7 +109,7 @@ def check_spe_cyclic(game: CyclicGame, profile: PositionalProfile) -> SpeReport:
     each node's alternatives are priced by deviating once and resuming the
     profile (a divergent continuation can never improve on a payoff).
     """
-    report = check_spe_param(game, profile)
+    report = check_spe_param(_cyclic(game, "check_spe_param"), profile)
     violations = tuple(
         Violation(v.where, v.action, v.profile_value.const, v.deviation_value.const)
         for v in report.violations
@@ -117,6 +123,7 @@ def unfold(game: CyclicGame, depth: int, terminal: OutcomeVector) -> FiniteGame:
     Leaf edges stay leaves at any layer; a decision node that would appear
     at layer ``depth + 1`` is replaced by ``Leaf(terminal)``.
     """
+    _cyclic(game, "instantiate")
     if depth < 1:
         raise ValueError("depth must be positive")
     return instantiate(game.embedding, depth, terminal)
@@ -131,6 +138,7 @@ def unfold_profile(
     the restriction plays the positional choice there.  Independent of the
     terminal used to cut the unfolding.
     """
+    _cyclic(game, "instantiate_profile")
     if depth < 1:
         check_stationary(game, profile)  # a bad profile is reported before a bad depth
         raise ValueError("depth must be positive")

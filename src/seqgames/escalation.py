@@ -20,10 +20,10 @@ from .parametric import (
     AffineLeaf,
     Divergent,
     ParametricGame,
+    _walk,
     check_spe_param,
     check_stationary,
     enumerate_stationary_spe,
-    induced_outcome_param,
 )
 
 Profile = Mapping[str, str]
@@ -151,7 +151,7 @@ def detect_escalation(
             check_stationary(game, belief)
         elif not check_spe_param(game, belief).ok:  # validates the belief first
             raise BeliefNotEquilibrium(player)
-    result = induced_outcome_param(game, _composed(game, beliefs))
+    result = _walk(game.embedding, _composed(game, beliefs), game.embedding.start)  # valid: made of valid beliefs
     if isinstance(result, Divergent):
         return Escalates(result)
     return Terminates(

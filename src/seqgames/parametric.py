@@ -124,6 +124,11 @@ class ParametricGame:
         """The game the analyses run on: this one (see ``CyclicGame.embedding``)."""
         return self
 
+    @cached_property
+    def labels(self) -> dict[str, tuple[str, ...]]:
+        """Each shape's move labels, built on first use and kept like ``CyclicGame.embedding``."""
+        return {name: shape.labels() for name, shape in self.shapes.items()}
+
 
 #: One chosen move label per shape name.
 StationaryProfile = Mapping[str, str]
@@ -156,28 +161,29 @@ InducedParamResult = Union[ConvergesAffine, Divergent]
 
 def check_stationary(game: CyclicGame | ParametricGame, profile: StationaryProfile) -> None:
     """Raise ``ShapeMismatch`` unless ``profile`` picks one label at every decision point."""
-    shapes, choice = game.embedding.shapes, game.CHOICE
-    if set(profile) != set(shapes):
+    graph, choice = game.embedding, game.CHOICE
+    if profile.keys() != graph.shapes.keys():
         raise ShapeMismatch(f"profile must choose exactly one {choice} per {game.POINT}")
-    for name, shape in shapes.items():
-        if profile[name] not in shape.labels():
+    for name, labels in graph.labels.items():
+        if profile[name] not in labels:  # a tuple, so an unhashable choice is a mismatch too
             article = "an" if choice[0] in "aeiou" else "a"
             raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
 
 
 def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> InducedParamResult:
-    """Induced play from shape ``name`` under a profile already validated."""
+    """Induced play from shape ``name`` under a profile already validated;
+    ``UnknownShape`` for the first shape entered that the game lacks."""
     path: list[str] = []
     seen: dict[str, int] = {}
     while name not in seen:
+        if name not in game.shapes:
+            raise UnknownShape(name)
         seen[name] = len(path)
         path.append(name)
         target = game.shapes[name].target(profile[name])
         if isinstance(target, AffineLeaf):
             offset = len(path) - 1  # every earlier move advanced one stage
             return ConvergesAffine(tuple(path), tuple(v.shifted(offset) for v in target.outcome))
-        if target.shape not in game.shapes:
-            raise UnknownShape(target.shape)
         name = target.shape
     first = seen[name]
     return Divergent(stem=tuple(path[:first]), cycle=tuple(path[first:]))
@@ -222,37 +228,16 @@ def entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
     longer than twice the shape count.
     """
     count = len(game.shapes)
-    horizon = 2 * count
     reach: dict[str, set[int]] = {name: set() for name in game.shapes}
-    reach[game.start].add(0)
     current = {game.start}
-    for depth in range(1, horizon + 1):
-        nxt: set[str] = set()
+    for depth in range(2 * count + 1):
         for name in current:
-            for _label, target in game.shapes[name].moves:
-                if isinstance(target, Advance):
-                    nxt.add(target.shape)
-        for name in nxt:
             reach[name].add(depth)
-        current = nxt
+        current = {t.shape for name in current for _label, t in game.shapes[name].moves if isinstance(t, Advance)}
     return {
         name: EntryStages(tuple(sorted(stages)), bounded=all(d < count for d in stages))
         for name, stages in reach.items()
     }
-
-
-def _holds_at_entries(deviation: AffineValue, base: AffineValue, info: EntryStages) -> bool:
-    """Whether deviation(n) <= base(n) at every entry stage of a shape.
-
-    Finite entry sets are checked pointwise.  Unbounded sets are exact
-    under the slope rule: an affine inequality fails on a half-line, and
-    an unbounded set always meets a nonempty half-line.
-    """
-    if not info.stages:
-        return affine_leq(deviation, base, 0)
-    if info.bounded:
-        return all(deviation.at(stage) <= base.at(stage) for stage in info.stages)
-    return affine_leq(deviation, base, info.stages[0])
 
 
 def check_spe_param(game: CyclicGame | ParametricGame, profile: StationaryProfile) -> SpeReport:
@@ -264,8 +249,13 @@ def check_spe_param(game: CyclicGame | ParametricGame, profile: StationaryProfil
     A deviation with divergent continuation never improves on a payoff.
     """
     check_stationary(game, profile)
-    _check_targets(game.embedding)
-    return _spe_report(game.embedding, profile)
+    graph = game.embedding
+    _check_targets(graph)
+    results = _resolve(graph, profile)
+    divergent = tuple(name for name in graph.shapes if results[name] is None)
+    if divergent:
+        return SpeReport((), divergent)
+    return SpeReport(tuple(_violations(graph, profile, results, {})))
 
 
 def _check_targets(game: ParametricGame) -> None:
@@ -275,36 +265,58 @@ def _check_targets(game: ParametricGame) -> None:
                 raise UnknownShape(target.shape)
 
 
-def _spe_report(game: ParametricGame, profile: StationaryProfile) -> SpeReport:
-    """``check_spe_param`` on a validated profile of a game without dangling advances."""
-    results = {name: _walk(game, profile, name) for name in game.shapes}
-    divergent = tuple(name for name, r in results.items() if isinstance(r, Divergent))
-    if divergent:
-        return SpeReport((), divergent)
-    entries: dict[str, EntryStages] = {}
-    violations: list[Violation] = []
-    for name, shape in game.shapes.items():
-        result = results[name]
-        assert isinstance(result, ConvergesAffine)
-        base = result.outcome[shape.owner]
-        for label, target in shape.moves:
-            if label == profile[name]:
-                continue
+def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, object]:
+    """Per shape of ``profile``, in one pass over its functional graph: ``(steps, outcome)``
+    when play takes the unshifted leaf ``outcome`` at its ``steps``-th shape, None when
+    it diverges, and False when it reaches a shape that a partial profile leaves open."""
+    results: dict[str, object] = {}
+    for first in profile:
+        name, path, end = first, [], False
+        while name not in results and name in profile:
+            results[name] = None  # diverges, should this walk come back here
+            path.append(name)
+            target = game.shapes[name].target(profile[name])
             if isinstance(target, AffineLeaf):
-                deviation = target.outcome[shape.owner]
-            else:
-                continuation = results[target.shape]
-                if isinstance(continuation, Divergent):
+                end = (0, target.outcome)
+                break
+            name = target.shape
+        else:  # a shape resolved before, on this walk (a cycle) or left open
+            end = results.get(name, False)
+        for steps, name in enumerate(reversed(path), 1):
+            results[name] = (end[0] + steps, end[1]) if end.__class__ is tuple else end
+    return results
+
+
+def _violations(game: ParametricGame, profile: StationaryProfile, results: dict, entries: dict) -> Iterator[Violation]:
+    """Improving one-shot deviations in declaration and move order, wherever ``_resolve``
+    decided both the play and the deviation's continuation.  ``entries`` receives
+    ``entry_stages(game)`` when a comparison first needs it."""
+    for name, shape in game.shapes.items():
+        result = results.get(name)
+        if result.__class__ is not tuple:
+            continue
+        owner = shape.owner
+        played, offset = result[1][owner], result[0] - 1  # every earlier shape advanced one stage
+        for label, target in shape.moves:
+            after = (0, target.outcome) if isinstance(target, AffineLeaf) else results.get(target.shape)
+            if label == profile[name] or after.__class__ is not tuple:  # diverges, or not decided yet
+                continue
+            value, shift = after[1][owner], after[0]
+            if value.slope == played.slope:  # the same comparison at every stage
+                if value.const + value.slope * shift <= played.const + played.slope * offset:
                     continue
-                deviation = continuation.outcome[shape.owner].shifted(1)
-            if deviation.slope == base.slope:  # the same comparison at every stage
-                holds = deviation.const <= base.const
             else:
-                entries = entries or entry_stages(game)
-                holds = _holds_at_entries(deviation, base, entries[name])
-            if not holds:
-                violations.append(Violation(name, label, base, deviation))
-    return SpeReport(tuple(violations))
+                # Finite entry sets are checked pointwise.  Unbounded ones are exact under the
+                # slope rule: an affine inequality fails on a half-line, which they always meet.
+                if not entries:
+                    entries.update(entry_stages(game))
+                info, base, deviation = entries[name], played.shifted(offset), value.shifted(shift)
+                if info.bounded and info.stages:
+                    if all(deviation.at(stage) <= base.at(stage) for stage in info.stages):
+                        continue
+                elif affine_leq(deviation, base, info.stages[0] if info.stages else 0):
+                    continue
+            yield Violation(name, label, played.shifted(offset), value.shifted(shift))
 
 
 def stationary_profiles(game: ParametricGame) -> Iterator[dict[str, str]]:
@@ -318,14 +330,31 @@ def stationary_profiles(game: ParametricGame) -> Iterator[dict[str, str]]:
 def enumerate_stationary_spe(
     game: CyclicGame | ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
 ) -> list[StationaryProfile]:
-    """Brute-force all stationary profiles and keep the equilibria, in
-    canonical order (``stationary_profiles``)."""
+    """The stationary equilibria in canonical order (``stationary_profiles``), by backtracking
+    over shapes in declaration order and moves in move order.  A partial profile is dropped once
+    its moves close a cycle or an alternative improves on a decided play, faults that every
+    completion keeps.  The bound applies to the whole profile space."""
     graph = game.embedding
     space = math.prod(len(shape.moves) for shape in graph.shapes.values())
     if space > bound:
         raise SearchSpaceTooLarge(f"{space} {game.PROFILE} profiles exceed bound {bound}")
     _check_targets(graph)
-    return [profile for profile in stationary_profiles(graph) if _spe_report(graph, profile).ok]
+    names, labels = list(graph.labels), list(graph.labels.values())
+    entries: dict[str, EntryStages] = {}
+    found, profile, picks = [], {}, [-1]  # picks: per shape on the way down, the move tried last
+    while picks:
+        k = len(picks) - 1
+        if k == len(names):  # every shape chosen, and nothing dropped the profile
+            found.append(profile)
+        elif picks[k] + 1 < len(labels[k]):
+            picks[k] += 1
+            profile = {names[i]: labels[i][pick] for i, pick in enumerate(picks)}
+            results = _resolve(graph, profile)
+            if None not in results.values() and next(_violations(graph, profile, results, entries), None) is None:
+                picks.append(-1)
+            continue
+        picks.pop()
+    return found
 
 
 def dollar_auction(value: int) -> ParametricGame:

@@ -28,7 +28,18 @@ from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import _PUNCT, _SCAN, ParseError, _line_column, _offset, _scan
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
-from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine
+from seqgames.parametric import (
+    Advance,
+    AffineLeaf,
+    Divergent,
+    EntryStages,
+    ParametricGame,
+    Shape,
+    _walk,
+    affine,
+    affine_leq,
+    stationary_profiles,
+)
 
 # --- the recurring games ---------------------------------------------------
 
@@ -77,6 +88,17 @@ def loop01() -> CyclicGame:
         },
         "A",
     )
+
+
+def ring(n: int) -> CyclicGame:
+    """The n-node generalisation of the loop: node i is owned by i mod 2,
+    abandoning hands the other player the point, continuing moves on.  For
+    even n it has 2^(n/2+1) - 2 positional equilibria."""
+    nodes = {}
+    for i in range(n):
+        drop = leaf(0, 1) if i % 2 == 0 else leaf(1, 0)
+        nodes[f"N{i}"] = CyclicNode(i % 2, (("a", drop), ("c", f"N{(i + 1) % n}")))
+    return CyclicGame(nodes, "N0")
 
 
 # --- independent oracles ---------------------------------------------------
@@ -227,6 +249,77 @@ def reference_report_param(game: ParametricGame, profile: dict, horizon: int = 6
     return divergent, violations
 
 
+def reference_entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
+    """Entry stages by breadth-first layers up to twice the shape count, the
+    way ``entry_stages`` computed them before it was folded into one loop."""
+    count = len(game.shapes)
+    reach: dict[str, set[int]] = {name: set() for name in game.shapes}
+    reach[game.start].add(0)
+    current = {game.start}
+    for depth in range(1, 2 * count + 1):
+        nxt: set[str] = set()
+        for name in current:
+            for _label, target in game.shapes[name].moves:
+                if isinstance(target, Advance):
+                    nxt.add(target.shape)
+        for name in nxt:
+            reach[name].add(depth)
+        current = nxt
+    return {
+        name: EntryStages(tuple(sorted(stages)), bounded=all(d < count for d in stages))
+        for name, stages in reach.items()
+    }
+
+
+def _reference_holds_at_entries(deviation, base, info: EntryStages) -> bool:
+    """Whether deviation(n) <= base(n) at every entry stage of a shape:
+    pointwise on a finite set, by the slope rule on an unbounded one."""
+    if not info.stages:
+        return affine_leq(deviation, base, 0)
+    if info.bounded:
+        return all(deviation.at(stage) <= base.at(stage) for stage in info.stages)
+    return affine_leq(deviation, base, info.stages[0])
+
+
+def reference_spe_report_param(game: ParametricGame, profile: dict) -> SpeReport:
+    """The symbolic report of ``check_spe_param`` by a separate walk from every
+    shape (quadratic in the shape count), for a valid profile of a game without
+    dangling advances: the divergent shapes, else every improving deviation
+    with its affine values, in declaration and move order."""
+    results = {name: _walk(game, profile, name) for name in game.shapes}
+    divergent = tuple(name for name, r in results.items() if isinstance(r, Divergent))
+    if divergent:
+        return SpeReport((), divergent)
+    entries: dict[str, EntryStages] = {}
+    violations = []
+    for name, shape in game.shapes.items():
+        base = results[name].outcome[shape.owner]
+        for label, target in shape.moves:
+            if label == profile[name]:
+                continue
+            if isinstance(target, AffineLeaf):
+                deviation = target.outcome[shape.owner]
+            else:
+                continuation = results[target.shape]
+                if isinstance(continuation, Divergent):
+                    continue
+                deviation = continuation.outcome[shape.owner].shifted(1)
+            if deviation.slope == base.slope:
+                holds = deviation.const <= base.const
+            else:
+                entries = entries or reference_entry_stages(game)
+                holds = _reference_holds_at_entries(deviation, base, entries[name])
+            if not holds:
+                violations.append(Violation(name, label, base, deviation))
+    return SpeReport(tuple(violations))
+
+
+def reference_enumerate_stationary(game: ParametricGame) -> list[dict]:
+    """Every stationary profile in canonical order that the reference report
+    accepts: the product-plus-filter enumeration."""
+    return [profile for profile in stationary_profiles(game) if reference_spe_report_param(game, profile).ok]
+
+
 def count_nodes(game: FiniteGame) -> int:
     if isinstance(game, Leaf):
         return 1
@@ -302,6 +395,26 @@ def random_parametric(rng: random.Random, max_shapes: int = 4) -> ParametricGame
                 moves.append((label, Advance(rng.choice(names))))
         shapes[name] = Shape(rng.randint(0, 1), tuple(moves))
     return ParametricGame(shapes, names[0])
+
+
+def random_graph(rng: random.Random, widths: list[int], parametric: bool) -> CyclicGame | ParametricGame:
+    """A random graph game with one decision point per entry of ``widths``
+    (its move count), so the profile space is the product of ``widths``."""
+    names = [f"S{i}" for i in range(len(widths))]
+    points = {}
+    for name, width in zip(names, widths):
+        moves: list = []
+        for label in _LABELS[:width]:
+            if rng.random() < 0.5:
+                moves.append((label, Advance(rng.choice(names)) if parametric else rng.choice(names)))
+            elif parametric:
+                outcome = tuple(affine(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(2))
+                moves.append((label, AffineLeaf(outcome)))
+            else:
+                moves.append((label, leaf(rng.randint(0, 3), rng.randint(0, 3))))
+        owner = rng.randint(0, 1)
+        points[name] = Shape(owner, tuple(moves)) if parametric else CyclicNode(owner, tuple(moves))
+    return ParametricGame(points, names[0]) if parametric else CyclicGame(points, names[0])
 
 
 def random_matrix(rng: random.Random, max_side: int = 4) -> MatrixGame:

@@ -508,6 +508,27 @@ class TestErrors:
         assert captured.err.count("\n") == 1
 
 
+class TestParserReuse:
+    """``run`` builds its parser once per process and reuses it."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_options_do_not_leak_between_runs(self):
+        fixed = ["simulate", "g.game", "--horizon", "3", "--policy", "fixed:0,1", "--seed", "7", "--out", "t.csv"]
+        plain = ["simulate", "g.game", "--horizon", "3"]
+        assert cli._parser().parse_args(fixed).policy == "fixed:0,1"
+        assert vars(cli._parser().parse_args(plain)) == vars(cli.build_parser().parse_args(plain))
+
+    def test_help_is_the_same_on_every_run(self, capsys):
+        screens = []
+        for _ in range(2):
+            assert run(["check", "--help"]) == 0
+            screens.append(capsys.readouterr().out)
+        assert screens[0] == screens[1]
+        assert screens[0].startswith("usage: seqgames check ")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, corpus_dir):
         result = subprocess.run(
