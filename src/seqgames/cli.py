@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 success, 1 negative analysis (a checked profile is not an
-equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap
-or search-space bound), 4 resource limit hit (recursion depth or memory).
+equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap,
+search-space bound, matrix size), 4 resource limit (recursion depth or memory).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import escalation as esc
 from . import finite as fin
 from . import parametric as par
 from .core import GameError, Leaf, Node, induced_play
-from .matrix import MatrixGame, solve_constant_sum
+from .matrix import MatrixGame, TooLarge, solve_constant_sum
 
 _PROFILE_HELP = (
     "profile files have one 'key = action' line per decision point; keys are "
@@ -446,7 +446,7 @@ def run(argv: list[str]) -> int:
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except par.SearchSpaceTooLarge as exc:
+    except (par.SearchSpaceTooLarge, TooLarge) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

@@ -59,10 +59,13 @@ class CyclicGame:
     # How messages name a decision point, a choice there and a profile.
     POINT, CHOICE, PROFILE = "node", "edge", "positional"
 
+    def __post_init__(self) -> None:
+        self.embedding  # built with the game, whose constructor raises UnknownNode for a dangling reference
+
     @cached_property
     def embedding(self) -> ParametricGame:
-        """The slope-0 parametric game every analysis runs on, built on first
-        use and kept: a game's nodes are not to be changed once it is built."""
+        """The slope-0 parametric game every analysis runs on, built with the
+        game and kept: a game's nodes are not to be changed once it is built."""
         return from_cyclic(self)
 
 

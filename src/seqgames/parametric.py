@@ -119,6 +119,15 @@ class ParametricGame:
     # How messages name a decision point, a choice there and a profile.
     POINT, CHOICE, PROFILE = "shape", "move", "stationary"
 
+    def __post_init__(self) -> None:
+        """``UnknownShape`` for the start, then each advance in order, that names no shape of the game."""
+        if self.start not in self.shapes:
+            raise UnknownShape(self.start)
+        for shape in self.shapes.values():
+            for _label, target in shape.moves:
+                if isinstance(target, Advance) and target.shape not in self.shapes:
+                    raise UnknownShape(target.shape)
+
     @property
     def embedding(self) -> ParametricGame:
         """The game the analyses run on: this one (see ``CyclicGame.embedding``)."""
@@ -128,6 +137,11 @@ class ParametricGame:
     def labels(self) -> dict[str, tuple[str, ...]]:
         """Each shape's move labels, built on first use and kept like ``CyclicGame.embedding``."""
         return {name: shape.labels() for name, shape in self.shapes.items()}
+
+    @cached_property
+    def entries(self) -> dict[str, EntryStages]:
+        """``entry_stages(self)``, built on first use and kept like ``labels``."""
+        return entry_stages(self)
 
 
 #: One chosen move label per shape name.
@@ -171,13 +185,10 @@ def check_stationary(game: CyclicGame | ParametricGame, profile: StationaryProfi
 
 
 def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> InducedParamResult:
-    """Induced play from shape ``name`` under a profile already validated;
-    ``UnknownShape`` for the first shape entered that the game lacks."""
+    """Induced play from shape ``name`` of the game under a profile already validated."""
     path: list[str] = []
     seen: dict[str, int] = {}
     while name not in seen:
-        if name not in game.shapes:
-            raise UnknownShape(name)
         seen[name] = len(path)
         path.append(name)
         target = game.shapes[name].target(profile[name])
@@ -219,6 +230,20 @@ class EntryStages:
     bounded: bool
 
 
+def _layers(game: ParametricGame, count: int) -> list[list[str]]:
+    """Per stage ``0 .. count - 1``, the shapes play can enter at that stage, in the order first
+    reached; the list ends at the first empty layer, as every later one is empty too."""
+    layers = [[game.start]]
+    while len(layers) < count and layers[-1]:
+        reached: dict[str, None] = {}
+        for name in layers[-1]:
+            for _label, target in game.shapes[name].moves:
+                if isinstance(target, Advance):
+                    reached[target.shape] = None
+        layers.append(list(reached))
+    return layers
+
+
 def entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
     """Per shape, the set of stages at which it can be entered.
 
@@ -228,14 +253,12 @@ def entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
     longer than twice the shape count.
     """
     count = len(game.shapes)
-    reach: dict[str, set[int]] = {name: set() for name in game.shapes}
-    current = {game.start}
-    for depth in range(2 * count + 1):
-        for name in current:
-            reach[name].add(depth)
-        current = {t.shape for name in current for _label, t in game.shapes[name].moves if isinstance(t, Advance)}
+    reach: dict[str, list[int]] = {name: [] for name in game.shapes}
+    for depth, layer in enumerate(_layers(game, 2 * count + 1)):
+        for name in layer:
+            reach[name].append(depth)
     return {
-        name: EntryStages(tuple(sorted(stages)), bounded=all(d < count for d in stages))
+        name: EntryStages(tuple(stages), bounded=all(d < count for d in stages))
         for name, stages in reach.items()
     }
 
@@ -250,19 +273,11 @@ def check_spe_param(game: CyclicGame | ParametricGame, profile: StationaryProfil
     """
     check_stationary(game, profile)
     graph = game.embedding
-    _check_targets(graph)
     results = _resolve(graph, profile)
     divergent = tuple(name for name in graph.shapes if results[name] is None)
     if divergent:
         return SpeReport((), divergent)
-    return SpeReport(tuple(_violations(graph, profile, results, {})))
-
-
-def _check_targets(game: ParametricGame) -> None:
-    for shape in game.shapes.values():
-        for _label, target in shape.moves:
-            if isinstance(target, Advance) and target.shape not in game.shapes:
-                raise UnknownShape(target.shape)
+    return SpeReport(tuple(_violations(graph, profile, results)))
 
 
 def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, object]:
@@ -287,10 +302,9 @@ def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, obje
     return results
 
 
-def _violations(game: ParametricGame, profile: StationaryProfile, results: dict, entries: dict) -> Iterator[Violation]:
+def _violations(game: ParametricGame, profile: StationaryProfile, results: dict) -> Iterator[Violation]:
     """Improving one-shot deviations in declaration and move order, wherever ``_resolve``
-    decided both the play and the deviation's continuation.  ``entries`` receives
-    ``entry_stages(game)`` when a comparison first needs it."""
+    decided both the play and the deviation's continuation."""
     for name, shape in game.shapes.items():
         result = results.get(name)
         if result.__class__ is not tuple:
@@ -308,9 +322,7 @@ def _violations(game: ParametricGame, profile: StationaryProfile, results: dict,
             else:
                 # Finite entry sets are checked pointwise.  Unbounded ones are exact under the
                 # slope rule: an affine inequality fails on a half-line, which they always meet.
-                if not entries:
-                    entries.update(entry_stages(game))
-                info, base, deviation = entries[name], played.shifted(offset), value.shifted(shift)
+                info, base, deviation = game.entries[name], played.shifted(offset), value.shifted(shift)
                 if info.bounded and info.stages:
                     if all(deviation.at(stage) <= base.at(stage) for stage in info.stages):
                         continue
@@ -338,9 +350,7 @@ def enumerate_stationary_spe(
     space = math.prod(len(shape.moves) for shape in graph.shapes.values())
     if space > bound:
         raise SearchSpaceTooLarge(f"{space} {game.PROFILE} profiles exceed bound {bound}")
-    _check_targets(graph)
     names, labels = list(graph.labels), list(graph.labels.values())
-    entries: dict[str, EntryStages] = {}
     found, profile, picks = [], {}, [-1]  # picks: per shape on the way down, the move tried last
     while picks:
         k = len(picks) - 1
@@ -350,7 +360,7 @@ def enumerate_stationary_spe(
             picks[k] += 1
             profile = {names[i]: labels[i][pick] for i, pick in enumerate(picks)}
             results = _resolve(graph, profile)
-            if None not in results.values() and next(_violations(graph, profile, results, entries), None) is None:
+            if None not in results.values() and next(_violations(graph, profile, results), None) is None:
                 picks.append(-1)
             continue
         picks.pop()
@@ -390,38 +400,22 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
         raise ValueError("max_stage must be positive")
     shapes = game.shapes
     cut = Leaf(tuple(terminal))
-    built: dict[tuple[str, int], Node] = {}
-    # One frame per node under construction, depth first in move order, so
-    # an undefined shape is reported where a recursive walk meets it first.
-    stack: list[tuple] = []
-    name, stage, label = game.start, 0, None
-    while True:
-        if name not in shapes:
-            raise UnknownShape(name)
-        shape = shapes[name]
-        stack.append((name, stage, shape.owner, [], iter(shape.moves), label))
-        while True:
-            name, stage, owner, branches, moves, label = stack[-1]
-            after = stage + 1
-            for move, target in moves:
+    layers = _layers(game, max_stage)
+    below: dict[str, Node] = {}  # per shape, the node entered at the next stage
+    for stage in range(len(layers) - 1, -1, -1):
+        built: dict[str, Node] = {}
+        for name in layers[stage]:
+            shape = shapes[name]
+            branches = []
+            for move, target in shape.moves:
                 if isinstance(target, AffineLeaf):
                     sub = target.constant or Leaf(tuple(v.at(stage) for v in target.outcome))
-                elif after == max_stage:
-                    sub = cut
                 else:
-                    sub = built.get((target.shape, after))  # type: ignore[assignment]
-                    if sub is None:
-                        break
+                    sub = below.get(target.shape, cut)  # only the last stage has nothing below
                 branches.append((move, sub))
-            else:
-                done = built[(name, stage)] = Node(owner, tuple(branches))
-                stack.pop()
-                if not stack:
-                    return done
-                stack[-1][3].append((label, done))
-                continue
-            name, stage, label = target.shape, after, move  # enter the missing subtree
-            break
+            built[name] = Node(shape.owner, tuple(branches))
+        below = built
+    return below[game.start]
 
 
 def instantiate_profile(

@@ -13,7 +13,8 @@ the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
 ``reference_enumerate_equilibria``, ``reference_check_profile``) and the
 character-by-character ``reference_tokenize`` referee the flat-array tree
 routines and the compiled token scan, which ``scan_tokenize`` exposes in the
-same token form.
+same token form; the depth-first ``reference_instantiate`` referees the
+stage-layered ``instantiate``.
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ def _reference_holds_at_entries(deviation, base, info: EntryStages) -> bool:
 
 def reference_spe_report_param(game: ParametricGame, profile: dict) -> SpeReport:
     """The symbolic report of ``check_spe_param`` by a separate walk from every
-    shape (quadratic in the shape count), for a valid profile of a game without
-    dangling advances: the divergent shapes, else every improving deviation
-    with its affine values, in declaration and move order."""
+    shape (quadratic in the shape count), for a valid profile: the divergent
+    shapes, else every improving deviation with its affine values, in
+    declaration and move order."""
     results = {name: _walk(game, profile, name) for name in game.shapes}
     divergent = tuple(name for name, r in results.items() if isinstance(r, Divergent))
     if divergent:
@@ -318,6 +319,45 @@ def reference_enumerate_stationary(game: ParametricGame) -> list[dict]:
     """Every stationary profile in canonical order that the reference report
     accepts: the product-plus-filter enumeration."""
     return [profile for profile in stationary_profiles(game) if reference_spe_report_param(game, profile).ok]
+
+
+def reference_instantiate(game: ParametricGame, max_stage: int, terminal: tuple) -> FiniteGame:
+    """The tree ``instantiate`` builds, depth first in move order with an explicit
+    stack: one frame per node under construction, and each (shape, stage) subtree
+    built once and shared, the way ``instantiate`` built it before it went by
+    stage layers."""
+    if max_stage < 1:
+        raise ValueError("max_stage must be positive")
+    shapes = game.shapes
+    cut = Leaf(tuple(terminal))
+    built: dict[tuple[str, int], Node] = {}
+    stack: list[tuple] = []
+    name, stage, label = game.start, 0, None
+    while True:
+        shape = shapes[name]
+        stack.append((name, stage, shape.owner, [], iter(shape.moves), label))
+        while True:
+            name, stage, owner, branches, moves, label = stack[-1]
+            after = stage + 1
+            for move, target in moves:
+                if isinstance(target, AffineLeaf):
+                    sub = target.constant or Leaf(tuple(v.at(stage) for v in target.outcome))
+                elif after == max_stage:
+                    sub = cut
+                else:
+                    sub = built.get((target.shape, after))
+                    if sub is None:
+                        break
+                branches.append((move, sub))
+            else:
+                done = built[(name, stage)] = Node(owner, tuple(branches))
+                stack.pop()
+                if not stack:
+                    return done
+                stack[-1][3].append((label, done))
+                continue
+            name, stage, label = target.shape, after, move  # enter the missing subtree
+            break
 
 
 def count_nodes(game: FiniteGame) -> int:

@@ -493,7 +493,18 @@ class TestErrors:
         path = tmp_path / "big.game"
         path.write_text(serialize(GameDoc(("Alice", "Bertrand"), CyclicGame(nodes, "N0"))))
         assert run(["enumerate", str(path)]) == 3
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "limit: 4782969 positional profiles exceed bound 1048576\n"
+
+    def test_oversized_matrix_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "ten.game"
+        rows = ";\n".join(" ".join(str((i * j) % 7) for j in range(10)) for i in range(10))
+        path.write_text(f"matrix sum=0 {{\n{rows}\n}}\n")
+        assert run(["matrix", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "limit: support enumeration bounded at 9x9\n"
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_limit_is_exit_4(self, capsys, corpus_dir, monkeypatch, error):

@@ -7,7 +7,9 @@ product-plus-filter enumeration give (``tests/helpers.py``): the same
 violations with the same affine values, the same divergences, the same
 equilibria in the same order.  The scale tests pin sizes the quadratic
 check and the exhaustive enumeration could not reach; they assert answers,
-not times.
+not times.  ``instantiate``, built bottom-up from stage layers, must build the
+tree the depth-first stack builder (``reference_instantiate``) builds, and a
+graph game with a dangling reference must fail where it is built.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from helpers import (
     random_parametric,
     reference_entry_stages,
     reference_enumerate_stationary,
+    reference_instantiate,
     reference_spe_report_param,
     ring,
 )
@@ -30,7 +33,7 @@ from seqgames import cyclic as cy
 from seqgames import dsl
 from seqgames import escalation as esc
 from seqgames import parametric as par
-from seqgames.core import ShapeMismatch
+from seqgames.core import Leaf, ShapeMismatch, leaf
 
 NEVER_BID = {"A0": "a", "A": "a", "B": "a"}
 
@@ -114,6 +117,81 @@ class TestEnumerationMatchesReference:
             assert par.enumerate_stationary_spe(game) == reference_enumerate_stationary(game.embedding)
 
 
+STAGES = (1, 2, 3, 6, 13)
+
+
+def _same_tree(game, max_stage, terminal):
+    """``instantiate`` and the reference build equal trees with the same canonical text;
+    the number of decision nodes in the expanded tree."""
+    tree, expected = par.instantiate(game, max_stage, terminal), reference_instantiate(game, max_stage, terminal)
+    assert tree == expected
+    text = dsl.serialize(dsl.GameDoc(("Alice", "Bertrand"), tree))
+    assert text == dsl.serialize(dsl.GameDoc(("Alice", "Bertrand"), expected))
+    return 0 if isinstance(tree, Leaf) else len(tree.index.owners)
+
+
+class TestInstantiateMatchesReference:
+    def test_seeded_random_graphs(self):
+        rng = random.Random(95)
+        compared = last = 0
+        for i in range(300):
+            widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 7))]
+            game = random_graph(rng, widths, parametric=bool(i % 2)).embedding
+            for max_stage in STAGES:
+                size = _same_tree(game, max_stage, (rng.randint(-3, 3), rng.randint(-3, 3)))
+                compared += 1
+                last += max_stage == STAGES[-1]
+                if size > 100:  # both trees are compared expanded, which grows geometrically
+                    break
+        assert compared > 1400 and last > 250
+
+    @pytest.mark.parametrize("max_stage", STAGES)
+    def test_auctions_and_rings(self, max_stage):
+        games = [par.dollar_auction(value) for value in (1, 3, 100)] + [loop01(), ring(2), ring(4), ring(10)]
+        for game in games:
+            _same_tree(game.embedding, max_stage, (0, 0))
+
+    def test_play_that_always_ends_builds_only_the_stages_it_reaches(self):
+        game = cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("b", leaf(1, 0))))}, "A").embedding
+        assert par.instantiate(game, 10**9, (0, 0)) == reference_instantiate(game, 10**9, (0, 0))
+
+    def test_a_shape_entered_twice_at_a_stage_is_one_node(self):
+        target = par.Shape(1, (("a", par.AffineLeaf((par.affine(0, 1), par.affine(2, -1)))), ("c", par.Advance("S"))))
+        source = par.Shape(0, (("x", par.Advance("T")), ("y", par.Advance("T"))))
+        game = par.ParametricGame({"S": source, "T": target}, "S")
+        tree = par.instantiate(game, 6, (0, 0))
+        assert tree.branch("x") is tree.branch("y")
+        assert tree.branch("x").branch("c").branch("x") is tree.branch("y").branch("c").branch("y")
+
+
+def _auction_with_b_continuing_to(name: str) -> dict:
+    shapes = dict(par.dollar_auction(3).shapes)
+    shapes["B"] = par.Shape(1, (shapes["B"].moves[0], ("c", par.Advance(name))))
+    return shapes
+
+
+_TWO_ADVANCES = {"S": par.Shape(0, (("x", par.Advance("Y")), ("z", par.Advance("Z"))))}
+_DECLARED_FIRST = {"A": cy.CyclicNode(0, (("c", "B"), ("d", "W"))), "B": cy.CyclicNode(1, (("c", "V"),))}
+
+
+@pytest.mark.parametrize(
+    "build, missing",
+    [
+        (lambda: par.ParametricGame(_auction_with_b_continuing_to("Z"), "A0"), "Z"),
+        (lambda: par.ParametricGame(par.dollar_auction(3).shapes, "Q"), "Q"),
+        (lambda: cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("c", "Z")))}, "A"), "Z"),
+        (lambda: cy.CyclicGame(loop01().nodes, "Q"), "Q"),
+        (lambda: par.ParametricGame(_TWO_ADVANCES, "Q"), "Q"),  # the start first
+        (lambda: par.ParametricGame(_TWO_ADVANCES, "S"), "Y"),  # then advances in move order
+        (lambda: cy.CyclicGame(_DECLARED_FIRST, "A"), "W"),  # in declaration order, not the order play reaches
+    ],
+    ids=["param advance", "param start", "cyclic edge", "cyclic start", "start first", "move order", "declared first"],
+)
+def test_a_dangling_reference_is_refused_when_the_game_is_built(build, missing):
+    with pytest.raises(par.UnknownShape, match=f"^{missing}$"):  # cy.UnknownNode is the same class
+        build()
+
+
 class TestScale:
     def test_ring_20_has_every_equilibrium_in_canonical_order(self):
         game = ring(20)
@@ -170,6 +248,6 @@ def test_cyclic_adapters_reject_a_parametric_game(call, instead):
 
 
 def test_escalation_reports_a_start_the_game_lacks():
-    game = par.ParametricGame(par.dollar_auction(100).shapes, "Z")
     with pytest.raises(par.UnknownShape, match="^Z$"):
+        game = par.ParametricGame(par.dollar_auction(100).shapes, "Z")
         esc.detect_escalation(game, esc.BeliefPair(NEVER_BID, NEVER_BID), require_equilibria=False)
