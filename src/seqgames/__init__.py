@@ -14,6 +14,7 @@ from .core import (
     GameError,
     InvalidPlay,
     Leaf,
+    MalformedGame,
     Node,
     NotTwoPlayer,
     ShapeMismatch,
@@ -75,6 +76,6 @@ from .parametric import (
     induced_outcome_param,
     instantiate,
 )
-from .dsl import GameDoc, ParseError, ValidationError, parse, serialize, to_dot
+from .dsl import GameDoc, ParseError, Unwritable, ValidationError, parse, serialize, to_dot
 
 __version__ = "0.1.0"

@@ -9,9 +9,10 @@ deviation checks can reason about counterfactual positions.
 
 All values are immutable after construction and every operation is a pure
 function; sharing across threads is safe.  Every routine over a tree runs
-on its ``index``: preorder arrays built by one iterative pass and cached on
-the root, so the work is linear in the number of nodes (plus the hashing of
-path keys) and no depth exhausts the recursion limit.
+on its ``index``: preorder arrays cached on the root.  ``dsl.parse`` fills
+them as it reads a tree; a tree built in code is walked once, iteratively,
+on first use.  The work is linear in the number of nodes (plus the hashing
+of path keys) and no depth exhausts the recursion limit.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class NotTwoPlayer(GameError):
     """Solvers accept exactly two players; the data model alone does not."""
 
 
+class MalformedGame(GameError):
+    """A game built in code breaks a rule of the text format: every decision
+    point needs at least one choice, and its choices need distinct labels."""
+
+
 @dataclass(frozen=True)
 class Leaf:
     outcome: OutcomeVector
@@ -80,8 +86,9 @@ class Node:
 
     @cached_property
     def index(self) -> "TreeIndex":
-        """The flat preorder arrays every tree routine runs on, built on first
-        use and kept: a tree is not to be changed once it is built."""
+        """The flat preorder arrays every tree routine runs on, filled by
+        ``dsl.parse`` for the tree it reads and otherwise built by one walk
+        on first use, then kept: a tree is not to be changed once it is built."""
         return TreeIndex(self)
 
     def __eq__(self, other: object) -> bool:
@@ -109,7 +116,7 @@ TreeProfile = Mapping[PlayLine, str]
 
 
 class TreeIndex:
-    """A finite tree flattened once into preorder arrays.
+    """A finite tree flattened into preorder arrays.
 
     Entry ``i`` describes the ``i``-th node in preorder (the root is 0):
     ``owners[i]`` and ``paths[i]`` are its owner and its path from the root
@@ -120,76 +127,116 @@ class TreeIndex:
     decision nodes, each after all of its descendants, so one pass over it
     computes values bottom-up.  The arrays hold no node objects, so caching
     an index on its root creates no reference cycle.
+
+    ``TreeIndex(root)`` indexes a tree built in code by one iterative walk,
+    which raises ``MalformedGame`` at a decision node without branches or
+    with two branches of the same label.  ``dsl.parse`` fills the index of
+    the tree it reads as it reads it, through ``_IndexBuilder``.
     """
 
     __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder")
 
     def __init__(self, root: FiniteGame) -> None:
-        owners: list[int | None] = []
-        paths: list[PlayLine | None] = []
-        outcomes: list[OutcomeVector | None] = []
-        labels: list[tuple[str, ...]] = []
-        children: list[tuple[int, ...]] = []
-        postorder: list[int] = []
-        self.owners, self.paths, self.outcomes = owners, paths, outcomes
-        self.labels, self.children, self.postorder = labels, children, postorder
+        build = _IndexBuilder()
         if isinstance(root, Leaf):
-            owners.append(None)
-            paths.append(None)
-            outcomes.append(root.outcome)
-            labels.append(())
-            children.append(())
-            return
-        owners.append(root.owner)
-        paths.append(())
-        outcomes.append(None)
-        labels.append(root.labels())
-        children.append(())
-        # One frame per open decision node: its index, the indices of the
-        # children seen so far, and the branches still to visit.
-        frames = [(0, [], iter(root.branches))]
-        while frames:
-            parent, kids, pending = frames[-1]
-            for label, sub in pending:
-                kids.append(len(owners))
-                children.append(())
-                if isinstance(sub, Leaf):
-                    owners.append(None)
-                    paths.append(None)
-                    outcomes.append(sub.outcome)
-                    labels.append(())
-                    continue
-                frames.append((len(owners), [], iter(sub.branches)))
-                owners.append(sub.owner)
-                paths.append(paths[parent] + (label,))  # type: ignore[operator]
-                outcomes.append(None)
-                labels.append(sub.labels())
-                break
-            else:
-                frames.pop()
-                children[parent] = tuple(kids)
-                postorder.append(parent)
-
-    def edges(self) -> Iterator[tuple[int, int, bool]]:
-        """Depth-first edge events in branch order: ``(node, position, True)``
-        before the subtree of ``children[node][position]`` and
-        ``(node, position, False)`` after it."""
-        children = self.children
-        stack = [(0, 0)]
-        while stack:
-            parent, position = stack.pop()
-            kids = children[parent]
-            if position:
-                yield parent, position - 1, False
-            while position < len(kids):
-                yield parent, position, True
-                child = kids[position]
-                position += 1
-                if children[child]:
-                    stack.append((parent, position))
-                    stack.append((child, 0))
+            build.leaf(root.outcome, None)
+        else:
+            _require_choices(root.branches, build, None)
+            build.open(root.owner, None)
+            frames = [iter(root.branches)]  # the branches still to visit, per open node
+            while frames:
+                for label, sub in frames[-1]:
+                    if isinstance(sub, Leaf):
+                        build.leaf(sub.outcome, label)
+                        continue
+                    branches = sub.branches
+                    if len(branches) < 2 or len(dict(branches)) < len(branches):  # one key per label
+                        _require_choices(branches, build, label)
+                    build.open(sub.owner, label)
+                    frames.append(iter(branches))
                     break
-                yield parent, position - 1, False
+                else:
+                    frames.pop()
+                    build.close()
+        build.fill(self)
+
+
+def _require_choices(branches: tuple, build: "_IndexBuilder", label: str | None) -> None:
+    """``MalformedGame`` unless the branches of the decision node that ``build``
+    opens next under ``label`` are present and have distinct labels."""
+    if not branches:
+        raise MalformedGame(f"no branches at {build.path_to(label)!r}")
+    seen: set[str] = set()
+    for name, _ in branches:
+        if name in seen:
+            raise MalformedGame(f"duplicate branch label {name!r} at {build.path_to(label)!r}")
+        seen.add(name)
+
+
+class _IndexBuilder:
+    """Fills the arrays of a ``TreeIndex`` in preorder, one step per node:
+    ``open`` a decision node, add a ``leaf``, ``close`` the innermost open
+    node once its branches are done.  Each step names the label of the
+    branch it enters (None at the root).  It checks nothing: its callers
+    vouch for the tree."""
+
+    __slots__ = ("_outcomes", "_open", "_closed")
+
+    def __init__(self) -> None:
+        self._outcomes: list[OutcomeVector | None] = []  # per node so far; None at decision nodes
+        # Per decision node: its index, owner and path, and the labels and
+        # indices of its children; in ``_open`` while they are being read,
+        # in ``_closed`` (in postorder) once they are done.
+        self._open: list[tuple[int, int, PlayLine, list[str], list[int]]] = []
+        self._closed: list[tuple[int, int, PlayLine, list[str], list[int]]] = []
+
+    def path_to(self, label: str | None) -> PlayLine:
+        """The path of a node entered next under ``label``."""
+        return self._open[-1][2] + (label,) if self._open else ()
+
+    def open(self, owner: int, label: str | None) -> None:
+        outcomes = self._outcomes
+        if self._open:
+            parent = self._open[-1]
+            parent[3].append(label)  # type: ignore[arg-type]
+            parent[4].append(len(outcomes))
+            path = parent[2] + (label,)
+        else:
+            path = ()
+        self._open.append((len(outcomes), owner, path, [], []))
+        outcomes.append(None)
+
+    def leaf(self, outcome: OutcomeVector, label: str | None) -> None:
+        if self._open:
+            parent = self._open[-1]
+            parent[3].append(label)  # type: ignore[arg-type]
+            parent[4].append(len(self._outcomes))
+        self._outcomes.append(outcome)
+
+    def close(self) -> None:
+        self._closed.append(self._open.pop())
+
+    def fill(self, index: TreeIndex) -> None:
+        size = len(self._outcomes)
+        owners: list[int | None] = [None] * size
+        paths: list[PlayLine | None] = [None] * size
+        labels: list[tuple[str, ...]] = [()] * size
+        children: list[tuple[int, ...]] = [()] * size
+        postorder: list[int] = []
+        for at, owner, path, names, kids in self._closed:
+            owners[at] = owner
+            paths[at] = path
+            labels[at] = tuple(names)
+            children[at] = tuple(kids)
+            postorder.append(at)
+        index.owners, index.paths, index.outcomes = owners, paths, self._outcomes
+        index.labels, index.children, index.postorder = labels, children, postorder
+
+    def attach(self, root: FiniteGame) -> None:
+        """Store the finished index as ``root.index``, as its first use would."""
+        index = TreeIndex.__new__(TreeIndex)
+        self.fill(index)
+        root.__dict__["index"] = index  # where ``cached_property`` keeps it
 
 
 def leaf(*outcome: int) -> Leaf:

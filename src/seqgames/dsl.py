@@ -34,10 +34,12 @@ from typing import Union
 from .core import (
     DEFAULT_PLAYERS,
     FiniteGame,
+    GameError,
     Leaf,
     Node,
     ShapeMismatch,
     TreeProfile,
+    _IndexBuilder,
     chosen_branches,
     node_paths,
 )
@@ -93,9 +95,6 @@ _PUNCT = frozenset({"->", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*",
 # The token group always matches after the greedy skip, so nothing is ever
 # backtracked; ``findall`` returns one or two empty tokens at the end.
 _SCAN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
-# An ASCII character that no token, blank or comment start contains; an
-# ASCII text without one, in which every ">" ends a "->", scans cleanly.
-_FOREIGN = re.compile(r"[^\w \t\r\n{}(),;:=+\-*/>#]")
 
 
 def _offset(text: str, match: re.Match) -> int:
@@ -130,11 +129,12 @@ def _scan(text: str) -> list[str]:
     tokens = _SCAN.findall(text)
     if len(tokens) > 1 and not tokens[-2]:
         tokens.pop()
-    if not text.isascii() or _FOREIGN.search(text) or text.count(">") != text.count("->"):
-        for index, token in enumerate(tokens):
-            first = token[:1]
-            if first and not (first.isalpha() or first == "_" or first.isdecimal() or token in _PUNCT):
-                raise ParseError(*_position(text, index), "a token", repr(first))
+    words = set(tokens) - _PUNCT
+    words.discard("")
+    bad = {word for word in words if not (word[0].isalpha() or word[0] == "_" or word[0].isdecimal())}
+    if bad:
+        index = next(index for index, token in enumerate(tokens) if token in bad)
+        raise ParseError(*_position(text, index), "a token", repr(tokens[index][0]))
     return tokens
 
 
@@ -235,40 +235,90 @@ class _Parser:
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         """``tree`` with an explicit stack of open decision nodes, so any
-        depth parses."""
+        depth parses.  The tree's ``index`` is filled as it is read.
+
+        The common shapes ``Owner {``, ``label ->``, ``leaf ( d , d )`` and
+        ``;`` are matched in place at a local position; anything else goes
+        through ``expect*`` at that position, which consumes the token or
+        raises.  A look-ahead stops at the first token that differs, and
+        only the final token is empty, so it never reads past the end."""
         tokens = self.tokens
-        frames: list[tuple[int, list[tuple[str, FiniteGame]], set[str]]] = []
-        labels: list[str] = []  # the label of the branch being read, per frame
+        build = _IndexBuilder()
+        first_player, second_player = players
+        leaves: dict[tuple[str, str], Leaf] = {}  # one leaf per payoff pair written as plain digits
+        # The innermost open decision node: its owner, its branches so far,
+        # their labels, and the label of the branch it hangs from; the same
+        # for each enclosing node is kept in ``frames``.  No node is open
+        # while ``branches`` is None.
+        owner, branches, seen, into = -1, None, set(), None
+        frames: list = []
+        label: str | None = None  # the label of the branch being read
+        pos = self.pos
         while True:
-            if tokens[self.pos] == "leaf":
-                self.pos += 1
-                sub: FiniteGame | None = self.parse_leaf_int()
+            token = tokens[pos]
+            if token == "leaf":
+                if (
+                    tokens[pos + 1] == "("
+                    and tokens[pos + 2].isdecimal()
+                    and tokens[pos + 3] == ","
+                    and tokens[pos + 4].isdecimal()
+                    and tokens[pos + 5] == ")"
+                ):
+                    key = (tokens[pos + 2], tokens[pos + 4])
+                    sub: FiniteGame | None = leaves.get(key)
+                    if sub is None:
+                        sub = leaves[key] = Leaf((int(key[0]), int(key[1])))
+                    pos += 6
+                else:
+                    self.pos = pos + 1
+                    sub = self.parse_leaf_int()
+                    pos = self.pos
+                build.leaf(sub.outcome, label)
             else:
-                owner = self.owner_index(self.expect_name("'leaf' or a player name"), players)
-                self.expect("{")
-                frames.append((owner, [], set()))
+                mover = 0 if token == first_player else 1 if token == second_player else -1
+                if mover >= 0 and tokens[pos + 1] == "{":
+                    pos += 2
+                else:
+                    self.pos = pos
+                    mover = self.owner_index(self.expect_name("'leaf' or a player name"), players)
+                    self.expect("{")
+                    pos = self.pos
+                build.open(mover, label)
+                frames.append((owner, branches, seen, into))
+                owner, branches, seen, into = mover, [], set(), label
                 sub = None
             while True:
                 if sub is not None:
-                    if not frames:
+                    if branches is None:
+                        self.pos = pos
+                        build.attach(sub)
                         return sub
-                    frames[-1][1].append((labels.pop(), sub))
-                    self.skip_separators()
-                owner, branches, seen = frames[-1]
-                if tokens[self.pos] == "}":
+                    branches.append((label, sub))
+                    while tokens[pos] == ";":
+                        pos += 1
+                token = tokens[pos]
+                if token == "}":
                     if not branches:
+                        self.pos = pos
                         raise self.fail("at least one branch")
-                    self.pos += 1
-                    frames.pop()
+                    pos += 1
                     sub = Node(owner, tuple(branches))
+                    build.close()
+                    label = into
+                    owner, branches, seen, into = frames.pop()
                     continue
-                index = self.expect_name("an action label")
-                label = tokens[index]
-                if label in seen:
-                    raise self.invalid(index, f"duplicate branch label {label!r}")
-                seen.add(label)
-                self.expect("->")
-                labels.append(label)
+                first = token[:1]
+                if (first.isalpha() or first == "_") and token not in seen and tokens[pos + 1] == "->":
+                    pos += 2
+                else:
+                    self.pos = pos
+                    self.expect_name("an action label")
+                    if token in seen:
+                        raise self.invalid(pos, f"duplicate branch label {token!r}")
+                    self.expect("->")
+                    pos = self.pos
+                seen.add(token)
+                label = token
                 break
 
     # --- cyclic and parametric graphs ----------------------------------
@@ -428,8 +478,73 @@ def _serialize_tree(tree: Node, players: tuple[str, str], out: list[str]) -> Non
             out.append(f"{pad[2:]}}}")
 
 
+class Unwritable(GameError):
+    """A game built in code has no text form: ``serialize`` would write text
+    that ``parse`` rejects or reads as another game."""
+
+
+def _require_names(what: str, names) -> None:
+    """``Unwritable`` unless each of ``names`` scans back as one name token."""
+    for name in names:
+        if isinstance(name, str) and (
+            name.isascii() and name.isidentifier()  # [A-Za-z_][A-Za-z0-9_]*, without a regex
+            or (name[:1].isalpha() or name[:1] == "_") and _SCAN.match(name).group(1) == name  # type: ignore[union-attr]
+        ):
+            continue
+        raise Unwritable(f"{what} {name!r} does not scan as one name")
+
+
+def _require_writable(doc: GameDoc) -> None:
+    """``Unwritable`` unless ``serialize`` writes text that parses back to ``doc``
+    (``MalformedGame`` for a code-built tree whose branches break the rules)."""
+    players, game = doc.players, doc.game
+    _require_names("player", players)
+    if isinstance(game, (Leaf, Node)):
+        index = game.index  # a tree built in code is walked here, which checks its branches
+        owners = set(index.owners)
+        decisions = {label for names in set(index.labels) for label in names}
+        outcomes = set(index.outcomes)
+        keyword = "leaf"  # an owner named so would read as a leaf
+    elif isinstance(game, _GRAPHS):
+        graph = game.embedding
+        _require_names("name", graph.shapes)
+        if isinstance(game, CyclicGame) and any(
+            isinstance(target, Advance) and target.shape == "leaf"
+            for shape in graph.shapes.values()
+            for _label, target in shape.moves
+        ):
+            raise Unwritable("an edge to a node named 'leaf' would read as a leaf")
+        owners = {shape.owner for shape in graph.shapes.values()}
+        decisions = {label for labels in graph.labels.values() for label in labels}
+        outcomes = {
+            target.outcome
+            for shape in graph.shapes.values()
+            for _label, target in shape.moves
+            if isinstance(target, AffineLeaf)
+        }
+        keyword = None
+    else:
+        return
+    for outcome in outcomes:
+        if outcome is not None and len(outcome) != 2:
+            raise Unwritable(f"payoff vector {outcome!r} is not a pair")
+    owners.discard(None)
+    for owner in owners:
+        if owner not in (0, 1):
+            raise Unwritable(f"owner {owner!r} is neither player 0 nor player 1")
+        if players[owner] == keyword:
+            raise Unwritable(f"player {keyword!r} owns a decision node, which would read as a leaf")
+    if players[0] == players[1] and 1 in owners:  # the name reads back as player 0
+        raise Unwritable(f"both players are named {players[0]!r}")
+    _require_names("label", decisions)
+
+
 def serialize(doc: GameDoc) -> str:
-    """Canonical text: explicit header, 2-space indents, LF endings."""
+    """Canonical text: explicit header, 2-space indents, LF endings.
+
+    Raises ``Unwritable`` for a game built in code that the text cannot
+    express, such as a name that does not scan as one name."""
+    _require_writable(doc)
     out: list[str] = [f"players {doc.players[0]} {doc.players[1]}"]
     game = doc.game
     if isinstance(game, (Leaf, Node)):
@@ -490,18 +605,36 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     if isinstance(game, (Leaf, Node)):
         index = game.index
         picks = None if highlight is None else chosen_branches(game, highlight)  # type: ignore[arg-type]
+        owners = [_dot_escape(player) for player in doc.players]
         for position, outcome in enumerate(index.outcomes):
             if outcome is None:
-                label = _dot_escape(doc.players[index.owners[position]])  # type: ignore[index]
+                label = owners[index.owners[position]]  # type: ignore[index]
             else:
                 label = ",".join(map(str, outcome))
             nodes.append(f'  n{position} [label="{label}"];')
-        for parent, position, entering in index.edges():
-            if not entering:  # an edge is written once its child's subtree is done
-                bold = _HIGHLIGHT if picks is not None and picks[parent] == position else ""
-                label = _dot_escape(index.labels[parent][position])
-                child = index.children[parent][position]
-                edges.append(f'  n{parent} -> n{child} [label="{label}"{bold}];')
+        children, labels = index.children, index.labels
+        escaped = {name: _dot_escape(name) for names in set(labels) for name in names}
+
+        def edge(parent: int, position: int) -> str:
+            bold = _HIGHLIGHT if picks is not None and picks[parent] == position else ""
+            label = escaped[labels[parent][position]]
+            return f'  n{parent} -> n{children[parent][position]} [label="{label}"{bold}];'
+
+        # An edge is written once its child's subtree is done.  One frame per
+        # open decision node: its index and the position of its next branch.
+        stack = [(0, 0)]
+        while stack:
+            parent, position = stack.pop()
+            if position:  # back from the subtree of branch position - 1
+                edges.append(edge(parent, position - 1))
+            kids = children[parent]
+            while position < len(kids):
+                position += 1
+                if children[kids[position - 1]]:
+                    stack.append((parent, position))
+                    stack.append((kids[position - 1], 0))
+                    break
+                edges.append(edge(parent, position - 1))
     elif isinstance(game, _GRAPHS):
         if highlight is not None:
             check_stationary(game, highlight)

@@ -96,8 +96,9 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
 
     Each node keeps at most ``cap + 1`` entries ``(value, pick, combo)``:
     the value, the chosen branch and one entry per child.  Entries refer to
-    their children's entries instead of copying them, and a profile dict
-    is built, in preorder, only for the returned entries of the root.
+    their children's entries instead of copying them.  Profile dicts are
+    built only for the returned entries of the root, each from the one
+    before by rewriting the subtrees whose entries changed.
     """
     require_two_players(game)
     if cap < 1:
@@ -123,19 +124,26 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
         for child in kids:
             entries[child] = None
     items = entries[0]
-    decisions = [node for node, path in enumerate(paths) if path is not None]
-    keys = [paths[node] for node in decisions]
-    profiles = []
-    active: list = [None] * len(paths)  # the entry each node takes in the profile being built
+    profiles: list[TreeProfile] = []
+    profile: dict[PlayLine, str] = {}
+    # The entry whose choices ``profile`` shows at each node.  An entry
+    # shares its children's entries, so the same entry means the same
+    # choices in its whole subtree: each profile copies the one before and
+    # rewrites only the subtrees whose entries differ.  The first profile
+    # visits every decision node in preorder, which fixes the key order.
+    shown: list = [None] * len(paths)
     for root_entry in items[:cap]:
-        active[0] = root_entry
-        chosen = []
-        for node in decisions:  # preorder: a node's entry is set before it is read
-            _value, pick, combo = active[node]
-            chosen.append(labels[node][pick])
-            for child, entry in zip(children[node], combo):
-                active[child] = entry
-        profiles.append(dict(zip(keys, chosen)))
+        profile = profile.copy()
+        stack = [(0, root_entry)] if children[0] else []  # a leaf game has one empty profile
+        while stack:
+            node, entry = stack.pop()
+            shown[node] = entry
+            _value, pick, combo = entry
+            profile[paths[node]] = labels[node][pick]
+            for child, sub in zip(reversed(children[node]), reversed(combo)):
+                if sub[1] is not None and shown[child] is not sub:
+                    stack.append((child, sub))
+        profiles.append(profile)
     return Enumeration(tuple(profiles), truncated=len(items) > cap)
 
 

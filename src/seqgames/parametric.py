@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .core import FiniteGame, GameError, Leaf, Node, OutcomeVector, ShapeMismatch
+from .core import FiniteGame, GameError, Leaf, MalformedGame, Node, OutcomeVector, ShapeMismatch
 from .finite import SpeReport, Violation
 
 if TYPE_CHECKING:
@@ -120,10 +120,18 @@ class ParametricGame:
     POINT, CHOICE, PROFILE = "shape", "move", "stationary"
 
     def __post_init__(self) -> None:
-        """``UnknownShape`` for the start, then each advance in order, that names no shape of the game."""
+        """``UnknownShape`` for the start, then, shape by shape in declaration order,
+        ``MalformedGame`` for a shape without moves or with two moves of one label,
+        and ``UnknownShape`` for each advance, in move order, that names no shape."""
         if self.start not in self.shapes:
             raise UnknownShape(self.start)
-        for shape in self.shapes.values():
+        for name, shape in self.shapes.items():
+            if not shape.moves:
+                raise MalformedGame(f"{name!r} has no choices")
+            if len(dict(shape.moves)) < len(shape.moves):  # one key per label
+                labels = shape.labels()
+                label = next(label for k, label in enumerate(labels) if label in labels[:k])
+                raise MalformedGame(f"{name!r} has two choices labelled {label!r}")
             for _label, target in shape.moves:
                 if isinstance(target, Advance) and target.shape not in self.shapes:
                     raise UnknownShape(target.shape)

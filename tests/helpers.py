@@ -14,7 +14,10 @@ the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
 character-by-character ``reference_tokenize`` referee the flat-array tree
 routines and the compiled token scan, which ``scan_tokenize`` exposes in the
 same token form; the depth-first ``reference_instantiate`` referees the
-stage-layered ``instantiate``.
+stage-layered ``instantiate``; ``ReferenceParser``, the tree parser that
+left the index to a later walk, referees the parser that fills it; and
+``reference_tree_dot``, which orders edges with the event walk
+``reference_edges``, referees the DOT export of trees.
 """
 
 from __future__ import annotations
@@ -24,9 +27,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from seqgames.core import FiniteGame, Leaf, Node, NotTwoPlayer, ShapeMismatch, leaf, node, subgame_at
+from seqgames.core import (
+    FiniteGame,
+    Leaf,
+    Node,
+    NotTwoPlayer,
+    ShapeMismatch,
+    TreeIndex,
+    chosen_branches,
+    leaf,
+    node,
+    subgame_at,
+)
 from seqgames.cyclic import CyclicGame, CyclicNode
-from seqgames.dsl import _PUNCT, _SCAN, ParseError, _line_column, _offset, _scan
+from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
 from seqgames.parametric import (
@@ -772,3 +786,135 @@ def scan_tokenize(text: str) -> list[RefToken]:
             kind = "int" if token[0].isdecimal() else "name"
         tokens.append(RefToken(kind, token, *_line_column(text, _offset(text, match))))
     return tokens
+
+
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """Source offsets ``(start, end)`` of the tokens the scan reads, without
+    the end of input; the text must scan."""
+    return [match.span(1) for match in _SCAN.finditer(text) if match.group(1)]
+
+
+def big_random_tree(rng: random.Random, nodes: int) -> Node:
+    """A random tree of exactly ``nodes`` nodes (at least 2), grown
+    breadth-first: a slot gets 2 or 3 branches (fewer once the budget runs
+    out) unless it is drawn to stay a leaf, which the last open slot never
+    is; leaves carry payoffs 0..3."""
+    kids: list[list[int]] = [[]]
+    queue, budget = [0], nodes - 1
+    for position, current in enumerate(queue):  # ``queue`` grows as it is read
+        if not budget:
+            break
+        if position + 1 < len(queue) and rng.random() < 0.4:
+            continue
+        for _ in range(min(rng.choice((2, 2, 3)), budget)):
+            kids[current].append(len(kids))
+            queue.append(len(kids))
+            kids.append([])
+            budget -= 1
+    built: list[FiniteGame | None] = [None] * len(kids)
+    for current in reversed(range(len(kids))):
+        if kids[current]:
+            built[current] = node(rng.randint(0, 1), *zip(_LABELS, (built[k] for k in kids[current])))
+        else:
+            built[current] = leaf(rng.randint(0, 3), rng.randint(0, 3))
+    tree = built[0]
+    assert isinstance(tree, Node)
+    return tree
+
+
+# --- the parser and DOT referees ----------------------------------------------
+
+
+class ReferenceParser(_Parser):
+    """The tree parser before it filled the index: the same grammar, errors
+    and checks, one ``expect*`` call per token, and an index left to the
+    first walk."""
+
+    def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
+        tokens = self.tokens
+        frames: list[tuple[int, list[tuple[str, FiniteGame]], set[str]]] = []
+        labels: list[str] = []  # the label of the branch being read, per frame
+        while True:
+            if tokens[self.pos] == "leaf":
+                self.pos += 1
+                sub: FiniteGame | None = self.parse_leaf_int()
+            else:
+                owner = self.owner_index(self.expect_name("'leaf' or a player name"), players)
+                self.expect("{")
+                frames.append((owner, [], set()))
+                sub = None
+            while True:
+                if sub is not None:
+                    if not frames:
+                        return sub
+                    frames[-1][1].append((labels.pop(), sub))
+                    self.skip_separators()
+                owner, branches, seen = frames[-1]
+                if tokens[self.pos] == "}":
+                    if not branches:
+                        raise self.fail("at least one branch")
+                    self.pos += 1
+                    frames.pop()
+                    sub = Node(owner, tuple(branches))
+                    continue
+                index = self.expect_name("an action label")
+                label = tokens[index]
+                if label in seen:
+                    raise self.invalid(index, f"duplicate branch label {label!r}")
+                seen.add(label)
+                self.expect("->")
+                labels.append(label)
+                break
+
+
+def reference_parse(text: str) -> GameDoc:
+    return ReferenceParser(text).parse_doc()
+
+
+def reference_edges(index: TreeIndex):
+    """Depth-first edge events in branch order: ``(node, position, True)``
+    before the subtree of ``children[node][position]`` and
+    ``(node, position, False)`` after it."""
+    children = index.children
+    stack = [(0, 0)]
+    while stack:
+        parent, position = stack.pop()
+        kids = children[parent]
+        if position:
+            yield parent, position - 1, False
+        while position < len(kids):
+            yield parent, position, True
+            child = kids[position]
+            position += 1
+            if children[child]:
+                stack.append((parent, position))
+                stack.append((child, 0))
+                break
+            yield parent, position - 1, False
+
+
+def reference_tree_dot(doc: GameDoc, highlight: dict | None = None) -> str:
+    """``to_dot`` of a tree document, with edges written on the leaving
+    events of ``reference_edges``."""
+
+    def escape(label: str) -> str:
+        return label.replace("\\", "\\\\").replace('"', '\\"')
+
+    game = doc.game
+    index = TreeIndex(game)
+    picks = None if highlight is None else chosen_branches(game, highlight)
+    lines = ["digraph game {"]
+    for position, outcome in enumerate(index.outcomes):
+        if outcome is None:
+            label = escape(doc.players[index.owners[position]])
+        else:
+            label = ",".join(map(str, outcome))
+        lines.append(f'  n{position} [label="{label}"];')
+    for parent, position, entering in reference_edges(index):
+        if not entering:
+            bold = ",penwidth=2,style=bold" if picks is not None and picks[parent] == position else ""
+            label = escape(index.labels[parent][position])
+            child = index.children[parent][position]
+            lines.append(f'  n{parent} -> n{child} [label="{label}"{bold}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,9 @@
 """Seeded fuzz property over the whole command line.
 
 Argv is drawn over every subcommand from the corpus games and profiles,
-copies of them with one token dropped, duplicated or replaced, a missing
-game file, small edge values of every option, both formats and an optional
-``--out``.  Every run must end in an exit code of the documented contract
+copies of them with one token dropped, duplicated or replaced, or cut off
+at a token boundary, a missing game file, small edge values of every
+option, both formats and an optional ``--out``.  Every run must end in an exit code of the documented contract
 with output of the documented shape:
 
 - ``run`` returns 0-4, raises nothing and never prints a traceback;
@@ -15,7 +15,8 @@ with output of the documented shape:
 - JSON output parses (``export`` always writes DOT);
 - ``--out`` leaves stdout empty and writes the bytes printed without it
   (``simulate`` writes its trace there and still prints its report);
-- the same argv gives the same bytes twice.
+- the same argv gives the same bytes twice;
+- every drawn game document parses or raises ``ParseError``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgames import cli
+from seqgames import cli, dsl
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GAMES = {p.stem: p.read_text(encoding="utf-8") for p in sorted((ROOT / "corpus").glob("*.game"))}
@@ -59,13 +60,16 @@ _REPLACEMENTS = ["{", "}", "(", ")", ",", ";", ":", "=", "->", "+", "*", "leaf",
 
 @st.composite
 def documents(draw, texts: list[str]) -> str:
-    """A corpus text, or a copy with one token dropped, duplicated or replaced."""
+    """A corpus text, or a copy with one token dropped, duplicated or
+    replaced, or cut off before it."""
     text = draw(st.sampled_from(texts))
-    how = draw(st.sampled_from(["keep", "keep", "keep", "drop", "duplicate", "replace"]))
+    how = draw(st.sampled_from(["keep", "keep", "keep", "drop", "duplicate", "replace", "truncate"]))
     if how == "keep":
         return text
     pieces = _PIECES.findall(text)
     i = draw(st.sampled_from([k for k, piece in enumerate(pieces) if not piece.isspace()]))
+    if how == "truncate":
+        return "".join(pieces[:i])
     if how == "drop":
         pieces[i] = ""
     elif how == "duplicate":
@@ -146,6 +150,11 @@ def test_cli_contract_holds_on_seeded_argv(workdir, invocation):
     argv = [arg.format(game=game_path, profile=profile_path) for arg in template]
     command, as_json = argv[0], "json" in argv
 
+    if game is not None:
+        try:
+            dsl.parse(game)
+        except dsl.ParseError:
+            pass
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert "Traceback" not in err, argv

@@ -10,6 +10,8 @@ from helpers import all_plays, pennies_equilibrium, pennies_seq, random_profile,
 
 from seqgames.core import (
     InvalidPlay,
+    MalformedGame,
+    Node,
     ShapeMismatch,
     induced_play,
     leaf,
@@ -17,6 +19,7 @@ from seqgames.core import (
     outcome_of,
     subgame_at,
 )
+from seqgames.finite import check_spe, solve
 
 
 class TestOutcomeOf:
@@ -147,3 +150,25 @@ class TestNodeEquality:
         assert node(0, ("a", leaf(0, 1))) != leaf(0, 1)
         assert leaf(0, 1) != node(0, ("a", leaf(0, 1)))
         assert node(0, ("a", leaf(0, 1))) != node(0, ("a", node(0, ("a", leaf(0, 1)))))
+
+
+class TestMalformedTrees:
+    """The walk that indexes a tree built in code rejects what ``parse``
+    rejects in text: two sibling branches of one label, a node without any."""
+
+    def test_duplicate_sibling_labels(self):
+        game = node(0, ("x", leaf(1, 0)), ("y", node(1, ("x", leaf(0, 1)), ("x", leaf(1, 1)))))
+        with pytest.raises(MalformedGame, match=r"^duplicate branch label 'x' at \('y',\)$"):
+            solve(game)
+        with pytest.raises(MalformedGame):
+            check_spe(game, {(): "x", ("y",): "x"})
+
+    def test_duplicate_labels_at_the_root(self):
+        with pytest.raises(MalformedGame, match=r"^duplicate branch label 'x' at \(\)$"):
+            node(0, ("x", leaf(1, 0)), ("x", leaf(0, 1))).index
+
+    def test_node_without_branches(self):
+        with pytest.raises(MalformedGame, match=r"^no branches at \('a',\)$"):
+            solve(node(0, ("a", Node(1, ())), ("b", leaf(0, 0))))
+        with pytest.raises(MalformedGame, match=r"^no branches at \(\)$"):
+            solve(Node(0, ()))

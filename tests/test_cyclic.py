@@ -9,7 +9,7 @@ import pytest
 from helpers import chain01, loop01, random_cyclic, reference_is_spe, reference_report_cyclic
 
 from seqgames import cyclic, parametric
-from seqgames.core import ShapeMismatch, leaf, node
+from seqgames.core import MalformedGame, ShapeMismatch, leaf, node
 from seqgames.cyclic import (
     Converges,
     CyclicGame,
@@ -151,6 +151,14 @@ class TestEngine:
         assert cyclic.DEFAULT_SEARCH_BOUND is parametric.DEFAULT_SEARCH_BOUND
         assert UnknownNode is parametric.UnknownShape
         assert Diverges is parametric.Divergent
+
+    def test_duplicate_edge_labels_are_rejected(self):
+        with pytest.raises(MalformedGame, match="^'s' has two choices labelled 'x'$"):
+            CyclicGame({"s": CyclicNode(0, (("x", leaf(1, 0)), ("x", "s")))}, "s")
+
+    def test_node_without_edges_is_rejected(self):
+        with pytest.raises(MalformedGame, match="^'t' has no choices$"):
+            CyclicGame({"s": CyclicNode(0, (("x", "t"),)), "t": CyclicNode(1, ())}, "s")
 
     def test_search_bound_message_names_positional_profiles(self):
         pair = (("x", leaf(0, 0)), ("y", leaf(1, 1)))

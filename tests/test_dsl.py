@@ -19,10 +19,12 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgames.core import Leaf, Node, leaf, node
+from seqgames.core import GameError, Leaf, MalformedGame, Node, leaf, node
+from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import (
     GameDoc,
     ParseError,
+    Unwritable,
     ValidationError,
     parse,
     parse_profile_text,
@@ -31,7 +33,7 @@ from seqgames.dsl import (
     to_dot,
 )
 from seqgames.matrix import MatrixGame
-from seqgames.parametric import dollar_auction
+from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine, dollar_auction
 
 PLAYERS = ("Alice", "Bertrand")
 
@@ -295,6 +297,133 @@ class TestSerialize:
     def test_roundtrip_on_generated_trees(self, tree):
         doc = GameDoc(PLAYERS, tree)
         assert parse(serialize(doc)) == doc
+
+
+class TestUnwritable:
+    """``serialize`` raises for a game built in code that the text cannot
+    express, instead of writing text that parses to an error or to another game."""
+
+    def test_node_name_with_a_blank(self):
+        game = CyclicGame({"a b": CyclicNode(0, (("x", leaf(1, 0)), ("y", "a b")))}, "a b")
+        with pytest.raises(Unwritable, match="^name 'a b' does not scan as one name$"):
+            serialize(GameDoc(PLAYERS, game))
+
+    def test_edge_to_a_cyclic_node_named_leaf(self):
+        game = CyclicGame({"s": CyclicNode(0, (("x", "leaf"),)), "leaf": CyclicNode(1, (("y", leaf(0, 1)),))}, "s")
+        with pytest.raises(Unwritable, match="^an edge to a node named 'leaf' would read as a leaf$"):
+            serialize(GameDoc(PLAYERS, game))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "players A A\nfinite {\n  A {\n    x -> leaf(1,0)\n  }\n}\n",
+            "players Alice Bertrand\ncyclic start=leaf {\n  leaf: Alice {\n    x -> leaf(1,0)\n  }\n}\n",
+        ],
+    )
+    def test_parsed_documents_still_serialize(self, text):
+        assert serialize(parse(text)) == text
+
+    def test_a_parametric_shape_may_be_named_leaf(self):
+        game = ParametricGame({"leaf": Shape(0, (("x", Advance("leaf")), ("y", AffineLeaf((affine(1), affine(0, 1))))))}, "leaf")
+        doc = GameDoc(PLAYERS, game)
+        assert parse(serialize(doc)) == doc
+
+    def test_tree_with_duplicate_sibling_labels(self):
+        with pytest.raises(MalformedGame, match=r"^duplicate branch label 'x' at \(\)$"):
+            serialize(GameDoc(PLAYERS, node(0, ("x", leaf(1, 0)), ("x", leaf(0, 1)))))
+
+    @pytest.mark.parametrize(
+        "players, game, message",
+        [
+            (PLAYERS, node(0, ("go on", leaf(1, 0))), "^label 'go on' does not scan as one name$"),
+            (PLAYERS, node(0, ("1st", leaf(1, 0))), "^label '1st' does not scan as one name$"),
+            (PLAYERS, node(0, ("x#", leaf(1, 0))), "^label 'x#' does not scan as one name$"),
+            (PLAYERS, node(0, (("x",), leaf(1, 0))), r"^label \('x',\) does not scan as one name$"),
+            (("Alice", "leaf"), node(1, ("x", leaf(1, 0))), "^player 'leaf' owns a decision node"),
+            (("A", "A"), node(0, ("x", node(1, ("y", leaf(1, 0))))), "^both players are named 'A'$"),
+            (("Al ice", "B"), leaf(1, 0), "^player 'Al ice' does not scan as one name$"),
+            (PLAYERS, node(2, ("x", leaf(1, 0))), "^owner 2 is neither player 0 nor player 1$"),
+            (PLAYERS, node(0, ("x", leaf(1, 0, 0))), r"^payoff vector \(1, 0, 0\) is not a pair$"),
+            (PLAYERS, leaf(1), r"^payoff vector \(1,\) is not a pair$"),
+        ],
+    )
+    def test_unwritable_trees(self, players, game, message):
+        with pytest.raises(Unwritable, match=message):
+            serialize(GameDoc(players, game))
+
+    def test_a_player_named_leaf_may_own_no_tree_node(self):
+        doc = GameDoc(("Alice", "leaf"), node(0, ("x", leaf(1, 0))))
+        assert parse(serialize(doc)) == doc
+
+
+# Names for the round-trip property: most scan as one name, some do not,
+# and some are words of the grammar.
+_NAMES = ["x", "y", "z", "A", "B", "_b", "é", "x1", "leaf", "advance", "players", "n"]
+_NOT_NAMES = ["a b", "1a", "x#", "", "-", "²", "Ⅷ"]
+
+
+def _relabel(tree, labels: dict):
+    if isinstance(tree, Leaf):
+        return tree
+    return Node(tree.owner, tuple((labels[label], _relabel(child, labels)) for label, child in tree.branches))
+
+
+def _renamed_doc(rng: random.Random) -> GameDoc | None:
+    """A seeded tree, cyclic or parametric game whose names are drawn at
+    random, mostly from ``_NAMES``; None when a constructor rejects it."""
+
+    def name() -> str:
+        return rng.choice(_NAMES if rng.random() < 0.9 else _NOT_NAMES)
+
+    players = (name(), name()) if rng.random() < 0.5 else PLAYERS
+    labels = {label: name() for label in ("x", "y", "z")}
+    kind = rng.randrange(3)
+    try:
+        if kind == 0:
+            return GameDoc(players, _relabel(random_tree(rng), labels))
+        if kind == 1:
+            game = random_cyclic(rng)
+            names = {old: name() for old in game.nodes}
+            nodes = {
+                names[old]: CyclicNode(
+                    point.owner,
+                    tuple((labels[label], names.get(target, target)) for label, target in point.edges),
+                )
+                for old, point in game.nodes.items()
+            }
+            return GameDoc(players, CyclicGame(nodes, names[game.start]))
+        game = random_parametric(rng)
+        names = {old: name() for old in game.shapes}
+        shapes = {
+            names[old]: Shape(
+                shape.owner,
+                tuple(
+                    (labels[label], Advance(names[target.shape]) if isinstance(target, Advance) else target)
+                    for label, target in shape.moves
+                ),
+            )
+            for old, shape in game.shapes.items()
+        }
+        return GameDoc(players, ParametricGame(shapes, names[game.start]))
+    except GameError:
+        return None
+
+
+def test_constructed_games_serialize_to_text_that_parses_back_or_raise():
+    rng = random.Random(48)
+    written = refused = 0
+    for _ in range(600):
+        doc = _renamed_doc(rng)
+        if doc is None:
+            continue
+        try:
+            text = serialize(doc)
+        except GameError:
+            refused += 1
+            continue
+        assert parse(text) == doc, text
+        written += 1
+    assert written >= 100 and refused >= 100
 
 
 LOOP_DOT = """digraph game {

@@ -10,15 +10,17 @@ from helpers import chain01, loop01, random_parametric, reference_report_param
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqgames.core import ShapeMismatch, induced_play, leaf, node
+from seqgames.core import MalformedGame, ShapeMismatch, induced_play, leaf, node
 from seqgames.cyclic import check_spe_cyclic
 from seqgames.finite import check_spe, enumerate_equilibria, solve, TiePolicy
 from seqgames.parametric import (
+    Advance,
     AffineLeaf,
     ConvergesAffine,
     Divergent,
     InvalidValue,
     ParametricGame,
+    Shape,
     UnknownShape,
     affine,
     affine_leq,
@@ -130,6 +132,24 @@ class TestInducedOutcome:
                         assert concrete is None
                     else:
                         assert concrete == tuple(v.at(stage) for v in symbolic.outcome)
+
+
+class TestConstruction:
+    """A shape needs at least one move, and its moves distinct labels."""
+
+    def test_duplicate_move_labels_are_rejected(self):
+        stop = AffineLeaf((affine(0), affine(0)))
+        shape = Shape(0, (("a", stop), ("c", Advance("S")), ("a", Advance("S"))))
+        with pytest.raises(MalformedGame, match="^'S' has two choices labelled 'a'$"):
+            ParametricGame({"S": shape}, "S")
+
+    def test_shape_without_moves_is_rejected(self):
+        with pytest.raises(MalformedGame, match="^'T' has no choices$"):
+            ParametricGame({"S": Shape(0, (("c", Advance("T")),)), "T": Shape(1, ())}, "S")
+
+    def test_an_undefined_start_is_reported_first(self):
+        with pytest.raises(UnknownShape, match="^Z$"):
+            ParametricGame({"S": Shape(0, ())}, "Z")
 
 
 class TestEntryStages:
