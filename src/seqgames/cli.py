@@ -13,13 +13,12 @@ import json
 import sys
 from typing import Any
 
-from . import cyclic as cy
 from . import dsl
-from . import escalation as esc
 from . import finite as fin
-from . import parametric as par
-from .core import GameError, Leaf, Node, induced_play
-from .matrix import MatrixGame, TooLarge, solve_constant_sum
+from .core import GameError, LimitExceeded, induced_play
+
+# Each command imports the modules of the game kind it runs, so a process
+# loads only those; a game's kind is read from its ``KIND``.
 
 _PROFILE_HELP = (
     "profile files have one 'key = action' line per decision point; keys are "
@@ -41,8 +40,8 @@ def _load_doc(path: str) -> dsl.GameDoc:
 def _load_game(args: argparse.Namespace, *kinds: str) -> dsl.GameDoc:
     """The game file of ``args``, which must hold a game of one of ``kinds``."""
     doc = _load_doc(args.file)
-    if _kind(doc.game) not in kinds:
-        raise _UsageError(f"{args.command} needs a {' or '.join(kinds)} game, got {_kind(doc.game)}")
+    if doc.game.KIND not in kinds:
+        raise _UsageError(f"{args.command} needs a {' or '.join(kinds)} game, got {doc.game.KIND}")
     return doc
 
 
@@ -66,7 +65,7 @@ def _outcome_text(outcome: tuple) -> str:
 
 
 def _profile_json(game, profile) -> dict[str, str]:
-    if isinstance(game, (Leaf, Node)):
+    if game.KIND == "finite":
         return {dsl.render_tree_path(path): action for path, action in profile.items()}
     return dict(profile)
 
@@ -111,16 +110,6 @@ def _report_text(report: fin.SpeReport) -> list[str]:
     return lines
 
 
-def _kind(game) -> str:
-    if isinstance(game, (Leaf, Node)):
-        return "finite"
-    if isinstance(game, cy.CyclicGame):
-        return "cyclic"
-    if isinstance(game, par.ParametricGame):
-        return "param"
-    return "matrix"
-
-
 # --- commands -------------------------------------------------------------
 
 
@@ -148,7 +137,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     game = _load_doc(args.file).game
-    kind = _kind(game)
+    kind = game.KIND
     if kind == "matrix":
         raise _UsageError("enumerate does not apply to matrix games; use the matrix command")
     if kind == "finite":
@@ -185,14 +174,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             )
         _render(args, payload, text)
         return 3 if result.truncated else 0
+    from .parametric import enumerate_stationary_spe, induced_outcome_param
     if kind == "cyclic":
         route_key, outcome_key, suffix = "path", "outcome", ""
     else:
         route_key, outcome_key, suffix = "steps", "outcome_from_start", " (from start)"
-    accepted = par.enumerate_stationary_spe(game)
+    accepted = enumerate_stationary_spe(game)
     entries = []
     for profile in accepted:
-        result = par.induced_outcome_param(game, profile)
+        result = induced_outcome_param(game, profile)
         # A cyclic game's values are its payoffs at every stage, so stage 0 reads them.
         entries.append(
             {
@@ -216,25 +206,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     game = _load_doc(args.file).game
-    if isinstance(game, MatrixGame):
+    if game.KIND == "matrix":
         raise _UsageError("check does not apply to matrix games")
     with open(args.profile, "r", encoding="utf-8") as handle:
         profile = dsl.parse_profile_text(handle.read(), game)
-    if isinstance(game, (Leaf, Node)):
+    if game.KIND == "finite":
         report = fin.check_spe(game, profile)
-    elif isinstance(game, cy.CyclicGame):
-        report = cy.check_spe_cyclic(game, profile)
+    elif game.KIND == "cyclic":
+        from .cyclic import check_spe_cyclic
+        report = check_spe_cyclic(game, profile)
     else:
-        report = par.check_spe_param(game, profile)
-    payload = {"command": "check", "kind": _kind(game), **_report_json(report)}
+        from .parametric import check_spe_param
+        report = check_spe_param(game, profile)
+    payload = {"command": "check", "kind": game.KIND, **_report_json(report)}
     _render(args, payload, _report_text(report))
     return 0 if report.ok else 1
 
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
+    from .cyclic import unfold
     doc = _load_game(args, "cyclic")
     terminal = _parse_outcome(args.terminal)
-    tree = cy.unfold(doc.game, args.depth, terminal)
+    tree = unfold(doc.game, args.depth, terminal)
     rendered = dsl.serialize(dsl.GameDoc(doc.players, tree))
     if args.format == "json":
         _emit(args, json.dumps({"command": "unfold", "game": rendered}, sort_keys=True) + "\n")
@@ -252,12 +245,13 @@ def _parse_outcome(text: str) -> tuple[int, int]:
 
 
 def _cmd_auction(args: argparse.Namespace) -> int:
-    game = par.dollar_auction(args.value)
+    from .parametric import check_spe_param, dollar_auction, instantiate, stationary_profiles
+    game = dollar_auction(args.value)
     doc = dsl.GameDoc(("Alice", "Bertrand"), game)
-    profiles = [(profile, par.check_spe_param(game, profile)) for profile in par.stationary_profiles(game)]
+    profiles = [(profile, check_spe_param(game, profile)) for profile in stationary_profiles(game)]
     equilibria = [profile for profile, report in profiles if report.ok]
     never_bid = {name: "a" for name in game.shapes}
-    never_report = par.check_spe_param(game, never_bid)
+    never_report = check_spe_param(game, never_bid)
     payload: dict[str, Any] = {
         "command": "auction",
         "value": args.value,
@@ -277,7 +271,7 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     text.extend("  " + line for line in _report_text(never_report)[1:])
     if args.max_stage is not None:
         terminal = _parse_outcome(args.terminal) if args.terminal else (0, 0)
-        tree = par.instantiate(game, args.max_stage, terminal)
+        tree = instantiate(game, args.max_stage, terminal)
         result = fin.enumerate_equilibria(tree)
         outcomes = sorted({induced_play(tree, p)[1] for p in result.profiles})
         payload["truncation"] = {
@@ -296,13 +290,14 @@ def _cmd_auction(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .escalation import BeliefSelectionPolicy, FixedIndex, Uniform, simulate
     if args.format == "json" and args.seed is None:
         raise _UsageError("simulate requires --seed in JSON mode")
     seed = args.seed if args.seed is not None else 0
     doc = _load_game(args, "cyclic", "param")
     game = doc.game
     if args.policy == "uniform":
-        policy: esc.BeliefSelectionPolicy = esc.Uniform()
+        policy: BeliefSelectionPolicy = Uniform()
     else:
         tag, _, rest = args.policy.partition(":")
         try:
@@ -311,8 +306,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             i, j = (int(part) for part in rest.split(","))
         except ValueError:
             raise _UsageError("policy must be 'uniform' or 'fixed:i,j'") from None
-        policy = esc.FixedIndex((i, j))
-    trace = esc.simulate(game, args.horizon, seed, policy)
+        policy = FixedIndex((i, j))
+    trace = simulate(game, args.horizon, seed, policy)
     steps = [
         {
             "stage": step.stage,
@@ -324,7 +319,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     payload = {
         "command": "simulate",
-        "kind": _kind(game),
+        "kind": game.KIND,
         "seed": seed,
         "policy": args.policy,
         "horizon": args.horizon,
@@ -350,6 +345,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .matrix import solve_constant_sum
     doc = _load_game(args, "matrix")
     profile = solve_constant_sum(doc.game)
     payload = {
@@ -446,7 +442,7 @@ def run(argv: list[str]) -> int:
     except dsl.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (par.SearchSpaceTooLarge, TooLarge) as exc:
+    except LimitExceeded as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

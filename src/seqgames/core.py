@@ -44,6 +44,10 @@ class InvalidPlay(GameError):
         super().__init__(message)
 
 
+class LimitExceeded(GameError):
+    """An input is past a documented bound on the work an analysis may do."""
+
+
 class ShapeMismatch(GameError):
     """A profile does not fit the game it was applied to."""
 
@@ -61,6 +65,8 @@ class MalformedGame(GameError):
 class Leaf:
     outcome: OutcomeVector
 
+    KIND = "finite"  # the game kind, read without importing the module of each kind
+
     @cached_property
     def index(self) -> "TreeIndex":
         """The one-entry index of a game that is a single leaf."""
@@ -74,6 +80,8 @@ class Node:
 
     owner: int
     branches: tuple[tuple[str, "FiniteGame"], ...]
+
+    KIND = "finite"
 
     def branch(self, label: str) -> "FiniteGame":
         for name, child in self.branches:

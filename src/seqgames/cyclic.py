@@ -56,8 +56,9 @@ class CyclicGame:
     nodes: Mapping[str, CyclicNode]
     start: str
 
-    # How messages name a decision point, a choice there and a profile.
-    POINT, CHOICE, PROFILE = "node", "edge", "positional"
+    # The game kind (see ``Leaf.KIND``), and how messages name a decision point,
+    # a choice there and a profile.
+    KIND, POINT, CHOICE, PROFILE = "cyclic", "node", "edge", "positional"
 
     def __post_init__(self) -> None:
         self.embedding  # built with the game, whose constructor raises UnknownNode for a dangling reference

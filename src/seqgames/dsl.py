@@ -25,11 +25,12 @@ LF line endings, no trailing whitespace.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .core import (
     DEFAULT_PLAYERS,
@@ -43,20 +44,28 @@ from .core import (
     chosen_branches,
     node_paths,
 )
-from .cyclic import CyclicGame, CyclicNode, PositionalProfile
-from .matrix import MatrixGame
-from .parametric import (
-    Advance,
-    AffineLeaf,
-    AffineValue,
-    ParametricGame,
-    Shape,
-    StationaryProfile,
-    check_stationary,
-)
 
-Game = Union[FiniteGame, CyclicGame, ParametricGame, MatrixGame]
-_GRAPHS = (CyclicGame, ParametricGame)
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from types import ModuleType
+
+    from .cyclic import CyclicGame, PositionalProfile
+    from .matrix import MatrixGame
+    from .parametric import ParametricGame, StationaryProfile
+
+    Game = Union[FiniteGame, CyclicGame, ParametricGame, MatrixGame]
+    AnyProfile = Union[TreeProfile, PositionalProfile, StationaryProfile]
+
+_GRAPHS = ("cyclic", "param")
+
+
+@functools.cache
+def _module(name: str) -> ModuleType:
+    """The module ``name`` (a leading dot for one of this package), imported
+    on first use.  A kind's modules are reached through here where that kind
+    is parsed, written or checked, so a process loads only the kinds it meets;
+    the cache keeps an import statement's cost off every later call."""
+    return importlib.import_module(name, __package__)
 
 
 class ParseError(Exception):
@@ -323,7 +332,8 @@ class _Parser:
 
     # --- cyclic and parametric graphs ----------------------------------
 
-    def parse_affine(self) -> AffineValue:
+    def parse_affine(self) -> tuple[int, int]:
+        """``AFFINE`` as its constant and its slope."""
         const = self.expect_int()
         token = self.tokens[self.pos]
         if token in ("+", "-"):
@@ -334,20 +344,17 @@ class _Parser:
             name = self.expect_name("'n'")
             if self.tokens[name] != "n":
                 raise self.fail("'n'", name)
-            return AffineValue(const, sign * magnitude)
-        return AffineValue(const, 0)
-
-    def parse_leaf_affine(self) -> AffineLeaf:
-        self.expect("(")
-        first = self.parse_affine()
-        self.expect(",")
-        second = self.parse_affine()
-        self.expect(")")
-        return AffineLeaf((first, second))
+            return const, sign * magnitude
+        return const, 0
 
     def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
+        par = _module(".parametric")
+        if parametric:
+            point_class, game_class = par.Shape, par.ParametricGame
+        else:
+            cy = _module(".cyclic")
+            point_class, game_class = cy.CyclicNode, cy.CyclicGame
         tokens = self.tokens
-        point_class, game_class = (Shape, ParametricGame) if parametric else (CyclicNode, CyclicGame)
         self.expect("start")
         self.expect("=")
         start = self.expect_name("a node name")
@@ -371,14 +378,20 @@ class _Parser:
                 self.expect("->")
                 if self.at("leaf"):
                     self.pos += 1
-                    target: object = (
-                        self.parse_leaf_affine() if parametric else self.parse_leaf_int()
-                    )
+                    if parametric:
+                        self.expect("(")
+                        first = par.AffineValue(*self.parse_affine())
+                        self.expect(",")
+                        second = par.AffineValue(*self.parse_affine())
+                        self.expect(")")
+                        target: object = par.AffineLeaf((first, second))
+                    else:
+                        target = self.parse_leaf_int()
                 elif parametric:
                     self.expect("advance")
                     ref = self.expect_name("a shape name")
                     references.append(ref)
-                    target = Advance(tokens[ref])
+                    target = par.Advance(tokens[ref])
                 else:
                     ref = self.expect_name("a node name or 'leaf'")
                     references.append(ref)
@@ -402,25 +415,27 @@ class _Parser:
 
     # --- matrices -------------------------------------------------------
 
-    def parse_rational(self) -> Fraction:
-        numerator = self.expect_int()
-        if self.at("/"):
-            self.pos += 1
-            index = self.pos
-            denominator = self.expect_int()
-            if denominator == 0:
-                raise self.invalid(index, "zero denominator")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
-
     def at_rational_start(self) -> bool:
         token = self.tokens[self.pos]
         return token[:1].isdecimal() or token == "-"
 
     def parse_matrix(self) -> MatrixGame:
+        Fraction = _module("fractions").Fraction
+
+        def parse_rational() -> Fraction:
+            numerator = self.expect_int()
+            if self.at("/"):
+                self.pos += 1
+                index = self.pos
+                denominator = self.expect_int()
+                if denominator == 0:
+                    raise self.invalid(index, "zero denominator")
+                return Fraction(numerator, denominator)
+            return Fraction(numerator)
+
         self.expect("sum")
         self.expect("=")
-        total = self.parse_rational()
+        total = parse_rational()
         self.expect("{")
         rows: list[tuple[Fraction, ...]] = []
         width: int | None = None
@@ -429,7 +444,7 @@ class _Parser:
             while self.at_rational_start():
                 if width is not None and len(row) == width:
                     raise self.fail(f"';' after {width} entries")
-                row.append(self.parse_rational())
+                row.append(parse_rational())
             if not row:
                 raise self.fail("a matrix entry")
             if width is None:
@@ -442,7 +457,7 @@ class _Parser:
                 continue
             break
         self.expect("}")
-        return MatrixGame(tuple(rows), total)
+        return _module(".matrix").MatrixGame(tuple(rows), total)
 
 
 def parse(text: str) -> GameDoc:
@@ -498,18 +513,20 @@ def _require_writable(doc: GameDoc) -> None:
     """``Unwritable`` unless ``serialize`` writes text that parses back to ``doc``
     (``MalformedGame`` for a code-built tree whose branches break the rules)."""
     players, game = doc.players, doc.game
+    kind = getattr(game, "KIND", None)  # None for an object that is no game
     _require_names("player", players)
-    if isinstance(game, (Leaf, Node)):
+    if kind == "finite":
         index = game.index  # a tree built in code is walked here, which checks its branches
         owners = set(index.owners)
         decisions = {label for names in set(index.labels) for label in names}
         outcomes = set(index.outcomes)
         keyword = "leaf"  # an owner named so would read as a leaf
-    elif isinstance(game, _GRAPHS):
+    elif kind in _GRAPHS:
+        par = _module(".parametric")
         graph = game.embedding
         _require_names("name", graph.shapes)
-        if isinstance(game, CyclicGame) and any(
-            isinstance(target, Advance) and target.shape == "leaf"
+        if kind == "cyclic" and any(
+            isinstance(target, par.Advance) and target.shape == "leaf"
             for shape in graph.shapes.values()
             for _label, target in shape.moves
         ):
@@ -520,7 +537,7 @@ def _require_writable(doc: GameDoc) -> None:
             target.outcome
             for shape in graph.shapes.values()
             for _label, target in shape.moves
-            if isinstance(target, AffineLeaf)
+            if isinstance(target, par.AffineLeaf)
         }
         keyword = None
     else:
@@ -547,27 +564,29 @@ def serialize(doc: GameDoc) -> str:
     _require_writable(doc)
     out: list[str] = [f"players {doc.players[0]} {doc.players[1]}"]
     game = doc.game
-    if isinstance(game, (Leaf, Node)):
+    kind = getattr(game, "KIND", None)
+    if kind == "finite":
         out.append("finite {")
         if isinstance(game, Leaf):
             out.append(f"  leaf({game.outcome[0]},{game.outcome[1]})")
         else:
             _serialize_tree(game, doc.players, out)
         out.append("}")
-    elif isinstance(game, _GRAPHS):
+    elif kind in _GRAPHS:
+        par = _module(".parametric")
         # A slope-0 payoff prints as its constant, so a cyclic game's leaves read as ints.
-        keyword, advance = ("cyclic", "") if isinstance(game, CyclicGame) else ("param", "advance ")
-        out.append(f"{keyword} start={game.start} {{")
+        advance = "" if kind == "cyclic" else "advance "
+        out.append(f"{kind} start={game.start} {{")
         for name, shape in game.embedding.shapes.items():
             out.append(f"  {name}: {doc.players[shape.owner]} {{")
             for label, target in shape.moves:
-                if isinstance(target, AffineLeaf):
+                if isinstance(target, par.AffineLeaf):
                     out.append(f"    {label} -> leaf({target.outcome[0]},{target.outcome[1]})")
                 else:
                     out.append(f"    {label} -> {advance}{target.shape}")
             out.append("  }")
         out.append("}")
-    elif isinstance(game, MatrixGame):
+    elif kind == "matrix":
         out.append(f"matrix sum={_serialize_rational(game.total)} {{")
         for i, row in enumerate(game.payoffs):
             rendered = " ".join(_serialize_rational(entry) for entry in row)
@@ -587,9 +606,6 @@ def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-AnyProfile = Union[TreeProfile, PositionalProfile, StationaryProfile]
-
-
 def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     """DOT digraph with deterministic node names (preorder/declaration index).
 
@@ -602,7 +618,8 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     edges: list[str] = []
     fresh = (f"n{number}" for number in itertools.count())  # node names in creation order
     game = doc.game
-    if isinstance(game, (Leaf, Node)):
+    kind = getattr(game, "KIND", None)
+    if kind == "finite":
         index = game.index
         picks = None if highlight is None else chosen_branches(game, highlight)  # type: ignore[arg-type]
         owners = [_dot_escape(player) for player in doc.players]
@@ -635,9 +652,10 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
                     stack.append((kids[position - 1], 0))
                     break
                 edges.append(edge(parent, position - 1))
-    elif isinstance(game, _GRAPHS):
+    elif kind in _GRAPHS:
+        par = _module(".parametric")
         if highlight is not None:
-            check_stationary(game, highlight)
+            par.check_stationary(game, highlight)
         graph = game.embedding
         idents = {name: next(fresh) for name in graph.shapes}
         for name, shape in graph.shapes.items():
@@ -645,7 +663,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
             nodes.append(f'  {idents[name]} [label="{_dot_escape(label)}"];')
         for name, shape in graph.shapes.items():
             for label, target in shape.moves:
-                if isinstance(target, AffineLeaf):
+                if isinstance(target, par.AffineLeaf):
                     child = next(fresh)
                     rendered = ",".join(str(v) for v in target.outcome)
                     nodes.append(f'  {child} [label="{_dot_escape(rendered)}"];')
@@ -657,7 +675,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
                     else ""
                 )
                 edges.append(f'  {idents[name]} -> {child} [label="{_dot_escape(label)}"{bold}];')
-    elif isinstance(game, MatrixGame):
+    elif kind == "matrix":
         if highlight is not None:
             raise ShapeMismatch("matrix games have no highlightable profile")
         ident = next(fresh)
@@ -706,8 +724,8 @@ def parse_profile_text(text: str, game: Game) -> dict:
         }
         chosen_branches(game, profile)
         return profile
-    if isinstance(game, _GRAPHS):
-        check_stationary(game, entries)
+    if game.KIND in _GRAPHS:
+        _module(".parametric").check_stationary(game, entries)
         return entries
     raise ShapeMismatch("matrix games take no profile")
 
@@ -721,8 +739,8 @@ def render_profile(game: Game, profile: AnyProfile) -> str:
             f"{render_tree_path(path)} = {profile[path]}"  # type: ignore[index]
             for path in node_paths(game)
         ]
-    elif isinstance(game, _GRAPHS):
-        check_stationary(game, profile)  # type: ignore[arg-type]
+    elif game.KIND in _GRAPHS:
+        _module(".parametric").check_stationary(game, profile)  # type: ignore[arg-type]
         lines = [f"{name} = {profile[name]}" for name in game.embedding.shapes]  # type: ignore[index]
     else:
         raise ShapeMismatch("matrix games take no profile")

@@ -12,10 +12,9 @@ belief from the equilibrium set at every turn and never learn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .core import GameError, OutcomeVector
-from .cyclic import CyclicGame
 from .parametric import (
     AffineLeaf,
     Divergent,
@@ -25,6 +24,9 @@ from .parametric import (
     check_stationary,
     enumerate_stationary_spe,
 )
+
+if TYPE_CHECKING:
+    from .cyclic import CyclicGame
 
 Profile = Mapping[str, str]
 

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Sequence
 
-from .core import GameError
+from .core import GameError, LimitExceeded
 
 SUPPORT_LIMIT = 9
 
 
-class TooLarge(GameError):
+class TooLarge(LimitExceeded):
     """Support enumeration is bounded at 9x9 matrices."""
 
 
@@ -40,6 +40,8 @@ class DimensionMismatch(GameError):
 class MatrixGame:
     payoffs: tuple[tuple[Fraction, ...], ...]
     total: Fraction
+
+    KIND = "matrix"  # see ``Leaf.KIND``
 
     @property
     def rows(self) -> int:

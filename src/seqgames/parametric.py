@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .core import FiniteGame, GameError, Leaf, MalformedGame, Node, OutcomeVector, ShapeMismatch
+from .core import FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, ShapeMismatch
 from .finite import SpeReport, Violation
 
 if TYPE_CHECKING:
@@ -32,7 +32,7 @@ class UnknownShape(GameError):
     """A shape name is not defined in the game."""
 
 
-class SearchSpaceTooLarge(GameError):
+class SearchSpaceTooLarge(LimitExceeded):
     """The profile space exceeds the configured bound."""
 
 
@@ -116,8 +116,9 @@ class ParametricGame:
     shapes: Mapping[str, Shape]
     start: str
 
-    # How messages name a decision point, a choice there and a profile.
-    POINT, CHOICE, PROFILE = "shape", "move", "stationary"
+    # The game kind (see ``Leaf.KIND``), and how messages name a decision point,
+    # a choice there and a profile.
+    KIND, POINT, CHOICE, PROFILE = "param", "shape", "move", "stationary"
 
     def __post_init__(self) -> None:
         """``UnknownShape`` for the start, then, shape by shape in declaration order,

@@ -1,0 +1,224 @@
+"""Cold start: a fresh process loads only the modules of the game kind it
+runs and prints what the golden corpus pins, and the lazily loaded package
+keeps its public names.
+
+The golden corpus runs through ``cli.run`` in the test process, where every
+module is already loaded, so an import missing from one command's path
+shows only in a fresh process: each case here starts one.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import seqgames
+from seqgames import core, cyclic, dsl, escalation, finite, matrix, parametric
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli_corpus.json"
+COMMANDS = ("solve", "enumerate", "check", "unfold", "auction", "simulate", "matrix", "export")
+FINITE_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.finite"}
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process from the repository root, with
+    ``src`` first on the path and an 80-column terminal for argparse."""
+    path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, timeout=120, check=False
+    )
+
+
+# Runs ``seqgames <argv>`` as ``python -m seqgames`` does (the package is
+# imported, then its ``__main__`` runs as ``__main__``), then writes the exit
+# code and every module name in ``sys.modules`` as one JSON line to stderr.
+_RUN_AND_LIST = """
+import json, runpy, sys
+sys.argv = ["seqgames", *sys.argv[1:]]
+code = None
+try:
+    runpy.run_module("seqgames", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def loaded(*argv: str) -> set[str]:
+    """The modules a fresh ``seqgames *argv`` has loaded when it exits 0."""
+    done = fresh("-c", _RUN_AND_LIST, *argv)
+    code, modules = json.loads(done.stderr.decode("utf-8").splitlines()[-1])
+    assert code == 0, done.stderr
+    return set(modules)
+
+
+def package(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.partition(".")[0] == "seqgames"}
+
+
+class TestModulesLoaded:
+    def test_import_loads_no_submodule(self):
+        done = fresh("-c", "import json, sys, seqgames; print(json.dumps(sorted(sys.modules)))")
+        assert package(set(json.loads(done.stdout))) == {"seqgames"}
+
+    @pytest.mark.parametrize("argv", [["solve", "corpus/zero_one_7.game"], ["--help"]])
+    def test_solve_and_help_load_the_finite_path_only(self, argv):
+        assert package(loaded(*argv)) == FINITE_PATH
+
+    @pytest.mark.parametrize(
+        ("argv", "present", "absent"),
+        [
+            (
+                ["matrix", "corpus/rps_zerosum.game"],
+                {"seqgames.matrix"},
+                {"seqgames.cyclic", "seqgames.parametric", "seqgames.escalation"},
+            ),
+            (
+                ["enumerate", "corpus/zero_one_cyclic.game"],
+                {"seqgames.cyclic", "seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.escalation", "fractions"},
+            ),
+            (
+                ["simulate", "corpus/zero_one_param.game", "--horizon", "5", "--seed", "7"],
+                {"seqgames.escalation", "seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.cyclic"},
+            ),
+        ],
+        ids=["matrix", "enumerate-cyclic", "simulate-param"],
+    )
+    def test_a_command_loads_its_own_kind(self, argv, present, absent):
+        modules = loaded(*argv)
+        assert present <= modules
+        assert not absent & modules
+
+
+def _golden_picks() -> list[dict]:
+    """Per command, the first text case and the first JSON case (on another
+    game where there is one) that exit 0, then three wrong-kind refusals."""
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    picks = []
+    for command in COMMANDS:
+        ok = [case for case in cases if case["argv"][0] == command and case["code"] == 0]
+        text = next(case for case in ok if "--format" not in case["argv"])
+        in_json = [case for case in ok if "json" in case["argv"]]
+        picks.append(text)
+        picks.append(next((case for case in in_json if case["argv"][1] != text["argv"][1]), in_json[0]))
+    wrong_kinds = [
+        ["solve", "corpus/matching_pennies_matrix.game"],
+        ["matrix", "corpus/zero_one_7.game"],
+        ["check", "corpus/matching_pennies_matrix.game", "--profile", "corpus/profiles/alice_continues.profile"],
+    ]
+    picks.extend(next(case for case in cases if case["argv"] == argv) for argv in wrong_kinds)
+    return picks
+
+
+@pytest.mark.parametrize("case", _golden_picks(), ids=lambda case: " ".join(case["argv"]))
+def test_golden_case_in_a_fresh_process(case):
+    done = fresh("-m", "seqgames", *case["argv"])
+    got = (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8"))
+    assert got == (case["code"], case["stdout"], case["stderr"])
+
+
+def _ring(size: int) -> str:
+    """A cyclic game of ``size`` nodes, each ending the game or passing on: 2**size profiles."""
+    nodes = "".join(
+        f"  N{k}: {('Alice', 'Bertrand')[k % 2]} {{ stop -> leaf(0,0); go -> N{(k + 1) % size} }}\n"
+        for k in range(size)
+    )
+    return f"players Alice Bertrand\ncyclic start=N0 {{\n{nodes}}}\n"
+
+
+def _square(side: int) -> str:
+    rows = ";\n".join("  " + " ".join(str((i * j) % 7) for j in range(side)) for i in range(side))
+    return f"players Alice Bertrand\nmatrix sum=6 {{\n{rows}\n}}\n"
+
+
+@pytest.mark.parametrize(
+    ("command", "text"),
+    [
+        ("matrix", _square(matrix.SUPPORT_LIMIT + 1)),
+        ("enumerate", _ring(parametric.DEFAULT_SEARCH_BOUND.bit_length())),
+    ],
+    ids=["TooLarge", "SearchSpaceTooLarge"],
+)
+def test_limits_exit_3_in_a_fresh_process(tmp_path, command, text):
+    game = tmp_path / "big.game"
+    game.write_text(text, encoding="utf-8")
+    done = fresh("-m", "seqgames", command, str(game))
+    assert done.returncode == 3
+    assert done.stdout == b""
+    lines = done.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("limit: ")
+
+
+# Every name ``seqgames`` exported when it imported all of its modules at once.
+EXPORTS = {
+    core: (
+        "DEFAULT_PLAYERS FiniteGame GameError InvalidPlay Leaf MalformedGame Node NotTwoPlayer"
+        " ShapeMismatch induced_play leaf node outcome_of subgame_at"
+    ),
+    cyclic: (
+        "Converges CyclicGame CyclicNode Diverges SearchSpaceTooLarge UnknownNode check_spe_cyclic"
+        " enumerate_positional_spe induced_outcome unfold"
+    ),
+    escalation: (
+        "BeliefNotEquilibrium BeliefPair Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
+        " Terminates Uniform compose_beliefs detect_escalation simulate"
+    ),
+    finite: "Enumeration SpeReport TiePolicy Violation check_spe enumerate_equilibria solve",
+    matrix: "MatrixGame MixedProfile best_response_value matrix_game solve_constant_sum",
+    parametric: (
+        "AffineValue ConvergesAffine Divergent InvalidValue ParametricGame Shape UnknownShape affine"
+        " affine_leq check_spe_param dollar_auction enumerate_stationary_spe induced_outcome_param"
+        " instantiate"
+    ),
+    dsl: "GameDoc ParseError Unwritable ValidationError parse serialize to_dot",
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+SUBMODULES = {module.__name__.rpartition(".")[2]: module for module in EXPORTS}
+
+
+class TestPublicNames:
+    def test_each_name_is_its_modules_object(self):
+        for module, name in NAMES:
+            assert getattr(seqgames, name) is getattr(module, name), name
+        for short, module in SUBMODULES.items():
+            assert getattr(seqgames, short) is module
+
+    def test_listed_by_all_and_dir(self):
+        names = {name for _module, name in NAMES} | set(SUBMODULES) | {"LimitExceeded"}
+        assert names <= set(seqgames.__all__)
+        assert names <= set(dir(seqgames))
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from seqgames import *", namespace)
+        for module, name in NAMES:
+            assert namespace[name] is getattr(module, name), name
+
+    def test_unknown_name_is_an_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            seqgames.no_such_name  # noqa: B018
+
+    def test_limit_errors_share_one_base(self):
+        assert seqgames.LimitExceeded is core.LimitExceeded
+        assert issubclass(parametric.SearchSpaceTooLarge, core.LimitExceeded)
+        assert issubclass(matrix.TooLarge, core.LimitExceeded)
+        assert issubclass(core.LimitExceeded, core.GameError)
+
+    def test_every_game_class_names_its_kind(self):
+        kinds = {
+            core.Leaf: "finite",
+            core.Node: "finite",
+            cyclic.CyclicGame: "cyclic",
+            parametric.ParametricGame: "param",
+            matrix.MatrixGame: "matrix",
+        }
+        assert {cls: cls.KIND for cls in kinds} == kinds
