@@ -20,10 +20,7 @@ _EXPORTS = {
         "DEFAULT_PLAYERS FiniteGame GameError InvalidPlay Leaf LimitExceeded MalformedGame Node"
         " NotTwoPlayer ShapeMismatch induced_play leaf node outcome_of subgame_at"
     ),
-    "cyclic": (
-        "Converges CyclicGame CyclicNode Diverges UnknownNode check_spe_cyclic"
-        " enumerate_positional_spe induced_outcome unfold"
-    ),
+    "cyclic": "CyclicGame CyclicNode UnknownNode enumerate_positional_spe",
     "escalation": (
         "BeliefNotEquilibrium BeliefPair Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
         " Terminates Uniform compose_beliefs detect_escalation simulate"

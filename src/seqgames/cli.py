@@ -75,34 +75,36 @@ def _profile_text(game, profile) -> str:
     return ", ".join(f"{key}={action}" for key, action in items)
 
 
-def _value_json(value: object) -> object:
-    return value if isinstance(value, int) else str(value)
+def _stage0(value) -> int:
+    """A graph payoff at stage 0, where play from the start enters; a cyclic game's at any stage."""
+    return value.at(0)
 
 
-def _report_json(report: fin.SpeReport) -> dict[str, Any]:
-    def where(v: fin.Violation) -> str:
-        return dsl.render_tree_path(v.where) if isinstance(v.where, tuple) else str(v.where)
-
-    return {
-        "ok": report.ok,
-        "violations": [
-            {
-                "at": where(v),
-                "action": v.action,
-                "profile_value": _value_json(v.profile_value),
-                "deviation_value": _value_json(v.deviation_value),
-            }
-            for v in report.violations
-        ],
-        "divergences": list(report.divergences),
-    }
+def _value_json(value: object, kind: str) -> object:
+    """An int as it is, a cyclic game's payoff as its int, a param game's as its formula."""
+    if isinstance(value, int):
+        return value
+    return _stage0(value) if kind == "cyclic" else str(value)
 
 
-def _report_text(report: fin.SpeReport) -> list[str]:
-    lines = [f"ok: {'yes' if report.ok else 'no'}"]
-    for name in report.divergences:
-        lines.append(f"diverges from: {name}")
-    for item in _report_json(report)["violations"]:
+def _report_json(report: fin.SpeReport, kind: str) -> dict[str, Any]:
+    violations = [
+        {
+            "at": dsl.render_tree_path(v.where) if kind == "finite" else v.where,
+            "action": v.action,
+            "profile_value": _value_json(v.profile_value, kind),
+            "deviation_value": _value_json(v.deviation_value, kind),
+        }
+        for v in report.violations
+    ]
+    return {"ok": report.ok, "violations": violations, "divergences": list(report.divergences)}
+
+
+def _report_text(report: dict[str, Any]) -> list[str]:
+    """The text lines of a ``_report_json`` report."""
+    lines = [f"ok: {'yes' if report['ok'] else 'no'}"]
+    lines += [f"diverges from: {name}" for name in report["divergences"]]
+    for item in report["violations"]:
         lines.append(
             f"violation at {item['at']}: playing {item['action']} yields "
             f"{item['deviation_value']} > {item['profile_value']}"
@@ -183,12 +185,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     entries = []
     for profile in accepted:
         result = induced_outcome_param(game, profile)
-        # A cyclic game's values are its payoffs at every stage, so stage 0 reads them.
         entries.append(
             {
                 "profile": dict(profile),
                 route_key: list(result.path) if kind == "cyclic" else result.steps,
-                outcome_key: [v.at(0) for v in result.outcome],
+                outcome_key: [_stage0(v) for v in result.outcome],
             }
         )
     payload = {
@@ -212,22 +213,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         profile = dsl.parse_profile_text(handle.read(), game)
     if game.KIND == "finite":
         report = fin.check_spe(game, profile)
-    elif game.KIND == "cyclic":
-        from .cyclic import check_spe_cyclic
-        report = check_spe_cyclic(game, profile)
     else:
         from .parametric import check_spe_param
         report = check_spe_param(game, profile)
-    payload = {"command": "check", "kind": game.KIND, **_report_json(report)}
-    _render(args, payload, _report_text(report))
+    body = _report_json(report, game.KIND)
+    _render(args, {"command": "check", "kind": game.KIND, **body}, _report_text(body))
     return 0 if report.ok else 1
 
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
-    from .cyclic import unfold
+    from .parametric import instantiate
     doc = _load_game(args, "cyclic")
     terminal = _parse_outcome(args.terminal)
-    tree = unfold(doc.game, args.depth, terminal)
+    if args.depth < 1:  # worded for the command, not as instantiate's max_stage
+        raise ValueError("depth must be positive")
+    tree = instantiate(doc.game, args.depth, terminal)
     rendered = dsl.serialize(dsl.GameDoc(doc.players, tree))
     if args.format == "json":
         _emit(args, json.dumps({"command": "unfold", "game": rendered}, sort_keys=True) + "\n")
@@ -257,18 +257,18 @@ def _cmd_auction(args: argparse.Namespace) -> int:
         "value": args.value,
         "game": dsl.serialize(doc),
         "profiles": [
-            {"profile": dict(profile), **_report_json(report)}
+            {"profile": dict(profile), **_report_json(report, "param")}
             for profile, report in profiles
         ],
         "equilibrium_count": len(equilibria),
         "equilibria": [dict(profile) for profile in equilibria],
-        "never_bid": _report_json(never_report),
+        "never_bid": _report_json(never_report, "param"),
     }
     text = [f"value: {args.value}", f"stationary equilibria: {len(equilibria)}"]
     for profile in equilibria:
         text.append(f"  {_profile_text(game, profile)}")
     text.append("never-bid profile (abandon everywhere): " + ("equilibrium" if never_report.ok else "NOT an equilibrium"))
-    text.extend("  " + line for line in _report_text(never_report)[1:])
+    text.extend("  " + line for line in _report_text(payload["never_bid"])[1:])
     if args.max_stage is not None:
         terminal = _parse_outcome(args.terminal) if args.terminal else (0, 0)
         tree = instantiate(game, args.max_stage, terminal)

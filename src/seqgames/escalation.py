@@ -162,12 +162,6 @@ def detect_escalation(
     )
 
 
-def equilibrium_beliefs(game: CyclicGame | ParametricGame) -> list[Profile]:
-    """The belief universe for ``simulate``: all positional/stationary
-    equilibria of the game, in canonical enumeration order."""
-    return enumerate_stationary_spe(game)
-
-
 def simulate(
     game: CyclicGame | ParametricGame,
     horizon: int,
@@ -178,13 +172,14 @@ def simulate(
     """Play memoryless agents for at most ``horizon`` turns.
 
     At every turn the mover selects a belief among the game's equilibria
-    (afresh: nothing is remembered) and plays their own action in it.  The
-    run stops at the first leaf or when the horizon is hit.  Traces are a
-    pure function of (seed, policy, horizon).
+    (``equilibria``, by default all of them in ``enumerate_stationary_spe``
+    order), afresh, since nothing is remembered, and plays their own action
+    in it.  The run stops at the first leaf or when the horizon is hit.
+    Traces are a pure function of (seed, policy, horizon).
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    beliefs = equilibrium_beliefs(game) if equilibria is None else list(equilibria)
+    beliefs = enumerate_stationary_spe(game) if equilibria is None else list(equilibria)
     if not beliefs:
         raise NoEquilibria("no equilibrium beliefs available")
     for belief in beliefs:

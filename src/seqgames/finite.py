@@ -37,8 +37,8 @@ class Violation:
     """A one-shot deviation that strictly improves the node owner's utility.
 
     ``where`` is a node path for tree games and a node or shape name for
-    graph games; the two value fields are ints there and affine values for
-    stage-parametric games.
+    graph games; the two value fields are ints for tree games and affine
+    values for graph games (of slope 0 for a cyclic game).
     """
 
     where: Union[PlayLine, str]

@@ -7,8 +7,9 @@ at stage ``n + 1``.  Stationary profiles choose one move per shape, so
 equilibrium inequalities can be decided symbolically for all stages at
 once by comparing affine coefficients.
 
-The profile functions also take a ``CyclicGame``: they run on its
-``embedding`` and word their messages with its ``POINT``, ``CHOICE`` and ``PROFILE``.
+Every analysis here also takes a ``CyclicGame``: it runs on its ``embedding``
+and words its messages with its ``POINT``, ``CHOICE`` and ``PROFILE``, and a
+cyclic game's payoffs come back as ``AffineValue``s of slope 0.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def dollar_auction(value: int) -> ParametricGame:
     return ParametricGame({"A0": entry, "A": alice, "B": bertrand}, "A0")
 
 
-def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -> FiniteGame:
+def instantiate(game: CyclicGame | ParametricGame, max_stage: int, terminal: OutcomeVector) -> FiniteGame:
     """Concrete finite tree covering stages ``0 .. max_stage - 1``.
 
     Affine payoffs are evaluated at the stage where their leaf is taken;
@@ -403,13 +404,14 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
     ``Leaf(terminal)``.  The subtree entered at a (shape, stage) pair is
     built once and shared wherever that pair recurs, and a leaf whose
     payoffs all have slope 0 is the same ``Leaf`` (``AffineLeaf.constant``)
-    at every stage.
+    at every stage, so a cyclic game unrolls to ``max_stage`` decision layers.
     """
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
-    shapes = game.shapes
+    graph = game.embedding
+    shapes = graph.shapes
     cut = Leaf(tuple(terminal))
-    layers = _layers(game, max_stage)
+    layers = _layers(graph, max_stage)
     below: dict[str, Node] = {}  # per shape, the node entered at the next stage
     for stage in range(len(layers) - 1, -1, -1):
         built: dict[str, Node] = {}
@@ -424,7 +426,7 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
                 branches.append((move, sub))
             built[name] = Node(shape.owner, tuple(branches))
         below = built
-    return below[game.start]
+    return below[graph.start]
 
 
 def instantiate_profile(

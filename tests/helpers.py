@@ -5,8 +5,8 @@ brute-force equilibrium filter enumerates every profile and tests the
 one-deviation property by direct tree walks, so it can referee
 ``enumerate_equilibria`` and ``check_spe``; the graph referees trace
 induced play step by step (on the cyclic graph itself, or at concrete
-stages of a parametric game), so they can referee the symbolic engine
-behind ``check_spe_cyclic`` and ``check_spe_param``;
+stages of a parametric game), so they can referee ``check_spe_param``,
+the symbolic engine for both kinds;
 ``reference_constant_sum`` solves each side of a matrix game separately with Gaussian elimination over
 Fractions, so it can referee the integer kernel of ``solve_constant_sum``;
 the recursive tree kernels (``reference_solve``, ``reference_check_spe``,

@@ -22,7 +22,7 @@ from helpers import (
 )
 
 from seqgames.core import induced_play, outcome_of
-from seqgames.cyclic import check_spe_cyclic, enumerate_positional_spe, unfold
+from seqgames.cyclic import enumerate_positional_spe
 from seqgames.dsl import GameDoc, parse, serialize, to_dot
 from seqgames.escalation import (
     BeliefPair,
@@ -40,6 +40,7 @@ from seqgames.parametric import (
     dollar_auction,
     from_cyclic,
     induced_outcome_param,
+    instantiate,
 )
 
 
@@ -92,15 +93,15 @@ def test_criterion_3_cyclic_loop():
     game = loop01()
     accepted = enumerate_positional_spe(game)
     exact = accepted == [{"A": "a", "B": "c"}, {"A": "c", "B": "a"}]
-    divergence = check_spe_cyclic(game, {"A": "c", "B": "c"})
+    divergence = check_spe_param(game, {"A": "c", "B": "c"})
     divergence_ok = not divergence.ok and divergence.divergences == ("A", "B")
-    both_abandon = check_spe_cyclic(game, {"A": "a", "B": "a"})
+    both_abandon = check_spe_param(game, {"A": "a", "B": "a"})
     witness = next((v for v in both_abandon.violations if v.where == "A"), None)
     witness_ok = (
         not both_abandon.ok
         and witness is not None
         and witness.action == "c"
-        and witness.deviation_value > witness.profile_value
+        and (witness.profile_value, witness.deviation_value) == (affine(0), affine(1))
     )
     report(
         "criterion 3: the cyclic loop has exactly the two one-sided equilibria; "
@@ -114,7 +115,7 @@ def test_criterion_4_non_extrapolation():
     ok = True
     for depth in range(1, 13):
         expected = (1, 0) if depth % 2 else (0, 1)
-        tree = unfold(game, depth, expected)
+        tree = instantiate(game, depth, expected)
         result = enumerate_equilibria(tree)
         ok &= not result.truncated
         ok &= {induced_play(tree, p)[1] for p in result.profiles} == {expected}
@@ -171,8 +172,8 @@ def test_criterion_6_escalation():
     loop = loop01()
     loop_beliefs = BeliefPair({"A": "c", "B": "a"}, {"A": "a", "B": "c"})
     loop_ok = (
-        check_spe_cyclic(loop, loop_beliefs.belief_of_a).ok
-        and check_spe_cyclic(loop, loop_beliefs.belief_of_b).ok
+        check_spe_param(loop, loop_beliefs.belief_of_a).ok
+        and check_spe_param(loop, loop_beliefs.belief_of_b).ok
         and isinstance(detect_escalation(loop, loop_beliefs), Escalates)
     )
     auction = dollar_auction(100)
@@ -249,7 +250,7 @@ def test_criterion_9_oracle_equivalence():
     loop = loop01()
     embedded = from_cyclic(loop)
     agreement = all(
-        check_spe_cyclic(loop, {"A": a, "B": b}).ok
+        check_spe_param(loop, {"A": a, "B": b}).ok
         == check_spe_param(embedded, {"A": a, "B": b}).ok
         for a in ("a", "c")
         for b in ("a", "c")

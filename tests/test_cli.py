@@ -169,6 +169,35 @@ class TestCheck:
             assert code == 0
 
     @pytest.mark.parametrize(
+        "profile, text, payload",
+        [
+            (
+                "A = a\nB = a\n",
+                "ok: no\n"
+                "violation at A: playing c yields 1 > 0\n"
+                "violation at B: playing c yields 1 > 0\n",
+                '{"command": "check", "divergences": [], "kind": "cyclic", "ok": false, "violations": ['
+                '{"action": "c", "at": "A", "deviation_value": 1, "profile_value": 0}, '
+                '{"action": "c", "at": "B", "deviation_value": 1, "profile_value": 0}]}\n',
+            ),
+            (
+                "A = c\nB = c\n",
+                "ok: no\ndiverges from: A\ndiverges from: B\n",
+                '{"command": "check", "divergences": ["A", "B"], "kind": "cyclic", "ok": false, '
+                '"violations": []}\n',
+            ),
+        ],
+        ids=["both_abandon", "both_continue"],
+    )
+    def test_cyclic_rejections_are_pinned(self, capsys, corpus_dir, tmp_path, profile, text, payload):
+        # A cyclic payoff is printed as its int, in JSON too: 1, never "1".
+        path = tmp_path / "loop.profile"
+        path.write_text(profile)
+        game = str(corpus_dir / "zero_one_cyclic.game")
+        assert invoke(capsys, "check", game, "--profile", str(path)) == (1, text)
+        assert invoke(capsys, "check", game, "--profile", str(path), "--format", "json") == (1, payload)
+
+    @pytest.mark.parametrize(
         "game, profile, root_choice, message",
         [
             (

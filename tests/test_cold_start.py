@@ -158,16 +158,13 @@ def test_limits_exit_3_in_a_fresh_process(tmp_path, command, text):
     assert len(lines) == 1 and lines[0].startswith("limit: ")
 
 
-# Every name ``seqgames`` exported when it imported all of its modules at once.
+# Every name ``seqgames`` exports, by the module it is taken from.
 EXPORTS = {
     core: (
         "DEFAULT_PLAYERS FiniteGame GameError InvalidPlay Leaf MalformedGame Node NotTwoPlayer"
         " ShapeMismatch induced_play leaf node outcome_of subgame_at"
     ),
-    cyclic: (
-        "Converges CyclicGame CyclicNode Diverges SearchSpaceTooLarge UnknownNode check_spe_cyclic"
-        " enumerate_positional_spe induced_outcome unfold"
-    ),
+    cyclic: "CyclicGame CyclicNode SearchSpaceTooLarge UnknownNode enumerate_positional_spe",
     escalation: (
         "BeliefNotEquilibrium BeliefPair Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
         " Terminates Uniform compose_beliefs detect_escalation simulate"
@@ -196,6 +193,12 @@ class TestPublicNames:
         names = {name for _module, name in NAMES} | set(SUBMODULES) | {"LimitExceeded"}
         assert names <= set(seqgames.__all__)
         assert names <= set(dir(seqgames))
+
+    def test_the_replaced_cyclic_adapters_are_not_exported(self):
+        for name in ("Converges", "Diverges", "check_spe_cyclic", "induced_outcome", "unfold"):
+            assert name not in seqgames.__all__
+            with pytest.raises(AttributeError):
+                getattr(seqgames, name)
 
     def test_star_import(self):
         namespace: dict = {}

@@ -11,36 +11,39 @@ from helpers import chain01, loop01, random_cyclic, reference_is_spe, reference_
 from seqgames import cyclic, parametric
 from seqgames.core import MalformedGame, ShapeMismatch, leaf, node
 from seqgames.cyclic import (
-    Converges,
     CyclicGame,
     CyclicNode,
-    Diverges,
     SearchSpaceTooLarge,
     UnknownNode,
-    check_spe_cyclic,
     enumerate_positional_spe,
-    induced_outcome,
-    unfold,
-    unfold_profile,
 )
 from seqgames.finite import check_spe, enumerate_equilibria
+from seqgames.parametric import (
+    ConvergesAffine,
+    Divergent,
+    affine,
+    check_spe_param,
+    induced_outcome_param,
+    instantiate,
+    instantiate_profile,
+)
 
 
 class TestInducedOutcome:
     def test_alice_abandons_from_start(self):
-        result = induced_outcome(loop01(), {"A": "a", "B": "c"}, "A")
-        assert result == Converges(("A",), (0, 1))
+        result = induced_outcome_param(loop01(), {"A": "a", "B": "c"}, "A")
+        assert result == ConvergesAffine(("A",), (affine(0), affine(1)))
 
     def test_both_continue_diverges(self):
-        result = induced_outcome(loop01(), {"A": "c", "B": "c"}, "A")
-        assert result == Diverges(stem=(), cycle=("A", "B"))
+        result = induced_outcome_param(loop01(), {"A": "c", "B": "c"}, "A")
+        assert result == Divergent(stem=(), cycle=("A", "B"))
 
     def test_immediate_abandon_from_b(self):
-        result = induced_outcome(loop01(), {"A": "c", "B": "a"}, "B")
-        assert result == Converges(("B",), (1, 0))
+        result = induced_outcome_param(loop01(), {"A": "c", "B": "a"}, "B")
+        assert result == ConvergesAffine(("B",), (affine(1), affine(0)))
 
     def test_default_start(self):
-        assert induced_outcome(loop01(), {"A": "a", "B": "c"}) == Converges(("A",), (0, 1))
+        assert induced_outcome_param(loop01(), {"A": "a", "B": "c"}) == ConvergesAffine(("A",), (affine(0), affine(1)))
 
     def test_stem_before_cycle(self):
         game = CyclicGame(
@@ -51,24 +54,24 @@ class TestInducedOutcome:
             },
             "S",
         )
-        result = induced_outcome(game, {"S": "go", "A": "c", "B": "c"})
-        assert result == Diverges(stem=("S",), cycle=("A", "B"))
+        result = induced_outcome_param(game, {"S": "go", "A": "c", "B": "c"})
+        assert result == Divergent(stem=("S",), cycle=("A", "B"))
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
-            induced_outcome(loop01(), {"A": "a", "B": "c"}, "Z")
+            induced_outcome_param(loop01(), {"A": "a", "B": "c"}, "Z")
 
     def test_invalid_profile(self):
         with pytest.raises(ShapeMismatch):
-            induced_outcome(loop01(), {"A": "a"})
+            induced_outcome_param(loop01(), {"A": "a"})
 
     def test_convergent_path_length_bounded_by_node_count(self):
         rng = random.Random(3)
         for _ in range(80):
             game = random_cyclic(rng)
             for profile in _profiles(game):
-                result = induced_outcome(game, profile)
-                if isinstance(result, Converges):
+                result = induced_outcome_param(game, profile)
+                if isinstance(result, ConvergesAffine):
                     assert len(result.path) <= len(game.nodes)
                     assert len(set(result.path)) == len(result.path)
 
@@ -81,21 +84,21 @@ def _profiles(game: CyclicGame):
 
 class TestCheckSpe:
     def test_alice_abandons_is_equilibrium(self):
-        assert check_spe_cyclic(loop01(), {"A": "a", "B": "c"}).ok
+        assert check_spe_param(loop01(), {"A": "a", "B": "c"}).ok
 
     def test_alice_continues_is_equilibrium(self):
-        assert check_spe_cyclic(loop01(), {"A": "c", "B": "a"}).ok
+        assert check_spe_param(loop01(), {"A": "c", "B": "a"}).ok
 
     def test_both_abandon_rejected_with_deviation_at_a(self):
-        report = check_spe_cyclic(loop01(), {"A": "a", "B": "a"})
+        report = check_spe_param(loop01(), {"A": "a", "B": "a"})
         assert not report.ok
         violation = next(v for v in report.violations if v.where == "A")
         assert violation.action == "c"
-        assert violation.profile_value == 0
-        assert violation.deviation_value == 1
+        assert violation.profile_value == affine(0)
+        assert violation.deviation_value == affine(1)
 
     def test_both_continue_rejected_for_divergence(self):
-        report = check_spe_cyclic(loop01(), {"A": "c", "B": "c"})
+        report = check_spe_param(loop01(), {"A": "c", "B": "c"})
         assert not report.ok
         assert report.divergences == ("A", "B")
         assert report.violations == ()
@@ -105,7 +108,7 @@ class TestCheckSpe:
         for _ in range(60):
             game = random_cyclic(rng)
             for profile in _profiles(game):
-                assert check_spe_cyclic(game, profile).ok == reference_is_spe(game, profile)
+                assert check_spe_param(game, profile).ok == reference_is_spe(game, profile)
 
     def test_full_report_matches_reference_on_random_games(self):
         rng = random.Random(41)
@@ -113,15 +116,13 @@ class TestCheckSpe:
         for _ in range(300):
             game = random_cyclic(rng)
             for profile in _profiles(game):
-                report = check_spe_cyclic(game, profile)
+                report = check_spe_param(game, profile)
                 divergent, violations = reference_report_cyclic(game, profile)
                 assert report.divergences == divergent
                 assert [
                     (v.where, v.action, v.profile_value, v.deviation_value)
                     for v in report.violations
-                ] == violations
-                for v in report.violations:
-                    assert type(v.profile_value) is int and type(v.deviation_value) is int
+                ] == [(where, action, affine(p), affine(d)) for where, action, p, d in violations]
                 checked += 1
         assert checked > 2000
 
@@ -134,8 +135,8 @@ class TestCheckSpe:
                 },
                 "A",
             )
-            check_spe_cyclic(game, {"A": "a", "B": "c"})
-            induced_outcome(game, {"A": "c", "B": "a"})
+            check_spe_param(game, {"A": "a", "B": "c"})
+            induced_outcome_param(game, {"A": "c", "B": "a"})
 
 
 class TestEngine:
@@ -150,7 +151,6 @@ class TestEngine:
         assert cyclic.SearchSpaceTooLarge is parametric.SearchSpaceTooLarge
         assert cyclic.DEFAULT_SEARCH_BOUND is parametric.DEFAULT_SEARCH_BOUND
         assert UnknownNode is parametric.UnknownShape
-        assert Diverges is parametric.Divergent
 
     def test_duplicate_edge_labels_are_rejected(self):
         with pytest.raises(MalformedGame, match="^'s' has two choices labelled 'x'$"):
@@ -196,7 +196,7 @@ class TestEnumerate:
         rng = random.Random(31)
         for _ in range(40):
             game = random_cyclic(rng)
-            expected = [p for p in _profiles(game) if check_spe_cyclic(game, p).ok]
+            expected = [p for p in _profiles(game) if check_spe_param(game, p).ok]
             assert enumerate_positional_spe(game) == expected
 
     def test_search_space_bound(self):
@@ -211,17 +211,17 @@ class TestEnumerate:
 
 class TestUnfold:
     def test_depth_seven_gives_the_seven_round_chain(self):
-        assert unfold(loop01(), 7, (1, 0)) == chain01(7)
+        assert instantiate(loop01(), 7, (1, 0)) == chain01(7)
 
     def test_depth_six_gives_the_six_round_chain(self):
-        assert unfold(loop01(), 6, (0, 1)) == chain01(6)
+        assert instantiate(loop01(), 6, (0, 1)) == chain01(6)
 
     def test_depth_one(self):
-        assert unfold(loop01(), 1, (9, 9)) == node(0, ("a", leaf(0, 1)), ("c", leaf(9, 9)))
+        assert instantiate(loop01(), 1, (9, 9)) == node(0, ("a", leaf(0, 1)), ("c", leaf(9, 9)))
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            unfold(loop01(), 0, (0, 0))
+            instantiate(loop01(), 0, (0, 0))
 
     def test_accepted_profiles_survive_truncation(self):
         # cutting at the profile's own continuation value keeps it subgame
@@ -230,10 +230,10 @@ class TestUnfold:
         for profile in enumerate_positional_spe(game):
             for depth in range(1, 21):
                 boundary = "A" if depth % 2 == 0 else "B"
-                cut_value = induced_outcome(game, profile, boundary)
-                assert isinstance(cut_value, Converges)
-                tree = unfold(game, depth, cut_value.outcome)
-                restriction = unfold_profile(game, profile, depth)
+                cut_value = induced_outcome_param(game, profile, boundary)
+                assert isinstance(cut_value, ConvergesAffine)
+                tree = instantiate(game, depth, tuple(v.at(0) for v in cut_value.outcome))
+                restriction = instantiate_profile(game, profile, depth)
                 assert check_spe(tree, restriction).ok
 
     def test_unfold_profile_keys_match_tree(self):
@@ -241,8 +241,8 @@ class TestUnfold:
 
         game = loop01()
         for depth in (1, 3, 6):
-            tree = unfold(game, depth, (0, 0))
-            restriction = unfold_profile(game, {"A": "a", "B": "c"}, depth)
+            tree = instantiate(game, depth, (0, 0))
+            restriction = instantiate_profile(game, {"A": "a", "B": "c"}, depth)
             assert set(restriction) == set(tree_paths(tree))
 
 
@@ -251,7 +251,7 @@ class TestNonExtrapolation:
         game = loop01()
         for depth in range(1, 13):
             expected = (1, 0) if depth % 2 else (0, 1)
-            tree = unfold(game, depth, expected)
+            tree = instantiate(game, depth, expected)
             result = enumerate_equilibria(tree)
             assert not result.truncated
             from seqgames.core import induced_play

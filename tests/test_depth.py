@@ -15,9 +15,9 @@ from helpers import chain01, loop01
 
 from seqgames.cli import run
 from seqgames.core import induced_play, leaf, node
-from seqgames.cyclic import unfold
 from seqgames.dsl import GameDoc, parse, parse_profile_text, render_profile, serialize, to_dot
 from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
+from seqgames.parametric import instantiate
 
 DEPTH = 2000
 PLAYERS = ("Alice", "Bertrand")
@@ -65,7 +65,7 @@ def test_equality_and_hash(deep_text):
 
 
 def test_unfold_matches_the_chain():
-    assert unfold(loop01(), 1500, (0, 1)) == chain01(1500)
+    assert instantiate(loop01(), 1500, (0, 1)) == chain01(1500)
 
 
 def test_cli_auction_truncated_deep(capsys):
@@ -79,4 +79,4 @@ def test_cli_unfold_deep(capsys, corpus_dir):
     assert run(["unfold", game, "--depth", "1500", "--terminal", "1,0"]) == 0
     tree = parse(capsys.readouterr().out).game
     assert len(tree.index.postorder) == 1500
-    assert tree == unfold(loop01(), 1500, (1, 0))
+    assert tree == instantiate(loop01(), 1500, (1, 0))

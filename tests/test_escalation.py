@@ -6,7 +6,7 @@ import pytest
 from helpers import loop01
 
 from seqgames.core import ShapeMismatch, leaf
-from seqgames.cyclic import CyclicGame, CyclicNode, Diverges
+from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.escalation import (
     BeliefNotEquilibrium,
     BeliefPair,
@@ -17,10 +17,9 @@ from seqgames.escalation import (
     Terminates,
     compose_beliefs,
     detect_escalation,
-    equilibrium_beliefs,
     simulate,
 )
-from seqgames.parametric import Divergent, dollar_auction
+from seqgames.parametric import Divergent, dollar_auction, enumerate_stationary_spe
 
 # Each player believes the game follows the equilibrium in which the OTHER
 # player eventually gives up.
@@ -88,7 +87,7 @@ class TestDetect:
     def test_crossed_beliefs_escalate_on_the_loop(self):
         verdict = detect_escalation(loop01(), LOOP_CROSSED)
         assert isinstance(verdict, Escalates)
-        assert verdict.witness == Diverges(stem=(), cycle=("A", "B"))
+        assert verdict.witness == Divergent(stem=(), cycle=("A", "B"))
 
     def test_shared_abandon_belief_terminates_immediately(self):
         belief = {"A": "a", "B": "c"}
@@ -128,7 +127,7 @@ class TestDetect:
 
 class TestSimulate:
     def test_equilibrium_beliefs_for_the_loop(self):
-        assert equilibrium_beliefs(loop01()) == [
+        assert enumerate_stationary_spe(loop01()) == [
             {"A": "a", "B": "c"},
             {"A": "c", "B": "a"},
         ]
@@ -155,7 +154,7 @@ class TestSimulate:
             assert simulate(loop01(), 1000, seed) == simulate(loop01(), 1000, seed)
 
     def test_every_step_is_locally_rational(self):
-        beliefs = equilibrium_beliefs(loop01())
+        beliefs = enumerate_stationary_spe(loop01())
         for seed in range(200):
             trace = simulate(loop01(), 1000, seed)
             for step in trace.steps:

@@ -81,13 +81,9 @@ class TestCheckMatchesReference:
         for game in _small_games(87, 200):
             if isinstance(game, cy.CyclicGame):
                 for profile in par.stationary_profiles(game.embedding):
-                    report = cy.check_spe_cyclic(game, profile)
-                    expected = reference_spe_report_param(game.embedding, profile)
-                    assert report.divergences == expected.divergences
-                    assert [(v.where, v.action, v.profile_value, v.deviation_value) for v in report.violations] == [
-                        (v.where, v.action, v.profile_value.const, v.deviation_value.const)
-                        for v in expected.violations
-                    ]
+                    report = par.check_spe_param(game, profile)
+                    assert report == reference_spe_report_param(game.embedding, profile)
+                    assert all(v.profile_value.slope == v.deviation_value.slope == 0 for v in report.violations)
 
     def test_entry_stages_match_the_layered_search(self):
         for game in _small_games(89, 300):
@@ -199,11 +195,11 @@ class TestScale:
         assert len(found) == 2 ** (20 // 2 + 1) - 2 == 2046
         ranks = [tuple(profile[name] for name in game.nodes) for profile in found]
         assert ranks == sorted(set(ranks))  # "a" < "c": product order, no repeats
-        assert all(cy.check_spe_cyclic(game, profile).ok for profile in found[::97])
+        assert all(par.check_spe_param(game, profile).ok for profile in found[::97])
 
     def test_ring_2000_continuing_everywhere_diverges_from_every_node(self):
         game = ring(2000)
-        report = cy.check_spe_cyclic(game, {name: "c" for name in game.nodes})
+        report = par.check_spe_param(game, {name: "c" for name in game.nodes})
         assert report.divergences == tuple(game.nodes)
         assert report.violations == ()
 
@@ -232,19 +228,16 @@ class TestListValuedChoice:
             call({"A": ["a"], "B": "c"})
 
 
-@pytest.mark.parametrize(
-    "call, instead",
-    [
-        (lambda game: cy.induced_outcome(game, NEVER_BID), "induced_outcome_param"),
-        (lambda game: cy.check_spe_cyclic(game, NEVER_BID), "check_spe_param"),
-        (lambda game: cy.unfold(game, 3, (0, 0)), "instantiate"),
-        (lambda game: cy.unfold_profile(game, NEVER_BID, 3), "instantiate_profile"),
-    ],
-    ids=["induced_outcome", "check_spe_cyclic", "unfold", "unfold_profile"],
-)
-def test_cyclic_adapters_reject_a_parametric_game(call, instead):
-    with pytest.raises(TypeError, match=rf"^expected a CyclicGame, got ParametricGame; use parametric\.{instead}$"):
-        call(par.dollar_auction(100))
+def test_the_cyclic_names_the_benchmark_calls_are_the_parametric_functions():
+    assert cy.check_spe_cyclic is par.check_spe_param
+    assert cy.induced_outcome is par.induced_outcome_param
+    assert cy.unfold is par.instantiate
+    assert cy.enumerate_positional_spe is par.enumerate_stationary_spe
+    # A param game keeps its affine values: A is never entered at stage 0, so no stage-0 reading.
+    report = cy.check_spe_cyclic(par.dollar_auction(100), NEVER_BID)
+    assert report == par.check_spe_param(par.dollar_auction(100), NEVER_BID)
+    at_a = next(v for v in report.violations if v.where == "A")
+    assert (at_a.profile_value, at_a.deviation_value) == (par.affine(1, -1), par.affine(99, -1))
 
 
 def test_escalation_reports_a_start_the_game_lacks():

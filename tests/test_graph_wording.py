@@ -39,13 +39,13 @@ def _text(profile: dict) -> str:
     return "".join(f"{key} = {action}\n" for key, action in profile.items())
 
 
-def _entries(game, good, check, induced, restrict):
+def _entries(game, good):
     """(name, call) for every public entry point taking a profile of ``game``."""
     doc = dsl.GameDoc(("Alice", "Bertrand"), game)
     return [
-        ("check_spe", lambda p: check(game, p)),
-        ("induced_outcome", lambda p: induced(game, p)),
-        ("restrict_profile", lambda p: restrict(game, p, 2)),
+        ("check_spe", lambda p: par.check_spe_param(game, p)),
+        ("induced_outcome", lambda p: par.induced_outcome_param(game, p)),
+        ("restrict_profile", lambda p: par.instantiate_profile(game, p, 2)),
         ("compose_beliefs a", lambda p: esc.compose_beliefs(game, esc.BeliefPair(p, good))),
         ("compose_beliefs b", lambda p: esc.compose_beliefs(game, esc.BeliefPair(good, p))),
         ("detect_escalation a", lambda p: esc.detect_escalation(game, esc.BeliefPair(p, good))),
@@ -66,29 +66,12 @@ def _entries(game, good, check, induced, restrict):
 
 CASES = [
     (f"{kind} {entry} {fault}", call, profile, messages[fault])
-    for kind, game, good, check, induced, restrict, faulty, messages in (
-        (
-            "cyclic",
-            loop01(),
-            LOOP_GOOD,
-            cy.check_spe_cyclic,
-            cy.induced_outcome,
-            cy.unfold_profile,
-            {"wrong": LOOP_WRONG, "missing": LOOP_MISSING},
-            LOOP_MESSAGES,
-        ),
-        (
-            "param",
-            par.dollar_auction(100),
-            AUCTION_GOOD,
-            par.check_spe_param,
-            par.induced_outcome_param,
-            par.instantiate_profile,
-            {"wrong": AUCTION_WRONG, "missing": AUCTION_MISSING},
-            AUCTION_MESSAGES,
-        ),
+    for kind, game, good, faulty, messages in (
+        ("cyclic", loop01(), LOOP_GOOD, {"wrong": LOOP_WRONG, "missing": LOOP_MISSING}, LOOP_MESSAGES),
+        ("param", par.dollar_auction(100), AUCTION_GOOD, {"wrong": AUCTION_WRONG, "missing": AUCTION_MISSING},
+         AUCTION_MESSAGES),
     )
-    for entry, call in _entries(game, good, check, induced, restrict)
+    for entry, call in _entries(game, good)
     for fault, profile in faulty.items()
 ]
 

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqgames.core import MalformedGame, ShapeMismatch, induced_play, leaf, node
-from seqgames.cyclic import check_spe_cyclic
 from seqgames.finite import check_spe, enumerate_equilibria, solve, TiePolicy
 from seqgames.parametric import (
     Advance,
@@ -187,7 +186,7 @@ class TestCheckSpe:
                 profile = {"A": a_choice, "B": b_choice}
                 assert (
                     check_spe_param(embedded, profile).ok
-                    == check_spe_cyclic(graph, profile).ok
+                    == check_spe_param(graph, profile).ok
                 )
 
     def test_invalid_profile(self):
