@@ -10,26 +10,28 @@ strictly below every convergent outcome, because divergent play never
 reaches a payoff.
 
 A cyclic game is the stage-parametric game whose payoffs all have slope 0,
-so this module is the representation only.  Every analysis is a
-``parametric`` function that takes either kind: it runs on the game's
-cached ``embedding``, words its messages in the game's own terms
-(``POINT``, ``CHOICE``, ``PROFILE``) and reports ``AffineValue`` payoffs,
-which for a cyclic game have slope 0 and are the same at every stage.
+so ``CyclicGame`` is a ``ParametricGame`` that refuses a sloped payoff, and
+``CyclicNode`` builds a node's ``Shape``: an edge to a ``Leaf`` becomes a
+slope-0 ``AffineLeaf`` and an edge to a node name an ``Advance``.  Every
+analysis is a ``parametric`` function; it words its messages in the game's
+own terms (``POINT``, ``CHOICE``, ``PROFILE``) and reports ``AffineValue``
+payoffs, which for a cyclic game are the same at every stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Union
 
-from .core import Leaf
+from .core import Leaf, MalformedGame
 from .parametric import (  # DEFAULT_SEARCH_BOUND and SearchSpaceTooLarge are re-exported
     DEFAULT_SEARCH_BOUND,
+    Advance,
+    AffineLeaf,
     ParametricGame,
     SearchSpaceTooLarge,
+    Shape,
     UnknownShape,
-    from_cyclic,
+    affine,
 )
 
 # The benchmark harness still calls these by their cyclic names; each is its parametric twin.
@@ -42,32 +44,27 @@ from .parametric import instantiate as unfold
 UnknownNode = UnknownShape
 
 
-@dataclass(frozen=True)
-class CyclicNode:
-    owner: int
-    edges: tuple[tuple[str, Union[str, Leaf]], ...]
+def CyclicNode(owner: int, edges: tuple[tuple[str, Union[str, Leaf]], ...]) -> Shape:
+    """The ``Shape`` of a decision node whose edges point at a ``Leaf`` or a node name."""
+    return Shape(owner, tuple(
+        (label, AffineLeaf(tuple(map(affine, target.outcome))) if isinstance(target, Leaf) else Advance(target))
+        for label, target in edges
+    ))
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.edges)
 
+class CyclicGame(ParametricGame):
+    """A parametric game whose payoffs all have slope 0, named as a graph of nodes and edges."""
 
-@dataclass(frozen=True)
-class CyclicGame:
-    nodes: Mapping[str, CyclicNode]
-    start: str
-
-    # The game kind (see ``Leaf.KIND``), and how messages name a decision point,
-    # a choice there and a profile.
     KIND, POINT, CHOICE, PROFILE = "cyclic", "node", "edge", "positional"
 
     def __post_init__(self) -> None:
-        self.embedding  # built with the game, whose constructor raises UnknownNode for a dangling reference
-
-    @cached_property
-    def embedding(self) -> ParametricGame:
-        """The slope-0 parametric game every analysis runs on, built with the
-        game and kept: a game's nodes are not to be changed once it is built."""
-        return from_cyclic(self)
+        """The ``ParametricGame`` checks, then ``MalformedGame`` for the first payoff,
+        in declaration and edge order, whose slope is not 0."""
+        super().__post_init__()
+        for name, shape in self.shapes.items():
+            for label, target in shape.moves:
+                if isinstance(target, AffineLeaf) and any(value.slope for value in target.outcome):
+                    raise MalformedGame(f"edge {label!r} at {name!r} has a payoff with a nonzero slope")
 
 
 #: One chosen edge label per node name.

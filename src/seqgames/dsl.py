@@ -49,12 +49,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from types import ModuleType
 
-    from .cyclic import CyclicGame, PositionalProfile
     from .matrix import MatrixGame
     from .parametric import ParametricGame, StationaryProfile
 
-    Game = Union[FiniteGame, CyclicGame, ParametricGame, MatrixGame]
-    AnyProfile = Union[TreeProfile, PositionalProfile, StationaryProfile]
+    Game = Union[FiniteGame, ParametricGame, MatrixGame]  # a CyclicGame is a ParametricGame
+    AnyProfile = Union[TreeProfile, StationaryProfile]
 
 _GRAPHS = ("cyclic", "param")
 
@@ -350,10 +349,10 @@ class _Parser:
     def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
         par = _module(".parametric")
         if parametric:
-            point_class, game_class = par.Shape, par.ParametricGame
+            make_point, make_game = par.Shape, par.ParametricGame
         else:
             cy = _module(".cyclic")
-            point_class, game_class = cy.CyclicNode, cy.CyclicGame
+            make_point, make_game = cy.CyclicNode, cy.CyclicGame
         tokens = self.tokens
         self.expect("start")
         self.expect("=")
@@ -401,7 +400,7 @@ class _Parser:
             if not edges:
                 raise self.fail("at least one edge")
             self.expect("}")
-            definitions[tokens[name]] = point_class(owner, tuple(edges))  # type: ignore[arg-type]
+            definitions[tokens[name]] = make_point(owner, tuple(edges))  # type: ignore[arg-type]
             self.skip_separators()
         if not definitions:
             raise self.fail("at least one node definition")
@@ -411,7 +410,7 @@ class _Parser:
                 raise self.invalid(ref, f"undefined node {tokens[ref]!r}")
         if tokens[start] not in definitions:
             raise self.invalid(start, f"undefined start node {tokens[start]!r}")
-        return game_class(definitions, tokens[start])  # type: ignore[arg-type]
+        return make_game(definitions, tokens[start])  # type: ignore[arg-type]
 
     # --- matrices -------------------------------------------------------
 
@@ -523,19 +522,18 @@ def _require_writable(doc: GameDoc) -> None:
         keyword = "leaf"  # an owner named so would read as a leaf
     elif kind in _GRAPHS:
         par = _module(".parametric")
-        graph = game.embedding
-        _require_names("name", graph.shapes)
+        _require_names("name", game.shapes)
         if kind == "cyclic" and any(
             isinstance(target, par.Advance) and target.shape == "leaf"
-            for shape in graph.shapes.values()
+            for shape in game.shapes.values()
             for _label, target in shape.moves
         ):
             raise Unwritable("an edge to a node named 'leaf' would read as a leaf")
-        owners = {shape.owner for shape in graph.shapes.values()}
-        decisions = {label for labels in graph.labels.values() for label in labels}
+        owners = {shape.owner for shape in game.shapes.values()}
+        decisions = {label for labels in game.labels.values() for label in labels}
         outcomes = {
             target.outcome
-            for shape in graph.shapes.values()
+            for shape in game.shapes.values()
             for _label, target in shape.moves
             if isinstance(target, par.AffineLeaf)
         }
@@ -577,7 +575,7 @@ def serialize(doc: GameDoc) -> str:
         # A slope-0 payoff prints as its constant, so a cyclic game's leaves read as ints.
         advance = "" if kind == "cyclic" else "advance "
         out.append(f"{kind} start={game.start} {{")
-        for name, shape in game.embedding.shapes.items():
+        for name, shape in game.shapes.items():
             out.append(f"  {name}: {doc.players[shape.owner]} {{")
             for label, target in shape.moves:
                 if isinstance(target, par.AffineLeaf):
@@ -656,12 +654,11 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
         par = _module(".parametric")
         if highlight is not None:
             par.check_stationary(game, highlight)
-        graph = game.embedding
-        idents = {name: next(fresh) for name in graph.shapes}
-        for name, shape in graph.shapes.items():
+        idents = {name: next(fresh) for name in game.shapes}
+        for name, shape in game.shapes.items():
             label = f"{name}: {doc.players[shape.owner]}"
             nodes.append(f'  {idents[name]} [label="{_dot_escape(label)}"];')
-        for name, shape in graph.shapes.items():
+        for name, shape in game.shapes.items():
             for label, target in shape.moves:
                 if isinstance(target, par.AffineLeaf):
                     child = next(fresh)
@@ -741,7 +738,7 @@ def render_profile(game: Game, profile: AnyProfile) -> str:
         ]
     elif game.KIND in _GRAPHS:
         _module(".parametric").check_stationary(game, profile)  # type: ignore[arg-type]
-        lines = [f"{name} = {profile[name]}" for name in game.embedding.shapes]  # type: ignore[index]
+        lines = [f"{name} = {profile[name]}" for name in game.shapes]  # type: ignore[index]
     else:
         raise ShapeMismatch("matrix games take no profile")
     return "\n".join(lines) + "\n" if lines else ""

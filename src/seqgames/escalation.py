@@ -12,7 +12,7 @@ belief from the equilibrium set at every turn and never learn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
 from .core import GameError, OutcomeVector
 from .parametric import (
@@ -24,9 +24,6 @@ from .parametric import (
     check_stationary,
     enumerate_stationary_spe,
 )
-
-if TYPE_CHECKING:
-    from .cyclic import CyclicGame
 
 Profile = Mapping[str, str]
 
@@ -123,21 +120,21 @@ class SimTrace:
         return self.outcome is None
 
 
-def compose_beliefs(game: CyclicGame | ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
+def compose_beliefs(game: ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
     """Effective profile: the owner's own action from the owner's own belief."""
     check_stationary(game, beliefs.belief_of_a)
     check_stationary(game, beliefs.belief_of_b)
     return _composed(game, beliefs)
 
 
-def _composed(game: CyclicGame | ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
+def _composed(game: ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
     """``compose_beliefs`` for validated beliefs."""
     per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
-    return {name: per_player[shape.owner][name] for name, shape in game.embedding.shapes.items()}
+    return {name: per_player[shape.owner][name] for name, shape in game.shapes.items()}
 
 
 def detect_escalation(
-    game: CyclicGame | ParametricGame,
+    game: ParametricGame,
     beliefs: BeliefPair,
     require_equilibria: bool = True,
 ) -> EscalationVerdict:
@@ -153,7 +150,7 @@ def detect_escalation(
             check_stationary(game, belief)
         elif not check_spe_param(game, belief).ok:  # validates the belief first
             raise BeliefNotEquilibrium(player)
-    result = _walk(game.embedding, _composed(game, beliefs), game.embedding.start)  # valid: made of valid beliefs
+    result = _walk(game, _composed(game, beliefs), game.start)  # valid: made of valid beliefs
     if isinstance(result, Divergent):
         return Escalates(result)
     return Terminates(
@@ -163,7 +160,7 @@ def detect_escalation(
 
 
 def simulate(
-    game: CyclicGame | ParametricGame,
+    game: ParametricGame,
     horizon: int,
     seed: int,
     selection: BeliefSelectionPolicy = Uniform(),
@@ -185,6 +182,8 @@ def simulate(
     for belief in beliefs:
         check_stationary(game, belief)
     if isinstance(selection, FixedIndex):
+        if len(selection.indices) != 2:
+            raise ValueError(f"FixedIndex needs one belief index per player, got {len(selection.indices)}")
         for index in selection.indices:
             if not 0 <= index < len(beliefs):
                 raise ValueError(f"belief index {index} is out of range for {len(beliefs)} beliefs")
@@ -196,11 +195,10 @@ def simulate(
         return rng.below(len(beliefs))
 
     steps: list[SimStep] = []
-    engine = game.embedding
-    name = engine.start
+    name = game.start
     stage = 0
     for _turn in range(horizon):
-        shape = engine.shapes[name]
+        shape = game.shapes[name]
         index = pick(shape.owner)
         action = beliefs[index][name]
         steps.append(SimStep(stage, shape.owner, index, action))

@@ -7,9 +7,10 @@ at stage ``n + 1``.  Stationary profiles choose one move per shape, so
 equilibrium inequalities can be decided symbolically for all stages at
 once by comparing affine coefficients.
 
-Every analysis here also takes a ``CyclicGame``: it runs on its ``embedding``
-and words its messages with its ``POINT``, ``CHOICE`` and ``PROFILE``, and a
-cyclic game's payoffs come back as ``AffineValue``s of slope 0.
+A ``CyclicGame`` is a ``ParametricGame`` whose payoffs all have slope 0, so
+every analysis here takes it as it is: messages use the game's ``POINT``,
+``CHOICE`` and ``PROFILE``, and its payoffs come back as ``AffineValue``s of
+slope 0.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .core import FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, ShapeMismatch
 from .finite import SpeReport, Violation
-
-if TYPE_CHECKING:
-    from .cyclic import CyclicGame
 
 DEFAULT_SEARCH_BOUND = 2**20
 
@@ -138,14 +136,9 @@ class ParametricGame:
                 if isinstance(target, Advance) and target.shape not in self.shapes:
                     raise UnknownShape(target.shape)
 
-    @property
-    def embedding(self) -> ParametricGame:
-        """The game the analyses run on: this one (see ``CyclicGame.embedding``)."""
-        return self
-
     @cached_property
     def labels(self) -> dict[str, tuple[str, ...]]:
-        """Each shape's move labels, built on first use and kept like ``CyclicGame.embedding``."""
+        """Each shape's move labels, built on first use and kept: a game is not to be changed once it is built."""
         return {name: shape.labels() for name, shape in self.shapes.items()}
 
     @cached_property
@@ -183,12 +176,12 @@ class Divergent:
 InducedParamResult = Union[ConvergesAffine, Divergent]
 
 
-def check_stationary(game: CyclicGame | ParametricGame, profile: StationaryProfile) -> None:
+def check_stationary(game: ParametricGame, profile: StationaryProfile) -> None:
     """Raise ``ShapeMismatch`` unless ``profile`` picks one label at every decision point."""
-    graph, choice = game.embedding, game.CHOICE
-    if profile.keys() != graph.shapes.keys():
+    choice = game.CHOICE
+    if profile.keys() != game.shapes.keys():
         raise ShapeMismatch(f"profile must choose exactly one {choice} per {game.POINT}")
-    for name, labels in graph.labels.items():
+    for name, labels in game.labels.items():
         if profile[name] not in labels:  # a tuple, so an unhashable choice is a mismatch too
             article = "an" if choice[0] in "aeiou" else "a"
             raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
@@ -211,7 +204,7 @@ def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> Induce
 
 
 def induced_outcome_param(
-    game: CyclicGame | ParametricGame, profile: StationaryProfile, from_shape: str | None = None
+    game: ParametricGame, profile: StationaryProfile, from_shape: str | None = None
 ) -> InducedParamResult:
     """Follow the profile's moves from ``from_shape`` at symbolic stage n.
 
@@ -219,12 +212,11 @@ def induced_outcome_param(
     the returned lasso splits the visited shapes at the first repeat;
     otherwise a leaf is reached within as many moves as there are shapes.
     """
-    graph = game.embedding
-    name = graph.start if from_shape is None else from_shape
-    if name not in graph.shapes:
+    name = game.start if from_shape is None else from_shape
+    if name not in game.shapes:
         raise UnknownShape(name)
     check_stationary(game, profile)
-    return _walk(graph, profile, name)
+    return _walk(game, profile, name)
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,7 @@ def entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
     }
 
 
-def check_spe_param(game: CyclicGame | ParametricGame, profile: StationaryProfile) -> SpeReport:
+def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeReport:
     """Symbolic equilibrium check over all stages at once.
 
     Requires convergence from every shape; then, per shape, every
@@ -282,12 +274,11 @@ def check_spe_param(game: CyclicGame | ParametricGame, profile: StationaryProfil
     A deviation with divergent continuation never improves on a payoff.
     """
     check_stationary(game, profile)
-    graph = game.embedding
-    results = _resolve(graph, profile)
-    divergent = tuple(name for name in graph.shapes if results[name] is None)
+    results = _resolve(game, profile)
+    divergent = tuple(name for name in game.shapes if results[name] is None)
     if divergent:
         return SpeReport((), divergent)
-    return SpeReport(tuple(_violations(graph, profile, results)))
+    return SpeReport(tuple(_violations(game, profile, results)))
 
 
 def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, object]:
@@ -350,17 +341,16 @@ def stationary_profiles(game: ParametricGame) -> Iterator[dict[str, str]]:
 
 
 def enumerate_stationary_spe(
-    game: CyclicGame | ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
+    game: ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
 ) -> list[StationaryProfile]:
     """The stationary equilibria in canonical order (``stationary_profiles``), by backtracking
     over shapes in declaration order and moves in move order.  A partial profile is dropped once
     its moves close a cycle or an alternative improves on a decided play, faults that every
     completion keeps.  The bound applies to the whole profile space."""
-    graph = game.embedding
-    space = math.prod(len(shape.moves) for shape in graph.shapes.values())
+    space = math.prod(len(shape.moves) for shape in game.shapes.values())
     if space > bound:
         raise SearchSpaceTooLarge(f"{space} {game.PROFILE} profiles exceed bound {bound}")
-    names, labels = list(graph.labels), list(graph.labels.values())
+    names, labels = list(game.labels), list(game.labels.values())
     found, profile, picks = [], {}, [-1]  # picks: per shape on the way down, the move tried last
     while picks:
         k = len(picks) - 1
@@ -369,8 +359,8 @@ def enumerate_stationary_spe(
         elif picks[k] + 1 < len(labels[k]):
             picks[k] += 1
             profile = {names[i]: labels[i][pick] for i, pick in enumerate(picks)}
-            results = _resolve(graph, profile)
-            if None not in results.values() and next(_violations(graph, profile, results), None) is None:
+            results = _resolve(game, profile)
+            if None not in results.values() and next(_violations(game, profile, results), None) is None:
                 picks.append(-1)
             continue
         picks.pop()
@@ -396,7 +386,7 @@ def dollar_auction(value: int) -> ParametricGame:
     return ParametricGame({"A0": entry, "A": alice, "B": bertrand}, "A0")
 
 
-def instantiate(game: CyclicGame | ParametricGame, max_stage: int, terminal: OutcomeVector) -> FiniteGame:
+def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -> FiniteGame:
     """Concrete finite tree covering stages ``0 .. max_stage - 1``.
 
     Affine payoffs are evaluated at the stage where their leaf is taken;
@@ -408,10 +398,9 @@ def instantiate(game: CyclicGame | ParametricGame, max_stage: int, terminal: Out
     """
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
-    graph = game.embedding
-    shapes = graph.shapes
+    shapes = game.shapes
     cut = Leaf(tuple(terminal))
-    layers = _layers(graph, max_stage)
+    layers = _layers(game, max_stage)
     below: dict[str, Node] = {}  # per shape, the node entered at the next stage
     for stage in range(len(layers) - 1, -1, -1):
         built: dict[str, Node] = {}
@@ -426,22 +415,21 @@ def instantiate(game: CyclicGame | ParametricGame, max_stage: int, terminal: Out
                 branches.append((move, sub))
             built[name] = Node(shape.owner, tuple(branches))
         below = built
-    return below[graph.start]
+    return below[game.start]
 
 
 def instantiate_profile(
-    game: CyclicGame | ParametricGame, profile: StationaryProfile, max_stage: int
+    game: ParametricGame, profile: StationaryProfile, max_stage: int
 ) -> dict[tuple[str, ...], str]:
     """Restrict a stationary profile to the tree built by ``instantiate``."""
     check_stationary(game, profile)
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
-    graph = game.embedding
     out: dict[tuple[str, ...], str] = {}
-    stack: list[tuple[str, int, tuple[str, ...]]] = [(graph.start, 0, ())]
+    stack: list[tuple[str, int, tuple[str, ...]]] = [(game.start, 0, ())]
     while stack:  # preorder: children are pushed in reverse move order
         name, stage, path = stack.pop()
-        shape = graph.shapes[name]
+        shape = game.shapes[name]
         out[path] = profile[name]
         if stage + 1 < max_stage:
             stack.extend(
@@ -452,16 +440,6 @@ def instantiate_profile(
     return out
 
 
-def from_cyclic(game) -> ParametricGame:
-    """Embed a cyclic game (anything with its ``nodes`` and ``start``) as a
-    constant-payoff (slope 0) parametric game with the same names and order."""
-    shapes: dict[str, Shape] = {}
-    for name, node in game.nodes.items():
-        moves: list[tuple[str, Union[AffineLeaf, Advance]]] = []
-        for label, target in node.edges:
-            if isinstance(target, Leaf):
-                moves.append((label, AffineLeaf(tuple(affine(v) for v in target.outcome))))
-            else:
-                moves.append((label, Advance(target)))
-        shapes[name] = Shape(node.owner, tuple(moves))
-    return ParametricGame(shapes, game.start)
+def from_cyclic(game: ParametricGame) -> ParametricGame:
+    """The same shapes and start as a plain ``ParametricGame`` (the benchmark harness calls this)."""
+    return ParametricGame(game.shapes, game.start)

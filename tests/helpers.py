@@ -182,13 +182,14 @@ def brute_equilibria(game: FiniteGame) -> list[dict]:
 
 
 def trace_outcome(game: CyclicGame, profile: dict, start: str, bound: int):
-    """Independent induced-play oracle: step-by-step with an explicit bound."""
+    """Independent induced-play oracle: step-by-step with an explicit bound,
+    reading each slope-0 payoff as its constant."""
     name = start
     for _ in range(bound):
-        target = dict(game.nodes[name].edges)[profile[name]]
-        if isinstance(target, Leaf):
-            return target.outcome
-        name = target
+        target = dict(game.shapes[name].moves)[profile[name]]
+        if isinstance(target, AffineLeaf):
+            return tuple(value.const for value in target.outcome)
+        name = target.shape
     return None  # no leaf within bound: divergent for positional profiles
 
 
@@ -197,20 +198,23 @@ def reference_report_cyclic(game: CyclicGame, profile: dict):
     ``(where, action, profile_value, deviation_value)``, by bounded tracing
     on the graph itself.  Deviations are judged only when play converges
     from every node, as in the library's report."""
-    bound = len(game.nodes) + 1
-    values = {name: trace_outcome(game, profile, name, bound) for name in game.nodes}
+    bound = len(game.shapes) + 1
+    values = {name: trace_outcome(game, profile, name, bound) for name in game.shapes}
     divergent = tuple(name for name, value in values.items() if value is None)
     if divergent:
         return divergent, []
     violations = []
-    for name, node_ in game.nodes.items():
-        base = values[name][node_.owner]
-        for label, target in node_.edges:
+    for name, shape in game.shapes.items():
+        base = values[name][shape.owner]
+        for label, target in shape.moves:
             if label == profile[name]:
                 continue
-            after = target.outcome if isinstance(target, Leaf) else values[target]
-            if after[node_.owner] > base:
-                violations.append((name, label, base, after[node_.owner]))
+            if isinstance(target, AffineLeaf):
+                after = tuple(value.const for value in target.outcome)
+            else:
+                after = values[target.shape]
+            if after[shape.owner] > base:
+                violations.append((name, label, base, after[shape.owner]))
     return divergent, violations
 
 

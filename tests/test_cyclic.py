@@ -19,8 +19,12 @@ from seqgames.cyclic import (
 )
 from seqgames.finite import check_spe, enumerate_equilibria
 from seqgames.parametric import (
+    Advance,
+    AffineLeaf,
     ConvergesAffine,
     Divergent,
+    ParametricGame,
+    Shape,
     affine,
     check_spe_param,
     induced_outcome_param,
@@ -72,13 +76,13 @@ class TestInducedOutcome:
             for profile in _profiles(game):
                 result = induced_outcome_param(game, profile)
                 if isinstance(result, ConvergesAffine):
-                    assert len(result.path) <= len(game.nodes)
+                    assert len(result.path) <= len(game.shapes)
                     assert len(set(result.path)) == len(result.path)
 
 
 def _profiles(game: CyclicGame):
-    names = list(game.nodes)
-    for combo in itertools.product(*(game.nodes[n].labels() for n in names)):
+    names = list(game.shapes)
+    for combo in itertools.product(*(game.shapes[n].labels() for n in names)):
         yield dict(zip(names, combo))
 
 
@@ -140,12 +144,31 @@ class TestCheckSpe:
 
 
 class TestEngine:
-    """A cyclic game is analysed as its slope-0 parametric embedding."""
+    """A cyclic game is the parametric game whose payoffs all have slope 0."""
 
-    def test_embedding_is_built_once(self):
+    def test_a_cyclic_game_is_a_parametric_game(self):
         game = loop01()
-        assert game.embedding is game.embedding
-        assert game.embedding == parametric.from_cyclic(game)
+        assert isinstance(game, ParametricGame)
+        assert repr(game).startswith("CyclicGame(shapes={'A': Shape(owner=0, moves=(('a', AffineLeaf(")
+
+    def test_a_node_is_a_shape(self):
+        built = CyclicNode(0, (("a", leaf(0, 1)), ("c", "B")))
+        assert built == Shape(0, (("a", AffineLeaf((affine(0), affine(1)))), ("c", Advance("B"))))
+        assert loop01().shapes["A"] == built
+
+    def test_from_cyclic_is_the_same_shapes_as_a_plain_parametric_game(self):
+        game = loop01()
+        plain = parametric.from_cyclic(game)
+        assert plain == ParametricGame(game.shapes, game.start)
+        assert type(plain) is ParametricGame
+        assert plain != game and game != plain  # one kind is not the other
+
+    def test_a_sloped_payoff_is_rejected(self):
+        sloped = Shape(1, (("y", AffineLeaf((affine(1), affine(2, -1)))),))
+        shapes = {"s": CyclicNode(0, (("x", "t"),)), "t": sloped}
+        with pytest.raises(MalformedGame, match="^edge 'y' at 't' has a payoff with a nonzero slope$"):
+            CyclicGame(shapes, "s")
+        assert ParametricGame(shapes, "s").shapes is shapes  # the parametric kind takes it
 
     def test_shared_names_are_the_engine_objects(self):
         assert cyclic.SearchSpaceTooLarge is parametric.SearchSpaceTooLarge

@@ -67,6 +67,11 @@ class TestParse:
         assert parse((corpus_dir / "zero_one_7.game").read_text()).game == chain01(7)
         assert parse((corpus_dir / "zero_one_6.game").read_text()).game == chain01(6)
 
+    def test_cyclic_corpus_file(self, corpus_dir):
+        doc = parse((corpus_dir / "zero_one_cyclic.game").read_text())
+        assert doc.game == loop01()
+        assert isinstance(doc.game, CyclicGame)
+
     def test_one_line_cyclic_form(self):
         text = (
             "cyclic start=A { A: Alice { a -> leaf(0,1); c -> B } "
@@ -381,18 +386,7 @@ def _renamed_doc(rng: random.Random) -> GameDoc | None:
     try:
         if kind == 0:
             return GameDoc(players, _relabel(random_tree(rng), labels))
-        if kind == 1:
-            game = random_cyclic(rng)
-            names = {old: name() for old in game.nodes}
-            nodes = {
-                names[old]: CyclicNode(
-                    point.owner,
-                    tuple((labels[label], names.get(target, target)) for label, target in point.edges),
-                )
-                for old, point in game.nodes.items()
-            }
-            return GameDoc(players, CyclicGame(nodes, names[game.start]))
-        game = random_parametric(rng)
+        game = random_cyclic(rng) if kind == 1 else random_parametric(rng)
         names = {old: name() for old in game.shapes}
         shapes = {
             names[old]: Shape(
@@ -404,7 +398,7 @@ def _renamed_doc(rng: random.Random) -> GameDoc | None:
             )
             for old, shape in game.shapes.items()
         }
-        return GameDoc(players, ParametricGame(shapes, names[game.start]))
+        return GameDoc(players, type(game)(shapes, names[game.start]))
     except GameError:
         return None
 

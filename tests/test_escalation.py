@@ -144,6 +144,11 @@ class TestSimulate:
         assert trace.horizon_hit
         assert [step.stage for step in trace.steps] == list(range(30))
 
+    @pytest.mark.parametrize("indices", [(1,), (1, 0, 5)], ids=["one index", "three indices"])
+    def test_fixed_index_needs_one_index_per_player(self, indices):
+        with pytest.raises(ValueError, match=f"^FixedIndex needs one belief index per player, got {len(indices)}$"):
+            simulate(dollar_auction(10), 5, 1, FixedIndex(indices))
+
     def test_horizon_zero(self):
         trace = simulate(loop01(), 0, 7)
         assert trace.steps == ()

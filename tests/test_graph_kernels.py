@@ -56,10 +56,9 @@ class TestCheckMatchesReference:
     def test_every_profile_of_small_random_games(self):
         checked = diverging = violating = 0
         for game in _small_games(81, 400):
-            graph = game.embedding
-            for profile in par.stationary_profiles(graph):
+            for profile in par.stationary_profiles(game):
                 report = par.check_spe_param(game, profile)
-                assert report == reference_spe_report_param(graph, profile)
+                assert report == reference_spe_report_param(game, profile)
                 checked += 1
                 diverging += bool(report.divergences)
                 violating += bool(report.violations)
@@ -69,25 +68,24 @@ class TestCheckMatchesReference:
         rng = random.Random(83)
         slopes = 0
         for game in _wide_games(85, 60):
-            graph = game.embedding
-            profiles = list(par.stationary_profiles(graph))
+            profiles = list(par.stationary_profiles(game))
             for profile in rng.sample(profiles, min(len(profiles), 40)):
                 report = par.check_spe_param(game, profile)
-                assert report == reference_spe_report_param(graph, profile)
+                assert report == reference_spe_report_param(game, profile)
                 slopes += any(v.profile_value.slope != v.deviation_value.slope for v in report.violations)
         assert slopes > 20  # the entry-stage comparison is exercised, not only the constant one
 
     def test_cyclic_report_is_the_slope_zero_report(self):
         for game in _small_games(87, 200):
             if isinstance(game, cy.CyclicGame):
-                for profile in par.stationary_profiles(game.embedding):
+                for profile in par.stationary_profiles(game):
                     report = par.check_spe_param(game, profile)
-                    assert report == reference_spe_report_param(game.embedding, profile)
+                    assert report == reference_spe_report_param(game, profile)
                     assert all(v.profile_value.slope == v.deviation_value.slope == 0 for v in report.violations)
 
     def test_entry_stages_match_the_layered_search(self):
         for game in _small_games(89, 300):
-            assert par.entry_stages(game.embedding) == reference_entry_stages(game.embedding)
+            assert par.entry_stages(game) == reference_entry_stages(game)
 
 
 class TestEnumerationMatchesReference:
@@ -95,8 +93,8 @@ class TestEnumerationMatchesReference:
         found = 0
         for game in _small_games(91, 400):
             accepted = par.enumerate_stationary_spe(game)
-            assert accepted == reference_enumerate_stationary(game.embedding)
-            assert all(list(profile) == list(game.embedding.shapes) for profile in accepted)
+            assert accepted == reference_enumerate_stationary(game)
+            assert all(list(profile) == list(game.shapes) for profile in accepted)
             found += len(accepted)
         assert found > 200
 
@@ -104,13 +102,13 @@ class TestEnumerationMatchesReference:
         found = 0
         for game in _wide_games(93, 40):
             accepted = par.enumerate_stationary_spe(game)
-            assert accepted == reference_enumerate_stationary(game.embedding)
+            assert accepted == reference_enumerate_stationary(game)
             found += len(accepted)
         assert found > 20
 
     def test_auction_and_loop(self):
         for game in (par.dollar_auction(1), par.dollar_auction(100), loop01(), ring(6)):
-            assert par.enumerate_stationary_spe(game) == reference_enumerate_stationary(game.embedding)
+            assert par.enumerate_stationary_spe(game) == reference_enumerate_stationary(game)
 
 
 STAGES = (1, 2, 3, 6, 13)
@@ -132,7 +130,7 @@ class TestInstantiateMatchesReference:
         compared = last = 0
         for i in range(300):
             widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 7))]
-            game = random_graph(rng, widths, parametric=bool(i % 2)).embedding
+            game = random_graph(rng, widths, parametric=bool(i % 2))
             for max_stage in STAGES:
                 size = _same_tree(game, max_stage, (rng.randint(-3, 3), rng.randint(-3, 3)))
                 compared += 1
@@ -145,10 +143,10 @@ class TestInstantiateMatchesReference:
     def test_auctions_and_rings(self, max_stage):
         games = [par.dollar_auction(value) for value in (1, 3, 100)] + [loop01(), ring(2), ring(4), ring(10)]
         for game in games:
-            _same_tree(game.embedding, max_stage, (0, 0))
+            _same_tree(game, max_stage, (0, 0))
 
     def test_play_that_always_ends_builds_only_the_stages_it_reaches(self):
-        game = cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("b", leaf(1, 0))))}, "A").embedding
+        game = cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("b", leaf(1, 0))))}, "A")
         assert par.instantiate(game, 10**9, (0, 0)) == reference_instantiate(game, 10**9, (0, 0))
 
     def test_a_shape_entered_twice_at_a_stage_is_one_node(self):
@@ -176,7 +174,7 @@ _DECLARED_FIRST = {"A": cy.CyclicNode(0, (("c", "B"), ("d", "W"))), "B": cy.Cycl
         (lambda: par.ParametricGame(_auction_with_b_continuing_to("Z"), "A0"), "Z"),
         (lambda: par.ParametricGame(par.dollar_auction(3).shapes, "Q"), "Q"),
         (lambda: cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("c", "Z")))}, "A"), "Z"),
-        (lambda: cy.CyclicGame(loop01().nodes, "Q"), "Q"),
+        (lambda: cy.CyclicGame(loop01().shapes, "Q"), "Q"),
         (lambda: par.ParametricGame(_TWO_ADVANCES, "Q"), "Q"),  # the start first
         (lambda: par.ParametricGame(_TWO_ADVANCES, "S"), "Y"),  # then advances in move order
         (lambda: cy.CyclicGame(_DECLARED_FIRST, "A"), "W"),  # in declaration order, not the order play reaches
@@ -193,14 +191,14 @@ class TestScale:
         game = ring(20)
         found = cy.enumerate_positional_spe(game)
         assert len(found) == 2 ** (20 // 2 + 1) - 2 == 2046
-        ranks = [tuple(profile[name] for name in game.nodes) for profile in found]
+        ranks = [tuple(profile[name] for name in game.shapes) for profile in found]
         assert ranks == sorted(set(ranks))  # "a" < "c": product order, no repeats
         assert all(par.check_spe_param(game, profile).ok for profile in found[::97])
 
     def test_ring_2000_continuing_everywhere_diverges_from_every_node(self):
         game = ring(2000)
-        report = par.check_spe_param(game, {name: "c" for name in game.nodes})
-        assert report.divergences == tuple(game.nodes)
+        report = par.check_spe_param(game, {name: "c" for name in game.shapes})
+        assert report.divergences == tuple(game.shapes)
         assert report.violations == ()
 
     def test_bound_is_still_on_the_product(self):

@@ -88,7 +88,7 @@ def test_profile_error_names_the_kind(call, profile, message):
     "game, message",
     [
         (loop01(), "4 positional profiles exceed bound 3"),
-        (loop01().embedding, "4 stationary profiles exceed bound 3"),
+        (par.ParametricGame(loop01().shapes, "A"), "4 stationary profiles exceed bound 3"),
     ],
     ids=["positional", "stationary"],
 )
