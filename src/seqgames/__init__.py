@@ -11,7 +11,7 @@ The names below load on first use (PEP 562): ``import seqgames`` imports
 no submodule, and ``seqgames.solve`` imports only ``core`` and ``finite``.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,9 @@ def __getattr__(name: str) -> object:
     lookup finds it without calling here."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_HOME[name] or name}")
+    qualified = f"{__name__}.{_HOME[name] or name}"
+    __import__(qualified)  # an import statement's path, which ``-X importtime`` logs
+    module = sys.modules[qualified]
     value = module if _HOME[name] is None else getattr(module, name)
     globals()[name] = value
     return value

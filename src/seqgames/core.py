@@ -9,10 +9,10 @@ deviation checks can reason about counterfactual positions.
 
 All values are immutable after construction and every operation is a pure
 function; sharing across threads is safe.  Every routine over a tree runs
-on its ``index``: preorder arrays cached on the root.  ``dsl.parse`` fills
-them as it reads a tree; a tree built in code is walked once, iteratively,
-on first use.  The work is linear in the number of nodes (plus the hashing
-of path keys) and no depth exhausts the recursion limit.
+on its ``index``: preorder arrays cached on the root, which ``TreeIndex``
+lays out as ``dsl.parse`` reads a tree, or in one iterative walk of a tree
+built in code on first use.  The work is linear in the number of nodes
+(plus the hashing of path keys) and no depth exhausts the recursion limit.
 """
 
 from __future__ import annotations
@@ -136,115 +136,86 @@ class TreeIndex:
     computes values bottom-up.  The arrays hold no node objects, so caching
     an index on its root creates no reference cycle.
 
-    ``TreeIndex(root)`` indexes a tree built in code by one iterative walk,
-    which raises ``MalformedGame`` at a decision node without branches or
-    with two branches of the same label.  ``dsl.parse`` fills the index of
-    the tree it reads as it reads it, through ``_IndexBuilder``.
+    The arrays are laid out in place, one step per node: ``open`` a decision
+    node, add a ``leaf``, ``close`` the innermost open node once its branches
+    are done (its ``labels`` and ``children`` entries are lists until then).
+    Each step names the label of the branch it enters (None at the root) and
+    checks nothing.  ``dsl.parse`` takes the steps on ``TreeIndex()`` as it
+    reads a tree; ``TreeIndex(root)`` takes them in one iterative walk, which
+    raises ``MalformedGame`` at a decision node without branches or with two
+    branches of the same label.
     """
 
-    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder")
+    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "_open")
 
-    def __init__(self, root: FiniteGame) -> None:
-        build = _IndexBuilder()
-        if isinstance(root, Leaf):
-            build.leaf(root.outcome, None)
-        else:
-            _require_choices(root.branches, build, None)
-            build.open(root.owner, None)
-            frames = [iter(root.branches)]  # the branches still to visit, per open node
-            while frames:
-                for label, sub in frames[-1]:
-                    if isinstance(sub, Leaf):
-                        build.leaf(sub.outcome, label)
-                        continue
-                    branches = sub.branches
-                    if len(branches) < 2 or len(dict(branches)) < len(branches):  # one key per label
-                        _require_choices(branches, build, label)
-                    build.open(sub.owner, label)
-                    frames.append(iter(branches))
-                    break
-                else:
-                    frames.pop()
-                    build.close()
-        build.fill(self)
-
-
-def _require_choices(branches: tuple, build: "_IndexBuilder", label: str | None) -> None:
-    """``MalformedGame`` unless the branches of the decision node that ``build``
-    opens next under ``label`` are present and have distinct labels."""
-    if not branches:
-        raise MalformedGame(f"no branches at {build.path_to(label)!r}")
-    seen: set[str] = set()
-    for name, _ in branches:
-        if name in seen:
-            raise MalformedGame(f"duplicate branch label {name!r} at {build.path_to(label)!r}")
-        seen.add(name)
-
-
-class _IndexBuilder:
-    """Fills the arrays of a ``TreeIndex`` in preorder, one step per node:
-    ``open`` a decision node, add a ``leaf``, ``close`` the innermost open
-    node once its branches are done.  Each step names the label of the
-    branch it enters (None at the root).  It checks nothing: its callers
-    vouch for the tree."""
-
-    __slots__ = ("_outcomes", "_open", "_closed")
-
-    def __init__(self) -> None:
-        self._outcomes: list[OutcomeVector | None] = []  # per node so far; None at decision nodes
-        # Per decision node: its index, owner and path, and the labels and
-        # indices of its children; in ``_open`` while they are being read,
-        # in ``_closed`` (in postorder) once they are done.
-        self._open: list[tuple[int, int, PlayLine, list[str], list[int]]] = []
-        self._closed: list[tuple[int, int, PlayLine, list[str], list[int]]] = []
+    def __init__(self, root: FiniteGame | None = None) -> None:
+        self.owners: list[int | None] = []
+        self.paths: list[PlayLine | None] = []
+        self.outcomes: list[OutcomeVector | None] = []
+        self.labels: list = []
+        self.children: list = []
+        self.postorder: list[int] = []
+        self._open: list[int] = []  # the decision nodes whose branches are still being added
+        frames = [iter(((None, root),))] if root is not None else []  # the branches still to visit
+        while frames:
+            for label, sub in frames[-1]:
+                if isinstance(sub, Leaf):
+                    self.leaf(sub.outcome, label)
+                    continue
+                branches = sub.branches
+                if not branches:
+                    raise MalformedGame(f"no branches at {self.path_to(label)!r}")
+                if len(dict(branches)) < len(branches):  # one key per label
+                    names = [name for name, _ in branches]
+                    twice = next(name for k, name in enumerate(names) if name in names[:k])
+                    raise MalformedGame(f"duplicate branch label {twice!r} at {self.path_to(label)!r}")
+                self.open(sub.owner, label)
+                frames.append(iter(branches))
+                break
+            else:
+                frames.pop()
+                if frames:  # the root's own one-item frame closes nothing
+                    self.close()
 
     def path_to(self, label: str | None) -> PlayLine:
         """The path of a node entered next under ``label``."""
-        return self._open[-1][2] + (label,) if self._open else ()
+        return self.paths[self._open[-1]] + (label,) if self._open else ()  # type: ignore[operator]
 
     def open(self, owner: int, label: str | None) -> None:
-        outcomes = self._outcomes
+        at = len(self.outcomes)
+        path: PlayLine = ()
         if self._open:
             parent = self._open[-1]
-            parent[3].append(label)  # type: ignore[arg-type]
-            parent[4].append(len(outcomes))
-            path = parent[2] + (label,)
-        else:
-            path = ()
-        self._open.append((len(outcomes), owner, path, [], []))
-        outcomes.append(None)
+            self.labels[parent].append(label)
+            self.children[parent].append(at)
+            path = self.paths[parent] + (label,)  # type: ignore[operator]
+        self._open.append(at)
+        self.owners.append(owner)
+        self.paths.append(path)
+        self.outcomes.append(None)
+        self.labels.append([])
+        self.children.append([])
 
     def leaf(self, outcome: OutcomeVector, label: str | None) -> None:
         if self._open:
             parent = self._open[-1]
-            parent[3].append(label)  # type: ignore[arg-type]
-            parent[4].append(len(self._outcomes))
-        self._outcomes.append(outcome)
+            self.labels[parent].append(label)
+            self.children[parent].append(len(self.outcomes))
+        self.owners.append(None)
+        self.paths.append(None)
+        self.outcomes.append(outcome)
+        self.labels.append(())
+        self.children.append(())
 
     def close(self) -> None:
-        self._closed.append(self._open.pop())
-
-    def fill(self, index: TreeIndex) -> None:
-        size = len(self._outcomes)
-        owners: list[int | None] = [None] * size
-        paths: list[PlayLine | None] = [None] * size
-        labels: list[tuple[str, ...]] = [()] * size
-        children: list[tuple[int, ...]] = [()] * size
-        postorder: list[int] = []
-        for at, owner, path, names, kids in self._closed:
-            owners[at] = owner
-            paths[at] = path
-            labels[at] = tuple(names)
-            children[at] = tuple(kids)
-            postorder.append(at)
-        index.owners, index.paths, index.outcomes = owners, paths, self._outcomes
-        index.labels, index.children, index.postorder = labels, children, postorder
+        at = self._open.pop()
+        self.labels[at] = tuple(self.labels[at])
+        self.children[at] = tuple(self.children[at])
+        self.postorder.append(at)
 
     def attach(self, root: FiniteGame) -> None:
-        """Store the finished index as ``root.index``, as its first use would."""
-        index = TreeIndex.__new__(TreeIndex)
-        self.fill(index)
-        root.__dict__["index"] = index  # where ``cached_property`` keeps it
+        """Store this finished index as ``root.index``, as its first use would."""
+        root.__dict__["index"] = self  # where ``cached_property`` keeps it
 
 
 def leaf(*outcome: int) -> Leaf:

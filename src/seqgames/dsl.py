@@ -21,12 +21,13 @@ anywhere it is unambiguous; the canonical serialization uses newlines
 instead, except between matrix rows where `;` is structural.  ``serialize``
 emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
+
+A kind's modules are imported inside that kind's branches, so a process
+loads only the kinds it meets.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -39,15 +40,14 @@ from .core import (
     Leaf,
     Node,
     ShapeMismatch,
+    TreeIndex,
     TreeProfile,
-    _IndexBuilder,
     chosen_branches,
     node_paths,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from types import ModuleType
 
     from .matrix import MatrixGame
     from .parametric import ParametricGame, StationaryProfile
@@ -56,15 +56,6 @@ if TYPE_CHECKING:
     AnyProfile = Union[TreeProfile, StationaryProfile]
 
 _GRAPHS = ("cyclic", "param")
-
-
-@functools.cache
-def _module(name: str) -> ModuleType:
-    """The module ``name`` (a leading dot for one of this package), imported
-    on first use.  A kind's modules are reached through here where that kind
-    is parsed, written or checked, so a process loads only the kinds it meets;
-    the cache keeps an import statement's cost off every later call."""
-    return importlib.import_module(name, __package__)
 
 
 class ParseError(Exception):
@@ -243,7 +234,7 @@ class _Parser:
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         """``tree`` with an explicit stack of open decision nodes, so any
-        depth parses.  The tree's ``index`` is filled as it is read.
+        depth parses.  ``TreeIndex``'s steps lay out the tree's ``index`` as it is read.
 
         The common shapes ``Owner {``, ``label ->``, ``leaf ( d , d )`` and
         ``;`` are matched in place at a local position; anything else goes
@@ -251,7 +242,7 @@ class _Parser:
         raises.  A look-ahead stops at the first token that differs, and
         only the final token is empty, so it never reads past the end."""
         tokens = self.tokens
-        build = _IndexBuilder()
+        index = TreeIndex()
         first_player, second_player = players
         leaves: dict[tuple[str, str], Leaf] = {}  # one leaf per payoff pair written as plain digits
         # The innermost open decision node: its owner, its branches so far,
@@ -281,7 +272,7 @@ class _Parser:
                     self.pos = pos + 1
                     sub = self.parse_leaf_int()
                     pos = self.pos
-                build.leaf(sub.outcome, label)
+                index.leaf(sub.outcome, label)
             else:
                 mover = 0 if token == first_player else 1 if token == second_player else -1
                 if mover >= 0 and tokens[pos + 1] == "{":
@@ -291,7 +282,7 @@ class _Parser:
                     mover = self.owner_index(self.expect_name("'leaf' or a player name"), players)
                     self.expect("{")
                     pos = self.pos
-                build.open(mover, label)
+                index.open(mover, label)
                 frames.append((owner, branches, seen, into))
                 owner, branches, seen, into = mover, [], set(), label
                 sub = None
@@ -299,7 +290,7 @@ class _Parser:
                 if sub is not None:
                     if branches is None:
                         self.pos = pos
-                        build.attach(sub)
+                        index.attach(sub)
                         return sub
                     branches.append((label, sub))
                     while tokens[pos] == ";":
@@ -311,7 +302,7 @@ class _Parser:
                         raise self.fail("at least one branch")
                     pos += 1
                     sub = Node(owner, tuple(branches))
-                    build.close()
+                    index.close()
                     label = into
                     owner, branches, seen, into = frames.pop()
                     continue
@@ -347,11 +338,11 @@ class _Parser:
         return const, 0
 
     def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
-        par = _module(".parametric")
+        from . import parametric as par
         if parametric:
             make_point, make_game = par.Shape, par.ParametricGame
         else:
-            cy = _module(".cyclic")
+            from . import cyclic as cy
             make_point, make_game = cy.CyclicNode, cy.CyclicGame
         tokens = self.tokens
         self.expect("start")
@@ -419,7 +410,7 @@ class _Parser:
         return token[:1].isdecimal() or token == "-"
 
     def parse_matrix(self) -> MatrixGame:
-        Fraction = _module("fractions").Fraction
+        from fractions import Fraction
 
         def parse_rational() -> Fraction:
             numerator = self.expect_int()
@@ -456,7 +447,9 @@ class _Parser:
                 continue
             break
         self.expect("}")
-        return _module(".matrix").MatrixGame(tuple(rows), total)
+        from . import matrix
+
+        return matrix.MatrixGame(tuple(rows), total)
 
 
 def parse(text: str) -> GameDoc:
@@ -521,7 +514,7 @@ def _require_writable(doc: GameDoc) -> None:
         outcomes = set(index.outcomes)
         keyword = "leaf"  # an owner named so would read as a leaf
     elif kind in _GRAPHS:
-        par = _module(".parametric")
+        from . import parametric as par
         _require_names("name", game.shapes)
         if kind == "cyclic" and any(
             isinstance(target, par.Advance) and target.shape == "leaf"
@@ -571,7 +564,7 @@ def serialize(doc: GameDoc) -> str:
             _serialize_tree(game, doc.players, out)
         out.append("}")
     elif kind in _GRAPHS:
-        par = _module(".parametric")
+        from . import parametric as par
         # A slope-0 payoff prints as its constant, so a cyclic game's leaves read as ints.
         advance = "" if kind == "cyclic" else "advance "
         out.append(f"{kind} start={game.start} {{")
@@ -651,7 +644,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
                     break
                 edges.append(edge(parent, position - 1))
     elif kind in _GRAPHS:
-        par = _module(".parametric")
+        from . import parametric as par
         if highlight is not None:
             par.check_stationary(game, highlight)
         idents = {name: next(fresh) for name in game.shapes}
@@ -722,7 +715,9 @@ def parse_profile_text(text: str, game: Game) -> dict:
         chosen_branches(game, profile)
         return profile
     if game.KIND in _GRAPHS:
-        _module(".parametric").check_stationary(game, entries)
+        from . import parametric as par
+
+        par.check_stationary(game, entries)
         return entries
     raise ShapeMismatch("matrix games take no profile")
 
@@ -737,7 +732,9 @@ def render_profile(game: Game, profile: AnyProfile) -> str:
             for path in node_paths(game)
         ]
     elif game.KIND in _GRAPHS:
-        _module(".parametric").check_stationary(game, profile)  # type: ignore[arg-type]
+        from . import parametric as par
+
+        par.check_stationary(game, profile)  # type: ignore[arg-type]
         lines = [f"{name} = {profile[name]}" for name in game.shapes]  # type: ignore[index]
     else:
         raise ShapeMismatch("matrix games take no profile")

@@ -122,7 +122,8 @@ class ParametricGame:
     def __post_init__(self) -> None:
         """``UnknownShape`` for the start, then, shape by shape in declaration order,
         ``MalformedGame`` for a shape without moves or with two moves of one label,
-        and ``UnknownShape`` for each advance, in move order, that names no shape."""
+        then, in move order, ``UnknownShape`` for an advance that names no shape
+        and ``MalformedGame`` for a target that is neither a leaf nor an advance."""
         if self.start not in self.shapes:
             raise UnknownShape(self.start)
         for name, shape in self.shapes.items():
@@ -132,9 +133,13 @@ class ParametricGame:
                 labels = shape.labels()
                 label = next(label for k, label in enumerate(labels) if label in labels[:k])
                 raise MalformedGame(f"{name!r} has two choices labelled {label!r}")
-            for _label, target in shape.moves:
-                if isinstance(target, Advance) and target.shape not in self.shapes:
-                    raise UnknownShape(target.shape)
+            for label, target in shape.moves:
+                if isinstance(target, Advance):
+                    if target.shape not in self.shapes:
+                        raise UnknownShape(target.shape)
+                elif not isinstance(target, AffineLeaf):
+                    where = f"{self.CHOICE} {label!r} at {name!r}"
+                    raise MalformedGame(f"{where} leads to neither a leaf nor a {self.POINT}")
 
     @cached_property
     def labels(self) -> dict[str, tuple[str, ...]]:

@@ -15,9 +15,10 @@ character-by-character ``reference_tokenize`` referee the flat-array tree
 routines and the compiled token scan, which ``scan_tokenize`` exposes in the
 same token form; the depth-first ``reference_instantiate`` referees the
 stage-layered ``instantiate``; ``ReferenceParser``, the tree parser that
-left the index to a later walk, referees the parser that fills it; and
+left the index to a later walk, referees the parser that fills it;
 ``reference_tree_dot``, which orders edges with the event walk
-``reference_edges``, referees the DOT export of trees.
+``reference_edges``, referees the DOT export of trees; and the recursive
+``reference_index`` referees the index arrays that ``TreeIndex`` lays out.
 """
 
 from __future__ import annotations
@@ -873,6 +874,42 @@ class ReferenceParser(_Parser):
 
 def reference_parse(text: str) -> GameDoc:
     return ReferenceParser(text).parse_doc()
+
+
+def reference_index(tree: FiniteGame) -> tuple:
+    """The six ``TreeIndex`` arrays of ``tree`` (``owners``, ``paths``,
+    ``outcomes``, ``labels``, ``children``, ``postorder``), by plain
+    recursion over ``Node.branches``."""
+    owners: list = []
+    paths: list = []
+    outcomes: list = []
+    labels: list = []
+    children: list = []
+    postorder: list = []
+
+    def visit(sub: FiniteGame, path: tuple[str, ...]) -> int:
+        at = len(outcomes)
+        if isinstance(sub, Leaf):
+            owners.append(None)
+            paths.append(None)
+            outcomes.append(sub.outcome)
+            labels.append(())
+            children.append(())
+            return at
+        owners.append(sub.owner)
+        paths.append(path)
+        outcomes.append(None)
+        labels.append(tuple(label for label, _ in sub.branches))
+        children.append(None)
+        kids = []
+        for label, child in sub.branches:
+            kids.append(visit(child, path + (label,)))
+        children[at] = tuple(kids)
+        postorder.append(at)
+        return at
+
+    visit(tree, ())
+    return owners, paths, outcomes, labels, children, postorder
 
 
 def reference_edges(index: TreeIndex):

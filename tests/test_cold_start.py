@@ -99,6 +99,22 @@ class TestModulesLoaded:
         assert not absent & modules
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "corpus/zero_one_7.game"], ["enumerate", "corpus/zero_one_cyclic.game"]],
+    ids=["solve", "enumerate-cyclic"],
+)
+def test_importtime_logs_every_package_module_loaded(argv):
+    """``-X importtime`` writes a line for each module of the package that a
+    command loads, so no module's import time is charged to its importer."""
+    done = fresh("-X", "importtime", "-c", _RUN_AND_LIST, *argv)
+    lines = done.stderr.decode("utf-8").splitlines()
+    code, modules = json.loads(lines[-1])
+    assert code == 0, done.stderr
+    logged = {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+    assert package(set(modules)) - logged == set()
+
+
 def _golden_picks() -> list[dict]:
     """Per command, the first text case and the first JSON case (on another
     game where there is one) that exit 0, then three wrong-kind refusals."""

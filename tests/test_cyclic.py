@@ -183,6 +183,11 @@ class TestEngine:
         with pytest.raises(MalformedGame, match="^'t' has no choices$"):
             CyclicGame({"s": CyclicNode(0, (("x", "t"),)), "t": CyclicNode(1, ())}, "s")
 
+    def test_a_raw_shape_with_a_target_of_the_wrong_type_is_rejected(self):
+        shapes = {"s": CyclicNode(0, (("x", "t"),)), "t": Shape(1, (("y", leaf(1, 0)), ("z", "s")))}
+        with pytest.raises(MalformedGame, match="^edge 'y' at 't' leads to neither a leaf nor a node$"):
+            CyclicGame(shapes, "s")
+
     def test_search_bound_message_names_positional_profiles(self):
         pair = (("x", leaf(0, 0)), ("y", leaf(1, 1)))
         game = CyclicGame({f"N{i}": CyclicNode(0, pair) for i in range(3)}, "N0")

@@ -146,6 +146,21 @@ class TestConstruction:
         with pytest.raises(MalformedGame, match="^'T' has no choices$"):
             ParametricGame({"S": Shape(0, (("c", Advance("T")),)), "T": Shape(1, ())}, "S")
 
+    def test_a_target_that_is_neither_a_leaf_nor_an_advance_is_rejected(self):
+        # Cyclic-style edges (a node name, a finite leaf) handed to ``Shape`` itself.
+        shape = Shape(0, (("x", "S"), ("y", leaf(1, 0))))
+        with pytest.raises(MalformedGame, match="^move 'x' at 'S' leads to neither a leaf nor a shape$"):
+            ParametricGame({"S": shape}, "S")
+
+    def test_a_bad_target_is_reported_in_move_order(self):
+        stop = AffineLeaf((affine(0), affine(0)))
+        shape = Shape(0, (("a", stop), ("b", Advance("Z")), ("c", leaf(0, 0))))
+        with pytest.raises(UnknownShape, match="^Z$"):
+            ParametricGame({"S": shape}, "S")
+        shape = Shape(0, (("a", stop), ("b", leaf(0, 0)), ("c", Advance("Z"))))
+        with pytest.raises(MalformedGame, match="^move 'b' at 'S' leads to neither a leaf nor a shape$"):
+            ParametricGame({"S": shape}, "S")
+
     def test_an_undefined_start_is_reported_first(self):
         with pytest.raises(UnknownShape, match="^Z$"):
             ParametricGame({"S": Shape(0, ())}, "Z")

@@ -3,9 +3,10 @@
 ``dsl.parse`` fills a tree's index as it reads the tree.  ``ReferenceParser``,
 the parser that left the index to a later walk, referees it on the corpus,
 on seeded random texts and on broken copies of them.  A parse-filled index
-must equal a fresh walk of the same tree, a parsed tree must compare and
-hash like the same tree built in code, and ``to_dot`` must write the bytes
-of the referee that orders edges with the event walk.
+must equal a fresh walk of the same tree, and both must equal
+``reference_index``, which lays the arrays out by plain recursion; a parsed
+tree must compare and hash like the same tree built in code, and ``to_dot``
+must write the bytes of the referee that orders edges with the event walk.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from helpers import (
     deep_random_tree,
     random_profile,
     random_tree,
+    reference_index,
     reference_parse,
     reference_tree_dot,
     token_spans,
@@ -111,11 +113,14 @@ class TestParserReferee:
         assert kinds == {"parsed", ParseError, ValidationError}
 
 
+def random_trees(rng: random.Random) -> list:
+    return [random_tree(rng) for _ in range(20)] + [deep_random_tree(rng) for _ in range(20)]
+
+
 def referee_trees() -> list:
     rng = random.Random(2020)
     trees = [parse(text).game for text in corpus_trees().values()]
-    trees += [random_tree(rng) for _ in range(20)]
-    trees += [deep_random_tree(rng) for _ in range(20)]
+    trees += random_trees(rng)
     trees += [chain01(450), big_random_tree(rng, 10_000)]
     return trees
 
@@ -144,6 +149,37 @@ class TestParseFilledIndex:
             assert game == tree and tree == game
             assert hash(game) == hash(tree)
             assert game != Leaf((0, 0))
+
+
+class TestRecursiveReferee:
+    """The arrays that ``parse`` lays out and those of the walk, against
+    ``reference_index``, which shares no code with either."""
+
+    def test_random_trees(self):
+        for tree in random_trees(random.Random(2020)):  # the random trees of ``referee_trees``
+            want = reference_index(tree)
+            assert arrays(parse(serialize(GameDoc(PLAYERS, tree))).game.index) == want
+            assert arrays(TreeIndex(tree)) == want
+
+    def test_one_leaf_game(self):
+        game = parse("players Alice Bertrand\nfinite {\n  leaf(1,0)\n}\n").game
+        want = ([None], [None], [(1, 0)], [()], [()], [])
+        assert reference_index(game) == want
+        assert arrays(game.index) == arrays(TreeIndex(game)) == want
+
+    def test_closed_arrays(self, trees_and_texts):
+        """Every entry is a tuple once laid out, and ``postorder`` lists each
+        decision node once, after the decision nodes among its children."""
+        for tree, text in trees_and_texts:
+            for index in (parse(text).game.index, TreeIndex(tree)):
+                assert all(type(names) is tuple for names in index.labels)
+                assert all(type(kids) is tuple for kids in index.children)
+                decisions = [at for at, path in enumerate(index.paths) if path is not None]
+                assert sorted(index.postorder) == decisions
+                done: set[int] = set()
+                for at in index.postorder:
+                    assert {kid for kid in index.children[at] if index.outcomes[kid] is None} <= done
+                    done.add(at)
 
 
 class TestDotReferee:
