@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Any
 
@@ -55,6 +54,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _render(args: argparse.Namespace, payload: dict[str, Any], text_lines: list[str]) -> None:
     if args.format == "json":
+        import json  # here only, so a text command never loads it
         _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     else:
         _emit(args, "\n".join(text_lines) + "\n")
@@ -75,16 +75,12 @@ def _profile_text(game, profile) -> str:
     return ", ".join(f"{key}={action}" for key, action in items)
 
 
-def _stage0(value) -> int:
-    """A graph payoff at stage 0, where play from the start enters; a cyclic game's at any stage."""
-    return value.at(0)
-
-
 def _value_json(value: object, kind: str) -> object:
-    """An int as it is, a cyclic game's payoff as its int, a param game's as its formula."""
+    """An int as it is, a cyclic game's payoff (the same at every stage) as its int,
+    a param game's as its formula."""
     if isinstance(value, int):
         return value
-    return _stage0(value) if kind == "cyclic" else str(value)
+    return value.at(0) if kind == "cyclic" else str(value)  # type: ignore[attr-defined]
 
 
 def _report_json(report: fin.SpeReport, kind: str) -> dict[str, Any]:
@@ -147,13 +143,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         entries = []
         for profile in result.profiles:
             play, outcome = induced_play(game, profile)
-            entries.append(
-                {
-                    "profile": _profile_json(game, profile),
-                    "play": list(play),
-                    "outcome": list(outcome),
-                }
-            )
+            entries.append({"profile": _profile_json(game, profile), "play": list(play), "outcome": list(outcome)})
         distinct = sorted({tuple(entry["play"]) for entry in entries})
         payload = {
             "command": "enumerate",
@@ -189,15 +179,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             {
                 "profile": dict(profile),
                 route_key: list(result.path) if kind == "cyclic" else result.steps,
-                outcome_key: [_stage0(v) for v in result.outcome],
+                outcome_key: [v.at(0) for v in result.outcome],  # stage 0, where play from the start enters
             }
         )
-    payload = {
-        "command": "enumerate",
-        "kind": kind,
-        "profile_count": len(accepted),
-        "equilibria": entries,
-    }
+    payload = {"command": "enumerate", "kind": kind, "profile_count": len(accepted), "equilibria": entries}
     text = [f"kind: {kind}", f"{game.PROFILE} equilibria: {len(accepted)}"]
     for entry in entries:
         text.append(f"  {_profile_text(game, entry['profile'])} -> {_outcome_text(entry[outcome_key])}{suffix}")
@@ -229,10 +214,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
         raise ValueError("depth must be positive")
     tree = instantiate(doc.game, args.depth, terminal)
     rendered = dsl.serialize(dsl.GameDoc(doc.players, tree))
-    if args.format == "json":
-        _emit(args, json.dumps({"command": "unfold", "game": rendered}, sort_keys=True) + "\n")
-    else:
-        _emit(args, rendered)
+    _render(args, {"command": "unfold", "game": rendered}, [rendered[:-1]])  # less the final newline
     return 0
 
 

@@ -7,17 +7,17 @@ does arithmetic on them.  A strategy profile chooses an action at every
 decision node, including nodes that equilibrium play never reaches, so
 deviation checks can reason about counterfactual positions.
 
-All values are immutable after construction and every operation is a pure
-function; sharing across threads is safe.  Every routine over a tree runs
-on its ``index``: preorder arrays cached on the root, which ``TreeIndex``
-lays out as ``dsl.parse`` reads a tree, or in one iterative walk of a tree
-built in code on first use.  The work is linear in the number of nodes
-(plus the hashing of path keys) and no depth exhausts the recursion limit.
+Values (games, reports, verdicts) are ``Record``s, immutable once built,
+and every operation is a pure function; sharing across threads is safe.
+Every routine over a tree runs on its ``index``: preorder arrays cached on
+the root, which ``TreeIndex`` lays out as ``dsl.parse`` reads a tree, or in
+one iterative walk of a tree built in code on first use.  The work is
+linear in the number of nodes (plus the hashing of path keys) and no depth
+exhausts the recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
@@ -61,8 +61,50 @@ class MalformedGame(GameError):
     point needs at least one choice, and its choices need distinct labels."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Record:
+    """An immutable value with named fields, the base of every value class.
+
+    A subclass declares its fields, after its parent's, as annotations; one
+    given a value in the class body has that default.  ``__init_subclass__``
+    compiles the class's ``__init__`` (which ends by calling ``__post_init__``
+    if the class has one) and, unless the class defines ``__eq__``, an
+    ``__eq__`` between instances of the class alone and a ``__hash__`` of the
+    tuple of fields.  Setting or deleting an attribute raises
+    ``AttributeError``; a ``cached_property`` writes the instance ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)  # the class's own annotations
+        defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}  # inherited too
+        params = "".join(f", {name}" + (f"=_defaults[{name!r}]" if name in defaults else "") for name in fields)
+        body = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
+        body += "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        mine, theirs = ("(" + "".join(f"{who}.{name}, " for name in fields) + ")" for who in ("self", "other"))
+        methods: dict = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(
+            f"def __init__(self{params}):{body or ' pass'}\n"
+            f"def __eq__(self, other):\n if other.__class__ is self.__class__: return {mine} == {theirs}\n"
+            f" return NotImplemented\n"
+            f"def __hash__(self): return hash({mine})\n",
+            methods,
+        )
+        for name in ("__init__",) if "__eq__" in cls.__dict__ else ("__init__", "__eq__", "__hash__"):
+            setattr(cls, name, methods[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+
+class Leaf(Record):
     outcome: OutcomeVector
 
     KIND = "finite"  # the game kind, read without importing the module of each kind
@@ -73,8 +115,7 @@ class Leaf:
         return TreeIndex(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Node:
+class Node(Record):
     """A decision node.  Equality and hashing compare the preorder arrays of
     ``index``, so they do not recurse and work on trees of any depth."""
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .core import (
@@ -39,6 +38,7 @@ from .core import (
     GameError,
     Leaf,
     Node,
+    Record,
     ShapeMismatch,
     TreeIndex,
     TreeProfile,
@@ -81,8 +81,7 @@ class ValidationError(ParseError):
         Exception.__init__(self, f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class GameDoc:
+class GameDoc(Record):
     players: tuple[str, str]
     game: Game
 
@@ -646,7 +645,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     elif kind in _GRAPHS:
         from . import parametric as par
         if highlight is not None:
-            par.check_stationary(game, highlight)
+            game.check_profile(highlight)
         idents = {name: next(fresh) for name in game.shapes}
         for name, shape in game.shapes.items():
             label = f"{name}: {doc.players[shape.owner]}"
@@ -715,9 +714,7 @@ def parse_profile_text(text: str, game: Game) -> dict:
         chosen_branches(game, profile)
         return profile
     if game.KIND in _GRAPHS:
-        from . import parametric as par
-
-        par.check_stationary(game, entries)
+        game.check_profile(entries)
         return entries
     raise ShapeMismatch("matrix games take no profile")
 
@@ -732,9 +729,7 @@ def render_profile(game: Game, profile: AnyProfile) -> str:
             for path in node_paths(game)
         ]
     elif game.KIND in _GRAPHS:
-        from . import parametric as par
-
-        par.check_stationary(game, profile)  # type: ignore[arg-type]
+        game.check_profile(profile)  # type: ignore[arg-type]
         lines = [f"{name} = {profile[name]}" for name in game.shapes]  # type: ignore[index]
     else:
         raise ShapeMismatch("matrix games take no profile")

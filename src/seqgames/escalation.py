@@ -11,17 +11,15 @@ belief from the equilibrium set at every turn and never learn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .core import GameError, OutcomeVector
+from .core import GameError, OutcomeVector, Record
 from .parametric import (
     AffineLeaf,
     Divergent,
     ParametricGame,
     _walk,
     check_spe_param,
-    check_stationary,
     enumerate_stationary_spe,
 )
 
@@ -64,21 +62,18 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-@dataclass(frozen=True)
-class BeliefPair:
+class BeliefPair(Record):
     """One full-game equilibrium belief per player, over the same game."""
 
     belief_of_a: Profile
     belief_of_b: Profile
 
 
-@dataclass(frozen=True)
-class Escalates:
+class Escalates(Record):
     witness: Divergent  # the lasso: stem, then the cycle repeated forever
 
 
-@dataclass(frozen=True)
-class Terminates:
+class Terminates(Record):
     stage: int
     outcome: OutcomeVector
 
@@ -86,13 +81,11 @@ class Terminates:
 EscalationVerdict = Union[Escalates, Terminates]
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(Record):
     """Re-select a belief uniformly at random at every turn."""
 
 
-@dataclass(frozen=True)
-class FixedIndex:
+class FixedIndex(Record):
     """Pin each player to one belief index for the whole run."""
 
     indices: tuple[int, int]
@@ -101,16 +94,14 @@ class FixedIndex:
 BeliefSelectionPolicy = Union[Uniform, FixedIndex]
 
 
-@dataclass(frozen=True)
-class SimStep:
+class SimStep(Record):
     stage: int
     mover: int
     belief_index: int
     action: str
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class SimTrace(Record):
     seed: int
     steps: tuple[SimStep, ...]
     outcome: OutcomeVector | None
@@ -122,8 +113,8 @@ class SimTrace:
 
 def compose_beliefs(game: ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
     """Effective profile: the owner's own action from the owner's own belief."""
-    check_stationary(game, beliefs.belief_of_a)
-    check_stationary(game, beliefs.belief_of_b)
+    game.check_profile(beliefs.belief_of_a)
+    game.check_profile(beliefs.belief_of_b)
     return _composed(game, beliefs)
 
 
@@ -147,7 +138,7 @@ def detect_escalation(
     """
     for player, belief in enumerate((beliefs.belief_of_a, beliefs.belief_of_b)):
         if not require_equilibria:
-            check_stationary(game, belief)
+            game.check_profile(belief)
         elif not check_spe_param(game, belief).ok:  # validates the belief first
             raise BeliefNotEquilibrium(player)
     result = _walk(game, _composed(game, beliefs), game.start)  # valid: made of valid beliefs
@@ -180,7 +171,7 @@ def simulate(
     if not beliefs:
         raise NoEquilibria("no equilibrium beliefs available")
     for belief in beliefs:
-        check_stationary(game, belief)
+        game.check_profile(belief)
     if isinstance(selection, FixedIndex):
         if len(selection.indices) != 2:
             raise ValueError(f"FixedIndex needs one belief index per player, got {len(selection.indices)}")

@@ -10,13 +10,13 @@ trees the one-shot test coincides with arbitrary strategy deviations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .core import (
     FiniteGame,
     PlayLine,
+    Record,
     TreeProfile,
     chosen_branches,
     require_two_players,
@@ -32,8 +32,7 @@ class TiePolicy(Enum):
     LAST_BRANCH = "last"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A one-shot deviation that strictly improves the node owner's utility.
 
     ``where`` is a node path for tree games and a node or shape name for
@@ -47,8 +46,7 @@ class Violation:
     deviation_value: object
 
 
-@dataclass(frozen=True)
-class SpeReport:
+class SpeReport(Record):
     violations: tuple[Violation, ...] = ()
     divergences: tuple[str, ...] = ()
 
@@ -57,8 +55,7 @@ class SpeReport:
         return not self.violations and not self.divergences
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(Record):
     profiles: tuple[TreeProfile, ...]
     truncated: bool
 

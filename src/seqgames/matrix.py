@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Sequence
 
-from .core import GameError, LimitExceeded
+from .core import GameError, LimitExceeded, Record
 
 SUPPORT_LIMIT = 9
 
@@ -36,8 +35,7 @@ class DimensionMismatch(GameError):
     """A distribution's length does not fit the matrix."""
 
 
-@dataclass(frozen=True)
-class MatrixGame:
+class MatrixGame(Record):
     payoffs: tuple[tuple[Fraction, ...], ...]
     total: Fraction
 
@@ -52,8 +50,7 @@ class MatrixGame:
         return len(self.payoffs[0])
 
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(Record):
     row: tuple[Fraction, ...]
     column: tuple[Fraction, ...]
     value: Fraction

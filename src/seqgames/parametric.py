@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
-from .core import FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, ShapeMismatch
+from .core import FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch
 from .finite import SpeReport, Violation
 
 DEFAULT_SEARCH_BOUND = 2**20
@@ -39,8 +38,7 @@ class InvalidValue(GameError):
     """The auctioned object's value must be a positive integer."""
 
 
-@dataclass(frozen=True)
-class AffineValue:
+class AffineValue(Record):
     """Exact integer affine form ``const + slope * n`` over stages n >= 0."""
 
     const: int
@@ -77,8 +75,7 @@ def affine_leq(f: AffineValue, g: AffineValue, start: int = 0) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class AffineLeaf:
+class AffineLeaf(Record):
     outcome: tuple[AffineValue, ...]
 
     @cached_property
@@ -90,13 +87,11 @@ class AffineLeaf:
         return Leaf(tuple(value.const for value in self.outcome))
 
 
-@dataclass(frozen=True)
-class Advance:
+class Advance(Record):
     shape: str
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record):
     owner: int
     moves: tuple[tuple[str, Union[AffineLeaf, Advance]], ...]
 
@@ -110,8 +105,7 @@ class Shape:
         return tuple(name for name, _ in self.moves)
 
 
-@dataclass(frozen=True)
-class ParametricGame:
+class ParametricGame(Record):
     shapes: Mapping[str, Shape]
     start: str
 
@@ -141,6 +135,18 @@ class ParametricGame:
                     where = f"{self.CHOICE} {label!r} at {name!r}"
                     raise MalformedGame(f"{where} leads to neither a leaf nor a {self.POINT}")
 
+    def check_profile(self, profile: StationaryProfile) -> None:
+        """Raise ``ShapeMismatch`` unless ``profile`` picks one label at every decision point.
+
+        A method, so ``dsl`` reaches it through the game it holds without importing this module."""
+        choice = self.CHOICE
+        if profile.keys() != self.shapes.keys():
+            raise ShapeMismatch(f"profile must choose exactly one {choice} per {self.POINT}")
+        for name, labels in self.labels.items():
+            if profile[name] not in labels:  # a tuple, so an unhashable choice is a mismatch too
+                article = "an" if choice[0] in "aeiou" else "a"
+                raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
+
     @cached_property
     def labels(self) -> dict[str, tuple[str, ...]]:
         """Each shape's move labels, built on first use and kept: a game is not to be changed once it is built."""
@@ -156,8 +162,7 @@ class ParametricGame:
 StationaryProfile = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class ConvergesAffine:
+class ConvergesAffine(Record):
     """Play moves through the shapes of ``path`` and then takes a leaf; the
     outcome is expressed as affine functions of the stage at which play
     entered."""
@@ -170,8 +175,7 @@ class ConvergesAffine:
         return len(self.path)
 
 
-@dataclass(frozen=True)
-class Divergent:
+class Divergent(Record):
     """Play never takes a leaf: it passes ``stem`` once, then repeats ``cycle``."""
 
     stem: tuple[str, ...]
@@ -179,17 +183,6 @@ class Divergent:
 
 
 InducedParamResult = Union[ConvergesAffine, Divergent]
-
-
-def check_stationary(game: ParametricGame, profile: StationaryProfile) -> None:
-    """Raise ``ShapeMismatch`` unless ``profile`` picks one label at every decision point."""
-    choice = game.CHOICE
-    if profile.keys() != game.shapes.keys():
-        raise ShapeMismatch(f"profile must choose exactly one {choice} per {game.POINT}")
-    for name, labels in game.labels.items():
-        if profile[name] not in labels:  # a tuple, so an unhashable choice is a mismatch too
-            article = "an" if choice[0] in "aeiou" else "a"
-            raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
 
 
 def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> InducedParamResult:
@@ -220,12 +213,11 @@ def induced_outcome_param(
     name = game.start if from_shape is None else from_shape
     if name not in game.shapes:
         raise UnknownShape(name)
-    check_stationary(game, profile)
+    game.check_profile(profile)
     return _walk(game, profile, name)
 
 
-@dataclass(frozen=True)
-class EntryStages:
+class EntryStages(Record):
     """Stages at which a shape can be entered under some play.
 
     ``stages`` lists the reachable entry stages up to twice the shape
@@ -278,7 +270,7 @@ def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeRepo
     the profile's value at any stage where the shape is actually entered.
     A deviation with divergent continuation never improves on a payoff.
     """
-    check_stationary(game, profile)
+    game.check_profile(profile)
     results = _resolve(game, profile)
     divergent = tuple(name for name in game.shapes if results[name] is None)
     if divergent:
@@ -427,7 +419,7 @@ def instantiate_profile(
     game: ParametricGame, profile: StationaryProfile, max_stage: int
 ) -> dict[tuple[str, ...], str]:
     """Restrict a stationary profile to the tree built by ``instantiate``."""
-    check_stationary(game, profile)
+    game.check_profile(profile)
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
     out: dict[tuple[str, ...], str] = {}

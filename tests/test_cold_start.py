@@ -9,6 +9,7 @@ shows only in a fresh process: each case here starts one.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -38,24 +39,27 @@ def fresh(*args: str) -> subprocess.CompletedProcess:
 
 # Runs ``seqgames <argv>`` as ``python -m seqgames`` does (the package is
 # imported, then its ``__main__`` runs as ``__main__``), then writes the exit
-# code and every module name in ``sys.modules`` as one JSON line to stderr.
+# code and every module name in ``sys.modules`` as one JSON line to stderr;
+# ``json`` is imported after the names are taken.
 _RUN_AND_LIST = """
-import json, runpy, sys
+import runpy, sys
 sys.argv = ["seqgames", *sys.argv[1:]]
 code = None
 try:
     runpy.run_module("seqgames", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, modules]), file=sys.stderr)
 """
 
 
-def loaded(*argv: str) -> set[str]:
-    """The modules a fresh ``seqgames *argv`` has loaded when it exits 0."""
+def loaded(*argv: str, code: int = 0) -> set[str]:
+    """The modules a fresh ``seqgames *argv`` has loaded when it exits with ``code``."""
     done = fresh("-c", _RUN_AND_LIST, *argv)
-    code, modules = json.loads(done.stderr.decode("utf-8").splitlines()[-1])
-    assert code == 0, done.stderr
+    exited, modules = json.loads(done.stderr.decode("utf-8").splitlines()[-1])
+    assert exited == code, done.stderr
     return set(modules)
 
 
@@ -133,6 +137,36 @@ def _golden_picks() -> list[dict]:
     ]
     picks.extend(next(case for case in cases if case["argv"] == argv) for argv in wrong_kinds)
     return picks
+
+
+# ``dataclasses`` and the standard-library modules it pulls in, which no command needs.
+UNUSED_AT_COLD_START = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize(
+    "case", [*_golden_picks(), {"argv": ["--help"], "code": 0}], ids=lambda case: " ".join(case["argv"])
+)
+def test_no_command_loads_dataclasses_or_inspect(case):
+    modules = loaded(*case["argv"], code=case["code"])
+    assert not UNUSED_AT_COLD_START & modules
+    if "json" not in case["argv"]:
+        assert "json" not in modules  # only a JSON writer loads it
+
+
+def test_json_is_loaded_to_write_json():
+    assert "json" in loaded("solve", "corpus/zero_one_7.game", "--format", "json")
+
+
+def test_no_source_file_imports_dataclasses():
+    imported = set()
+    for path in sorted((ROOT / "src" / "seqgames").glob("*.py")):
+        for statement in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(statement, ast.Import):
+                imported.update((path.name, alias.name) for alias in statement.names)
+            elif isinstance(statement, ast.ImportFrom) and statement.module:
+                imported.add((path.name, statement.module))
+    assert imported
+    assert {(name, module) for name, module in imported if module.partition(".")[0] == "dataclasses"} == set()
 
 
 @pytest.mark.parametrize("case", _golden_picks(), ids=lambda case: " ".join(case["argv"]))

@@ -212,14 +212,14 @@ class TestListValuedChoice:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda profile: par.check_stationary(loop01(), profile),
+            lambda profile: loop01().check_profile(profile),
             lambda profile: esc.detect_escalation(
                 loop01(), esc.BeliefPair(profile, {"A": "a", "B": "c"}), require_equilibria=False
             ),
             lambda profile: dsl.render_profile(loop01(), profile),
             lambda profile: dsl.to_dot(dsl.GameDoc(("Alice", "Bertrand"), loop01()), profile),
         ],
-        ids=["check_stationary", "detect_escalation unchecked", "render_profile", "to_dot"],
+        ids=["check_profile", "detect_escalation unchecked", "render_profile", "to_dot"],
     )
     def test_list_choice_is_a_shape_mismatch(self, call):
         with pytest.raises(ShapeMismatch, match=r"^choice \['a'\] at 'A' is not an edge label$"):
