@@ -156,6 +156,28 @@ class Node(Record):
         index = self.index
         return hash((tuple(index.owners), tuple(index.labels), tuple(index.outcomes)))
 
+    def __repr__(self) -> str:
+        """What ``Record.__repr__`` prints, written from an explicit stack of the values still
+        to print and the text between them, so no depth exhausts the recursion limit."""
+        out: list[str] = []
+        stack: list[tuple[bool, object]] = [(False, self)]  # (is text, item), the next one last
+        while stack:
+            text, item = stack.pop()
+            if text:
+                out.append(item)  # type: ignore[arg-type]
+            elif isinstance(item, Node) and item.__class__.__repr__ is Node.__repr__:
+                head = f"{item.__class__.__qualname__}(owner={item.owner!r}, branches="
+                stack += (True, ")"), (False, item.branches), (True, head)
+            elif item.__class__ is tuple and item:
+                parts: list[tuple[bool, object]] = [(True, "(")]
+                for value in item:
+                    parts += (False, value), (True, ", ")
+                parts[-1] = (True, ",)" if len(item) == 1 else ")")
+                stack += reversed(parts)
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
 
 FiniteGame = Union[Leaf, Node]
 

@@ -513,10 +513,9 @@ def _require_writable(doc: GameDoc) -> None:
         outcomes = set(index.outcomes)
         keyword = "leaf"  # an owner named so would read as a leaf
     elif kind in _GRAPHS:
-        from . import parametric as par
         _require_names("name", game.shapes)
         if kind == "cyclic" and any(
-            isinstance(target, par.Advance) and target.shape == "leaf"
+            not target.LEAF and target.shape == "leaf"
             for shape in game.shapes.values()
             for _label, target in shape.moves
         ):
@@ -527,7 +526,7 @@ def _require_writable(doc: GameDoc) -> None:
             target.outcome
             for shape in game.shapes.values()
             for _label, target in shape.moves
-            if isinstance(target, par.AffineLeaf)
+            if target.LEAF
         }
         keyword = None
     else:
@@ -563,14 +562,13 @@ def serialize(doc: GameDoc) -> str:
             _serialize_tree(game, doc.players, out)
         out.append("}")
     elif kind in _GRAPHS:
-        from . import parametric as par
         # A slope-0 payoff prints as its constant, so a cyclic game's leaves read as ints.
         advance = "" if kind == "cyclic" else "advance "
         out.append(f"{kind} start={game.start} {{")
         for name, shape in game.shapes.items():
             out.append(f"  {name}: {doc.players[shape.owner]} {{")
             for label, target in shape.moves:
-                if isinstance(target, par.AffineLeaf):
+                if target.LEAF:
                     out.append(f"    {label} -> leaf({target.outcome[0]},{target.outcome[1]})")
                 else:
                     out.append(f"    {label} -> {advance}{target.shape}")
@@ -643,7 +641,6 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
                     break
                 edges.append(edge(parent, position - 1))
     elif kind in _GRAPHS:
-        from . import parametric as par
         if highlight is not None:
             game.check_profile(highlight)
         idents = {name: next(fresh) for name in game.shapes}
@@ -652,7 +649,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
             nodes.append(f'  {idents[name]} [label="{_dot_escape(label)}"];')
         for name, shape in game.shapes.items():
             for label, target in shape.moves:
-                if isinstance(target, par.AffineLeaf):
+                if target.LEAF:
                     child = next(fresh)
                     rendered = ",".join(str(v) for v in target.outcome)
                     nodes.append(f'  {child} [label="{_dot_escape(rendered)}"];')

@@ -14,14 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .core import GameError, OutcomeVector, Record
-from .parametric import (
-    AffineLeaf,
-    Divergent,
-    ParametricGame,
-    _walk,
-    check_spe_param,
-    enumerate_stationary_spe,
-)
+from .parametric import Divergent, ParametricGame, _walk, check_spe_param, enumerate_stationary_spe
 
 Profile = Mapping[str, str]
 
@@ -115,11 +108,6 @@ def compose_beliefs(game: ParametricGame, beliefs: BeliefPair) -> dict[str, str]
     """Effective profile: the owner's own action from the owner's own belief."""
     game.check_profile(beliefs.belief_of_a)
     game.check_profile(beliefs.belief_of_b)
-    return _composed(game, beliefs)
-
-
-def _composed(game: ParametricGame, beliefs: BeliefPair) -> dict[str, str]:
-    """``compose_beliefs`` for validated beliefs."""
     per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
     return {name: per_player[shape.owner][name] for name, shape in game.shapes.items()}
 
@@ -134,20 +122,19 @@ def detect_escalation(
     Divergence is escalation; convergence terminates at the stage of the
     first abandoning move, with the concrete outcome.  With
     ``require_equilibria`` set, each belief must pass the equilibrium check
-    first.
+    first.  The walk composes the beliefs shape by shape as play reaches them.
     """
-    for player, belief in enumerate((beliefs.belief_of_a, beliefs.belief_of_b)):
+    per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
+    for player, belief in enumerate(per_player):
         if not require_equilibria:
             game.check_profile(belief)
         elif not check_spe_param(game, belief).ok:  # validates the belief first
             raise BeliefNotEquilibrium(player)
-    result = _walk(game, _composed(game, beliefs), game.start)  # valid: made of valid beliefs
-    if isinstance(result, Divergent):
-        return Escalates(result)
-    return Terminates(
-        stage=result.steps - 1,  # every move before the leaf advanced one stage
-        outcome=tuple(value.at(0) for value in result.outcome),
-    )
+    path, end = _walk(game, per_player, game.start)
+    if end.__class__ is int:
+        return Escalates(Divergent(stem=tuple(path[:end]), cycle=tuple(path[end:])))
+    stage = len(path) - 1  # every move before the leaf advanced one stage
+    return Terminates(stage=stage, outcome=tuple(v.const + v.slope * stage for v in end.outcome))
 
 
 def simulate(
@@ -186,15 +173,16 @@ def simulate(
         return rng.below(len(beliefs))
 
     steps: list[SimStep] = []
+    shapes, targets = game.shapes, game.targets
     name = game.start
     stage = 0
     for _turn in range(horizon):
-        shape = game.shapes[name]
-        index = pick(shape.owner)
+        owner = shapes[name].owner
+        index = pick(owner)
         action = beliefs[index][name]
-        steps.append(SimStep(stage, shape.owner, index, action))
-        target = shape.target(action)
-        if isinstance(target, AffineLeaf):
+        steps.append(SimStep(stage, owner, index, action))
+        target = targets[name][action]
+        if target.LEAF:
             return SimTrace(seed, tuple(steps), tuple(v.at(stage) for v in target.outcome))
         name = target.shape
         stage += 1

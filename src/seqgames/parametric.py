@@ -78,6 +78,8 @@ def affine_leq(f: AffineValue, g: AffineValue, start: int = 0) -> bool:
 class AffineLeaf(Record):
     outcome: tuple[AffineValue, ...]
 
+    LEAF = True  # tells a leaf from an ``Advance`` where this module is not imported, as ``KIND`` tells games
+
     @cached_property
     def constant(self) -> Leaf | None:
         """The concrete leaf of a payoff that is the same at every stage
@@ -90,16 +92,12 @@ class AffineLeaf(Record):
 class Advance(Record):
     shape: str
 
+    LEAF = False
+
 
 class Shape(Record):
     owner: int
     moves: tuple[tuple[str, Union[AffineLeaf, Advance]], ...]
-
-    def target(self, label: str) -> Union[AffineLeaf, Advance]:
-        for name, tgt in self.moves:
-            if name == label:
-                return tgt
-        raise KeyError(label)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.moves)
@@ -148,9 +146,15 @@ class ParametricGame(Record):
                 raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
 
     @cached_property
+    def targets(self) -> dict[str, dict[str, Union[AffineLeaf, Advance]]]:
+        """Each shape's moves as a ``{label: target}`` table, built on first use and kept: a game
+        is not to be changed once it is built."""
+        return {name: dict(shape.moves) for name, shape in self.shapes.items()}
+
+    @cached_property
     def labels(self) -> dict[str, tuple[str, ...]]:
-        """Each shape's move labels, built on first use and kept: a game is not to be changed once it is built."""
-        return {name: shape.labels() for name, shape in self.shapes.items()}
+        """Each shape's move labels in move order, read from ``targets`` and kept like it."""
+        return {name: tuple(table) for name, table in self.targets.items()}
 
     @cached_property
     def entries(self) -> dict[str, EntryStages]:
@@ -185,20 +189,23 @@ class Divergent(Record):
 InducedParamResult = Union[ConvergesAffine, Divergent]
 
 
-def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> InducedParamResult:
-    """Induced play from shape ``name`` of the game under a profile already validated."""
+def _walk(
+    game: ParametricGame, beliefs: tuple[StationaryProfile, ...], name: str
+) -> tuple[list[str], Union[AffineLeaf, int]]:
+    """Induced play from shape ``name``, each move read from its owner's profile in ``beliefs``
+    (one validated profile per player): the shapes visited, then the ``AffineLeaf`` taken or,
+    when play returns to a visited shape, that shape's index in them, where the cycle starts."""
+    shapes, targets = game.shapes, game.targets
     path: list[str] = []
     seen: dict[str, int] = {}
     while name not in seen:
         seen[name] = len(path)
         path.append(name)
-        target = game.shapes[name].target(profile[name])
-        if isinstance(target, AffineLeaf):
-            offset = len(path) - 1  # every earlier move advanced one stage
-            return ConvergesAffine(tuple(path), tuple(v.shifted(offset) for v in target.outcome))
+        target = targets[name][beliefs[shapes[name].owner][name]]
+        if target.LEAF:
+            return path, target
         name = target.shape
-    first = seen[name]
-    return Divergent(stem=tuple(path[:first]), cycle=tuple(path[first:]))
+    return path, seen[name]
 
 
 def induced_outcome_param(
@@ -214,7 +221,11 @@ def induced_outcome_param(
     if name not in game.shapes:
         raise UnknownShape(name)
     game.check_profile(profile)
-    return _walk(game, profile, name)
+    path, end = _walk(game, (profile, profile), name)
+    if end.__class__ is int:
+        return Divergent(stem=tuple(path[:end]), cycle=tuple(path[end:]))
+    offset = len(path) - 1  # every earlier move advanced one stage
+    return ConvergesAffine(tuple(path), tuple(v.shifted(offset) for v in end.outcome))
 
 
 class EntryStages(Record):
@@ -283,13 +294,14 @@ def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, obje
     when play takes the unshifted leaf ``outcome`` at its ``steps``-th shape, None when
     it diverges, and False when it reaches a shape that a partial profile leaves open."""
     results: dict[str, object] = {}
+    targets = game.targets
     for first in profile:
         name, path, end = first, [], False
         while name not in results and name in profile:
             results[name] = None  # diverges, should this walk come back here
             path.append(name)
-            target = game.shapes[name].target(profile[name])
-            if isinstance(target, AffineLeaf):
+            target = targets[name][profile[name]]
+            if target.LEAF:
                 end = (0, target.outcome)
                 break
             name = target.shape
@@ -413,28 +425,6 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
             built[name] = Node(shape.owner, tuple(branches))
         below = built
     return below[game.start]
-
-
-def instantiate_profile(
-    game: ParametricGame, profile: StationaryProfile, max_stage: int
-) -> dict[tuple[str, ...], str]:
-    """Restrict a stationary profile to the tree built by ``instantiate``."""
-    game.check_profile(profile)
-    if max_stage < 1:
-        raise ValueError("max_stage must be positive")
-    out: dict[tuple[str, ...], str] = {}
-    stack: list[tuple[str, int, tuple[str, ...]]] = [(game.start, 0, ())]
-    while stack:  # preorder: children are pushed in reverse move order
-        name, stage, path = stack.pop()
-        shape = game.shapes[name]
-        out[path] = profile[name]
-        if stage + 1 < max_stage:
-            stack.extend(
-                (target.shape, stage + 1, path + (label,))
-                for label, target in reversed(shape.moves)
-                if isinstance(target, Advance)
-            )
-    return out
 
 
 def from_cyclic(game: ParametricGame) -> ParametricGame:

@@ -6,7 +6,9 @@ one-deviation property by direct tree walks, so it can referee
 ``enumerate_equilibria`` and ``check_spe``; the graph referees trace
 induced play step by step (on the cyclic graph itself, or at concrete
 stages of a parametric game), so they can referee ``check_spe_param``,
-the symbolic engine for both kinds;
+the symbolic engine for both kinds; ``reference_detect_escalation``
+composes two beliefs by hand and walks the composed profile with
+``reference_walk``, so it can referee ``detect_escalation``;
 ``reference_constant_sum`` solves each side of a matrix game separately with Gaussian elimination over
 Fractions, so it can referee the integer kernel of ``solve_constant_sum``;
 the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
@@ -44,14 +46,15 @@ from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
+from seqgames.escalation import BeliefNotEquilibrium, BeliefPair, Escalates, Terminates
 from seqgames.parametric import (
     Advance,
     AffineLeaf,
+    ConvergesAffine,
     Divergent,
     EntryStages,
     ParametricGame,
     Shape,
-    _walk,
     affine,
     affine_leq,
     stationary_profiles,
@@ -301,12 +304,46 @@ def _reference_holds_at_entries(deviation, base, info: EntryStages) -> bool:
     return affine_leq(deviation, base, info.stages[0])
 
 
+def reference_walk(game: ParametricGame, profile: dict, name: str):
+    """Induced play from shape ``name`` under a valid ``profile``, by a list of the shapes
+    visited: a ``ConvergesAffine`` whose payoffs are in the stage play entered ``name``,
+    or the ``Divergent`` lasso split at the first shape visited twice."""
+    path: list[str] = []
+    while name not in path:
+        path.append(name)
+        target = dict(game.shapes[name].moves)[profile[name]]
+        if isinstance(target, AffineLeaf):
+            steps = len(path) - 1
+            outcome = tuple(affine(v.const + v.slope * steps, v.slope) for v in target.outcome)
+            return ConvergesAffine(tuple(path), outcome)
+        name = target.shape
+    first = path.index(name)
+    return Divergent(tuple(path[:first]), tuple(path[first:]))
+
+
+def reference_detect_escalation(game: ParametricGame, beliefs: BeliefPair, require_equilibria: bool = True):
+    """The verdict of ``detect_escalation`` for valid beliefs: each belief judged by
+    ``reference_spe_report_param`` when ``require_equilibria`` is set, then the beliefs
+    composed by hand into one profile, and its play from the start walked by
+    ``reference_walk`` and read at stage 0."""
+    per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
+    if require_equilibria:
+        for player, belief in enumerate(per_player):
+            if not reference_spe_report_param(game, belief).ok:
+                raise BeliefNotEquilibrium(player)
+    composed = {name: per_player[shape.owner][name] for name, shape in game.shapes.items()}
+    play = reference_walk(game, composed, game.start)
+    if isinstance(play, Divergent):
+        return Escalates(play)
+    return Terminates(len(play.path) - 1, tuple(value.const for value in play.outcome))
+
+
 def reference_spe_report_param(game: ParametricGame, profile: dict) -> SpeReport:
     """The symbolic report of ``check_spe_param`` by a separate walk from every
     shape (quadratic in the shape count), for a valid profile: the divergent
     shapes, else every improving deviation with its affine values, in
     declaration and move order."""
-    results = {name: _walk(game, profile, name) for name in game.shapes}
+    results = {name: reference_walk(game, profile, name) for name in game.shapes}
     divergent = tuple(name for name, r in results.items() if isinstance(r, Divergent))
     if divergent:
         return SpeReport((), divergent)
@@ -377,6 +414,26 @@ def reference_instantiate(game: ParametricGame, max_stage: int, terminal: tuple)
                 continue
             name, stage, label = target.shape, after, move  # enter the missing subtree
             break
+
+
+def instantiate_profile(game: ParametricGame, profile: dict, max_stage: int) -> dict[tuple[str, ...], str]:
+    """Restrict a stationary profile to the tree built by ``instantiate``."""
+    game.check_profile(profile)
+    if max_stage < 1:
+        raise ValueError("max_stage must be positive")
+    out: dict[tuple[str, ...], str] = {}
+    stack: list[tuple[str, int, tuple[str, ...]]] = [(game.start, 0, ())]
+    while stack:  # preorder: children are pushed in reverse move order
+        name, stage, path = stack.pop()
+        shape = game.shapes[name]
+        out[path] = profile[name]
+        if stage + 1 < max_stage:
+            stack.extend(
+                (target.shape, stage + 1, path + (label,))
+                for label, target in reversed(shape.moves)
+                if isinstance(target, Advance)
+            )
+    return out
 
 
 def count_nodes(game: FiniteGame) -> int:

@@ -16,6 +16,7 @@ from helpers import (
     all_plays,
     brute_equilibria,
     chain01,
+    instantiate_profile,
     loop01,
     pennies_seq,
     random_tree,
@@ -143,7 +144,7 @@ def test_criterion_5_dollar_auction():
         and witness.deviation_value == affine(99, -1)
     )
     # stage-40 truncation referee: same verdict for every convergent profile
-    from seqgames.parametric import instantiate, instantiate_profile
+    from seqgames.parametric import instantiate
 
     depth = 40
     truncation_ok = True

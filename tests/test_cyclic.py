@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from helpers import chain01, loop01, random_cyclic, reference_is_spe, reference_report_cyclic
+from helpers import chain01, instantiate_profile, loop01, random_cyclic, reference_is_spe, reference_report_cyclic
 
 from seqgames import cyclic, parametric
 from seqgames.core import MalformedGame, ShapeMismatch, leaf, node
@@ -29,7 +29,6 @@ from seqgames.parametric import (
     check_spe_param,
     induced_outcome_param,
     instantiate,
-    instantiate_profile,
 )
 
 

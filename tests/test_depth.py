@@ -14,7 +14,7 @@ import pytest
 from helpers import chain01, loop01
 
 from seqgames.cli import run
-from seqgames.core import induced_play, leaf, node
+from seqgames.core import Record, induced_play, leaf, node
 from seqgames.dsl import GameDoc, parse, parse_profile_text, render_profile, serialize, to_dot
 from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
 from seqgames.parametric import instantiate
@@ -62,6 +62,16 @@ def test_equality_and_hash(deep_text):
     assert parsed != chain01(DEPTH - 1)
     assert node(0, ("a", built)) != node(0, ("a", parsed), ("b", leaf(0, 0)))
     assert built != leaf(0, 1) and leaf(0, 1) != built
+
+
+def test_repr_of_a_deep_chain():
+    heads = "".join(
+        f"Node(owner={i % 2}, branches=(('a', Leaf(outcome={(0, 1) if i % 2 == 0 else (1, 0)})), ('c', "
+        for i in range(DEPTH)
+    )
+    assert repr(chain01(DEPTH)) == heads + "Leaf(outcome=(0, 1))" + ")))" * DEPTH
+    shallow = chain01(100)
+    assert repr(shallow) == Record.__repr__(shallow)  # what every other record prints
 
 
 def test_unfold_matches_the_chain():

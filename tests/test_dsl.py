@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqgames import dsl
 from seqgames.core import GameError, Leaf, MalformedGame, Node, leaf, node
 from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import (
@@ -286,6 +288,12 @@ class TestSerialize:
                 game = random_matrix(rng)
             doc = GameDoc(PLAYERS, game)
             assert parse(serialize(doc)) == doc
+
+    def test_graph_writers_run_no_import_statement(self):
+        # A move's target says itself whether it is a leaf, so the writers need no graph module.
+        assert AffineLeaf.LEAF is True and Advance.LEAF is False
+        for writer in (dsl._require_writable, serialize, to_dot):
+            assert "import" not in inspect.getsource(writer), writer.__name__
 
     @settings(max_examples=60, deadline=None)
     @given(

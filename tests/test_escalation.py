@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from helpers import loop01
+from helpers import loop01, random_cyclic, random_parametric, reference_detect_escalation, ring
 
 from seqgames.core import ShapeMismatch, leaf
 from seqgames.cyclic import CyclicGame, CyclicNode
@@ -19,7 +21,8 @@ from seqgames.escalation import (
     detect_escalation,
     simulate,
 )
-from seqgames.parametric import Divergent, dollar_auction, enumerate_stationary_spe
+from seqgames.dsl import parse
+from seqgames.parametric import Divergent, dollar_auction, enumerate_stationary_spe, stationary_profiles
 
 # Each player believes the game follows the equilibrium in which the OTHER
 # player eventually gives up.
@@ -123,6 +126,58 @@ class TestDetect:
         bad = BeliefPair({"A": "a", "B": "a"}, {"A": "a", "B": "c"})
         verdict = detect_escalation(loop01(), bad, require_equilibria=False)
         assert verdict == Terminates(stage=0, outcome=(0, 1))
+
+
+def _small_games(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_cyclic(rng) if i % 2 else random_parametric(rng)
+
+
+def _verdict(game, beliefs, require_equilibria, judge):
+    """``judge``'s verdict, or the ``BeliefNotEquilibrium`` it raises."""
+    try:
+        return judge(game, beliefs, require_equilibria=require_equilibria)
+    except BeliefNotEquilibrium as err:
+        return err.__class__, err.player, str(err)
+
+
+class TestDetectMatchesReference:
+    """``detect_escalation`` against ``reference_detect_escalation``, which composes the
+    beliefs by hand and walks the composed profile with a loop of its own: equal verdicts
+    and witnesses on every ordered pair of stationary profiles."""
+
+    @staticmethod
+    def _games(corpus_dir):
+        games = [ring(n) for n in range(2, 9)] + [dollar_auction(100)]
+        loops = ("zero_one_cyclic.game", "zero_one_param.game")
+        games += [parse((corpus_dir / name).read_text()).game for name in loops]
+        return games
+
+    @staticmethod
+    def _pairs(game):
+        profiles = list(stationary_profiles(game))
+        return [BeliefPair(a, b) for a in profiles for b in profiles]
+
+    def test_every_pair_unchecked(self, corpus_dir):
+        escalating = terminating = 0
+        for game in [*self._games(corpus_dir), *_small_games(161, 120)]:
+            for beliefs in self._pairs(game):
+                verdict = detect_escalation(game, beliefs, require_equilibria=False)
+                assert verdict == reference_detect_escalation(game, beliefs, require_equilibria=False), beliefs
+                escalating += isinstance(verdict, Escalates)
+                terminating += isinstance(verdict, Terminates)
+        assert escalating > 5000 and terminating > 100000  # both verdicts are well exercised
+
+    def test_every_pair_checked(self, corpus_dir):
+        refused = accepted = 0
+        for game in [*self._games(corpus_dir)[-3:], ring(4), *_small_games(162, 60)]:
+            for beliefs in self._pairs(game):
+                verdict = _verdict(game, beliefs, True, detect_escalation)
+                assert verdict == _verdict(game, beliefs, True, reference_detect_escalation), beliefs
+                refused += verdict.__class__ is tuple
+                accepted += verdict.__class__ is not tuple
+        assert refused > 7000 and accepted > 100
 
 
 class TestSimulate:

@@ -10,7 +10,7 @@ the profile kind when the search bound is exceeded.
 from __future__ import annotations
 
 import pytest
-from helpers import loop01
+from helpers import instantiate_profile, loop01
 
 from seqgames import cyclic as cy
 from seqgames import dsl
@@ -45,7 +45,7 @@ def _entries(game, good):
     return [
         ("check_spe", lambda p: par.check_spe_param(game, p)),
         ("induced_outcome", lambda p: par.induced_outcome_param(game, p)),
-        ("restrict_profile", lambda p: par.instantiate_profile(game, p, 2)),
+        ("restrict_profile", lambda p: instantiate_profile(game, p, 2)),
         ("compose_beliefs a", lambda p: esc.compose_beliefs(game, esc.BeliefPair(p, good))),
         ("compose_beliefs b", lambda p: esc.compose_beliefs(game, esc.BeliefPair(good, p))),
         ("detect_escalation a", lambda p: esc.detect_escalation(game, esc.BeliefPair(p, good))),

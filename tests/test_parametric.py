@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from helpers import chain01, loop01, random_parametric, reference_report_param
+from helpers import chain01, instantiate_profile, loop01, random_parametric, reference_report_param
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,7 +30,6 @@ from seqgames.parametric import (
     from_cyclic,
     induced_outcome_param,
     instantiate,
-    instantiate_profile,
     stationary_profiles,
 )
 
