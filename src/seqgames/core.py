@@ -197,7 +197,8 @@ class TreeIndex:
     in branch order (both empty for leaves).  ``postorder`` lists the
     decision nodes, each after all of its descendants, so one pass over it
     computes values bottom-up.  The arrays hold no node objects, so caching
-    an index on its root creates no reference cycle.
+    an index on its root creates no reference cycle.  ``fault`` keeps the
+    verdict of ``require_two_players``.
 
     The arrays are laid out in place, one step per node: ``open`` a decision
     node, add a ``leaf``, ``close`` the innermost open node once its branches
@@ -209,7 +210,7 @@ class TreeIndex:
     branches of the same label.
     """
 
-    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "_open")
+    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "_open", "fault")
 
     def __init__(self, root: FiniteGame | None = None) -> None:
         self.owners: list[int | None] = []
@@ -219,6 +220,7 @@ class TreeIndex:
         self.children: list = []
         self.postorder: list[int] = []
         self._open: list[int] = []  # the decision nodes whose branches are still being added
+        self.fault: str | None = None  # why the solvers refuse the tree, "" if they take it, None until looked for
         frames = [iter(((None, root),))] if root is not None else []  # the branches still to visit
         while frames:
             for label, sub in frames[-1]:
@@ -378,8 +380,14 @@ def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, Outc
 
 
 def require_two_players(game: FiniteGame) -> None:
-    for outcome in game.index.outcomes:
-        if outcome is not None and len(outcome) != 2:
-            raise NotTwoPlayer(
-                f"solvers need two players, found outcome vector of length {len(outcome)}"
-            )
+    """``NotTwoPlayer`` unless every payoff vector is a pair and every owner
+    is player 0 or 1; the verdict is found once per index and kept."""
+    index = game.index
+    if index.fault is None:
+        length = next((len(o) for o in index.outcomes if o is not None and len(o) != 2), None)
+        owner = next((o for o in index.owners if o is not None and o not in (0, 1)), None)
+        index.fault = "" if length is None and owner is None else "solvers need two players, found " + (
+            f"outcome vector of length {length}" if length is not None else f"a decision node owned by {owner!r}"
+        )
+    if index.fault:
+        raise NotTwoPlayer(index.fault)

@@ -44,6 +44,7 @@ from .core import (
     TreeProfile,
     chosen_branches,
     node_paths,
+    require_two_players,
 )
 
 if TYPE_CHECKING:
@@ -522,12 +523,7 @@ def _require_writable(doc: GameDoc) -> None:
             raise Unwritable("an edge to a node named 'leaf' would read as a leaf")
         owners = {shape.owner for shape in game.shapes.values()}
         decisions = {label for labels in game.labels.values() for label in labels}
-        outcomes = {
-            target.outcome
-            for shape in game.shapes.values()
-            for _label, target in shape.moves
-            if target.LEAF
-        }
+        outcomes = set()  # the constructor takes pairs only
         keyword = None
     else:
         return
@@ -599,7 +595,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
 
     Decision nodes show player names, leaves show outcome tuples, edges show
     action labels; the edges a highlighted profile chooses are emitted with
-    ``penwidth=2,style=bold``.
+    ``penwidth=2,style=bold``.  A tree the solvers refuse raises ``NotTwoPlayer``.
     """
     lines = ["digraph game {"]
     nodes: list[str] = []
@@ -608,6 +604,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     game = doc.game
     kind = getattr(game, "KIND", None)
     if kind == "finite":
+        require_two_players(game)
         index = game.index
         picks = None if highlight is None else chosen_branches(game, highlight)  # type: ignore[arg-type]
         owners = [_dot_escape(player) for player in doc.players]

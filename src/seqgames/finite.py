@@ -9,18 +9,10 @@ trees the one-shot test coincides with arbitrary strategy deviations.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Union
 
-from .core import (
-    FiniteGame,
-    PlayLine,
-    Record,
-    TreeProfile,
-    chosen_branches,
-    require_two_players,
-)
+from .core import FiniteGame, PlayLine, Record, TreeProfile, chosen_branches, require_two_players
 
 DEFAULT_CAP = 1024
 
@@ -91,55 +83,103 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     The result is truncated at ``cap`` profiles, flagged rather than failed:
     tie sets multiply, so the full set can be exponential.
 
-    Each node keeps at most ``cap + 1`` entries ``(value, pick, combo)``:
-    the value, the chosen branch and one entry per child.  Entries refer to
-    their children's entries instead of copying them.  Profile dicts are
-    built only for the returned entries of the root, each from the one
-    before by rewriting the subtrees whose entries changed.
+    A node's entries ``(value, pick, combo)`` follow ``itertools.product``
+    over its children's entries, one per best branch of each combination.
+    One backward pass, shaped like ``solve``, fixes every node's first entry
+    (the first-branch profile) and finds the nodes that have more.  A node
+    makes more entries only when the root needs another profile, turning an
+    odometer over those children, in doubling batches of at most ``cap + 1``
+    run from an explicit stack.  So the work is the backward pass plus the
+    entries of the returned profiles.  Each profile copies the one before
+    and rewrites only the subtrees whose entry changed.
     """
     require_two_players(game)
     if cap < 1:
         raise ValueError("cap must be positive")
     index = game.index
     paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
-    entries: list = [None if outcome is None else [(outcome, None, ())] for outcome in index.outcomes]
+    values = index.outcomes.copy()
+    picks: list = [None] * len(values)
+    multi: set[int] = set()  # the nodes with more than one entry: those with a tie at or below them
     for node in index.postorder:
         owner = owners[node]
         kids = children[node]
-        out: list = []
-        for combo in itertools.product(*(entries[child] for child in kids)):
-            scores = [entry[0][owner] for entry in combo]
-            best = max(scores)
-            for pick, score in enumerate(scores):
-                if score == best:
-                    out.append((combo[pick][0], pick, combo))
-            if len(out) > cap:
-                break
-        # Keeping one extra entry lets the caller detect truncation; any
-        # subtree overflow implies at least as many profiles at the root.
-        entries[node] = out[: cap + 1]
-        for child in kids:
-            entries[child] = None
+        scores = [values[child][owner] for child in kids]  # type: ignore[index]
+        best = max(scores)
+        pick = picks[node] = scores.index(best)
+        values[node] = values[kids[pick]]
+        if scores.count(best) > 1 or not multi.isdisjoint(kids):
+            multi.add(node)
+    # The first profile, keyed in preorder; a leaf game has one empty profile.
+    profile = {path: names[pick] for path, names, pick in zip(paths, labels, picks) if path is not None}
+    if 0 not in multi:
+        return Enumeration((profile,), truncated=False)
+    limit = cap + 1  # one entry past the cap tells truncation; no node ever needs more
+    entries: list = [None] * len(paths)  # the entries each multi node has made so far
+    odometers: dict = {}  # node: owner, positions and nodes of its multi children, combo, branch values, scores
+    finished: set[int] = set()  # the nodes that have made all their entries
+    stack = [(0, limit)]  # (node, how many entries it is to have unless it finishes first)
+    while stack:
+        node, target = stack[-1]
+        made = entries[node]
+        if made is None:  # reached for the first time: every multi child at its first entry
+            owner, kids = owners[node], children[node]
+            spots = [k for k, child in enumerate(kids) if child in multi]
+            vals = [values[child] for child in kids]
+            odometers[node] = owner, spots, [kids[k] for k in spots], [0] * len(spots), vals, [v[owner] for v in vals]
+            made = entries[node] = []
+        owner, spots, spot_kids, combo, vals, scores = odometers[node]
+        while len(made) < target:
+            if made:  # the last multi child with an entry left takes its next one
+                p = len(combo) - 1
+                while p >= 0:
+                    kid = spot_kids[p]
+                    got = entries[kid] or (None,)  # a child not reached yet has its first entry
+                    i = combo[p] + 1
+                    if i < len(got) or (kid not in finished and i < limit):
+                        break
+                    p -= 1
+                else:
+                    finished.add(node)
+                    stack.pop()
+                    break
+                if i == len(got):  # the child makes more entries first
+                    stack.append((kid, min(2 * i, limit)))
+                    break
+                for q in range(p, len(combo)):  # the children after it start over
+                    combo[q] = i if q == p else 0
+                    value = vals[spots[q]] = got[i][0] if q == p else values[spot_kids[q]]
+                    scores[spots[q]] = value[owner]
+            while True:  # this combination, then those that move only the last multi child
+                best = max(scores)
+                if scores.count(best) == 1:
+                    k = scores.index(best)
+                    made.append((vals[k], k, tuple(combo)))
+                else:
+                    key = tuple(combo)
+                    made += [(vals[k], k, key) for k, score in enumerate(scores) if score == best]
+                got = combo and entries[spot_kids[-1]]
+                if not got or len(got) <= combo[-1] + 1 or len(made) >= target:
+                    break
+                combo[-1] += 1
+                value = vals[spots[-1]] = got[combo[-1]][0]
+                scores[spots[-1]] = value[owner]
+        else:
+            stack.pop()
     items = entries[0]
-    profiles: list[TreeProfile] = []
-    profile: dict[PlayLine, str] = {}
-    # The entry whose choices ``profile`` shows at each node.  An entry
-    # shares its children's entries, so the same entry means the same
-    # choices in its whole subtree: each profile copies the one before and
-    # rewrites only the subtrees whose entries differ.  The first profile
-    # visits every decision node in preorder, which fixes the key order.
-    shown: list = [None] * len(paths)
-    for root_entry in items[:cap]:
+    profiles = [profile]
+    shown = [0] * len(paths)  # the entry ``profile`` shows at each node, and so in its whole subtree
+    for root_entry in range(1, min(cap, len(items))):
         profile = profile.copy()
-        stack = [(0, root_entry)] if children[0] else []  # a leaf game has one empty profile
+        stack = [(0, root_entry)]
         while stack:
-            node, entry = stack.pop()
-            shown[node] = entry
-            _value, pick, combo = entry
+            node, i = stack.pop()
+            shown[node] = i
+            _value, pick, key = entries[node][i]
             profile[paths[node]] = labels[node][pick]
-            for child, sub in zip(reversed(children[node]), reversed(combo)):
-                if sub[1] is not None and shown[child] is not sub:
-                    stack.append((child, sub))
+            for kid, j in zip(odometers[node][2], key):
+                if shown[kid] != j:
+                    stack.append((kid, j))
         profiles.append(profile)
     return Enumeration(tuple(profiles), truncated=len(items) > cap)
 

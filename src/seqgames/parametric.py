@@ -113,12 +113,15 @@ class ParametricGame(Record):
 
     def __post_init__(self) -> None:
         """``UnknownShape`` for the start, then, shape by shape in declaration order,
-        ``MalformedGame`` for a shape without moves or with two moves of one label,
-        then, in move order, ``UnknownShape`` for an advance that names no shape
-        and ``MalformedGame`` for a target that is neither a leaf nor an advance."""
+        ``MalformedGame`` for an owner other than player 0 or 1, a shape without moves
+        or with two moves of one label, then, in move order, ``UnknownShape`` for an
+        advance that names no shape and ``MalformedGame`` for a target that is
+        neither a leaf nor an advance, or a leaf whose payoffs are not a pair."""
         if self.start not in self.shapes:
             raise UnknownShape(self.start)
         for name, shape in self.shapes.items():
+            if shape.owner not in (0, 1):
+                raise MalformedGame(f"{name!r} is owned by {shape.owner!r}, neither player 0 nor player 1")
             if not shape.moves:
                 raise MalformedGame(f"{name!r} has no choices")
             if len(dict(shape.moves)) < len(shape.moves):  # one key per label
@@ -129,8 +132,10 @@ class ParametricGame(Record):
                 if isinstance(target, Advance):
                     if target.shape not in self.shapes:
                         raise UnknownShape(target.shape)
-                elif not isinstance(target, AffineLeaf):
+                elif not isinstance(target, AffineLeaf) or len(target.outcome) != 2:
                     where = f"{self.CHOICE} {label!r} at {name!r}"
+                    if isinstance(target, AffineLeaf):
+                        raise MalformedGame(f"{where} pays {len(target.outcome)} payoffs, not a pair")
                     raise MalformedGame(f"{where} leads to neither a leaf nor a {self.POINT}")
 
     def check_profile(self, profile: StationaryProfile) -> None:

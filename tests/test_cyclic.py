@@ -187,6 +187,12 @@ class TestEngine:
         with pytest.raises(MalformedGame, match="^edge 'y' at 't' leads to neither a leaf nor a node$"):
             CyclicGame(shapes, "s")
 
+    def test_an_owner_other_than_player_0_or_1_is_rejected(self):
+        with pytest.raises(MalformedGame, match="^'s' is owned by 2, neither player 0 nor player 1$"):
+            CyclicGame({"s": CyclicNode(2, (("x", leaf(1, 0)),))}, "s")
+        with pytest.raises(MalformedGame, match="^edge 'x' at 's' pays 3 payoffs, not a pair$"):
+            CyclicGame({"s": CyclicNode(0, (("x", leaf(1, 0, 0)),))}, "s")
+
     def test_search_bound_message_names_positional_profiles(self):
         pair = (("x", leaf(0, 0)), ("y", leaf(1, 1)))
         game = CyclicGame({f"N{i}": CyclicNode(0, pair) for i in range(3)}, "N0")

@@ -55,6 +55,18 @@ def test_chain_pipeline(deep_text):
     assert dot.count("penwidth=2") == DEPTH
 
 
+def test_enumerate_a_chain_tied_only_at_its_deepest_node():
+    game = node((DEPTH - 1) % 2, ("a", leaf(1, 1)), ("b", leaf(1, 1)))
+    for level in reversed(range(DEPTH - 1)):  # every owner strictly prefers going on
+        game = node(level % 2, ("a", leaf(0, 0)), ("c", game))
+    result = enumerate_equilibria(game, cap=4)
+    assert len(result.profiles) == 2 and not result.truncated
+    bottom = ("c",) * (DEPTH - 1)
+    assert [profile[bottom] for profile in result.profiles] == ["a", "b"]
+    assert result.profiles[0] == solve(game)
+    assert {**result.profiles[1], bottom: "a"} == result.profiles[0]
+
+
 def test_equality_and_hash(deep_text):
     parsed = parse(deep_text).game
     built = chain01(DEPTH)

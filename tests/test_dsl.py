@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqgames import dsl
-from seqgames.core import GameError, Leaf, MalformedGame, Node, leaf, node
+from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, leaf, node
 from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import (
     GameDoc,
@@ -469,6 +469,12 @@ class TestDot:
         for name in GAME_FILES:
             doc = parse((corpus_dir / name).read_text())
             assert to_dot(doc) == to_dot(doc)
+
+    @pytest.mark.parametrize("owner", [2, -1])
+    def test_a_tree_owner_other_than_player_0_or_1_is_refused(self, owner):
+        game = node(0, ("a", leaf(1, 0)), ("b", node(owner, ("c", leaf(0, 1)))))
+        with pytest.raises(NotTwoPlayer, match=f"^solvers need two players, found a decision node owned by {owner}$"):
+            to_dot(GameDoc(PLAYERS, game))
 
     def test_finite_highlight(self):
         game = pennies_seq()

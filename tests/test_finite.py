@@ -61,6 +61,23 @@ class TestSolve:
         with pytest.raises(NotTwoPlayer):
             solve(node(0, ("a", Leaf((0, 1, 2)))))
 
+    @pytest.mark.parametrize("owner", [2, -1])
+    def test_rejects_an_owner_other_than_player_0_or_1(self, owner):
+        game = node(0, ("a", leaf(1, 2)), ("b", node(owner, ("c", leaf(0, 0)))))
+        message = f"^solvers need two players, found a decision node owned by {owner}$"
+        for run in (solve, enumerate_equilibria, lambda g: check_spe(g, {(): "a", ("b",): "c"})):
+            with pytest.raises(NotTwoPlayer, match=message):
+                run(game)
+
+    def test_the_verdict_is_found_once_per_index(self):
+        game = node(0, ("a", leaf(1, 2)), ("b", leaf(2, 1)))
+        assert game.index.fault is None
+        assert solve(game) == {(): "b"}
+        assert game.index.fault == ""
+        game.index.fault = "kept"  # a second call reads the kept verdict instead of scanning again
+        with pytest.raises(NotTwoPlayer, match="^kept$"):
+            enumerate_equilibria(game)
+
     def test_solved_profiles_pass_check(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -248,6 +265,7 @@ class TestRecursiveReferees:
             want = reference_enumerate_equilibria(game, cap)
             assert got == want
             assert [list(p) for p in got.profiles] == [list(p) for p in want.profiles]
+            assert got.profiles[0] == solve(game, TiePolicy.FIRST_BRANCH)  # as dicts: solve keys in postorder
 
     def test_check_spe(self, referee_trees):
         rng = random.Random(405)

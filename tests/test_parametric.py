@@ -160,6 +160,18 @@ class TestConstruction:
         with pytest.raises(MalformedGame, match="^move 'b' at 'S' leads to neither a leaf nor a shape$"):
             ParametricGame({"S": shape}, "S")
 
+    @pytest.mark.parametrize("owner", [2, -1])
+    def test_an_owner_other_than_player_0_or_1_is_rejected(self, owner):
+        shape = Shape(owner, (("a", AffineLeaf((affine(0), affine(0)))),))
+        with pytest.raises(MalformedGame, match=f"^'S' is owned by {owner}, neither player 0 nor player 1$"):
+            ParametricGame({"S": shape}, "S")
+
+    @pytest.mark.parametrize("outcome", [(affine(1),), (affine(1), affine(0), affine(0))])
+    def test_a_payoff_vector_that_is_not_a_pair_is_rejected(self, outcome):
+        shape = Shape(0, (("a", Advance("S")), ("b", AffineLeaf(outcome))))
+        with pytest.raises(MalformedGame, match=f"^move 'b' at 'S' pays {len(outcome)} payoffs, not a pair$"):
+            ParametricGame({"S": shape}, "S")
+
     def test_an_undefined_start_is_reported_first(self):
         with pytest.raises(UnknownShape, match="^Z$"):
             ParametricGame({"S": Shape(0, ())}, "Z")

@@ -21,6 +21,7 @@ from helpers import (
     deep_random_tree,
     random_profile,
     random_tree,
+    reference_enumerate_equilibria,
     reference_index,
     reference_parse,
     reference_tree_dot,
@@ -29,7 +30,7 @@ from helpers import (
 
 from seqgames.core import Leaf, Node, TreeIndex
 from seqgames.dsl import GameDoc, ParseError, ValidationError, parse, serialize, to_dot
-from seqgames.finite import solve
+from seqgames.finite import enumerate_equilibria, solve
 
 PLAYERS = ("Alice", "Bertrand")
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -180,6 +181,15 @@ class TestRecursiveReferee:
                 for at in index.postorder:
                     assert {kid for kid in index.children[at] if index.outcomes[kid] is None} <= done
                     done.add(at)
+
+
+class TestEnumerationReferee:
+    @pytest.mark.parametrize("cap", [1, 4, 64])
+    def test_the_big_random_tree(self, cap):
+        game = big_random_tree(random.Random(2020), 10_000)
+        got, want = enumerate_equilibria(game, cap), reference_enumerate_equilibria(game, cap)
+        assert got == want and want.truncated
+        assert [list(profile) for profile in got.profiles] == [list(profile) for profile in want.profiles]
 
 
 class TestDotReferee:
