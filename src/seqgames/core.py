@@ -379,13 +379,19 @@ def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, Outc
     return tuple(play), index.outcomes[current]  # type: ignore[return-value]
 
 
+def is_player(owner: object) -> bool:
+    """Whether ``owner`` is the ``int`` 0 or 1.  A float or a ``Fraction`` equal
+    to one cannot index a payoff pair, and a ``bool`` is no player number."""
+    return owner.__class__ is int and owner in (0, 1)
+
+
 def require_two_players(game: FiniteGame) -> None:
     """``NotTwoPlayer`` unless every payoff vector is a pair and every owner
-    is player 0 or 1; the verdict is found once per index and kept."""
+    is player 0 or 1 (``is_player``); the verdict is found once per index and kept."""
     index = game.index
     if index.fault is None:
         length = next((len(o) for o in index.outcomes if o is not None and len(o) != 2), None)
-        owner = next((o for o in index.owners if o is not None and o not in (0, 1)), None)
+        owner = next((o for o in index.owners if o is not None and not is_player(o)), None)
         index.fault = "" if length is None and owner is None else "solvers need two players, found " + (
             f"outcome vector of length {length}" if length is not None else f"a decision node owned by {owner!r}"
         )

@@ -43,6 +43,7 @@ from .core import (
     TreeIndex,
     TreeProfile,
     chosen_branches,
+    is_player,
     node_paths,
     require_two_players,
 )
@@ -509,7 +510,7 @@ def _require_writable(doc: GameDoc) -> None:
     _require_names("player", players)
     if kind == "finite":
         index = game.index  # a tree built in code is walked here, which checks its branches
-        owners = set(index.owners)
+        owners = index.owners  # not a set, which keeps one of 1 and 1.0
         decisions = {label for names in set(index.labels) for label in names}
         outcomes = set(index.outcomes)
         keyword = "leaf"  # an owner named so would read as a leaf
@@ -530,9 +531,10 @@ def _require_writable(doc: GameDoc) -> None:
     for outcome in outcomes:
         if outcome is not None and len(outcome) != 2:
             raise Unwritable(f"payoff vector {outcome!r} is not a pair")
-    owners.discard(None)
     for owner in owners:
-        if owner not in (0, 1):
+        if owner is None:
+            continue
+        if not is_player(owner):
             raise Unwritable(f"owner {owner!r} is neither player 0 nor player 1")
         if players[owner] == keyword:
             raise Unwritable(f"player {keyword!r} owns a decision node, which would read as a leaf")

@@ -2,17 +2,31 @@
 
 The row player's payoffs are given as a matrix of fractions; the column
 player receives the constant sum minus the entry.  ``solve_constant_sum``
-finds an exact minimax/maximin pair by exhaustive square support
-enumeration (Shapley & Snow 1950).  The payoffs are scaled once to
-integers, and each square system is solved by fraction-free (Bareiss)
-elimination, whose divisions are all exact; fractions are built only for
-accepted solutions, so results carry no rounding at all.
+finds an exact minimax/maximin pair by square support enumeration
+(Shapley & Snow 1950).  The payoffs are scaled once to integers, and each
+square system is solved by fraction-free (Bareiss) elimination, whose
+divisions are all exact; fractions are built only for accepted solutions,
+so results carry no rounding at all.
 
 Under ties the row mix is the smallest accepted mix on the first row
 support, in lexicographic order over all nonempty subsets, that has an
 accepted square pair; the column mix follows the same rule over column
 supports.  This is not always the lexicographically greatest optimal
 strategy.
+
+Two exact prunes solve fewer systems and keep that rule's answer.  Pure
+strategies strictly dominated by another are removed, repeatedly, before
+the scan: against any column mix on the kept columns a dominated row is
+worth strictly less than its dominator, so never the value, and so it is
+in no accepted pair (a dominated column likewise).  And a strictly
+complementary pair (every weight positive, every other pure strategy
+strictly worse than the value) is the only optimal pair (Goldman & Tucker
+1956): complementary slackness puts any optimal mix on its support, where
+it must equalize the other side's support, a nonsingular square system.
+So every accepted pair is that pair, and the scan returns it once accepted,
+without the column scan.  Games without such a pair, and the supports that
+sort before the first accepted one, are still judged in full, so the work
+stays exponential in the matrix side: hence ``SUPPORT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -41,6 +55,14 @@ class MatrixGame(Record):
 
     KIND = "matrix"  # see ``Leaf.KIND``
 
+    def __post_init__(self) -> None:
+        """``ValueError`` for a matrix without a row or a column, or with ragged rows."""
+        payoffs = self.payoffs
+        if not payoffs or not payoffs[0]:
+            raise ValueError("matrix must have at least one row and one column")
+        if any(len(row) != len(payoffs[0]) for row in payoffs):
+            raise ValueError("matrix rows must have equal length")
+
     @property
     def rows(self) -> int:
         return len(self.payoffs)
@@ -58,12 +80,7 @@ class MixedProfile(Record):
 
 def matrix_game(rows: Iterable[Iterable[object]], total: object) -> MatrixGame:
     """Build a game from any Fraction-convertible entries."""
-    payoffs = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
-    if not payoffs or not payoffs[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    if any(len(row) != len(payoffs[0]) for row in payoffs):
-        raise ValueError("matrix rows must have equal length")
-    return MatrixGame(payoffs, Fraction(total))
+    return MatrixGame(tuple(tuple(Fraction(entry) for entry in row) for row in rows), Fraction(total))
 
 
 def _integer_solve(aug: list[list[int]]) -> tuple[list[int], int] | None:
@@ -115,31 +132,54 @@ def _equalizing_mix(
     return mix, sum(p * matrix[i][first] for i, p in zip(support, mix)), det
 
 
-def _lex_supports(size: int) -> list[tuple[int, ...]]:
+def _lex_supports(items: tuple[int, ...]) -> list[tuple[int, ...]]:
     subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(size), k) for k in range(1, size + 1)
+        itertools.combinations(items, k) for k in range(1, len(items) + 1)
     )
     return sorted(subsets)
 
 
-def _first_support_mix(
-    size: int,
-    other: int,
+def _undominated(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows and columns that survive iterated removal of strictly
+    dominated pure strategies: a row goes when another remaining row is
+    greater in every remaining column, a column when another remaining
+    column is smaller in every remaining row.  Weak dominance is not used:
+    a weakly dominated strategy can be in an optimal support."""
+    rows, cols = tuple(range(len(matrix))), tuple(range(len(matrix[0])))
+    while True:
+        kept_rows = tuple(
+            i for i in rows
+            if not any(all(matrix[k][j] > matrix[i][j] for j in cols) for k in rows)
+        )
+        kept_cols = tuple(
+            j for j in cols
+            if not any(all(matrix[i][k] < matrix[i][j] for i in kept_rows) for k in cols)
+        )
+        if (kept_rows, kept_cols) == (rows, cols):
+            return rows, cols
+        rows, cols = kept_rows, kept_cols
+
+
+def _first_support_pair(
+    mine: tuple[int, ...],
+    theirs: tuple[int, ...],
     judge: Callable[[tuple[int, ...], tuple[int, ...]], tuple | None],
     side: int,
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Scan this side's supports of ``size`` strategies in lexicographic
-    order; for the first one with any accepted square pair, return the
-    smallest of this side's mixes (entry ``side`` of the accepted pair)
-    together with the value."""
-    for support in _lex_supports(size):
-        found = [
-            (accepted[side], accepted[2])
-            for against in itertools.combinations(range(other), len(support))
-            if (accepted := judge(support, against)) is not None
-        ]
+) -> tuple:
+    """Scan this side's supports over the strategies ``mine`` in
+    lexicographic order; for the first one with any accepted square pair,
+    return the accepted ``(x, y, value, strict)`` whose mix on this side
+    (entry ``side``) is the smallest; a strict pair is returned at once."""
+    for support in _lex_supports(mine):
+        found = []
+        for against in itertools.combinations(theirs, len(support)):
+            accepted = judge(support, against)
+            if accepted is not None:
+                if accepted[3]:  # strict
+                    return accepted
+                found.append(accepted)
         if found:
-            return min(found)
+            return min(found, key=lambda accepted: (accepted[side], accepted[2]))
     raise AssertionError("no square-kernel solution found; unreachable for valid input")
 
 
@@ -155,6 +195,11 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     non-negative solutions of equal value and the two mixes certify that
     value against every pure strategy.  That test reads the same from either
     side, so each pair is judged once per call and serves both scans.
+
+    Supports holding a strictly dominated strategy are skipped, and a
+    strictly complementary accepted pair, the only optimal pair, ends the
+    work (see the module docstring); neither changes a result.  ``TooLarge``
+    beyond ``SUPPORT_LIMIT``: the scan can still judge every support pair.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
@@ -164,6 +209,10 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         [entry.numerator * (scale // entry.denominator) for entry in row] for row in game.payoffs
     ]
     transposed = [[scaled[i][j] for i in range(n_rows)] for j in range(n_cols)]
+    rows, cols = _undominated(scaled)
+    # The certificate reads the kept strategies only (see the module docstring).
+    row_payoffs = [scaled[i] for i in rows]
+    column_payoffs = [transposed[j] for j in cols]
     judged: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple | None] = {}
 
     def judge(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
@@ -171,11 +220,12 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         if primal is None:
             return None
         xs, v, d = primal
+        if any(p < 0 for p in xs):
+            return None
         # x must guarantee >= v against every column and y (below) must cap
         # every row at v; together they certify v as the game value.
-        if any(p < 0 for p in xs) or any(
-            sum(p * column[i] for i, p in zip(support, xs)) < v for column in transposed
-        ):
+        worth = [sum(p * column[i] for i, p in zip(support, xs)) for column in column_payoffs]
+        if min(worth) < v:
             return None
         dual = _equalizing_mix(transposed, against, support)
         if dual is None:
@@ -183,7 +233,8 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         ys, w, e = dual
         if v * e != w * d or any(q < 0 for q in ys):
             return None
-        if any(sum(row[j] * q for j, q in zip(against, ys)) > w for row in scaled):
+        cost = [sum(row[j] * q for j, q in zip(against, ys)) for row in row_payoffs]
+        if max(cost) > w:
             return None
         x = [Fraction(0)] * n_rows
         for i, p in zip(support, xs):
@@ -191,7 +242,11 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         y = [Fraction(0)] * n_cols
         for j, q in zip(against, ys):
             y[j] = Fraction(q, e)
-        return tuple(x), tuple(y), Fraction(v, d * scale)
+        strict = (  # strictly complementary, so the only optimal pair (module docstring)
+            0 not in xs and 0 not in ys
+            and worth.count(v) == len(against) and cost.count(w) == len(support)
+        )
+        return tuple(x), tuple(y), Fraction(v, d * scale), strict
 
     def pair(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
         key = (support, against)
@@ -199,8 +254,9 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
             judged[key] = judge(support, against)
         return judged[key]
 
-    x, value = _first_support_mix(n_rows, n_cols, pair, 0)
-    y, _ = _first_support_mix(n_cols, n_rows, lambda cols, rows: pair(rows, cols), 1)
+    x, y, value, strict = _first_support_pair(rows, cols, pair, 0)
+    if not strict:
+        y = _first_support_pair(cols, rows, lambda mine, theirs: pair(theirs, mine), 1)[1]
     return MixedProfile(x, y, value)
 
 

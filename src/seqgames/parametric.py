@@ -20,7 +20,9 @@ import math
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
-from .core import FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch
+from .core import (
+    FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch, is_player,
+)
 from .finite import SpeReport, Violation
 
 DEFAULT_SEARCH_BOUND = 2**20
@@ -120,7 +122,7 @@ class ParametricGame(Record):
         if self.start not in self.shapes:
             raise UnknownShape(self.start)
         for name, shape in self.shapes.items():
-            if shape.owner not in (0, 1):
+            if not is_player(shape.owner):
                 raise MalformedGame(f"{name!r} is owned by {shape.owner!r}, neither player 0 nor player 1")
             if not shape.moves:
                 raise MalformedGame(f"{name!r} has no choices")

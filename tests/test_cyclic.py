@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from helpers import chain01, instantiate_profile, loop01, random_cyclic, reference_is_spe, reference_report_cyclic
@@ -192,6 +194,12 @@ class TestEngine:
             CyclicGame({"s": CyclicNode(2, (("x", leaf(1, 0)),))}, "s")
         with pytest.raises(MalformedGame, match="^edge 'x' at 's' pays 3 payoffs, not a pair$"):
             CyclicGame({"s": CyclicNode(0, (("x", leaf(1, 0, 0)),))}, "s")
+
+    @pytest.mark.parametrize("owner", [1.0, Fraction(1), True])
+    def test_an_owner_equal_to_player_0_or_1_that_is_no_int_is_rejected(self, owner):
+        message = f"^'s' is owned by {re.escape(repr(owner))}, neither player 0 nor player 1$"
+        with pytest.raises(MalformedGame, match=message):
+            CyclicGame({"s": CyclicNode(owner, (("x", leaf(1, 0)),))}, "s")
 
     def test_search_bound_message_names_positional_profiles(self):
         pair = (("x", leaf(0, 0)), ("y", leaf(1, 1)))

@@ -356,6 +356,9 @@ class TestUnwritable:
             (("A", "A"), node(0, ("x", node(1, ("y", leaf(1, 0))))), "^both players are named 'A'$"),
             (("Al ice", "B"), leaf(1, 0), "^player 'Al ice' does not scan as one name$"),
             (PLAYERS, node(2, ("x", leaf(1, 0))), "^owner 2 is neither player 0 nor player 1$"),
+            (PLAYERS, node(1.0, ("x", leaf(1, 0))), "^owner 1.0 is neither player 0 nor player 1$"),
+            (PLAYERS, node(True, ("x", leaf(1, 0))), "^owner True is neither player 0 nor player 1$"),
+            (PLAYERS, node(1, ("x", node(1.0, ("y", leaf(1, 0))))), "^owner 1.0 is neither player 0 nor player 1$"),
             (PLAYERS, node(0, ("x", leaf(1, 0, 0))), r"^payoff vector \(1, 0, 0\) is not a pair$"),
             (PLAYERS, leaf(1), r"^payoff vector \(1,\) is not a pair$"),
         ],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -61,10 +63,10 @@ class TestSolve:
         with pytest.raises(NotTwoPlayer):
             solve(node(0, ("a", Leaf((0, 1, 2)))))
 
-    @pytest.mark.parametrize("owner", [2, -1])
+    @pytest.mark.parametrize("owner", [2, -1, 1.0, Fraction(1), True, 0.0])  # the int 0 or 1 only
     def test_rejects_an_owner_other_than_player_0_or_1(self, owner):
         game = node(0, ("a", leaf(1, 2)), ("b", node(owner, ("c", leaf(0, 0)))))
-        message = f"^solvers need two players, found a decision node owned by {owner}$"
+        message = f"^solvers need two players, found a decision node owned by {re.escape(repr(owner))}$"
         for run in (solve, enumerate_equilibria, lambda g: check_spe(g, {(): "a", ("b",): "c"})):
             with pytest.raises(NotTwoPlayer, match=message):
                 run(game)

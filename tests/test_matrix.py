@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from helpers import random_matrix, reference_constant_sum
 
+from seqgames import matrix
 from seqgames.matrix import (
     DimensionMismatch,
+    MatrixGame,
     TooLarge,
     best_response_value,
     matrix_game,
@@ -69,6 +71,20 @@ class TestSolve:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             solve_constant_sum(matrix_game([[0] * 10], 0))
+
+    @pytest.mark.parametrize(
+        "payoffs, message",
+        [
+            ((), "^matrix must have at least one row and one column$"),
+            (((),), "^matrix must have at least one row and one column$"),
+            (((Fraction(1), Fraction(2)), (Fraction(3),)), "^matrix rows must have equal length$"),
+        ],
+    )
+    def test_a_code_built_game_is_checked_at_construction(self, payoffs, message):
+        with pytest.raises(ValueError, match=message):
+            MatrixGame(payoffs, Fraction(0))
+        with pytest.raises(ValueError, match=message):
+            matrix_game(payoffs, 0)
 
     def test_results_are_exact_fractions(self):
         profile = solve_constant_sum(RPS)
@@ -136,11 +152,11 @@ class TestInvariants:
             assert solve_constant_sum(game) == solve_constant_sum(game)
 
 
-def referee_game(rng: random.Random, index: int):
-    """Seeded games of up to 5x5 in three kinds, taken in turn: 0..2 integers
-    summing to 2 (many tied optima), rationals, and integers under a total
-    that is often negative."""
-    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+def referee_game(rng: random.Random, index: int, size: int | None = None):
+    """Seeded games of up to 5x5 (``size`` x ``size`` if given) in three kinds,
+    taken in turn: 0..2 integers summing to 2 (many tied optima), rationals,
+    and integers under a total that is often negative."""
+    rows, cols = (size, size) if size else (rng.randint(1, 5), rng.randint(1, 5))
     kind = index % 3
     if kind == 0:
         entries = [[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)]
@@ -155,12 +171,77 @@ def referee_game(rng: random.Random, index: int):
     return matrix_game(entries, rng.randint(-2, 5))
 
 
+def with_dominated_strategies(rng: random.Random, game: MatrixGame) -> MatrixGame:
+    """``game`` with a row strictly below one of its rows and a column
+    strictly above one of its columns, inserted at random places."""
+    rows = [list(row) for row in game.payoffs]
+    j, at = rng.randrange(len(rows[0])), rng.randint(0, len(rows[0]))
+    for row in rows:
+        row.insert(at, row[j] + rng.randint(1, 3))
+    model = rows[rng.randrange(len(rows))]
+    rows.insert(rng.randint(0, len(rows)), [entry - rng.randint(1, 3) for entry in model])
+    return matrix_game(rows, game.total)
+
+
+def systems_built(monkeypatch, game: MatrixGame) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (rows, columns) of every square system ``solve_constant_sum(game)``
+    builds, in order: both the row player's and the column player's.  The
+    first system solved is on the row player's matrix; the column player's
+    are told from it by the matrix object, since a square game's two
+    matrices have the same length."""
+    built, primal = [], []
+    solve = matrix._equalizing_mix
+
+    def counted(payoffs, support, against):
+        primal[:] = primal or [payoffs]
+        built.append((support, against) if payoffs is primal[0] else (against, support))
+        return solve(payoffs, support, against)
+
+    monkeypatch.setattr(matrix, "_equalizing_mix", counted)
+    solve_constant_sum(game)
+    return built
+
+
 class TestReferee:
     def test_matches_rational_reference(self):
         rng = random.Random(53)
         for index in range(540):
             game = referee_game(rng, index)
             assert solve_constant_sum(game) == reference_constant_sum(game), game
+
+    def test_matches_rational_reference_at_six_by_six(self):
+        rng = random.Random(59)
+        for index in range(12):
+            game = referee_game(rng, index, size=6)
+            assert solve_constant_sum(game) == reference_constant_sum(game), game
+
+    def test_matches_rational_reference_with_dominated_strategies(self):
+        rng = random.Random(61)
+        for index in range(90):
+            game = with_dominated_strategies(rng, referee_game(rng, index))
+            assert solve_constant_sum(game) == reference_constant_sum(game), game
+
+    def test_no_system_holds_a_strictly_dominated_row(self, monkeypatch):
+        # Row 0 is strictly below row 1; the pennies below it decide the game.
+        game = matrix_game([[-1, -1], [3, 0], [0, 3]], 3)
+        built = systems_built(monkeypatch, game)
+        assert built and all(0 not in rows for rows, _cols in built)
+        assert solve_constant_sum(game) == reference_constant_sum(game)
+
+    def test_no_system_holds_a_strictly_dominated_column(self, monkeypatch):
+        game = matrix_game([[4, 3, 0], [5, 0, 3]], 3)  # column 0 is strictly above column 1
+        built = systems_built(monkeypatch, game)
+        assert built and all(0 not in cols for _rows, cols in built)
+        assert solve_constant_sum(game) == reference_constant_sum(game)
+
+    def test_the_strict_pair_ends_the_work(self, monkeypatch):
+        # Its only optimal pair is fully mixed; once both of its systems are
+        # solved, the row scan returns and no column scan runs.
+        game = matrix_game([[3, 0, 1], [0, 2, 4], [1, 3, 0]], 4)
+        built = systems_built(monkeypatch, game)
+        assert built[-2:] == [((0, 1, 2), (0, 1, 2))] * 2
+        assert built.count(((0, 1, 2), (0, 1, 2))) == 2
+        assert solve_constant_sum(game) == reference_constant_sum(game)
 
     def test_tie_break_is_first_support_then_smallest_mix(self):
         # The optimal row strategies here form a segment with ends

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from helpers import chain01, instantiate_profile, loop01, random_parametric, reference_report_param
@@ -160,10 +162,11 @@ class TestConstruction:
         with pytest.raises(MalformedGame, match="^move 'b' at 'S' leads to neither a leaf nor a shape$"):
             ParametricGame({"S": shape}, "S")
 
-    @pytest.mark.parametrize("owner", [2, -1])
+    @pytest.mark.parametrize("owner", [2, -1, 1.0, Fraction(1), True])  # the int 0 or 1 only
     def test_an_owner_other_than_player_0_or_1_is_rejected(self, owner):
         shape = Shape(owner, (("a", AffineLeaf((affine(0), affine(0)))),))
-        with pytest.raises(MalformedGame, match=f"^'S' is owned by {owner}, neither player 0 nor player 1$"):
+        message = f"^'S' is owned by {re.escape(repr(owner))}, neither player 0 nor player 1$"
+        with pytest.raises(MalformedGame, match=message):
             ParametricGame({"S": shape}, "S")
 
     @pytest.mark.parametrize("outcome", [(affine(1),), (affine(1), affine(0), affine(0))])
