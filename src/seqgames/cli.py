@@ -3,6 +3,13 @@
 Exit status: 0 success, 1 negative analysis (a checked profile is not an
 equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap,
 search-space bound, matrix size), 4 resource limit (recursion depth or memory).
+
+A command reads its game, analyses it and returns ``(payload, text_lines,
+exit_code)``, writing nothing; ``run`` alone writes the JSON of the payload or
+the joined lines, to ``--out`` or stdout. A ``None`` payload (``export``) means
+the text whatever ``--format`` says. ``simulate`` adds its trace lines, which go
+to ``--out`` while its report goes to stdout. Each command imports the modules
+of the game kind it runs, read from ``KIND``.
 """
 
 from __future__ import annotations
@@ -10,14 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Any
 
 from . import dsl
 from . import finite as fin
 from .core import GameError, LimitExceeded, induced_play
-
-# Each command imports the modules of the game kind it runs, so a process
-# loads only those; a game's kind is read from its ``KIND``.
 
 _PROFILE_HELP = (
     "profile files have one 'key = action' line per decision point; keys are "
@@ -44,20 +47,9 @@ def _load_game(args: argparse.Namespace, *kinds: str) -> dsl.GameDoc:
     return doc
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _render(args: argparse.Namespace, payload: dict[str, Any], text_lines: list[str]) -> None:
-    if args.format == "json":
-        import json  # here only, so a text command never loads it
-        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        _emit(args, "\n".join(text_lines) + "\n")
+def _load_profile(path: str, game):
+    with open(path, "r", encoding="utf-8") as handle:
+        return dsl.parse_profile_text(handle.read(), game)
 
 
 def _outcome_text(outcome: tuple) -> str:
@@ -83,7 +75,7 @@ def _value_json(value: object, kind: str) -> object:
     return value.at(0) if kind == "cyclic" else str(value)  # type: ignore[attr-defined]
 
 
-def _report_json(report: fin.SpeReport, kind: str) -> dict[str, Any]:
+def _report_json(report: fin.SpeReport, kind: str) -> dict:
     violations = [
         {
             "at": dsl.render_tree_path(v.where) if kind == "finite" else v.where,
@@ -96,7 +88,7 @@ def _report_json(report: fin.SpeReport, kind: str) -> dict[str, Any]:
     return {"ok": report.ok, "violations": violations, "divergences": list(report.divergences)}
 
 
-def _report_text(report: dict[str, Any]) -> list[str]:
+def _report_text(report: dict) -> list[str]:
     """The text lines of a ``_report_json`` report."""
     lines = [f"ok: {'yes' if report['ok'] else 'no'}"]
     lines += [f"diverges from: {name}" for name in report["divergences"]]
@@ -111,7 +103,7 @@ def _report_text(report: dict[str, Any]) -> list[str]:
 # --- commands -------------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     doc = _load_game(args, "finite")
     profile = fin.solve(doc.game, fin.TiePolicy(args.ties))
     play, outcome = induced_play(doc.game, profile)
@@ -129,11 +121,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"play: {' '.join(play) if play else '(empty)'}",
         f"outcome: {_outcome_text(outcome)}",
     ]
-    _render(args, payload, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     game = _load_doc(args.file).game
     kind = game.KIND
     if kind == "matrix":
@@ -164,8 +155,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 f"  play {' '.join(entry['play']) or '(empty)'} -> "
                 f"{_outcome_text(entry['outcome'])}  [{_profile_text(game, entry['profile'])}]"
             )
-        _render(args, payload, text)
-        return 3 if result.truncated else 0
+        return payload, text, 3 if result.truncated else 0
     from .parametric import enumerate_stationary_spe, induced_outcome_param
     if kind == "cyclic":
         route_key, outcome_key, suffix = "path", "outcome", ""
@@ -186,27 +176,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     text = [f"kind: {kind}", f"{game.PROFILE} equilibria: {len(accepted)}"]
     for entry in entries:
         text.append(f"  {_profile_text(game, entry['profile'])} -> {_outcome_text(entry[outcome_key])}{suffix}")
-    _render(args, payload, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     game = _load_doc(args.file).game
     if game.KIND == "matrix":
         raise _UsageError("check does not apply to matrix games")
-    with open(args.profile, "r", encoding="utf-8") as handle:
-        profile = dsl.parse_profile_text(handle.read(), game)
+    profile = _load_profile(args.profile, game)
     if game.KIND == "finite":
         report = fin.check_spe(game, profile)
     else:
         from .parametric import check_spe_param
         report = check_spe_param(game, profile)
     body = _report_json(report, game.KIND)
-    _render(args, {"command": "check", "kind": game.KIND, **body}, _report_text(body))
-    return 0 if report.ok else 1
+    return {"command": "check", "kind": game.KIND, **body}, _report_text(body), 0 if report.ok else 1
 
 
-def _cmd_unfold(args: argparse.Namespace) -> int:
+def _cmd_unfold(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .parametric import instantiate
     doc = _load_game(args, "cyclic")
     terminal = _parse_outcome(args.terminal)
@@ -214,8 +201,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
         raise ValueError("depth must be positive")
     tree = instantiate(doc.game, args.depth, terminal)
     rendered = dsl.serialize(dsl.GameDoc(doc.players, tree))
-    _render(args, {"command": "unfold", "game": rendered}, [rendered[:-1]])  # less the final newline
-    return 0
+    return {"command": "unfold", "game": rendered}, [rendered[:-1]], 0  # less the final newline
 
 
 def _parse_outcome(text: str) -> tuple[int, int]:
@@ -226,15 +212,16 @@ def _parse_outcome(text: str) -> tuple[int, int]:
     return first, second
 
 
-def _cmd_auction(args: argparse.Namespace) -> int:
+def _cmd_auction(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .parametric import check_spe_param, dollar_auction, instantiate, stationary_profiles
     game = dollar_auction(args.value)
+    terminal = (0, 0) if args.terminal is None else _parse_outcome(args.terminal)
     doc = dsl.GameDoc(("Alice", "Bertrand"), game)
     profiles = [(profile, check_spe_param(game, profile)) for profile in stationary_profiles(game)]
     equilibria = [profile for profile, report in profiles if report.ok]
     never_bid = {name: "a" for name in game.shapes}
     never_report = check_spe_param(game, never_bid)
-    payload: dict[str, Any] = {
+    payload: dict = {
         "command": "auction",
         "value": args.value,
         "game": dsl.serialize(doc),
@@ -252,7 +239,6 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     text.append("never-bid profile (abandon everywhere): " + ("equilibrium" if never_report.ok else "NOT an equilibrium"))
     text.extend("  " + line for line in _report_text(payload["never_bid"])[1:])
     if args.max_stage is not None:
-        terminal = _parse_outcome(args.terminal) if args.terminal else (0, 0)
         tree = instantiate(game, args.max_stage, terminal)
         result = fin.enumerate_equilibria(tree)
         outcomes = sorted({induced_play(tree, p)[1] for p in result.profiles})
@@ -267,11 +253,10 @@ def _cmd_auction(args: argparse.Namespace) -> int:
             f"{len(result.profiles)} backward-induction profiles, outcomes "
             + "; ".join(_outcome_text(o) for o in outcomes)
         )
-    _render(args, payload, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], int, list[str]]:
     from .escalation import BeliefSelectionPolicy, FixedIndex, Uniform, simulate
     if args.format == "json" and args.seed is None:
         raise _UsageError("simulate requires --seed in JSON mode")
@@ -316,17 +301,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         text.append("verdict: horizon hit (escalation)")
     else:
         text.append(f"verdict: terminated, outcome {_outcome_text(trace.outcome)}")
-    if args.out:
-        lines = [f"{step['stage']},{step['mover']},{step['belief']},{step['action']}" for step in steps]
-        lines.append("end,horizon" if trace.horizon_hit else "end,converged," + _outcome_text(trace.outcome))
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        args.out = None  # trace went to the file; report goes to stdout
-    _render(args, payload, text)
-    return 0
+    lines = [f"{step['stage']},{step['mover']},{step['belief']},{step['action']}" for step in steps]
+    lines.append("end,horizon" if trace.horizon_hit else "end,converged," + _outcome_text(trace.outcome))
+    return payload, text, 0, lines
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .matrix import solve_constant_sum
     doc = _load_game(args, "matrix")
     profile = solve_constant_sum(doc.game)
@@ -344,18 +324,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         f"column distribution: {' '.join(str(p) for p in profile.column)}",
         f"value (row player): {profile.value}",
     ]
-    _render(args, payload, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> tuple[None, list[str], int]:
     doc = _load_doc(args.file)
-    profile = None
-    if args.profile:
-        with open(args.profile, "r", encoding="utf-8") as handle:
-            profile = dsl.parse_profile_text(handle.read(), doc.game)
-    _emit(args, dsl.to_dot(doc, profile))
-    return 0
+    profile = _load_profile(args.profile, doc.game) if args.profile else None
+    return None, [dsl.to_dot(doc, profile)[:-1]], 0  # less the final newline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +392,20 @@ def run(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:  # ``_cmd_<command>`` is looked up on every run, so a patched command runs
-        return globals()[f"_cmd_{args.command}"](args)
+        payload, lines, code, *trace = globals()[f"_cmd_{args.command}"](args)
+        if payload is not None and args.format == "json":
+            import json  # here only, so a text command never loads it
+            lines = [json.dumps(payload, sort_keys=True)]
+        writes = [(args.out, lines)]
+        if trace and args.out:  # simulate: the trace goes to --out first, then the report to stdout
+            writes = [(args.out, trace[0]), (None, lines)]
+        for path, text in writes:
+            if path:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write("\n".join(text) + "\n")
+            else:
+                sys.stdout.write("\n".join(text) + "\n")
+        return code
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

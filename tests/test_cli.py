@@ -310,8 +310,9 @@ class TestAuction:
         code, _out = invoke(capsys, "auction", "--value", "0")
         assert code == 2
 
-    def test_bad_terminal(self, capsys):
-        code = run(["auction", "--value", "3", "--max-stage", "2", "--terminal", "1"])
+    @pytest.mark.parametrize("stage", [["--max-stage", "2"], []], ids=["with max-stage", "without max-stage"])
+    def test_bad_terminal(self, capsys, stage):
+        code = run(["auction", "--value", "3", *stage, "--terminal", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == "error: expected an outcome like '1,0', got '1'\n"
@@ -493,6 +494,7 @@ class TestErrors:
             ["solve", "{dir}"],
             ["check", "{corpus}/zero_one_7.game", "--profile", "{dir}"],
             ["solve", "{corpus}/zero_one_7.game", "--out", "{dir}"],
+            ["simulate", "{corpus}/zero_one_cyclic.game", "--horizon", "5", "--seed", "1", "--out", "{dir}"],
         ],
     )
     def test_unreadable_path_is_a_usage_error(self, capsys, corpus_dir, tmp_path, argv):

@@ -19,6 +19,10 @@ repository root, which is the working directory while a case runs, and
 way on every terminal.  Argparse's own wording is that of the Python
 versions CI runs (3.10 and 3.11).
 
+Each stored case that a command answers (exit 0, 1 or 3) also runs its
+``_cmd_*`` directly, with and without ``--out``: the command must write
+nothing and return its result, which ``run`` then writes byte for byte.
+
 Regenerate (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -107,6 +111,40 @@ def _load() -> list[dict[str, object]]:
 @pytest.mark.parametrize("case", _load(), ids=lambda case: " ".join(case["argv"]))
 def test_cli_output_is_byte_identical(case):
     assert run_case(case["argv"]) == case
+
+
+def _answered() -> list[list[str]]:
+    """The stored argv that argparse accepts and a command answers (exit 0, 1 or 3)."""
+    return [case["argv"] for case in _load() if case["code"] in (0, 1, 3) and "--help" not in case["argv"]]
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv", _answered(), ids=" ".join)
+def test_commands_return_their_result_and_run_writes_it(argv, with_out, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)
+    target = tmp_path / "out.txt"
+    argv = [*argv, "--out", str(target)] if with_out else list(argv)
+    args = cli._parser().parse_args(argv)
+    result = getattr(cli, f"_cmd_{args.command}")(args)
+    assert capsys.readouterr() == ("", "")
+    assert not target.exists()
+    assert type(result) is tuple and len(result) == (4 if args.command == "simulate" else 3)
+    payload, lines, code = result[:3]
+    if payload is not None and args.format == "json":
+        expected = json.dumps(payload, sort_keys=True) + "\n"
+    else:
+        expected = "\n".join(lines) + "\n"
+    assert cli.run(argv) == code
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    if not with_out:
+        assert printed.out == expected
+    elif args.command == "simulate":  # the trace goes to --out, the report to stdout
+        assert printed.out == expected
+        assert target.read_text(encoding="utf-8") == "\n".join(result[3]) + "\n"
+    else:
+        assert printed.out == ""
+        assert target.read_text(encoding="utf-8") == expected
 
 
 def test_golden_covers_every_analysing_case():
