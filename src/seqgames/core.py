@@ -58,7 +58,8 @@ class NotTwoPlayer(GameError):
 
 class MalformedGame(GameError):
     """A game built in code breaks a rule of the text format: every decision
-    point needs at least one choice, and its choices need distinct labels."""
+    point needs at least one choice, its choices need distinct labels, and
+    each choice leads to an outcome or a decision point."""
 
 
 class Record:
@@ -206,8 +207,8 @@ class TreeIndex:
     Each step names the label of the branch it enters (None at the root) and
     checks nothing.  ``dsl.parse`` takes the steps on ``TreeIndex()`` as it
     reads a tree; ``TreeIndex(root)`` takes them in one iterative walk, which
-    raises ``MalformedGame`` at a decision node without branches or with two
-    branches of the same label.
+    raises ``MalformedGame`` at a decision node without branches, with two
+    branches of the same label or with a branch to neither a leaf nor a node.
     """
 
     __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "_open", "fault")
@@ -227,6 +228,9 @@ class TreeIndex:
                 if isinstance(sub, Leaf):
                     self.leaf(sub.outcome, label)
                     continue
+                if not isinstance(sub, Node):
+                    where = self.path_to(label)[:-1]  # the parent's path
+                    raise MalformedGame(f"branch {label!r} at {where!r} leads to neither a leaf nor a node")
                 branches = sub.branches
                 if not branches:
                     raise MalformedGame(f"no branches at {self.path_to(label)!r}")

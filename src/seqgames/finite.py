@@ -83,15 +83,18 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     The result is truncated at ``cap`` profiles, flagged rather than failed:
     tie sets multiply, so the full set can be exponential.
 
-    A node's entries ``(value, pick, combo)`` follow ``itertools.product``
-    over its children's entries, one per best branch of each combination.
-    One backward pass, shaped like ``solve``, fixes every node's first entry
-    (the first-branch profile) and finds the nodes that have more.  A node
-    makes more entries only when the root needs another profile, turning an
-    odometer over those children, in doubling batches of at most ``cap + 1``
-    run from an explicit stack.  So the work is the backward pass plus the
-    entries of the returned profiles.  Each profile copies the one before
-    and rewrites only the subtrees whose entry changed.
+    The canonical order takes the product of the children's profiles in
+    branch order, then the node's best branches in branch order.  Every
+    subtree's choices fill a block of fixed length in ``index.postorder``
+    that ends at its root, so this is the lexicographic order of the branch
+    positions read in postorder, and one depth-first search lists it.  One
+    backward pass, the one ``solve`` makes, gives the first profile and the
+    nodes with a tie at or below them; no other node ever picks again.  Each
+    further profile moves the last of those nodes with a best branch left
+    to its next one; those after it take their first best branch under the
+    new values.  The profile before is copied and only the changed choices
+    are rewritten, so the work is the pass plus the nodes each profile
+    re-scores.
     """
     require_two_players(game)
     if cap < 1:
@@ -100,7 +103,9 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
     values = index.outcomes.copy()
     picks: list = [None] * len(values)
-    multi: set[int] = set()  # the nodes with more than one entry: those with a tie at or below them
+    multi: list[int] = []  # the nodes with a tie at or below them, in postorder; no other node picks again
+    marked: set[int] = set()  # the same nodes, for the membership test
+    ties: list[int] = []  # the positions in ``multi`` of the nodes with a best branch left, in order
     for node in index.postorder:
         owner = owners[node]
         kids = children[node]
@@ -108,80 +113,40 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
         best = max(scores)
         pick = picks[node] = scores.index(best)
         values[node] = values[kids[pick]]
-        if scores.count(best) > 1 or not multi.isdisjoint(kids):
-            multi.add(node)
+        if scores.count(best) > 1:
+            ties.append(len(multi))
+        elif marked.isdisjoint(kids):
+            continue
+        multi.append(node)
+        marked.add(node)
     # The first profile, keyed in preorder; a leaf game has one empty profile.
     profile = {path: names[pick] for path, names, pick in zip(paths, labels, picks) if path is not None}
-    if 0 not in multi:
-        return Enumeration((profile,), truncated=False)
-    limit = cap + 1  # one entry past the cap tells truncation; no node ever needs more
-    entries: list = [None] * len(paths)  # the entries each multi node has made so far
-    odometers: dict = {}  # node: owner, positions and nodes of its multi children, combo, branch values, scores
-    finished: set[int] = set()  # the nodes that have made all their entries
-    stack = [(0, limit)]  # (node, how many entries it is to have unless it finishes first)
-    while stack:
-        node, target = stack[-1]
-        made = entries[node]
-        if made is None:  # reached for the first time: every multi child at its first entry
-            owner, kids = owners[node], children[node]
-            spots = [k for k, child in enumerate(kids) if child in multi]
-            vals = [values[child] for child in kids]
-            odometers[node] = owner, spots, [kids[k] for k in spots], [0] * len(spots), vals, [v[owner] for v in vals]
-            made = entries[node] = []
-        owner, spots, spot_kids, combo, vals, scores = odometers[node]
-        while len(made) < target:
-            if made:  # the last multi child with an entry left takes its next one
-                p = len(combo) - 1
-                while p >= 0:
-                    kid = spot_kids[p]
-                    got = entries[kid] or (None,)  # a child not reached yet has its first entry
-                    i = combo[p] + 1
-                    if i < len(got) or (kid not in finished and i < limit):
-                        break
-                    p -= 1
-                else:
-                    finished.add(node)
-                    stack.pop()
-                    break
-                if i == len(got):  # the child makes more entries first
-                    stack.append((kid, min(2 * i, limit)))
-                    break
-                for q in range(p, len(combo)):  # the children after it start over
-                    combo[q] = i if q == p else 0
-                    value = vals[spots[q]] = got[i][0] if q == p else values[spot_kids[q]]
-                    scores[spots[q]] = value[owner]
-            while True:  # this combination, then those that move only the last multi child
-                best = max(scores)
-                if scores.count(best) == 1:
-                    k = scores.index(best)
-                    made.append((vals[k], k, tuple(combo)))
-                else:
-                    key = tuple(combo)
-                    made += [(vals[k], k, key) for k, score in enumerate(scores) if score == best]
-                got = combo and entries[spot_kids[-1]]
-                if not got or len(got) <= combo[-1] + 1 or len(made) >= target:
-                    break
-                combo[-1] += 1
-                value = vals[spots[-1]] = got[combo[-1]][0]
-                scores[spots[-1]] = value[owner]
-        else:
-            stack.pop()
-    items = entries[0]
     profiles = [profile]
-    shown = [0] * len(paths)  # the entry ``profile`` shows at each node, and so in its whole subtree
-    for root_entry in range(1, min(cap, len(items))):
+    while ties:
+        if len(profiles) == cap:
+            return Enumeration(tuple(profiles), truncated=True)
+        t = ties[-1]
         profile = profile.copy()
-        stack = [(0, root_entry)]
-        while stack:
-            node, i = stack.pop()
-            shown[node] = i
-            _value, pick, key = entries[node][i]
-            profile[paths[node]] = labels[node][pick]
-            for kid, j in zip(odometers[node][2], key):
-                if shown[kid] != j:
-                    stack.append((kid, j))
+        for at in range(t, len(multi)):  # nothing before ``t`` has moved since ``multi[t]`` was pushed
+            node = multi[at]
+            owner = owners[node]
+            kids = children[node]
+            scores = [values[child][owner] for child in kids]  # type: ignore[index]
+            best = max(scores)
+            if at == t:
+                pick = scores.index(best, picks[node] + 1)
+                if best not in scores[pick + 1 :]:
+                    ties.pop()
+            else:
+                pick = scores.index(best)
+                if scores.count(best) > 1:
+                    ties.append(at)
+            values[node] = values[kids[pick]]
+            if pick != picks[node]:
+                picks[node] = pick
+                profile[paths[node]] = labels[node][pick]  # type: ignore[index]
         profiles.append(profile)
-    return Enumeration(tuple(profiles), truncated=len(items) > cap)
+    return Enumeration(tuple(profiles), truncated=False)
 
 
 def check_spe(game: FiniteGame, profile: TreeProfile) -> SpeReport:

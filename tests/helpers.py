@@ -98,6 +98,24 @@ def chain01(rounds: int) -> FiniteGame:
     return current
 
 
+def tied_chain_tree(length: int) -> Node:
+    """Enumeration's hard shape: a root whose left subtree holds ten tied
+    pairs, folded so that it has far more than 1024 equilibria, beside a
+    chain of ``length`` nodes that ends in one more tied pair.  The
+    profiles alternate the bottom tie, and every other one moves a tie on
+    the left, after which the whole chain takes its first best branches."""
+    def pair(value: int) -> Node:
+        return node(0, ("x", leaf(value, value)), ("y", leaf(value, value)))
+
+    left = pair(5)
+    for i in range(9):
+        left = node(i % 2, ("p", left), ("q", pair(5)))
+    chain: FiniteGame = pair(9)
+    for i in range(length):
+        chain = node(i % 2, ("a", leaf(0, 0)), ("c", chain))
+    return node(0, ("l", left), ("r", chain))
+
+
 def loop01() -> CyclicGame:
     """The two-node abandon/continue loop."""
     return CyclicGame(

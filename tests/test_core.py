@@ -9,6 +9,7 @@ import pytest
 from helpers import all_plays, pennies_equilibrium, pennies_seq, random_profile, random_tree
 
 from seqgames.core import (
+    DEFAULT_PLAYERS,
     InvalidPlay,
     MalformedGame,
     Node,
@@ -19,6 +20,7 @@ from seqgames.core import (
     outcome_of,
     subgame_at,
 )
+from seqgames.dsl import GameDoc, serialize
 from seqgames.finite import check_spe, solve
 
 
@@ -154,7 +156,8 @@ class TestNodeEquality:
 
 class TestMalformedTrees:
     """The walk that indexes a tree built in code rejects what ``parse``
-    rejects in text: two sibling branches of one label, a node without any."""
+    rejects in text: two sibling branches of one label, a node without any,
+    a branch to something that is neither a leaf nor a node."""
 
     def test_duplicate_sibling_labels(self):
         game = node(0, ("x", leaf(1, 0)), ("y", node(1, ("x", leaf(0, 1)), ("x", leaf(1, 1)))))
@@ -172,3 +175,13 @@ class TestMalformedTrees:
             solve(node(0, ("a", Node(1, ())), ("b", leaf(0, 0))))
         with pytest.raises(MalformedGame, match=r"^no branches at \(\)$"):
             solve(Node(0, ()))
+
+    @pytest.mark.parametrize("child", [5, "x", None, ("x", leaf(0, 0))])
+    def test_child_that_is_neither_a_leaf_nor_a_node(self, child):
+        at_root = node(0, ("a", child))
+        below = node(0, ("a", leaf(1, 1)), ("b", node(1, ("x", child), ("y", leaf(0, 0)))))
+        for game, message in ((at_root, r"^branch 'a' at \(\) "), (below, r"^branch 'x' at \('b',\) ")):
+            message += "leads to neither a leaf nor a node$"
+            for use in (lambda g: g.index, solve, lambda g: serialize(GameDoc(DEFAULT_PLAYERS, g))):
+                with pytest.raises(MalformedGame, match=message):
+                    use(game)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqgames import dsl
-from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, leaf, node
+from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, ShapeMismatch, leaf, node
 from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import (
     GameDoc,
@@ -50,6 +50,15 @@ GAME_FILES = [
     "rps_zerosum.game",
     "matching_pennies_matrix.game",
 ]
+
+
+def raised(call, *args) -> tuple[type, str] | None:
+    """The exact type and text of the error ``call(*args)`` raises."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def count_leaves(game) -> int:
@@ -161,6 +170,34 @@ class TestParseErrors:
 
     def test_validation_error_is_a_parse_error(self):
         assert issubclass(ValidationError, ParseError)
+
+    @pytest.mark.parametrize("kind", ["cyclic", "param"])
+    def test_duplicate_edge_label_in_a_graph(self, kind):
+        text = f"{kind} start=A {{\n  A: Alice {{\n    a -> leaf(0,1)\n    a -> leaf(1,0)\n  }}\n}}\n"
+        assert raised(parse, text) == (ValidationError, "4:5: duplicate edge label 'a'")
+
+    def test_empty_graph_bodies(self):
+        assert raised(parse, "cyclic start=A {\n  A: Alice { }\n}\n") == (
+            ParseError,
+            "2:14: expected at least one edge, found '}'",
+        )
+        assert raised(parse, "param start=A { }\n") == (
+            ParseError,
+            "1:17: expected at least one node definition, found '}'",
+        )
+
+
+class TestWriterErrors:
+    """What the writers refuse, by type and text."""
+
+    def test_matrix_has_no_highlight_or_profile(self, corpus_dir):
+        doc = parse((corpus_dir / "rps_zerosum.game").read_text())
+        assert raised(to_dot, doc, {}) == (ShapeMismatch, "matrix games have no highlightable profile")
+        assert raised(render_profile, doc.game, {}) == (ShapeMismatch, "matrix games take no profile")
+
+    @pytest.mark.parametrize("write", [serialize, to_dot])
+    def test_unsupported_game_kind(self, write):
+        assert raised(write, GameDoc(PLAYERS, 5)) == (TypeError, "unsupported game kind: int")
 
 
 # Non-decimal digits (``str.isdigit`` but not ``isdecimal``) are the one

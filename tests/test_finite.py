@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    big_random_tree,
     brute_equilibria,
     chain01,
     deep_random_tree,
@@ -19,6 +20,7 @@ from helpers import (
     reference_check_spe,
     reference_enumerate_equilibria,
     reference_solve,
+    tied_chain_tree,
     tree_paths,
 )
 
@@ -289,3 +291,37 @@ class TestRecursiveReferees:
                 expected = shape_error(reference_check_profile, game, profile)
                 assert shape_error(chosen_branches, game, profile) == expected
                 assert (expected is None) == (profile is good)
+
+
+def branch_positions(game, profile: dict) -> tuple:
+    """The positions of a profile's choices, read in ``index.postorder``."""
+    index = game.index
+    return tuple(index.labels[node].index(profile[index.paths[node]]) for node in index.postorder)
+
+
+class TestSearchOrder:
+    """The canonical order is the lexicographic order of the branch positions
+    read in postorder, the premise of the depth-first search; and the search
+    keeps the reference's answers on ``tied_chain_tree``, where every move of
+    a tie on the left resets a long chain."""
+
+    def assert_increasing(self, game, cap: int) -> int:
+        keys = [branch_positions(game, profile) for profile in enumerate_equilibria(game, cap).profiles]
+        assert all(before < after for before, after in zip(keys, keys[1:]))
+        return len(keys)
+
+    def test_referee_trees(self, referee_trees):
+        counts = [self.assert_increasing(game, 1024) for game in referee_trees]
+        assert max(counts) == 1024
+
+    def test_big_tree(self):
+        assert self.assert_increasing(big_random_tree(random.Random(2020), 10_000), 64) == 64
+
+    @pytest.mark.parametrize("cap", [1, 4, 1024])
+    def test_tied_chain(self, cap):
+        game = tied_chain_tree(200)
+        got = enumerate_equilibria(game, cap)
+        want = reference_enumerate_equilibria(game, cap)
+        assert got == want
+        assert [list(p) for p in got.profiles] == [list(p) for p in want.profiles]
+        assert got.truncated
