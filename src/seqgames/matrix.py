@@ -2,11 +2,11 @@
 
 The row player's payoffs are given as a matrix of fractions; the column
 player receives the constant sum minus the entry.  ``solve_constant_sum``
-finds an exact minimax/maximin pair by square support enumeration
-(Shapley & Snow 1950).  The payoffs are scaled once to integers, and each
-square system is solved by fraction-free (Bareiss) elimination, whose
-divisions are all exact; fractions are built only for accepted solutions,
-so results carry no rounding at all.
+finds an exact minimax/maximin pair from square supports (Shapley & Snow
+1950).  The payoffs are scaled once to integers, and each square system is
+solved by fraction-free (Bareiss) elimination, whose divisions are all
+exact; fractions are built only for accepted solutions, so results carry
+no rounding at all.
 
 Under ties the row mix is the smallest accepted mix on the first row
 support, in lexicographic order over all nonempty subsets, that has an
@@ -14,19 +14,22 @@ accepted square pair; the column mix follows the same rule over column
 supports.  This is not always the lexicographically greatest optimal
 strategy.
 
-Two exact prunes solve fewer systems and keep that rule's answer.  Pure
-strategies strictly dominated by another are removed, repeatedly, before
-the scan: against any column mix on the kept columns a dominated row is
-worth strictly less than its dominator, so never the value, and so it is
-in no accepted pair (a dominated column likewise).  And a strictly
-complementary pair (every weight positive, every other pure strategy
-strictly worse than the value) is the only optimal pair (Goldman & Tucker
-1956): complementary slackness puts any optimal mix on its support, where
-it must equalize the other side's support, a nonsingular square system.
-So every accepted pair is that pair, and the scan returns it once accepted,
-without the column scan.  Games without such a pair, and the supports that
-sort before the first accepted one, are still judged in full, so the work
-stays exponential in the matrix side: hence ``SUPPORT_LIMIT``.
+Three exact steps keep that rule's answer with fewer systems solved.  Pure
+strategies strictly dominated by another are removed, repeatedly, first:
+against any column mix on the kept columns a dominated row is worth
+strictly less than its dominator, so never the value, and so it is in no
+accepted pair (a dominated column likewise).  A strictly complementary
+pair (every weight positive, every other pure strategy strictly worse than
+the value) is the only optimal pair (Goldman & Tucker 1956): complementary
+slackness puts any optimal mix on its support, where it must equalize the
+other side's support, a nonsingular square system.  So the supports an
+exact simplex finds on the kept game are judged first, and when that pair
+is accepted and strict it is the answer.  A game with a strict pair always
+ends there: the LP's primal and dual optima are then unique, so the
+simplex names exactly that pair's supports.  Games without one (degenerate
+ones, with tied optima) are still scanned on both sides, each up to its
+first accepted support in full, so their work stays exponential in the
+matrix side: hence ``SUPPORT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -56,12 +59,17 @@ class MatrixGame(Record):
     KIND = "matrix"  # see ``Leaf.KIND``
 
     def __post_init__(self) -> None:
-        """``ValueError`` for a matrix without a row or a column, or with ragged rows."""
+        """``ValueError`` for a matrix without a row or a column, with ragged
+        rows, or with an entry or total that is not an exact ``int`` or
+        ``Fraction`` (a ``bool`` is no payoff)."""
         payoffs = self.payoffs
         if not payoffs or not payoffs[0]:
             raise ValueError("matrix must have at least one row and one column")
         if any(len(row) != len(payoffs[0]) for row in payoffs):
             raise ValueError("matrix rows must have equal length")
+        for value in (self.total, *(entry for row in payoffs for entry in row)):
+            if value.__class__ is bool or not isinstance(value, (int, Fraction)):
+                raise ValueError(f"matrix payoffs must be int or Fraction, not {value.__class__.__name__}")
 
     @property
     def rows(self) -> int:
@@ -160,6 +168,46 @@ def _undominated(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tupl
         rows, cols = kept_rows, kept_cols
 
 
+def _simplex_supports(
+    matrix: Sequence[Sequence[int]], rows: tuple[int, ...], cols: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column supports of one optimal pair of the game on ``rows`` x
+    ``cols``, from the LP max sum(w) s.t. P w <= 1, w >= 0, where P is that
+    game shifted so every entry is at least 1 (von Stengel 2002): the basic
+    w > 0 are the column support, the slacks with a positive price in the
+    objective row (the dual) the row support.  Integer pivoting keeps the
+    tableau as integers over one shared positive determinant, so every
+    division, the objective row's too, is exact (Edmonds 1967); Bland's rule
+    (entering: the smallest index with a negative reduced cost; leaving: the
+    smallest basic index among tied ratios) cannot cycle (Bland 1977)."""
+    m, n = len(rows), len(cols)
+    shift = 1 - min(matrix[i][j] for i in rows for j in cols)
+    tableau = [  # columns: w, then the slacks, then the right-hand side
+        [matrix[i][j] + shift for j in cols] + [int(k == s) for s in range(m)] + [1]
+        for k, i in enumerate(rows)
+    ]
+    tableau.append([-1] * n + [0] * (m + 1))  # the objective row
+    basis, det = list(range(n, n + m)), 1
+    while True:
+        objective = tableau[m]
+        enter = next((c for c in range(n + m) if objective[c] < 0), None)
+        if enter is None:
+            break
+        leave, p, rhs = None, 0, 0  # the smallest ratio rhs / p over p > 0
+        for r, row in enumerate(tableau[:m]):
+            a, b = row[enter], row[-1]
+            if a > 0 and (leave is None or b * p < rhs * a or (b * p == rhs * a and basis[r] < basis[leave])):
+                leave, p, rhs = r, a, b
+        top = tableau[leave]
+        for r, row in enumerate(tableau):
+            if r != leave:
+                f = row[enter]
+                tableau[r] = [(p * u - f * t) // det for u, t in zip(row, top)]
+        basis[leave], det = enter, p
+    column = sorted(cols[b] for r, b in enumerate(basis) if b < n and tableau[r][-1] > 0)
+    return tuple(i for k, i in enumerate(rows) if objective[n + k] > 0), tuple(column)
+
+
 def _first_support_pair(
     mine: tuple[int, ...],
     theirs: tuple[int, ...],
@@ -169,15 +217,10 @@ def _first_support_pair(
     """Scan this side's supports over the strategies ``mine`` in
     lexicographic order; for the first one with any accepted square pair,
     return the accepted ``(x, y, value, strict)`` whose mix on this side
-    (entry ``side``) is the smallest; a strict pair is returned at once."""
+    (entry ``side``) is the smallest."""
     for support in _lex_supports(mine):
-        found = []
-        for against in itertools.combinations(theirs, len(support)):
-            accepted = judge(support, against)
-            if accepted is not None:
-                if accepted[3]:  # strict
-                    return accepted
-                found.append(accepted)
+        judged = (judge(support, against) for against in itertools.combinations(theirs, len(support)))
+        found = [accepted for accepted in judged if accepted is not None]
         if found:
             return min(found, key=lambda accepted: (accepted[side], accepted[2]))
     raise AssertionError("no square-kernel solution found; unreachable for valid input")
@@ -196,10 +239,11 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     value against every pure strategy.  That test reads the same from either
     side, so each pair is judged once per call and serves both scans.
 
-    Supports holding a strictly dominated strategy are skipped, and a
-    strictly complementary accepted pair, the only optimal pair, ends the
-    work (see the module docstring); neither changes a result.  ``TooLarge``
-    beyond ``SUPPORT_LIMIT``: the scan can still judge every support pair.
+    Supports holding a strictly dominated strategy are skipped.  The pair of
+    supports an exact simplex finds is judged first, and a strictly
+    complementary accepted pair, the only optimal pair, ends the work (see
+    the module docstring); neither changes a result.  ``TooLarge`` beyond
+    ``SUPPORT_LIMIT``: a degenerate game can still judge every support pair.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
@@ -254,16 +298,22 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
             judged[key] = judge(support, against)
         return judged[key]
 
-    x, y, value, strict = _first_support_pair(rows, cols, pair, 0)
-    if not strict:
-        y = _first_support_pair(cols, rows, lambda mine, theirs: pair(theirs, mine), 1)[1]
+    support, against = _simplex_supports(scaled, rows, cols)
+    accepted = pair(support, against) if len(support) == len(against) else None
+    if accepted is not None and accepted[3]:  # the only optimal pair
+        return MixedProfile(*accepted[:3])
+    x, _y, value, _strict = _first_support_pair(rows, cols, pair, 0)
+    y = _first_support_pair(cols, rows, lambda mine, theirs: pair(theirs, mine), 1)[1]
     return MixedProfile(x, y, value)
 
 
 def best_response_value(
     game: MatrixGame, opponent_mix: Sequence[Fraction], side: Literal["row", "column"]
 ) -> Fraction:
-    """Maximum expected payoff over the responder's pure strategies."""
+    """Maximum expected payoff over the responder's pure strategies; ``side``
+    names the responder, and anything but "row" or "column" is a ``ValueError``."""
+    if side not in ("row", "column"):
+        raise ValueError(f"side must be 'row' or 'column', not {side!r}")
     mix = [Fraction(p) for p in opponent_mix]
     expected_len = game.cols if side == "row" else game.rows
     if len(mix) != expected_len:

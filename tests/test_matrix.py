@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -86,6 +87,24 @@ class TestSolve:
         with pytest.raises(ValueError, match=message):
             matrix_game(payoffs, 0)
 
+    @pytest.mark.parametrize(
+        "payoffs, total, kind",
+        [
+            (((1.5, Fraction(0)),), Fraction(1), "float"),
+            (((Fraction(1), Fraction(0)),), 1.0, "float"),
+            (((True, Fraction(0)),), Fraction(1), "bool"),
+            (((Fraction(1), Fraction(0)),), False, "bool"),
+            ((("1", Fraction(0)),), Fraction(1), "str"),
+        ],
+    )
+    def test_a_code_built_game_refuses_inexact_payoffs(self, payoffs, total, kind):
+        with pytest.raises(ValueError, match=f"^matrix payoffs must be int or Fraction, not {kind}$"):
+            MatrixGame(payoffs, total)
+
+    def test_a_code_built_game_takes_int_payoffs(self):
+        profile = solve_constant_sum(MatrixGame(((1, 0), (0, 1)), 1))
+        assert profile == solve_constant_sum(PENNIES)
+
     def test_results_are_exact_fractions(self):
         profile = solve_constant_sum(RPS)
         for p in (*profile.row, *profile.column, profile.value):
@@ -116,6 +135,12 @@ class TestBestResponse:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
             best_response_value(PENNIES, (Fraction(1, 2), Fraction(1, 4)), "row")
+
+    @pytest.mark.parametrize("side", ["diag", "Row", "", None, 0])
+    def test_rejects_an_unknown_side(self, side):
+        half = (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError, match="^side must be 'row' or 'column', not "):
+            best_response_value(PENNIES, half, side)
 
 
 class TestInvariants:
@@ -257,3 +282,54 @@ class TestReferee:
         assert profile.value == 2 * third
         assert best_response_value(game, greatest, "column") == game.total - profile.value
         assert profile.row < greatest
+
+
+def support(mix) -> tuple[int, ...]:
+    return tuple(i for i, p in enumerate(mix) if p > 0)
+
+
+def strictly_complementary(game: MatrixGame, profile) -> bool:
+    """Every pure strategy of either player has positive weight or is worth
+    strictly less to its player than the value, never both and never neither."""
+    rows = [sum(entry * q for entry, q in zip(row, profile.column)) for row in game.payoffs]
+    cols = [sum(p * row[j] for p, row in zip(profile.row, game.payoffs)) for j in range(game.cols)]
+    return all((p > 0) == (worth == profile.value) for p, worth in zip(profile.row, rows)) and all(
+        (q > 0) == (worth == profile.value) for q, worth in zip(profile.column, cols)
+    )
+
+
+def kept_game(game: MatrixGame):
+    """The scaled integer matrix and the undominated rows and columns the
+    solver hands to its simplex."""
+    scale = math.lcm(*(entry.denominator for row in game.payoffs for entry in row))
+    scaled = [[int(entry * scale) for entry in row] for row in game.payoffs]
+    return (scaled, *matrix._undominated(scaled))
+
+
+class TestSimplexFirst:
+    def test_a_nondegenerate_game_builds_one_square_pair(self, monkeypatch):
+        # Wide-range entries make a tie, and so a degenerate game, unlikely.
+        rng = random.Random(67)
+        for index in range(6):
+            size = 7 + index % 3
+            game = matrix_game(
+                [[rng.randint(-10**6, 10**6) for _ in range(size)] for _ in range(size)], rng.randint(-9, 9)
+            )
+            profile = solve_constant_sum(game)
+            built = systems_built(monkeypatch, game)
+            assert len(built) == 2 and built[0] == built[1] == (support(profile.row), support(profile.column))
+            assert best_response_value(game, profile.column, "row") == profile.value
+            assert best_response_value(game, profile.row, "column") == game.total - profile.value
+            assert strictly_complementary(game, profile)
+
+    def test_the_simplex_finds_every_strictly_complementary_answer(self):
+        rng = random.Random(71)
+        strict = 0
+        for index in range(360):
+            game = referee_game(rng, index)
+            expected = reference_constant_sum(game)
+            if strictly_complementary(game, expected):
+                strict += 1
+                found = matrix._simplex_supports(*kept_game(game))
+                assert found == (support(expected.row), support(expected.column)), game
+        assert strict >= 200
