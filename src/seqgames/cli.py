@@ -4,6 +4,10 @@ Exit status: 0 success, 1 negative analysis (a checked profile is not an
 equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap,
 search-space bound, matrix size), 4 resource limit (recursion depth or memory).
 
+``COMMANDS`` describes every command once. ``run`` reads a plain argv straight
+from it (``_read``) and leaves any other argv to argparse, whose parser is built
+from the same table; so argparse alone prints help and usage errors.
+
 A command reads its game, analyses it and returns ``(payload, text_lines,
 exit_code)``, writing nothing; ``run`` alone writes the JSON of the payload or
 the joined lines, to ``--out`` or stdout. A ``None`` payload (``export``) means
@@ -14,13 +18,17 @@ of the game kind it runs, read from ``KIND``.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 from . import dsl
 from . import finite as fin
 from .core import GameError, LimitExceeded, induced_play
+
+TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
+if TYPE_CHECKING:
+    import argparse
 
 _PROFILE_HELP = (
     "profile files have one 'key = action' line per decision point; keys are "
@@ -29,27 +37,51 @@ _PROFILE_HELP = (
 )
 
 
+# Each command's summary and arguments: a name and the keywords ``build_parser``
+# passes for it to argparse's ``add_argument``, which ``_read`` reads as well:
+# ``type``, ``default``, ``required``, ``choices``, ``help`` and a switch's action.
+COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+    "solve": ("one backward-induction equilibrium of a finite game", {
+        "file": {}, "--ties": {"choices": ("first", "last"), "default": "first"}}),
+    "enumerate": ("all equilibria (finite profiles or positional/stationary)", {
+        "file": {}, "--cap": {"type": int, "default": fin.DEFAULT_CAP}}),
+    "check": ("verify a profile file against a game", {
+        "file": {}, "--profile": {"required": True, "help": _PROFILE_HELP}}),
+    "unfold": ("unroll a cyclic game into a finite .game tree", {
+        "file": {}, "--depth": {"type": int, "required": True},
+        "--terminal": {"required": True, "help": "outcome at the cut, e.g. '1,0'"}}),
+    "auction": ("build and analyse the unit-bid all-pay auction", {
+        "--value": {"type": int, "required": True}, "--max-stage": {"type": int},
+        "--terminal": {"help": "truncation outcome (default 0,0)"}}),
+    "simulate": ("memoryless agents re-selecting equilibrium beliefs", {
+        "file": {}, "--horizon": {"type": int, "required": True}, "--seed": {"type": int},
+        "--policy": {"default": "uniform", "help": "'uniform' or 'fixed:i,j'"}}),
+    "matrix": ("exact mixed equilibrium of a constant-sum matrix", {"file": {}}),
+    "export": ("DOT export, optionally highlighting a profile", {
+        "file": {}, "--profile": {}, "--dot": {"action": "store_true", "default": False, "required": True}}),
+}
+_COMMON = {  # every command's last two options
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--out": {"help": "write output to PATH instead of stdout"},
+}
+
+
 class _UsageError(Exception):
     """A command given a game kind or option value it does not take; ``run``
     prints the message as it is and exits 2."""
 
 
-def _load_doc(path: str) -> dsl.GameDoc:
+def _text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return dsl.parse(handle.read())
+        return handle.read()
 
 
-def _load_game(args: argparse.Namespace, *kinds: str) -> dsl.GameDoc:
+def _load_game(args: SimpleNamespace, *kinds: str) -> dsl.GameDoc:
     """The game file of ``args``, which must hold a game of one of ``kinds``."""
-    doc = _load_doc(args.file)
+    doc = dsl.parse(_text(args.file))
     if doc.game.KIND not in kinds:
         raise _UsageError(f"{args.command} needs a {' or '.join(kinds)} game, got {doc.game.KIND}")
     return doc
-
-
-def _load_profile(path: str, game):
-    with open(path, "r", encoding="utf-8") as handle:
-        return dsl.parse_profile_text(handle.read(), game)
 
 
 def _outcome_text(outcome: tuple) -> str:
@@ -77,12 +109,8 @@ def _value_json(value: object, kind: str) -> object:
 
 def _report_json(report: fin.SpeReport, kind: str) -> dict:
     violations = [
-        {
-            "at": dsl.render_tree_path(v.where) if kind == "finite" else v.where,
-            "action": v.action,
-            "profile_value": _value_json(v.profile_value, kind),
-            "deviation_value": _value_json(v.deviation_value, kind),
-        }
+        {"at": dsl.render_tree_path(v.where) if kind == "finite" else v.where, "action": v.action,
+         "profile_value": _value_json(v.profile_value, kind), "deviation_value": _value_json(v.deviation_value, kind)}
         for v in report.violations
     ]
     return {"ok": report.ok, "violations": violations, "divergences": list(report.divergences)}
@@ -103,7 +131,7 @@ def _report_text(report: dict) -> list[str]:
 # --- commands -------------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     doc = _load_game(args, "finite")
     profile = fin.solve(doc.game, fin.TiePolicy(args.ties))
     play, outcome = induced_play(doc.game, profile)
@@ -124,8 +152,8 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, text, 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    game = _load_doc(args.file).game
+def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
+    game = dsl.parse(_text(args.file)).game
     kind = game.KIND
     if kind == "matrix":
         raise _UsageError("enumerate does not apply to matrix games; use the matrix command")
@@ -179,11 +207,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, text, 0
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    game = _load_doc(args.file).game
+def _cmd_check(args: SimpleNamespace) -> tuple[dict, list[str], int]:
+    game = dsl.parse(_text(args.file)).game
     if game.KIND == "matrix":
         raise _UsageError("check does not apply to matrix games")
-    profile = _load_profile(args.profile, game)
+    profile = dsl.parse_profile_text(_text(args.profile), game)
     if game.KIND == "finite":
         report = fin.check_spe(game, profile)
     else:
@@ -193,7 +221,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return {"command": "check", "kind": game.KIND, **body}, _report_text(body), 0 if report.ok else 1
 
 
-def _cmd_unfold(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_unfold(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     from .parametric import instantiate
     doc = _load_game(args, "cyclic")
     terminal = _parse_outcome(args.terminal)
@@ -212,7 +240,7 @@ def _parse_outcome(text: str) -> tuple[int, int]:
     return first, second
 
 
-def _cmd_auction(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_auction(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     from .parametric import check_spe_param, dollar_auction, instantiate, stationary_profiles
     game = dollar_auction(args.value)
     terminal = (0, 0) if args.terminal is None else _parse_outcome(args.terminal)
@@ -225,10 +253,7 @@ def _cmd_auction(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "command": "auction",
         "value": args.value,
         "game": dsl.serialize(doc),
-        "profiles": [
-            {"profile": dict(profile), **_report_json(report, "param")}
-            for profile, report in profiles
-        ],
+        "profiles": [{"profile": dict(profile), **_report_json(report, "param")} for profile, report in profiles],
         "equilibrium_count": len(equilibria),
         "equilibria": [dict(profile) for profile in equilibria],
         "never_bid": _report_json(never_report, "param"),
@@ -242,12 +267,8 @@ def _cmd_auction(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         tree = instantiate(game, args.max_stage, terminal)
         result = fin.enumerate_equilibria(tree)
         outcomes = sorted({induced_play(tree, p)[1] for p in result.profiles})
-        payload["truncation"] = {
-            "max_stage": args.max_stage,
-            "terminal": list(terminal),
-            "profile_count": len(result.profiles),
-            "outcomes": [list(o) for o in outcomes],
-        }
+        payload["truncation"] = {"max_stage": args.max_stage, "terminal": list(terminal),
+                                 "profile_count": len(result.profiles), "outcomes": [list(o) for o in outcomes]}
         text.append(
             f"truncation at stage {args.max_stage} (terminal {_outcome_text(terminal)}): "
             f"{len(result.profiles)} backward-induction profiles, outcomes "
@@ -256,7 +277,7 @@ def _cmd_auction(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, text, 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], int, list[str]]:
+def _cmd_simulate(args: SimpleNamespace) -> tuple[dict, list[str], int, list[str]]:
     from .escalation import BeliefSelectionPolicy, FixedIndex, Uniform, simulate
     if args.format == "json" and args.seed is None:
         raise _UsageError("simulate requires --seed in JSON mode")
@@ -276,12 +297,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], int, list[
         policy = FixedIndex((i, j))
     trace = simulate(game, args.horizon, seed, policy)
     steps = [
-        {
-            "stage": step.stage,
-            "mover": doc.players[step.mover],
-            "belief": step.belief_index,
-            "action": step.action,
-        }
+        {"stage": step.stage, "mover": doc.players[step.mover], "belief": step.belief_index, "action": step.action}
         for step in trace.steps
     ]
     payload = {
@@ -306,7 +322,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], int, list[
     return payload, text, 0, lines
 
 
-def _cmd_matrix(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_matrix(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     from .matrix import solve_constant_sum
     doc = _load_game(args, "matrix")
     profile = solve_constant_sum(doc.game)
@@ -327,70 +343,70 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, text, 0
 
 
-def _cmd_export(args: argparse.Namespace) -> tuple[None, list[str], int]:
-    doc = _load_doc(args.file)
-    profile = _load_profile(args.profile, doc.game) if args.profile else None
+def _cmd_export(args: SimpleNamespace) -> tuple[None, list[str], int]:
+    doc = dsl.parse(_text(args.file))
+    profile = dsl.parse_profile_text(_text(args.profile), doc.game) if args.profile else None
     return None, [dsl.to_dot(doc, profile)[:-1]], 0  # less the final newline
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="seqgames",
-        description="Equilibrium analysis for sequential games.",
-        epilog=_PROFILE_HELP,
-    )
+    """Argparse's parser for ``COMMANDS``, which ``run`` builds only for an argv
+    that ``_read`` leaves to it: help, a usage error or another form."""
+    import argparse  # here only, so that an argv the table reads never loads it
+
+    description = "Equilibrium analysis for sequential games."
+    parser = argparse.ArgumentParser(prog="seqgames", description=description, epilog=_PROFILE_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str, file: bool = True) -> argparse.ArgumentParser:
+    for name, (summary, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if file:
-            p.add_argument("file")
-        return p
-
-    p = command("solve", "one backward-induction equilibrium of a finite game")
-    p.add_argument("--ties", choices=["first", "last"], default="first")
-
-    p = command("enumerate", "all equilibria (finite profiles or positional/stationary)")
-    p.add_argument("--cap", type=int, default=fin.DEFAULT_CAP)
-
-    p = command("check", "verify a profile file against a game")
-    p.add_argument("--profile", required=True, help=_PROFILE_HELP)
-
-    p = command("unfold", "unroll a cyclic game into a finite .game tree")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--terminal", required=True, help="outcome at the cut, e.g. '1,0'")
-
-    p = command("auction", "build and analyse the unit-bid all-pay auction", file=False)
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument("--max-stage", type=int, default=None)
-    p.add_argument("--terminal", default=None, help="truncation outcome (default 0,0)")
-
-    p = command("simulate", "memoryless agents re-selecting equilibrium beliefs")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--policy", default="uniform", help="'uniform' or 'fixed:i,j'")
-
-    command("matrix", "exact mixed equilibrium of a constant-sum matrix")
-
-    p = command("export", "DOT export, optionally highlighting a profile")
-    p.add_argument("--profile", default=None)
-    p.add_argument("--dot", action="store_true", required=True)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--out", help="write output to PATH instead of stdout")
+        for flag, keywords in {**arguments, **_COMMON}.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 _parser = functools.cache(build_parser)  # one parser per process: parsing leaves it as it was
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse sets for a plain ``argv``, read from ``COMMANDS`` alone:
+    a command, then whole flags of it, each with its one value unless it is a switch,
+    and its file; no value or file starts with '-', each value passes its ``type``
+    and ``choices``, and every required flag is given.  None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments, given, words = {**COMMANDS[argv[0]][1], **_COMMON}, {}, iter(argv[1:])
+    for word in words:
+        keywords = arguments.get(word)
+        if word[:1] != "-":  # the file, once
+            if "file" not in arguments or "file" in given:
+                return None
+            given["file"] = word
+        elif keywords is None:
+            return None
+        elif keywords.get("action") == "store_true":
+            given[word] = True
+        else:
+            value = next(words, "-")
+            try:
+                given[word] = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value[:1] == "-" or "choices" in keywords and given[word] not in keywords["choices"]:
+                return None
+    if any((name == "file" or k.get("required")) and name not in given for name, k in arguments.items()):
+        return None
+    names = {name: name.lstrip("-").replace("-", "_") for name in arguments}
+    return SimpleNamespace(command=argv[0], **{names[n]: given.get(n, k.get("default")) for n, k in arguments.items()})
+
+
 def run(argv: list[str]) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    args = _read(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_parser().parse_args(argv)))  # as ``_read`` returns it
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:  # ``_cmd_<command>`` is looked up on every run, so a patched command runs
         payload, lines, code, *trace = globals()[f"_cmd_{args.command}"](args)
         if payload is not None and args.format == "json":
@@ -407,27 +423,22 @@ def run(argv: list[str]) -> int:
                 sys.stdout.write("\n".join(text) + "\n")
         return code
     except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
     except dsl.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"parse error: {exc}", 2
     except LimitExceeded as exc:
-        print(f"limit: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"limit: {exc}", 3
     except FileNotFoundError as exc:
-        print(f"no such file: {exc.filename}", file=sys.stderr)
-        return 2
+        message, code = f"no such file: {exc.filename}", 2
     except OSError as exc:
         detail = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
-        print(f"error: {detail}", file=sys.stderr)
-        return 2
+        message, code = f"error: {detail}", 2
     except (GameError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
     except (RecursionError, MemoryError) as exc:
-        print(f"limit: {type(exc).__name__}: input too large or too deeply nested", file=sys.stderr)
-        return 4
+        message, code = f"limit: {type(exc).__name__}: input too large or too deeply nested", 4
+    print(message, file=sys.stderr)
+    return code
 
 
 def main() -> None:

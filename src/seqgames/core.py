@@ -19,7 +19,7 @@ exhausts the recursion limit.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from collections.abc import Iterator, Mapping
 
 DEFAULT_PLAYERS = ("Alice", "Bertrand")
 
@@ -180,7 +180,7 @@ class Node(Record):
         return "".join(out)
 
 
-FiniteGame = Union[Leaf, Node]
+FiniteGame = Leaf | Node
 
 #: A tree profile maps every decision-node path (from the root) to the
 #: chosen branch label at that node.

@@ -20,7 +20,7 @@ payoffs, which for a cyclic game are the same at every stage.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from .core import Leaf, MalformedGame
 from .parametric import (  # DEFAULT_SEARCH_BOUND and SearchSpaceTooLarge are re-exported
@@ -44,7 +44,7 @@ from .parametric import instantiate as unfold
 UnknownNode = UnknownShape
 
 
-def CyclicNode(owner: int, edges: tuple[tuple[str, Union[str, Leaf]], ...]) -> Shape:
+def CyclicNode(owner: int, edges: tuple[tuple[str, str | Leaf], ...]) -> Shape:
     """The ``Shape`` of a decision node whose edges point at a ``Leaf`` or a node name."""
     return Shape(owner, tuple(
         (label, AffineLeaf(tuple(map(affine, target.outcome))) if isinstance(target, Leaf) else Advance(target))

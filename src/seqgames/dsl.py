@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import TYPE_CHECKING, Union
 
 from .core import (
     DEFAULT_PLAYERS,
@@ -48,14 +47,15 @@ from .core import (
     require_two_players,
 )
 
+TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from .matrix import MatrixGame
     from .parametric import ParametricGame, StationaryProfile
 
-    Game = Union[FiniteGame, ParametricGame, MatrixGame]  # a CyclicGame is a ParametricGame
-    AnyProfile = Union[TreeProfile, StationaryProfile]
+    Game = FiniteGame | ParametricGame | MatrixGame  # a CyclicGame is a ParametricGame
+    AnyProfile = TreeProfile | StationaryProfile
 
 _GRAPHS = ("cyclic", "param")
 

@@ -11,7 +11,7 @@ belief from the equilibrium set at every turn and never learn.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from .core import GameError, OutcomeVector, Record
 from .parametric import Divergent, ParametricGame, _walk, check_spe_param, enumerate_stationary_spe
@@ -71,7 +71,7 @@ class Terminates(Record):
     outcome: OutcomeVector
 
 
-EscalationVerdict = Union[Escalates, Terminates]
+EscalationVerdict = Escalates | Terminates
 
 
 class Uniform(Record):
@@ -84,7 +84,7 @@ class FixedIndex(Record):
     indices: tuple[int, int]
 
 
-BeliefSelectionPolicy = Union[Uniform, FixedIndex]
+BeliefSelectionPolicy = Uniform | FixedIndex
 
 
 class SimStep(Record):

@@ -10,7 +10,6 @@ trees the one-shot test coincides with arbitrary strategy deviations.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Union
 
 from .core import FiniteGame, PlayLine, Record, TreeProfile, chosen_branches, require_two_players
 
@@ -32,7 +31,7 @@ class Violation(Record):
     values for graph games (of slope 0 for a cyclic game).
     """
 
-    where: Union[PlayLine, str]
+    where: PlayLine | str
     action: str
     profile_value: object
     deviation_value: object

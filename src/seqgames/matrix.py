@@ -36,10 +36,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Sequence
 
 from .core import GameError, LimitExceeded, Record
+
+TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
+if TYPE_CHECKING:
+    from typing import Literal
 
 SUPPORT_LIMIT = 9
 

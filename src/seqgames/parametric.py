@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from collections.abc import Iterator, Mapping
 
 from .core import (
     FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch, is_player,
@@ -99,7 +99,7 @@ class Advance(Record):
 
 class Shape(Record):
     owner: int
-    moves: tuple[tuple[str, Union[AffineLeaf, Advance]], ...]
+    moves: tuple[tuple[str, AffineLeaf | Advance], ...]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.moves)
@@ -153,7 +153,7 @@ class ParametricGame(Record):
                 raise ShapeMismatch(f"choice {profile[name]!r} at {name!r} is not {article} {choice} label")
 
     @cached_property
-    def targets(self) -> dict[str, dict[str, Union[AffineLeaf, Advance]]]:
+    def targets(self) -> dict[str, dict[str, AffineLeaf | Advance]]:
         """Each shape's moves as a ``{label: target}`` table, built on first use and kept: a game
         is not to be changed once it is built."""
         return {name: dict(shape.moves) for name, shape in self.shapes.items()}
@@ -193,12 +193,12 @@ class Divergent(Record):
     cycle: tuple[str, ...]
 
 
-InducedParamResult = Union[ConvergesAffine, Divergent]
+InducedParamResult = ConvergesAffine | Divergent
 
 
 def _walk(
     game: ParametricGame, beliefs: tuple[StationaryProfile, ...], name: str
-) -> tuple[list[str], Union[AffineLeaf, int]]:
+) -> tuple[list[str], AffineLeaf | int]:
     """Induced play from shape ``name``, each move read from its owner's profile in ``beliefs``
     (one validated profile per player): the shapes visited, then the ``AffineLeaf`` taken or,
     when play returns to a visited shape, that shape's index in them, where the cycle starts."""

@@ -19,17 +19,22 @@ same token form; the depth-first ``reference_instantiate`` referees the
 stage-layered ``instantiate``; ``ReferenceParser``, the tree parser that
 left the index to a later walk, referees the parser that fills it;
 ``reference_tree_dot``, which orders edges with the event walk
-``reference_edges``, referees the DOT export of trees; and the recursive
-``reference_index`` referees the index arrays that ``TreeIndex`` lays out.
+``reference_edges``, referees the DOT export of trees; the recursive
+``reference_index`` referees the index arrays that ``TreeIndex`` lays out;
+and ``argparse_reads``, argparse's reading of a command line, referees
+``cli._read``, which reads a plain one from the command table alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from seqgames import cli
 from seqgames.core import (
     FiniteGame,
     Leaf,
@@ -1034,3 +1039,67 @@ def reference_tree_dot(doc: GameDoc, highlight: dict | None = None) -> str:
             lines.append(f'  n{parent} -> n{child} [label="{label}"{bold}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# --- command lines -----------------------------------------------------------
+
+# Values that argparse reads differently from a plain word, or that fail a
+# ``type`` or ``choices``: a negative number, a padded or hex or Arabic-Indic
+# digit, the empty string, a lone dash, a word outside every ``choices``.
+_ODD_VALUES = ("-1", " 7", "0x1", "\u0663", "", "-", "bogus")
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A command line drawn mostly from ``cli.COMMANDS``: a command with its
+    file, every required flag and some optional ones in a random order, each
+    given a fitting value four times in five.  Up to three near misses follow:
+    a word dropped or repeated, or an abbreviated flag, a ``--flag=value``,
+    ``-h``, ``--help``, ``--``, ``-`` or an odd value inserted."""
+    command = rng.choice([*cli.COMMANDS] * 4 + ["", "solv", "-h", "--help"])
+    arguments = {**cli.COMMANDS.get(command, ("", {}))[1], **cli._COMMON}
+
+    def value(keywords: dict) -> str:
+        fitting = keywords.get("choices") or (("0", "1", "7", "40") if keywords.get("type") is int else ("g.game", "1,0"))
+        return rng.choice(fitting) if rng.random() < 0.8 else rng.choice(_ODD_VALUES)
+
+    pieces = [
+        [value(keywords)] if arg == "file" else [arg] if keywords.get("action") else [arg, value(keywords)]
+        for arg, keywords in arguments.items()
+        if arg == "file" or keywords.get("required") or rng.random() < 0.4
+    ]
+    rng.shuffle(pieces)
+    words = [word for piece in pieces for word in piece]
+    flags = [flag for flag in arguments if flag.startswith("--")]
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):
+        at = rng.randint(0, len(words))
+        flag = rng.choice(flags)
+        miss = rng.choice(("drop", "repeat", "abbreviate", "equals", "odd", "-h", "--help", "--", "-"))
+        if miss == "drop" and words:
+            del words[rng.randrange(len(words))]
+        elif miss == "repeat" and words:
+            words.insert(at, rng.choice(words))
+        elif miss == "abbreviate":
+            words.insert(at, flag[: rng.randint(3, len(flag) - 1)])
+        elif miss == "equals":
+            words.insert(at, f"{flag}={value(arguments[flag])}")
+        elif miss == "odd":
+            words.insert(at, rng.choice(_ODD_VALUES))
+        elif miss.startswith("-"):
+            words.insert(at, miss)
+    return [command, *words]
+
+
+def argparse_reads(argv: list[str]) -> dict | None:
+    """The attributes argparse sets for ``argv``, or None where it exits (the
+    help or usage error it prints is dropped)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def table_reads_as_argparse(argv: list[str]) -> bool:
+    """Whether ``cli._read`` leaves ``argv`` to argparse or reads what argparse reads."""
+    read = cli._read(argv)
+    return read is None or vars(read) == argparse_reads(argv)

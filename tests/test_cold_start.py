@@ -55,9 +55,10 @@ print(json.dumps([code, modules]), file=sys.stderr)
 """
 
 
-def loaded(*argv: str, code: int = 0) -> set[str]:
-    """The modules a fresh ``seqgames *argv`` has loaded when it exits with ``code``."""
-    done = fresh("-c", _RUN_AND_LIST, *argv)
+def loaded(*argv: str, code: int = 0, flags: tuple[str, ...] = ()) -> set[str]:
+    """The modules a fresh ``python *flags`` running ``seqgames *argv`` has
+    loaded when it exits with ``code``."""
+    done = fresh(*flags, "-c", _RUN_AND_LIST, *argv)
     exited, modules = json.loads(done.stderr.decode("utf-8").splitlines()[-1])
     assert exited == code, done.stderr
     return set(modules)
@@ -101,6 +102,28 @@ class TestModulesLoaded:
         modules = loaded(*argv)
         assert present <= modules
         assert not absent & modules
+
+
+class TestWithoutSite:
+    """Under ``python -S`` nothing is preloaded, so a command that the table
+    reads loads neither argparse nor ``typing``; help and usage errors load argparse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "corpus/zero_one_7.game"],
+            ["check", "corpus/zero_one_cyclic.game", "--profile", "corpus/profiles/loop_alice_abandons.profile"],
+            ["matrix", "corpus/rps_zerosum.game"],
+            ["simulate", "corpus/zero_one_param.game", "--horizon", "5", "--seed", "7"],
+        ],
+        ids=["solve", "check", "matrix", "simulate"],
+    )
+    def test_an_answered_command_loads_neither_argparse_nor_typing(self, argv):
+        assert not {"argparse", "typing"} & loaded(*argv, flags=("-S",))
+
+    @pytest.mark.parametrize(("argv", "code"), [(["--help"], 0), (["solve"], 2)], ids=["help", "no-file"])
+    def test_help_and_a_usage_error_load_argparse(self, argv, code):
+        assert "argparse" in loaded(*argv, code=code, flags=("-S",))
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,10 @@ repository root, which is the working directory while a case runs, and
 way on every terminal.  Argparse's own wording is that of the Python
 versions CI runs (3.10 and 3.11).
 
+Every case but the nine help screens and the two with a negative
+``--horizon`` is read from the command table: it gives its pinned output
+with argparse's parser made to raise, and those eleven reach argparse.
+
 Each stored case that a command answers (exit 0, 1 or 3) also runs its
 ``_cmd_*`` directly, with and without ``--out``: the command must write
 nothing and return its result, which ``run`` then writes byte for byte.
@@ -108,9 +112,35 @@ def _load() -> list[dict[str, object]]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+class _ReachedArgparse(Exception):
+    pass
+
+
+def _reach_argparse():
+    raise _ReachedArgparse
+
+
+def _left_to_argparse(argv: list[str]) -> bool:
+    """The help screens and the negative ``--horizon``, which ``cli._read`` does not read."""
+    return argv[-1] == "--help" or "-1" in argv
+
+
 @pytest.mark.parametrize("case", _load(), ids=lambda case: " ".join(case["argv"]))
-def test_cli_output_is_byte_identical(case):
+def test_cli_output_is_byte_identical(case, monkeypatch):
+    if not _left_to_argparse(case["argv"]):  # read from the command table: no parser is built
+        monkeypatch.setattr(cli, "build_parser", _reach_argparse)
+        monkeypatch.setattr(cli, "_parser", _reach_argparse)
     assert run_case(case["argv"]) == case
+
+
+def test_only_the_help_screens_and_a_negative_value_reach_argparse(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _reach_argparse)
+    monkeypatch.setattr(cli, "_parser", _reach_argparse)
+    left = [case["argv"] for case in _load() if _left_to_argparse(case["argv"])]
+    assert len(left) == 11
+    for argv in left:
+        with pytest.raises(_ReachedArgparse):
+            run_case(argv)
 
 
 def _answered() -> list[list[str]]:
