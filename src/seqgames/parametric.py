@@ -164,7 +164,7 @@ class ParametricGame(Record):
         return {name: tuple(table) for name, table in self.targets.items()}
 
     @cached_property
-    def entries(self) -> dict[str, EntryStages]:
+    def entries(self) -> dict[str, tuple[int | None, int | None]]:
         """``entry_stages(self)``, built on first use and kept like ``labels``."""
         return entry_stages(self)
 
@@ -235,18 +235,6 @@ def induced_outcome_param(
     return ConvergesAffine(tuple(path), tuple(v.shifted(offset) for v in end.outcome))
 
 
-class EntryStages(Record):
-    """Stages at which a shape can be entered under some play.
-
-    ``stages`` lists the reachable entry stages up to twice the shape
-    count; when ``bounded`` the list is exhaustive (a longer path would
-    repeat a shape, and a repeat pumps the set to infinity).
-    """
-
-    stages: tuple[int, ...]
-    bounded: bool
-
-
 def _layers(game: ParametricGame, count: int) -> list[list[str]]:
     """Per stage ``0 .. count - 1``, the shapes play can enter at that stage, in the order first
     reached; the list ends at the first empty layer, as every later one is empty too."""
@@ -261,23 +249,33 @@ def _layers(game: ParametricGame, count: int) -> list[list[str]]:
     return layers
 
 
-def entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
-    """Per shape, the set of stages at which it can be entered.
+def entry_stages(game: ParametricGame) -> dict[str, tuple[int | None, int | None]]:
+    """Per shape, its least and greatest entry stage ``(first, last)``, in one linear pass.
 
-    Every advance adds one stage, so entry stages are path lengths from the
-    start.  Any path at least as long as the shape count passes a cycle,
-    making the set unbounded, and an unbounded set always has a witness no
-    longer than twice the shape count.
+    Every advance adds one stage, so entry stages are path lengths from the start: ``first``
+    is the breadth-first distance, and ``last`` the longest path, or None when a cycle that
+    play reaches leads to the shape.  Both are None for a shape that play never enters.
     """
-    count = len(game.shapes)
-    reach: dict[str, list[int]] = {name: [] for name in game.shapes}
-    for depth, layer in enumerate(_layers(game, 2 * count + 1)):
-        for name in layer:
-            reach[name].append(depth)
-    return {
-        name: EntryStages(tuple(stages), bounded=all(d < count for d in stages))
-        for name, stages in reach.items()
-    }
+    shapes, start = game.shapes, game.start
+    first, incoming, queue = {start: 0}, dict.fromkeys(shapes, 0), [start]
+    for name in queue:  # breadth first, counting the advances into each shape play enters
+        for _label, target in shapes[name].moves:
+            if not target.LEAF:
+                incoming[target.shape] += 1
+                if target.shape not in first:
+                    first[target.shape] = first[name] + 1
+                    queue.append(target.shape)
+    # Kahn's order over the shapes play enters: only the start can be ready first, and a shape
+    # that is never ready lies on or below a cycle.
+    last, ready = {start: 0}, [] if incoming[start] else [start]
+    for name in ready:
+        for _label, target in shapes[name].moves:
+            if not target.LEAF:
+                last[target.shape] = max(last.get(target.shape, 0), last[name] + 1)
+                incoming[target.shape] -= 1
+                if not incoming[target.shape]:
+                    ready.append(target.shape)
+    return {name: (first.get(name), None if incoming[name] else last.get(name)) for name in shapes}
 
 
 def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeReport:
@@ -337,13 +335,13 @@ def _violations(game: ParametricGame, profile: StationaryProfile, results: dict)
                 if value.const + value.slope * shift <= played.const + played.slope * offset:
                     continue
             else:
-                # Finite entry sets are checked pointwise.  Unbounded ones are exact under the
-                # slope rule: an affine inequality fails on a half-line, which they always meet.
-                info, base, deviation = game.entries[name], played.shifted(offset), value.shifted(shift)
-                if info.bounded and info.stages:
-                    if all(deviation.at(stage) <= base.at(stage) for stage in info.stages):
+                # An affine difference is greatest over the entry stages at the least or the greatest;
+                # with no greatest, the slope rule is exact, as an affine inequality fails on a half-line.
+                (first, last), base, deviation = game.entries[name], played.shifted(offset), value.shifted(shift)
+                if last is None:
+                    if affine_leq(deviation, base, first or 0):
                         continue
-                elif affine_leq(deviation, base, info.stages[0] if info.stages else 0):
+                elif deviation.at(first) <= base.at(first) and deviation.at(last) <= base.at(last):
                     continue
             yield Violation(name, label, played.shifted(offset), value.shifted(shift))
 

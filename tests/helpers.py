@@ -57,7 +57,6 @@ from seqgames.parametric import (
     AffineLeaf,
     ConvergesAffine,
     Divergent,
-    EntryStages,
     ParametricGame,
     Shape,
     affine,
@@ -141,6 +140,32 @@ def ring(n: int) -> CyclicGame:
         drop = leaf(0, 1) if i % 2 == 0 else leaf(1, 0)
         nodes[f"N{i}"] = CyclicNode(i % 2, (("a", drop), ("c", f"N{(i + 1) % n}")))
     return CyclicGame(nodes, "N0")
+
+
+def _sloped_chain(n: int, advances) -> ParametricGame:
+    """Shapes ``S0 .. S{n-1}``, shape i owned by i mod 2.  Each can ``stop`` at a leaf that pays
+    its owner 1 and the other player 2 - n at stage n, or take the advances ``advances(i)``
+    lists as ``(label, j)`` pairs to the shapes ``Sj`` there are.  Stopping everywhere is an
+    equilibrium whose check compares the sloped deviations at each shape's entry stages."""
+    shapes = {}
+    for i in range(n):
+        outcome = [affine(2, -1), affine(2, -1)]
+        outcome[i % 2] = affine(1)
+        moves = [("stop", AffineLeaf(tuple(outcome)))]
+        moves += [(label, Advance(f"S{j}")) for label, j in advances(i) if j < n]
+        shapes[f"S{i}"] = Shape(i % 2, tuple(moves))
+    return ParametricGame(shapes, "S0")
+
+
+def back_edge_chain(n: int) -> ParametricGame:
+    """Shape i advances to i + 1 and back to S0: every shape is entered at unboundedly many stages."""
+    return _sloped_chain(n, lambda i: (("next", i + 1), ("back", 0)))
+
+
+def skip_chain(n: int) -> ParametricGame:
+    """Shape i advances to i + 1 and to i + 2, an acyclic game: shape i is entered at
+    every stage from about i / 2 to i."""
+    return _sloped_chain(n, lambda i: (("next", i + 1), ("skip", i + 2)))
 
 
 # --- independent oracles ---------------------------------------------------
@@ -295,9 +320,11 @@ def reference_report_param(game: ParametricGame, profile: dict, horizon: int = 6
     return divergent, violations
 
 
-def reference_entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
-    """Entry stages by breadth-first layers up to twice the shape count, the
-    way ``entry_stages`` computed them before it was folded into one loop."""
+def reference_entry_stages(game: ParametricGame) -> dict[str, tuple[tuple[int, ...], bool]]:
+    """Per shape, its entry stages up to twice the shape count, by breadth-first layers,
+    and whether they are all of them: ``(stages, bounded)``.  Any path at least as long as
+    the shape count passes a cycle, making the set unbounded, and an unbounded set always
+    has a witness no longer than twice the shape count."""
     count = len(game.shapes)
     reach: dict[str, set[int]] = {name: set() for name in game.shapes}
     reach[game.start].add(0)
@@ -311,20 +338,18 @@ def reference_entry_stages(game: ParametricGame) -> dict[str, EntryStages]:
         for name in nxt:
             reach[name].add(depth)
         current = nxt
-    return {
-        name: EntryStages(tuple(sorted(stages)), bounded=all(d < count for d in stages))
-        for name, stages in reach.items()
-    }
+    return {name: (tuple(sorted(stages)), all(d < count for d in stages)) for name, stages in reach.items()}
 
 
-def _reference_holds_at_entries(deviation, base, info: EntryStages) -> bool:
+def _reference_holds_at_entries(deviation, base, info: tuple[tuple[int, ...], bool]) -> bool:
     """Whether deviation(n) <= base(n) at every entry stage of a shape:
     pointwise on a finite set, by the slope rule on an unbounded one."""
-    if not info.stages:
+    stages, bounded = info
+    if not stages:
         return affine_leq(deviation, base, 0)
-    if info.bounded:
-        return all(deviation.at(stage) <= base.at(stage) for stage in info.stages)
-    return affine_leq(deviation, base, info.stages[0])
+    if bounded:
+        return all(deviation.at(stage) <= base.at(stage) for stage in stages)
+    return affine_leq(deviation, base, stages[0])
 
 
 def reference_walk(game: ParametricGame, profile: dict, name: str):
@@ -370,7 +395,7 @@ def reference_spe_report_param(game: ParametricGame, profile: dict) -> SpeReport
     divergent = tuple(name for name, r in results.items() if isinstance(r, Divergent))
     if divergent:
         return SpeReport((), divergent)
-    entries: dict[str, EntryStages] = {}
+    entries: dict[str, tuple[tuple[int, ...], bool]] = {}
     violations = []
     for name, shape in game.shapes.items():
         base = results[name].outcome[shape.owner]

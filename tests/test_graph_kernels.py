@@ -7,7 +7,10 @@ product-plus-filter enumeration give (``tests/helpers.py``): the same
 violations with the same affine values, the same divergences, the same
 equilibria in the same order.  The scale tests pin sizes the quadratic
 check and the exhaustive enumeration could not reach; they assert answers,
-not times.  ``instantiate``, built bottom-up from stage layers, must build the
+not times.  ``entry_stages`` must give the least and greatest of the full stage
+sets the layered search lists (``reference_entry_stages``), on random games, on
+both probe families and on hand-built graphs with a re-entered start, a
+self-loop or a shape play never enters.  ``instantiate``, built bottom-up from stage layers, must build the
 tree the depth-first stack builder (``reference_instantiate``) builds, and a
 graph game with a dangling reference must fail where it is built.
 """
@@ -18,6 +21,7 @@ import random
 
 import pytest
 from helpers import (
+    back_edge_chain,
     loop01,
     random_cyclic,
     random_graph,
@@ -27,6 +31,7 @@ from helpers import (
     reference_instantiate,
     reference_spe_report_param,
     ring,
+    skip_chain,
 )
 
 from seqgames import cyclic as cy
@@ -34,6 +39,7 @@ from seqgames import dsl
 from seqgames import escalation as esc
 from seqgames import parametric as par
 from seqgames.core import Leaf, ShapeMismatch, leaf
+from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine
 
 NEVER_BID = {"A0": "a", "A": "a", "B": "a"}
 
@@ -52,10 +58,54 @@ def _wide_games(seed: int, count: int):
         yield random_graph(rng, widths, parametric=bool(i % 2))
 
 
+# Per graph, the shapes each shape's advances name (the start is S0), and each shape's
+# (least, greatest) entry stage.  In turn: a cycle back into the start, a self-loop, two
+# advances to one shape, a shape that play never enters, and paths of two lengths to one
+# shape, whose greatest entry stage then decides some checks.
+TRICKY_GRAPHS = {
+    "re-entered start": (
+        {"S0": ["S1"], "S1": ["S2", "S0"], "S2": []},
+        {"S0": (0, None), "S1": (1, None), "S2": (2, None)},
+    ),
+    "self-loop": (
+        {"S0": ["S1"], "S1": ["S1", "S2"], "S2": []},
+        {"S0": (0, 0), "S1": (1, None), "S2": (2, None)},
+    ),
+    "two advances to one shape": (
+        {"S0": ["S1", "S1"], "S1": ["S2"], "S2": []},
+        {"S0": (0, 0), "S1": (1, 1), "S2": (2, 2)},
+    ),
+    "never entered": (
+        {"S0": ["S1"], "S1": [], "S2": ["S1", "S0"]},
+        {"S0": (0, 0), "S1": (1, 1), "S2": (None, None)},
+    ),
+    "two path lengths": (
+        {"S0": ["S1", "S2"], "S1": ["S2"], "S2": ["S3"], "S3": []},
+        {"S0": (0, 0), "S1": (1, 1), "S2": (1, 2), "S3": (2, 3)},
+    ),
+}
+
+
+def _advancing(advances: dict[str, list[str]]) -> ParametricGame:
+    """Shape i, owned by i mod 2, takes a sloped leaf or one of its advances."""
+    shapes = {}
+    for i, (name, targets) in enumerate(advances.items()):
+        stop = AffineLeaf((affine(i, 1 - i), affine(2 - i, i - 1)))
+        shapes[name] = Shape(i % 2, (("stop", stop), *((f"to{k}", Advance(t)) for k, t in enumerate(targets))))
+    return ParametricGame(shapes, "S0")
+
+
+def _probe_games(sizes):
+    """Both probe families at each of ``sizes`` shapes, then the ``TRICKY_GRAPHS``."""
+    families = (back_edge_chain, skip_chain)
+    tricky = (_advancing(advances) for advances, _ in TRICKY_GRAPHS.values())
+    return [*(family(n) for family in families for n in sizes), *tricky]
+
+
 class TestCheckMatchesReference:
     def test_every_profile_of_small_random_games(self):
         checked = diverging = violating = 0
-        for game in _small_games(81, 400):
+        for game in [*_small_games(81, 400), *_probe_games(range(1, 7))]:
             for profile in par.stationary_profiles(game):
                 report = par.check_spe_param(game, profile)
                 assert report == reference_spe_report_param(game, profile)
@@ -84,8 +134,39 @@ class TestCheckMatchesReference:
                     assert all(v.profile_value.slope == v.deviation_value.slope == 0 for v in report.violations)
 
     def test_entry_stages_match_the_layered_search(self):
-        for game in _small_games(89, 300):
-            assert par.entry_stages(game) == reference_entry_stages(game)
+        """Least entry stage (None when play never enters the shape) and greatest (None when
+        the stages are unbounded), against the full stage sets of the layered search."""
+        unbounded = unreachable = 0
+        for game in [*_small_games(89, 300), *_probe_games(range(1, 61))]:
+            expected = {
+                name: (stages[0] if stages else None, stages[-1] if stages and bounded else None)
+                for name, (stages, bounded) in reference_entry_stages(game).items()
+            }
+            assert par.entry_stages(game) == expected
+            unbounded += sum(first is not None and last is None for first, last in expected.values())
+            unreachable += sum(first is None for first, _ in expected.values())
+        assert unbounded > 1000 and unreachable > 20
+
+    @pytest.mark.parametrize("graph", TRICKY_GRAPHS, ids=str)
+    def test_entry_stages_of_a_hand_built_graph(self, graph):
+        advances, stages = TRICKY_GRAPHS[graph]
+        game = _advancing(advances)
+        assert par.entry_stages(game) == stages
+        for profile in par.stationary_profiles(game):
+            assert par.check_spe_param(game, profile) == reference_spe_report_param(game, profile)
+
+    @pytest.mark.parametrize(
+        "family, stages",
+        [
+            # every shape is entered first at its index, then again after each return to S0
+            (back_edge_chain, lambda i: (i, None)),
+            # shape i is reached by skips in ceil(i / 2) advances, by single steps in i
+            (skip_chain, lambda i: ((i + 1) // 2, i)),
+        ],
+        ids=["back_edge_chain", "skip_chain"],
+    )
+    def test_entry_stages_of_a_probe_family(self, family, stages):
+        assert par.entry_stages(family(200)) == {f"S{i}": stages(i) for i in range(200)}
 
 
 class TestEnumerationMatchesReference:

@@ -182,10 +182,35 @@ class TestConstruction:
 
 class TestEntryStages:
     def test_auction_entry_stages(self):
-        info = entry_stages(dollar_auction(100))
-        assert info["A0"].stages == (0,) and info["A0"].bounded
-        assert info["B"].stages == (1, 3, 5) and not info["B"].bounded
-        assert info["A"].stages == (2, 4, 6) and not info["A"].bounded
+        # (least, greatest) entry stage; B and A lie on the bidding cycle, so have no greatest
+        assert entry_stages(dollar_auction(100)) == {"A0": (0, 0), "A": (2, None), "B": (1, None)}
+
+    def test_a_shape_entered_at_two_stages_is_checked_at_both(self):
+        # D is entered at stage 1 straight from S, and at stage 3 by way of M and N.  Against
+        # its payoff 0, "late" gains n - 2 only at stage 3, and "early" gains 2 - n only at 1.
+        zero = affine(0)
+        game = ParametricGame(
+            {
+                "S": Shape(0, (("short", Advance("D")), ("long", Advance("M")))),
+                "M": Shape(1, (("on", Advance("N")),)),
+                "N": Shape(1, (("on", Advance("D")),)),
+                "D": Shape(
+                    0,
+                    (
+                        ("stop", AffineLeaf((zero, zero))),
+                        ("late", AffineLeaf((affine(-2, 1), zero))),
+                        ("early", AffineLeaf((affine(2, -1), zero))),
+                    ),
+                ),
+            },
+            "S",
+        )
+        assert entry_stages(game)["D"] == (1, 3)
+        report = check_spe_param(game, {"S": "short", "M": "on", "N": "on", "D": "stop"})
+        assert [(v.where, v.action, v.deviation_value) for v in report.violations] == [
+            ("D", "late", affine(-2, 1)),
+            ("D", "early", affine(2, -1)),
+        ]
 
 
 class TestCheckSpe:

@@ -4,7 +4,7 @@ dataclass: construction by position or keyword with defaults,
 one class, the hash of its tuple of fields, and refusal of assignment.
 
 ``REPRS`` and ``FIELDS`` were printed by the frozen dataclasses for the
-instances ``build`` makes, one of each of the 23 classes, plus
+instances ``build`` makes, one of each of the 22 classes, plus
 ``SpeReport()`` and a ``CyclicGame``.
 """
 
@@ -59,7 +59,6 @@ def build() -> dict[str, object]:
         "CyclicGame": cy.CyclicGame(_cyclic_shapes(), "A"),
         "ConvergesAffine": par.ConvergesAffine(("A", "B"), (par.AffineValue(0, 1), par.AffineValue(1, 0))),
         "Divergent": par.Divergent(("A",), ("B", "C")),
-        "EntryStages": par.EntryStages((0, 2), False),
         "BeliefPair": esc.BeliefPair({"A": "a"}, {"A": "b"}),
         "Escalates": esc.Escalates(par.Divergent((), ("A", "B"))),
         "Terminates": esc.Terminates(3, (1, 0)),
@@ -109,7 +108,6 @@ REPRS = {
         "ConvergesAffine(path=('A', 'B'), outcome=(AffineValue(const=0, slope=1), AffineValue(const=1, slope=0)))"
     ),
     "Divergent": "Divergent(stem=('A',), cycle=('B', 'C'))",
-    "EntryStages": "EntryStages(stages=(0, 2), bounded=False)",
     "BeliefPair": "BeliefPair(belief_of_a={'A': 'a'}, belief_of_b={'A': 'b'})",
     "Escalates": "Escalates(witness=Divergent(stem=(), cycle=('A', 'B')))",
     "Terminates": "Terminates(stage=3, outcome=(1, 0))",
@@ -137,7 +135,6 @@ FIELDS = {
     "CyclicGame": "shapes start",
     "ConvergesAffine": "path outcome",
     "Divergent": "stem cycle",
-    "EntryStages": "stages bounded",
     "BeliefPair": "belief_of_a belief_of_b",
     "Escalates": "witness",
     "Terminates": "stage outcome",
@@ -164,7 +161,7 @@ def _values(record: object, name: str) -> tuple:
 
 def test_every_value_class_is_a_record():
     classes = {type(record) for record in build().values()}
-    assert len(classes) == 24  # the 23 classes and CyclicGame
+    assert len(classes) == 23  # the 22 classes and CyclicGame
     assert all(issubclass(cls, core.Record) for cls in classes)
 
 
