@@ -19,7 +19,7 @@ exhausts the recursion limit.
 from __future__ import annotations
 
 from functools import cached_property
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 
 DEFAULT_PLAYERS = ("Alice", "Bertrand")
 
@@ -318,14 +318,6 @@ def subgame_at(game: FiniteGame, prefix: PlayLine) -> FiniteGame:
     return current
 
 
-def node_paths(game: FiniteGame) -> Iterator[PlayLine]:
-    """Yield the paths of all decision nodes in preorder."""
-    return (path for path in game.index.paths if path is not None)
-
-
-_MISSING = object()
-
-
 def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
     """Raise ShapeMismatch unless ``profile`` fits ``game`` exactly, and
     return, for every node in preorder, the position of the chosen branch
@@ -333,41 +325,22 @@ def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
 
     The profile must assign a choice to every decision node (and nothing
     else), and every choice must be one of that node's branch labels.
-    Sibling labels are assumed distinct, as ``parse`` requires: the key
-    check counts decision nodes rather than distinct paths.
+    Sibling labels are assumed distinct, as ``parse`` requires, so a count of
+    keys suffices; only a profile that does not fit is read again, to name why.
     """
     index = game.index
-    picks: list[int | None] = []
-    bad_choice = None
-    complete = True
-    decisions = 0
-    for path, names in zip(index.paths, index.labels):
-        if path is None:
-            picks.append(None)
-            continue
-        decisions += 1
-        choice = profile.get(path, _MISSING)
+    paths, labels = index.paths, index.labels
+    if len(profile) == len(index.postorder):
         try:
-            picks.append(names.index(choice))
-        except ValueError:
-            picks.append(None)
-            if choice is _MISSING:
-                complete = False
-            elif bad_choice is None:
-                bad_choice = (path, choice)
-    if not complete or decisions != len(profile):
-        paths = set(node_paths(game))
-        keys = set(profile)
-        missing = sorted(paths - keys)
-        extra = sorted(keys - paths)
-        raise ShapeMismatch(
-            f"profile does not match game shape "
-            f"(missing {missing[:3]!r}, extra {extra[:3]!r})"
-        )
-    if bad_choice is not None:
-        path, choice = bad_choice
-        raise ShapeMismatch(f"choice {choice!r} at {path!r} is not a branch label")
-    return picks
+            return [None if path is None else names.index(profile[path]) for path, names in zip(paths, labels)]
+        except (KeyError, ValueError):
+            pass
+    decisions, keys = set(paths) - {None}, set(profile)
+    if keys != decisions:
+        missing, extra = sorted(decisions - keys), sorted(keys - decisions)
+        raise ShapeMismatch(f"profile does not match game shape (missing {missing[:3]!r}, extra {extra[:3]!r})")
+    path = next(path for path, names in zip(paths, labels) if path is not None and profile[path] not in names)
+    raise ShapeMismatch(f"choice {profile[path]!r} at {path!r} is not a branch label")
 
 
 def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, OutcomeVector]:
@@ -376,8 +349,7 @@ def induced_play(game: FiniteGame, profile: TreeProfile) -> tuple[PlayLine, Outc
     index = game.index
     play: list[str] = []
     current = 0
-    while picks[current] is not None:
-        pick = picks[current]
+    while (pick := picks[current]) is not None:
         play.append(index.labels[current][pick])
         current = index.children[current][pick]
     return tuple(play), index.outcomes[current]  # type: ignore[return-value]

@@ -43,7 +43,6 @@ from .core import (
     TreeProfile,
     chosen_branches,
     is_player,
-    node_paths,
     require_two_players,
 )
 
@@ -511,8 +510,11 @@ def _require_writable(doc: GameDoc) -> None:
     if kind == "finite":
         index = game.index  # a tree built in code is walked here, which checks its branches
         owners = index.owners  # not a set, which keeps one of 1 and 1.0
-        decisions = {label for names in set(index.labels) for label in names}
-        outcomes = set(index.outcomes)
+        decisions = dict.fromkeys(label for names in dict.fromkeys(index.labels) for label in names)  # in preorder
+        for outcome in dict.fromkeys(index.outcomes):  # each distinct vector once, in preorder
+            if outcome is not None and len(outcome) != 2:
+                raise Unwritable(f"payoff vector {outcome!r} is not a pair")
+        payoffs = list(itertools.chain.from_iterable(filter(None, index.outcomes)))  # every value of every leaf
         keyword = "leaf"  # an owner named so would read as a leaf
     elif kind in _GRAPHS:
         _require_names("name", game.shapes)
@@ -523,14 +525,15 @@ def _require_writable(doc: GameDoc) -> None:
         ):
             raise Unwritable("an edge to a node named 'leaf' would read as a leaf")
         owners = {shape.owner for shape in game.shapes.values()}
-        decisions = {label for labels in game.labels.values() for label in labels}
-        outcomes = set()  # the constructor takes pairs only
+        decisions = dict.fromkeys(label for labels in game.labels.values() for label in labels)
+        leaves = (target for shape in game.shapes.values() for _label, target in shape.moves if target.LEAF)
+        payoffs = [number for target in leaves for value in target.outcome for number in (value.const, value.slope)]
         keyword = None
     else:
         return
-    for outcome in outcomes:
-        if outcome is not None and len(outcome) != 2:
-            raise Unwritable(f"payoff vector {outcome!r} is not a pair")
+    if set(map(type, payoffs)) - {int}:  # the types of all, as 1, 1.0 and True are equal
+        number = next(number for number in payoffs if type(number) is not int)
+        raise Unwritable(f"payoff {number!r} is not an integer")
     for owner in owners:
         if owner is None:
             continue
@@ -719,10 +722,11 @@ def render_profile(game: Game, profile: AnyProfile) -> str:
     """Canonical profile-file text for ``game``; the profile must fit the
     game as ``parse_profile_text`` requires."""
     if isinstance(game, (Leaf, Node)):
-        chosen_branches(game, profile)  # type: ignore[arg-type]
+        index, picks = game.index, chosen_branches(game, profile)  # type: ignore[arg-type]
         lines = [
-            f"{render_tree_path(path)} = {profile[path]}"  # type: ignore[index]
-            for path in node_paths(game)
+            f"{render_tree_path(path)} = {names[pick]}"
+            for path, names, pick in zip(index.paths, index.labels, picks)
+            if pick is not None
         ]
     elif game.KIND in _GRAPHS:
         game.check_profile(profile)  # type: ignore[arg-type]

@@ -55,13 +55,14 @@ def solve(game: FiniteGame, ties: TiePolicy = TiePolicy.FIRST_BRANCH) -> TreePro
     """Compute one backward-induction profile.
 
     Equilibrium values are computed bottom-up in a single pass; at every
-    node the owner's best branch is chosen, ties resolved by ``ties``.
+    node the owner's best branch is chosen, ties resolved by ``ties`` (a
+    ``TiePolicy`` or its value).
     """
     require_two_players(game)
     index = game.index
     paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
     values = index.outcomes.copy()
-    first = ties is TiePolicy.FIRST_BRANCH
+    first = TiePolicy(ties) is TiePolicy.FIRST_BRANCH  # a member or its value; ValueError for anything else
     profile: dict[PlayLine, str] = {}
     for node in index.postorder:
         owner = owners[node]
@@ -96,6 +97,8 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     re-scores.
     """
     require_two_players(game)
+    if cap.__class__ is not int:  # a float cap is never reached, and a bool is no count
+        raise ValueError(f"cap must be an int, got {cap!r}")
     if cap < 1:
         raise ValueError("cap must be positive")
     index = game.index
@@ -169,12 +172,8 @@ def check_spe(game: FiniteGame, profile: TreeProfile) -> SpeReport:
             continue
         owner = owners[node]
         base = values[node][owner]  # type: ignore[index]
-        names = labels[node]
-        chosen = names[pick]
-        for label, child in zip(names, children[node]):
-            if label == chosen:
-                continue
+        for position, child in enumerate(children[node]):
             deviation = values[child][owner]  # type: ignore[index]
-            if deviation > base:
-                violations.append(Violation(paths[node], label, base, deviation))  # type: ignore[arg-type]
+            if deviation > base and position != pick:
+                violations.append(Violation(paths[node], labels[node][position], base, deviation))  # type: ignore[arg-type]
     return SpeReport(tuple(violations))

@@ -391,6 +391,8 @@ def dollar_auction(value: int) -> ParametricGame:
     stage-0 entry shape for the first bidder and a uniform alternating
     pair for stages n >= 1.
     """
+    if value.__class__ is not int:  # a float would build float payoffs
+        raise InvalidValue(f"object value must be an integer, got {value!r}")
     if value < 1:
         raise InvalidValue(f"object value must be >= 1, got {value}")
     zero = affine(0)

@@ -707,7 +707,8 @@ def _reference_require_two_players(game: FiniteGame) -> None:
 
 
 def reference_check_profile(game: FiniteGame, profile: dict) -> None:
-    paths = set(tree_paths(game))
+    preorder = tree_paths(game)
+    paths = set(preorder)
     keys = set(profile)
     if paths != keys:
         missing = sorted(paths - keys)
@@ -716,7 +717,7 @@ def reference_check_profile(game: FiniteGame, profile: dict) -> None:
             f"profile does not match game shape "
             f"(missing {missing[:3]!r}, extra {extra[:3]!r})"
         )
-    for path in paths:
+    for path in preorder:  # the first bad choice in preorder is named
         sub = subgame_at(game, path)
         assert isinstance(sub, Node)
         if profile[path] not in sub.labels():

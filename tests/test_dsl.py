@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import inspect
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from helpers import (
@@ -398,11 +402,44 @@ class TestUnwritable:
             (PLAYERS, node(1, ("x", node(1.0, ("y", leaf(1, 0))))), "^owner 1.0 is neither player 0 nor player 1$"),
             (PLAYERS, node(0, ("x", leaf(1, 0, 0))), r"^payoff vector \(1, 0, 0\) is not a pair$"),
             (PLAYERS, leaf(1), r"^payoff vector \(1,\) is not a pair$"),
+            (PLAYERS, leaf(0.5, 1), "^payoff 0.5 is not an integer$"),
+            (PLAYERS, leaf(True, 1), "^payoff True is not an integer$"),
+            (PLAYERS, Leaf(("1", 2)), "^payoff '1' is not an integer$"),
+            (PLAYERS, node(0, ("x", leaf(1, 0)), ("y", leaf(1.0, 0))), "^payoff 1.0 is not an integer$"),
+            (PLAYERS, node(0, ("x", leaf(1, 0)), ("y", leaf(True, 0))), "^payoff True is not an integer$"),
+            (PLAYERS, ParametricGame({"S": Shape(0, (("x", AffineLeaf((affine(0.5), affine(1)))),))}, "S"),
+             "^payoff 0.5 is not an integer$"),
+            (PLAYERS, ParametricGame({"S": Shape(0, (("x", AffineLeaf((affine(1), affine(1, 0.5)))),))}, "S"),
+             "^payoff 0.5 is not an integer$"),
+            (PLAYERS, ParametricGame({"S": Shape(0, (("x", AffineLeaf((affine(1), affine(1)))),
+                                                     ("y", AffineLeaf((affine(True), affine(1)))),))}, "S"),
+             "^payoff True is not an integer$"),
         ],
     )
     def test_unwritable_trees(self, players, game, message):
         with pytest.raises(Unwritable, match=message):
             serialize(GameDoc(players, game))
+
+    def test_the_first_bad_label_is_named_whatever_the_hash_seed(self):
+        # A set of labels was walked in string-hash order, so the label named changed with the seed.
+        script = (
+            "from seqgames.core import leaf, node\n"
+            "from seqgames.cyclic import CyclicGame, CyclicNode\n"
+            "from seqgames.dsl import GameDoc, Unwritable, serialize\n"
+            "edges = [(name, leaf(1, 0)) for name in ('a b', 'c d', 'e f')]\n"
+            "for game in node(0, ('x', node(1, *edges[::-1])), ('y', node(1, *edges))), CyclicGame({'N': CyclicNode(0, edges)}, 'N'):\n"
+            "    try:\n"
+            "        serialize(GameDoc(('Alice', 'Bertrand'), game))\n"
+            "    except Unwritable as exc:\n"
+            "        print(exc)\n"
+        )
+        root = pathlib.Path(__file__).resolve().parent.parent
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            outputs.add(run.stdout)
+        assert outputs == {"label 'e f' does not scan as one name\nlabel 'a b' does not scan as one name\n"}
 
     def test_a_player_named_leaf_may_own_no_tree_node(self):
         doc = GameDoc(("Alice", "leaf"), node(0, ("x", leaf(1, 0))))

@@ -107,6 +107,14 @@ class TestSolve:
                 distinct, TiePolicy.LAST_BRANCH
             )
 
+    def test_ties_by_member_or_value(self):
+        game = node(0, ("a", leaf(1, 0)), ("b", leaf(1, 0)))
+        assert solve(game, "first") == solve(game, TiePolicy.FIRST_BRANCH) == {(): "a"}
+        assert solve(game, "last") == {(): "b"}
+        for ties in (None, "FIRST_BRANCH", 0):
+            with pytest.raises(ValueError):
+                solve(game, ties)
+
 
 class TestEnumerate:
     def test_pennies_exactly_two(self):
@@ -151,6 +159,17 @@ class TestEnumerate:
         assert len(full.profiles) == 32 and not full.truncated
         capped = enumerate_equilibria(game, cap=10)
         assert len(capped.profiles) == 10 and capped.truncated
+
+    @pytest.mark.parametrize("cap", [4.5, 10.0, True])
+    def test_cap_must_be_an_int(self, cap):
+        # a float cap was never reached, so every one of the 32 profiles came back
+        game = leaf(1, 1)
+        for _ in range(5):
+            game = node(0, ("x", leaf(1, 1)), ("y", game))
+        with pytest.raises(ValueError, match=f"^cap must be an int, got {cap!r}$"):
+            enumerate_equilibria(game, cap)
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            enumerate_equilibria(game, 0)
 
     def test_matches_brute_force_on_random_games(self):
         rng = random.Random(13)
@@ -286,11 +305,20 @@ class TestRecursiveReferees:
             path = rng.choice(sorted(good))
             missing = {key: value for key, value in good.items() if key != path}
             extra = {**good, path + ("w",): "x"}
+            replaced = {**missing, path + ("w",): "x"}  # the right size, with one key that is no path
             bad_label = {**good, path: "w"}
-            for profile in (good, missing, extra, bad_label):
+            two_bad = {**good, **dict.fromkeys(rng.sample(sorted(good), min(2, len(good))), "w")}
+            unhashable = {**good, path: ["w"]}
+            for profile in (good, missing, extra, replaced, bad_label, two_bad, unhashable):
                 expected = shape_error(reference_check_profile, game, profile)
                 assert shape_error(chosen_branches, game, profile) == expected
                 assert (expected is None) == (profile is good)
+            first = next(key for key in tree_paths(game) if two_bad[key] == "w")
+            assert shape_error(chosen_branches, game, two_bad) == f"choice 'w' at {first!r} is not a branch label"
+        for profile in ({}, {(): "x"}):  # a leaf game has no decision node
+            expected = shape_error(reference_check_profile, leaf(1, 0), profile)
+            assert shape_error(chosen_branches, leaf(1, 0), profile) == expected
+        assert chosen_branches(leaf(1, 0), {}) == [None]
 
 
 def branch_positions(game, profile: dict) -> tuple:

@@ -292,6 +292,12 @@ class TestDollarAuction:
         with pytest.raises(InvalidValue):
             dollar_auction(0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_rejects_a_value_that_is_not_an_int(self, value):
+        # 2.5 built float payoffs, which serialize then wrote as text parse rejects
+        with pytest.raises(InvalidValue, match=f"^object value must be an integer, got {value!r}$"):
+            dollar_auction(value)
+
     def test_stage_zero_abandon_outcome(self):
         game = dollar_auction(100)
         assert trace_concrete(game, NEVER_BID, "A0", 0) == (0, 0)
