@@ -247,8 +247,7 @@ def _cmd_auction(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     doc = dsl.GameDoc(("Alice", "Bertrand"), game)
     profiles = [(profile, check_spe_param(game, profile)) for profile in stationary_profiles(game)]
     equilibria = [profile for profile, report in profiles if report.ok]
-    never_bid = {name: "a" for name in game.shapes}
-    never_report = check_spe_param(game, never_bid)
+    never_report = profiles[0][1]  # the first stationary profile abandons ("a") at every shape
     payload: dict = {
         "command": "auction",
         "value": args.value,

@@ -20,8 +20,6 @@ payoffs, which for a cyclic game are the same at every stage.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .core import Leaf, MalformedGame
 from .parametric import (  # DEFAULT_SEARCH_BOUND and SearchSpaceTooLarge are re-exported
     DEFAULT_SEARCH_BOUND,
@@ -65,7 +63,3 @@ class CyclicGame(ParametricGame):
             for label, target in shape.moves:
                 if isinstance(target, AffineLeaf) and any(value.slope for value in target.outcome):
                     raise MalformedGame(f"edge {label!r} at {name!r} has a payoff with a nonzero slope")
-
-
-#: One chosen edge label per node name.
-PositionalProfile = Mapping[str, str]

@@ -233,23 +233,21 @@ class _Parser:
         return Leaf((first, second))
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
-        """``tree`` with an explicit stack of open decision nodes, so any
-        depth parses.  ``TreeIndex``'s steps lay out the tree's ``index`` as it is read.
-
-        The common shapes ``Owner {``, ``label ->``, ``leaf ( d , d )`` and
-        ``;`` are matched in place at a local position; anything else goes
-        through ``expect*`` at that position, which consumes the token or
-        raises.  A look-ahead stops at the first token that differs, and
-        only the final token is empty, so it never reads past the end."""
+        """``tree`` with an explicit stack of open decision nodes, so any depth
+        parses.  ``TreeIndex``'s steps lay out the ``index`` as it is read, and
+        ``close`` names each ``Node``'s owner and labels.  ``Owner {``,
+        ``label ->``, ``leaf ( d , d )`` and ``;`` are matched in place; an
+        owner or label that does not match raises as ``expect*`` would, and
+        any other leaf goes through ``parse_leaf_int``.  A look-ahead stops at
+        the first token that differs, and only the final token is empty, so
+        it never reads past the end."""
         tokens = self.tokens
         index = TreeIndex()
         first_player, second_player = players
         leaves: dict[tuple[str, str], Leaf] = {}  # one leaf per payoff pair written as plain digits
-        # The innermost open decision node: its owner, its branches so far,
-        # their labels, and the label of the branch it hangs from; the same
-        # for each enclosing node is kept in ``frames``.  No node is open
-        # while ``branches`` is None.
-        owner, branches, seen, into = -1, None, set(), None
+        # The innermost open node's subtrees so far and labels seen, and in ``frames``
+        # each enclosing node's; no node is open while ``subs`` is None.
+        subs, seen = None, set()
         frames: list = []
         label: str | None = None  # the label of the branch being read
         pos = self.pos
@@ -275,47 +273,41 @@ class _Parser:
                 index.leaf(sub.outcome, label)
             else:
                 mover = 0 if token == first_player else 1 if token == second_player else -1
-                if mover >= 0 and tokens[pos + 1] == "{":
-                    pos += 2
-                else:
+                if mover < 0 or tokens[pos + 1] != "{":
                     self.pos = pos
-                    mover = self.owner_index(self.expect_name("'leaf' or a player name"), players)
-                    self.expect("{")
-                    pos = self.pos
+                    self.owner_index(self.expect_name("'leaf' or a player name"), players)
+                    raise self.fail("'{'")
+                pos += 2
                 index.open(mover, label)
-                frames.append((owner, branches, seen, into))
-                owner, branches, seen, into = mover, [], set(), label
+                frames.append((subs, seen))
+                subs, seen = [], set()
                 sub = None
             while True:
                 if sub is not None:
-                    if branches is None:
+                    if subs is None:
                         self.pos = pos
                         index.attach(sub)
                         return sub
-                    branches.append((label, sub))
+                    subs.append(sub)
                     while tokens[pos] == ";":
                         pos += 1
                 token = tokens[pos]
                 if token == "}":
-                    if not branches:
-                        self.pos = pos
-                        raise self.fail("at least one branch")
+                    if not subs:
+                        raise self.fail("at least one branch", pos)
                     pos += 1
-                    sub = Node(owner, tuple(branches))
-                    index.close()
-                    label = into
-                    owner, branches, seen, into = frames.pop()
+                    owner, labels = index.close()
+                    sub = Node(owner, tuple(zip(labels, subs)))
+                    subs, seen = frames.pop()
                     continue
                 first = token[:1]
-                if (first.isalpha() or first == "_") and token not in seen and tokens[pos + 1] == "->":
-                    pos += 2
-                else:
-                    self.pos = pos
-                    self.expect_name("an action label")
-                    if token in seen:
-                        raise self.invalid(pos, f"duplicate branch label {token!r}")
-                    self.expect("->")
-                    pos = self.pos
+                if not (first.isalpha() or first == "_"):
+                    raise self.fail("an action label", pos)
+                if token in seen:
+                    raise self.invalid(pos, f"duplicate branch label {token!r}")
+                if tokens[pos + 1] != "->":
+                    raise self.fail("'->'", pos + 1)
+                pos += 2
                 seen.add(token)
                 label = token
                 break

@@ -239,9 +239,9 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     the column player's own matrix ``total - payoffs`` transposed, so
     symmetric games get identical distributions on both sides.  A pair of
     supports is accepted when both equalizing systems are nonsingular with
-    non-negative solutions of equal value and the two mixes certify that
-    value against every pure strategy.  That test reads the same from either
-    side, so each pair is judged once per call and serves both scans.
+    non-negative solutions (of one value, xᵀMy) and the two mixes certify
+    that value against every pure strategy.  That test reads the same from
+    either side, so each pair is judged once per call and serves both scans.
 
     Supports holding a strictly dominated strategy are skipped.  The pair of
     supports an exact simplex finds is judged first, and a strictly
@@ -275,11 +275,9 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         worth = [sum(p * column[i] for i, p in zip(support, xs)) for column in column_payoffs]
         if min(worth) < v:
             return None
-        dual = _equalizing_mix(transposed, against, support)
-        if dual is None:
-            return None
-        ys, w, e = dual
-        if v * e != w * d or any(q < 0 for q in ys):
+        # Nonsingular as the primal is (its bordered matrix, transposed up to signs); w / e = xᵀMy = v / d.
+        ys, w, e = _equalizing_mix(transposed, against, support)  # type: ignore[misc]
+        if any(q < 0 for q in ys):
             return None
         cost = [sum(row[j] * q for j, q in zip(against, ys)) for row in row_payoffs]
         if max(cost) > w:

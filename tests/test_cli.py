@@ -197,6 +197,26 @@ class TestCheck:
         assert invoke(capsys, "check", game, "--profile", str(path)) == (1, text)
         assert invoke(capsys, "check", game, "--profile", str(path), "--format", "json") == (1, payload)
 
+    def test_tree_rejections_are_pinned(self, capsys, corpus_dir, tmp_path):
+        # A tree payoff is an int and is printed as it is, in JSON too.
+        path = tmp_path / "pennies.profile"
+        path.write_text(". = p\np = p\np p = f\np f = p\nf = p\nf p = p\nf f = f\n")
+        game = str(corpus_dir / "matching_pennies_seq.game")
+        text = (
+            "ok: no\n"
+            "violation at p: playing f yields 2 > 1\n"
+            "violation at p p: playing p yields 2 > 1\n"
+            "violation at p f: playing f yields 1 > 0\n"
+        )
+        payload = (
+            '{"command": "check", "divergences": [], "kind": "finite", "ok": false, "violations": ['
+            '{"action": "f", "at": "p", "deviation_value": 2, "profile_value": 1}, '
+            '{"action": "p", "at": "p p", "deviation_value": 2, "profile_value": 1}, '
+            '{"action": "f", "at": "p f", "deviation_value": 1, "profile_value": 0}]}\n'
+        )
+        assert invoke(capsys, "check", game, "--profile", str(path)) == (1, text)
+        assert invoke(capsys, "check", game, "--profile", str(path), "--format", "json") == (1, payload)
+
     @pytest.mark.parametrize(
         "game, profile, root_choice, message",
         [

@@ -284,6 +284,30 @@ class TestReferee:
         assert profile.row < greatest
 
 
+class TestDualSystem:
+    def test_the_dual_is_singular_with_the_primal_and_has_its_value(self):
+        # Why ``solve_constant_sum`` checks neither on the dual system: its bordered
+        # matrix is the primal's transposed up to signs, and both values are xᵀMy.
+        rng = random.Random(67)
+        singular = 0
+        for _ in range(3000):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+            payoffs = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
+            transposed = [list(column) for column in zip(*payoffs)]
+            size = rng.randint(1, min(n_rows, n_cols))
+            rows = tuple(sorted(rng.sample(range(n_rows), size)))
+            cols = tuple(sorted(rng.sample(range(n_cols), size)))
+            primal = matrix._equalizing_mix(payoffs, rows, cols)
+            dual = matrix._equalizing_mix(transposed, cols, rows)
+            assert (primal is None) == (dual is None), (payoffs, rows, cols)
+            if primal is None:
+                singular += 1
+            else:
+                (_xs, v, d), (_ys, w, e) = primal, dual
+                assert v * e == w * d, (payoffs, rows, cols)
+        assert singular > 100
+
+
 def support(mix) -> tuple[int, ...]:
     return tuple(i for i, p in enumerate(mix) if p > 0)
 
