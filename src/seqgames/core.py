@@ -204,12 +204,13 @@ class TreeIndex:
     The arrays are laid out in place, one step per node: ``open`` a decision
     node, add a ``leaf``, ``close`` the innermost open node once its branches
     are done (its ``labels`` and ``children`` entries are lists until then),
-    which returns its owner and labels.  Each step names the label of the
-    branch it enters (None at the root) and checks nothing.  ``dsl.parse``
-    takes the steps on ``TreeIndex()`` and builds each ``Node`` from what
-    ``close`` returns; ``TreeIndex(root)`` takes them in one iterative walk,
-    which raises ``MalformedGame`` at a decision node without branches, with
-    two branches of the same label or with a branch to neither a leaf nor a node.
+    which returns its owner.  Each step names the label of the branch it
+    enters (None at the root) and checks nothing.  ``dsl.parse`` takes the
+    steps on ``TreeIndex()`` and builds each ``Node`` from the owner ``close``
+    returns and the branches it read; ``TreeIndex(root)`` takes them in one
+    iterative walk, which raises ``MalformedGame`` at a decision node without
+    branches, with two branches of the same label or with a branch to neither
+    a leaf nor a node.
     """
 
     __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "_open", "fault")
@@ -277,12 +278,12 @@ class TreeIndex:
         self.labels.append(())
         self.children.append(())
 
-    def close(self) -> tuple[int, tuple[str, ...]]:
+    def close(self) -> int:
         at = self._open.pop()
-        labels = self.labels[at] = tuple(self.labels[at])
+        self.labels[at] = tuple(self.labels[at])
         self.children[at] = tuple(self.children[at])
         self.postorder.append(at)
-        return self.owners[at], labels  # type: ignore[return-value]
+        return self.owners[at]  # type: ignore[return-value]
 
     def attach(self, root: FiniteGame) -> None:
         """Store this finished index as ``root.index``, as its first use would."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 from .core import (
     DEFAULT_PLAYERS,
@@ -117,8 +118,8 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return _line_column(text, _offset(text, match))
 
 
-def _scan(text: str) -> list[str]:
-    """Token texts, ending with one empty string for the end of input.
+def _scan(text: str) -> tuple[list[str], set[str]]:
+    """Token texts, ending with one empty string for the end of input, and the set of names and integers.
 
     A token is punctuation, a run of decimal digits, or a word that starts
     with a letter or ``_`` and goes on with letters, digits or ``_`` (the
@@ -134,7 +135,7 @@ def _scan(text: str) -> list[str]:
     if bad:
         index = next(index for index, token in enumerate(tokens) if token in bad)
         raise ParseError(*_position(text, index), "a token", repr(tokens[index][0]))
-    return tokens
+    return tokens, words
 
 
 class _Parser:
@@ -143,7 +144,7 @@ class _Parser:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _scan(text)
+        self.tokens, self.words = _scan(text)
         self.pos = 0
 
     def fail(self, expected: str, index: int | None = None) -> ParseError:
@@ -181,11 +182,19 @@ class _Parser:
         negative = tokens[self.pos] == "-"
         if negative:
             self.pos += 1
-        token = tokens[self.pos]
-        if not token[:1].isdecimal():
+        if not tokens[self.pos][:1].isdecimal():
             raise self.fail("an integer")
         self.pos += 1
-        return -int(token) if negative else int(token)
+        return -self.integer(self.pos - 1) if negative else self.integer(self.pos - 1)
+
+    def integer(self, index: int) -> int:
+        """The digit token at ``index`` as an int; a ``ParseError`` there if it
+        has more digits than ``int`` reads (``sys.get_int_max_str_digits``)."""
+        try:
+            return int(self.tokens[index])
+        except ValueError:  # the only one a run of decimal digits raises
+            expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
+            raise ParseError(*_position(self.text, index), expected, f"one of {len(self.tokens[index])}") from None
 
     # --- document -----------------------------------------------------
 
@@ -235,19 +244,20 @@ class _Parser:
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         """``tree`` with an explicit stack of open decision nodes, so any depth
         parses.  ``TreeIndex``'s steps lay out the ``index`` as it is read, and
-        ``close`` names each ``Node``'s owner and labels.  ``Owner {``,
-        ``label ->``, ``leaf ( d , d )`` and ``;`` are matched in place; an
-        owner or label that does not match raises as ``expect*`` would, and
-        any other leaf goes through ``parse_leaf_int``.  A look-ahead stops at
-        the first token that differs, and only the final token is empty, so
-        it never reads past the end."""
+        ``close`` names each ``Node``'s owner.  ``Owner {``, ``label ->`` (a
+        scanned word that starts with no digit), ``leaf ( d , d )`` and ``;``
+        are matched in place; an owner or label that does not match raises as
+        ``expect*`` would, and any other leaf goes through ``parse_leaf_int``.
+        A look-ahead stops at the first token that differs, and only the final
+        token is empty, so it never reads past the end."""
         tokens = self.tokens
         index = TreeIndex()
         first_player, second_player = players
+        names = {word for word in self.words if not word[0].isdecimal()}
         leaves: dict[tuple[str, str], Leaf] = {}  # one leaf per payoff pair written as plain digits
-        # The innermost open node's subtrees so far and labels seen, and in ``frames``
-        # each enclosing node's; no node is open while ``subs`` is None.
-        subs, seen = None, set()
+        # The innermost open node's branches so far, label to subtree, and in ``frames`` each
+        # enclosing node's, with the label it is reading; no node is open while ``branches`` is None.
+        branches: dict | None = None
         frames: list = []
         label: str | None = None  # the label of the branch being read
         pos = self.pos
@@ -264,7 +274,7 @@ class _Parser:
                     key = (tokens[pos + 2], tokens[pos + 4])
                     sub: FiniteGame | None = leaves.get(key)
                     if sub is None:
-                        sub = leaves[key] = Leaf((int(key[0]), int(key[1])))
+                        sub = leaves[key] = Leaf((self.integer(pos + 2), self.integer(pos + 4)))
                     pos += 6
                 else:
                     self.pos = pos + 1
@@ -279,36 +289,33 @@ class _Parser:
                     raise self.fail("'{'")
                 pos += 2
                 index.open(mover, label)
-                frames.append((subs, seen))
-                subs, seen = [], set()
+                frames.append((branches, label))
+                branches = {}
                 sub = None
             while True:
                 if sub is not None:
-                    if subs is None:
+                    if branches is None:
                         self.pos = pos
                         index.attach(sub)
                         return sub
-                    subs.append(sub)
+                    branches[label] = sub
                     while tokens[pos] == ";":
                         pos += 1
                 token = tokens[pos]
                 if token == "}":
-                    if not subs:
+                    if not branches:
                         raise self.fail("at least one branch", pos)
                     pos += 1
-                    owner, labels = index.close()
-                    sub = Node(owner, tuple(zip(labels, subs)))
-                    subs, seen = frames.pop()
+                    sub = Node(index.close(), tuple(branches.items()))
+                    branches, label = frames.pop()
                     continue
-                first = token[:1]
-                if not (first.isalpha() or first == "_"):
+                if token not in names:
                     raise self.fail("an action label", pos)
-                if token in seen:
+                if token in branches:  # type: ignore[operator]
                     raise self.invalid(pos, f"duplicate branch label {token!r}")
                 if tokens[pos + 1] != "->":
                     raise self.fail("'->'", pos + 1)
                 pos += 2
-                seen.add(token)
                 label = token
                 break
 
@@ -397,10 +404,6 @@ class _Parser:
 
     # --- matrices -------------------------------------------------------
 
-    def at_rational_start(self) -> bool:
-        token = self.tokens[self.pos]
-        return token[:1].isdecimal() or token == "-"
-
     def parse_matrix(self) -> MatrixGame:
         from fractions import Fraction
 
@@ -423,7 +426,7 @@ class _Parser:
         width: int | None = None
         while True:
             row: list[Fraction] = []
-            while self.at_rational_start():
+            while self.tokens[self.pos][:1].isdecimal() or self.at("-"):  # an entry starts here
                 if width is not None and len(row) == width:
                     raise self.fail(f"';' after {width} entries")
                 row.append(parse_rational())
@@ -594,7 +597,6 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
     action labels; the edges a highlighted profile chooses are emitted with
     ``penwidth=2,style=bold``.  A tree the solvers refuse raises ``NotTwoPlayer``.
     """
-    lines = ["digraph game {"]
     nodes: list[str] = []
     edges: list[str] = []
     fresh = (f"n{number}" for number in itertools.count())  # node names in creation order
@@ -604,36 +606,25 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
         require_two_players(game)
         index = game.index
         picks = None if highlight is None else chosen_branches(game, highlight)  # type: ignore[arg-type]
+        children, labels, paths = index.children, index.labels, index.paths
         owners = [_dot_escape(player) for player in doc.players]
-        for position, outcome in enumerate(index.outcomes):
-            if outcome is None:
-                label = owners[index.owners[position]]  # type: ignore[index]
-            else:
-                label = ",".join(map(str, outcome))
-            nodes.append(f'  n{position} [label="{label}"];')
-        children, labels = index.children, index.labels
+        texts = {outcome: ",".join(map(str, outcome)) for outcome in set(index.outcomes) - {None}}
+        nodes = [f'  n{at} [label="{owners[owner] if outcome is None else texts[outcome]}"];'  # type: ignore[index]
+                 for at, (owner, outcome) in enumerate(zip(index.owners, index.outcomes))]
         escaped = {name: _dot_escape(name) for names in set(labels) for name in names}
-
-        def edge(parent: int, position: int) -> str:
-            bold = _HIGHLIGHT if picks is not None and picks[parent] == position else ""
-            label = escaped[labels[parent][position]]
-            return f'  n{parent} -> n{children[parent][position]} [label="{label}"{bold}];'
-
-        # An edge is written once its child's subtree is done.  One frame per
-        # open decision node: its index and the position of its next branch.
-        stack = [(0, 0)]
-        while stack:
-            parent, position = stack.pop()
-            if position:  # back from the subtree of branch position - 1
-                edges.append(edge(parent, position - 1))
-            kids = children[parent]
-            while position < len(kids):
-                position += 1
-                if children[kids[position - 1]]:
-                    stack.append((parent, position))
-                    stack.append((kids[position - 1], 0))
-                    break
-                edges.append(edge(parent, position - 1))
+        # The edge into each node but the root goes to the node's rank in the postorder of all nodes:
+        # where its subtree ends in preorder (its next sibling, or its parent's end) less its depth and 1.
+        edges = [""] * (len(children) - 1)
+        ends = [len(children)] * len(children)  # set by each parent, which comes first in the reversed postorder
+        for parent in reversed(index.postorder):
+            kids, names, shift = children[parent], labels[parent], len(paths[parent]) + 2  # a child's depth + 1
+            chosen, end, position = -1 if picks is None else picks[parent], ends[parent], len(kids)
+            for child in reversed(kids):
+                position -= 1
+                ends[child] = end
+                bold = _HIGHLIGHT if position == chosen else ""
+                edges[end - shift] = f'  n{parent} -> n{child} [label="{escaped[names[position]]}"{bold}];'
+                end = child
     elif kind in _GRAPHS:
         if highlight is not None:
             game.check_profile(highlight)
@@ -649,11 +640,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
                     nodes.append(f'  {child} [label="{_dot_escape(rendered)}"];')
                 else:
                     child = idents[target.shape]
-                bold = (
-                    _HIGHLIGHT
-                    if highlight is not None and highlight[name] == label  # type: ignore[index]
-                    else ""
-                )
+                bold = _HIGHLIGHT if highlight is not None and highlight[name] == label else ""  # type: ignore[index]
                 edges.append(f'  {idents[name]} -> {child} [label="{_dot_escape(label)}"{bold}];')
     elif kind == "matrix":
         if highlight is not None:
@@ -663,11 +650,7 @@ def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
         nodes.append(f'  {ident} [label="{_dot_escape(label)}"];')
     else:
         raise TypeError(f"unsupported game kind: {type(game).__name__}")
-
-    lines.extend(nodes)
-    lines.extend(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["digraph game {", *nodes, *edges, "}"]) + "\n"
 
 
 # --- profile files --------------------------------------------------------

@@ -62,14 +62,17 @@ def solve(game: FiniteGame, ties: TiePolicy = TiePolicy.FIRST_BRANCH) -> TreePro
     index = game.index
     paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
     values = index.outcomes.copy()
-    first = TiePolicy(ties) is TiePolicy.FIRST_BRANCH  # a member or its value; ValueError for anything else
+    last = TiePolicy(ties) is TiePolicy.LAST_BRANCH  # a member or its value; ValueError for anything else
     profile: dict[PlayLine, str] = {}
     for node in index.postorder:
-        owner = owners[node]
-        kids = children[node]
-        scores = [values[child][owner] for child in kids]  # type: ignore[index]
-        best = max(scores)
-        pick = scores.index(best) if first else len(scores) - 1 - scores[::-1].index(best)
+        owner, kids = owners[node], children[node]
+        pick = position = 0
+        top = values[kids[0]][owner]  # type: ignore[index]
+        for child in kids:
+            score = values[child][owner]  # type: ignore[index]
+            if score > top or last and score == top:
+                pick, top = position, score
+            position += 1
         profile[paths[node]] = labels[node][pick]  # type: ignore[index]
         values[node] = values[kids[pick]]
     return profile
@@ -88,13 +91,15 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     subtree's choices fill a block of fixed length in ``index.postorder``
     that ends at its root, so this is the lexicographic order of the branch
     positions read in postorder, and one depth-first search lists it.  One
-    backward pass, the one ``solve`` makes, gives the first profile and the
-    nodes with a tie at or below them; no other node ever picks again.  Each
-    further profile moves the last of those nodes with a best branch left
-    to its next one; those after it take their first best branch under the
-    new values.  The profile before is copied and only the changed choices
-    are rewritten, so the work is the pass plus the nodes each profile
-    re-scores.
+    backward pass, the one ``solve`` makes, gives the first profile and lists
+    the nodes with a tie at or below them; no other node ever picks again.
+    A node scores its branches in one loop that keeps the first best branch
+    and counts the branches tied with it, and is listed when that count
+    passes one or when the last node listed is its descendant.  Each further
+    profile moves the last listed node with a best branch left to its next
+    one; those after it take their first best branch under the new values.
+    The profile before is copied and only the changed choices are
+    rewritten, so the work is the pass plus the nodes each profile re-scores.
     """
     require_two_players(game)
     if cap.__class__ is not int:  # a float cap is never reached, and a bool is no count
@@ -106,21 +111,25 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     values = index.outcomes.copy()
     picks: list = [None] * len(values)
     multi: list[int] = []  # the nodes with a tie at or below them, in postorder; no other node picks again
-    marked: set[int] = set()  # the same nodes, for the membership test
     ties: list[int] = []  # the positions in ``multi`` of the nodes with a best branch left, in order
     for node in index.postorder:
-        owner = owners[node]
-        kids = children[node]
-        scores = [values[child][owner] for child in kids]  # type: ignore[index]
-        best = max(scores)
-        pick = picks[node] = scores.index(best)
+        owner, kids = owners[node], children[node]
+        pick = position = count = 0  # ``count`` branches score ``top``
+        top = values[kids[0]][owner]  # type: ignore[index]
+        for child in kids:
+            score = values[child][owner]  # type: ignore[index]
+            if score > top:
+                pick, top, count = position, score, 1
+            elif score == top:
+                count += 1
+            position += 1
+        picks[node] = pick
         values[node] = values[kids[pick]]
-        if scores.count(best) > 1:
+        if count > 1:
             ties.append(len(multi))
-        elif marked.isdisjoint(kids):
+        elif not multi or multi[-1] < node:  # a listed descendant would be the last listed, after ``node`` in preorder
             continue
         multi.append(node)
-        marked.add(node)
     # The first profile, keyed in preorder; a leaf game has one empty profile.
     profile = {path: names[pick] for path, names, pick in zip(paths, labels, picks) if path is not None}
     profiles = [profile]
@@ -131,18 +140,23 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
         profile = profile.copy()
         for at in range(t, len(multi)):  # nothing before ``t`` has moved since ``multi[t]`` was pushed
             node = multi[at]
-            owner = owners[node]
-            kids = children[node]
-            scores = [values[child][owner] for child in kids]  # type: ignore[index]
-            best = max(scores)
-            if at == t:
-                pick = scores.index(best, picks[node] + 1)
-                if best not in scores[pick + 1 :]:
-                    ties.pop()
-            else:
-                pick = scores.index(best)
-                if scores.count(best) > 1:
-                    ties.append(at)
+            owner, kids = owners[node], children[node]
+            # ``multi[t]`` scores only the branches after its pick: its children are as when it picked,
+            # and some of those branches tie with its value, the best, so the first of them is its next.
+            pick = position = start = picks[node] + 1 if at == t else 0
+            count = 0
+            top = values[kids[start]][owner]  # type: ignore[index]
+            for child in kids[start:]:
+                score = values[child][owner]  # type: ignore[index]
+                if score > top:
+                    pick, top, count = position, score, 1
+                elif score == top:
+                    count += 1
+                position += 1
+            if at == t and count == 1:  # no best branch left after this one
+                ties.pop()
+            elif at > t and count > 1:
+                ties.append(at)
             values[node] = values[kids[pick]]
             if pick != picks[node]:
                 picks[node] = pick

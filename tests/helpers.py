@@ -888,7 +888,7 @@ def scan_tokenize(text: str) -> list[RefToken]:
     ending with one "eof" token.  The parser works on the scan's texts and
     positions only the token an error names; this view is for the tests."""
     tokens = []
-    for token, match in zip(_scan(text), _SCAN.finditer(text)):
+    for token, match in zip(_scan(text)[0], _SCAN.finditer(text)):
         if not token:
             kind = "eof"
         elif token in _PUNCT:

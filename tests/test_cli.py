@@ -530,6 +530,16 @@ class TestErrors:
         assert run(["solve", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.skipif(not 0 < sys.get_int_max_str_digits() < 5000, reason="the interpreter reads 5,000 digits")
+    def test_an_integer_over_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "long.game"
+        path.write_text("finite {\n  Alice {\n    a -> leaf(1," + "5" * 5000 + ")\n  }\n}\n")
+        assert run(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"parse error: 3:17: expected an integer of at most {limit} digits, found one of 5000\n"
+
     def test_search_space_limit_is_exit_3(self, capsys, tmp_path):
         from seqgames.cyclic import CyclicGame, CyclicNode
         from seqgames.core import leaf as mk_leaf

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -189,6 +190,40 @@ class TestParseErrors:
             ParseError,
             "1:17: expected at least one node definition, found '}'",
         )
+
+
+LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise; 0 for no limit
+
+
+@pytest.mark.skipif(not LIMIT, reason="the interpreter reads integers of any length")
+class TestIntegerDigitLimit:
+    """An integer literal longer than ``int`` reads is a ``ParseError`` at the
+    literal, on every path that reads one."""
+
+    PLACES = [
+        "finite {\n  Alice {\n    a -> leaf(0,1)\n    b -> leaf(@,0)\n  }\n}\n",  # the tree reader's inline leaf
+        "finite {\n  Alice {\n    a -> leaf(0,@)\n  }\n}\n",
+        "finite {\n  Alice {\n    a -> leaf(-@,0)\n  }\n}\n",  # a negative tree leaf
+        "finite { leaf(1,@) }\n",
+        "cyclic start=A {\n  A: Alice {\n    a -> leaf(@,0)\n  }\n}\n",  # a graph leaf
+        "param start=A {\n  A: Alice {\n    a -> leaf(0,1 + @*n)\n  }\n}\n",
+        "matrix sum=0 {\n  1 @;\n  0 1\n}\n",  # a matrix entry
+        "matrix sum=0 {\n  1 1/@\n}\n",
+    ]
+
+    @pytest.mark.parametrize("text", PLACES)
+    def test_a_literal_one_digit_over_raises_at_its_position(self, text):
+        offset = text.index("@")
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        message = f"{line}:{column}: expected an integer of at most {LIMIT} digits, found one of {LIMIT + 1}"
+        assert raised(parse, text.replace("@", "7" * (LIMIT + 1))) == (ParseError, message)
+
+    def test_a_literal_at_the_limit_parses(self):
+        digits = "9" * LIMIT
+        text = f"finite {{\n  Alice {{\n    a -> leaf({digits},-{digits})\n    b -> leaf(0,{digits})\n  }}\n}}\n"
+        big = int(digits)
+        assert parse(text).game == node(0, ("a", leaf(big, -big)), ("b", leaf(0, big)))
+        assert parse(f"matrix sum={digits} {{ {digits} 1/{digits} }}").game.payoffs == ((big, Fraction(1, big)),)
 
 
 class TestWriterErrors:

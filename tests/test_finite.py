@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -319,6 +320,52 @@ class TestRecursiveReferees:
             expected = shape_error(reference_check_profile, leaf(1, 0), profile)
             assert shape_error(chosen_branches, leaf(1, 0), profile) == expected
         assert chosen_branches(leaf(1, 0), {}) == [None]
+
+
+def tie_pattern_games():
+    """Every tie pattern of one decision node: each owner over 1-4 leaves whose
+    payoffs to the owner run over {0,1,2}^k, alone and one level below a
+    choice of the other player, as its first or its last branch.  The other
+    player scores branch ``i`` at ``2 * i`` and the leaf beside it at 3 or 2,
+    so which of its tied branches the node takes decides the choice above,
+    which is strict beside a 3 and a tie beside a 2 when the node takes ``b``."""
+    for owner in (0, 1):
+        for k in range(1, 5):
+            for scores in itertools.product(range(3), repeat=k):
+                branches = []
+                for i, score in enumerate(scores):
+                    pair = [0, 0]
+                    pair[owner], pair[1 - owner] = score, 2 * i
+                    branches.append(("abcd"[i], leaf(*pair)))
+                pattern = node(owner, *branches)
+                yield pattern
+                for other in (3, 2):
+                    beside = [0, 0]
+                    beside[1 - owner] = other
+                    yield node(1 - owner, ("p", pattern), ("s", leaf(*beside)))
+                    yield node(1 - owner, ("s", leaf(*beside)), ("p", pattern))
+
+
+class TestTiePatterns:
+    """The scoring loops against the recursive referees at every position of
+    a tie: the strict ``>`` that keeps the first best branch, the ``>=`` that
+    takes the last, the count of tied branches that lists a node for
+    enumeration, and the listing of a node above a listed one."""
+
+    def test_solve(self):
+        for game in tie_pattern_games():
+            for ties in TiePolicy:
+                assert items(solve(game, ties)) == items(reference_solve(game, ties))
+
+    @pytest.mark.parametrize("cap", [1, 1024])
+    def test_enumerate_equilibria(self, cap):
+        games = list(tie_pattern_games())
+        assert len(games) == 5 * 2 * (3 + 9 + 27 + 81)
+        for game in games:
+            got = enumerate_equilibria(game, cap)
+            want = reference_enumerate_equilibria(game, cap)
+            assert got == want
+            assert [items(p) for p in got.profiles] == [items(p) for p in want.profiles]
 
 
 def branch_positions(game, profile: dict) -> tuple:
