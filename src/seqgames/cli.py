@@ -2,7 +2,8 @@
 
 Exit status: 0 success, 1 negative analysis (a checked profile is not an
 equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap,
-search-space bound, matrix size), 4 resource limit (recursion depth or memory).
+search-space bound, matrix size, an exact answer too long to write), 4
+resource limit (recursion depth or memory).
 
 ``COMMANDS`` describes every command once. ``run`` reads a plain argv straight
 from it (``_read``) and leaves any other argv to argparse, whose parser is built
@@ -94,9 +95,9 @@ def _profile_json(game, profile) -> dict[str, str]:
     return dict(profile)
 
 
-def _profile_text(game, profile) -> str:
-    items = sorted(_profile_json(game, profile).items())
-    return ", ".join(f"{key}={action}" for key, action in items)
+def _profile_text(profile: dict[str, str]) -> str:
+    """A profile as ``_profile_json`` renders it, as sorted ``key=action`` pairs."""
+    return ", ".join(f"{key}={action}" for key, action in sorted(profile.items()))
 
 
 def _value_json(value: object, kind: str) -> object:
@@ -145,7 +146,7 @@ def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     }
     text = [
         f"ties: {args.ties}",
-        f"profile: {_profile_text(doc.game, profile)}",
+        f"profile: {_profile_text(payload['profile'])}",
         f"play: {' '.join(play) if play else '(empty)'}",
         f"outcome: {_outcome_text(outcome)}",
     ]
@@ -181,7 +182,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
         for entry in entries:
             text.append(
                 f"  play {' '.join(entry['play']) or '(empty)'} -> "
-                f"{_outcome_text(entry['outcome'])}  [{_profile_text(game, entry['profile'])}]"
+                f"{_outcome_text(entry['outcome'])}  [{_profile_text(entry['profile'])}]"
             )
         return payload, text, 3 if result.truncated else 0
     from .parametric import enumerate_stationary_spe, induced_outcome_param
@@ -203,7 +204,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     payload = {"command": "enumerate", "kind": kind, "profile_count": len(accepted), "equilibria": entries}
     text = [f"kind: {kind}", f"{game.PROFILE} equilibria: {len(accepted)}"]
     for entry in entries:
-        text.append(f"  {_profile_text(game, entry['profile'])} -> {_outcome_text(entry[outcome_key])}{suffix}")
+        text.append(f"  {_profile_text(entry['profile'])} -> {_outcome_text(entry[outcome_key])}{suffix}")
     return payload, text, 0
 
 
@@ -258,8 +259,7 @@ def _cmd_auction(args: SimpleNamespace) -> tuple[dict, list[str], int]:
         "never_bid": _report_json(never_report, "param"),
     }
     text = [f"value: {args.value}", f"stationary equilibria: {len(equilibria)}"]
-    for profile in equilibria:
-        text.append(f"  {_profile_text(game, profile)}")
+    text.extend(f"  {_profile_text(profile)}" for profile in payload["equilibria"])
     text.append("never-bid profile (abandon everywhere): " + ("equilibrium" if never_report.ok else "NOT an equilibrium"))
     text.extend("  " + line for line in _report_text(payload["never_bid"])[1:])
     if args.max_stage is not None:
@@ -325,19 +325,22 @@ def _cmd_matrix(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     from .matrix import solve_constant_sum
     doc = _load_game(args, "matrix")
     profile = solve_constant_sum(doc.game)
-    payload = {
-        "command": "matrix",
-        "rows": doc.game.rows,
-        "cols": doc.game.cols,
-        "sum": str(doc.game.total),
-        "row": [str(p) for p in profile.row],
-        "column": [str(p) for p in profile.column],
-        "value": str(profile.value),
-    }
+    try:  # each exact number is written once, and the lines read it from the payload
+        payload = {
+            "command": "matrix",
+            "rows": doc.game.rows,
+            "cols": doc.game.cols,
+            "sum": str(doc.game.total),
+            "row": [str(p) for p in profile.row],
+            "column": [str(p) for p in profile.column],
+            "value": str(profile.value),
+        }
+    except ValueError:  # more digits than ``int`` writes; the limit is read, never set
+        raise LimitExceeded(f"the exact answer has a number of more than {sys.get_int_max_str_digits()} digits") from None
     text = [
-        f"row distribution: {' '.join(str(p) for p in profile.row)}",
-        f"column distribution: {' '.join(str(p) for p in profile.column)}",
-        f"value (row player): {profile.value}",
+        f"row distribution: {' '.join(payload['row'])}",
+        f"column distribution: {' '.join(payload['column'])}",
+        f"value (row player): {payload['value']}",
     ]
     return payload, text, 0
 

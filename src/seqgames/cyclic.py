@@ -10,9 +10,10 @@ strictly below every convergent outcome, because divergent play never
 reaches a payoff.
 
 A cyclic game is the stage-parametric game whose payoffs all have slope 0,
-so ``CyclicGame`` is a ``ParametricGame`` that refuses a sloped payoff, and
-``CyclicNode`` builds a node's ``Shape``: an edge to a ``Leaf`` becomes a
-slope-0 ``AffineLeaf`` and an edge to a node name an ``Advance``.  Every
+so ``CyclicGame`` is a ``ParametricGame`` that refuses a sloped payoff.  The
+reader builds a cyclic document's ``Shape``s directly; code builds a node's
+with ``CyclicNode``, where an edge to a ``Leaf`` becomes a slope-0
+``AffineLeaf`` and an edge to a node name an ``Advance``.  Every
 analysis is a ``parametric`` function; it words its messages in the game's
 own terms (``POINT``, ``CHOICE``, ``PROFILE``) and reports ``AffineValue``
 payoffs, which for a cyclic game are the same at every stage.

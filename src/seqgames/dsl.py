@@ -321,11 +321,11 @@ class _Parser:
 
     # --- cyclic and parametric graphs ----------------------------------
 
-    def parse_affine(self) -> tuple[int, int]:
-        """``AFFINE`` as its constant and its slope."""
+    def parse_payoff(self, sloped: bool) -> tuple[int, int]:
+        """``AFFINE`` as its constant and its slope when ``sloped``, else ``INT`` with slope 0."""
         const = self.expect_int()
         token = self.tokens[self.pos]
-        if token in ("+", "-"):
+        if sloped and token in ("+", "-"):
             sign = 1 if token == "+" else -1
             self.pos += 1
             magnitude = self.expect_int()
@@ -337,18 +337,21 @@ class _Parser:
         return const, 0
 
     def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
-        from . import parametric as par
+        """``cyclic`` or ``param``, each node read straight into a ``Shape`` from a label-to-target
+        dict, which also finds a repeated label.  The kind decides only the payoff grammar (``INT``
+        or ``AFFINE``), whether a target starts with ``advance`` and the class built, ``CyclicGame``
+        or ``ParametricGame``.  References are checked once the body is read: edges, then the start."""
+        from .parametric import Advance, AffineLeaf, AffineValue, Shape
         if parametric:
-            make_point, make_game = par.Shape, par.ParametricGame
+            from .parametric import ParametricGame as make_game
         else:
-            from . import cyclic as cy
-            make_point, make_game = cy.CyclicNode, cy.CyclicGame
+            from .cyclic import CyclicGame as make_game
         tokens = self.tokens
         self.expect("start")
         self.expect("=")
         start = self.expect_name("a node name")
         self.expect("{")
-        definitions: dict[str, object] = {}
+        definitions: dict[str, Shape] = {}
         references: list[int] = []
         while not self.at("}"):
             name = self.expect_name("a node name")
@@ -357,40 +360,31 @@ class _Parser:
             self.expect(":")
             owner = self.owner_index(self.expect_name("a player name"), players)
             self.expect("{")
-            edges: list[tuple[str, object]] = []
-            seen: set[str] = set()
+            moves: dict[str, AffineLeaf | Advance] = {}
             while not self.at("}"):
                 label = self.expect_name("an action label")
-                if tokens[label] in seen:
+                if tokens[label] in moves:
                     raise self.invalid(label, f"duplicate edge label {tokens[label]!r}")
-                seen.add(tokens[label])
                 self.expect("->")
                 if self.at("leaf"):
                     self.pos += 1
-                    if parametric:
-                        self.expect("(")
-                        first = par.AffineValue(*self.parse_affine())
-                        self.expect(",")
-                        second = par.AffineValue(*self.parse_affine())
-                        self.expect(")")
-                        target: object = par.AffineLeaf((first, second))
-                    else:
-                        target = self.parse_leaf_int()
-                elif parametric:
-                    self.expect("advance")
-                    ref = self.expect_name("a shape name")
-                    references.append(ref)
-                    target = par.Advance(tokens[ref])
+                    self.expect("(")
+                    first = AffineValue(*self.parse_payoff(parametric))
+                    self.expect(",")
+                    second = AffineValue(*self.parse_payoff(parametric))
+                    self.expect(")")
+                    moves[tokens[label]] = AffineLeaf((first, second))
                 else:
-                    ref = self.expect_name("a node name or 'leaf'")
+                    if parametric:
+                        self.expect("advance")
+                    ref = self.expect_name("a shape name" if parametric else "a node name or 'leaf'")
                     references.append(ref)
-                    target = tokens[ref]
-                edges.append((tokens[label], target))
+                    moves[tokens[label]] = Advance(tokens[ref])
                 self.skip_separators()
-            if not edges:
+            if not moves:
                 raise self.fail("at least one edge")
             self.expect("}")
-            definitions[tokens[name]] = make_point(owner, tuple(edges))  # type: ignore[arg-type]
+            definitions[tokens[name]] = Shape(owner, tuple(moves.items()))
             self.skip_separators()
         if not definitions:
             raise self.fail("at least one node definition")
@@ -400,7 +394,7 @@ class _Parser:
                 raise self.invalid(ref, f"undefined node {tokens[ref]!r}")
         if tokens[start] not in definitions:
             raise self.invalid(start, f"undefined start node {tokens[start]!r}")
-        return make_game(definitions, tokens[start])  # type: ignore[arg-type]
+        return make_game(definitions, tokens[start])
 
     # --- matrices -------------------------------------------------------
 

@@ -117,6 +117,23 @@ class TestEnumerate:
         code, _out = invoke(capsys, "enumerate", str(corpus_dir / "rps.game"))
         assert code == 2
 
+    def test_text_names_tree_nodes_as_solve_and_json_do(self, capsys, tmp_path):
+        # Multi-character labels three levels deep: a key is its path's labels joined by one blank.
+        from seqgames.core import leaf, node
+        from seqgames.dsl import GameDoc, serialize
+
+        inner = node(1, ("up", node(0, ("stay", leaf(1, 1)), ("go", leaf(0, 0)))), ("down", leaf(0, 2)))
+        path = tmp_path / "labels.game"
+        path.write_text(serialize(GameDoc(("Alice", "Bertrand"), node(0, ("left", inner), ("right", leaf(-1, 0))))))
+        _, out = invoke(capsys, "enumerate", str(path), "--format", "json")
+        profile = json.loads(out)["equilibria"][0]["profile"]
+        pairs = ", ".join(f"{key}={action}" for key, action in sorted(profile.items()))
+        assert pairs == ".=left, left=down, left up=stay"
+        assert invoke(capsys, "solve", str(path))[1].splitlines()[1] == f"profile: {pairs}"
+        assert invoke(capsys, "enumerate", str(path)) == (
+            0, f"kind: finite\nprofiles: 1\ndistinct play lines: 1\n  play left down -> 0,2  [{pairs}]\n"
+        )
+
 
 class TestCheck:
     def test_never_bid_fails_with_witness(self, capsys, corpus_dir):
@@ -566,6 +583,23 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "limit: support enumeration bounded at 9x9\n"
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="the interpreter writes integers of any length")
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_an_answer_too_long_to_write_is_exit_3(self, capsys, tmp_path, form):
+        # Entries of two thirds of the digit limit parse; the value's numerator, their product, has more.
+        import random
+
+        rng = random.Random(5)
+        limit = sys.get_int_max_str_digits()
+        digits = limit * 2 // 3 + 1
+        x, y = (rng.randint(10 ** (digits - 1), 10**digits - 1) for _ in range(2))
+        path = tmp_path / "long.game"
+        path.write_text(f"matrix sum=0 {{ {x} 0; 0 {y} }}\n")
+        assert run(["matrix", str(path), "--format", form]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"limit: the exact answer has a number of more than {limit} digits\n"
 
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_limit_is_exit_4(self, capsys, corpus_dir, monkeypatch, error):

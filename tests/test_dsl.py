@@ -191,6 +191,60 @@ class TestParseErrors:
             "1:17: expected at least one node definition, found '}'",
         )
 
+    # Malformed graph documents of both kinds, each with the exact error the reader raises.
+    # The kind decides the payoff grammar (INT or AFFINE) and whether a target starts with
+    # ``advance``; every other fault is worded and placed the same way for both kinds.
+    GRAPH_FAULTS = [
+        ("cyclic start=A {\n  A: Alice {\n    a -> leaf(1+2*n,0)\n  }\n}\n",
+         ParseError, "3:16: expected ',', found '+'"),  # a cyclic payoff has no slope
+        ("cyclic start=A {\n  A: Alice {\n    a -> advance B\n  }\n  B: Bertrand {\n    b -> leaf(0,1)\n  }\n}\n",
+         ParseError, "4:3: expected '->', found '}'"),  # 'advance' is a node name, 'B' the next label
+        ("param start=A {\n  A: Alice {\n    a -> B\n  }\n  B: Bertrand {\n    b -> leaf(0,1)\n  }\n}\n",
+         ParseError, "3:10: expected 'advance', found 'B'"),
+        ("param start=A {\n  A: Alice {\n    a -> leaf(0,1*n)\n  }\n}\n",
+         ParseError, "3:18: expected ')', found '*'"),  # a slope follows a constant
+        ("param start=A {\n  A: Alice {\n    a -> leaf(0-1*m,1)\n  }\n}\n",
+         ParseError, "3:19: expected 'n', found 'm'"),
+        ("cyclic start=A {\n  A: Alice {\n    a -> leaf(0,1,2)\n  }\n}\n",
+         ParseError, "3:18: expected ')', found ','"),
+        ("cyclic start=A {\n  A: Alice {\n    a -> A\n    a -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "4:5: duplicate edge label 'a'"),
+        ("param start=A {\n  A: Alice {\n    a -> advance A\n    a -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "4:5: duplicate edge label 'a'"),
+        ("cyclic start=A {\n  A: Alice {\n    a -> leaf(0,1)\n  }\n  A: Bertrand {\n    b -> leaf(1,0)\n  }\n}\n",
+         ValidationError, "5:3: node 'A' defined twice"),
+        ("param start=A {\n  A: Alice {\n    a -> leaf(0,1)\n  }\n  A: Bertrand {\n    b -> leaf(1,0)\n  }\n}\n",
+         ValidationError, "5:3: node 'A' defined twice"),
+        ("cyclic start=A {\n  A: Alice {\n    a -> Z\n  }\n}\n",
+         ValidationError, "3:10: undefined node 'Z'"),
+        ("param start=A {\n  A: Alice {\n    a -> advance Z\n  }\n}\n",
+         ValidationError, "3:18: undefined node 'Z'"),
+        ("cyclic start=Q {\n  A: Alice {\n    a -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "1:14: undefined start node 'Q'"),
+        ("param start=Q {\n  A: Alice {\n    a -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "1:13: undefined start node 'Q'"),
+        ("cyclic start=Q {\n  A: Alice {\n    a -> Z\n  }\n}\n",  # both undefined: the edge is named first
+         ValidationError, "3:10: undefined node 'Z'"),
+        ("param start=Q {\n  A: Alice {\n    a -> advance Z\n  }\n}\n",
+         ValidationError, "3:18: undefined node 'Z'"),
+        ("cyclic start=A {\n  A: Carol {\n    a -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "2:6: unknown player 'Carol' (players are ('Alice', 'Bertrand'))"),
+        ("param start=A {\n  A: Carol {\n    a -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "2:6: unknown player 'Carol' (players are ('Alice', 'Bertrand'))"),
+        ("cyclic start=A {\n  A: Alice {\n  }\n}\n",
+         ParseError, "3:3: expected at least one edge, found '}'"),
+        ("param start=A {\n  A: Alice {\n  }\n}\n",
+         ParseError, "3:3: expected at least one edge, found '}'"),
+        ("cyclic start=A {\n  A: Alice {\n    a leaf(0,1)\n  }\n}\n",
+         ParseError, "3:7: expected '->', found 'leaf'"),
+        ("param start=A {\n  A: Alice {\n    a advance A\n  }\n}\n",
+         ParseError, "3:7: expected '->', found 'advance'"),
+    ]
+
+    @pytest.mark.parametrize("text, error, message", GRAPH_FAULTS)
+    def test_malformed_graph_documents(self, text, error, message):
+        assert raised(parse, text) == (error, message)
+
 
 LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise; 0 for no limit
 
@@ -363,7 +417,10 @@ class TestSerialize:
             else:
                 game = random_matrix(rng)
             doc = GameDoc(PLAYERS, game)
-            assert parse(serialize(doc)) == doc
+            back = parse(serialize(doc))
+            assert back == doc
+            if pick in (1, 2):  # a graph is read back as the class it was written from, repr and all
+                assert type(back.game) is type(game) and repr(back.game) == repr(game)
 
     def test_graph_writers_run_no_import_statement(self):
         # A move's target says itself whether it is a leaf, so the writers need no graph module.
