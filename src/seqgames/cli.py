@@ -85,8 +85,20 @@ def _load_game(args: SimpleNamespace, *kinds: str) -> dsl.GameDoc:
     return doc
 
 
+def _number(value: object) -> str:
+    """``str(value)``, or ``LimitExceeded`` past the digits ``int`` writes (a limit read, never set)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_long() from None
+
+
+def _too_long() -> LimitExceeded:
+    return LimitExceeded(f"the exact answer has a number of more than {sys.get_int_max_str_digits()} digits")
+
+
 def _outcome_text(outcome: tuple) -> str:
-    return ",".join(str(v) for v in outcome)
+    return ",".join(_number(v) for v in outcome)
 
 
 def _profile_json(game, profile) -> dict[str, str]:
@@ -105,7 +117,7 @@ def _value_json(value: object, kind: str) -> object:
     a param game's as its formula."""
     if isinstance(value, int):
         return value
-    return value.at(0) if kind == "cyclic" else str(value)  # type: ignore[attr-defined]
+    return value.at(0) if kind == "cyclic" else _number(value)  # type: ignore[attr-defined]
 
 
 def _report_json(report: fin.SpeReport, kind: str) -> dict:
@@ -325,18 +337,15 @@ def _cmd_matrix(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     from .matrix import solve_constant_sum
     doc = _load_game(args, "matrix")
     profile = solve_constant_sum(doc.game)
-    try:  # each exact number is written once, and the lines read it from the payload
-        payload = {
-            "command": "matrix",
-            "rows": doc.game.rows,
-            "cols": doc.game.cols,
-            "sum": str(doc.game.total),
-            "row": [str(p) for p in profile.row],
-            "column": [str(p) for p in profile.column],
-            "value": str(profile.value),
-        }
-    except ValueError:  # more digits than ``int`` writes; the limit is read, never set
-        raise LimitExceeded(f"the exact answer has a number of more than {sys.get_int_max_str_digits()} digits") from None
+    payload = {  # each exact number is written once, and the lines read it from the payload
+        "command": "matrix",
+        "rows": doc.game.rows,
+        "cols": doc.game.cols,
+        "sum": _number(doc.game.total),
+        "row": [_number(p) for p in profile.row],
+        "column": [_number(p) for p in profile.column],
+        "value": _number(profile.value),
+    }
     text = [
         f"row distribution: {' '.join(payload['row'])}",
         f"column distribution: {' '.join(payload['column'])}",
@@ -413,7 +422,10 @@ def run(argv: list[str]) -> int:
         payload, lines, code, *trace = globals()[f"_cmd_{args.command}"](args)
         if payload is not None and args.format == "json":
             import json  # here only, so a text command never loads it
-            lines = [json.dumps(payload, sort_keys=True)]
+            try:
+                lines = [json.dumps(payload, sort_keys=True)]
+            except ValueError:  # an int past the digit limit: no other ValueError reaches here
+                raise _too_long() from None
         writes = [(args.out, lines)]
         if trace and args.out:  # simulate: the trace goes to --out first, then the report to stdout
             writes = [(args.out, trace[0]), (None, lines)]

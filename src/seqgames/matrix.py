@@ -14,26 +14,26 @@ accepted square pair; the column mix follows the same rule over column
 supports.  This is not always the lexicographically greatest optimal
 strategy.
 
-Three exact steps keep that rule's answer with fewer systems solved.  Pure
-strategies strictly dominated by another are removed, repeatedly, first:
-against any column mix on the kept columns a dominated row is worth
-strictly less than its dominator, so never the value, and so it is in no
-accepted pair (a dominated column likewise).  A strictly complementary
-pair (every weight positive, every other pure strategy strictly worse than
-the value) is the only optimal pair (Goldman & Tucker 1956): complementary
-slackness puts any optimal mix on its support, where it must equalize the
-other side's support, a nonsingular square system.  So the supports an
-exact simplex finds on the kept game are judged first, and when that pair
-is accepted and strict it is the answer.  A game with a strict pair always
-ends there: the LP's primal and dual optima are then unique, so the
-simplex names exactly that pair's supports.  Games without one (degenerate
-ones, with tied optima) are still scanned on both sides, each up to its
-first accepted support in full, so their work stays exponential in the
-matrix side: hence ``SUPPORT_LIMIT``.
+Two exact steps keep that rule's answer with fewer systems solved.  A
+strictly complementary pair (every weight positive, every other pure
+strategy strictly worse than the value) is the only optimal pair (Goldman &
+Tucker 1956): complementary slackness puts any optimal mix on its support,
+where it must equalize the other side's support, a nonsingular square
+system.  So the supports an exact simplex finds are judged first, and when
+that pair is accepted and strict it is the answer; a game with a strict
+pair always ends there, as the LP's primal and dual optima are then unique.
+Other games (degenerate ones, with tied optima) are scanned on both sides,
+each up to its first accepted support in full, so their work stays
+exponential in the matrix side: hence ``SUPPORT_LIMIT``.  The scans skip
+each pure strategy strictly dominated by another: whatever the other side
+mixes, such a row is worth less than its dominator, so less than the value,
+while an accepted pair makes each row of its support worth exactly the
+value (a dominated column likewise).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
@@ -151,44 +151,21 @@ def _lex_supports(items: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(subsets)
 
 
-def _undominated(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The rows and columns that survive iterated removal of strictly
-    dominated pure strategies: a row goes when another remaining row is
-    greater in every remaining column, a column when another remaining
-    column is smaller in every remaining row.  Weak dominance is not used:
-    a weakly dominated strategy can be in an optimal support."""
-    rows, cols = tuple(range(len(matrix))), tuple(range(len(matrix[0])))
-    while True:
-        kept_rows = tuple(
-            i for i in rows
-            if not any(all(matrix[k][j] > matrix[i][j] for j in cols) for k in rows)
-        )
-        kept_cols = tuple(
-            j for j in cols
-            if not any(all(matrix[i][k] < matrix[i][j] for i in kept_rows) for k in cols)
-        )
-        if (kept_rows, kept_cols) == (rows, cols):
-            return rows, cols
-        rows, cols = kept_rows, kept_cols
-
-
-def _simplex_supports(
-    matrix: Sequence[Sequence[int]], rows: tuple[int, ...], cols: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column supports of one optimal pair of the game on ``rows`` x
-    ``cols``, from the LP max sum(w) s.t. P w <= 1, w >= 0, where P is that
-    game shifted so every entry is at least 1 (von Stengel 2002): the basic
-    w > 0 are the column support, the slacks with a positive price in the
-    objective row (the dual) the row support.  Integer pivoting keeps the
-    tableau as integers over one shared positive determinant, so every
-    division, the objective row's too, is exact (Edmonds 1967); Bland's rule
-    (entering: the smallest index with a negative reduced cost; leaving: the
-    smallest basic index among tied ratios) cannot cycle (Bland 1977)."""
-    m, n = len(rows), len(cols)
-    shift = 1 - min(matrix[i][j] for i in rows for j in cols)
+def _simplex_supports(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column supports of one optimal pair of the game ``matrix``, from
+    the LP max sum(w) s.t. P w <= 1, w >= 0, where P is the game shifted so
+    every entry is at least 1 (von Stengel 2002): the basic w > 0 are the
+    column support, the slacks with a positive price in the objective row
+    (the dual) the row support.  Integer pivoting keeps the tableau as
+    integers over one shared positive determinant, so every division, the
+    objective row's too, is exact (Edmonds 1967); Bland's rule (entering:
+    the smallest index with a negative reduced cost; leaving: the smallest
+    basic index among tied ratios) cannot cycle (Bland 1977)."""
+    m, n = len(matrix), len(matrix[0])
+    shift = 1 - min(min(row) for row in matrix)
     tableau = [  # columns: w, then the slacks, then the right-hand side
-        [matrix[i][j] + shift for j in cols] + [int(k == s) for s in range(m)] + [1]
-        for k, i in enumerate(rows)
+        [entry + shift for entry in row] + [int(k == s) for s in range(m)] + [1]
+        for k, row in enumerate(matrix)
     ]
     tableau.append([-1] * n + [0] * (m + 1))  # the objective row
     basis, det = list(range(n, n + m)), 1
@@ -208,8 +185,8 @@ def _simplex_supports(
                 f = row[enter]
                 tableau[r] = [(p * u - f * t) // det for u, t in zip(row, top)]
         basis[leave], det = enter, p
-    column = sorted(cols[b] for r, b in enumerate(basis) if b < n and tableau[r][-1] > 0)
-    return tuple(i for k, i in enumerate(rows) if objective[n + k] > 0), tuple(column)
+    column = sorted(b for r, b in enumerate(basis) if b < n and tableau[r][-1] > 0)
+    return tuple(k for k in range(m) if objective[n + k] > 0), tuple(column)
 
 
 def _first_support_pair(
@@ -243,10 +220,10 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     that value against every pure strategy.  That test reads the same from
     either side, so each pair is judged once per call and serves both scans.
 
-    Supports holding a strictly dominated strategy are skipped.  The pair of
-    supports an exact simplex finds is judged first, and a strictly
-    complementary accepted pair, the only optimal pair, ends the work (see
-    the module docstring); neither changes a result.  ``TooLarge`` beyond
+    The pair of supports an exact simplex finds is judged first, and a
+    strictly complementary accepted pair, the only optimal pair, ends the
+    work; otherwise the scans skip every strictly dominated pure strategy
+    (see the module docstring).  Neither changes a result.  ``TooLarge`` beyond
     ``SUPPORT_LIMIT``: a degenerate game can still judge every support pair.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
@@ -257,12 +234,8 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         [entry.numerator * (scale // entry.denominator) for entry in row] for row in game.payoffs
     ]
     transposed = [[scaled[i][j] for i in range(n_rows)] for j in range(n_cols)]
-    rows, cols = _undominated(scaled)
-    # The certificate reads the kept strategies only (see the module docstring).
-    row_payoffs = [scaled[i] for i in rows]
-    column_payoffs = [transposed[j] for j in cols]
-    judged: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple | None] = {}
 
+    @functools.cache  # each pair is judged once per call and serves both scans
     def judge(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
         primal = _equalizing_mix(scaled, support, against)
         if primal is None:
@@ -272,14 +245,14 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
             return None
         # x must guarantee >= v against every column and y (below) must cap
         # every row at v; together they certify v as the game value.
-        worth = [sum(p * column[i] for i, p in zip(support, xs)) for column in column_payoffs]
+        worth = [sum(p * column[i] for i, p in zip(support, xs)) for column in transposed]
         if min(worth) < v:
             return None
         # Nonsingular as the primal is (its bordered matrix, transposed up to signs); w / e = xᵀMy = v / d.
         ys, w, e = _equalizing_mix(transposed, against, support)  # type: ignore[misc]
         if any(q < 0 for q in ys):
             return None
-        cost = [sum(row[j] * q for j, q in zip(against, ys)) for row in row_payoffs]
+        cost = [sum(row[j] * q for j, q in zip(against, ys)) for row in scaled]
         if max(cost) > w:
             return None
         x = [Fraction(0)] * n_rows
@@ -294,18 +267,17 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         )
         return tuple(x), tuple(y), Fraction(v, d * scale), strict
 
-    def pair(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
-        key = (support, against)
-        if key not in judged:
-            judged[key] = judge(support, against)
-        return judged[key]
-
-    support, against = _simplex_supports(scaled, rows, cols)
-    accepted = pair(support, against) if len(support) == len(against) else None
+    support, against = _simplex_supports(scaled)
+    accepted = judge(support, against) if len(support) == len(against) else None
     if accepted is not None and accepted[3]:  # the only optimal pair
         return MixedProfile(*accepted[:3])
-    x, _y, value, _strict = _first_support_pair(rows, cols, pair, 0)
-    y = _first_support_pair(cols, rows, lambda mine, theirs: pair(theirs, mine), 1)[1]
+    # One round of strict dominance (module docstring); what only a later round drops is judged and rejected.
+    rows = tuple(i for i, row in enumerate(scaled)
+                 if not any(all(a > b for a, b in zip(other, row)) for other in scaled))
+    cols = tuple(j for j, column in enumerate(transposed)
+                 if not any(all(a < b for a, b in zip(other, column)) for other in transposed))
+    x, _y, value, _strict = _first_support_pair(rows, cols, judge, 0)
+    y = _first_support_pair(cols, rows, lambda mine, theirs: judge(theirs, mine), 1)[1]
     return MixedProfile(x, y, value)
 
 

@@ -591,6 +591,23 @@ def random_matrix(rng: random.Random, max_side: int = 4) -> MatrixGame:
     return matrix_game(entries, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
 
 
+def dominated_first(rng: random.Random, base: int, added: int) -> MatrixGame:
+    """A 0..2 game of side ``base`` (often degenerate) under ``added`` rows, each
+    1 or 2 below one of its rows, then ``added`` columns put in front, each 1
+    or 2 above an existing column in every row.  The columns go in one round
+    of removal; a row whose new entries no longer sit below its model's goes
+    only in a later round."""
+    rows = [[rng.randint(0, 2) for _ in range(base)] for _ in range(base)]
+    for _ in range(added):
+        model = rows[-1 - rng.randrange(base)]
+        rows.insert(0, [entry - rng.randint(1, 2) for entry in model])
+    for _ in range(added):
+        j = rng.randrange(len(rows[0]))
+        for row in rows:
+            row.insert(0, row[j] + rng.randint(1, 2))
+    return matrix_game(rows, 2)
+
+
 # --- the matrix referee ------------------------------------------------------
 #
 # Plain rational support enumeration, kept independent of the library's

@@ -601,6 +601,33 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == f"limit: the exact answer has a number of more than {limit} digits\n"
 
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="the interpreter writes integers of any length")
+    @pytest.mark.parametrize("form", ["text", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["enumerate"],
+            ["check", "--profile", "PROFILE"],
+            ["simulate", "--horizon", "5", "--seed", "1", "--policy", "fixed:1,1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_a_param_payoff_too_long_to_write_is_exit_3(self, capsys, tmp_path, form, command):
+        # Every literal parses, but T's payoff one stage on has one digit more than the limit.
+        limit = sys.get_int_max_str_digits()
+        path, profile = tmp_path / "long.game", tmp_path / "long.profile"
+        path.write_text(
+            "players Alice Bertrand\nparam start=S {\n"
+            "  S: Alice {\n    a -> leaf(0,0)\n    c -> advance T\n  }\n"
+            f"  T: Bertrand {{\n    a -> leaf({'9' * limit}+1*n,0)\n    c -> advance S\n  }}\n}}\n"
+        )
+        profile.write_text("S = a\nT = a\n")
+        argv = [command[0], str(path), *(str(profile) if word == "PROFILE" else word for word in command[1:])]
+        assert run([*argv, "--format", form]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"limit: the exact answer has a number of more than {limit} digits\n"
+
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_limit_is_exit_4(self, capsys, corpus_dir, monkeypatch, error):
         def exhausted(args):

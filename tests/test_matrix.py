@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_matrix, reference_constant_sum
+from helpers import dominated_first, random_matrix, reference_constant_sum
 
 from seqgames import matrix
 from seqgames.matrix import (
@@ -245,18 +245,32 @@ class TestReferee:
         for index in range(90):
             game = with_dominated_strategies(rng, referee_game(rng, index))
             assert solve_constant_sum(game) == reference_constant_sum(game), game
+        for index in range(12):
+            game = dominated_first(rng, 2 + index % 3, 1 + index % 2)
+            assert solve_constant_sum(game) == reference_constant_sum(game), game
+
+    def test_a_row_only_iterated_removal_drops_is_in_no_answer(self):
+        # Row 0 ties row 1 in column 0, which is above column 2 in every row;
+        # once column 0 goes, row 0 is below row 1.  Rows 1-3 tie, so the scan
+        # runs, and it judges supports holding row 0 and rejects each.
+        game = matrix_game([[3, -1, 1], [3, 0, 2], [1, 2, 0], [2, 1, 1]], 2)
+        profile = solve_constant_sum(game)
+        assert profile == reference_constant_sum(game)
+        assert profile.row[0] == 0 and profile.column[0] == 0
 
     def test_no_system_holds_a_strictly_dominated_row(self, monkeypatch):
-        # Row 0 is strictly below row 1; the pennies below it decide the game.
-        game = matrix_game([[-1, -1], [3, 0], [0, 3]], 3)
+        # Row 0 is strictly below row 3; rows 1-3 are all optimal, so the game
+        # is degenerate and the support scan runs past the simplex's pair.
+        game = matrix_game([[-1, -1], [2, 0], [0, 2], [1, 1]], 2)
         built = systems_built(monkeypatch, game)
-        assert built and all(0 not in rows for rows, _cols in built)
+        assert len(built) > 2 and all(0 not in rows for rows, _cols in built)
         assert solve_constant_sum(game) == reference_constant_sum(game)
 
     def test_no_system_holds_a_strictly_dominated_column(self, monkeypatch):
-        game = matrix_game([[4, 3, 0], [5, 0, 3]], 3)  # column 0 is strictly above column 1
+        # Column 0 is strictly above column 1; columns 1-3 are all optimal.
+        game = matrix_game([[4, 2, 0, 1], [5, 0, 2, 1]], 2)
         built = systems_built(monkeypatch, game)
-        assert built and all(0 not in cols for _rows, cols in built)
+        assert len(built) > 2 and all(0 not in cols for _rows, cols in built)
         assert solve_constant_sum(game) == reference_constant_sum(game)
 
     def test_the_strict_pair_ends_the_work(self, monkeypatch):
@@ -322,12 +336,10 @@ def strictly_complementary(game: MatrixGame, profile) -> bool:
     )
 
 
-def kept_game(game: MatrixGame):
-    """The scaled integer matrix and the undominated rows and columns the
-    solver hands to its simplex."""
+def scaled_game(game: MatrixGame) -> list[list[int]]:
+    """The scaled integer matrix the solver hands to its simplex: the whole game."""
     scale = math.lcm(*(entry.denominator for row in game.payoffs for entry in row))
-    scaled = [[int(entry * scale) for entry in row] for row in game.payoffs]
-    return (scaled, *matrix._undominated(scaled))
+    return [[int(entry * scale) for entry in row] for row in game.payoffs]
 
 
 class TestSimplexFirst:
@@ -351,9 +363,11 @@ class TestSimplexFirst:
         strict = 0
         for index in range(360):
             game = referee_game(rng, index)
+            if index % 6 == 5:  # dominated strategies carry weight 0 and are worth less than the value
+                game = with_dominated_strategies(rng, game)
             expected = reference_constant_sum(game)
             if strictly_complementary(game, expected):
                 strict += 1
-                found = matrix._simplex_supports(*kept_game(game))
+                found = matrix._simplex_supports(scaled_game(game))
                 assert found == (support(expected.row), support(expected.column)), game
         assert strict >= 200
