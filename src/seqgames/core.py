@@ -9,11 +9,11 @@ deviation checks can reason about counterfactual positions.
 
 Values (games, reports, verdicts) are ``Record``s, immutable once built,
 and every operation is a pure function; sharing across threads is safe.
-Every routine over a tree runs on its ``index``: preorder arrays cached on
-the root, which ``TreeIndex`` lays out as ``dsl.parse`` reads a tree, or in
-one iterative walk of a tree built in code on first use.  The work is
-linear in the number of nodes (plus the hashing of path keys) and no depth
-exhausts the recursion limit.
+Every routine over a tree runs on its ``index``: preorder arrays that
+``TreeIndex`` lays out in one iterative walk of the tree on first use and
+caches on the root, for a parsed tree and one built in code alike.  The work
+is linear in the number of nodes (plus the hashing of path keys) and no
+depth exhausts the recursion limit.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ class Node(Record):
 
     @cached_property
     def index(self) -> "TreeIndex":
-        """The flat preorder arrays every tree routine runs on, filled by
-        ``dsl.parse`` for the tree it reads and otherwise built by one walk
-        on first use, then kept: a tree is not to be changed once it is built."""
+        """The flat preorder arrays every tree routine runs on, laid out by
+        ``TreeIndex`` on first use and then kept, whether the tree was parsed
+        or built in code: a tree is not to be changed once it is built."""
         return TreeIndex(self)
 
     def __eq__(self, other: object) -> bool:
@@ -201,93 +201,62 @@ class TreeIndex:
     an index on its root creates no reference cycle.  ``fault`` keeps the
     verdict of ``require_two_players``.
 
-    The arrays are laid out in place, one step per node: ``open`` a decision
-    node, add a ``leaf``, ``close`` the innermost open node once its branches
-    are done (its ``labels`` and ``children`` entries are lists until then),
-    which returns its owner.  Each step names the label of the branch it
-    enters (None at the root) and checks nothing.  ``dsl.parse`` takes the
-    steps on ``TreeIndex()`` and builds each ``Node`` from the owner ``close``
-    returns and the branches it read; ``TreeIndex(root)`` takes them in one
-    iterative walk, which raises ``MalformedGame`` at a decision node without
-    branches, with two branches of the same label or with a branch to neither
-    a leaf nor a node.
+    ``TreeIndex(root)`` is the one place the arrays are laid out: one
+    iterative walk that appends each node's entries as it enters the node,
+    and a decision node's ``children`` tuple and ``postorder`` entry once
+    its last branch is done.  It raises ``MalformedGame`` at a decision node
+    without branches, with two branches of the same label or with a branch to
+    neither a leaf nor a node.
     """
 
-    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "_open", "fault")
+    __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "fault")
 
-    def __init__(self, root: FiniteGame | None = None) -> None:
+    def __init__(self, root: FiniteGame) -> None:
         self.owners: list[int | None] = []
         self.paths: list[PlayLine | None] = []
         self.outcomes: list[OutcomeVector | None] = []
-        self.labels: list = []
+        self.labels: list[tuple[str, ...]] = []
         self.children: list = []
         self.postorder: list[int] = []
-        self._open: list[int] = []  # the decision nodes whose branches are still being added
         self.fault: str | None = None  # why the solvers refuse the tree, "" if they take it, None until looked for
-        frames = [iter(((None, root),))] if root is not None else []  # the branches still to visit
+        owners, paths, outcomes, labels, children = self.owners, self.paths, self.outcomes, self.labels, self.children
+        # One frame per open decision node: its index, its path, its children so far and the
+        # branches still to enter; the first frame holds the root, under no node and no label.
+        frames: list = [(None, (), [], iter(((None, root),)))]
         while frames:
-            for label, sub in frames[-1]:
+            at, path, kids, todo = frames[-1]
+            for label, sub in todo:
+                kids.append(len(outcomes))
                 if isinstance(sub, Leaf):
-                    self.leaf(sub.outcome, label)
+                    owners.append(None)
+                    paths.append(None)
+                    outcomes.append(sub.outcome)
+                    labels.append(())
+                    children.append(())
                     continue
                 if not isinstance(sub, Node):
-                    where = self.path_to(label)[:-1]  # the parent's path
-                    raise MalformedGame(f"branch {label!r} at {where!r} leads to neither a leaf nor a node")
+                    raise MalformedGame(f"branch {label!r} at {path!r} leads to neither a leaf nor a node")
                 branches = sub.branches
+                here = () if at is None else path + (label,)
                 if not branches:
-                    raise MalformedGame(f"no branches at {self.path_to(label)!r}")
-                if len(dict(branches)) < len(branches):  # one key per label
-                    names = [name for name, _ in branches]
-                    twice = next(name for k, name in enumerate(names) if name in names[:k])
-                    raise MalformedGame(f"duplicate branch label {twice!r} at {self.path_to(label)!r}")
-                self.open(sub.owner, label)
-                frames.append(iter(branches))
+                    raise MalformedGame(f"no branches at {here!r}")
+                names = dict(branches)  # one key per label
+                if len(names) < len(branches):
+                    seen = [name for name, _ in branches]
+                    twice = next(name for k, name in enumerate(seen) if name in seen[:k])
+                    raise MalformedGame(f"duplicate branch label {twice!r} at {here!r}")
+                frames.append((len(outcomes), here, [], iter(branches)))
+                owners.append(sub.owner)
+                paths.append(here)
+                outcomes.append(None)
+                labels.append(tuple(names))
+                children.append(None)
                 break
             else:
                 frames.pop()
-                if frames:  # the root's own one-item frame closes nothing
-                    self.close()
-
-    def path_to(self, label: str | None) -> PlayLine:
-        """The path of a node entered next under ``label``."""
-        return self.paths[self._open[-1]] + (label,) if self._open else ()  # type: ignore[operator]
-
-    def open(self, owner: int, label: str | None) -> None:
-        at = len(self.outcomes)
-        path: PlayLine = ()
-        if self._open:
-            parent = self._open[-1]
-            self.labels[parent].append(label)
-            self.children[parent].append(at)
-            path = self.paths[parent] + (label,)  # type: ignore[operator]
-        self._open.append(at)
-        self.owners.append(owner)
-        self.paths.append(path)
-        self.outcomes.append(None)
-        self.labels.append([])
-        self.children.append([])
-
-    def leaf(self, outcome: OutcomeVector, label: str | None) -> None:
-        if self._open:
-            parent = self._open[-1]
-            self.labels[parent].append(label)
-            self.children[parent].append(len(self.outcomes))
-        self.owners.append(None)
-        self.paths.append(None)
-        self.outcomes.append(outcome)
-        self.labels.append(())
-        self.children.append(())
-
-    def close(self) -> int:
-        at = self._open.pop()
-        self.labels[at] = tuple(self.labels[at])
-        self.children[at] = tuple(self.children[at])
-        self.postorder.append(at)
-        return self.owners[at]  # type: ignore[return-value]
-
-    def attach(self, root: FiniteGame) -> None:
-        """Store this finished index as ``root.index``, as its first use would."""
-        root.__dict__["index"] = self  # where ``cached_property`` keeps it
+                if at is not None:
+                    children[at] = tuple(kids)
+                    self.postorder.append(at)
 
 
 def leaf(*outcome: int) -> Leaf:

@@ -40,7 +40,6 @@ from .core import (
     Node,
     Record,
     ShapeMismatch,
-    TreeIndex,
     TreeProfile,
     chosen_branches,
     is_player,
@@ -243,21 +242,21 @@ class _Parser:
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         """``tree`` with an explicit stack of open decision nodes, so any depth
-        parses.  ``TreeIndex``'s steps lay out the ``index`` as it is read, and
-        ``close`` names each ``Node``'s owner.  ``Owner {``, ``label ->`` (a
+        parses; it builds ``Leaf``s and ``Node``s and nothing else, and leaves
+        the ``index`` to its first use.  ``Owner {``, ``label ->`` (a
         scanned word that starts with no digit), ``leaf ( d , d )`` and ``;``
         are matched in place; an owner or label that does not match raises as
         ``expect*`` would, and any other leaf goes through ``parse_leaf_int``.
         A look-ahead stops at the first token that differs, and only the final
         token is empty, so it never reads past the end."""
         tokens = self.tokens
-        index = TreeIndex()
         first_player, second_player = players
         names = {word for word in self.words if not word[0].isdecimal()}
         leaves: dict[tuple[str, str], Leaf] = {}  # one leaf per payoff pair written as plain digits
-        # The innermost open node's branches so far, label to subtree, and in ``frames`` each
-        # enclosing node's, with the label it is reading; no node is open while ``branches`` is None.
+        # The innermost open node's branches so far (label to subtree) and owner, and in ``frames``
+        # each enclosing node's, with the label it is reading; no node is open while ``branches`` is None.
         branches: dict | None = None
+        owner = 0
         frames: list = []
         label: str | None = None  # the label of the branch being read
         pos = self.pos
@@ -280,7 +279,6 @@ class _Parser:
                     self.pos = pos + 1
                     sub = self.parse_leaf_int()
                     pos = self.pos
-                index.leaf(sub.outcome, label)
             else:
                 mover = 0 if token == first_player else 1 if token == second_player else -1
                 if mover < 0 or tokens[pos + 1] != "{":
@@ -288,15 +286,13 @@ class _Parser:
                     self.owner_index(self.expect_name("'leaf' or a player name"), players)
                     raise self.fail("'{'")
                 pos += 2
-                index.open(mover, label)
-                frames.append((branches, label))
-                branches = {}
+                frames.append((branches, label, owner))
+                branches, owner = {}, mover
                 sub = None
             while True:
                 if sub is not None:
                     if branches is None:
                         self.pos = pos
-                        index.attach(sub)
                         return sub
                     branches[label] = sub
                     while tokens[pos] == ";":
@@ -306,8 +302,8 @@ class _Parser:
                     if not branches:
                         raise self.fail("at least one branch", pos)
                     pos += 1
-                    sub = Node(index.close(), tuple(branches.items()))
-                    branches, label = frames.pop()
+                    sub = Node(owner, tuple(branches.items()))
+                    branches, label, owner = frames.pop()
                     continue
                 if token not in names:
                     raise self.fail("an action label", pos)
@@ -377,6 +373,10 @@ class _Parser:
                 else:
                     if parametric:
                         self.expect("advance")
+                    elif self.at("advance"):  # a node may be named ``advance``; then a label and ``->`` follow
+                        first = tokens[self.pos + 1][:1]
+                        if (first.isalpha() or first == "_") and tokens[self.pos + 2] != "->":
+                            raise self.invalid(self.pos, "a cyclic edge names its target node, without 'advance'")
                     ref = self.expect_name("a shape name" if parametric else "a node name or 'leaf'")
                     references.append(ref)
                     moves[tokens[label]] = Advance(tokens[ref])

@@ -16,8 +16,8 @@ the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
 character-by-character ``reference_tokenize`` referee the flat-array tree
 routines and the compiled token scan, which ``scan_tokenize`` exposes in the
 same token form; the depth-first ``reference_instantiate`` referees the
-stage-layered ``instantiate``; ``ReferenceParser``, the tree parser that
-left the index to a later walk, referees the parser that fills it;
+stage-layered ``instantiate``; ``ReferenceParser``, a tree reader with one
+``expect*`` call per token, referees the one that matches tokens in place;
 ``reference_tree_dot``, which orders edges with the event walk
 ``reference_edges``, referees the DOT export of trees; the recursive
 ``reference_index`` referees the index arrays that ``TreeIndex`` lays out;
@@ -954,9 +954,8 @@ def big_random_tree(rng: random.Random, nodes: int) -> Node:
 
 
 class ReferenceParser(_Parser):
-    """The tree parser before it filled the index: the same grammar, errors
-    and checks, one ``expect*`` call per token, and an index left to the
-    first walk."""
+    """The tree reader without in-place matching: the same grammar, errors
+    and checks, and one ``expect*`` call per token."""
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         tokens = self.tokens

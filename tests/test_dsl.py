@@ -198,7 +198,11 @@ class TestParseErrors:
         ("cyclic start=A {\n  A: Alice {\n    a -> leaf(1+2*n,0)\n  }\n}\n",
          ParseError, "3:16: expected ',', found '+'"),  # a cyclic payoff has no slope
         ("cyclic start=A {\n  A: Alice {\n    a -> advance B\n  }\n  B: Bertrand {\n    b -> leaf(0,1)\n  }\n}\n",
-         ParseError, "4:3: expected '->', found '}'"),  # 'advance' is a node name, 'B' the next label
+         ValidationError, "3:10: a cyclic edge names its target node, without 'advance'"),
+        ("cyclic start=A {\n  A: Alice {\n    a -> advance B; c -> leaf(1,1)\n  }\n  B: Bertrand {\n    b -> leaf(0,1)\n  }\n}\n",
+         ValidationError, "3:10: a cyclic edge names its target node, without 'advance'"),
+        ("cyclic start=A {\n  A: Alice {\n    a -> advance _x\n  }\n}\n",
+         ValidationError, "3:10: a cyclic edge names its target node, without 'advance'"),
         ("param start=A {\n  A: Alice {\n    a -> B\n  }\n  B: Bertrand {\n    b -> leaf(0,1)\n  }\n}\n",
          ParseError, "3:10: expected 'advance', found 'B'"),
         ("param start=A {\n  A: Alice {\n    a -> leaf(0,1*n)\n  }\n}\n",
@@ -244,6 +248,15 @@ class TestParseErrors:
     @pytest.mark.parametrize("text, error, message", GRAPH_FAULTS)
     def test_malformed_graph_documents(self, text, error, message):
         assert raised(parse, text) == (error, message)
+
+    def test_a_cyclic_node_may_be_named_advance(self):
+        text = (
+            "players Alice Bertrand\ncyclic start=A {\n  A: Alice {\n    a -> advance\n    b -> leaf(0,0)\n  }\n"
+            "  advance: Bertrand {\n    c -> A\n  }\n}\n"
+        )
+        doc = parse(text)
+        assert doc.game.shapes["A"].moves[0] == ("a", Advance("advance"))
+        assert serialize(doc) == text
 
 
 LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise; 0 for no limit

@@ -1,12 +1,14 @@
-"""The one-pass finite-tree pipeline against its referees.
+"""The finite-tree pipeline against its referees.
 
-``dsl.parse`` fills a tree's index as it reads the tree.  ``ReferenceParser``,
-the parser that left the index to a later walk, referees it on the corpus,
-on seeded random texts and on broken copies of them.  A parse-filled index
-must equal a fresh walk of the same tree, and both must equal
-``reference_index``, which lays the arrays out by plain recursion; a parsed
-tree must compare and hash like the same tree built in code, and ``to_dot``
-must write the bytes of the referee that orders edges with the event walk.
+``dsl.parse`` builds ``Leaf``s and ``Node``s, and ``TreeIndex`` lays out a
+tree's index in one walk on first use.  ``ReferenceParser``, a reader with one
+``expect*`` call per token, referees the parser on the corpus, on seeded
+random texts and on broken copies of them.  The index of a parsed tree must
+equal that of the same tree built in code, and both must equal
+``reference_index``, which lays the arrays out by plain recursion, also on
+trees that share subtrees; a parsed tree must compare and hash like the same
+tree built in code, and ``to_dot`` must write the bytes of the referee that
+orders edges with the event walk.
 """
 
 from __future__ import annotations
@@ -19,18 +21,22 @@ from helpers import (
     big_random_tree,
     chain01,
     deep_random_tree,
+    random_graph,
     random_profile,
     random_tree,
     reference_enumerate_equilibria,
     reference_index,
     reference_parse,
     reference_tree_dot,
+    ring,
     token_spans,
 )
 
 from seqgames.core import Leaf, Node, TreeIndex
+from seqgames.cyclic import unfold
 from seqgames.dsl import GameDoc, ParseError, ValidationError, parse, serialize, to_dot
 from seqgames.finite import enumerate_equilibria, solve
+from seqgames.parametric import dollar_auction, instantiate
 
 PLAYERS = ("Alice", "Bertrand")
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -131,18 +137,13 @@ def trees_and_texts() -> list:
     return [(tree, serialize(GameDoc(PLAYERS, tree))) for tree in referee_trees()]
 
 
-class TestParseFilledIndex:
-    def test_parse_fills_the_index(self, trees_and_texts):
-        for _tree, text in trees_and_texts:
-            game = parse(text).game
-            assert "index" in game.__dict__
-
+class TestParsedAndBuiltTrees:
     def test_arrays_equal_a_fresh_walk(self, trees_and_texts):
         for tree, text in trees_and_texts:
             game = parse(text).game
-            filled = arrays(game.index)
-            assert filled == arrays(TreeIndex(game))
-            assert filled == arrays(TreeIndex(tree))
+            cached = arrays(game.index)
+            assert cached == arrays(TreeIndex(game))
+            assert cached == arrays(TreeIndex(tree))
 
     def test_parsed_and_built_trees_compare_and_hash_alike(self, trees_and_texts):
         for tree, text in trees_and_texts:
@@ -152,15 +153,32 @@ class TestParseFilledIndex:
             assert game != Leaf((0, 0))
 
 
+def shared_trees() -> list:
+    """Trees from ``instantiate``, each a DAG that reaches one ``Node`` object by many paths."""
+    rng = random.Random(4040)
+    trees = [instantiate(dollar_auction(value), stages, (2, 0)) for value in (1, 3, 100) for stages in (1, 2, 7, 30)]
+    trees += [unfold(ring(n), depth, (1, 1)) for n in (1, 2, 5) for depth in (1, 4, 12)]
+    for _ in range(16):
+        game = random_graph(rng, [rng.randint(2, 3) for _ in range(rng.randint(1, 4))], parametric=False)
+        trees.append(unfold(game, rng.randint(1, 6), (0, 0)))
+    return trees
+
+
 class TestRecursiveReferee:
-    """The arrays that ``parse`` lays out and those of the walk, against
-    ``reference_index``, which shares no code with either."""
+    """The arrays of the walk, for parsed trees and trees built in code,
+    against ``reference_index``, which shares no code with it."""
 
     def test_random_trees(self):
         for tree in random_trees(random.Random(2020)):  # the random trees of ``referee_trees``
             want = reference_index(tree)
             assert arrays(parse(serialize(GameDoc(PLAYERS, tree))).game.index) == want
             assert arrays(TreeIndex(tree)) == want
+
+    def test_shared_subtrees(self):
+        for tree in shared_trees():
+            want = reference_index(tree)
+            assert arrays(TreeIndex(tree)) == want
+            assert arrays(parse(serialize(GameDoc(PLAYERS, tree))).game.index) == want
 
     def test_one_leaf_game(self):
         game = parse("players Alice Bertrand\nfinite {\n  leaf(1,0)\n}\n").game
