@@ -18,13 +18,26 @@ depth exhausts the recursion limit.
 
 from __future__ import annotations
 
-from functools import cached_property
 from collections.abc import Mapping
 
 DEFAULT_PLAYERS = ("Alice", "Bertrand")
 
 PlayLine = tuple[str, ...]
 OutcomeVector = tuple[int, ...]
+
+
+class cached_property:
+    """``functools.cached_property`` without the lock it takes on first use on
+    Python 3.10 and 3.11: the first read stores the value in the instance ``__dict__``."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class GameError(Exception):

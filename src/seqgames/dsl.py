@@ -92,8 +92,11 @@ _PUNCT = frozenset({"->", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*",
 # Blanks and comments, then one token: punctuation, a decimal integer, a
 # word, any other character (rejected by ``_scan``) or the end of input.
 # The token group always matches after the greedy skip, so nothing is ever
-# backtracked; ``findall`` returns one or two empty tokens at the end.
-_SCAN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
+# backtracked; ``findall`` returns one or two empty tokens at the end of
+# each string it scans.  ``_scan`` scans each distinct line (``_LINES``) once
+# when at least half of a text's lines repeat an earlier one, else the text.
+_SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
+_LINES = re.compile(r"[ \t\r\n]*([^\n]+)")
 
 
 def _offset(text: str, match: re.Match) -> int:
@@ -123,12 +126,24 @@ def _scan(text: str) -> tuple[list[str], set[str]]:
     A token is punctuation, a run of decimal digits, or a word that starts
     with a letter or ``_`` and goes on with letters, digits or ``_`` (the
     ``str.isalpha``/``str.isalnum`` classes).  Anything else is a
-    ``ParseError`` at the first offending character.
+    ``ParseError`` at the first offending character.  No token runs over a
+    line end, so a text whose lines repeat an earlier one at least half the
+    time (a serialized tree's do) is scanned once per distinct line, any
+    other in one pass: the tokens, words and errors are the same either way.
     """
-    tokens = _SCAN.findall(text)
-    if len(tokens) > 1 and not tokens[-2]:
-        tokens.pop()
-    words = set(tokens) - _PUNCT
+    lines = _LINES.findall(text)
+    found = dict.fromkeys(lines)
+    if 2 * len(found) <= len(lines):
+        for line in found:
+            found[line] = list(filter(None, _SCAN.findall(line)))  # without its end-of-input matches
+        tokens = [*itertools.chain.from_iterable(map(found.__getitem__, lines)), ""]
+        words = set(itertools.chain.from_iterable(found.values()))
+    else:
+        tokens = _SCAN.findall(text)
+        if len(tokens) > 1 and not tokens[-2]:
+            tokens.pop()
+        words = set(tokens)
+    words -= _PUNCT
     words.discard("")
     bad = {word for word in words if not (word[0].isalpha() or word[0] == "_" or word[0].isdecimal())}
     if bad:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from collections.abc import Iterator, Mapping
 
 from .core import (
-    FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch, is_player,
+    FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch,
+    cached_property, is_player,
 )
 from .finite import SpeReport, Violation
 

@@ -340,11 +340,61 @@ def _reference_outcome(text: str):
     return outcome
 
 
+def _per_line(text: str) -> bool:
+    """Whether ``_scan`` scans ``text`` line by line: at least half of its lines repeat an earlier one."""
+    lines = dsl._LINES.findall(text)
+    return 2 * len(set(lines)) <= len(lines)
+
+
+def _words_match(text: str) -> bool:
+    """``_scan``'s words are the texts of the reference's names and integers (when it scans)."""
+    try:
+        words = dsl._scan(text)[1]
+    except ParseError:
+        return True
+    return words == {token.text for token in reference_tokenize(text) if token.kind in ("name", "int")}
+
+
+# One to four lines joined in a drawn order, so that most lines repeat an earlier one
+# and ``_scan`` takes its per-line side, which the short texts above almost never reach.
+_REPEATED_LINES = st.lists(
+    st.text(alphabet=_TOKEN_CHARS.filter(lambda ch: ch != "\n"), max_size=12), min_size=1, max_size=4
+).flatmap(lambda lines: st.lists(st.sampled_from(lines), max_size=16).map("\n".join))
+
+
 class TestTokenizer:
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet=_TOKEN_CHARS, max_size=60))
     def test_matches_the_reference_tokenizer(self, text):
         assert _scan_outcome(scan_tokenize, text) == _reference_outcome(text)
+        assert _words_match(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_REPEATED_LINES)
+    def test_matches_the_reference_on_repeated_lines(self, text):
+        assert _scan_outcome(scan_tokenize, text) == _reference_outcome(text)
+        assert _words_match(text)
+
+    @pytest.mark.parametrize(
+        "text, per_line",
+        [
+            ("a {\na {\nb -> leaf(1,2)\nb -> leaf(1,2)\n", True),  # exactly half of the lines repeat
+            ("a {\na {\nb -> leaf(1,2)\nc }\n", False),  # one repeat fewer
+            ("  x -> leaf(1,2)\r\n  x -> leaf(1,2)\r\n  x -> leaf(1,2)\r\n}\r\n}\r\n", True),
+            ("# note\nleaf(1,2)\n  # note\nleaf(1,2)\n", True),  # a comment-only line that repeats
+            ("finite { leaf(0,1)\n}\n}\n}\n}\n# no newline at the end", True),
+            # a bad character on a line that repeats: the error names its first occurrence
+            ("x -> leaf(0,1)\nx -> leaf(0,1)\n  x -> \x0b\nx -> \x0b\n", True),
+            ("x -> leaf(0,1)\n  x -> \xa0\nx -> \xa0\nx -> \xa0", True),
+            ("x -> leaf(0,1)\nx -> leaf(0,1)\nx -> leaf(²,1)\nx -> leaf(²,1)\n", True),
+            ("", True),
+            (" \t\r\n  \n\r\n ", False),  # blanks only
+        ],
+    )
+    def test_both_sides_match_the_reference(self, text, per_line):
+        assert _per_line(text) is per_line
+        assert _scan_outcome(scan_tokenize, text) == _reference_outcome(text)
+        assert _words_match(text)
 
     @pytest.mark.parametrize("name", GAME_FILES)
     def test_matches_the_reference_on_the_corpus(self, corpus_dir, name):
