@@ -28,7 +28,8 @@ OutcomeVector = tuple[int, ...]
 
 class cached_property:
     """``functools.cached_property`` without the lock it takes on first use on
-    Python 3.10 and 3.11: the first read stores the value in the instance ``__dict__``."""
+    Python 3.10 and 3.11 (3.12 dropped it): the first read stores the value in
+    the instance ``__dict__``."""
 
     def __init__(self, func) -> None:
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__

@@ -95,8 +95,10 @@ _PUNCT = frozenset({"->", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*",
 # backtracked; ``findall`` returns one or two empty tokens at the end of
 # each string it scans.  ``_scan`` scans each distinct line (``_LINES``) once
 # when at least half of a text's lines repeat an earlier one, else the text.
+# ``_LINES`` reads a line from its first non-blank character; its group too
+# always matches, so blank lines cost linear time and match empty only at the end.
 _SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
-_LINES = re.compile(r"[ \t\r\n]*([^\n]+)")
+_LINES = re.compile(r"[ \t\r\n]*([^\n]*)")
 
 
 def _offset(text: str, match: re.Match) -> int:
@@ -131,7 +133,7 @@ def _scan(text: str) -> tuple[list[str], set[str]]:
     time (a serialized tree's do) is scanned once per distinct line, any
     other in one pass: the tokens, words and errors are the same either way.
     """
-    lines = _LINES.findall(text)
+    lines = list(filter(None, _LINES.findall(text)))  # without the empty matches at the end
     found = dict.fromkeys(lines)
     if 2 * len(found) <= len(lines):
         for line in found:
@@ -139,6 +141,7 @@ def _scan(text: str) -> tuple[list[str], set[str]]:
         tokens = [*itertools.chain.from_iterable(map(found.__getitem__, lines)), ""]
         words = set(itertools.chain.from_iterable(found.values()))
     else:
+        del lines, found  # no copy of the lines is kept while the text is scanned
         tokens = _SCAN.findall(text)
         if len(tokens) > 1 and not tokens[-2]:
             tokens.pop()

@@ -8,7 +8,9 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from helpers import (
@@ -341,9 +343,13 @@ def _reference_outcome(text: str):
 
 
 def _per_line(text: str) -> bool:
-    """Whether ``_scan`` scans ``text`` line by line: at least half of its lines repeat an earlier one."""
-    lines = dsl._LINES.findall(text)
-    return 2 * len(set(lines)) <= len(lines)
+    """Whether ``_scan`` scans ``text`` line by line, that is, hands ``_SCAN.findall`` anything but the whole text."""
+    with mock.patch.object(dsl, "_SCAN", mock.Mock(wraps=dsl._SCAN)) as spy:
+        try:
+            dsl._scan(text)
+        except ParseError:
+            pass
+    return [call.args[0] for call in spy.findall.call_args_list] != [text]
 
 
 def _words_match(text: str) -> bool:
@@ -388,13 +394,23 @@ class TestTokenizer:
             ("x -> leaf(0,1)\n  x -> \xa0\nx -> \xa0\nx -> \xa0", True),
             ("x -> leaf(0,1)\nx -> leaf(0,1)\nx -> leaf(²,1)\nx -> leaf(²,1)\n", True),
             ("", True),
-            (" \t\r\n  \n\r\n ", False),  # blanks only
+            (" \t\r\n  \n\r\n ", True),  # blanks only: no line to scan
         ],
     )
     def test_both_sides_match_the_reference(self, text, per_line):
         assert _per_line(text) is per_line
         assert _scan_outcome(scan_tokenize, text) == _reference_outcome(text)
         assert _words_match(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [("leaf(0,1)" + "\n" * 30_000, ["leaf", "(", "0", ",", "1", ")", ""]), ("\n" * 30_000, [""])],
+        ids=["after-a-line", "alone"],
+    )
+    def test_a_long_run_of_blank_lines_scans_in_linear_time(self, text, tokens):
+        start = time.perf_counter()
+        assert dsl._scan(text)[0] == tokens
+        assert time.perf_counter() - start < 1.0  # about 1 ms; a line pattern that backtracks takes seconds
 
     @pytest.mark.parametrize("name", GAME_FILES)
     def test_matches_the_reference_on_the_corpus(self, corpus_dir, name):
