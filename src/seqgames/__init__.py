@@ -42,18 +42,25 @@ _HOME.update(dict.fromkeys(_EXPORTS))
 __all__ = sorted(_HOME)
 
 
-def __getattr__(name: str) -> object:
-    """Import the submodule behind ``name`` and keep the value, so the next
-    lookup finds it without calling here."""
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    qualified = f"{__name__}.{_HOME[name] or name}"
-    __import__(qualified)  # an import statement's path, which ``-X importtime`` logs
-    module = sys.modules[qualified]
-    value = module if _HOME[name] is None else getattr(module, name)
-    globals()[name] = value
-    return value
+def _loader(namespace: dict, homes: dict) -> tuple:
+    """A PEP 562 ``__getattr__`` and ``__dir__`` for the module whose globals are ``namespace``.
+    Each name in ``homes`` loads on first use from the submodule it maps to (a submodule's own
+    name maps to None) by an import statement's path, which ``-X importtime`` logs, and is kept
+    in ``namespace``, so the next lookup finds it without calling here."""
+
+    def __getattr__(name: str) -> object:
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        qualified = f"{__name__}.{homes[name] or name}"
+        __import__(qualified)
+        module = sys.modules[qualified]
+        value = namespace[name] = module if homes[name] is None else getattr(module, name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *homes})
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _loader(globals(), _HOME)

@@ -22,8 +22,10 @@ instead, except between matrix rows where `;` is structural.  ``serialize``
 emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
-A kind's modules are imported inside that kind's branches, so a process
-loads only the kinds it meets.
+This module holds the scanner and the tree reader.  ``parse`` loads the graph
+reader (``dsl_graph``) or the matrix reader (``dsl_matrix``), and with it that
+kind's modules, in its branch for the kind; the writers (``dsl_write``) load on
+first use.  So a process compiles only the readers and kinds it meets.
 """
 
 from __future__ import annotations
@@ -32,24 +34,12 @@ import itertools
 import re
 import sys
 
-from .core import (
-    DEFAULT_PLAYERS,
-    FiniteGame,
-    GameError,
-    Leaf,
-    Node,
-    Record,
-    ShapeMismatch,
-    TreeProfile,
-    chosen_branches,
-    is_player,
-    require_two_players,
-)
+from . import _loader
+from .core import DEFAULT_PLAYERS, FiniteGame, Leaf, Node, Record, ShapeMismatch, TreeProfile, chosen_branches
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
-    from fractions import Fraction
-
+    from .dsl_write import Unwritable, render_profile, serialize, to_dot  # noqa: F401
     from .matrix import MatrixGame
     from .parametric import ParametricGame, StationaryProfile
 
@@ -57,6 +47,10 @@ if TYPE_CHECKING:
     AnyProfile = TreeProfile | StationaryProfile
 
 _GRAPHS = ("cyclic", "param")
+
+__getattr__, __dir__ = _loader(  # the writers, from ``dsl_write`` on first use
+    globals(), dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write")
+)
 
 
 class ParseError(Exception):
@@ -229,9 +223,11 @@ class _Parser:
         if kind == "finite":
             game: Game = self.parse_finite(players)
         elif kind == "matrix":
-            game = self.parse_matrix()
+            from .dsl_matrix import parse_matrix
+            game = parse_matrix(self)
         else:
-            game = self.parse_graph(players, parametric=kind == "param")
+            from .dsl_graph import parse_graph
+            game = parse_graph(self, players, parametric=kind == "param")
         if self.tokens[self.pos]:
             raise self.fail("end of input")
         return GameDoc(players, game)
@@ -333,336 +329,10 @@ class _Parser:
                 label = token
                 break
 
-    # --- cyclic and parametric graphs ----------------------------------
-
-    def parse_payoff(self, sloped: bool) -> tuple[int, int]:
-        """``AFFINE`` as its constant and its slope when ``sloped``, else ``INT`` with slope 0."""
-        const = self.expect_int()
-        token = self.tokens[self.pos]
-        if sloped and token in ("+", "-"):
-            sign = 1 if token == "+" else -1
-            self.pos += 1
-            magnitude = self.expect_int()
-            self.expect("*")
-            name = self.expect_name("'n'")
-            if self.tokens[name] != "n":
-                raise self.fail("'n'", name)
-            return const, sign * magnitude
-        return const, 0
-
-    def parse_graph(self, players: tuple[str, str], parametric: bool) -> Game:
-        """``cyclic`` or ``param``, each node read straight into a ``Shape`` from a label-to-target
-        dict, which also finds a repeated label.  The kind decides only the payoff grammar (``INT``
-        or ``AFFINE``), whether a target starts with ``advance`` and the class built, ``CyclicGame``
-        or ``ParametricGame``.  References are checked once the body is read: edges, then the start."""
-        from .parametric import Advance, AffineLeaf, AffineValue, Shape
-        if parametric:
-            from .parametric import ParametricGame as make_game
-        else:
-            from .cyclic import CyclicGame as make_game
-        tokens = self.tokens
-        self.expect("start")
-        self.expect("=")
-        start = self.expect_name("a node name")
-        self.expect("{")
-        definitions: dict[str, Shape] = {}
-        references: list[int] = []
-        while not self.at("}"):
-            name = self.expect_name("a node name")
-            if tokens[name] in definitions:
-                raise self.invalid(name, f"node {tokens[name]!r} defined twice")
-            self.expect(":")
-            owner = self.owner_index(self.expect_name("a player name"), players)
-            self.expect("{")
-            moves: dict[str, AffineLeaf | Advance] = {}
-            while not self.at("}"):
-                label = self.expect_name("an action label")
-                if tokens[label] in moves:
-                    raise self.invalid(label, f"duplicate edge label {tokens[label]!r}")
-                self.expect("->")
-                if self.at("leaf"):
-                    self.pos += 1
-                    self.expect("(")
-                    first = AffineValue(*self.parse_payoff(parametric))
-                    self.expect(",")
-                    second = AffineValue(*self.parse_payoff(parametric))
-                    self.expect(")")
-                    moves[tokens[label]] = AffineLeaf((first, second))
-                else:
-                    if parametric:
-                        self.expect("advance")
-                    elif self.at("advance"):  # a node may be named ``advance``; then a label and ``->`` follow
-                        first = tokens[self.pos + 1][:1]
-                        if (first.isalpha() or first == "_") and tokens[self.pos + 2] != "->":
-                            raise self.invalid(self.pos, "a cyclic edge names its target node, without 'advance'")
-                    ref = self.expect_name("a shape name" if parametric else "a node name or 'leaf'")
-                    references.append(ref)
-                    moves[tokens[label]] = Advance(tokens[ref])
-                self.skip_separators()
-            if not moves:
-                raise self.fail("at least one edge")
-            self.expect("}")
-            definitions[tokens[name]] = Shape(owner, tuple(moves.items()))
-            self.skip_separators()
-        if not definitions:
-            raise self.fail("at least one node definition")
-        self.expect("}")
-        for ref in references:
-            if tokens[ref] not in definitions:
-                raise self.invalid(ref, f"undefined node {tokens[ref]!r}")
-        if tokens[start] not in definitions:
-            raise self.invalid(start, f"undefined start node {tokens[start]!r}")
-        return make_game(definitions, tokens[start])
-
-    # --- matrices -------------------------------------------------------
-
-    def parse_matrix(self) -> MatrixGame:
-        from fractions import Fraction
-
-        def parse_rational() -> Fraction:
-            numerator = self.expect_int()
-            if self.at("/"):
-                self.pos += 1
-                index = self.pos
-                denominator = self.expect_int()
-                if denominator == 0:
-                    raise self.invalid(index, "zero denominator")
-                return Fraction(numerator, denominator)
-            return Fraction(numerator)
-
-        self.expect("sum")
-        self.expect("=")
-        total = parse_rational()
-        self.expect("{")
-        rows: list[tuple[Fraction, ...]] = []
-        width: int | None = None
-        while True:
-            row: list[Fraction] = []
-            while self.tokens[self.pos][:1].isdecimal() or self.at("-"):  # an entry starts here
-                if width is not None and len(row) == width:
-                    raise self.fail(f"';' after {width} entries")
-                row.append(parse_rational())
-            if not row:
-                raise self.fail("a matrix entry")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise self.fail(f"a row of {width} entries")
-            rows.append(tuple(row))
-            if self.at(";"):
-                self.pos += 1
-                continue
-            break
-        self.expect("}")
-        from . import matrix
-
-        return matrix.MatrixGame(tuple(rows), total)
-
 
 def parse(text: str) -> GameDoc:
     """Parse a ``.game`` document; structural problems are parse-time errors."""
     return _Parser(text).parse_doc()
-
-
-# --- serialization ------------------------------------------------------
-
-
-def _serialize_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _serialize_tree(tree: Node, players: tuple[str, str], out: list[str]) -> None:
-    """The lines between ``finite {`` and its ``}`` for a decision-node root,
-    with an explicit stack of branch iterators (no paths are needed)."""
-    out.append(f"  {players[tree.owner]} {{")
-    stack = [("    ", iter(tree.branches))]
-    while stack:
-        pad, pending = stack[-1]
-        for label, child in pending:
-            if isinstance(child, Leaf):
-                out.append(f"{pad}{label} -> leaf({child.outcome[0]},{child.outcome[1]})")
-            else:
-                out.append(f"{pad}{label} -> {players[child.owner]} {{")
-                stack.append((pad + "  ", iter(child.branches)))
-                break
-        else:
-            stack.pop()
-            out.append(f"{pad[2:]}}}")
-
-
-class Unwritable(GameError):
-    """A game built in code has no text form: ``serialize`` would write text
-    that ``parse`` rejects or reads as another game."""
-
-
-def _require_names(what: str, names) -> None:
-    """``Unwritable`` unless each of ``names`` scans back as one name token."""
-    for name in names:
-        if isinstance(name, str) and (
-            name.isascii() and name.isidentifier()  # [A-Za-z_][A-Za-z0-9_]*, without a regex
-            or (name[:1].isalpha() or name[:1] == "_") and _SCAN.match(name).group(1) == name  # type: ignore[union-attr]
-        ):
-            continue
-        raise Unwritable(f"{what} {name!r} does not scan as one name")
-
-
-def _require_writable(doc: GameDoc) -> None:
-    """``Unwritable`` unless ``serialize`` writes text that parses back to ``doc``
-    (``MalformedGame`` for a code-built tree whose branches break the rules)."""
-    players, game = doc.players, doc.game
-    kind = getattr(game, "KIND", None)  # None for an object that is no game
-    _require_names("player", players)
-    if kind == "finite":
-        index = game.index  # a tree built in code is walked here, which checks its branches
-        owners = index.owners  # not a set, which keeps one of 1 and 1.0
-        decisions = dict.fromkeys(label for names in dict.fromkeys(index.labels) for label in names)  # in preorder
-        for outcome in dict.fromkeys(index.outcomes):  # each distinct vector once, in preorder
-            if outcome is not None and len(outcome) != 2:
-                raise Unwritable(f"payoff vector {outcome!r} is not a pair")
-        payoffs = list(itertools.chain.from_iterable(filter(None, index.outcomes)))  # every value of every leaf
-        keyword = "leaf"  # an owner named so would read as a leaf
-    elif kind in _GRAPHS:
-        _require_names("name", game.shapes)
-        if kind == "cyclic" and any(
-            not target.LEAF and target.shape == "leaf"
-            for shape in game.shapes.values()
-            for _label, target in shape.moves
-        ):
-            raise Unwritable("an edge to a node named 'leaf' would read as a leaf")
-        owners = {shape.owner for shape in game.shapes.values()}
-        decisions = dict.fromkeys(label for labels in game.labels.values() for label in labels)
-        leaves = (target for shape in game.shapes.values() for _label, target in shape.moves if target.LEAF)
-        payoffs = [number for target in leaves for value in target.outcome for number in (value.const, value.slope)]
-        keyword = None
-    else:
-        return
-    if set(map(type, payoffs)) - {int}:  # the types of all, as 1, 1.0 and True are equal
-        number = next(number for number in payoffs if type(number) is not int)
-        raise Unwritable(f"payoff {number!r} is not an integer")
-    for owner in owners:
-        if owner is None:
-            continue
-        if not is_player(owner):
-            raise Unwritable(f"owner {owner!r} is neither player 0 nor player 1")
-        if players[owner] == keyword:
-            raise Unwritable(f"player {keyword!r} owns a decision node, which would read as a leaf")
-    if players[0] == players[1] and 1 in owners:  # the name reads back as player 0
-        raise Unwritable(f"both players are named {players[0]!r}")
-    _require_names("label", decisions)
-
-
-def serialize(doc: GameDoc) -> str:
-    """Canonical text: explicit header, 2-space indents, LF endings.
-
-    Raises ``Unwritable`` for a game built in code that the text cannot
-    express, such as a name that does not scan as one name."""
-    _require_writable(doc)
-    out: list[str] = [f"players {doc.players[0]} {doc.players[1]}"]
-    game = doc.game
-    kind = getattr(game, "KIND", None)
-    if kind == "finite":
-        out.append("finite {")
-        if isinstance(game, Leaf):
-            out.append(f"  leaf({game.outcome[0]},{game.outcome[1]})")
-        else:
-            _serialize_tree(game, doc.players, out)
-        out.append("}")
-    elif kind in _GRAPHS:
-        # A slope-0 payoff prints as its constant, so a cyclic game's leaves read as ints.
-        advance = "" if kind == "cyclic" else "advance "
-        out.append(f"{kind} start={game.start} {{")
-        for name, shape in game.shapes.items():
-            out.append(f"  {name}: {doc.players[shape.owner]} {{")
-            for label, target in shape.moves:
-                if target.LEAF:
-                    out.append(f"    {label} -> leaf({target.outcome[0]},{target.outcome[1]})")
-                else:
-                    out.append(f"    {label} -> {advance}{target.shape}")
-            out.append("  }")
-        out.append("}")
-    elif kind == "matrix":
-        out.append(f"matrix sum={_serialize_rational(game.total)} {{")
-        for i, row in enumerate(game.payoffs):
-            rendered = " ".join(_serialize_rational(entry) for entry in row)
-            out.append(f"  {rendered};" if i < len(game.payoffs) - 1 else f"  {rendered}")
-        out.append("}")
-    else:
-        raise TypeError(f"unsupported game kind: {type(game).__name__}")
-    return "\n".join(out) + "\n"
-
-
-# --- DOT export ----------------------------------------------------------
-
-_HIGHLIGHT = ",penwidth=2,style=bold"
-
-
-def _dot_escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def to_dot(doc: GameDoc, highlight: AnyProfile | None = None) -> str:
-    """DOT digraph with deterministic node names (preorder/declaration index).
-
-    Decision nodes show player names, leaves show outcome tuples, edges show
-    action labels; the edges a highlighted profile chooses are emitted with
-    ``penwidth=2,style=bold``.  A tree the solvers refuse raises ``NotTwoPlayer``.
-    """
-    nodes: list[str] = []
-    edges: list[str] = []
-    fresh = (f"n{number}" for number in itertools.count())  # node names in creation order
-    game = doc.game
-    kind = getattr(game, "KIND", None)
-    if kind == "finite":
-        require_two_players(game)
-        index = game.index
-        picks = None if highlight is None else chosen_branches(game, highlight)  # type: ignore[arg-type]
-        children, labels, paths = index.children, index.labels, index.paths
-        owners = [_dot_escape(player) for player in doc.players]
-        texts = {outcome: ",".join(map(str, outcome)) for outcome in set(index.outcomes) - {None}}
-        nodes = [f'  n{at} [label="{owners[owner] if outcome is None else texts[outcome]}"];'  # type: ignore[index]
-                 for at, (owner, outcome) in enumerate(zip(index.owners, index.outcomes))]
-        escaped = {name: _dot_escape(name) for names in set(labels) for name in names}
-        # The edge into each node but the root goes to the node's rank in the postorder of all nodes:
-        # where its subtree ends in preorder (its next sibling, or its parent's end) less its depth and 1.
-        edges = [""] * (len(children) - 1)
-        ends = [len(children)] * len(children)  # set by each parent, which comes first in the reversed postorder
-        for parent in reversed(index.postorder):
-            kids, names, shift = children[parent], labels[parent], len(paths[parent]) + 2  # a child's depth + 1
-            chosen, end, position = -1 if picks is None else picks[parent], ends[parent], len(kids)
-            for child in reversed(kids):
-                position -= 1
-                ends[child] = end
-                bold = _HIGHLIGHT if position == chosen else ""
-                edges[end - shift] = f'  n{parent} -> n{child} [label="{escaped[names[position]]}"{bold}];'
-                end = child
-    elif kind in _GRAPHS:
-        if highlight is not None:
-            game.check_profile(highlight)
-        idents = {name: next(fresh) for name in game.shapes}
-        for name, shape in game.shapes.items():
-            label = f"{name}: {doc.players[shape.owner]}"
-            nodes.append(f'  {idents[name]} [label="{_dot_escape(label)}"];')
-        for name, shape in game.shapes.items():
-            for label, target in shape.moves:
-                if target.LEAF:
-                    child = next(fresh)
-                    rendered = ",".join(str(v) for v in target.outcome)
-                    nodes.append(f'  {child} [label="{_dot_escape(rendered)}"];')
-                else:
-                    child = idents[target.shape]
-                bold = _HIGHLIGHT if highlight is not None and highlight[name] == label else ""  # type: ignore[index]
-                edges.append(f'  {idents[name]} -> {child} [label="{_dot_escape(label)}"{bold}];')
-    elif kind == "matrix":
-        if highlight is not None:
-            raise ShapeMismatch("matrix games have no highlightable profile")
-        ident = next(fresh)
-        label = f"matrix {game.rows}x{game.cols} sum={_serialize_rational(game.total)}"
-        nodes.append(f'  {ident} [label="{_dot_escape(label)}"];')
-    else:
-        raise TypeError(f"unsupported game kind: {type(game).__name__}")
-    return "\n".join(["digraph game {", *nodes, *edges, "}"]) + "\n"
 
 
 # --- profile files --------------------------------------------------------
@@ -704,20 +374,3 @@ def parse_profile_text(text: str, game: Game) -> dict:
         return entries
     raise ShapeMismatch("matrix games take no profile")
 
-
-def render_profile(game: Game, profile: AnyProfile) -> str:
-    """Canonical profile-file text for ``game``; the profile must fit the
-    game as ``parse_profile_text`` requires."""
-    if isinstance(game, (Leaf, Node)):
-        index, picks = game.index, chosen_branches(game, profile)  # type: ignore[arg-type]
-        lines = [
-            f"{render_tree_path(path)} = {names[pick]}"
-            for path, names, pick in zip(index.paths, index.labels, picks)
-            if pick is not None
-        ]
-    elif game.KIND in _GRAPHS:
-        game.check_profile(profile)  # type: ignore[arg-type]
-        lines = [f"{name} = {profile[name]}" for name in game.shapes]  # type: ignore[index]
-    else:
-        raise ShapeMismatch("matrix games take no profile")
-    return "\n".join(lines) + "\n" if lines else ""

@@ -19,12 +19,15 @@ import sys
 import pytest
 
 import seqgames
-from seqgames import core, cyclic, dsl, escalation, finite, matrix, parametric
+from seqgames import cli, core, cyclic, dsl, dsl_write, escalation, finite, matrix, parametric
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_corpus.json"
 COMMANDS = ("solve", "enumerate", "check", "unfold", "auction", "simulate", "matrix", "export")
 FINITE_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.finite"}
+# A tree command compiles every line of FINITE_PATH's sources, so their total is its cost at cold start.
+FINITE_PATH_LINES = 1400
+WRITER, GRAPH_READER, MATRIX_READER = "seqgames.dsl_write", "seqgames.dsl_graph", "seqgames.dsl_matrix"
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -73,30 +76,50 @@ class TestModulesLoaded:
         done = fresh("-c", "import json, sys, seqgames; print(json.dumps(sorted(sys.modules)))")
         assert package(set(json.loads(done.stdout))) == {"seqgames"}
 
-    @pytest.mark.parametrize("argv", [["solve", "corpus/zero_one_7.game"], ["--help"]])
-    def test_solve_and_help_load_the_finite_path_only(self, argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "corpus/zero_one_7.game"],
+            ["--help"],
+            ["check", "corpus/matching_pennies_seq.game", "--profile", "corpus/profiles/pennies_eq_first.profile"],
+            ["enumerate", "corpus/matching_pennies_seq.game"],
+        ],
+        ids=["solve", "help", "check", "enumerate"],
+    )
+    def test_tree_commands_and_help_load_the_finite_path_only(self, argv):
+        # No writer, no graph or matrix reader and no graph or matrix command module.
         assert package(loaded(*argv)) == FINITE_PATH
+
+    def test_the_finite_path_stays_small(self):
+        files = [ROOT / "src" / "seqgames" / f"{name.partition('.')[2] or '__init__'}.py" for name in FINITE_PATH]
+        lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in files}
+        assert sum(lines.values()) <= FINITE_PATH_LINES, lines
 
     @pytest.mark.parametrize(
         ("argv", "present", "absent"),
         [
             (
                 ["matrix", "corpus/rps_zerosum.game"],
-                {"seqgames.matrix"},
-                {"seqgames.cyclic", "seqgames.parametric", "seqgames.escalation"},
+                {"seqgames.matrix", MATRIX_READER},
+                {"seqgames.cyclic", "seqgames.parametric", "seqgames.escalation", GRAPH_READER, WRITER},
             ),
             (
                 ["enumerate", "corpus/zero_one_cyclic.game"],
-                {"seqgames.cyclic", "seqgames.parametric"},
-                {"seqgames.matrix", "seqgames.escalation", "fractions"},
+                {"seqgames.cyclic", "seqgames.parametric", GRAPH_READER},
+                {"seqgames.matrix", "seqgames.escalation", "fractions", MATRIX_READER, WRITER},
             ),
             (
                 ["simulate", "corpus/zero_one_param.game", "--horizon", "5", "--seed", "7"],
-                {"seqgames.escalation", "seqgames.parametric"},
-                {"seqgames.matrix", "seqgames.cyclic"},
+                {"seqgames.escalation", "seqgames.parametric", GRAPH_READER},
+                {"seqgames.matrix", "seqgames.cyclic", MATRIX_READER, WRITER},
+            ),
+            (
+                ["check", "corpus/zero_one_cyclic.game", "--profile", "corpus/profiles/loop_alice_abandons.profile"],
+                {"seqgames.cyclic", "seqgames.parametric", GRAPH_READER},
+                {"seqgames.matrix", "seqgames.cli_kinds", MATRIX_READER, WRITER},
             ),
         ],
-        ids=["matrix", "enumerate-cyclic", "simulate-param"],
+        ids=["matrix", "enumerate-cyclic", "simulate-param", "check-cyclic"],
     )
     def test_a_command_loads_its_own_kind(self, argv, present, absent):
         modules = loaded(*argv)
@@ -128,8 +151,15 @@ class TestWithoutSite:
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "corpus/zero_one_7.game"], ["enumerate", "corpus/zero_one_cyclic.game"]],
-    ids=["solve", "enumerate-cyclic"],
+    [
+        ["solve", "corpus/zero_one_7.game"],
+        ["enumerate", "corpus/zero_one_cyclic.game"],
+        ["export", "corpus/zero_one_7.game", "--dot"],
+        ["unfold", "corpus/zero_one_cyclic.game", "--depth", "3", "--terminal", "1,0"],
+        ["matrix", "corpus/rps_zerosum.game"],
+        ["simulate", "corpus/zero_one_param.game", "--horizon", "5", "--seed", "7"],
+    ],
+    ids=["solve", "enumerate-cyclic", "export-tree", "unfold", "matrix", "simulate-param"],
 )
 def test_importtime_logs_every_package_module_loaded(argv):
     """``-X importtime`` writes a line for each module of the package that a
@@ -282,6 +312,43 @@ class TestPublicNames:
     def test_unknown_name_is_an_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             seqgames.no_such_name  # noqa: B018
+        for module in (dsl, cli):
+            with pytest.raises(AttributeError, match=f"{module.__name__}'.* 'no_such_name'"):
+                module.no_such_name  # noqa: B018
+
+    def test_the_writers_keep_their_names_in_dsl(self):
+        from seqgames.dsl import Unwritable, render_profile, serialize, to_dot
+
+        writers = {"Unwritable": Unwritable, "render_profile": render_profile, "serialize": serialize, "to_dot": to_dot}
+        assert writers == {name: getattr(dsl_write, name) for name in writers}
+        assert seqgames.serialize is dsl_write.serialize and seqgames.Unwritable is dsl_write.Unwritable
+        assert set(writers) <= set(dir(dsl))
+
+    def test_every_command_is_an_attribute_of_cli(self):
+        assert all(callable(getattr(cli, f"_cmd_{command}")) for command in COMMANDS)
+        assert {f"_cmd_{command}" for command in COMMANDS} <= set(dir(cli))
+
+    def test_run_calls_the_patched_command(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_matrix", lambda args: calls.append(args.file) or (None, ["patched"], 0))
+        assert cli.run(["matrix", "corpus/rps_zerosum.game"]) == 0
+        assert calls == ["corpus/rps_zerosum.game"]
+
+    def test_first_use_in_a_fresh_process(self):
+        """Each name resolves through the loader when its module is not loaded yet."""
+        code = (
+            "import sys\n"
+            "from seqgames import cli\n"
+            "assert not {'seqgames.dsl_write', 'seqgames.cli_kinds'} & set(sys.modules)\n"
+            "from seqgames.dsl import Unwritable, render_profile, serialize, to_dot\n"
+            "command = cli._cmd_matrix\n"
+            "from seqgames import cli_kinds, dsl_write\n"
+            "assert (Unwritable, render_profile, serialize, to_dot) == (dsl_write.Unwritable,"
+            " dsl_write.render_profile, dsl_write.serialize, dsl_write.to_dot)\n"
+            "assert command is cli_kinds._cmd_matrix\n"
+        )
+        done = fresh("-c", code)
+        assert done.returncode == 0, done.stderr
 
     def test_limit_errors_share_one_base(self):
         assert seqgames.LimitExceeded is core.LimitExceeded

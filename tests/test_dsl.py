@@ -27,7 +27,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgames import dsl
+from seqgames import dsl, dsl_write
 from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, ShapeMismatch, leaf, node
 from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import (
@@ -504,7 +504,7 @@ class TestSerialize:
     def test_graph_writers_run_no_import_statement(self):
         # A move's target says itself whether it is a leaf, so the writers need no graph module.
         assert AffineLeaf.LEAF is True and Advance.LEAF is False
-        for writer in (dsl._require_writable, serialize, to_dot):
+        for writer in (dsl_write._require_writable, serialize, to_dot):
             assert "import" not in inspect.getsource(writer), writer.__name__
 
     @settings(max_examples=60, deadline=None)
