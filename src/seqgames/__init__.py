@@ -43,10 +43,9 @@ __all__ = sorted(_HOME)
 
 
 def _loader(namespace: dict, homes: dict) -> tuple:
-    """A PEP 562 ``__getattr__`` and ``__dir__`` for the module whose globals are ``namespace``.
-    Each name in ``homes`` loads on first use from the submodule it maps to (a submodule's own
-    name maps to None) by an import statement's path, which ``-X importtime`` logs, and is kept
-    in ``namespace``, so the next lookup finds it without calling here."""
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the globals ``namespace``: each name in ``homes`` is
+    imported from its submodule (None: the submodule itself) by ``__import__``, which ``-X importtime``
+    logs, and kept in ``namespace``."""
 
     def __getattr__(name: str) -> object:
         if name not in homes:
@@ -54,8 +53,7 @@ def _loader(namespace: dict, homes: dict) -> tuple:
         qualified = f"{__name__}.{homes[name] or name}"
         __import__(qualified)
         module = sys.modules[qualified]
-        value = namespace[name] = module if homes[name] is None else getattr(module, name)
-        return value
+        return namespace.setdefault(name, module if homes[name] is None else getattr(module, name))
 
     def __dir__() -> list[str]:
         return sorted({*namespace, *homes})

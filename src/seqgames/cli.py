@@ -14,10 +14,8 @@ exit_code)``, writing nothing; ``run`` alone writes the JSON of the payload or
 the joined lines, to ``--out`` or stdout. A ``None`` payload (``export``) means
 the text whatever ``--format`` says. ``simulate`` adds its trace lines, which go
 to ``--out`` while its report goes to stdout. Each command imports the modules
-of the game kind it runs, read from ``KIND``. ``unfold``, ``auction``,
-``simulate``, ``matrix`` and the graph half of ``enumerate`` live in
-``cli_kinds``, which loads on first use, so a tree command compiles neither it
-nor the graph and matrix readers.
+of the game kind it runs, read from ``KIND``; the graph and matrix commands
+live in ``cli_kinds``, loaded on first use.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
     import argparse
 
-__getattr__, __dir__ = _loader(  # the graph and matrix commands, from ``cli_kinds`` on first use
-    globals(), dict.fromkeys(("_cmd_unfold", "_cmd_auction", "_cmd_simulate", "_cmd_matrix"), "cli_kinds")
-)
+_KINDS = dict.fromkeys(("_cmd_unfold", "_cmd_auction", "_cmd_simulate", "_cmd_matrix"), "cli_kinds")  # on first use
+__getattr__, __dir__ = _loader(globals(), _KINDS)
 
 _PROFILE_HELP = (
     "profile files have one 'key = action' line per decision point; keys are "
@@ -327,5 +324,5 @@ def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
 
-if __name__ == "__main__":  # ``python -m seqgames.cli`` runs ``seqgames.__main__``, so ``run`` and the
-    __import__(f"{__package__}.__main__")  # commands in ``cli_kinds`` share one ``cli`` and its error classes
+if __name__ == "__main__":  # run ``seqgames.cli``, the module ``cli_kinds`` imports, not this copy of it
+    __import__(f"{__package__}.cli").cli.main()

@@ -1,6 +1,5 @@
-"""The commands of the graph and matrix kinds (``unfold``, ``auction``, ``simulate``,
-``matrix``) and the graph half of ``enumerate``, which ``cli`` loads on first use, so
-a tree command never compiles them.  Each imports the modules of the kind it runs."""
+"""The graph and matrix commands (``unfold``, ``auction``, ``simulate``, ``matrix``, the graph half of
+``enumerate``), which ``cli`` loads on first use.  Each imports the modules of the kind it runs."""
 
 from __future__ import annotations
 

@@ -22,10 +22,8 @@ instead, except between matrix rows where `;` is structural.  ``serialize``
 emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
-This module holds the scanner and the tree reader.  ``parse`` loads the graph
-reader (``dsl_graph``) or the matrix reader (``dsl_matrix``), and with it that
-kind's modules, in its branch for the kind; the writers (``dsl_write``) load on
-first use.  So a process compiles only the readers and kinds it meets.
+Here are the scanner and the tree reader; the graph and matrix readers live in
+``parametric`` and ``matrix``, and the writers in ``dsl_write``, loaded on first use.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .core import DEFAULT_PLAYERS, FiniteGame, Leaf, Node, Record, ShapeMismatch
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
-    from .dsl_write import Unwritable, render_profile, serialize, to_dot  # noqa: F401
     from .matrix import MatrixGame
     from .parametric import ParametricGame, StationaryProfile
 
@@ -48,9 +45,8 @@ if TYPE_CHECKING:
 
 _GRAPHS = ("cyclic", "param")
 
-__getattr__, __dir__ = _loader(  # the writers, from ``dsl_write`` on first use
-    globals(), dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write")
-)
+_WRITERS = dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write")  # on first use
+__getattr__, __dir__ = _loader(globals(), _WRITERS)
 
 
 class ParseError(Exception):
@@ -223,10 +219,10 @@ class _Parser:
         if kind == "finite":
             game: Game = self.parse_finite(players)
         elif kind == "matrix":
-            from .dsl_matrix import parse_matrix
+            from .matrix import parse_matrix
             game = parse_matrix(self)
         else:
-            from .dsl_graph import parse_graph
+            from .parametric import parse_graph
             game = parse_graph(self, players, parametric=kind == "param")
         if self.tokens[self.pos]:
             raise self.fail("end of input")

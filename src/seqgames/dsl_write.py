@@ -15,9 +15,6 @@ if TYPE_CHECKING:
     from .dsl import AnyProfile, Game, GameDoc
 
 
-# --- serialization ------------------------------------------------------
-
-
 def _serialize_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)

@@ -302,3 +302,43 @@ def best_response_value(
         game.total - sum(mix[i] * game.payoffs[i][j] for i in range(game.rows))
         for j in range(game.cols)
     )
+
+
+def parse_matrix(parser) -> MatrixGame:
+    """``matrix`` for ``dsl._Parser`` ``parser``, which ``dsl`` imports for a matrix document only."""
+    def parse_rational() -> Fraction:
+        numerator = parser.expect_int()
+        if parser.at("/"):
+            parser.pos += 1
+            index = parser.pos
+            denominator = parser.expect_int()
+            if denominator == 0:
+                raise parser.invalid(index, "zero denominator")
+            return Fraction(numerator, denominator)
+        return Fraction(numerator)
+
+    parser.expect("sum")
+    parser.expect("=")
+    total = parse_rational()
+    parser.expect("{")
+    rows: list[tuple[Fraction, ...]] = []
+    width: int | None = None
+    while True:
+        row: list[Fraction] = []
+        while parser.tokens[parser.pos][:1].isdecimal() or parser.at("-"):  # an entry starts here
+            if width is not None and len(row) == width:
+                raise parser.fail(f"';' after {width} entries")
+            row.append(parse_rational())
+        if not row:
+            raise parser.fail("a matrix entry")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise parser.fail(f"a row of {width} entries")
+        rows.append(tuple(row))
+        if parser.at(";"):
+            parser.pos += 1
+            continue
+        break
+    parser.expect("}")
+    return MatrixGame(tuple(rows), total)

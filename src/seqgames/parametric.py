@@ -437,3 +437,84 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
 def from_cyclic(game: ParametricGame) -> ParametricGame:
     """The same shapes and start as a plain ``ParametricGame`` (the benchmark harness calls this)."""
     return ParametricGame(game.shapes, game.start)
+
+
+def parse_payoff(parser, sloped: bool) -> tuple[int, int]:
+    """``AFFINE`` as its constant and its slope when ``sloped``, else ``INT`` with slope 0."""
+    const = parser.expect_int()
+    token = parser.tokens[parser.pos]
+    if sloped and token in ("+", "-"):
+        sign = 1 if token == "+" else -1
+        parser.pos += 1
+        magnitude = parser.expect_int()
+        parser.expect("*")
+        name = parser.expect_name("'n'")
+        if parser.tokens[name] != "n":
+            raise parser.fail("'n'", name)
+        return const, sign * magnitude
+    return const, 0
+
+
+def parse_graph(parser, players: tuple[str, str], parametric: bool) -> ParametricGame:
+    """``cyclic`` or ``param`` for ``dsl._Parser`` ``parser``, which ``dsl`` imports for a graph document
+    only.  Each node is read straight into a ``Shape`` from a label-to-target dict, which also finds a
+    repeated label.  The kind decides only the payoff grammar (``INT`` or ``AFFINE``), whether a target
+    starts with ``advance`` and the class built, ``CyclicGame`` or ``ParametricGame``.  References are
+    checked once the body is read: edges, then the start."""
+    if parametric:
+        make_game = ParametricGame
+    else:
+        from .cyclic import CyclicGame as make_game
+    tokens = parser.tokens
+    parser.expect("start")
+    parser.expect("=")
+    start = parser.expect_name("a node name")
+    parser.expect("{")
+    definitions: dict[str, Shape] = {}
+    references: list[int] = []
+    while not parser.at("}"):
+        name = parser.expect_name("a node name")
+        if tokens[name] in definitions:
+            raise parser.invalid(name, f"node {tokens[name]!r} defined twice")
+        parser.expect(":")
+        owner = parser.owner_index(parser.expect_name("a player name"), players)
+        parser.expect("{")
+        moves: dict[str, AffineLeaf | Advance] = {}
+        while not parser.at("}"):
+            label = parser.expect_name("an action label")
+            if tokens[label] in moves:
+                raise parser.invalid(label, f"duplicate edge label {tokens[label]!r}")
+            parser.expect("->")
+            if parser.at("leaf"):
+                parser.pos += 1
+                parser.expect("(")
+                first = AffineValue(*parse_payoff(parser, parametric))
+                parser.expect(",")
+                second = AffineValue(*parse_payoff(parser, parametric))
+                parser.expect(")")
+                moves[tokens[label]] = AffineLeaf((first, second))
+            else:
+                if parametric:
+                    parser.expect("advance")
+                elif parser.at("advance"):  # a node may be named ``advance``; then a label and ``->`` follow
+                    first = tokens[parser.pos + 1][:1]
+                    if (first.isalpha() or first == "_") and tokens[parser.pos + 2] != "->":
+                        raise parser.invalid(parser.pos, "a cyclic edge names its target node, without 'advance'")
+                ref = parser.expect_name("a shape name" if parametric else "a node name or 'leaf'")
+                references.append(ref)
+                moves[tokens[label]] = Advance(tokens[ref])
+            parser.skip_separators()
+        if not moves:
+            raise parser.fail("at least one edge")
+        parser.expect("}")
+        definitions[tokens[name]] = Shape(owner, tuple(moves.items()))
+        parser.skip_separators()
+    if not definitions:
+        raise parser.fail("at least one node definition")
+    parser.expect("}")
+    for ref in references:
+        if tokens[ref] not in definitions:
+            raise parser.invalid(ref, f"undefined node {tokens[ref]!r}")
+    if tokens[start] not in definitions:
+        raise parser.invalid(start, f"undefined start node {tokens[start]!r}")
+    return make_game(definitions, tokens[start])

@@ -27,7 +27,7 @@ COMMANDS = ("solve", "enumerate", "check", "unfold", "auction", "simulate", "mat
 FINITE_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.finite"}
 # A tree command compiles every line of FINITE_PATH's sources, so their total is its cost at cold start.
 FINITE_PATH_LINES = 1400
-WRITER, GRAPH_READER, MATRIX_READER = "seqgames.dsl_write", "seqgames.dsl_graph", "seqgames.dsl_matrix"
+WRITER = "seqgames.dsl_write"  # the graph reader lives in ``parametric`` and the matrix reader in ``matrix``
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -100,23 +100,23 @@ class TestModulesLoaded:
         [
             (
                 ["matrix", "corpus/rps_zerosum.game"],
-                {"seqgames.matrix", MATRIX_READER},
-                {"seqgames.cyclic", "seqgames.parametric", "seqgames.escalation", GRAPH_READER, WRITER},
+                {"seqgames.matrix"},
+                {"seqgames.cyclic", "seqgames.parametric", "seqgames.escalation", WRITER},
             ),
             (
                 ["enumerate", "corpus/zero_one_cyclic.game"],
-                {"seqgames.cyclic", "seqgames.parametric", GRAPH_READER},
-                {"seqgames.matrix", "seqgames.escalation", "fractions", MATRIX_READER, WRITER},
+                {"seqgames.cyclic", "seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.escalation", "fractions", WRITER},
             ),
             (
                 ["simulate", "corpus/zero_one_param.game", "--horizon", "5", "--seed", "7"],
-                {"seqgames.escalation", "seqgames.parametric", GRAPH_READER},
-                {"seqgames.matrix", "seqgames.cyclic", MATRIX_READER, WRITER},
+                {"seqgames.escalation", "seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.cyclic", WRITER},
             ),
             (
                 ["check", "corpus/zero_one_cyclic.game", "--profile", "corpus/profiles/loop_alice_abandons.profile"],
-                {"seqgames.cyclic", "seqgames.parametric", GRAPH_READER},
-                {"seqgames.matrix", "seqgames.cli_kinds", MATRIX_READER, WRITER},
+                {"seqgames.cyclic", "seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.cli_kinds", WRITER},
             ),
         ],
         ids=["matrix", "enumerate-cyclic", "simulate-param", "check-cyclic"],
@@ -227,6 +227,20 @@ def test_golden_case_in_a_fresh_process(case):
     done = fresh("-m", "seqgames", *case["argv"])
     got = (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8"))
     assert got == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "corpus/zero_one_7.game"], ["matrix", "corpus/rps_zerosum.game"], ["solve"]],
+    ids=["solve", "matrix", "usage-error"],
+)
+def test_python_m_seqgames_cli_runs_as_python_m_seqgames(argv):
+    """``cli`` run as ``__main__`` hands over to ``seqgames.cli``, whose commands ``cli_kinds`` imports."""
+    via_cli, via_package = fresh("-m", "seqgames.cli", *argv), fresh("-m", "seqgames", *argv)
+    assert via_cli.stdout or via_cli.stderr
+    assert (via_cli.returncode, via_cli.stdout, via_cli.stderr) == (
+        via_package.returncode, via_package.stdout, via_package.stderr
+    )
 
 
 def _ring(size: int) -> str:
