@@ -124,17 +124,18 @@ def detect_escalation(
     ``require_equilibria`` set, each belief must pass the equilibrium check
     first.  The walk composes the beliefs shape by shape as play reaches them.
     """
-    per_player = (beliefs.belief_of_a, beliefs.belief_of_b)
-    for player, belief in enumerate(per_player):
-        if not require_equilibria:
-            game.check_profile(belief)
-        elif not check_spe_param(game, belief).ok:  # validates the belief first
-            raise BeliefNotEquilibrium(player)
-    path, end = _walk(game, per_player, game.start)
+    if not require_equilibria:
+        game.check_profile(beliefs.belief_of_a)
+        game.check_profile(beliefs.belief_of_b)
+    elif not check_spe_param(game, beliefs.belief_of_a).ok:  # validates the belief first
+        raise BeliefNotEquilibrium(0)
+    elif not check_spe_param(game, beliefs.belief_of_b).ok:
+        raise BeliefNotEquilibrium(1)
+    path, end = _walk(game, (beliefs.belief_of_a, beliefs.belief_of_b), game.start)
     if end.__class__ is int:
-        return Escalates(Divergent(stem=tuple(path[:end]), cycle=tuple(path[end:])))
-    stage = len(path) - 1  # every move before the leaf advanced one stage
-    return Terminates(stage=stage, outcome=tuple(v.const + v.slope * stage for v in end.outcome))
+        return Escalates(Divergent(tuple(path[:end]), tuple(path[end:])))
+    (first, second), stage = end.outcome, len(path) - 1  # every move before the leaf advanced one stage
+    return Terminates(stage, (first.const + first.slope * stage, second.const + second.slope * stage))
 
 
 def simulate(

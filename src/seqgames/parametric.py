@@ -144,6 +144,11 @@ class ParametricGame(Record):
         """Raise ``ShapeMismatch`` unless ``profile`` picks one label at every decision point.
 
         A method, so ``dsl`` reaches it through the game it holds without importing this module."""
+        try:  # one set test passes a valid profile; what it refuses or raises on is worded below
+            if len(profile) == len(self.shapes) and profile.items() <= self.choices:
+                return
+        except Exception:  # unsized, unhashable or not a mapping: raised again below
+            pass
         choice = self.CHOICE
         if profile.keys() != self.shapes.keys():
             raise ShapeMismatch(f"profile must choose exactly one {choice} per {self.POINT}")
@@ -162,6 +167,11 @@ class ParametricGame(Record):
     def labels(self) -> dict[str, tuple[str, ...]]:
         """Each shape's move labels in move order, read from ``targets`` and kept like it."""
         return {name: tuple(table) for name, table in self.targets.items()}
+
+    @cached_property
+    def choices(self) -> frozenset[tuple[str, str]]:
+        """Every ``(shape, label)`` pair of the game, read from ``labels`` and kept like it."""
+        return frozenset((name, label) for name, labels in self.labels.items() for label in labels)
 
     @cached_property
     def entries(self) -> dict[str, tuple[int | None, int | None]]:
@@ -288,21 +298,27 @@ def check_spe_param(game: ParametricGame, profile: StationaryProfile) -> SpeRepo
     """
     game.check_profile(profile)
     results = _resolve(game, profile)
-    divergent = tuple(name for name in game.shapes if results[name] is None)
-    if divergent:
-        return SpeReport((), divergent)
-    return SpeReport(tuple(_violations(game, profile, results)))
+    if None in results.values():
+        return SpeReport((), tuple(name for name in game.shapes if results[name] is None))
+    violations = []  # improving one-shot deviations, in declaration and move order
+    for name, shape in game.shapes.items():
+        owner, result, chosen = shape.owner, results[name], profile[name]
+        for label, target in shape.moves:
+            after = (0, target.outcome) if target.LEAF else results[target.shape]
+            if label != chosen and _improves(game, name, owner, result, after):
+                played, value = result[1][owner].shifted(result[0] - 1), after[1][owner].shifted(after[0])
+                violations.append(Violation(name, label, played, value))
+    return SpeReport(tuple(violations))
 
 
-def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, object]:
-    """Per shape of ``profile``, in one pass over its functional graph: ``(steps, outcome)``
-    when play takes the unshifted leaf ``outcome`` at its ``steps``-th shape, None when
-    it diverges, and False when it reaches a shape that a partial profile leaves open."""
-    results: dict[str, object] = {}
+def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, tuple | None]:
+    """Per shape, in one pass over the profile's functional graph: ``(steps, outcome)`` when
+    play takes the unshifted leaf ``outcome`` at its ``steps``-th shape, None when it diverges."""
+    results: dict[str, tuple | None] = {}
     targets = game.targets
-    for first in profile:
-        name, path, end = first, [], False
-        while name not in results and name in profile:
+    for name in profile:
+        path = []
+        while name not in results:
             results[name] = None  # diverges, should this walk come back here
             path.append(name)
             target = targets[name][profile[name]]
@@ -310,75 +326,115 @@ def _resolve(game: ParametricGame, profile: StationaryProfile) -> dict[str, obje
                 end = (0, target.outcome)
                 break
             name = target.shape
-        else:  # a shape resolved before, on this walk (a cycle) or left open
-            end = results.get(name, False)
+        else:  # a shape resolved before, or met again on this walk (a cycle)
+            end = results[name]
         for steps, name in enumerate(reversed(path), 1):
-            results[name] = (end[0] + steps, end[1]) if end.__class__ is tuple else end
+            results[name] = end and (end[0] + steps, end[1])
     return results
 
 
-def _violations(game: ParametricGame, profile: StationaryProfile, results: dict) -> Iterator[Violation]:
-    """Improving one-shot deviations in declaration and move order, wherever ``_resolve``
-    decided both the play and the deviation's continuation."""
-    for name, shape in game.shapes.items():
-        result = results.get(name)
-        if result.__class__ is not tuple:
-            continue
-        owner = shape.owner
-        played, offset = result[1][owner], result[0] - 1  # every earlier shape advanced one stage
-        for label, target in shape.moves:
-            after = (0, target.outcome) if isinstance(target, AffineLeaf) else results.get(target.shape)
-            if label == profile[name] or after.__class__ is not tuple:  # diverges, or not decided yet
-                continue
-            value, shift = after[1][owner], after[0]
-            if value.slope == played.slope:  # the same comparison at every stage
-                if value.const + value.slope * shift <= played.const + played.slope * offset:
-                    continue
-            else:
-                # An affine difference is greatest over the entry stages at the least or the greatest;
-                # with no greatest, the slope rule is exact, as an affine inequality fails on a half-line.
-                (first, last), base, deviation = game.entries[name], played.shifted(offset), value.shifted(shift)
-                if last is None:
-                    if affine_leq(deviation, base, first or 0):
-                        continue
-                elif deviation.at(first) <= base.at(first) and deviation.at(last) <= base.at(last):
-                    continue
-            yield Violation(name, label, played.shifted(offset), value.shifted(shift))
+def _improves(game: ParametricGame, name: str, owner: int, result: tuple, after: tuple) -> bool:
+    """Whether ``owner`` gains at a stage where play enters ``name`` and resolves to ``result`` by
+    one move whose continuation resolves to ``after`` (a leaf as ``(0, outcome)``), as ``_resolve``."""
+    played, offset, value, shift = result[1][owner], result[0] - 1, after[1][owner], after[0]
+    if value.slope == played.slope:  # the same comparison at every stage
+        return value.const + value.slope * shift > played.const + played.slope * offset
+    # An affine difference peaks at the least or greatest entry stage; with no greatest, the slope rule is exact.
+    (first, last), base, deviation = game.entries[name], played.shifted(offset), value.shifted(shift)
+    if last is None:
+        return not affine_leq(deviation, base, first or 0)
+    return deviation.at(first) > base.at(first) or deviation.at(last) > base.at(last)
 
 
 def stationary_profiles(game: ParametricGame) -> Iterator[dict[str, str]]:
     """Every stationary profile in canonical order: shape declaration order,
     move order within each shape."""
-    names = list(game.shapes)
-    for combo in itertools.product(*(game.shapes[name].labels() for name in names)):
-        yield dict(zip(names, combo))
+    for combo in itertools.product(*game.labels.values()):
+        yield dict(zip(game.labels, combo))
+
+
+def _sinks_first(game: ParametricGame) -> tuple[list[str], dict[str, list[tuple[str, str]]]]:
+    """The shapes as a depth-first walk of the advances finishes them, roots and moves in declaration order
+    (so after their targets, but those on a cycle with them); per shape, the ``(shape, label)`` advances in."""
+    shapes, order, seen, into = game.shapes, [], set(), {name: [] for name in game.shapes}
+    for root in shapes:
+        stack = [] if root in seen else [(root, iter(shapes[root].moves))]
+        seen.add(root)
+        while stack:
+            for label, target in stack[-1][1]:
+                if not target.LEAF:
+                    into[target.shape].append((stack[-1][0], label))
+                    if target.shape not in seen:
+                        seen.add(target.shape)
+                        stack.append((target.shape, iter(shapes[target.shape].moves)))
+                        break
+            else:
+                order.append(stack.pop()[0])
+    return order, into
 
 
 def enumerate_stationary_spe(
     game: ParametricGame, bound: int = DEFAULT_SEARCH_BOUND
 ) -> list[StationaryProfile]:
-    """The stationary equilibria in canonical order (``stationary_profiles``), by backtracking
-    over shapes in declaration order and moves in move order.  A partial profile is dropped once
-    its moves close a cycle or an alternative improves on a decided play, faults that every
-    completion keeps.  The bound applies to the whole profile space."""
-    space = math.prod(len(shape.moves) for shape in game.shapes.values())
+    """The stationary equilibria in canonical order (``stationary_profiles``), keyed in declaration order;
+    the bound still applies to the whole profile space.  A backtracking search picks moves in move order at
+    shapes taken targets first (``_sinks_first``), then sorts what it found into canonical order."""
+    shapes = game.shapes
+    space = math.prod(len(shape.moves) for shape in shapes.values())
     if space > bound:
         raise SearchSpaceTooLarge(f"{space} {game.PROFILE} profiles exceed bound {bound}")
-    names, labels = list(game.labels), list(game.labels.values())
-    found, profile, picks = [], {}, [-1]  # picks: per shape on the way down, the move tried last
-    while picks:
-        k = len(picks) - 1
-        if k == len(names):  # every shape chosen, and nothing dropped the profile
-            found.append(profile)
-        elif picks[k] + 1 < len(labels[k]):
-            picks[k] += 1
-            profile = {names[i]: labels[i][pick] for i, pick in enumerate(picks)}
-            results = _resolve(game, profile)
-            if None not in results.values() and next(_violations(game, profile, results), None) is None:
-                picks.append(-1)
+    # Per shape: its move; ``_resolve``'s result if play ends; if open, a shape on its way open at its pick.
+    pick, decided, ahead, trail = {}, {}, {}, []  # and the shapes decided, in the order decided
+
+    def settle(name: str, target: AffineLeaf | Advance) -> bool:
+        """Decide the shapes that picking ``target`` at ``name`` resolves, backwards along the advances picked;
+        False if it closes a cycle or a deviation improves at a shape it decides or one with a move into it."""
+        after = (0, target.outcome) if target.LEAF else decided.get(target.shape)
+        if after is None:  # open, unless the advances picked from the target lead back here
+            end = target.shape
+            while end != name and end in pick:
+                end = ahead[end]
+            ahead[name] = end
+            return end != name
+        decided[name] = (after[0] + 1, after[1])
+        trail.append(name)
+        i = len(trail) - 1
+        while i < len(trail):
+            here, i = trail[i], i + 1
+            result, shape = decided[here], shapes[here]
+            for label, target in shape.moves:
+                after = (0, target.outcome) if target.LEAF else decided.get(target.shape)
+                if after and label != pick[here] and _improves(game, here, shape.owner, result, after):
+                    return False
+            for source, label in into[here]:
+                if pick.get(source) == label:
+                    decided[source] = (result[0] + 1, result[1])
+                    trail.append(source)
+                elif source in decided and _improves(game, source, shapes[source].owner, decided[source], result):
+                    return False
+        return True
+
+    order, into = _sinks_first(game)
+    levels = list(map({name: k for k, name in enumerate(order)}.get, shapes))
+    found, stack = [], [[-1, 0]]  # per level on the way down: the move tried last, the trail's length before it
+    while stack:
+        k, level = len(stack) - 1, stack[-1]
+        name, moves = order[k], shapes[order[k]].moves
+        while len(trail) > level[1]:
+            del decided[trail.pop()]
+        level[0] += 1
+        if level[0] == len(moves):
+            del pick[name]
+            stack.pop()
             continue
-        picks.pop()
-    return found
+        pick[name], target = moves[level[0]]
+        if not settle(name, target):
+            continue
+        if k + 1 < len(order):
+            stack.append([-1, len(trail)])
+        else:  # every shape picked, and nothing dropped the profile
+            found.append(tuple(stack[i][0] for i in levels))
+    return [{name: labels[i] for (name, labels), i in zip(game.labels.items(), key)} for key in sorted(found)]
 
 
 def dollar_auction(value: int) -> ParametricGame:
@@ -471,7 +527,7 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     start = parser.expect_name("a node name")
     parser.expect("{")
     definitions: dict[str, Shape] = {}
-    references: list[int] = []
+    references, shared = [], {}  # where targets are named; one ``AffineLeaf`` per payoff pair, one ``Advance`` per target
     while not parser.at("}"):
         name = parser.expect_name("a node name")
         if tokens[name] in definitions:
@@ -488,11 +544,12 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
             if parser.at("leaf"):
                 parser.pos += 1
                 parser.expect("(")
-                first = AffineValue(*parse_payoff(parser, parametric))
+                first = parse_payoff(parser, parametric)
                 parser.expect(",")
-                second = AffineValue(*parse_payoff(parser, parametric))
+                second = parse_payoff(parser, parametric)
                 parser.expect(")")
-                moves[tokens[label]] = AffineLeaf((first, second))
+                leaf = shared.get((first, second)) or AffineLeaf((AffineValue(*first), AffineValue(*second)))
+                moves[tokens[label]] = shared[first, second] = leaf
             else:
                 if parametric:
                     parser.expect("advance")
@@ -502,7 +559,7 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
                         raise parser.invalid(parser.pos, "a cyclic edge names its target node, without 'advance'")
                 ref = parser.expect_name("a shape name" if parametric else "a node name or 'leaf'")
                 references.append(ref)
-                moves[tokens[label]] = Advance(tokens[ref])
+                moves[tokens[label]] = shared[tokens[ref]] = shared.get(tokens[ref]) or Advance(tokens[ref])
             parser.skip_separators()
         if not moves:
             raise parser.fail("at least one edge")

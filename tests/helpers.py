@@ -142,6 +142,17 @@ def ring(n: int) -> CyclicGame:
     return CyclicGame(nodes, "N0")
 
 
+def star(n: int, sink_at: int) -> CyclicGame:
+    """n nodes: the spokes ``S0 .. S{n-2}``, spoke i owned by i mod 2, each ending at
+    ``leaf(0, 0)`` or advancing to the sink ``T``, whose one edge ends at ``leaf(1, 1)``.
+    ``T`` is declared at position ``sink_at``, and the node declared first is the start.
+    The one equilibrium advances everywhere.  A search in declaration order with the sink
+    declared last decides no spoke before it picks the sink, so it visits 2^(n-1) nodes."""
+    nodes = [(f"S{i}", CyclicNode(i % 2, (("a", leaf(0, 0)), ("c", "T")))) for i in range(n - 1)]
+    nodes.insert(sink_at, ("T", CyclicNode(0, (("a", leaf(1, 1)),))))
+    return CyclicGame(dict(nodes), nodes[0][0])
+
+
 def _sloped_chain(n: int, advances) -> ParametricGame:
     """Shapes ``S0 .. S{n-1}``, shape i owned by i mod 2.  Each can ``stop`` at a leaf that pays
     its owner 1 and the other player 2 - n at stage n, or take the advances ``advances(i)``

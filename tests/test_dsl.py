@@ -22,6 +22,7 @@ from helpers import (
     random_parametric,
     random_tree,
     reference_tokenize,
+    ring,
     scan_tokenize,
 )
 from hypothesis import given, settings
@@ -100,6 +101,15 @@ class TestParse:
     def test_auction_corpus_file(self, corpus_dir):
         doc = parse((corpus_dir / "dollar_auction_v100.game").read_text())
         assert doc.game == dollar_auction(100)
+
+    @pytest.mark.parametrize("kind", ["cyclic", "param"])
+    def test_a_graph_shares_one_record_per_payoff_pair_and_per_target(self, kind):
+        game = ring(10) if kind == "cyclic" else ParametricGame(ring(10).shapes, "N0")
+        parsed = parse(serialize(GameDoc(PLAYERS, game))).game
+        assert parsed == game and repr(parsed) == repr(game)
+        targets = [target for shape in parsed.shapes.values() for _label, target in shape.moves]
+        assert len({id(target) for target in targets if target.LEAF}) == 2  # leaf(0,1) and leaf(1,0)
+        assert len({id(target) for target in targets if not target.LEAF}) == 10  # one advance per node
 
     def test_leaf_only(self):
         doc = parse("finite { leaf(0,1) }")

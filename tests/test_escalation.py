@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from helpers import loop01, random_cyclic, random_parametric, reference_detect_escalation, ring
+from helpers import loop01, random_cyclic, random_graph, random_parametric, reference_detect_escalation, ring
 
 from seqgames.core import ShapeMismatch, leaf
 from seqgames.cyclic import CyclicGame, CyclicNode
@@ -22,7 +22,7 @@ from seqgames.escalation import (
     simulate,
 )
 from seqgames.dsl import parse
-from seqgames.parametric import Divergent, dollar_auction, enumerate_stationary_spe, stationary_profiles
+from seqgames.parametric import Divergent, dollar_auction, enumerate_stationary_spe, from_cyclic, stationary_profiles
 
 # Each player believes the game follows the equilibrium in which the OTHER
 # player eventually gives up.
@@ -168,6 +168,24 @@ class TestDetectMatchesReference:
                 escalating += isinstance(verdict, Escalates)
                 terminating += isinstance(verdict, Terminates)
         assert escalating > 5000 and terminating > 100000  # both verdicts are well exercised
+
+    def test_every_pair_of_equilibria_of_wider_games(self):
+        """The table the benchmark builds: every ordered pair of equilibria, unchecked, on rings up
+        to 10 nodes (cyclic and as param games), the auction and seeded random graphs of 2 to 8
+        decision points of either kind."""
+        rng = random.Random(163)
+        games = [ring(n) for n in range(2, 11)] + [from_cyclic(ring(n)) for n in range(2, 11)] + [dollar_auction(7)]
+        for i in range(200):
+            widths = [rng.choice((1, 2, 2, 3)) for _ in range(rng.randint(2, 8))]
+            games.append(random_graph(rng, widths, parametric=bool(i % 2)))
+        verdicts: dict[str, set] = {"cyclic": set(), "param": set()}
+        for game in games:
+            equilibria = enumerate_stationary_spe(game)
+            for beliefs in (BeliefPair(a, b) for a in equilibria for b in equilibria):
+                verdict = detect_escalation(game, beliefs, require_equilibria=False)
+                assert verdict == reference_detect_escalation(game, beliefs, require_equilibria=False), beliefs
+                verdicts[game.KIND].add(verdict.__class__)
+        assert verdicts == {"cyclic": {Escalates, Terminates}, "param": {Escalates, Terminates}}
 
     def test_every_pair_checked(self, corpus_dir):
         refused = accepted = 0

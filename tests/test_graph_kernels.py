@@ -32,6 +32,7 @@ from helpers import (
     reference_spe_report_param,
     ring,
     skip_chain,
+    star,
 )
 
 from seqgames import cyclic as cy
@@ -169,27 +170,61 @@ class TestCheckMatchesReference:
         assert par.entry_stages(family(200)) == {f"S{i}": stages(i) for i in range(200)}
 
 
+def _same_enumeration(game) -> int:
+    """``enumerate_stationary_spe`` lists the reference's equilibria in its order, each with its keys
+    in the same order; the number of equilibria."""
+    found = par.enumerate_stationary_spe(game)
+    assert [list(p.items()) for p in found] == [list(p.items()) for p in reference_enumerate_stationary(game)]
+    return len(found)
+
+
+def _self_loop_and_unreached(game) -> tuple[bool, bool]:
+    """Whether ``game`` has a move that advances to its own shape, and a shape play never enters."""
+    loops = any(not t.LEAF and t.shape == name for name, shape in game.shapes.items() for _l, t in shape.moves)
+    return loops, any(first is None for first, _last in game.entries.values())
+
+
 class TestEnumerationMatchesReference:
+    """The search takes shapes targets first and sorts what it finds back into canonical order, so
+    each case compares the profiles as lists of items: values, order and key order."""
+
     def test_small_random_games(self):
         found = 0
         for game in _small_games(91, 400):
-            accepted = par.enumerate_stationary_spe(game)
-            assert accepted == reference_enumerate_stationary(game)
-            assert all(list(profile) == list(game.shapes) for profile in accepted)
-            found += len(accepted)
+            found += _same_enumeration(game)
         assert found > 200
 
     def test_wide_random_games(self):
         found = 0
         for game in _wide_games(93, 40):
-            accepted = par.enumerate_stationary_spe(game)
-            assert accepted == reference_enumerate_stationary(game)
-            found += len(accepted)
+            found += _same_enumeration(game)
         assert found > 20
 
+    def test_random_games_with_self_loops_and_shapes_play_never_enters(self):
+        rng, found, kinds = random.Random(97), 0, set()
+        for i in range(300):
+            widths = [rng.randint(1, 3) for _ in range(rng.randint(2, 7))]
+            game = random_graph(rng, widths, parametric=bool(i % 2))
+            found += _same_enumeration(game)
+            loops, unreached = _self_loop_and_unreached(game)
+            kinds.add((game.KIND, loops, unreached))
+        assert found > 200
+        assert {(kind, True, True) for kind in ("cyclic", "param")} <= kinds
+
     def test_auction_and_loop(self):
-        for game in (par.dollar_auction(1), par.dollar_auction(100), loop01(), ring(6)):
-            assert par.enumerate_stationary_spe(game) == reference_enumerate_stationary(game)
+        for game in (par.dollar_auction(1), par.dollar_auction(100), loop01()):
+            _same_enumeration(game)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rings(self, n):
+        found = _same_enumeration(ring(n))
+        assert n % 2 or found == 2 ** (n // 2 + 1) - 2
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_stars(self, where):
+        for n in range(3, 11):
+            sink_at = {"first": 0, "middle": (n - 1) // 2, "last": n - 1}[where]
+            assert _same_enumeration(star(n, sink_at)) == 1
 
 
 STAGES = (1, 2, 3, 6, 13)

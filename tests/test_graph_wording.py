@@ -9,6 +9,8 @@ the profile kind when the search bound is exceeded.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import pytest
 from helpers import instantiate_profile, loop01
 
@@ -96,3 +98,93 @@ def test_bound_message_names_the_profile_kind(call, game, message):
     with pytest.raises(cy.SearchSpaceTooLarge) as caught:
         call(game, bound=3)
     assert str(caught.value) == message
+
+
+class _Frozen(Mapping):
+    """A mapping that is not a ``dict``: its ``items()`` is a plain ``ItemsView``."""
+
+    def __init__(self, entries: dict) -> None:
+        self._entries = entries
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+# Per fault, a profile of the loop and of the auction, and the error ``check_profile`` raises for
+# each.  A valid profile passes one set test, and everything that test refuses or raises on must
+# still get these errors, in the words of the game's kind.
+LOOP_COUNT = "profile must choose exactly one edge per node"
+AUCTION_COUNT = "profile must choose exactly one move per shape"
+PROFILE_FAULTS = {
+    "missing shape": (
+        ({"A": "a"}, ShapeMismatch, LOOP_COUNT),
+        ({"A0": "a", "B": "a"}, ShapeMismatch, AUCTION_COUNT),
+    ),
+    "extra key": (
+        ({"A": "a", "B": "c", "Z": "a"}, ShapeMismatch, LOOP_COUNT),
+        ({"A0": "a", "A": "a", "B": "c", "Z": "a"}, ShapeMismatch, AUCTION_COUNT),
+    ),
+    "extra key for a missing one": (
+        ({"A": "a", "Z": "a"}, ShapeMismatch, LOOP_COUNT),
+        ({"A0": "a", "A": "a", "Z": "a"}, ShapeMismatch, AUCTION_COUNT),
+    ),
+    "wrong label": (
+        ({"A": "a", "B": "zz"}, ShapeMismatch, "choice 'zz' at 'B' is not an edge label"),
+        ({"A0": "a", "A": "zz", "B": "yy"}, ShapeMismatch, "choice 'zz' at 'A' is not a move label"),
+    ),
+    "a (shape, label) pair as the label": (
+        ({"A": "a", "B": ("B", "c")}, ShapeMismatch, "choice ('B', 'c') at 'B' is not an edge label"),
+        ({"A0": ("A0", "a"), "A": "a", "B": "c"}, ShapeMismatch, "choice ('A0', 'a') at 'A0' is not a move label"),
+    ),
+    "unhashable choice": (
+        ({"A": ["a"], "B": "c"}, ShapeMismatch, "choice ['a'] at 'A' is not an edge label"),
+        ({"A0": "a", "A": "a", "B": {"c": 1}}, ShapeMismatch, "choice {'c': 1} at 'B' is not a move label"),
+    ),
+    "non-dict mapping, wrong label": (
+        (_Frozen({"A": "zz", "B": "c"}), ShapeMismatch, "choice 'zz' at 'A' is not an edge label"),
+        (_Frozen({"A0": "a", "A": "a", "B": "zz"}), ShapeMismatch, "choice 'zz' at 'B' is not a move label"),
+    ),
+    "non-dict mapping, missing shape": (
+        (_Frozen({"B": "c"}), ShapeMismatch, LOOP_COUNT),
+        (_Frozen({"A": "a", "B": "c"}), ShapeMismatch, AUCTION_COUNT),
+    ),
+    "a list": (
+        (["a", "c"], AttributeError, "'list' object has no attribute 'keys'"),
+        (["a", "a", "c"], AttributeError, "'list' object has no attribute 'keys'"),
+    ),
+    "an int": (
+        (5, AttributeError, "'int' object has no attribute 'keys'"),
+        (3, AttributeError, "'int' object has no attribute 'keys'"),
+    ),
+    "None": (
+        (None, AttributeError, "'NoneType' object has no attribute 'keys'"),
+        (None, AttributeError, "'NoneType' object has no attribute 'keys'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PROFILE_FAULTS)
+@pytest.mark.parametrize("kind", ["cyclic", "param"])
+def test_check_profile_keeps_its_errors(kind, fault):
+    game, good = (loop01(), LOOP_GOOD) if kind == "cyclic" else (par.dollar_auction(100), AUCTION_GOOD)
+    profile, error, message = PROFILE_FAULTS[fault][kind == "param"]
+    for call in (
+        game.check_profile,
+        lambda p: esc.detect_escalation(game, esc.BeliefPair(p, good), require_equilibria=False),
+        lambda p: esc.detect_escalation(game, esc.BeliefPair(good, p), require_equilibria=False),
+    ):
+        with pytest.raises(error) as caught:
+            call(profile)
+        assert caught.value.__class__ is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("game, good", [(loop01(), LOOP_GOOD), (par.dollar_auction(100), AUCTION_GOOD)])
+def test_a_valid_mapping_of_any_class_passes(game, good):
+    assert game.check_profile(good) is None
+    assert game.check_profile(_Frozen(good)) is None
