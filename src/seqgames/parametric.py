@@ -147,7 +147,7 @@ class ParametricGame(Record):
         try:  # one set test passes a valid profile; what it refuses or raises on is worded below
             if len(profile) == len(self.shapes) and profile.items() <= self.choices:
                 return
-        except Exception:  # unsized, unhashable or not a mapping: raised again below
+        except Exception:  # whatever the test raises on (unsized, unhashable, not a mapping) is worded or raised below
             pass
         choice = self.CHOICE
         if profile.keys() != self.shapes.keys():
@@ -527,7 +527,7 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     start = parser.expect_name("a node name")
     parser.expect("{")
     definitions: dict[str, Shape] = {}
-    references, shared = [], {}  # where targets are named; one ``AffineLeaf`` per payoff pair, one ``Advance`` per target
+    references, shared = [], {}  # where targets are named; one ``AffineLeaf`` per payoff pair and ``Advance`` per target
     while not parser.at("}"):
         name = parser.expect_name("a node name")
         if tokens[name] in definitions:
