@@ -25,8 +25,7 @@ import sys
 from types import SimpleNamespace
 
 from . import _loader, dsl
-from . import finite as fin
-from .core import GameError, LimitExceeded, induced_play
+from .core import DEFAULT_CAP, GameError, LimitExceeded, induced_play
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
@@ -49,7 +48,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
     "solve": ("one backward-induction equilibrium of a finite game", {
         "file": {}, "--ties": {"choices": ("first", "last"), "default": "first"}}),
     "enumerate": ("all equilibria (finite profiles or positional/stationary)", {
-        "file": {}, "--cap": {"type": int, "default": fin.DEFAULT_CAP}}),
+        "file": {}, "--cap": {"type": int, "default": DEFAULT_CAP}}),
     "check": ("verify a profile file against a game", {
         "file": {}, "--profile": {"required": True, "help": _PROFILE_HELP}}),
     "unfold": ("unroll a cyclic game into a finite .game tree", {
@@ -124,7 +123,7 @@ def _value_json(value: object, kind: str) -> object:
     return value.at(0) if kind == "cyclic" else _number(value)  # type: ignore[attr-defined]
 
 
-def _report_json(report: fin.SpeReport, kind: str) -> dict:
+def _report_json(report, kind: str) -> dict:
     violations = [
         {"at": dsl.render_tree_path(v.where) if kind == "finite" else v.where, "action": v.action,
          "profile_value": _value_json(v.profile_value, kind), "deviation_value": _value_json(v.deviation_value, kind)}
@@ -149,8 +148,9 @@ def _report_text(report: dict) -> list[str]:
 
 
 def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str], int]:
+    from .finite import TiePolicy, solve
     doc = _load_game(args, "finite")
-    profile = fin.solve(doc.game, fin.TiePolicy(args.ties))
+    profile = solve(doc.game, TiePolicy(args.ties))
     play, outcome = induced_play(doc.game, profile)
     payload = {
         "command": "solve",
@@ -175,7 +175,8 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     if kind == "matrix":
         raise _UsageError("enumerate does not apply to matrix games; use the matrix command")
     if kind == "finite":
-        result = fin.enumerate_equilibria(game, cap=args.cap)
+        from .finite import enumerate_equilibria
+        result = enumerate_equilibria(game, cap=args.cap)
         entries = []
         for profile in result.profiles:
             play, outcome = induced_play(game, profile)
@@ -211,7 +212,8 @@ def _cmd_check(args: SimpleNamespace) -> tuple[dict, list[str], int]:
         raise _UsageError("check does not apply to matrix games")
     profile = dsl.parse_profile_text(_text(args.profile), game)
     if game.KIND == "finite":
-        report = fin.check_spe(game, profile)
+        from .finite import check_spe
+        report = check_spe(game, profile)
     else:
         from .parametric import check_spe_param
         report = check_spe_param(game, profile)

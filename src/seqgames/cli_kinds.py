@@ -6,7 +6,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from . import dsl
-from . import finite as fin
 from .cli import _UsageError, _load_game, _number, _outcome_text, _profile_text, _report_json, _report_text
 from .core import GameError, induced_play
 
@@ -76,8 +75,9 @@ def _cmd_auction(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     text.append("never-bid profile (abandon everywhere): " + ("equilibrium" if never_report.ok else "NOT an equilibrium"))
     text.extend("  " + line for line in _report_text(payload["never_bid"])[1:])
     if args.max_stage is not None:
+        from .finite import enumerate_equilibria
         tree = instantiate(game, args.max_stage, terminal)
-        result = fin.enumerate_equilibria(tree)
+        result = enumerate_equilibria(tree)
         outcomes = sorted({induced_play(tree, p)[1] for p in result.profiles})
         payload["truncation"] = {"max_stage": args.max_stage, "terminal": list(terminal),
                                  "profile_count": len(result.profiles), "outcomes": [list(o) for o in outcomes]}

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 DEFAULT_PLAYERS = ("Alice", "Bertrand")
+DEFAULT_CAP = 1024  # the most equilibria ``finite.enumerate_equilibria`` lists
 
 PlayLine = tuple[str, ...]
 OutcomeVector = tuple[int, ...]

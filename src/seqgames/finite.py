@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import FiniteGame, PlayLine, Record, TreeProfile, chosen_branches, require_two_players
-
-DEFAULT_CAP = 1024
+from .core import DEFAULT_CAP, FiniteGame, PlayLine, Record, TreeProfile, chosen_branches, require_two_players
 
 
 class TiePolicy(Enum):

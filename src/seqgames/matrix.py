@@ -5,8 +5,8 @@ player receives the constant sum minus the entry.  ``solve_constant_sum``
 finds an exact minimax/maximin pair from square supports (Shapley & Snow
 1950).  The payoffs are scaled once to integers, and each square system is
 solved by fraction-free (Bareiss) elimination, whose divisions are all
-exact; fractions are built only for accepted solutions, so results carry
-no rounding at all.
+exact; fractions are built only for the value and accepted solutions, so
+results carry no rounding at all.
 
 Under ties the row mix is the smallest accepted mix on the first row
 support, in lexicographic order over all nonempty subsets, that has an
@@ -14,10 +14,10 @@ accepted square pair; the column mix follows the same rule over column
 supports.  This is not always the lexicographically greatest optimal
 strategy.
 
-Two exact steps keep that rule's answer with fewer systems solved.  A
-strictly complementary pair (every weight positive, every other pure
-strategy strictly worse than the value) is the only optimal pair (Goldman &
-Tucker 1956): complementary slackness puts any optimal mix on its support,
+Three exact steps keep that rule's answer with less work.  A strictly
+complementary pair (every weight positive, every other pure strategy
+strictly worse than the value) is the only optimal pair (Goldman & Tucker
+1956): complementary slackness puts any optimal mix on its support,
 where it must equalize the other side's support, a nonsingular square
 system.  So the supports an exact simplex finds are judged first, and when
 that pair is accepted and strict it is the answer; a game with a strict
@@ -28,7 +28,10 @@ exponential in the matrix side: hence ``SUPPORT_LIMIT``.  The scans skip
 each pure strategy strictly dominated by another: whatever the other side
 mixes, such a row is worth less than its dominator, so less than the value,
 while an accepted pair makes each row of its support worth exactly the
-value (a dominated column likewise).
+value (a dominated column likewise).  And the simplex gives the game's value
+exactly, which every accepted pair certifies, so a pair whose row system
+solves at another value is rejected before its certificates are checked
+and before its column system is built.
 """
 
 from __future__ import annotations
@@ -106,18 +109,21 @@ def _integer_solve(aug: list[list[int]]) -> tuple[list[int], int] | None:
     n = len(aug)
     previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][0]), None)
-        if pivot is None:
+        for pivot in range(col, n):
+            if aug[pivot][0]:
+                break
+        else:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        top = aug[col]
-        p = top[0]
-        del top[0]
-        for r in range(n):
+        top = aug[pivot]
+        aug[col], aug[pivot] = top, aug[col]
+        p = top.pop(0)
+        for r, row in enumerate(aug):
             if r != col:
-                row = aug[r]
                 f = row[0]
-                aug[r] = [(p * u - f * t) // previous for u, t in zip(row[1:], top)]
+                if previous == 1:  # the first step divides by 1
+                    aug[r] = [p * u - f * t for u, t in zip(row[1:], top)]
+                else:
+                    aug[r] = [(p * u - f * t) // previous for u, t in zip(row[1:], top)]
         previous = p
     if previous < 0:
         return [-row[0] for row in aug], -previous
@@ -135,6 +141,8 @@ def _equalizing_mix(
     determinant) with determinant > 0, or None when the system is singular.
     """
     first = against[0]
+    if len(support) == 1:  # x = (1,) against the one column
+        return [1], matrix[support[0]][first], 1
     aug = [[matrix[i][j] - matrix[i][first] for i in support] + [0] for j in against[1:]]
     aug.append([1] * len(support) + [1])
     solved = _integer_solve(aug)
@@ -151,12 +159,13 @@ def _lex_supports(items: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(subsets)
 
 
-def _simplex_supports(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column supports of one optimal pair of the game ``matrix``, from
-    the LP max sum(w) s.t. P w <= 1, w >= 0, where P is the game shifted so
-    every entry is at least 1 (von Stengel 2002): the basic w > 0 are the
-    column support, the slacks with a positive price in the objective row
-    (the dual) the row support.  Integer pivoting keeps the tableau as
+def _simplex_supports(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...], Fraction]:
+    """Row and column supports of one optimal pair of the game ``matrix``, and
+    the game's value, from the LP max sum(w) s.t. P w <= 1, w >= 0, where P is
+    the game shifted so every entry is at least 1 (von Stengel 2002): the
+    basic w > 0 are the column support, the slacks with a positive price in
+    the objective row (the dual) the row support, and the optimum sum(w) is
+    one over the value of P.  Integer pivoting keeps the tableau as
     integers over one shared positive determinant, so every division, the
     objective row's too, is exact (Edmonds 1967); Bland's rule (entering:
     the smallest index with a negative reduced cost; leaving: the smallest
@@ -186,7 +195,7 @@ def _simplex_supports(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
                 tableau[r] = [(p * u - f * t) // det for u, t in zip(row, top)]
         basis[leave], det = enter, p
     column = sorted(b for r, b in enumerate(basis) if b < n and tableau[r][-1] > 0)
-    return tuple(k for k in range(m) if objective[n + k] > 0), tuple(column)
+    return tuple(k for k in range(m) if objective[n + k] > 0), tuple(column), Fraction(det, objective[-1]) - shift
 
 
 def _first_support_pair(
@@ -222,9 +231,10 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
 
     The pair of supports an exact simplex finds is judged first, and a
     strictly complementary accepted pair, the only optimal pair, ends the
-    work; otherwise the scans skip every strictly dominated pure strategy
-    (see the module docstring).  Neither changes a result.  ``TooLarge`` beyond
-    ``SUPPORT_LIMIT``: a degenerate game can still judge every support pair.
+    work; otherwise the scans skip every strictly dominated pure strategy;
+    and a pair off the simplex's value is rejected once its row system is
+    solved (see the module docstring).  None changes a result.  ``TooLarge``
+    beyond ``SUPPORT_LIMIT``: a degenerate game can still judge every support pair.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
@@ -241,10 +251,10 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         if primal is None:
             return None
         xs, v, d = primal
-        if any(p < 0 for p in xs):
+        # x must guarantee >= v against every column and y (below) must cap every row at v, which
+        # certifies v as the game value: so a pair at another value than the simplex's fails at once.
+        if v * value_den != d * value_num or any(p < 0 for p in xs):
             return None
-        # x must guarantee >= v against every column and y (below) must cap
-        # every row at v; together they certify v as the game value.
         worth = [sum(p * column[i] for i, p in zip(support, xs)) for column in transposed]
         if min(worth) < v:
             return None
@@ -267,7 +277,8 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         )
         return tuple(x), tuple(y), Fraction(v, d * scale), strict
 
-    support, against = _simplex_supports(scaled)
+    support, against, scaled_value = _simplex_supports(scaled)
+    value_num, value_den = scaled_value.numerator, scaled_value.denominator
     accepted = judge(support, against) if len(support) == len(against) else None
     if accepted is not None and accepted[3]:  # the only optimal pair
         return MixedProfile(*accepted[:3])
@@ -305,40 +316,53 @@ def best_response_value(
 
 
 def parse_matrix(parser) -> MatrixGame:
-    """``matrix`` for ``dsl._Parser`` ``parser``, which ``dsl`` imports for a matrix document only."""
-    def parse_rational() -> Fraction:
-        numerator = parser.expect_int()
-        if parser.at("/"):
-            parser.pos += 1
-            index = parser.pos
-            denominator = parser.expect_int()
-            if denominator == 0:
-                raise parser.invalid(index, "zero denominator")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
+    """``matrix`` for ``dsl._Parser`` ``parser``, which ``dsl`` imports for a matrix document only.
 
+    The total and then each entry (``d``, ``-d``, ``d/d`` or ``-d/d``) are
+    read in one loop at a local position, as ``parse_tree`` reads a tree; each
+    fault raises through ``parser.fail``, ``invalid`` or ``integer`` at its token."""
+    tokens = parser.tokens
     parser.expect("sum")
     parser.expect("=")
-    total = parse_rational()
-    parser.expect("{")
-    rows: list[tuple[Fraction, ...]] = []
-    width: int | None = None
+    pos, total, rows, row, width = parser.pos, None, [], [], None
     while True:
-        row: list[Fraction] = []
-        while parser.tokens[parser.pos][:1].isdecimal() or parser.at("-"):  # an entry starts here
-            if width is not None and len(row) == width:
-                raise parser.fail(f"';' after {width} entries")
-            row.append(parse_rational())
-        if not row:
-            raise parser.fail("a matrix entry")
-        if width is None:
+        token = tokens[pos]
+        if total is not None and not (token.isdecimal() or token == "-"):  # no entry starts here
+            if not row:
+                raise parser.fail("a matrix entry", pos)
+            if len(row) != (width or len(row)):
+                raise parser.fail(f"a row of {width} entries", pos)
             width = len(row)
-        elif len(row) != width:
-            raise parser.fail(f"a row of {width} entries")
-        rows.append(tuple(row))
-        if parser.at(";"):
-            parser.pos += 1
+            rows.append(tuple(row))
+            if token != ";":
+                break
+            pos, row = pos + 1, []
             continue
-        break
+        if len(row) == width:
+            raise parser.fail(f"';' after {width} entries", pos)
+        negative = token == "-"
+        pos += negative
+        if not tokens[pos].isdecimal():
+            raise parser.fail("an integer", pos)
+        parts = (-parser.integer(pos) if negative else parser.integer(pos),)  # the numerator, then any denominator
+        pos += 1
+        if tokens[pos] == "/":
+            index = pos + 1
+            pos = index + (tokens[index] == "-")
+            if not tokens[pos].isdecimal():
+                raise parser.fail("an integer", pos)
+            denominator = parser.integer(pos)
+            if denominator == 0:
+                raise parser.invalid(index, "zero denominator")
+            parts += (-denominator if pos > index else denominator,)
+            pos += 1
+        value = Fraction(*parts)
+        if total is not None:
+            row.append(value)
+            continue
+        total, parser.pos = value, pos
+        parser.expect("{")
+        pos += 1
+    parser.pos = pos
     parser.expect("}")
     return MatrixGame(tuple(rows), total)

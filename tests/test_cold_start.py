@@ -77,18 +77,19 @@ class TestModulesLoaded:
         assert package(set(json.loads(done.stdout))) == {"seqgames"}
 
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "expected"),
         [
-            ["solve", "corpus/zero_one_7.game"],
-            ["--help"],
-            ["check", "corpus/matching_pennies_seq.game", "--profile", "corpus/profiles/pennies_eq_first.profile"],
-            ["enumerate", "corpus/matching_pennies_seq.game"],
+            (["solve", "corpus/zero_one_7.game"], FINITE_PATH),
+            (["--help"], FINITE_PATH - {"seqgames.finite"}),  # help runs no kernel
+            (["check", "corpus/matching_pennies_seq.game", "--profile", "corpus/profiles/pennies_eq_first.profile"],
+             FINITE_PATH),
+            (["enumerate", "corpus/matching_pennies_seq.game"], FINITE_PATH),
         ],
         ids=["solve", "help", "check", "enumerate"],
     )
-    def test_tree_commands_and_help_load_the_finite_path_only(self, argv):
+    def test_tree_commands_and_help_load_the_finite_path_only(self, argv, expected):
         # No writer, no graph or matrix reader and no graph or matrix command module.
-        assert package(loaded(*argv)) == FINITE_PATH
+        assert package(loaded(*argv)) == expected
 
     def test_the_finite_path_stays_small(self):
         files = [ROOT / "src" / "seqgames" / f"{name.partition('.')[2] or '__init__'}.py" for name in FINITE_PATH]
@@ -101,7 +102,7 @@ class TestModulesLoaded:
             (
                 ["matrix", "corpus/rps_zerosum.game"],
                 {"seqgames.matrix"},
-                {"seqgames.cyclic", "seqgames.parametric", "seqgames.escalation", WRITER},
+                {"seqgames.finite", "seqgames.cyclic", "seqgames.parametric", "seqgames.escalation", WRITER},
             ),
             (
                 ["enumerate", "corpus/zero_one_cyclic.game"],

@@ -305,6 +305,172 @@ class TestIntegerDigitLimit:
         assert parse(f"matrix sum={digits} {{ {digits} 1/{digits} }}").game.payoffs == ((big, Fraction(1, big)),)
 
 
+def _read_matrix(text: str) -> str:
+    """The game a matrix text reads to, as its total and rows, or the error it raises."""
+    try:
+        game = parse(text).game
+    except ParseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    rows = "; ".join(" ".join(str(entry) for entry in row) for row in game.payoffs)
+    return f"sum {game.total}: {rows}"
+
+
+class TestMatrixReader:
+    """Matrix texts with one fault each, and what the reader makes of them.  The
+    first rows delete each token of one text, put a '-', '/' or ';' before each
+    token, and cut the text after each token; then whole entries go, rows turn
+    ragged, empty or one entry too long, and denominators are 0."""
+
+    TEXTS = [
+        (' sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:2: expected 'finite', 'cyclic', 'param' or 'matrix', found 'sum'"),
+        ('matrix =1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:8: expected 'sum', found '='"),
+        ('matrix sum1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:8: expected 'sum', found 'sum1'"),
+        ('matrix sum=/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:12: expected an integer, found '/'"),
+        ('matrix sum=12 {\n  1 -2/3;\n  -4 5/-6\n}\n', 'sum 12: 1 -2/3; -4 -5/6'),
+        ('matrix sum=1/ {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:15: expected an integer, found '{'"),
+        ('matrix sum=1/2 \n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 2:3: expected '{', found '1'"),
+        ('matrix sum=1/2 {\n   -2/3;\n  -4 5/-6\n}\n', "ParseError: 3:6: expected ';' after 1 entries, found '5'"),
+        ('matrix sum=1/2 {\n  1 2/3;\n  -4 5/-6\n}\n', 'sum 1/2: 1 2/3; -4 -5/6'),
+        ('matrix sum=1/2 {\n  1 -/3;\n  -4 5/-6\n}\n', "ParseError: 2:6: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -23;\n  -4 5/-6\n}\n', 'sum 1/2: 1 -23; -4 -5/6'),
+        ('matrix sum=1/2 {\n  1 -2/;\n  -4 5/-6\n}\n', "ParseError: 2:8: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3\n  -4 5/-6\n}\n', 'sum 1/2: 1 -2/3 -4 -5/6'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  4 5/-6\n}\n', 'sum 1/2: 1 -2/3; 4 -5/6'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  - 5/-6\n}\n', "ParseError: 4:1: expected a row of 2 entries, found '}'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 /-6\n}\n', "ParseError: 4:1: expected a row of 2 entries, found '}'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5-6\n}\n', "ParseError: 3:7: expected ';' after 2 entries, found '-'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/6\n}\n', 'sum 1/2: 1 -2/3; -4 5/6'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-\n}\n', "ParseError: 4:1: expected an integer, found '}'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n\n', "ParseError: 5:1: expected '}', found end of input"),
+        ('-matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:1: expected 'finite', 'cyclic', 'param' or 'matrix', found '-'"),
+        ('/matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:1: expected 'finite', 'cyclic', 'param' or 'matrix', found '/'"),
+        (';matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:1: expected 'finite', 'cyclic', 'param' or 'matrix', found ';'"),
+        ('matrix -sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:8: expected 'sum', found '-'"),
+        ('matrix /sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:8: expected 'sum', found '/'"),
+        ('matrix ;sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:8: expected 'sum', found ';'"),
+        ('matrix sum-=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:11: expected '=', found '-'"),
+        ('matrix sum/=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:11: expected '=', found '/'"),
+        ('matrix sum;=1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:11: expected '=', found ';'"),
+        ('matrix sum=-1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', 'sum -1/2: 1 -2/3; -4 -5/6'),
+        ('matrix sum=/1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:12: expected an integer, found '/'"),
+        ('matrix sum=;1/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:12: expected an integer, found ';'"),
+        ('matrix sum=1-/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:13: expected '{', found '-'"),
+        ('matrix sum=1//2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:14: expected an integer, found '/'"),
+        ('matrix sum=1;/2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:13: expected '{', found ';'"),
+        ('matrix sum=1/-2 {\n  1 -2/3;\n  -4 5/-6\n}\n', 'sum -1/2: 1 -2/3; -4 -5/6'),
+        ('matrix sum=1/;2 {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:14: expected an integer, found ';'"),
+        ('matrix sum=1/2 -{\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:16: expected '{', found '-'"),
+        ('matrix sum=1/2 /{\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:16: expected '{', found '/'"),
+        ('matrix sum=1/2 ;{\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:16: expected '{', found ';'"),
+        ('matrix sum=1/2 {\n  -1 -2/3;\n  -4 5/-6\n}\n', 'sum 1/2: -1 -2/3; -4 -5/6'),
+        ('matrix sum=1/2 {\n  /1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 2:3: expected a matrix entry, found '/'"),
+        ('matrix sum=1/2 {\n  ;1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 2:3: expected a matrix entry, found ';'"),
+        ('matrix sum=1/2 {\n  1 --2/3;\n  -4 5/-6\n}\n', "ParseError: 2:6: expected an integer, found '-'"),
+        ('matrix sum=1/2 {\n  1 /-2/3;\n  -4 5/-6\n}\n', "ParseError: 2:8: expected '}', found '/'"),
+        ('matrix sum=1/2 {\n  1 ;-2/3;\n  -4 5/-6\n}\n', "ParseError: 3:6: expected ';' after 1 entries, found '5'"),
+        ('matrix sum=1/2 {\n  1 -/2/3;\n  -4 5/-6\n}\n', "ParseError: 2:6: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -;2/3;\n  -4 5/-6\n}\n', "ParseError: 2:6: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2-/3;\n  -4 5/-6\n}\n', "ParseError: 2:8: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2//3;\n  -4 5/-6\n}\n', "ParseError: 2:8: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2;/3;\n  -4 5/-6\n}\n', "ParseError: 2:8: expected a matrix entry, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/-3;\n  -4 5/-6\n}\n', 'sum 1/2: 1 2/3; -4 -5/6'),
+        ('matrix sum=1/2 {\n  1 -2/;3;\n  -4 5/-6\n}\n', "ParseError: 2:8: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3-;\n  -4 5/-6\n}\n', "ParseError: 2:10: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3/;\n  -4 5/-6\n}\n', "ParseError: 2:9: expected '}', found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;;\n  -4 5/-6\n}\n', "ParseError: 2:10: expected a matrix entry, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  --4 5/-6\n}\n', "ParseError: 3:4: expected an integer, found '-'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  /-4 5/-6\n}\n', "ParseError: 3:3: expected a matrix entry, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  ;-4 5/-6\n}\n', "ParseError: 3:3: expected a matrix entry, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -/4 5/-6\n}\n', "ParseError: 3:4: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -;4 5/-6\n}\n', "ParseError: 3:4: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 -5/-6\n}\n', 'sum 1/2: 1 -2/3; -4 5/6'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 /5/-6\n}\n', "ParseError: 3:8: expected a row of 2 entries, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 ;5/-6\n}\n', "ParseError: 3:6: expected a row of 2 entries, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5-/-6\n}\n', "ParseError: 3:7: expected ';' after 2 entries, found '-'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5//-6\n}\n', "ParseError: 3:8: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5;/-6\n}\n', "ParseError: 3:8: expected a matrix entry, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/--6\n}\n', "ParseError: 3:9: expected an integer, found '-'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/;-6\n}\n', "ParseError: 3:8: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-/6\n}\n', "ParseError: 3:9: expected an integer, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-;6\n}\n', "ParseError: 3:9: expected an integer, found ';'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n-}\n', "ParseError: 4:1: expected ';' after 2 entries, found '-'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n/}\n', "ParseError: 4:1: expected '}', found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n;}\n', "ParseError: 4:2: expected a matrix entry, found '}'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}-\n', "ParseError: 4:2: expected end of input, found '-'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}/\n', "ParseError: 4:2: expected end of input, found '/'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n};\n', "ParseError: 4:2: expected end of input, found ';'"),
+        ('matrix', "ParseError: 1:7: expected 'sum', found end of input"),
+        ('matrix sum', "ParseError: 1:11: expected '=', found end of input"),
+        ('matrix sum=', 'ParseError: 1:12: expected an integer, found end of input'),
+        ('matrix sum=1', "ParseError: 1:13: expected '{', found end of input"),
+        ('matrix sum=1/', 'ParseError: 1:14: expected an integer, found end of input'),
+        ('matrix sum=1/2', "ParseError: 1:15: expected '{', found end of input"),
+        ('matrix sum=1/2 {', 'ParseError: 1:17: expected a matrix entry, found end of input'),
+        ('matrix sum=1/2 {\n  1', "ParseError: 2:4: expected '}', found end of input"),
+        ('matrix sum=1/2 {\n  1 -', 'ParseError: 2:6: expected an integer, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2', "ParseError: 2:7: expected '}', found end of input"),
+        ('matrix sum=1/2 {\n  1 -2/', 'ParseError: 2:8: expected an integer, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2/3', "ParseError: 2:9: expected '}', found end of input"),
+        ('matrix sum=1/2 {\n  1 -2/3;', 'ParseError: 2:10: expected a matrix entry, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -', 'ParseError: 3:4: expected an integer, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4', 'ParseError: 3:5: expected a row of 2 entries, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5', "ParseError: 3:7: expected '}', found end of input"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/', 'ParseError: 3:8: expected an integer, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-', 'ParseError: 3:9: expected an integer, found end of input'),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6', "ParseError: 3:10: expected '}', found end of input"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 5/-6\n}', 'sum 1/2: 1 -2/3; -4 -5/6'),
+        ('matrix sum=1/2 {\n  1 ;\n  -4 5/-6\n}\n', "ParseError: 3:6: expected ';' after 1 entries, found '5'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n   5/-6\n}\n', "ParseError: 4:1: expected a row of 2 entries, found '}'"),
+        ('matrix sum=1/2 {\n  1 -2/3;\n  -4 \n}\n', "ParseError: 4:1: expected a row of 2 entries, found '}'"),
+        ('matrix sum= {\n  1 -2/3;\n  -4 5/-6\n}\n', "ParseError: 1:13: expected an integer, found '{'"),
+        ('matrix sum=1 { 1 -2/3 ; -4 5/-6 1 }', "ParseError: 1:33: expected ';' after 2 entries, found '1'"),
+        ('matrix sum=1 { 1 -2/3 7 ; -4 5/-6 }', "ParseError: 1:35: expected a row of 3 entries, found '}'"),
+        ('matrix sum=1 { 1 -2/3 ; -4 5/-6 ; 7 8 9 }', "ParseError: 1:39: expected ';' after 2 entries, found '9'"),
+        ('matrix sum=1 { 1 -2/3 ; -4 5/-6 ; 7 -8/9 -1 }', "ParseError: 1:42: expected ';' after 2 entries, found '-'"),
+        ('matrix sum=1 { 1 -2/3 ; ; -4 5/-6 }', "ParseError: 1:25: expected a matrix entry, found ';'"),
+        ('matrix sum=1 { ; 1 }', "ParseError: 1:16: expected a matrix entry, found ';'"),
+        ('matrix sum=1 { }', "ParseError: 1:16: expected a matrix entry, found '}'"),
+        ('matrix sum=1 { 1 2 ; }', "ParseError: 1:22: expected a matrix entry, found '}'"),
+        ('matrix sum=1 { 1/0 }', 'ValidationError: 1:18: zero denominator'),
+        ('matrix sum=1 { 1/-0 }', 'ValidationError: 1:18: zero denominator'),
+        ('matrix sum=1/0 { 1 }', 'ValidationError: 1:14: zero denominator'),
+        ('matrix sum=-1/-0 { 1 }', 'ValidationError: 1:15: zero denominator'),
+        ('matrix sum=1 { 2 0/5 ; -0/-3 -0 }', 'sum 1: 2 0; 0 0'),
+        ('matrix sum=1 { -1/-2 - }', "ParseError: 1:24: expected an integer, found '}'"),
+        ('matrix sum=1 { 1 / 2 }', 'sum 1: 1/2'),
+        ('matrix sum=1 { 1 2 / }', "ParseError: 1:22: expected an integer, found '}'"),
+        ('matrix sum=1 { 1 2 / - }', "ParseError: 1:24: expected an integer, found '}'"),
+        ('matrix sum=1 { 1 - - 2 }', "ParseError: 1:20: expected an integer, found '-'"),
+        ('matrix sum=1 { 1 x }', "ParseError: 1:18: expected '}', found 'x'"),
+        ('matrix sum=1 { 1 2 3 ; 4 5 }', "ParseError: 1:28: expected a row of 3 entries, found '}'"),
+        ('matrix sum=1 { 1 2 ; 4 5 6 }', "ParseError: 1:26: expected ';' after 2 entries, found '6'"),
+        ('matrix sum=1 { 1 2 ; 4 -5 -6 }', "ParseError: 1:27: expected ';' after 2 entries, found '-'"),
+        ('matrix sum=1 { 1 2 ; 4 5/6 -7/8 }', "ParseError: 1:28: expected ';' after 2 entries, found '-'"),
+        ('# a comment\nmatrix sum=1 { 1 2 # more\n ; 3 4 }  # end', 'sum 1: 1 2; 3 4'),
+        ('players A B matrix sum=3/9 { 6/4 -8/12 }', 'sum 1/3: 3/2 -2/3'),
+    ]
+
+    # '@' stands for an integer one digit over the limit the interpreter reads.
+    OVER_THE_DIGIT_LIMIT = [
+        ('matrix sum=0 { 1 @ }', 'ParseError: 1:18: expected an integer of at most 4300 digits, found one of 4301'),
+        ('matrix sum=0 { 1 -@ }', 'ParseError: 1:19: expected an integer of at most 4300 digits, found one of 4301'),
+        ('matrix sum=0 { 1 @/2 }', 'ParseError: 1:18: expected an integer of at most 4300 digits, found one of 4301'),
+        ('matrix sum=0 { 1 2/@ }', 'ParseError: 1:20: expected an integer of at most 4300 digits, found one of 4301'),
+        ('matrix sum=0 { 1 -2/-@ }', 'ParseError: 1:22: expected an integer of at most 4300 digits, found one of 4301'),
+        ('matrix sum=@ { 1 }', 'ParseError: 1:12: expected an integer of at most 4300 digits, found one of 4301'),
+        ('matrix sum=1/@ { 1 }', 'ParseError: 1:14: expected an integer of at most 4300 digits, found one of 4301'),
+    ]
+
+    @pytest.mark.parametrize("text, expected", TEXTS)
+    def test_each_text_reads_as_pinned(self, text, expected):
+        assert _read_matrix(text) == expected
+
+    @pytest.mark.skipif(LIMIT != 4300, reason="the messages name the default digit limit")
+    @pytest.mark.parametrize("text, expected", OVER_THE_DIGIT_LIMIT)
+    def test_an_integer_over_the_digit_limit_raises_where_it_stands(self, text, expected):
+        assert _read_matrix(text.replace("@", "7" * (LIMIT + 1))) == expected
+
+
 class TestWriterErrors:
     """What the writers refuse, by type and text."""
 

@@ -298,6 +298,46 @@ class TestReferee:
         assert profile.row < greatest
 
 
+def systems_at_values(monkeypatch, game: MatrixGame) -> list[tuple[str, Fraction | None]]:
+    """Each square system ``solve_constant_sum(game)`` builds, in order, as the
+    player whose mix it solves ("row" or "column", told apart as in
+    ``systems_built``) and its value in the solver's scaled units, or None
+    when it is singular."""
+    built: list[tuple[str, Fraction | None]] = []
+    primal: list = []
+    solve = matrix._equalizing_mix
+
+    def counted(payoffs, support, against):
+        primal[:] = primal or [payoffs]
+        solved = solve(payoffs, support, against)
+        built.append(("row" if payoffs is primal[0] else "column", solved and Fraction(solved[1], solved[2])))
+        return solved
+
+    monkeypatch.setattr(matrix, "_equalizing_mix", counted)
+    solve_constant_sum(game)
+    return built
+
+
+class TestValueTest:
+    def test_no_column_system_is_built_for_a_primal_off_the_game_value(self, monkeypatch):
+        # A pair whose row system solves at another value than the simplex's cannot
+        # be accepted, so its column system is never built.  These games are
+        # degenerate, so the scans judge many pairs off the value.
+        rng = random.Random(73)
+        tie_break = matrix_game([[1, 2, 0], [0, 2, 0], [1, 0, 1]], 2)
+        off_value = 0
+        for game in [tie_break, *(referee_game(rng, 3 * k) for k in range(80))]:
+            value = reference_constant_sum(game).value * scale_of(game)
+            built = systems_at_values(monkeypatch, game)
+            for (side, at), (next_side, _) in zip(built, [*built[1:], ("row", None)]):
+                if side == "row" and at is not None and at != value:
+                    off_value += 1
+                    assert next_side == "row", game
+                if side == "column":
+                    assert at == value, game
+        assert off_value >= 300
+
+
 class TestDualSystem:
     def test_the_dual_is_singular_with_the_primal_and_has_its_value(self):
         # Why ``solve_constant_sum`` checks neither on the dual system: its bordered
@@ -336,9 +376,14 @@ def strictly_complementary(game: MatrixGame, profile) -> bool:
     )
 
 
+def scale_of(game: MatrixGame) -> int:
+    """The factor that makes every entry of ``game`` an integer, as the solver scales it."""
+    return math.lcm(*(entry.denominator for row in game.payoffs for entry in row))
+
+
 def scaled_game(game: MatrixGame) -> list[list[int]]:
     """The scaled integer matrix the solver hands to its simplex: the whole game."""
-    scale = math.lcm(*(entry.denominator for row in game.payoffs for entry in row))
+    scale = scale_of(game)
     return [[int(entry * scale) for entry in row] for row in game.payoffs]
 
 
@@ -366,8 +411,9 @@ class TestSimplexFirst:
             if index % 6 == 5:  # dominated strategies carry weight 0 and are worth less than the value
                 game = with_dominated_strategies(rng, game)
             expected = reference_constant_sum(game)
+            rows, cols, value = matrix._simplex_supports(scaled_game(game))
+            assert value == expected.value * scale_of(game), game  # every game's, in scaled units
             if strictly_complementary(game, expected):
                 strict += 1
-                found = matrix._simplex_supports(scaled_game(game))
-                assert found == (support(expected.row), support(expected.column)), game
+                assert (rows, cols) == (support(expected.row), support(expected.column)), game
         assert strict >= 200
