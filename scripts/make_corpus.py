@@ -7,10 +7,9 @@ import pathlib
 from fractions import Fraction
 
 from seqgames.core import leaf, node
-from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import GameDoc, render_profile, serialize
 from seqgames.matrix import matrix_game
-from seqgames.parametric import dollar_auction, from_cyclic
+from seqgames.parametric import CyclicGame, CyclicNode, dollar_auction, from_cyclic
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 PLAYERS = ("Alice", "Bertrand")

@@ -18,19 +18,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "DEFAULT_PLAYERS FiniteGame GameError InvalidPlay Leaf LimitExceeded MalformedGame Node"
-        " NotTwoPlayer ShapeMismatch induced_play leaf node outcome_of subgame_at"
+        " NotTwoPlayer ShapeMismatch SpeReport Violation induced_play leaf node outcome_of subgame_at"
     ),
-    "cyclic": "CyclicGame CyclicNode UnknownNode enumerate_positional_spe",
+    "cyclic": "enumerate_positional_spe",
     "escalation": (
         "BeliefNotEquilibrium BeliefPair Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
         " Terminates Uniform compose_beliefs detect_escalation simulate"
     ),
-    "finite": "Enumeration SpeReport TiePolicy Violation check_spe enumerate_equilibria solve",
+    "finite": "Enumeration TiePolicy check_spe enumerate_equilibria solve",
     "matrix": "MatrixGame MixedProfile best_response_value matrix_game solve_constant_sum",
     "parametric": (
-        "AffineValue ConvergesAffine Divergent InvalidValue ParametricGame SearchSpaceTooLarge Shape"
-        " UnknownShape affine affine_leq check_spe_param dollar_auction enumerate_stationary_spe"
-        " induced_outcome_param instantiate"
+        "AffineValue ConvergesAffine CyclicGame CyclicNode Divergent InvalidValue ParametricGame"
+        " SearchSpaceTooLarge Shape UnknownShape affine affine_leq check_spe_param dollar_auction"
+        " enumerate_stationary_spe induced_outcome_param instantiate"
     ),
     "dsl": "GameDoc ParseError Unwritable ValidationError parse serialize to_dot",
 }

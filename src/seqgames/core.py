@@ -202,6 +202,29 @@ FiniteGame = Leaf | Node
 TreeProfile = Mapping[PlayLine, str]
 
 
+class Violation(Record):
+    """A one-shot deviation that strictly improves the node owner's utility.
+
+    ``where`` is a node path for tree games and a node or shape name for
+    graph games; the two value fields are ints for tree games and affine
+    values for graph games (of slope 0 for a cyclic game).
+    """
+
+    where: PlayLine | str
+    action: str
+    profile_value: object
+    deviation_value: object
+
+
+class SpeReport(Record):
+    violations: tuple[Violation, ...] = ()
+    divergences: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and not self.divergences
+
+
 class TreeIndex:
     """A finite tree flattened into preorder arrays.
 

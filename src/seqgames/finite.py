@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import DEFAULT_CAP, FiniteGame, PlayLine, Record, TreeProfile, chosen_branches, require_two_players
+from .core import (
+    DEFAULT_CAP, FiniteGame, PlayLine, Record, SpeReport, TreeProfile, Violation, chosen_branches,
+    require_two_players,
+)
 
 
 class TiePolicy(Enum):
@@ -19,29 +22,6 @@ class TiePolicy(Enum):
 
     FIRST_BRANCH = "first"
     LAST_BRANCH = "last"
-
-
-class Violation(Record):
-    """A one-shot deviation that strictly improves the node owner's utility.
-
-    ``where`` is a node path for tree games and a node or shape name for
-    graph games; the two value fields are ints for tree games and affine
-    values for graph games (of slope 0 for a cyclic game).
-    """
-
-    where: PlayLine | str
-    action: str
-    profile_value: object
-    deviation_value: object
-
-
-class SpeReport(Record):
-    violations: tuple[Violation, ...] = ()
-    divergences: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.divergences
 
 
 class Enumeration(Record):

@@ -5,12 +5,17 @@ stage ``n``, the owner picks a move that either ends the game at a leaf
 whose per-player payoffs are affine in ``n``, or advances to another shape
 at stage ``n + 1``.  Stationary profiles choose one move per shape, so
 equilibrium inequalities can be decided symbolically for all stages at
-once by comparing affine coefficients.
+once by comparing affine coefficients.  A profile is an equilibrium when
+its play converges from every shape and no one-shot deviation improves
+its owner's payoff; a deviation whose play diverges ranks below every
+convergent outcome, as divergent play never reaches a payoff.
 
-A ``CyclicGame`` is a ``ParametricGame`` whose payoffs all have slope 0, so
-every analysis here takes it as it is: messages use the game's ``POINT``,
-``CHOICE`` and ``PROFILE``, and its payoffs come back as ``AffineValue``s of
-slope 0.
+A ``CyclicGame``, a graph of nodes whose edges lead to nodes or leaves,
+stands for the infinite tree that unrolls it; its strategies are
+positional, one edge per node whatever the history.  It is the
+``ParametricGame`` whose payoffs all have slope 0, so every analysis here
+takes it as it is: messages use the game's ``POINT``, ``CHOICE`` and
+``PROFILE``, and its payoffs come back as ``AffineValue``s of slope 0.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from collections.abc import Iterator, Mapping
 
 from .core import (
     FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch,
-    cached_property, is_player,
+    SpeReport, Violation, cached_property, is_player,
 )
-from .finite import SpeReport, Violation
 
 DEFAULT_SEARCH_BOUND = 2**20
 
@@ -177,6 +181,31 @@ class ParametricGame(Record):
     def entries(self) -> dict[str, tuple[int | None, int | None]]:
         """``entry_stages(self)``, built on first use and kept like ``labels``."""
         return entry_stages(self)
+
+
+class CyclicGame(ParametricGame):
+    """A parametric game whose payoffs all have slope 0, named as a graph of nodes and edges."""
+
+    KIND, POINT, CHOICE, PROFILE = "cyclic", "node", "edge", "positional"
+
+    def __post_init__(self) -> None:
+        """The ``ParametricGame`` checks, then ``MalformedGame`` for the first payoff,
+        in declaration and edge order, whose slope is not 0."""
+        super().__post_init__()
+        for name, shape in self.shapes.items():
+            for label, target in shape.moves:
+                if isinstance(target, AffineLeaf) and any(value.slope for value in target.outcome):
+                    raise MalformedGame(f"edge {label!r} at {name!r} has a payoff with a nonzero slope")
+
+
+def CyclicNode(owner: int, edges: tuple[tuple[str, str | Leaf], ...]) -> Shape:
+    """The ``Shape`` of a decision node: an edge to a ``Leaf`` becomes a slope-0 ``AffineLeaf``, one to
+    a node name an ``Advance``, and any other target stays as it is, for ``CyclicGame`` to refuse."""
+    return Shape(owner, tuple(
+        (label, AffineLeaf(tuple(map(affine, target.outcome))) if isinstance(target, Leaf)
+         else Advance(target) if isinstance(target, str) else target)
+        for label, target in edges
+    ))
 
 
 #: One chosen move label per shape name.
@@ -517,10 +546,7 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     repeated label.  The kind decides only the payoff grammar (``INT`` or ``AFFINE``), whether a target
     starts with ``advance`` and the class built, ``CyclicGame`` or ``ParametricGame``.  References are
     checked once the body is read: edges, then the start."""
-    if parametric:
-        make_game = ParametricGame
-    else:
-        from .cyclic import CyclicGame as make_game
+    make_game = ParametricGame if parametric else CyclicGame
     tokens = parser.tokens
     parser.expect("start")
     parser.expect("=")

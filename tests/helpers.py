@@ -47,7 +47,6 @@ from seqgames.core import (
     node,
     subgame_at,
 )
-from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
@@ -56,6 +55,8 @@ from seqgames.parametric import (
     Advance,
     AffineLeaf,
     ConvergesAffine,
+    CyclicGame,
+    CyclicNode,
     Divergent,
     ParametricGame,
     Shape,

@@ -558,7 +558,7 @@ class TestErrors:
         assert captured.err == f"parse error: 3:17: expected an integer of at most {limit} digits, found one of 5000\n"
 
     def test_search_space_limit_is_exit_3(self, capsys, tmp_path):
-        from seqgames.cyclic import CyclicGame, CyclicNode
+        from seqgames.parametric import CyclicGame, CyclicNode
         from seqgames.core import leaf as mk_leaf
         from seqgames.dsl import GameDoc, serialize
 

@@ -27,6 +27,7 @@ COMMANDS = ("solve", "enumerate", "check", "unfold", "auction", "simulate", "mat
 FINITE_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.finite"}
 # A tree command compiles every line of FINITE_PATH's sources, so their total is its cost at cold start.
 FINITE_PATH_LINES = 1400
+GRAPH_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.parametric"}
 WRITER = "seqgames.dsl_write"  # the graph reader lives in ``parametric`` and the matrix reader in ``matrix``
 
 
@@ -91,6 +92,19 @@ class TestModulesLoaded:
         # No writer, no graph or matrix reader and no graph or matrix command module.
         assert package(loaded(*argv)) == expected
 
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (["enumerate", "corpus/zero_one_cyclic.game"], GRAPH_PATH | {"seqgames.cli_kinds"}),
+            (["check", "corpus/zero_one_cyclic.game", "--profile", "corpus/profiles/loop_alice_abandons.profile"],
+             GRAPH_PATH),
+        ],
+        ids=["enumerate", "check"],
+    )
+    def test_cyclic_commands_load_the_graph_path_only(self, argv, expected):
+        # One graph module: neither the tree kernels in ``finite`` nor the ``cyclic`` aliases.
+        assert package(loaded(*argv)) == expected
+
     def test_the_finite_path_stays_small(self):
         files = [ROOT / "src" / "seqgames" / f"{name.partition('.')[2] or '__init__'}.py" for name in FINITE_PATH]
         lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in files}
@@ -106,18 +120,18 @@ class TestModulesLoaded:
             ),
             (
                 ["enumerate", "corpus/zero_one_cyclic.game"],
-                {"seqgames.cyclic", "seqgames.parametric"},
-                {"seqgames.matrix", "seqgames.escalation", "fractions", WRITER},
+                {"seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.escalation", "fractions", WRITER, "seqgames.cyclic", "seqgames.finite"},
             ),
             (
                 ["simulate", "corpus/zero_one_param.game", "--horizon", "5", "--seed", "7"],
                 {"seqgames.escalation", "seqgames.parametric"},
-                {"seqgames.matrix", "seqgames.cyclic", WRITER},
+                {"seqgames.matrix", "seqgames.cyclic", WRITER, "seqgames.finite"},
             ),
             (
                 ["check", "corpus/zero_one_cyclic.game", "--profile", "corpus/profiles/loop_alice_abandons.profile"],
-                {"seqgames.cyclic", "seqgames.parametric"},
-                {"seqgames.matrix", "seqgames.cli_kinds", WRITER},
+                {"seqgames.parametric"},
+                {"seqgames.matrix", "seqgames.cli_kinds", WRITER, "seqgames.cyclic", "seqgames.finite"},
             ),
         ],
         ids=["matrix", "enumerate-cyclic", "simulate-param", "check-cyclic"],
@@ -280,19 +294,19 @@ def test_limits_exit_3_in_a_fresh_process(tmp_path, command, text):
 EXPORTS = {
     core: (
         "DEFAULT_PLAYERS FiniteGame GameError InvalidPlay Leaf MalformedGame Node NotTwoPlayer"
-        " ShapeMismatch induced_play leaf node outcome_of subgame_at"
+        " ShapeMismatch SpeReport Violation induced_play leaf node outcome_of subgame_at"
     ),
-    cyclic: "CyclicGame CyclicNode SearchSpaceTooLarge UnknownNode enumerate_positional_spe",
+    cyclic: "enumerate_positional_spe",
     escalation: (
         "BeliefNotEquilibrium BeliefPair Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
         " Terminates Uniform compose_beliefs detect_escalation simulate"
     ),
-    finite: "Enumeration SpeReport TiePolicy Violation check_spe enumerate_equilibria solve",
+    finite: "Enumeration TiePolicy check_spe enumerate_equilibria solve",
     matrix: "MatrixGame MixedProfile best_response_value matrix_game solve_constant_sum",
     parametric: (
-        "AffineValue ConvergesAffine Divergent InvalidValue ParametricGame Shape UnknownShape affine"
-        " affine_leq check_spe_param dollar_auction enumerate_stationary_spe induced_outcome_param"
-        " instantiate"
+        "AffineValue ConvergesAffine CyclicGame CyclicNode Divergent InvalidValue ParametricGame"
+        " SearchSpaceTooLarge Shape UnknownShape affine affine_leq check_spe_param dollar_auction"
+        " enumerate_stationary_spe induced_outcome_param instantiate"
     ),
     dsl: "GameDoc ParseError Unwritable ValidationError parse serialize to_dot",
 }
@@ -313,7 +327,7 @@ class TestPublicNames:
         assert names <= set(dir(seqgames))
 
     def test_the_replaced_cyclic_adapters_are_not_exported(self):
-        for name in ("Converges", "Diverges", "check_spe_cyclic", "induced_outcome", "unfold"):
+        for name in ("Converges", "Diverges", "UnknownNode", "check_spe_cyclic", "induced_outcome", "unfold"):
             assert name not in seqgames.__all__
             with pytest.raises(AttributeError):
                 getattr(seqgames, name)
@@ -375,7 +389,7 @@ class TestPublicNames:
         kinds = {
             core.Leaf: "finite",
             core.Node: "finite",
-            cyclic.CyclicGame: "cyclic",
+            parametric.CyclicGame: "cyclic",
             parametric.ParametricGame: "param",
             matrix.MatrixGame: "matrix",
         }

@@ -12,21 +12,19 @@ from helpers import chain01, instantiate_profile, loop01, random_cyclic, referen
 
 from seqgames import cyclic, parametric
 from seqgames.core import MalformedGame, ShapeMismatch, leaf, node
-from seqgames.cyclic import (
-    CyclicGame,
-    CyclicNode,
-    SearchSpaceTooLarge,
-    UnknownNode,
-    enumerate_positional_spe,
-)
+from seqgames.cyclic import enumerate_positional_spe
 from seqgames.finite import check_spe, enumerate_equilibria
 from seqgames.parametric import (
     Advance,
     AffineLeaf,
     ConvergesAffine,
+    CyclicGame,
+    CyclicNode,
     Divergent,
     ParametricGame,
+    SearchSpaceTooLarge,
     Shape,
+    UnknownShape,
     affine,
     check_spe_param,
     induced_outcome_param,
@@ -63,7 +61,7 @@ class TestInducedOutcome:
         assert result == Divergent(stem=("S",), cycle=("A", "B"))
 
     def test_unknown_node(self):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(UnknownShape):
             induced_outcome_param(loop01(), {"A": "a", "B": "c"}, "Z")
 
     def test_invalid_profile(self):
@@ -132,7 +130,7 @@ class TestCheckSpe:
         assert checked > 2000
 
     def test_dangling_edge_raises_unknown_node(self):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(UnknownShape):
             game = CyclicGame(
                 {
                     "A": CyclicNode(0, (("a", leaf(0, 1)), ("c", "Z"))),
@@ -172,9 +170,7 @@ class TestEngine:
         assert ParametricGame(shapes, "s").shapes is shapes  # the parametric kind takes it
 
     def test_shared_names_are_the_engine_objects(self):
-        assert cyclic.SearchSpaceTooLarge is parametric.SearchSpaceTooLarge
-        assert cyclic.DEFAULT_SEARCH_BOUND is parametric.DEFAULT_SEARCH_BOUND
-        assert UnknownNode is parametric.UnknownShape
+        assert cyclic.enumerate_positional_spe is parametric.enumerate_stationary_spe
 
     def test_duplicate_edge_labels_are_rejected(self):
         with pytest.raises(MalformedGame, match="^'s' has two choices labelled 'x'$"):
@@ -188,6 +184,14 @@ class TestEngine:
         shapes = {"s": CyclicNode(0, (("x", "t"),)), "t": Shape(1, (("y", leaf(1, 0)), ("z", "s")))}
         with pytest.raises(MalformedGame, match="^edge 'y' at 't' leads to neither a leaf nor a node$"):
             CyclicGame(shapes, "s")
+
+    @pytest.mark.parametrize(
+        "target", [5, None, ("B",), node(0, ("x", leaf(1, 0))), ["B"]], ids=["int", "None", "tuple", "tree", "list"]
+    )
+    def test_an_edge_to_neither_a_leaf_nor_a_node_name_is_rejected(self, target):
+        shapes = {"A": CyclicNode(0, (("a", target), ("b", "B"))), "B": CyclicNode(1, (("a", leaf(0, 1)),))}
+        with pytest.raises(MalformedGame, match="^edge 'a' at 'A' leads to neither a leaf nor a node$"):
+            CyclicGame(shapes, "A")
 
     def test_an_owner_other_than_player_0_or_1_is_rejected(self):
         with pytest.raises(MalformedGame, match="^'s' is owned by 2, neither player 0 nor player 1$"):

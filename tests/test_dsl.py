@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from seqgames import dsl, dsl_write
 from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, ShapeMismatch, leaf, node
-from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.dsl import (
     GameDoc,
     ParseError,
@@ -43,7 +42,16 @@ from seqgames.dsl import (
     to_dot,
 )
 from seqgames.matrix import MatrixGame
-from seqgames.parametric import Advance, AffineLeaf, ParametricGame, Shape, affine, dollar_auction
+from seqgames.parametric import (
+    Advance,
+    AffineLeaf,
+    CyclicGame,
+    CyclicNode,
+    ParametricGame,
+    Shape,
+    affine,
+    dollar_auction,
+)
 
 PLAYERS = ("Alice", "Bertrand")
 
@@ -771,7 +779,7 @@ class TestUnwritable:
         # A set of labels was walked in string-hash order, so the label named changed with the seed.
         script = (
             "from seqgames.core import leaf, node\n"
-            "from seqgames.cyclic import CyclicGame, CyclicNode\n"
+            "from seqgames.parametric import CyclicGame, CyclicNode\n"
             "from seqgames.dsl import GameDoc, Unwritable, serialize\n"
             "edges = [(name, leaf(1, 0)) for name in ('a b', 'c d', 'e f')]\n"
             "for game in node(0, ('x', node(1, *edges[::-1])), ('y', node(1, *edges))), CyclicGame({'N': CyclicNode(0, edges)}, 'N'):\n"

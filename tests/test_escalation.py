@@ -8,7 +8,6 @@ import pytest
 from helpers import loop01, random_cyclic, random_graph, random_parametric, reference_detect_escalation, ring
 
 from seqgames.core import ShapeMismatch, leaf
-from seqgames.cyclic import CyclicGame, CyclicNode
 from seqgames.escalation import (
     BeliefNotEquilibrium,
     BeliefPair,
@@ -22,7 +21,15 @@ from seqgames.escalation import (
     simulate,
 )
 from seqgames.dsl import parse
-from seqgames.parametric import Divergent, dollar_auction, enumerate_stationary_spe, from_cyclic, stationary_profiles
+from seqgames.parametric import (
+    CyclicGame,
+    CyclicNode,
+    Divergent,
+    dollar_auction,
+    enumerate_stationary_spe,
+    from_cyclic,
+    stationary_profiles,
+)
 
 # Each player believes the game follows the equilibrium in which the OTHER
 # player eventually gives up.

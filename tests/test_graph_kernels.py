@@ -128,7 +128,7 @@ class TestCheckMatchesReference:
 
     def test_cyclic_report_is_the_slope_zero_report(self):
         for game in _small_games(87, 200):
-            if isinstance(game, cy.CyclicGame):
+            if isinstance(game, par.CyclicGame):
                 for profile in par.stationary_profiles(game):
                     report = par.check_spe_param(game, profile)
                     assert report == reference_spe_report_param(game, profile)
@@ -262,7 +262,7 @@ class TestInstantiateMatchesReference:
             _same_tree(game, max_stage, (0, 0))
 
     def test_play_that_always_ends_builds_only_the_stages_it_reaches(self):
-        game = cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("b", leaf(1, 0))))}, "A")
+        game = par.CyclicGame({"A": par.CyclicNode(0, (("a", leaf(0, 1)), ("b", leaf(1, 0))))}, "A")
         assert par.instantiate(game, 10**9, (0, 0)) == reference_instantiate(game, 10**9, (0, 0))
 
     def test_a_shape_entered_twice_at_a_stage_is_one_node(self):
@@ -281,7 +281,7 @@ def _auction_with_b_continuing_to(name: str) -> dict:
 
 
 _TWO_ADVANCES = {"S": par.Shape(0, (("x", par.Advance("Y")), ("z", par.Advance("Z"))))}
-_DECLARED_FIRST = {"A": cy.CyclicNode(0, (("c", "B"), ("d", "W"))), "B": cy.CyclicNode(1, (("c", "V"),))}
+_DECLARED_FIRST = {"A": par.CyclicNode(0, (("c", "B"), ("d", "W"))), "B": par.CyclicNode(1, (("c", "V"),))}
 
 
 @pytest.mark.parametrize(
@@ -289,16 +289,16 @@ _DECLARED_FIRST = {"A": cy.CyclicNode(0, (("c", "B"), ("d", "W"))), "B": cy.Cycl
     [
         (lambda: par.ParametricGame(_auction_with_b_continuing_to("Z"), "A0"), "Z"),
         (lambda: par.ParametricGame(par.dollar_auction(3).shapes, "Q"), "Q"),
-        (lambda: cy.CyclicGame({"A": cy.CyclicNode(0, (("a", leaf(0, 1)), ("c", "Z")))}, "A"), "Z"),
-        (lambda: cy.CyclicGame(loop01().shapes, "Q"), "Q"),
+        (lambda: par.CyclicGame({"A": par.CyclicNode(0, (("a", leaf(0, 1)), ("c", "Z")))}, "A"), "Z"),
+        (lambda: par.CyclicGame(loop01().shapes, "Q"), "Q"),
         (lambda: par.ParametricGame(_TWO_ADVANCES, "Q"), "Q"),  # the start first
         (lambda: par.ParametricGame(_TWO_ADVANCES, "S"), "Y"),  # then advances in move order
-        (lambda: cy.CyclicGame(_DECLARED_FIRST, "A"), "W"),  # in declaration order, not the order play reaches
+        (lambda: par.CyclicGame(_DECLARED_FIRST, "A"), "W"),  # in declaration order, not the order play reaches
     ],
     ids=["param advance", "param start", "cyclic edge", "cyclic start", "start first", "move order", "declared first"],
 )
 def test_a_dangling_reference_is_refused_when_the_game_is_built(build, missing):
-    with pytest.raises(par.UnknownShape, match=f"^{missing}$"):  # cy.UnknownNode is the same class
+    with pytest.raises(par.UnknownShape, match=f"^{missing}$"):
         build()
 
 
@@ -318,7 +318,7 @@ class TestScale:
         assert report.violations == ()
 
     def test_bound_is_still_on_the_product(self):
-        with pytest.raises(cy.SearchSpaceTooLarge, match=r"^2097152 positional profiles exceed bound 1048576$"):
+        with pytest.raises(par.SearchSpaceTooLarge, match=r"^2097152 positional profiles exceed bound 1048576$"):
             cy.enumerate_positional_spe(ring(21))
 
 

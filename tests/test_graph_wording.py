@@ -95,7 +95,7 @@ def test_profile_error_names_the_kind(call, profile, message):
     ids=["positional", "stationary"],
 )
 def test_bound_message_names_the_profile_kind(call, game, message):
-    with pytest.raises(cy.SearchSpaceTooLarge) as caught:
+    with pytest.raises(par.SearchSpaceTooLarge) as caught:
         call(game, bound=3)
     assert str(caught.value) == message
 

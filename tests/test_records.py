@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqgames import core, cyclic as cy, dsl, escalation as esc, finite as fin, matrix as mx, parametric as par
+from seqgames import core, dsl, escalation as esc, finite as fin, matrix as mx, parametric as par
 
 
 def _affine_leaf(first: tuple[int, int], second: tuple[int, int]) -> par.AffineLeaf:
@@ -31,8 +31,8 @@ def _shapes() -> dict[str, par.Shape]:
 
 def _cyclic_shapes() -> dict[str, par.Shape]:
     return {
-        "A": cy.CyclicNode(0, (("a", core.Leaf((1, 0))), ("b", "B"))),
-        "B": cy.CyclicNode(1, (("a", core.Leaf((0, 1))), ("b", "A"))),
+        "A": par.CyclicNode(0, (("a", core.Leaf((1, 0))), ("b", "B"))),
+        "B": par.CyclicNode(1, (("a", core.Leaf((0, 1))), ("b", "A"))),
     }
 
 
@@ -56,7 +56,7 @@ def build() -> dict[str, object]:
         "Advance": par.Advance("B"),
         "Shape": par.Shape(0, (("a", _affine_leaf((1, 0), (0, 0))), ("b", par.Advance("A")))),
         "ParametricGame": par.ParametricGame(_shapes(), "A"),
-        "CyclicGame": cy.CyclicGame(_cyclic_shapes(), "A"),
+        "CyclicGame": par.CyclicGame(_cyclic_shapes(), "A"),
         "ConvergesAffine": par.ConvergesAffine(("A", "B"), (par.AffineValue(0, 1), par.AffineValue(1, 0))),
         "Divergent": par.Divergent(("A",), ("B", "C")),
         "BeliefPair": esc.BeliefPair({"A": "a"}, {"A": "b"}),
@@ -241,9 +241,9 @@ class TestConstruction:
 class TestGraphGames:
     def test_a_cyclic_game_is_not_equal_to_the_parametric_game_of_its_shapes(self):
         shapes = _cyclic_shapes()
-        cyclic, parametric = cy.CyclicGame(shapes, "A"), par.ParametricGame(shapes, "A")
+        cyclic, parametric = par.CyclicGame(shapes, "A"), par.ParametricGame(shapes, "A")
         assert cyclic != parametric and parametric != cyclic
-        assert cyclic == cy.CyclicGame(start="A", shapes=shapes)
+        assert cyclic == par.CyclicGame(start="A", shapes=shapes)
 
     @pytest.mark.parametrize("keywords", [False, True], ids=["positional", "keywords"])
     def test_a_bad_game_raises_from_its_constructor(self, keywords):
@@ -258,7 +258,7 @@ class TestGraphGames:
         with pytest.raises(core.MalformedGame, match="no choices"):
             make(par.ParametricGame, {"A": par.Shape(0, ())}, "A")
         with pytest.raises(core.MalformedGame, match="nonzero slope"):
-            make(cy.CyclicGame, _shapes(), "A")
+            make(par.CyclicGame, _shapes(), "A")
 
 
 class TestCachedProperties:
