@@ -104,10 +104,9 @@ def _outcome_text(outcome: tuple) -> str:
     return ",".join(_number(v) for v in outcome)
 
 
-def _profile_json(game, profile) -> dict[str, str]:
-    if game.KIND == "finite":
-        return {dsl.render_tree_path(path): action for path, action in profile.items()}
-    return dict(profile)
+def _profile_json(profile) -> dict[str, str]:
+    """A finite game's profile keyed by its rendered action paths."""
+    return {dsl.render_tree_path(path): action for path, action in profile.items()}
 
 
 def _profile_text(profile: dict[str, str]) -> str:
@@ -156,7 +155,7 @@ def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str], int]:
         "command": "solve",
         "kind": "finite",
         "ties": args.ties,
-        "profile": _profile_json(doc.game, profile),
+        "profile": _profile_json(profile),
         "play": list(play),
         "outcome": list(outcome),
     }
@@ -180,7 +179,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
         entries = []
         for profile in result.profiles:
             play, outcome = induced_play(game, profile)
-            entries.append({"profile": _profile_json(game, profile), "play": list(play), "outcome": list(outcome)})
+            entries.append({"profile": _profile_json(profile), "play": list(play), "outcome": list(outcome)})
         distinct = sorted({tuple(entry["play"]) for entry in entries})
         payload = {
             "command": "enumerate",

@@ -39,7 +39,7 @@ def _cmd_unfold(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     doc = _load_game(args, "cyclic")
     terminal = _parse_outcome(args.terminal)
     if args.depth < 1:  # worded for the command, not as instantiate's max_stage
-        raise ValueError("depth must be positive")
+        raise GameError("depth must be positive")
     tree = instantiate(doc.game, args.depth, terminal)
     rendered = dsl.serialize(dsl.GameDoc(doc.players, tree))
     return {"command": "unfold", "game": rendered}, [rendered[:-1]], 0  # less the final newline
@@ -101,12 +101,12 @@ def _cmd_simulate(args: SimpleNamespace) -> tuple[dict, list[str], int, list[str
     else:
         tag, _, rest = args.policy.partition(":")
         try:
-            if tag != "fixed":
-                raise ValueError(tag)
-            i, j = (int(part) for part in rest.split(","))
+            indices = tuple(map(int, rest.split(",")))
         except ValueError:
-            raise _UsageError("policy must be 'uniform' or 'fixed:i,j'") from None
-        policy = FixedIndex((i, j))
+            indices = ()
+        if tag != "fixed" or len(indices) != 2:
+            raise _UsageError("policy must be 'uniform' or 'fixed:i,j'")
+        policy = FixedIndex(indices)
     trace = simulate(game, args.horizon, seed, policy)
     steps = [
         {"stage": step.stage, "mover": doc.players[step.mover], "belief": step.belief_index, "action": step.action}

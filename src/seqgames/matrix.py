@@ -2,36 +2,33 @@
 
 The row player's payoffs are given as a matrix of fractions; the column
 player receives the constant sum minus the entry.  ``solve_constant_sum``
-finds an exact minimax/maximin pair from square supports (Shapley & Snow
-1950).  The payoffs are scaled once to integers, and each square system is
-solved by fraction-free (Bareiss) elimination, whose divisions are all
-exact; fractions are built only for the value and accepted solutions, so
-results carry no rounding at all.
+finds an exact minimax/maximin pair.  The payoffs are scaled once to
+integers; an exact simplex and the fraction-free (Bareiss) elimination of
+square systems both divide only exactly, and fractions are built only for
+the answer, so results carry no rounding at all.
 
 Under ties the row mix is the smallest accepted mix on the first row
 support, in lexicographic order over all nonempty subsets, that has an
-accepted square pair; the column mix follows the same rule over column
-supports.  This is not always the lexicographically greatest optimal
-strategy.
+accepted square pair (Shapley & Snow 1950); the column mix follows the
+same rule over column supports.  This is not always the lexicographically
+greatest optimal strategy.
 
-Three exact steps keep that rule's answer with less work.  A strictly
-complementary pair (every weight positive, every other pure strategy
-strictly worse than the value) is the only optimal pair (Goldman & Tucker
-1956): complementary slackness puts any optimal mix on its support,
-where it must equalize the other side's support, a nonsingular square
-system.  So the supports an exact simplex finds are judged first, and when
-that pair is accepted and strict it is the answer; a game with a strict
-pair always ends there, as the LP's primal and dual optima are then unique.
-Other games (degenerate ones, with tied optima) are scanned on both sides,
-each up to its first accepted support in full, so their work stays
-exponential in the matrix side: hence ``SUPPORT_LIMIT``.  The scans skip
-each pure strategy strictly dominated by another: whatever the other side
-mixes, such a row is worth less than its dominator, so less than the value,
+Three exact steps keep that rule's answer with less work.  The simplex
+runs first.  When its final tableau is strictly complementary, every
+variable basic and positive or of positive reduced cost, the LP's primal
+and dual optima are both unique, so the pair read off it is the only
+optimal pair, on square supports with a nonsingular system (Goldman &
+Tucker 1956): it is the answer, and no square system is built.  Only
+degenerate games, with tied optima, are scanned on both sides, each up to
+its first accepted support in full, so their work stays exponential in
+the matrix side: hence ``SUPPORT_LIMIT``.  The scans skip each pure
+strategy strictly dominated by another: whatever the other side mixes,
+such a row is worth less than its dominator, so less than the value,
 while an accepted pair makes each row of its support worth exactly the
-value (a dominated column likewise).  And the simplex gives the game's value
-exactly, which every accepted pair certifies, so a pair whose row system
-solves at another value is rejected before its certificates are checked
-and before its column system is built.
+value (a dominated column likewise).  And the simplex gives the game's
+value exactly, which every accepted pair certifies, so a pair whose row
+system solves at another value is rejected before its certificates are
+checked and before its column system is built.
 """
 
 from __future__ import annotations
@@ -159,17 +156,19 @@ def _lex_supports(items: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(subsets)
 
 
-def _simplex_supports(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...], Fraction]:
-    """Row and column supports of one optimal pair of the game ``matrix``, and
-    the game's value, from the LP max sum(w) s.t. P w <= 1, w >= 0, where P is
-    the game shifted so every entry is at least 1 (von Stengel 2002): the
-    basic w > 0 are the column support, the slacks with a positive price in
-    the objective row (the dual) the row support, and the optimum sum(w) is
-    one over the value of P.  Integer pivoting keeps the tableau as
-    integers over one shared positive determinant, so every division, the
-    objective row's too, is exact (Edmonds 1967); Bland's rule (entering:
-    the smallest index with a negative reduced cost; leaving: the smallest
-    basic index among tied ratios) cannot cycle (Bland 1977)."""
+def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, bool]:
+    """(row mix, column mix, value, strict) of one optimal pair of the game
+    ``matrix``, from the LP max sum(w) s.t. P w <= 1, w >= 0, where P is the
+    game shifted so every entry is at least 1 (von Stengel 2002): the column
+    mix is w over sum(w), the row mix the slacks' prices in the objective
+    row (the dual) over the same sum, and sum(w) is one over the value of P.
+    ``strict``: every variable is basic and positive or has a positive
+    reduced cost, so the pair is the only optimal one (module docstring).
+    Integer pivoting keeps the tableau as integers over one shared positive
+    determinant, so every division, the objective row's too, is exact
+    (Edmonds 1967); Bland's rule (entering: the smallest index with a
+    negative reduced cost; leaving: the smallest basic index among tied
+    ratios) cannot cycle (Bland 1977)."""
     m, n = len(matrix), len(matrix[0])
     shift = 1 - min(min(row) for row in matrix)
     tableau = [  # columns: w, then the slacks, then the right-hand side
@@ -194,8 +193,12 @@ def _simplex_supports(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
                 f = row[enter]
                 tableau[r] = [(p * u - f * t) // det for u, t in zip(row, top)]
         basis[leave], det = enter, p
-    column = sorted(b for r, b in enumerate(basis) if b < n and tableau[r][-1] > 0)
-    return tuple(k for k in range(m) if objective[n + k] > 0), tuple(column), Fraction(det, objective[-1]) - shift
+    total, level = objective[-1], [0] * (n + m)  # sum(w) and each basic variable, both times det
+    for r, b in enumerate(basis):
+        level[b] = tableau[r][-1]
+    row = tuple(Fraction(objective[n + k], total) for k in range(m))
+    column = tuple(Fraction(level[j], total) for j in range(n))
+    return row, column, Fraction(det, total) - shift, all(level[c] or objective[c] for c in range(n + m))
 
 
 def _first_support_pair(
@@ -206,13 +209,13 @@ def _first_support_pair(
 ) -> tuple:
     """Scan this side's supports over the strategies ``mine`` in
     lexicographic order; for the first one with any accepted square pair,
-    return the accepted ``(x, y, value, strict)`` whose mix on this side
-    (entry ``side``) is the smallest."""
+    return the accepted ``(x, y)`` whose mix on this side (entry ``side``)
+    is the smallest."""
     for support in _lex_supports(mine):
         judged = (judge(support, against) for against in itertools.combinations(theirs, len(support)))
         found = [accepted for accepted in judged if accepted is not None]
         if found:
-            return min(found, key=lambda accepted: (accepted[side], accepted[2]))
+            return min(found, key=lambda accepted: accepted[side])
     raise AssertionError("no square-kernel solution found; unreachable for valid input")
 
 
@@ -229,12 +232,13 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     that value against every pure strategy.  That test reads the same from
     either side, so each pair is judged once per call and serves both scans.
 
-    The pair of supports an exact simplex finds is judged first, and a
-    strictly complementary accepted pair, the only optimal pair, ends the
-    work; otherwise the scans skip every strictly dominated pure strategy;
-    and a pair off the simplex's value is rejected once its row system is
-    solved (see the module docstring).  None changes a result.  ``TooLarge``
-    beyond ``SUPPORT_LIMIT``: a degenerate game can still judge every support pair.
+    A strictly complementary pair read off the exact simplex's final
+    tableau, the only optimal pair, is the answer, and nothing is judged;
+    only a degenerate game is scanned, where the scans skip every strictly
+    dominated pure strategy and a pair off the simplex's value is rejected
+    once its row system is solved (see the module docstring).  None changes
+    a result.  ``TooLarge`` beyond ``SUPPORT_LIMIT``: a degenerate game can
+    still judge every support pair.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
@@ -243,6 +247,10 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     scaled = [
         [entry.numerator * (scale // entry.denominator) for entry in row] for row in game.payoffs
     ]
+    row_mix, column_mix, value, strict = _simplex(scaled)
+    if strict:  # the only optimal pair
+        return MixedProfile(row_mix, column_mix, value / scale)
+    value_num, value_den = value.numerator, value.denominator
     transposed = [[scaled[i][j] for i in range(n_rows)] for j in range(n_cols)]
 
     @functools.cache  # each pair is judged once per call and serves both scans
@@ -255,15 +263,13 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         # certifies v as the game value: so a pair at another value than the simplex's fails at once.
         if v * value_den != d * value_num or any(p < 0 for p in xs):
             return None
-        worth = [sum(p * column[i] for i, p in zip(support, xs)) for column in transposed]
-        if min(worth) < v:
+        if any(sum(p * column[i] for i, p in zip(support, xs)) < v for column in transposed):
             return None
         # Nonsingular as the primal is (its bordered matrix, transposed up to signs); w / e = xᵀMy = v / d.
         ys, w, e = _equalizing_mix(transposed, against, support)  # type: ignore[misc]
         if any(q < 0 for q in ys):
             return None
-        cost = [sum(row[j] * q for j, q in zip(against, ys)) for row in scaled]
-        if max(cost) > w:
+        if any(sum(row[j] * q for j, q in zip(against, ys)) > w for row in scaled):
             return None
         x = [Fraction(0)] * n_rows
         for i, p in zip(support, xs):
@@ -271,25 +277,16 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         y = [Fraction(0)] * n_cols
         for j, q in zip(against, ys):
             y[j] = Fraction(q, e)
-        strict = (  # strictly complementary, so the only optimal pair (module docstring)
-            0 not in xs and 0 not in ys
-            and worth.count(v) == len(against) and cost.count(w) == len(support)
-        )
-        return tuple(x), tuple(y), Fraction(v, d * scale), strict
+        return tuple(x), tuple(y)
 
-    support, against, scaled_value = _simplex_supports(scaled)
-    value_num, value_den = scaled_value.numerator, scaled_value.denominator
-    accepted = judge(support, against) if len(support) == len(against) else None
-    if accepted is not None and accepted[3]:  # the only optimal pair
-        return MixedProfile(*accepted[:3])
     # One round of strict dominance (module docstring); what only a later round drops is judged and rejected.
     rows = tuple(i for i, row in enumerate(scaled)
                  if not any(all(a > b for a, b in zip(other, row)) for other in scaled))
     cols = tuple(j for j, column in enumerate(transposed)
                  if not any(all(a < b for a, b in zip(other, column)) for other in transposed))
-    x, _y, value, _strict = _first_support_pair(rows, cols, judge, 0)
+    x = _first_support_pair(rows, cols, judge, 0)[0]
     y = _first_support_pair(cols, rows, lambda mine, theirs: judge(theirs, mine), 1)[1]
-    return MixedProfile(x, y, value)
+    return MixedProfile(x, y, value / scale)
 
 
 def best_response_value(

@@ -311,6 +311,14 @@ class TestUnfold:
         assert captured.out == ""
         assert captured.err == f"error: expected an outcome like '1,0', got {terminal!r}\n"
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_must_be_positive(self, capsys, corpus_dir, depth):
+        argv = ["unfold", str(corpus_dir / "zero_one_cyclic.game"), "--depth", depth, "--terminal", "1,0"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: depth must be positive\n"
+
 
 class TestAuction:
     def test_value_100(self, capsys):
@@ -624,6 +632,17 @@ class TestErrors:
         profile.write_text("S = a\nT = a\n")
         argv = [command[0], str(path), *(str(profile) if word == "PROFILE" else word for word in command[1:])]
         assert run([*argv, "--format", form]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"limit: the exact answer has a number of more than {limit} digits\n"
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="the interpreter writes integers of any length")
+    def test_a_payload_too_long_for_json_is_exit_3(self, capsys, corpus_dir, monkeypatch):
+        # Every command writes its numbers with _number as it builds its text lines, so only a
+        # payload that holds a raw int past the digit limit reaches json.dumps and fails there.
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli, "_cmd_solve", lambda args: ({"value": 10**limit}, ["value: long"], 0))
+        assert run(["solve", str(corpus_dir / "zero_one_7.game"), "--format", "json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"limit: the exact answer has a number of more than {limit} digits\n"

@@ -280,3 +280,11 @@ class TestSimulate:
         trace = simulate(loop01(), 10, 0, FixedIndex((0, 0)), equilibria=[{"A": "c", "B": "a"}])
         assert not trace.horizon_hit
         assert trace.outcome == (1, 0)
+
+    def test_only_a_given_belief_list_is_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(CyclicGame, "check_profile", lambda game, profile: checked.append(profile))
+        simulate(loop01(), 10, 0)
+        assert checked == []
+        simulate(loop01(), 10, 0, equilibria=[{"A": "c", "B": "a"}])
+        assert checked == [{"A": "c", "B": "a"}]

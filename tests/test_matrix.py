@@ -274,12 +274,10 @@ class TestReferee:
         assert solve_constant_sum(game) == reference_constant_sum(game)
 
     def test_the_strict_pair_ends_the_work(self, monkeypatch):
-        # Its only optimal pair is fully mixed; once both of its systems are
-        # solved, the row scan returns and no column scan runs.
+        # Its only optimal pair is fully mixed and strictly complementary, so it
+        # is read off the simplex's tableau and no square system is built.
         game = matrix_game([[3, 0, 1], [0, 2, 4], [1, 3, 0]], 4)
-        built = systems_built(monkeypatch, game)
-        assert built[-2:] == [((0, 1, 2), (0, 1, 2))] * 2
-        assert built.count(((0, 1, 2), (0, 1, 2))) == 2
+        assert systems_built(monkeypatch, game) == []
         assert solve_constant_sum(game) == reference_constant_sum(game)
 
     def test_tie_break_is_first_support_then_smallest_mix(self):
@@ -388,7 +386,7 @@ def scaled_game(game: MatrixGame) -> list[list[int]]:
 
 
 class TestSimplexFirst:
-    def test_a_nondegenerate_game_builds_one_square_pair(self, monkeypatch):
+    def test_a_nondegenerate_game_builds_no_square_system(self, monkeypatch):
         # Wide-range entries make a tie, and so a degenerate game, unlikely.
         rng = random.Random(67)
         for index in range(6):
@@ -397,8 +395,8 @@ class TestSimplexFirst:
                 [[rng.randint(-10**6, 10**6) for _ in range(size)] for _ in range(size)], rng.randint(-9, 9)
             )
             profile = solve_constant_sum(game)
-            built = systems_built(monkeypatch, game)
-            assert len(built) == 2 and built[0] == built[1] == (support(profile.row), support(profile.column))
+            assert systems_built(monkeypatch, game) == []
+            assert len(support(profile.row)) == len(support(profile.column))
             assert best_response_value(game, profile.column, "row") == profile.value
             assert best_response_value(game, profile.row, "column") == game.total - profile.value
             assert strictly_complementary(game, profile)
@@ -411,9 +409,10 @@ class TestSimplexFirst:
             if index % 6 == 5:  # dominated strategies carry weight 0 and are worth less than the value
                 game = with_dominated_strategies(rng, game)
             expected = reference_constant_sum(game)
-            rows, cols, value = matrix._simplex_supports(scaled_game(game))
+            row, column, value, flagged = matrix._simplex(scaled_game(game))
             assert value == expected.value * scale_of(game), game  # every game's, in scaled units
-            if strictly_complementary(game, expected):
+            assert flagged == strictly_complementary(game, expected), game
+            if flagged:
                 strict += 1
-                assert (rows, cols) == (support(expected.row), support(expected.column)), game
+                assert (row, column) == (expected.row, expected.column), game
         assert strict >= 200
