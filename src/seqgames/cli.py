@@ -31,8 +31,14 @@ TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
     import argparse
 
-_KINDS = dict.fromkeys(("_cmd_unfold", "_cmd_auction", "_cmd_simulate", "_cmd_matrix"), "cli_kinds")  # on first use
-__getattr__, __dir__ = _loader(globals(), _KINDS)
+# Loaded on first use, and read through ``_lazy``, this module: the graph and matrix commands, and the kernels.
+_LAZY = {
+    **dict.fromkeys(("_cmd_unfold", "_cmd_auction", "_cmd_simulate", "_cmd_matrix", "_enumerate_graph"), "cli_kinds"),
+    **dict.fromkeys(("TiePolicy", "solve", "enumerate_equilibria", "check_spe"), "finite"),
+    "check_spe_param": "parametric",
+}
+__getattr__, __dir__ = _loader(globals(), _LAZY)
+_lazy = sys.modules[__name__]
 
 _PROFILE_HELP = (
     "profile files have one 'key = action' line per decision point; keys are "
@@ -147,9 +153,8 @@ def _report_text(report: dict) -> list[str]:
 
 
 def _cmd_solve(args: SimpleNamespace) -> tuple[dict, list[str], int]:
-    from .finite import TiePolicy, solve
     doc = _load_game(args, "finite")
-    profile = solve(doc.game, TiePolicy(args.ties))
+    profile = _lazy.solve(doc.game, _lazy.TiePolicy(args.ties))
     play, outcome = induced_play(doc.game, profile)
     payload = {
         "command": "solve",
@@ -174,8 +179,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     if kind == "matrix":
         raise _UsageError("enumerate does not apply to matrix games; use the matrix command")
     if kind == "finite":
-        from .finite import enumerate_equilibria
-        result = enumerate_equilibria(game, cap=args.cap)
+        result = _lazy.enumerate_equilibria(game, cap=args.cap)
         entries = []
         for profile in result.profiles:
             play, outcome = induced_play(game, profile)
@@ -201,8 +205,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[dict, list[str], int]:
                 f"{_outcome_text(entry['outcome'])}  [{_profile_text(entry['profile'])}]"
             )
         return payload, text, 3 if result.truncated else 0
-    from .cli_kinds import _enumerate_graph
-    return _enumerate_graph(game, kind)
+    return _lazy._enumerate_graph(game, kind)
 
 
 def _cmd_check(args: SimpleNamespace) -> tuple[dict, list[str], int]:
@@ -210,12 +213,7 @@ def _cmd_check(args: SimpleNamespace) -> tuple[dict, list[str], int]:
     if game.KIND == "matrix":
         raise _UsageError("check does not apply to matrix games")
     profile = dsl.parse_profile_text(_text(args.profile), game)
-    if game.KIND == "finite":
-        from .finite import check_spe
-        report = check_spe(game, profile)
-    else:
-        from .parametric import check_spe_param
-        report = check_spe_param(game, profile)
+    report = (_lazy.check_spe if game.KIND == "finite" else _lazy.check_spe_param)(game, profile)
     body = _report_json(report, game.KIND)
     return {"command": "check", "kind": game.KIND, **body}, _report_text(body), 0 if report.ok else 1
 
@@ -285,7 +283,7 @@ def run(argv: list[str]) -> int:
             code = exc.code
             return code if isinstance(code, int) else 2
     try:  # ``_cmd_<command>`` is looked up on every run, so a patched command runs
-        payload, lines, code, *trace = getattr(sys.modules[__name__], f"_cmd_{args.command}")(args)
+        payload, lines, code, *trace = getattr(_lazy, f"_cmd_{args.command}")(args)
         if payload is not None and args.format == "json":
             import json  # here only, so a text command never loads it
             try:

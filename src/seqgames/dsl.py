@@ -24,6 +24,9 @@ LF line endings, no trailing whitespace.
 
 Here are the scanner and the tree reader; the graph and matrix readers live in
 ``parametric`` and ``matrix``, and the writers in ``dsl_write``, loaded on first use.
+A graph document in the canonical layout is read statement by statement
+(``parametric.parse_canonical_graph``); any other text, and every error, goes
+through the scanner and the token reader.
 """
 
 from __future__ import annotations
@@ -45,8 +48,11 @@ if TYPE_CHECKING:
 
 _GRAPHS = ("cyclic", "param")
 
-_WRITERS = dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write")  # on first use
-__getattr__, __dir__ = _loader(globals(), _WRITERS)
+# Loaded on first use through ``_lazy``, this module: the writers, and the graph reader for canonical text.
+_LAZY = {**dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write"),
+         "parse_canonical_graph": "parametric"}
+__getattr__, __dir__ = _loader(globals(), _LAZY)
+_lazy = sys.modules[__name__]
 
 
 class ParseError(Exception):
@@ -327,7 +333,16 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors."""
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A graph document in the
+    canonical layout is read statement by statement; any other text, and every error, by the token reader."""
+    kind = _SCAN.match(text)  # the kind, the first token or the fourth after ``players``, as the token reader reads it
+    if kind[1] == "players":
+        for _ in range(3):
+            kind = _SCAN.match(text, kind.end())
+    if kind[1] in _GRAPHS:
+        read = _lazy.parse_canonical_graph(text)
+        if read is not None:
+            return GameDoc(*read)
     return _Parser(text).parse_doc()
 
 

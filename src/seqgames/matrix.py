@@ -179,8 +179,10 @@ def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], tup
     basis, det = list(range(n, n + m)), 1
     while True:
         objective = tableau[m]
-        enter = next((c for c in range(n + m) if objective[c] < 0), None)
-        if enter is None:
+        for enter in range(n + m):
+            if objective[enter] < 0:
+                break
+        else:
             break
         leave, p, rhs = None, 0, 0  # the smallest ratio rhs / p over p > 0
         for r, row in enumerate(tableau[:m]):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections.abc import Iterator, Mapping
 
 from .core import (
-    FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record, ShapeMismatch,
-    SpeReport, Violation, cached_property, is_player,
+    DEFAULT_PLAYERS, FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record,
+    ShapeMismatch, SpeReport, Violation, cached_property, is_player,
 )
 
 DEFAULT_SEARCH_BOUND = 2**20
@@ -545,7 +546,8 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     only.  Each node is read straight into a ``Shape`` from a label-to-target dict, which also finds a
     repeated label.  The kind decides only the payoff grammar (``INT`` or ``AFFINE``), whether a target
     starts with ``advance`` and the class built, ``CyclicGame`` or ``ParametricGame``.  References are
-    checked once the body is read: edges, then the start."""
+    checked once the body is read: edges, then the start.  ``dsl.parse`` comes here only for a text that
+    ``parse_canonical_graph`` declines, so this reader words every error."""
     make_game = ParametricGame if parametric else CyclicGame
     tokens = parser.tokens
     parser.expect("start")
@@ -601,3 +603,72 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     if tokens[start] not in definitions:
         raise parser.invalid(start, f"undefined start node {tokens[start]!r}")
     return make_game(definitions, tokens[start])
+
+
+# The statements ``parse_canonical_graph`` matches in an ASCII text, compiled on first use (``re.compile``
+# keeps them), as ``auction`` reads no text.  A name or number ends where the scanner's word or digit run
+# does, at a word boundary; a number has at most 640 digits, fewer than ``int`` can be limited to.  A blank
+# run is never followed by another, even past a skipped group, so a failed match backtracks in linear time.
+_BLANK, _NAME, _NUMBER = r"[ \t\r\n]*", r"([A-Za-z_]\w*)\b", r"(-?\d{1,640})\b"
+_HEADER = (
+    rf"{_BLANK}(?:players\b{_BLANK}{_NAME}{_BLANK}{_NAME}{_BLANK})?(cyclic|param)\b"
+    rf"{_BLANK}start{_BLANK}={_BLANK}{_NAME}{_BLANK}\{{"
+)
+_OPENING = rf"{_BLANK}(?:{_NAME}{_BLANK}:{_BLANK}{_NAME}{_BLANK}\{{|(\}}){_BLANK}\Z)"  # a node's, or the body's end
+_EDGES = {  # an edge or a node's end; a cyclic payoff's slope group is empty, a slope's sign is glued to its digits
+    kind: rf"{_BLANK}(?:{_NAME}{_BLANK}->{_BLANK}(?:leaf{_BLANK}\({_BLANK}{payoff},{_BLANK}{payoff}\)|{target})|(\}}))"
+    for kind, payoff, target in (
+        ("cyclic", _NUMBER + "()" + _BLANK, _NAME),
+        ("param", rf"{_NUMBER}{_BLANK}(?:([+-]\d{{1,640}})\b{_BLANK}\*{_BLANK}n{_BLANK})?",
+         rf"advance\b{_BLANK}{_NAME}"),
+    )
+}
+
+
+def parse_canonical_graph(text: str) -> tuple[tuple[str, str], ParametricGame] | None:
+    """A ``cyclic`` or ``param`` document read one statement per pattern match into its players and what
+    ``parse_graph`` builds, or None for a text outside the layout ``serialize`` writes, blanks (space, tab,
+    CR, LF) aside: one with a non-ASCII character, a comment, a ``;``, a ``+-`` slope, a number of over 640
+    digits, ``leaf`` or ``advance`` as a target, or anything ``parse_graph`` refuses.  It never raises:
+    ``dsl.parse`` hands what it declines, every error included, to the token reader.  Like ``parse_graph``,
+    it builds one ``AffineLeaf`` per payoff pair and one ``Advance`` per target, through their constructors."""
+    match = text.isascii() and "#" not in text and ";" not in text and re.compile(_HEADER).match(text)
+    if not match:
+        return None
+    first, second, kind, start = match.groups()
+    players = (first, second) if first else DEFAULT_PLAYERS
+    opening, edge = re.compile(_OPENING), re.compile(_EDGES[kind])
+    definitions: dict[str, Shape] = {}
+    references, shared = set(), {}
+    while True:
+        match = opening.match(text, match.end())
+        if match is None:
+            return None
+        name, owner, end = match.groups()
+        if end:
+            break
+        if name in definitions or owner not in players:
+            return None
+        moves: dict[str, AffineLeaf | Advance] = {}
+        while True:
+            match = edge.match(text, match.end())
+            if match is None:
+                return None
+            label, const, slope, other, other_slope, target, end = match.groups()
+            if end:
+                break
+            if label in moves or target in ("leaf", "advance"):
+                return None
+            if target is None:
+                pair = (int(const), int(slope or 0)), (int(other), int(other_slope or 0))
+                leaf = shared.get(pair) or AffineLeaf((AffineValue(*pair[0]), AffineValue(*pair[1])))
+                moves[label] = shared[pair] = leaf
+            else:
+                references.add(target)
+                moves[label] = shared[target] = shared.get(target) or Advance(target)
+        if not moves:
+            return None
+        definitions[name] = Shape(players.index(owner), tuple(moves.items()))
+    if start not in definitions or not references.issubset(definitions):
+        return None
+    return players, (ParametricGame if kind == "param" else CyclicGame)(definitions, start)

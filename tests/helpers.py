@@ -47,7 +47,7 @@ from seqgames.core import (
     node,
     subgame_at,
 )
-from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan
+from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan, serialize
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
 from seqgames.escalation import BeliefNotEquilibrium, BeliefPair, Escalates, Terminates
@@ -62,6 +62,7 @@ from seqgames.parametric import (
     Shape,
     affine,
     affine_leq,
+    parse_canonical_graph,
     stationary_profiles,
 )
 
@@ -932,6 +933,86 @@ def token_spans(text: str) -> list[tuple[int, int]]:
     """Source offsets ``(start, end)`` of the tokens the scan reads, without
     the end of input; the text must scan."""
     return [match.span(1) for match in _SCAN.finditer(text) if match.group(1)]
+
+
+# --- the canonical graph reader's referee ------------------------------------
+
+# What a mutation writes at a token boundary: the documents' own kinds of token, and tokens and
+# blanks the canonical reader declines (a glued keyword, non-ASCII, a ``+-`` slope, a comment, ...).
+_SPLICES = (
+    "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*", "->", "n", "0", "-0", "007", "12",
+    "leaf", "advance", "start", "players", "cyclic", "param", "Alice", "Bertrand", "A", "N0", "x_1",
+    "Bertrandparam", "+-2*n", "-1*n", "é", "٣", "# note\n", " ", "\n", "\t", "\r\n", "\x0b", "\xa0", "",
+)
+
+
+def _token_class(token: str) -> int:
+    """1 for a number, 2 for a name, 0 for anything else."""
+    return 1 if token[0].isdecimal() else 2 if token[0].isalpha() or token[0] == "_" else 0
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """``text`` changed at one token boundary, or at two or three one time in five: a token deleted,
+    doubled, swapped with the next, or replaced by a splice or by another token of its text of the same
+    class (name, number or punctuation); a splice inserted; or the blanks after a token dropped or
+    replaced.  A text left with no token is not changed further."""
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        spans = token_spans(text)
+        if not spans:
+            break
+        k = rng.randrange(len(spans))
+        (start, end), token = spans[k], text[spans[k][0]:spans[k][1]]
+        after = spans[k + 1][0] if k + 1 < len(spans) else len(text)
+        operation = rng.randrange(8)
+        if operation == 0:
+            text = text[:start] + text[end:]
+        elif operation == 1:
+            text = text[:end] + rng.choice(("", " ")) + token + text[end:]
+        elif operation == 2 and k + 1 < len(spans):
+            following = text[spans[k + 1][0]:spans[k + 1][1]]
+            text = text[:start] + following + text[end:after] + token + text[spans[k + 1][1]:]
+        elif operation == 3:
+            text = text[:start] + rng.choice(_SPLICES) + text[end:]
+        elif operation == 4:
+            text = text[:start] + rng.choice(_SPLICES) + rng.choice(("", " ")) + text[start:]
+        elif operation == 5:
+            peers = [text[a:b] for a, b in spans if _token_class(text[a]) == _token_class(token)]
+            text = text[:start] + rng.choice(peers) + text[end:]
+        else:
+            text = text[:end] + rng.choice(("", " ", "\n", "\t", "\r", "\x0b", "\xa0")) + text[after:]
+    return text
+
+
+def read_both_ways(text: str):
+    """``parse_canonical_graph(text)`` as a ``GameDoc`` or None, which must not raise, and the token reader's
+    ``repr`` of the same text or the type and text of its error; an ``AssertionError`` if the first is a
+    document of another ``repr``."""
+    fast = parse_canonical_graph(text)
+    fast = fast and GameDoc(*fast)
+    try:
+        reference = repr(_Parser(text).parse_doc())
+    except Exception as exc:  # the token reader's error, which the canonical reader must have declined
+        reference = (type(exc), str(exc))
+    assert fast is None or repr(fast) == reference, (text, fast, reference)
+    return fast, reference
+
+
+def graph_documents(rng: random.Random, count: int) -> list[str]:
+    """``count`` serialized random graph documents, cyclic and param in turn
+    (``random_cyclic``, ``random_parametric``)."""
+    games = [(random_cyclic, random_parametric)[k % 2](rng) for k in range(count)]
+    return [serialize(GameDoc(rng.choice((("Alice", "Bertrand"), ("P", "Q"))), game)) for game in games]
+
+
+def referee_canonical_reader(rng: random.Random, bases: list[str], mutations: int) -> tuple[int, int]:
+    """Every base document, then ``mutations`` mutated ones, read both ways (``read_both_ways``); how
+    many the canonical reader accepted and how many it declined.  The bases must all be accepted."""
+    for text in bases:
+        assert read_both_ways(text)[0] is not None, text
+    accepted = 0
+    for _ in range(mutations):
+        accepted += read_both_ways(mutate(rng, rng.choice(bases)))[0] is not None
+    return accepted + len(bases), mutations - accepted
 
 
 def big_random_tree(rng: random.Random, nodes: int) -> Node:

@@ -15,13 +15,16 @@ from unittest import mock
 import pytest
 from helpers import (
     chain01,
+    graph_documents,
     loop01,
     pennies_seq,
     random_cyclic,
     random_matrix,
     random_parametric,
     random_tree,
+    read_both_ways,
     reference_tokenize,
+    referee_canonical_reader,
     ring,
     scan_tokenize,
 )
@@ -277,6 +280,69 @@ class TestParseErrors:
         doc = parse(text)
         assert doc.game.shapes["A"].moves[0] == ("a", Advance("advance"))
         assert serialize(doc) == text
+
+
+_LOOP = (
+    "players Alice Bertrand\ncyclic start=A {\n  A: Alice {\n    a -> leaf(0,1)\n    c -> B\n  }\n"
+    "  B: Bertrand {\n    a -> leaf(1,0)\n    c -> A\n  }\n}\n"
+)
+_STAGES = (
+    _LOOP.replace("cyclic", "param").replace("leaf(0,1)", "leaf(3+2*n,0)")
+    .replace("-> B", "-> advance B").replace("-> A\n", "-> advance A\n")
+)
+
+
+class TestCanonicalGraphReader:
+    """``parametric.parse_canonical_graph`` reads a graph document as the token reader does or declines it
+    (returns None), and never raises; ``read_both_ways`` asserts that on each text."""
+
+    def test_corpus_random_and_mutated_graphs_read_as_the_token_reader_reads_them(self, corpus_dir):
+        rng = random.Random(3700)
+        names = ("zero_one_cyclic.game", "zero_one_param.game", "dollar_auction_v100.game")
+        bases = [(corpus_dir / name).read_text() for name in names] + graph_documents(rng, 40) + [_LOOP, _STAGES]
+        accepted, declined = referee_canonical_reader(rng, bases, 5000)
+        assert accepted > 500 and declined > 2500  # the 5,000 mutations reach both sides
+
+    # Texts the canonical reader declines, though some of them the token reader reads.
+    DECLINED = {
+        "name glued to a keyword": _STAGES.replace("Bertrand\n", "Bertrand", 1),  # players Alice Bertrandparam
+        "plus-minus slope": _STAGES.replace("3+2*n", "3+-2*n"),
+        "non-ASCII name": _LOOP.replace("B:", "é:").replace("-> B", "-> é"),
+        "non-ASCII digit": _LOOP.replace("leaf(0,1)", "leaf(٣,1)"),
+        "4,301-digit payoff": _LOOP.replace("leaf(0,1)", f"leaf({'7' * 4301},1)"),
+        "comment": "# two nodes\n" + _LOOP,
+        "trailing comment": _LOOP + "# end\n",
+        "separator": _LOOP.replace("leaf(0,1)", "leaf(0,1);"),
+        "vertical tab": _LOOP.replace(" ", "\x0b", 1),
+        "node named advance": _LOOP.replace("B:", "advance:").replace("-> B", "-> advance"),
+        "node named leaf": _STAGES.replace("B:", "leaf:").replace("advance B", "advance leaf"),
+        "advance in a cyclic edge": _LOOP.replace("-> A\n", "-> advance A\n"),
+        # A failed match backtracks over a blank run once: two runs that could share the blanks would
+        # take minutes here, each split of the 10**5 blanks tried in turn.
+        "long blanks, then a form feed": " " * 10**5 + "\x0c" + _LOOP,
+        "long blanks, then numbers as players": " " * 10**5 + _LOOP.replace("Alice Bertrand", "1 2", 1),
+        "long blanks inside a payoff": _STAGES.replace("3+2*n", "3" + " " * 10**5 + "x"),
+    }
+
+    @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+    def test_declined_texts_go_to_the_token_reader(self, text):
+        started = time.perf_counter()
+        fast, reference = read_both_ways(text)
+        assert time.perf_counter() - started < 1.0
+        assert fast is None
+        assert (repr(parse(text)) if isinstance(reference, str) else raised(parse, text)) == reference
+
+    @pytest.mark.parametrize("name", ["zero_one_cyclic.game", "zero_one_param.game"])
+    def test_parse_reads_a_canonical_graph_without_the_token_reader(self, corpus_dir, name):
+        text = (corpus_dir / name).read_text()
+        reference = repr(dsl._Parser(text).parse_doc())
+        with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
+            assert repr(parse(text)) == reference
+
+    def test_one_line_without_blanks_is_canonical(self):
+        text = "cyclic start=A{A:Alice{a->leaf(0,1)c->B}B:Bertrand{a->leaf(1,0)c->A}}"
+        fast, reference = read_both_ways(text)
+        assert fast is not None and fast.game == loop01()
 
 
 LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise; 0 for no limit
