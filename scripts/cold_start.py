@@ -15,7 +15,9 @@ For each side it prints the median wall time and the overhead over the
 ``pass`` baseline, the median over the rounds of the side's time less the
 ``pass`` time of the same round (so a host whose speed drifts from round to
 round moves both terms), and the overhead ratio NEW/OLD; then the
-``seqgames`` modules the command loads and their source lines.  The last line of
+``seqgames`` modules the command loads, their source lines, and per module the
+``tracemalloc`` peak of ``compile()`` of its source in KiB, a deterministic
+proxy for the compile cost that the times cannot resolve.  The last line of
 output is the same summary as JSON.  It exits 1 if a timed run exits with
 another code than that side's first run.  The default ARGV is a tree
 ``solve``.  Standard library only.
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 DEFAULT_ARGV = ["solve", "corpus/zero_one_7.game"]
 
@@ -90,9 +93,22 @@ def modules_loaded(argv: list[str], cwd: pathlib.Path, package: pathlib.Path) ->
     return (0 if code is None else code if isinstance(code, int) else 1), names
 
 
-def source_lines(package: pathlib.Path, names: list[str]) -> int:
-    files = [package / "seqgames" / f"{name.partition('.')[2] or '__init__'}.py" for name in names]
-    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+def sources(package: pathlib.Path, names: list[str]) -> dict[str, str]:
+    """The source of each loaded module, by its name."""
+    return {name: (package / "seqgames" / f"{name.partition('.')[2] or '__init__'}.py").read_text(encoding="utf-8")
+            for name in names}
+
+
+def compile_peak_kib(source: str) -> float:
+    """The ``tracemalloc`` peak of compiling ``source``, in KiB.  It is compiled once untraced first, so what
+    a process allocates only once (interned names) is left out and the figure does not depend on the order."""
+    compile(source, "<module>", "exec")
+    tracemalloc.start()
+    try:
+        compile(source, "<module>", "exec")
+        return round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -126,27 +142,32 @@ def main() -> int:
                     print(f"{side}: exit code {code}, where its first run exited {expected}", file=sys.stderr)
                     return 1
                 times[side].append(ms)
-        lines = {side: source_lines(packages[side], listed[side][1]) for side in checkouts}
+        texts = {side: sources(packages[side], listed[side][1]) for side in checkouts}
     base = statistics.median(times["pass"])
     summary: dict = {"argv": argv, "runs": options.runs, "pass_ms": base}
     for side in checkouts:
         overhead = statistics.median(ms - bare for ms, bare in zip(times[side], times["pass"]))
         summary[side] = {"checkout": str(checkouts[side]), "exit_code": listed[side][0],
                          "median_ms": statistics.median(times[side]), "overhead_ms": overhead,
-                         "modules": listed[side][1], "source_lines": lines[side]}
+                         "modules": listed[side][1],
+                         "source_lines": sum(len(text.splitlines()) for text in texts[side].values()),
+                         "compile_kib": {name: compile_peak_kib(text) for name, text in texts[side].items()}}
     old_overhead = summary["old"]["overhead_ms"]
     summary["overhead_ratio"] = summary["new"]["overhead_ms"] / old_overhead if old_overhead > 0 else None
     print(f"python -m seqgames {' '.join(argv)}: medians of {options.runs} alternating runs, PYTHONDONTWRITEBYTECODE=1")
-    print(f"{'side':<6}{'median ms':>11}{'overhead ms':>13}{'modules':>9}{'lines':>7}  checkout")
-    print(f"{'pass':<6}{base:>11.1f}{'':>13}{'':>9}{'':>7}  (python -c pass)")
+    print(f"{'side':<6}{'median ms':>11}{'overhead ms':>13}{'modules':>9}{'lines':>7}{'compile KiB':>13}  checkout")
+    print(f"{'pass':<6}{base:>11.1f}{'':>13}{'':>9}{'':>7}{'':>13}  (python -c pass)")
     for side in checkouts:
         row = summary[side]
         print(f"{side:<6}{row['median_ms']:>11.1f}{row['overhead_ms']:>13.1f}{len(row['modules']):>9}"
-              f"{row['source_lines']:>7}  {row['checkout']}")
+              f"{row['source_lines']:>7}{sum(row['compile_kib'].values()):>13.1f}  {row['checkout']}")
     ratio = summary["overhead_ratio"]
     print("overhead ratio new/old: " + ("n/a (old overhead not above the baseline)" if ratio is None else f"{ratio:.2f}"))
     for side in checkouts:
         print(f"modules {side}: {' '.join(summary[side]['modules'])}")
+    for side in checkouts:
+        peaks = ", ".join(f"{name} {kib:.1f}" for name, kib in summary[side]["compile_kib"].items())
+        print(f"compile peak KiB {side}: {peaks}")
     print(json.dumps(summary, sort_keys=True))
     return 0
 

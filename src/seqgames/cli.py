@@ -3,7 +3,8 @@
 Exit status: 0 success, 1 negative analysis (a checked profile is not an
 equilibrium), 2 usage or parse error, 3 internal limit hit (enumeration cap,
 search-space bound, matrix size, an exact answer too long to write), 4
-resource limit (recursion depth or memory).
+resource limit (recursion depth or memory), 5 internal error (any other
+exception: a fault of the program, never a verdict or a usage error).
 
 ``COMMANDS`` describes every command once. ``run`` reads a plain argv straight
 from it (``_read``) and leaves any other argv to argparse, whose parser is built
@@ -311,10 +312,12 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         detail = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
         message, code = f"error: {detail}", 2
-    except (GameError, ValueError) as exc:
+    except (GameError, UnicodeDecodeError) as exc:
         message, code = f"error: {exc}", 2
     except (RecursionError, MemoryError) as exc:
         message, code = f"limit: {type(exc).__name__}: input too large or too deeply nested", 4
+    except Exception as exc:
+        message, code = f"internal error: {type(exc).__name__}: {exc}", 5
     print(message, file=sys.stderr)
     return code
 

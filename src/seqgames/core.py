@@ -59,6 +59,10 @@ class InvalidPlay(GameError):
         super().__init__(message)
 
 
+class InvalidArgument(GameError, ValueError):
+    """An argument an operation does not take, such as a cap below 1; also a ``ValueError``, so either catches it."""
+
+
 class LimitExceeded(GameError):
     """An input is past a documented bound on the work an analysis may do."""
 

@@ -24,9 +24,9 @@ LF line endings, no trailing whitespace.
 
 Here are the scanner and the tree reader; the graph and matrix readers live in
 ``parametric`` and ``matrix``, and the writers in ``dsl_write``, loaded on first use.
-A graph document in the canonical layout is read statement by statement
-(``parametric.parse_canonical_graph``); any other text, and every error, goes
-through the scanner and the token reader.
+A graph document in exactly the layout ``serialize`` writes is read line by
+line (``parametric.parse_canonical_graph``); any other text, and every error,
+goes through the scanner and the token reader.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ import re
 import sys
 
 from . import _loader
-from .core import DEFAULT_PLAYERS, FiniteGame, Leaf, Node, Record, ShapeMismatch, TreeProfile, chosen_branches
+from .core import (
+    DEFAULT_PLAYERS, FiniteGame, InvalidArgument, Leaf, Node, Record, ShapeMismatch, TreeProfile, chosen_branches,
+)
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
@@ -333,13 +335,9 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors.  A graph document in the
-    canonical layout is read statement by statement; any other text, and every error, by the token reader."""
-    kind = _SCAN.match(text)  # the kind, the first token or the fourth after ``players``, as the token reader reads it
-    if kind[1] == "players":
-        for _ in range(3):
-            kind = _SCAN.match(text, kind.end())
-    if kind[1] in _GRAPHS:
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A graph document in exactly the
+    layout ``serialize`` writes is read line by line; any other text, and every error, by the token reader."""
+    if text.startswith(("cyclic ", "param "), text.find("\n") + 1):  # the second line, or a text of one line
         read = _lazy.parse_canonical_graph(text)
         if read is not None:
             return GameDoc(*read)
@@ -366,13 +364,13 @@ def parse_profile_text(text: str, game: Game) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = action'")
+            raise InvalidArgument(f"line {lineno}: expected 'key = action'")
         key, _, action = line.partition("=")
         key, action = key.strip(), action.strip()
         if not key or not action:
-            raise ValueError(f"line {lineno}: expected 'key = action'")
+            raise InvalidArgument(f"line {lineno}: expected 'key = action'")
         if key in entries:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise InvalidArgument(f"line {lineno}: duplicate key {key!r}")
         entries[key] = action
     if isinstance(game, (Leaf, Node)):
         profile = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .core import GameError, OutcomeVector, Record
+from .core import GameError, InvalidArgument, OutcomeVector, Record
 from .parametric import Divergent, ParametricGame, _walk, check_spe_param, enumerate_stationary_spe
 
 Profile = Mapping[str, str]
@@ -154,7 +154,7 @@ def simulate(
     Traces are a pure function of (seed, policy, horizon).
     """
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise InvalidArgument("horizon must be nonnegative")
     beliefs = enumerate_stationary_spe(game) if equilibria is None else list(equilibria)
     if not beliefs:
         raise NoEquilibria("no equilibrium beliefs available")
@@ -162,10 +162,10 @@ def simulate(
         game.check_profile(belief)
     if isinstance(selection, FixedIndex):
         if len(selection.indices) != 2:
-            raise ValueError(f"FixedIndex needs one belief index per player, got {len(selection.indices)}")
+            raise InvalidArgument(f"FixedIndex needs one belief index per player, got {len(selection.indices)}")
         for index in selection.indices:
             if not 0 <= index < len(beliefs):
-                raise ValueError(f"belief index {index} is out of range for {len(beliefs)} beliefs")
+                raise InvalidArgument(f"belief index {index} is out of range for {len(beliefs)} beliefs")
     rng = SplitMix64(seed)
 
     def pick(mover: int) -> int:

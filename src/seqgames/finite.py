@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import (
-    DEFAULT_CAP, FiniteGame, PlayLine, Record, SpeReport, TreeProfile, Violation, chosen_branches,
+    DEFAULT_CAP, FiniteGame, InvalidArgument, PlayLine, Record, SpeReport, TreeProfile, Violation, chosen_branches,
     require_two_players,
 )
 
@@ -81,9 +81,9 @@ def enumerate_equilibria(game: FiniteGame, cap: int = DEFAULT_CAP) -> Enumeratio
     """
     require_two_players(game)
     if cap.__class__ is not int:  # a float cap is never reached, and a bool is no count
-        raise ValueError(f"cap must be an int, got {cap!r}")
+        raise InvalidArgument(f"cap must be an int, got {cap!r}")
     if cap < 1:
-        raise ValueError("cap must be positive")
+        raise InvalidArgument("cap must be positive")
     index = game.index
     paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
     values = index.outcomes.copy()

@@ -39,7 +39,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .core import GameError, LimitExceeded, Record
+from .core import GameError, InvalidArgument, LimitExceeded, Record
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
@@ -63,17 +63,17 @@ class MatrixGame(Record):
     KIND = "matrix"  # see ``Leaf.KIND``
 
     def __post_init__(self) -> None:
-        """``ValueError`` for a matrix without a row or a column, with ragged
+        """``InvalidArgument`` for a matrix without a row or a column, with ragged
         rows, or with an entry or total that is not an exact ``int`` or
         ``Fraction`` (a ``bool`` is no payoff)."""
         payoffs = self.payoffs
         if not payoffs or not payoffs[0]:
-            raise ValueError("matrix must have at least one row and one column")
+            raise InvalidArgument("matrix must have at least one row and one column")
         if any(len(row) != len(payoffs[0]) for row in payoffs):
-            raise ValueError("matrix rows must have equal length")
+            raise InvalidArgument("matrix rows must have equal length")
         for value in (self.total, *(entry for row in payoffs for entry in row)):
             if value.__class__ is bool or not isinstance(value, (int, Fraction)):
-                raise ValueError(f"matrix payoffs must be int or Fraction, not {value.__class__.__name__}")
+                raise InvalidArgument(f"matrix payoffs must be int or Fraction, not {value.__class__.__name__}")
 
     @property
     def rows(self) -> int:
@@ -295,15 +295,15 @@ def best_response_value(
     game: MatrixGame, opponent_mix: Sequence[Fraction], side: Literal["row", "column"]
 ) -> Fraction:
     """Maximum expected payoff over the responder's pure strategies; ``side``
-    names the responder, and anything but "row" or "column" is a ``ValueError``."""
+    names the responder, and anything but "row" or "column" is an ``InvalidArgument``."""
     if side not in ("row", "column"):
-        raise ValueError(f"side must be 'row' or 'column', not {side!r}")
+        raise InvalidArgument(f"side must be 'row' or 'column', not {side!r}")
     mix = [Fraction(p) for p in opponent_mix]
     expected_len = game.cols if side == "row" else game.rows
     if len(mix) != expected_len:
         raise DimensionMismatch(f"expected a distribution of length {expected_len}, got {len(mix)}")
     if any(p < 0 for p in mix) or sum(mix) != 1:
-        raise ValueError("opponent_mix must be a probability distribution")
+        raise InvalidArgument("opponent_mix must be a probability distribution")
     if side == "row":
         return max(
             sum(game.payoffs[i][j] * mix[j] for j in range(game.cols)) for i in range(game.rows)

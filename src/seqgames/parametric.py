@@ -26,7 +26,7 @@ import re
 from collections.abc import Iterator, Mapping
 
 from .core import (
-    DEFAULT_PLAYERS, FiniteGame, GameError, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record,
+    FiniteGame, GameError, InvalidArgument, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record,
     ShapeMismatch, SpeReport, Violation, cached_property, is_player,
 )
 
@@ -499,7 +499,7 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
     at every stage, so a cyclic game unrolls to ``max_stage`` decision layers.
     """
     if max_stage < 1:
-        raise ValueError("max_stage must be positive")
+        raise InvalidArgument("max_stage must be positive")
     shapes = game.shapes
     cut = Leaf(tuple(terminal))
     layers = _layers(game, max_stage)
@@ -546,8 +546,8 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     only.  Each node is read straight into a ``Shape`` from a label-to-target dict, which also finds a
     repeated label.  The kind decides only the payoff grammar (``INT`` or ``AFFINE``), whether a target
     starts with ``advance`` and the class built, ``CyclicGame`` or ``ParametricGame``.  References are
-    checked once the body is read: edges, then the start.  ``dsl.parse`` comes here only for a text that
-    ``parse_canonical_graph`` declines, so this reader words every error."""
+    checked once the body is read: edges, then the start.  ``dsl.parse`` comes here for a text outside the layout
+    ``serialize`` writes, or in error, which ``parse_canonical_graph`` declines; this reader words every error."""
     make_game = ParametricGame if parametric else CyclicGame
     tokens = parser.tokens
     parser.expect("start")
@@ -605,58 +605,44 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     return make_game(definitions, tokens[start])
 
 
-# The statements ``parse_canonical_graph`` matches in an ASCII text, compiled on first use (``re.compile``
-# keeps them), as ``auction`` reads no text.  A name or number ends where the scanner's word or digit run
-# does, at a word boundary; a number has at most 640 digits, fewer than ``int`` can be limited to.  A blank
-# run is never followed by another, even past a skipped group, so a failed match backtracks in linear time.
-_BLANK, _NAME, _NUMBER = r"[ \t\r\n]*", r"([A-Za-z_]\w*)\b", r"(-?\d{1,640})\b"
-_HEADER = (
-    rf"{_BLANK}(?:players\b{_BLANK}{_NAME}{_BLANK}{_NAME}{_BLANK})?(cyclic|param)\b"
-    rf"{_BLANK}start{_BLANK}={_BLANK}{_NAME}{_BLANK}\{{"
-)
-_OPENING = rf"{_BLANK}(?:{_NAME}{_BLANK}:{_BLANK}{_NAME}{_BLANK}\{{|(\}}){_BLANK}\Z)"  # a node's, or the body's end
-_EDGES = {  # an edge or a node's end; a cyclic payoff's slope group is empty, a slope's sign is glued to its digits
-    kind: rf"{_BLANK}(?:{_NAME}{_BLANK}->{_BLANK}(?:leaf{_BLANK}\({_BLANK}{payoff},{_BLANK}{payoff}\)|{target})|(\}}))"
+# The lines ``parse_canonical_graph`` matches, exactly as ``serialize`` writes them, compiled on first use
+# (``re.compile`` keeps them), as ``auction`` reads no text.  Every name and number is ASCII and ends at the
+# fixed character after it, so a match fails in time linear in its line; a number has at most 640 digits, fewer
+# than ``int`` can be limited to.
+_NAME, _NUMBER = r"([A-Za-z_][A-Za-z0-9_]*)", r"(-?[0-9]{1,640})"
+_HEADER = rf"players {_NAME} {_NAME}\n(cyclic|param) start={_NAME} \{{\n"
+_OPENING = rf"  {_NAME}: {_NAME} \{{\n|\}}\n\Z"  # a node's line, or the body's end
+_EDGES = {  # an edge's line, or a node's end; a cyclic payoff's slope group is empty
+    kind: rf"    {_NAME} -> (?:leaf\({payoff},{payoff}\)|{target})\n|  \}}\n"
     for kind, payoff, target in (
-        ("cyclic", _NUMBER + "()" + _BLANK, _NAME),
-        ("param", rf"{_NUMBER}{_BLANK}(?:([+-]\d{{1,640}})\b{_BLANK}\*{_BLANK}n{_BLANK})?",
-         rf"advance\b{_BLANK}{_NAME}"),
+        ("cyclic", _NUMBER + "()", _NAME),
+        ("param", _NUMBER + r"(?:([+-][0-9]{1,640})\*n)?", "advance " + _NAME),
     )
 }
 
 
 def parse_canonical_graph(text: str) -> tuple[tuple[str, str], ParametricGame] | None:
-    """A ``cyclic`` or ``param`` document read one statement per pattern match into its players and what
-    ``parse_graph`` builds, or None for a text outside the layout ``serialize`` writes, blanks (space, tab,
-    CR, LF) aside: one with a non-ASCII character, a comment, a ``;``, a ``+-`` slope, a number of over 640
-    digits, ``leaf`` or ``advance`` as a target, or anything ``parse_graph`` refuses.  It never raises:
-    ``dsl.parse`` hands what it declines, every error included, to the token reader.  Like ``parse_graph``,
-    it builds one ``AffineLeaf`` per payoff pair and one ``Advance`` per target, through their constructors."""
-    match = text.isascii() and "#" not in text and ";" not in text and re.compile(_HEADER).match(text)
+    """A ``cyclic`` or ``param`` document in exactly the layout ``serialize`` writes, read one line per pattern
+    match into its players and what ``parse_graph`` builds, or None for any other text: one without the
+    ``players`` line, with other blanks or line ends, a comment, a ``;``, a non-ASCII character, a number of
+    over 640 digits, a repeated node or label, an unknown owner, ``leaf`` or ``advance`` as a target, or a game
+    the constructor refuses.  It never raises: ``dsl.parse`` hands what it declines, every error included, to
+    the token reader.  Like ``parse_graph``, it builds one ``AffineLeaf`` per payoff pair and one ``Advance``
+    per target, through their constructors."""
+    match = "#" not in text and ";" not in text and re.compile(_HEADER).match(text)  # declined before any pattern runs
     if not match:
         return None
     first, second, kind, start = match.groups()
-    players = (first, second) if first else DEFAULT_PLAYERS
-    opening, edge = re.compile(_OPENING), re.compile(_EDGES[kind])
+    players, opening, edge = (first, second), re.compile(_OPENING), re.compile(_EDGES[kind])
     definitions: dict[str, Shape] = {}
-    references, shared = set(), {}
-    while True:
-        match = opening.match(text, match.end())
-        if match is None:
-            return None
-        name, owner, end = match.groups()
-        if end:
-            break
+    shared: dict = {}
+    while (match := opening.match(text, match.end())) and match[1]:
+        name, owner = match.groups()
         if name in definitions or owner not in players:
             return None
         moves: dict[str, AffineLeaf | Advance] = {}
-        while True:
-            match = edge.match(text, match.end())
-            if match is None:
-                return None
-            label, const, slope, other, other_slope, target, end = match.groups()
-            if end:
-                break
+        while (match := edge.match(text, match.end())) and match[1]:
+            label, const, slope, other, other_slope, target = match.groups()
             if label in moves or target in ("leaf", "advance"):
                 return None
             if target is None:
@@ -664,11 +650,13 @@ def parse_canonical_graph(text: str) -> tuple[tuple[str, str], ParametricGame] |
                 leaf = shared.get(pair) or AffineLeaf((AffineValue(*pair[0]), AffineValue(*pair[1])))
                 moves[label] = shared[pair] = leaf
             else:
-                references.add(target)
                 moves[label] = shared[target] = shared.get(target) or Advance(target)
-        if not moves:
+        if not match:
             return None
         definitions[name] = Shape(players.index(owner), tuple(moves.items()))
-    if start not in definitions or not references.issubset(definitions):
+    if not match:
         return None
-    return players, (ParametricGame if kind == "param" else CyclicGame)(definitions, start)
+    try:
+        return players, (ParametricGame if kind == "param" else CyclicGame)(definitions, start)
+    except GameError:  # an empty node, or an undefined start or target
+        return None

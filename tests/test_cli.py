@@ -659,6 +659,18 @@ class TestErrors:
         assert captured.err.startswith("limit: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("error", [ValueError("bad value"), KeyError("missing")], ids=["ValueError", "KeyError"])
+    def test_an_unexpected_exception_is_exit_5(self, capsys, corpus_dir, monkeypatch, error):
+        # A fault of the program is neither a usage error (2) nor a verdict (1), and no traceback escapes.
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_solve", broken)
+        assert run(["solve", str(corpus_dir / "zero_one_7.game")]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+
 
 class TestParserReuse:
     """``run`` builds its parser once per process and reuses it."""

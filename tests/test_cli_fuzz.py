@@ -1,12 +1,13 @@
 """Seeded fuzz property over the whole command line.
 
 Argv is drawn over every subcommand from the corpus games and profiles,
-copies of them with one token dropped, duplicated or replaced, or cut off
-at a token boundary, a missing game file, small edge values of every
-option, both formats and an optional ``--out``.  Every run must end in an exit code of the documented contract
+copies of them with one token dropped, duplicated or replaced, cut off at
+a token boundary or with one number 4,299 to 4,301 digits long, a missing
+game file, small edge values of every option, both formats and an optional
+``--out``.  Every run must end in an exit code of the documented contract
 with output of the documented shape:
 
-- ``run`` returns 0-4, raises nothing and never prints a traceback;
+- ``run`` returns 0-4 (never 5, an internal error), raises nothing and never prints a traceback;
 - exits 0 and 1 leave stderr empty;
 - exits 2 and 4 of argv that argparse accepts leave stdout empty and print
   exactly one stderr line;
@@ -61,12 +62,18 @@ _REPLACEMENTS = ["{", "}", "(", ")", ",", ";", ":", "=", "->", "+", "*", "leaf",
 @st.composite
 def documents(draw, texts: list[str]) -> str:
     """A corpus text, or a copy with one token dropped, duplicated or
-    replaced, or cut off before it."""
+    replaced, or cut off before it, or with one number made 4,299, 4,300 or
+    4,301 digits long, around the default limit on the digits ``int`` reads."""
     text = draw(st.sampled_from(texts))
-    how = draw(st.sampled_from(["keep", "keep", "keep", "drop", "duplicate", "replace", "truncate"]))
+    how = draw(st.sampled_from(["keep", "keep", "keep", "drop", "duplicate", "replace", "truncate", "lengthen"]))
     if how == "keep":
         return text
     pieces = _PIECES.findall(text)
+    if how == "lengthen":
+        numbers = [k for k, piece in enumerate(pieces) if piece.isdecimal()]
+        if numbers:
+            pieces[draw(st.sampled_from(numbers))] = "9" * draw(st.sampled_from([4299, 4300, 4301]))
+        return "".join(pieces)
     i = draw(st.sampled_from([k for k, piece in enumerate(pieces) if not piece.isspace()]))
     if how == "truncate":
         return "".join(pieces[:i])

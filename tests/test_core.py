@@ -6,10 +6,13 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import all_plays, pennies_equilibrium, pennies_seq, random_profile, random_tree
+from helpers import all_plays, loop01, pennies_equilibrium, pennies_seq, random_profile, random_tree
 
+from seqgames import dsl, escalation, finite, matrix, parametric
 from seqgames.core import (
     DEFAULT_PLAYERS,
+    GameError,
+    InvalidArgument,
     InvalidPlay,
     MalformedGame,
     Node,
@@ -185,3 +188,30 @@ class TestMalformedTrees:
             for use in (lambda g: g.index, solve, lambda g: serialize(GameDoc(DEFAULT_PLAYERS, g))):
                 with pytest.raises(MalformedGame, match=message):
                     use(game)
+
+
+class TestInvalidArgument:
+    """Every argument a library call refuses on purpose raises ``InvalidArgument``, a ``GameError`` (so the
+    command line words it as a usage error) and a ``ValueError`` (so callers that caught one still do)."""
+
+    CALLS = {
+        "cap": lambda: finite.enumerate_equilibria(pennies_seq(), 0),
+        "cap type": lambda: finite.enumerate_equilibria(pennies_seq(), 2.0),
+        "horizon": lambda: escalation.simulate(loop01(), -1, 0),
+        "FixedIndex length": lambda: escalation.simulate(loop01(), 1, 0, escalation.FixedIndex((0,))),
+        "FixedIndex range": lambda: escalation.simulate(loop01(), 1, 0, escalation.FixedIndex((0, 9))),
+        "max_stage": lambda: parametric.instantiate(loop01(), 0, (0, 0)),
+        "profile line": lambda: dsl.parse_profile_text("A\n", loop01()),
+        "profile key": lambda: dsl.parse_profile_text("A = a\nA = c\n", loop01()),
+        "empty matrix": lambda: matrix.MatrixGame((), 0),
+        "ragged matrix": lambda: matrix.matrix_game([[1, 2], [3]], 0),
+        "matrix entry": lambda: matrix.MatrixGame(((1.5,),), 0),
+        "responder": lambda: matrix.best_response_value(matrix.matrix_game([[1]], 1), [1], "diagonal"),
+        "mix": lambda: matrix.best_response_value(matrix.matrix_game([[1]], 1), [2], "row"),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_a_refused_argument_is_a_game_error_and_a_value_error(self, call):
+        with pytest.raises(InvalidArgument) as caught:
+            call()
+        assert isinstance(caught.value, GameError) and isinstance(caught.value, ValueError)

@@ -301,10 +301,20 @@ class TestCanonicalGraphReader:
         names = ("zero_one_cyclic.game", "zero_one_param.game", "dollar_auction_v100.game")
         bases = [(corpus_dir / name).read_text() for name in names] + graph_documents(rng, 40) + [_LOOP, _STAGES]
         accepted, declined = referee_canonical_reader(rng, bases, 5000)
-        assert accepted > 500 and declined > 2500  # the 5,000 mutations reach both sides
+        assert accepted > 170 and declined > 2500  # the 5,000 mutations reach both sides
+
+    # ``_LOOP`` in layouts other than the one ``serialize`` writes: the token reader reads each to ``_LOOP``'s document.
+    LAYOUTS = {
+        "one line without blanks": "cyclic start=A{A:Alice{a->leaf(0,1)c->B}B:Bertrand{a->leaf(1,0)c->A}}",
+        "no players line": _LOOP.partition("\n")[2],
+        "CRLF line ends": _LOOP.replace("\n", "\r\n"),
+        "tab before a node": _LOOP.replace("\n  B:", "\n\tB:"),
+        "blank line between nodes": _LOOP.replace("  }\n  B:", "  }\n\n  B:"),
+    }
 
     # Texts the canonical reader declines, though some of them the token reader reads.
     DECLINED = {
+        **LAYOUTS,
         "name glued to a keyword": _STAGES.replace("Bertrand\n", "Bertrand", 1),  # players Alice Bertrandparam
         "plus-minus slope": _STAGES.replace("3+2*n", "3+-2*n"),
         "non-ASCII name": _LOOP.replace("B:", "é:").replace("-> B", "-> é"),
@@ -332,17 +342,16 @@ class TestCanonicalGraphReader:
         assert fast is None
         assert (repr(parse(text)) if isinstance(reference, str) else raised(parse, text)) == reference
 
+    @pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS)
+    def test_other_layouts_read_to_the_same_document(self, text):
+        assert read_both_ways(text) == (None, repr(parse(_LOOP)))
+
     @pytest.mark.parametrize("name", ["zero_one_cyclic.game", "zero_one_param.game"])
     def test_parse_reads_a_canonical_graph_without_the_token_reader(self, corpus_dir, name):
         text = (corpus_dir / name).read_text()
         reference = repr(dsl._Parser(text).parse_doc())
         with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
             assert repr(parse(text)) == reference
-
-    def test_one_line_without_blanks_is_canonical(self):
-        text = "cyclic start=A{A:Alice{a->leaf(0,1)c->B}B:Bertrand{a->leaf(1,0)c->A}}"
-        fast, reference = read_both_ways(text)
-        assert fast is not None and fast.game == loop01()
 
 
 LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise; 0 for no limit
