@@ -40,7 +40,10 @@ def solve(game: FiniteGame, ties: TiePolicy = TiePolicy.FIRST_BRANCH) -> TreePro
     index = game.index
     paths, labels, children, owners = index.paths, index.labels, index.children, index.owners
     values = index.outcomes.copy()
-    last = TiePolicy(ties) is TiePolicy.LAST_BRANCH  # a member or its value; ValueError for anything else
+    try:
+        last = TiePolicy(ties) is TiePolicy.LAST_BRANCH  # a member or its value
+    except ValueError as error:  # Enum's own, which a caller catching GameError would miss
+        raise InvalidArgument(str(error)) from None
     profile: dict[PlayLine, str] = {}
     for node in index.postorder:
         owner, kids = owners[node], children[node]

@@ -13,7 +13,7 @@ accepted square pair (Shapley & Snow 1950); the column mix follows the
 same rule over column supports.  This is not always the lexicographically
 greatest optimal strategy.
 
-Three exact steps keep that rule's answer with less work.  The simplex
+Four exact steps keep that rule's answer with less work.  The simplex
 runs first.  When its final tableau is strictly complementary, every
 variable basic and positive or of positive reduced cost, the LP's primal
 and dual optima are both unique, so the pair read off it is the only
@@ -25,10 +25,16 @@ the matrix side: hence ``SUPPORT_LIMIT``.  The scans skip each pure
 strategy strictly dominated by another: whatever the other side mixes,
 such a row is worth less than its dominator, so less than the value,
 while an accepted pair makes each row of its support worth exactly the
-value (a dominated column likewise).  And the simplex gives the game's
-value exactly, which every accepted pair certifies, so a pair whose row
-system solves at another value is rejected before its certificates are
-checked and before its column system is built.
+value (a dominated column likewise).  The simplex gives the game's value
+v exactly, which every accepted pair certifies, so the sign of each entry
+against v rules pairs out unsolved, on either side: a support is skipped
+unless every opposing strategy meets one of its strategies at an entry
+that gets its player at least v (the mix must guarantee v everywhere);
+only opposing strategies whose entries on the support lie on both sides
+of v, or at it, can be equalized at v, so only they are drawn; and the
+drawn support must pass both tests in turn against this one.  And a pair
+whose row system solves at another value is rejected before its
+certificates are checked and before its column system is built.
 """
 
 from __future__ import annotations
@@ -203,19 +209,55 @@ def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], tup
     return row, column, Fraction(det, total) - shift, all(level[c] or objective[c] for c in range(n + m))
 
 
+def _sign_masks(lines: Sequence[Sequence[int]], value_num: int, value_den: int) -> tuple[list[int], list[int]]:
+    """Per line, the bitmasks of its positions whose entry is at least, and at most, ``value_num / value_den``."""
+    low, high = -(-value_num // value_den), value_num // value_den  # the value's ceiling and floor
+    at_least, at_most = [], []
+    for line in lines:
+        above = below = 0
+        for k, entry in enumerate(line):
+            if entry >= low:
+                above |= 1 << k
+            if entry <= high:
+                below |= 1 << k
+        at_least.append(above)
+        at_most.append(below)
+    return at_least, at_most
+
+
 def _first_support_pair(
     mine: tuple[int, ...],
     theirs: tuple[int, ...],
     judge: Callable[[tuple[int, ...], tuple[int, ...]], tuple | None],
     side: int,
+    signs: tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]],
 ) -> tuple:
     """Scan this side's supports over the strategies ``mine`` in
     lexicographic order; for the first one with any accepted square pair,
     return the accepted ``(x, y)`` whose mix on this side (entry ``side``)
-    is the smallest."""
+    is the smallest.  ``signs`` holds, for this side and then the other,
+    each strategy's masks of the opposing strategies against which it gets
+    its player at least the value, and at most.  A pair that fails a sign
+    test (module docstring) is not judged; the pairs left keep their order,
+    so the same accepted pair wins."""
+    (covers, others), (their_covers, their_others) = signs
+    full, their_full = (1 << len(covers)) - 1, (1 << len(their_covers)) - 1
     for support in _lex_supports(mine):
-        judged = (judge(support, against) for against in itertools.combinations(theirs, len(support)))
-        found = [accepted for accepted in judged if accepted is not None]
+        cover = other = mask = 0
+        for s in support:
+            cover, other, mask = cover | covers[s], other | others[s], mask | 1 << s
+        if cover != their_full:  # an opposing strategy holds the whole support below the value
+            continue
+        found = []
+        straddling = [t for t in theirs if other >> t & 1]  # the strategies the support can equalize at the value
+        for against in itertools.combinations(straddling, len(support)):
+            cover = other = 0
+            for t in against:
+                cover, other = cover | their_covers[t], other | their_others[t]
+            if cover == full and other & mask == mask:  # the same two tests from the other side
+                accepted = judge(support, against)
+                if accepted is not None:
+                    found.append(accepted)
         if found:
             return min(found, key=lambda accepted: accepted[side])
     raise AssertionError("no square-kernel solution found; unreachable for valid input")
@@ -237,10 +279,11 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     A strictly complementary pair read off the exact simplex's final
     tableau, the only optimal pair, is the answer, and nothing is judged;
     only a degenerate game is scanned, where the scans skip every strictly
-    dominated pure strategy and a pair off the simplex's value is rejected
-    once its row system is solved (see the module docstring).  None changes
-    a result.  ``TooLarge`` beyond ``SUPPORT_LIMIT``: a degenerate game can
-    still judge every support pair.
+    dominated pure strategy and every pair that fails a sign test against
+    the simplex's value, and a pair off that value is rejected once its row
+    system is solved (see the module docstring).  None changes a result.
+    ``TooLarge`` beyond ``SUPPORT_LIMIT``: a degenerate game can still judge
+    every support pair.
     """
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
@@ -286,8 +329,11 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
                  if not any(all(a > b for a, b in zip(other, row)) for other in scaled))
     cols = tuple(j for j, column in enumerate(transposed)
                  if not any(all(a < b for a, b in zip(other, column)) for other in transposed))
-    x = _first_support_pair(rows, cols, judge, 0)[0]
-    y = _first_support_pair(cols, rows, lambda mine, theirs: judge(theirs, mine), 1)[1]
+    # A column gets the column player at least its value where it pays the row player at most v.
+    row_signs = _sign_masks(scaled, value_num, value_den)
+    col_signs = _sign_masks(transposed, value_num, value_den)[::-1]
+    x = _first_support_pair(rows, cols, judge, 0, (row_signs, col_signs))[0]
+    y = _first_support_pair(cols, rows, lambda mine, theirs: judge(theirs, mine), 1, (col_signs, row_signs))[1]
     return MixedProfile(x, y, value / scale)
 
 

@@ -25,7 +25,7 @@ from helpers import (
     tree_paths,
 )
 
-from seqgames.core import NotTwoPlayer, Leaf, ShapeMismatch, chosen_branches, induced_play, leaf, node
+from seqgames.core import InvalidArgument, NotTwoPlayer, Leaf, ShapeMismatch, chosen_branches, induced_play, leaf, node
 from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
 
 
@@ -112,8 +112,9 @@ class TestSolve:
         game = node(0, ("a", leaf(1, 0)), ("b", leaf(1, 0)))
         assert solve(game, "first") == solve(game, TiePolicy.FIRST_BRANCH) == {(): "a"}
         assert solve(game, "last") == {(): "b"}
-        for ties in (None, "FIRST_BRANCH", 0):
-            with pytest.raises(ValueError):
+        for ties in ("bogus", None, "FIRST_BRANCH", 0, [], TiePolicy):
+            # Enum's own message, on an error that is both a GameError and a ValueError
+            with pytest.raises(InvalidArgument, match=f"^{re.escape(repr(ties))} is not a valid TiePolicy$"):
                 solve(game, ties)
 
 

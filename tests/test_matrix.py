@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -316,11 +317,18 @@ def systems_at_values(monkeypatch, game: MatrixGame) -> list[tuple[str, Fraction
     return built
 
 
+def no_sign_tests(monkeypatch) -> None:
+    """Every sign mask all ones, so the scans judge every pair of the strategies they keep."""
+    monkeypatch.setattr(matrix, "_sign_masks", lambda lines, *_: ([(1 << len(lines[0])) - 1] * len(lines),) * 2)
+
+
 class TestValueTest:
     def test_no_column_system_is_built_for_a_primal_off_the_game_value(self, monkeypatch):
         # A pair whose row system solves at another value than the simplex's cannot
         # be accepted, so its column system is never built.  These games are
-        # degenerate, so the scans judge many pairs off the value.
+        # degenerate, so the scans judge many pairs off the value once the sign
+        # tests, which skip most of those pairs unsolved, are off.
+        no_sign_tests(monkeypatch)
         rng = random.Random(73)
         tie_break = matrix_game([[1, 2, 0], [0, 2, 0], [1, 0, 1]], 2)
         off_value = 0
@@ -334,6 +342,46 @@ class TestValueTest:
                 if side == "column":
                     assert at == value, game
         assert off_value >= 300
+
+
+class TestSignTests:
+    def test_a_pair_the_sign_tests_skip_is_rejected(self, monkeypatch):
+        # Each scan also judges every square pair of the strategies it keeps: each
+        # one its sign tests pass over must be rejected, so no answer changes.
+        scan, skipped, scans = matrix._first_support_pair, [], []
+
+        def every_pair(mine, theirs, judge, side, signs):
+            passed: set = set()
+            with pytest.raises(AssertionError):  # a judge that accepts nothing sees every pair the tests pass
+                scan(mine, theirs, lambda *pair: passed.add(pair), side, signs)
+            for support in matrix._lex_supports(mine):
+                for against in itertools.combinations(theirs, len(support)):
+                    if (support, against) not in passed:
+                        assert judge(support, against) is None, (support, against)
+                        skipped.append((support, against))
+            scans.append(side)
+            return scan(mine, theirs, judge, side, signs)
+
+        monkeypatch.setattr(matrix, "_first_support_pair", every_pair)
+        rng = random.Random(79)
+        while len(scans) < 2 * 200:  # 200 degenerate games, each scanned on both sides
+            n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+            game = matrix_game([[rng.randint(0, 2) for _ in range(n_cols)] for _ in range(n_rows)], 2)
+            assert solve_constant_sum(game) == reference_constant_sum(game), game
+        assert len(skipped) > 20 * len(scans)
+
+    def test_the_sign_tests_build_fewer_systems(self, monkeypatch):
+        # Six degenerate 6x6 games under three strictly dominated rows and columns.
+        def built(rng: random.Random) -> tuple[int, list]:
+            games = [dominated_first(rng, 6, 3) for _ in range(6)]
+            return sum(len(systems_built(monkeypatch, game)) for game in games), [
+                solve_constant_sum(game) for game in games
+            ]
+
+        count, answers = built(random.Random(29))
+        no_sign_tests(monkeypatch)
+        assert built(random.Random(29)) == (4567, answers)
+        assert count == 1599
 
 
 class TestDualSystem:
