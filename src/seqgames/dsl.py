@@ -24,9 +24,10 @@ LF line endings, no trailing whitespace.
 
 Here are the scanner and the tree reader; the graph and matrix readers live in
 ``parametric`` and ``matrix``, and the writers in ``dsl_write``, loaded on first use.
-A graph document in exactly the layout ``serialize`` writes is read line by
-line (``parametric.parse_canonical_graph``); any other text, and every error,
-goes through the scanner and the token reader.
+A graph or matrix document in exactly the layout ``serialize`` writes is read
+by pattern matches, a graph's one per line (``parametric.parse_canonical_graph``)
+and a matrix's one in all (``matrix.parse_canonical_matrix``); any other text,
+and every error, goes through the scanner and the token reader.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ if TYPE_CHECKING:
 
 _GRAPHS = ("cyclic", "param")
 
-# Loaded on first use through ``_lazy``, this module: the writers, and the graph reader for canonical text.
+# Loaded on first use through ``_lazy``, this module: the writers, and the readers of canonical graphs and matrices.
 _LAZY = {**dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write"),
-         "parse_canonical_graph": "parametric"}
+         "parse_canonical_graph": "parametric", "parse_canonical_matrix": "matrix"}
+# ``parse``'s reader for canonical text, by the start of the second line up to its first blank.
+_READERS = {"cyclic ": "parse_canonical_graph", "param ": "parse_canonical_graph", "matrix ": "parse_canonical_matrix"}
 __getattr__, __dir__ = _loader(globals(), _LAZY)
 _lazy = sys.modules[__name__]
 
@@ -335,10 +338,13 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors.  A graph document in exactly the
-    layout ``serialize`` writes is read line by line; any other text, and every error, by the token reader."""
-    if text.startswith(("cyclic ", "param "), text.find("\n") + 1):  # the second line, or a text of one line
-        read = _lazy.parse_canonical_graph(text)
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A graph or matrix document in
+    exactly the layout ``serialize`` writes is read by pattern matches, a graph's one per line and a matrix's
+    one in all (``_READERS`` picks the reader); any other text, and every error, by the token reader."""
+    line = text.find("\n") + 1  # the second line, or a text of one line
+    reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])  # "" when no blank is near
+    if reader is not None:
+        read = getattr(_lazy, reader)(text)
         if read is not None:
             return GameDoc(*read)
     return _Parser(text).parse_doc()

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
@@ -77,7 +78,9 @@ class MatrixGame(Record):
             raise InvalidArgument("matrix must have at least one row and one column")
         if any(len(row) != len(payoffs[0]) for row in payoffs):
             raise InvalidArgument("matrix rows must have equal length")
-        for value in (self.total, *(entry for row in payoffs for entry in row)):
+        if {type(self.total), *map(type, itertools.chain.from_iterable(payoffs))} <= {int, Fraction}:
+            return  # every entry an exact int or Fraction, as the readers build them
+        for value in (self.total, *(entry for row in payoffs for entry in row)):  # a subclass passes here
             if value.__class__ is bool or not isinstance(value, (int, Fraction)):
                 raise InvalidArgument(f"matrix payoffs must be int or Fraction, not {value.__class__.__name__}")
 
@@ -94,6 +97,11 @@ class MixedProfile(Record):
     row: tuple[Fraction, ...]
     column: tuple[Fraction, ...]
     value: Fraction
+
+
+def _require_game(game: object) -> None:
+    if not isinstance(game, MatrixGame):
+        raise InvalidArgument(f"game must be a MatrixGame, not {type(game).__name__}")
 
 
 def matrix_game(rows: Iterable[Iterable[object]], total: object) -> MatrixGame:
@@ -199,7 +207,10 @@ def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], tup
         for r, row in enumerate(tableau):
             if r != leave:
                 f = row[enter]
-                tableau[r] = [(p * u - f * t) // det for u, t in zip(row, top)]
+                if det == 1:  # the first pivot divides by 1
+                    tableau[r] = [p * u - f * t for u, t in zip(row, top)]
+                else:
+                    tableau[r] = [(p * u - f * t) // det for u, t in zip(row, top)]
         basis[leave], det = enter, p
     total, level = objective[-1], [0] * (n + m)  # sum(w) and each basic variable, both times det
     for r, b in enumerate(basis):
@@ -285,6 +296,7 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
     ``TooLarge`` beyond ``SUPPORT_LIMIT``: a degenerate game can still judge
     every support pair.
     """
+    _require_game(game)
     if game.rows > SUPPORT_LIMIT or game.cols > SUPPORT_LIMIT:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
     n_rows, n_cols = game.rows, game.cols
@@ -341,10 +353,15 @@ def best_response_value(
     game: MatrixGame, opponent_mix: Sequence[Fraction], side: Literal["row", "column"]
 ) -> Fraction:
     """Maximum expected payoff over the responder's pure strategies; ``side``
-    names the responder, and anything but "row" or "column" is an ``InvalidArgument``."""
+    names the responder, and anything but "row" or "column" is an ``InvalidArgument``,
+    as is an ``opponent_mix`` entry that is no number ``Fraction`` takes."""
+    _require_game(game)
     if side not in ("row", "column"):
         raise InvalidArgument(f"side must be 'row' or 'column', not {side!r}")
-    mix = [Fraction(p) for p in opponent_mix]
+    try:
+        mix = [Fraction(p) for p in opponent_mix]
+    except (TypeError, ValueError, ArithmeticError):  # not a number, or not a finite one
+        raise InvalidArgument("opponent_mix must be a sequence of numbers") from None
     expected_len = game.cols if side == "row" else game.rows
     if len(mix) != expected_len:
         raise DimensionMismatch(f"expected a distribution of length {expected_len}, got {len(mix)}")
@@ -361,7 +378,7 @@ def best_response_value(
 
 
 def parse_matrix(parser) -> MatrixGame:
-    """``matrix`` for ``dsl._Parser`` ``parser``, which ``dsl`` imports for a matrix document only.
+    """``matrix`` for ``dsl._Parser`` ``parser``, imported for a matrix text ``parse_canonical_matrix`` declines.
 
     The total and then each entry (``d``, ``-d``, ``d/d`` or ``-d/d``) are
     read in one loop at a local position, as ``parse_tree`` reads a tree; each
@@ -411,3 +428,30 @@ def parse_matrix(parser) -> MatrixGame:
     parser.pos = pos
     parser.expect("}")
     return MatrixGame(tuple(rows), total)
+
+
+# A matrix document exactly as ``serialize`` writes it, compiled on first use (``re.compile`` keeps it).  Every
+# name and entry is ASCII and ends at the fixed character after it, so a failed match takes time linear in the
+# text; an integer has at most 640 digits, fewer than ``int`` can be limited to.
+_RATIONAL, _NAME = r"-?[0-9]{1,640}(?:/[0-9]{1,640})?", "([A-Za-z_][A-Za-z0-9_]*)"
+_ROW = rf"  {_RATIONAL}(?: {_RATIONAL})*"
+_CANONICAL = rf"players {_NAME} {_NAME}\nmatrix sum=({_RATIONAL}) \{{\n((?:{_ROW};\n)*{_ROW}\n)\}}\n\Z"
+
+
+def parse_canonical_matrix(text: str) -> tuple[tuple[str, str], MatrixGame] | None:
+    """A matrix document in exactly the layout ``serialize`` writes, read in one pattern match into its players
+    and what ``parse_matrix`` builds, with one ``Fraction`` per distinct entry text; or None for any other text,
+    a ragged matrix or a zero denominator.  It never raises: ``dsl.parse`` hands what it declines, every error
+    included, to the token reader."""
+    match = re.compile(_CANONICAL).match(text)
+    if not match:
+        return None
+    first, second, total, body = match.groups()
+    rows = [row.split(" ") for row in body[2:-1].split(";\n  ")]  # without the first indent and the last LF
+    if any(len(row) != len(rows[0]) for row in rows):
+        return None
+    try:
+        values = {entry: Fraction(*map(int, entry.split("/"))) for entry in {total, *itertools.chain(*rows)}}
+    except ZeroDivisionError:
+        return None
+    return (first, second), MatrixGame(tuple(tuple(map(values.__getitem__, row)) for row in rows), values[total])

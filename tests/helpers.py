@@ -62,7 +62,6 @@ from seqgames.parametric import (
     Shape,
     affine,
     affine_leq,
-    parse_canonical_graph,
     stationary_profiles,
 )
 
@@ -935,7 +934,7 @@ def token_spans(text: str) -> list[tuple[int, int]]:
     return [match.span(1) for match in _SCAN.finditer(text) if match.group(1)]
 
 
-# --- the canonical graph reader's referee ------------------------------------
+# --- the canonical readers' referee ------------------------------------------
 
 # What a mutation writes at a token boundary: the documents' own kinds of token, and tokens and
 # blanks the canonical reader declines (a glued keyword, non-ASCII, a ``+-`` slope, a comment, ...).
@@ -983,11 +982,11 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
-def read_both_ways(text: str):
-    """``parse_canonical_graph(text)`` as a ``GameDoc`` or None, which must not raise, and the token reader's
-    ``repr`` of the same text or the type and text of its error; an ``AssertionError`` if the first is a
-    document of another ``repr``."""
-    fast = parse_canonical_graph(text)
+def read_both_ways(reader, text: str):
+    """``reader(text)`` (``parse_canonical_graph`` or ``parse_canonical_matrix``) as a ``GameDoc`` or None,
+    which must not raise, and the token reader's ``repr`` of the same text or the type and text of its error;
+    an ``AssertionError`` if the first is a document of another ``repr``."""
+    fast = reader(text)
     fast = fast and GameDoc(*fast)
     try:
         reference = repr(_Parser(text).parse_doc())
@@ -997,21 +996,30 @@ def read_both_ways(text: str):
     return fast, reference
 
 
-def graph_documents(rng: random.Random, count: int) -> list[str]:
-    """``count`` serialized random graph documents, cyclic and param in turn
-    (``random_cyclic``, ``random_parametric``)."""
-    games = [(random_cyclic, random_parametric)[k % 2](rng) for k in range(count)]
+def _documents(rng: random.Random, games: list) -> list[str]:
+    """``games`` serialized, each with one of two pairs of player names at random."""
     return [serialize(GameDoc(rng.choice((("Alice", "Bertrand"), ("P", "Q"))), game)) for game in games]
 
 
-def referee_canonical_reader(rng: random.Random, bases: list[str], mutations: int) -> tuple[int, int]:
-    """Every base document, then ``mutations`` mutated ones, read both ways (``read_both_ways``); how
-    many the canonical reader accepted and how many it declined.  The bases must all be accepted."""
+def graph_documents(rng: random.Random, count: int) -> list[str]:
+    """``count`` serialized random graph documents, cyclic and param in turn
+    (``random_cyclic``, ``random_parametric``)."""
+    return _documents(rng, [(random_cyclic, random_parametric)[k % 2](rng) for k in range(count)])
+
+
+def matrix_documents(rng: random.Random, count: int) -> list[str]:
+    """``count`` serialized ``random_matrix`` documents, of one to six rows and columns."""
+    return _documents(rng, [random_matrix(rng, 6) for _ in range(count)])
+
+
+def referee_canonical_reader(reader, rng: random.Random, bases: list[str], mutations: int) -> tuple[int, int]:
+    """Every base document, then ``mutations`` mutated ones, read both ways by ``reader`` (``read_both_ways``);
+    how many the canonical reader accepted and how many it declined.  The bases must all be accepted."""
     for text in bases:
-        assert read_both_ways(text)[0] is not None, text
+        assert read_both_ways(reader, text)[0] is not None, text
     accepted = 0
     for _ in range(mutations):
-        accepted += read_both_ways(mutate(rng, rng.choice(bases)))[0] is not None
+        accepted += read_both_ways(reader, mutate(rng, rng.choice(bases)))[0] is not None
     return accepted + len(bases), mutations - accepted
 
 

@@ -17,6 +17,7 @@ from helpers import (
     chain01,
     graph_documents,
     loop01,
+    matrix_documents,
     pennies_seq,
     random_cyclic,
     random_matrix,
@@ -44,7 +45,7 @@ from seqgames.dsl import (
     serialize,
     to_dot,
 )
-from seqgames.matrix import MatrixGame
+from seqgames.matrix import MatrixGame, parse_canonical_matrix
 from seqgames.parametric import (
     Advance,
     AffineLeaf,
@@ -54,6 +55,7 @@ from seqgames.parametric import (
     Shape,
     affine,
     dollar_auction,
+    parse_canonical_graph,
 )
 
 PLAYERS = ("Alice", "Bertrand")
@@ -300,7 +302,7 @@ class TestCanonicalGraphReader:
         rng = random.Random(3700)
         names = ("zero_one_cyclic.game", "zero_one_param.game", "dollar_auction_v100.game")
         bases = [(corpus_dir / name).read_text() for name in names] + graph_documents(rng, 40) + [_LOOP, _STAGES]
-        accepted, declined = referee_canonical_reader(rng, bases, 5000)
+        accepted, declined = referee_canonical_reader(parse_canonical_graph, rng, bases, 5000)
         assert accepted > 170 and declined > 2500  # the 5,000 mutations reach both sides
 
     # ``_LOOP`` in layouts other than the one ``serialize`` writes: the token reader reads each to ``_LOOP``'s document.
@@ -337,17 +339,95 @@ class TestCanonicalGraphReader:
     @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
     def test_declined_texts_go_to_the_token_reader(self, text):
         started = time.perf_counter()
-        fast, reference = read_both_ways(text)
+        fast, reference = read_both_ways(parse_canonical_graph, text)
         assert time.perf_counter() - started < 1.0
         assert fast is None
         assert (repr(parse(text)) if isinstance(reference, str) else raised(parse, text)) == reference
 
     @pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS)
     def test_other_layouts_read_to_the_same_document(self, text):
-        assert read_both_ways(text) == (None, repr(parse(_LOOP)))
+        assert read_both_ways(parse_canonical_graph, text) == (None, repr(parse(_LOOP)))
 
     @pytest.mark.parametrize("name", ["zero_one_cyclic.game", "zero_one_param.game"])
     def test_parse_reads_a_canonical_graph_without_the_token_reader(self, corpus_dir, name):
+        text = (corpus_dir / name).read_text()
+        reference = repr(dsl._Parser(text).parse_doc())
+        with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
+            assert repr(parse(text)) == reference
+
+
+_GRID = "players Alice Bertrand\nmatrix sum=1/2 {\n  1 -2/3 0;\n  3/4 12 -1\n}\n"
+
+
+class TestCanonicalMatrixReader:
+    """``matrix.parse_canonical_matrix`` reads a matrix document as the token reader does or declines it
+    (returns None), and never raises; ``read_both_ways`` asserts that on each text."""
+
+    def test_corpus_random_and_mutated_matrices_read_as_the_token_reader_reads_them(self, corpus_dir):
+        rng = random.Random(4000)
+        names = ("matching_pennies_matrix.game", "rps.game", "rps_zerosum.game")
+        bases = [(corpus_dir / name).read_text() for name in names] + matrix_documents(rng, 40) + [_GRID]
+        accepted, declined = referee_canonical_reader(parse_canonical_matrix, rng, bases, 5000)
+        assert accepted > 500 and declined > 2500  # the 5,000 mutations reach both sides
+
+    def test_one_fraction_per_distinct_entry_text(self):
+        game = parse_canonical_matrix("players A B\nmatrix sum=1 {\n  1 0 1/2;\n  0 1/2 1\n}\n")[1]
+        assert game.payoffs[0][0] is game.payoffs[1][2] is game.total
+        assert game.payoffs[0][2] is game.payoffs[1][1]
+
+    # ``_GRID`` in layouts other than the one ``serialize`` writes: the token reader reads each to ``_GRID``'s document.
+    LAYOUTS = {
+        "one line": "players Alice Bertrand matrix sum=1/2{1 -2/3 0;3/4 12 -1}",
+        "CRLF line ends": _GRID.replace("\n", "\r\n"),
+        "tab before a row": _GRID.replace("\n  3/4", "\n\t3/4"),
+        "blank line between rows": _GRID.replace(";\n", ";\n\n"),
+        "two blanks between entries": _GRID.replace("12 -1", "12  -1"),
+        "comment": "# a grid\n" + _GRID,
+    }
+
+    # Texts the canonical reader declines, though some of them the token reader reads.
+    DECLINED = {
+        **LAYOUTS,
+        "no players line": _GRID.partition("\n")[2],
+        "trailing ';'": _GRID.replace("12 -1", "12 -1;"),
+        "no ';' between rows": _GRID.replace(";\n", "\n"),
+        "ragged rows": _GRID.replace(" 12 -1", " 12"),
+        "empty matrix": "players Alice Bertrand\nmatrix sum=1 {\n}\n",
+        "zero denominator": _GRID.replace("-2/3", "1/0"),
+        "zero denominator in the total": _GRID.replace("sum=1/2", "sum=1/0"),
+        "negative denominator": _GRID.replace("-2/3", "1/-2"),
+        "plus sign": _GRID.replace(" 0;", " +1;"),
+        "non-ASCII digit": _GRID.replace("12", "1٢"),
+        "non-ASCII player name": _GRID.replace("Alice", "Alicé"),
+        "641-digit entry": _GRID.replace("12", "7" * 641),
+        "4,301-digit entry": _GRID.replace("12", "7" * 4301),
+        "text after the end": _GRID + "}\n",
+        "no final line end": _GRID[:-1],
+        # A failed match takes time linear in the text, whatever run of blanks or digits it stops in.
+        "long blanks inside a row": _GRID.replace("12 -1", "12" + " " * 10**5 + "-1"),
+        "long digits as an entry": _GRID.replace("12", "1" * 10**5),
+        "long digits, then a ragged row": _GRID.replace("1 -2/3 0", " ".join(["1" * 640] * 150)),
+        "long blanks after the header": _GRID.replace("{\n", "{" + " " * 10**5 + "\n"),
+    }
+
+    @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+    def test_declined_texts_go_to_the_token_reader(self, text):
+        started = time.perf_counter()
+        fast, reference = read_both_ways(parse_canonical_matrix, text)
+        assert time.perf_counter() - started < 1.0
+        assert fast is None
+        assert (repr(parse(text)) if isinstance(reference, str) else raised(parse, text)) == reference
+
+    @pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS)
+    def test_other_layouts_read_to_the_same_document(self, text):
+        assert read_both_ways(parse_canonical_matrix, text) == (None, repr(parse(_GRID)))
+
+    def test_unreduced_and_signed_zero_entries_read_to_the_same_document(self):
+        fast, reference = read_both_ways(parse_canonical_matrix, _GRID.replace("12", "24/2").replace(" 0;", " -0;"))
+        assert fast is not None and reference == repr(parse(_GRID))
+
+    @pytest.mark.parametrize("name", ["matching_pennies_matrix.game", "rps.game", "rps_zerosum.game"])
+    def test_parse_reads_a_canonical_matrix_without_the_token_reader(self, corpus_dir, name):
         text = (corpus_dir / name).read_text()
         reference = repr(dsl._Parser(text).parse_doc())
         with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):

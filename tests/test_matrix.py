@@ -11,6 +11,7 @@ import pytest
 from helpers import dominated_first, random_matrix, reference_constant_sum
 
 from seqgames import matrix
+from seqgames.core import InvalidArgument
 from seqgames.matrix import (
     DimensionMismatch,
     MatrixGame,
@@ -102,6 +103,18 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"^matrix payoffs must be int or Fraction, not {kind}$"):
             MatrixGame(payoffs, total)
 
+    def test_a_subclass_entry_passes_the_per_entry_check_and_a_bool_fails_it(self):
+        class Payoff(int):
+            pass
+
+        class Share(Fraction):
+            pass
+
+        game = MatrixGame(((Payoff(1), Share(0)), (Fraction(0), 1)), Share(1))
+        assert solve_constant_sum(game) == solve_constant_sum(PENNIES)
+        with pytest.raises(InvalidArgument, match="^matrix payoffs must be int or Fraction, not bool$"):
+            MatrixGame(((Share(1), Fraction(0)), (Fraction(0), True)), Fraction(1))
+
     def test_a_code_built_game_takes_int_payoffs(self):
         profile = solve_constant_sum(MatrixGame(((1, 0), (0, 1)), 1))
         assert profile == solve_constant_sum(PENNIES)
@@ -142,6 +155,23 @@ class TestBestResponse:
         half = (Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(ValueError, match="^side must be 'row' or 'column', not "):
             best_response_value(PENNIES, half, side)
+
+
+class TestArguments:
+    """A call the kernels cannot answer is an ``InvalidArgument`` that names the argument."""
+
+    @pytest.mark.parametrize("game", [3, None, ((1, 0), (0, 1)), "matrix"])
+    def test_a_non_game_is_refused(self, game):
+        message = f"^game must be a MatrixGame, not {type(game).__name__}$"
+        with pytest.raises(InvalidArgument, match=message):
+            solve_constant_sum(game)
+        with pytest.raises(InvalidArgument, match=message):
+            best_response_value(game, (Fraction(1, 2), Fraction(1, 2)), "row")
+
+    @pytest.mark.parametrize("mix", [["a", "b"], [None, 1], [float("nan"), 1], [float("inf"), 0], ["1/0", 1], 3])
+    def test_a_mix_of_non_numbers_is_refused(self, mix):
+        with pytest.raises(InvalidArgument, match="^opponent_mix must be a sequence of numbers$"):
+            best_response_value(PENNIES, mix, "row")
 
 
 class TestInvariants:
