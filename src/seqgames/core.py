@@ -11,7 +11,8 @@ Values (games, reports, verdicts) are ``Record``s, immutable once built,
 and every operation is a pure function; sharing across threads is safe.
 Every routine over a tree runs on its ``index``: preorder arrays that
 ``TreeIndex`` lays out in one iterative walk of the tree on first use and
-caches on the root, for a parsed tree and one built in code alike.  The work
+caches on the root, unless the line reader laid them out as it read the
+tree's text (``finite.parse_tree_lines``).  The work
 is linear in the number of nodes (plus the hashing of path keys) and no
 depth exhausts the recursion limit.
 """
@@ -156,8 +157,8 @@ class Node(Record):
     @cached_property
     def index(self) -> "TreeIndex":
         """The flat preorder arrays every tree routine runs on, laid out by
-        ``TreeIndex`` on first use and then kept, whether the tree was parsed
-        or built in code: a tree is not to be changed once it is built."""
+        ``TreeIndex`` on first use, or by the line reader that read the tree,
+        and then kept: a tree is not to be changed once it is built."""
         return TreeIndex(self)
 
     def __eq__(self, other: object) -> bool:
@@ -243,12 +244,15 @@ class TreeIndex:
     an index on its root creates no reference cycle.  ``fault`` keeps the
     verdict of ``require_two_players``.
 
-    ``TreeIndex(root)`` is the one place the arrays are laid out: one
-    iterative walk that appends each node's entries as it enters the node,
-    and a decision node's ``children`` tuple and ``postorder`` entry once
-    its last branch is done.  It raises ``MalformedGame`` at a decision node
-    without branches, with two branches of the same label or with a branch to
-    neither a leaf nor a node.
+    Two walks lay the arrays out in the same order, refereed slot by slot.
+    ``TreeIndex(root)``, the one for a tree built in code, walks the nodes
+    iteratively: it appends each node's entries as it enters the node, and a
+    decision node's ``children`` tuple and ``postorder`` entry once its last
+    branch is done.  It raises ``MalformedGame`` at a decision node without
+    branches, with two branches of the same label or with a branch to neither
+    a leaf nor a node.  The line reader ``finite.parse_tree_lines`` lays them
+    out as it reads the nodes' lines and hands them to ``TreeIndex.keep``, with
+    ``fault`` empty: it builds only payoff pairs and players 0 and 1.
     """
 
     __slots__ = ("owners", "paths", "outcomes", "labels", "children", "postorder", "fault")
@@ -300,6 +304,13 @@ class TreeIndex:
                     children[at] = tuple(kids)
                     self.postorder.append(at)
 
+    @classmethod
+    def keep(cls, root: Node, slots: tuple) -> None:
+        """Keep as ``root.index`` (as the cached property would) the index a reader laid out, its slots in order."""
+        index = root.__dict__["index"] = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, slots):
+            setattr(index, name, value)
+
 
 def leaf(*outcome: int) -> Leaf:
     """Shorthand leaf constructor: ``leaf(0, 1)``."""
@@ -332,6 +343,13 @@ def subgame_at(game: FiniteGame, prefix: PlayLine) -> FiniteGame:
     return current
 
 
+def tree_index(game: FiniteGame) -> TreeIndex:
+    """``game.index``, where the tree routines check their ``game``: ``InvalidArgument`` names another type."""
+    if not isinstance(game, (Leaf, Node)):
+        raise InvalidArgument(f"game must be a Leaf or a Node, not {type(game).__name__}")
+    return game.index
+
+
 def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
     """Raise ShapeMismatch unless ``profile`` fits ``game`` exactly, and
     return, for every node in preorder, the position of the chosen branch
@@ -342,7 +360,7 @@ def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
     Sibling labels are assumed distinct, as ``parse`` requires, so a count of
     keys suffices; only a profile that does not fit is read again, to name why.
     """
-    index = game.index
+    index = tree_index(game)
     paths, labels = index.paths, index.labels
     if len(profile) == len(index.postorder):
         try:
@@ -378,7 +396,7 @@ def is_player(owner: object) -> bool:
 def require_two_players(game: FiniteGame) -> None:
     """``NotTwoPlayer`` unless every payoff vector is a pair and every owner
     is player 0 or 1 (``is_player``); the verdict is found once per index and kept."""
-    index = game.index
+    index = tree_index(game)
     if index.fault is None:
         length = next((len(o) for o in index.outcomes if o is not None and len(o) != 2), None)
         owner = next((o for o in index.owners if o is not None and not is_player(o)), None)

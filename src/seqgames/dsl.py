@@ -22,12 +22,16 @@ instead, except between matrix rows where `;` is structural.  ``serialize``
 emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
-Here are the scanner and the tree reader; the graph and matrix readers live in
-``parametric`` and ``matrix``, and the writers in ``dsl_write``, loaded on first use.
-A graph or matrix document in exactly the layout ``serialize`` writes is read
-by pattern matches, a graph's one per line (``parametric.parse_canonical_graph``)
-and a matrix's one in all (``matrix.parse_canonical_matrix``); any other text,
-and every error, goes through the scanner and the token reader.
+Here are the scanner and the token reader; the readers ``parse`` tries first
+(``_READERS``, by the start of the second line) live with their kernels, and
+the writers in ``dsl_write``, all loaded on first use.  A tree whose second
+line starts with ``finite `` goes to ``finite.parse_tree_lines``, which takes
+one node, branch or ``}`` per line, reads each distinct line once and lays
+out the index as it goes.  A graph or matrix document in exactly the layout
+``serialize`` writes is read by pattern matches, a graph's one per line
+(``parametric.parse_canonical_graph``) and a matrix's one in all
+(``matrix.parse_canonical_matrix``).  Any other text, any text those readers
+decline, and every error go through the scanner and the token reader.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ if TYPE_CHECKING:
 
 _GRAPHS = ("cyclic", "param")
 
-# Loaded on first use through ``_lazy``, this module: the writers, and the readers of canonical graphs and matrices.
+# Loaded on first use through ``_lazy``, this module: the writers, and the readers ``parse`` tries first.
 _LAZY = {**dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write"),
-         "parse_canonical_graph": "parametric", "parse_canonical_matrix": "matrix"}
-# ``parse``'s reader for canonical text, by the start of the second line up to its first blank.
-_READERS = {"cyclic ": "parse_canonical_graph", "param ": "parse_canonical_graph", "matrix ": "parse_canonical_matrix"}
+         "parse_canonical_graph": "parametric", "parse_canonical_matrix": "matrix", "parse_tree_lines": "finite"}
+# ``parse``'s reader before the token reader, by the start of the second line up to its first blank.
+_READERS = {"cyclic ": "parse_canonical_graph", "param ": "parse_canonical_graph", "matrix ": "parse_canonical_matrix",
+            "finite ": "parse_tree_lines"}
 __getattr__, __dir__ = _loader(globals(), _LAZY)
 _lazy = sys.modules[__name__]
 
@@ -94,12 +99,9 @@ _PUNCT = frozenset({"->", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*",
 # word, any other character (rejected by ``_scan``) or the end of input.
 # The token group always matches after the greedy skip, so nothing is ever
 # backtracked; ``findall`` returns one or two empty tokens at the end of
-# each string it scans.  ``_scan`` scans each distinct line (``_LINES``) once
+# each string it scans.  ``_scan`` scans each distinct line (``_lines``) once
 # when at least half of a text's lines repeat an earlier one, else the text.
-# ``_LINES`` reads a line from its first non-blank character; its group too
-# always matches, so blank lines cost linear time and match empty only at the end.
 _SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
-_LINES = re.compile(r"[ \t\r\n]*([^\n]*)")
 
 
 def _offset(text: str, match: re.Match) -> int:
@@ -123,6 +125,15 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return _line_column(text, _offset(text, match))
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` that hold more than blanks, tabs and CRs, each from its first other character.
+    ``str.lstrip()`` strips those three fast, so it is used on a text without the other blanks it strips."""
+    lines = text.split("\n")
+    if text.isascii() and not any(blank in text for blank in "\x0b\x0c\x1c\x1d\x1e\x1f"):
+        return list(filter(None, map(str.lstrip, lines)))
+    return list(filter(None, [line.lstrip(" \t\r") for line in lines]))
+
+
 def _scan(text: str) -> tuple[list[str], set[str]]:
     """Token texts, ending with one empty string for the end of input, and the set of names and integers.
 
@@ -134,7 +145,7 @@ def _scan(text: str) -> tuple[list[str], set[str]]:
     time (a serialized tree's do) is scanned once per distinct line, any
     other in one pass: the tokens, words and errors are the same either way.
     """
-    lines = list(filter(None, _LINES.findall(text)))  # without the empty matches at the end
+    lines = _lines(text)
     found = dict.fromkeys(lines)
     if 2 * len(found) <= len(lines):
         for line in found:
@@ -265,15 +276,15 @@ class _Parser:
         """``tree`` with an explicit stack of open decision nodes, so any depth
         parses; it builds ``Leaf``s and ``Node``s and nothing else, and leaves
         the ``index`` to its first use.  ``Owner {``, ``label ->`` (a
-        scanned word that starts with no digit), ``leaf ( d , d )`` and ``;``
-        are matched in place; an owner or label that does not match raises as
-        ``expect*`` would, and any other leaf goes through ``parse_leaf_int``.
-        A look-ahead stops at the first token that differs, and only the final
-        token is empty, so it never reads past the end."""
+        scanned word that starts with no digit) and ``;`` are matched in
+        place; an owner or label that does not match raises as ``expect*``
+        would, and a leaf goes through ``parse_leaf_int``.  A look-ahead stops
+        at the first token that differs, and only the final token is empty, so
+        it never reads past the end.  A tree text ``parse`` hands to the line
+        reader (``finite.parse_tree_lines``) comes here only if it declines."""
         tokens = self.tokens
         first_player, second_player = players
         names = {word for word in self.words if not word[0].isdecimal()}
-        leaves: dict[tuple[str, str], Leaf] = {}  # one leaf per payoff pair written as plain digits
         # The innermost open node's branches so far (label to subtree) and owner, and in ``frames``
         # each enclosing node's, with the label it is reading; no node is open while ``branches`` is None.
         branches: dict | None = None
@@ -284,22 +295,9 @@ class _Parser:
         while True:
             token = tokens[pos]
             if token == "leaf":
-                if (
-                    tokens[pos + 1] == "("
-                    and tokens[pos + 2].isdecimal()
-                    and tokens[pos + 3] == ","
-                    and tokens[pos + 4].isdecimal()
-                    and tokens[pos + 5] == ")"
-                ):
-                    key = (tokens[pos + 2], tokens[pos + 4])
-                    sub: FiniteGame | None = leaves.get(key)
-                    if sub is None:
-                        sub = leaves[key] = Leaf((self.integer(pos + 2), self.integer(pos + 4)))
-                    pos += 6
-                else:
-                    self.pos = pos + 1
-                    sub = self.parse_leaf_int()
-                    pos = self.pos
+                self.pos = pos + 1
+                sub: FiniteGame | None = self.parse_leaf_int()
+                pos = self.pos
             else:
                 mover = 0 if token == first_player else 1 if token == second_player else -1
                 if mover < 0 or tokens[pos + 1] != "{":
@@ -338,9 +336,9 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors.  A graph or matrix document in
-    exactly the layout ``serialize`` writes is read by pattern matches, a graph's one per line and a matrix's
-    one in all (``_READERS`` picks the reader); any other text, and every error, by the token reader."""
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A tree one line at a time, and a
+    graph or matrix document in exactly the layout ``serialize`` writes by pattern matches, are read by the
+    reader ``_READERS`` picks; any text it declines, and every error, by the token reader."""
     line = text.find("\n") + 1  # the second line, or a text of one line
     reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])  # "" when no blank is near
     if reader is not None:

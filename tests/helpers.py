@@ -21,7 +21,10 @@ stage-layered ``instantiate``; ``ReferenceParser``, a tree reader with one
 ``reference_tree_dot``, which orders edges with the event walk
 ``reference_edges``, referees the DOT export of trees; the recursive
 ``reference_index`` referees the index arrays that ``TreeIndex`` lays out;
-and ``argparse_reads``, argparse's reading of a command line, referees
+``reference_lines``, the pattern ``dsl._lines`` replaced, referees it;
+``read_both_ways`` referees each reader ``dsl.parse`` tries before the token
+reader against the token reader, and the tree line reader's index against
+``TreeIndex``; and ``argparse_reads``, argparse's reading of a command line, referees
 ``cli._read``, which reads a plain one from the command table alone.
 """
 
@@ -31,6 +34,7 @@ import contextlib
 import io
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +49,7 @@ from seqgames.core import (
     chosen_branches,
     leaf,
     node,
+    require_two_players,
     subgame_at,
 )
 from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan, serialize
@@ -928,6 +933,16 @@ def scan_tokenize(text: str) -> list[RefToken]:
     return tokens
 
 
+# The pattern that listed ``_scan``'s lines before ``dsl._lines``: blanks, tabs, CRs and line ends, then the
+# rest of a line; each group always matches, so blank lines cost linear time and match empty only at the end.
+_REFERENCE_LINES = re.compile(r"[ \t\r\n]*([^\n]*)")
+
+
+def reference_lines(text: str) -> list[str]:
+    """The lines ``dsl._lines`` lists, by the pattern it replaced, without its empty matches at the end."""
+    return list(filter(None, _REFERENCE_LINES.findall(text)))
+
+
 def token_spans(text: str) -> list[tuple[int, int]]:
     """Source offsets ``(start, end)`` of the tokens the scan reads, without
     the end of input; the text must scan."""
@@ -983,9 +998,10 @@ def mutate(rng: random.Random, text: str) -> str:
 
 
 def read_both_ways(reader, text: str):
-    """``reader(text)`` (``parse_canonical_graph`` or ``parse_canonical_matrix``) as a ``GameDoc`` or None,
-    which must not raise, and the token reader's ``repr`` of the same text or the type and text of its error;
-    an ``AssertionError`` if the first is a document of another ``repr``."""
+    """``reader(text)`` (``parse_canonical_graph``, ``parse_canonical_matrix`` or ``parse_tree_lines``) as a
+    ``GameDoc`` or None, which must not raise, and the token reader's ``repr`` of the same text or the type and
+    text of its error; an ``AssertionError`` if the first is a document of another ``repr``, or a tree whose
+    index (laid out by the reader) differs from ``TreeIndex(root)`` in any slot."""
     fast = reader(text)
     fast = fast and GameDoc(*fast)
     try:
@@ -993,7 +1009,22 @@ def read_both_ways(reader, text: str):
     except Exception as exc:  # the token reader's error, which the canonical reader must have declined
         reference = (type(exc), str(exc))
     assert fast is None or repr(fast) == reference, (text, fast, reference)
+    if fast is not None and isinstance(fast.game, Node):
+        assert index_slots(fast.game.index) == walked_index_slots(fast.game), text
     return fast, reference
+
+
+def index_slots(index: TreeIndex) -> tuple:
+    """Every slot of ``index``, in ``__slots__`` order."""
+    return tuple(getattr(index, name) for name in TreeIndex.__slots__)
+
+
+def walked_index_slots(tree: Node) -> tuple:
+    """The slots of the index ``TreeIndex(root)`` lays out for ``tree``, with ``fault`` found by
+    ``require_two_players``: those of a new root over the same branches."""
+    root = Node(tree.owner, tree.branches)
+    require_two_players(root)
+    return index_slots(root.index)
 
 
 def _documents(rng: random.Random, games: list) -> list[str]:
@@ -1010,6 +1041,14 @@ def graph_documents(rng: random.Random, count: int) -> list[str]:
 def matrix_documents(rng: random.Random, count: int) -> list[str]:
     """``count`` serialized ``random_matrix`` documents, of one to six rows and columns."""
     return _documents(rng, [random_matrix(rng, 6) for _ in range(count)])
+
+
+def tree_documents(rng: random.Random, count: int) -> list[str]:
+    """``count`` serialized trees, ``random_tree`` and ``deep_random_tree`` in turn, every other one with
+    some payoffs made negative."""
+    texts = _documents(rng, [(random_tree, deep_random_tree)[k % 2](rng) for k in range(count)])
+    return [text.replace("leaf(2,", "leaf(-2,").replace(",1)", ",-1)") if k % 4 > 1 else text
+            for k, text in enumerate(texts)]
 
 
 def referee_canonical_reader(reader, rng: random.Random, bases: list[str], mutations: int) -> tuple[int, int]:

@@ -26,7 +26,7 @@ GOLDEN = ROOT / "tests" / "golden" / "cli_corpus.json"
 COMMANDS = ("solve", "enumerate", "check", "unfold", "auction", "simulate", "matrix", "export")
 FINITE_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.finite"}
 # A tree command compiles every line of FINITE_PATH's sources, so their total is its cost at cold start.
-FINITE_PATH_LINES = 1400
+FINITE_PATH_LINES = 1481
 GRAPH_PATH = {"seqgames", "seqgames.cli", "seqgames.core", "seqgames.dsl", "seqgames.parametric"}
 WRITER = "seqgames.dsl_write"  # the graph reader lives in ``parametric`` and the matrix reader in ``matrix``
 
@@ -76,6 +76,11 @@ class TestModulesLoaded:
     def test_import_loads_no_submodule(self):
         done = fresh("-c", "import json, sys, seqgames; print(json.dumps(sorted(sys.modules)))")
         assert package(set(json.loads(done.stdout))) == {"seqgames"}
+
+    def test_importing_cli_loads_neither_the_kernels_nor_the_tree_line_reader(self):
+        # ``finite`` holds the tree line reader, so a graph or matrix command never compiles it.
+        done = fresh("-c", "import json, sys, seqgames.cli; print(json.dumps(sorted(sys.modules)))")
+        assert package(set(json.loads(done.stdout))) == FINITE_PATH - {"seqgames.finite"}
 
     @pytest.mark.parametrize(
         ("argv", "expected"),

@@ -14,8 +14,11 @@ from unittest import mock
 
 import pytest
 from helpers import (
+    big_random_tree,
     chain01,
+    deep_random_tree,
     graph_documents,
+    index_slots,
     loop01,
     matrix_documents,
     pennies_seq,
@@ -26,14 +29,17 @@ from helpers import (
     read_both_ways,
     reference_tokenize,
     referee_canonical_reader,
+    reference_lines,
     ring,
     scan_tokenize,
+    tree_documents,
+    walked_index_slots,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqgames import dsl, dsl_write
-from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, ShapeMismatch, leaf, node
+from seqgames.core import GameError, Leaf, MalformedGame, Node, NotTwoPlayer, ShapeMismatch, TreeIndex, leaf, node
 from seqgames.dsl import (
     GameDoc,
     ParseError,
@@ -45,6 +51,7 @@ from seqgames.dsl import (
     serialize,
     to_dot,
 )
+from seqgames.finite import parse_tree_lines
 from seqgames.matrix import MatrixGame, parse_canonical_matrix
 from seqgames.parametric import (
     Advance,
@@ -443,7 +450,8 @@ class TestIntegerDigitLimit:
     literal, on every path that reads one."""
 
     PLACES = [
-        "finite {\n  Alice {\n    a -> leaf(0,1)\n    b -> leaf(@,0)\n  }\n}\n",  # the tree reader's inline leaf
+        "finite {\n  Alice {\n    a -> leaf(0,1)\n    b -> leaf(@,0)\n  }\n}\n",  # a tree leaf
+        "players Alice Bertrand\nfinite {\n  Alice {\n    a -> leaf(@,0)\n  }\n}\n",  # one the line reader declines
         "finite {\n  Alice {\n    a -> leaf(0,@)\n  }\n}\n",
         "finite {\n  Alice {\n    a -> leaf(-@,0)\n  }\n}\n",  # a negative tree leaf
         "finite { leaf(1,@) }\n",
@@ -466,6 +474,125 @@ class TestIntegerDigitLimit:
         big = int(digits)
         assert parse(text).game == node(0, ("a", leaf(big, -big)), ("b", leaf(0, big)))
         assert parse(f"matrix sum={digits} {{ {digits} 1/{digits} }}").game.payoffs == ((big, Fraction(1, big)),)
+
+
+_TREE = (
+    "players Alice Bertrand\nfinite {\n  Alice {\n    a -> leaf(0,1)\n    c -> Bertrand {\n      a -> leaf(1,0)\n"
+    "      c -> leaf(-2,-3)\n    }\n  }\n}\n"
+)
+
+
+class TestTreeLineReader:
+    """``finite.parse_tree_lines`` reads a tree document as the token reader does, with the index ``TreeIndex``
+    lays out, or declines it (returns None), and never raises; ``read_both_ways`` asserts that on each text."""
+
+    def test_corpus_random_and_mutated_trees_read_as_the_token_reader_reads_them(self, corpus_dir):
+        rng = random.Random(4100)
+        names = ("matching_pennies_seq.game", "zero_one_6.game", "zero_one_7.game")
+        bases = [(corpus_dir / name).read_text() for name in names] + tree_documents(rng, 40) + [_TREE]
+        accepted, declined = referee_canonical_reader(parse_tree_lines, rng, bases, 2000)  # about 1 s
+        assert accepted > 200 and declined > 1000  # the 2,000 mutations reach both sides
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            random_tree,
+            deep_random_tree,
+            lambda rng: big_random_tree(rng, 3000),
+            lambda rng: chain01(300),
+        ],
+        ids=["random_tree", "deep_random_tree", "big_random_tree", "chain01"],
+    )
+    def test_the_index_is_the_one_the_walk_lays_out_slot_by_slot(self, build):
+        rng = random.Random(41)
+        for _ in range(20):
+            tree = build(rng)
+            read = parse_tree_lines(serialize(GameDoc(PLAYERS, tree)))
+            assert read is not None and read[1] == tree
+            walked = index_slots(TreeIndex(tree))[:-1] + ("",)  # ``fault``: the two-player verdict, found empty
+            assert index_slots(read[1].index) == walked_index_slots(read[1]) == walked
+
+    def test_one_leaf_per_payoff_pair(self):
+        tree = parse_tree_lines(_TREE.replace("leaf(-2,-3)", "leaf(0,1)"))[1]
+        assert tree.branches[0][1] is tree.branches[1][1].branches[1][1]
+
+    # ``_TREE`` in layouts other than the one ``serialize`` writes, which the line reader takes.
+    LAYOUTS = {
+        "comments": "# a tree\n" + _TREE.replace("  Alice {\n", "  Alice {  # the root\n    # two branches\n"),
+        "CRLF line ends": _TREE.replace("\n", "\r\n"),
+        "tabs": _TREE.replace("  ", "\t"),
+        "blank lines": _TREE.replace("\n", "\n\n \n"),
+        "blanks between tokens": _TREE.replace("a -> leaf(1,0)", "a->leaf ( 1 , 0 ) ").replace("c -> B", "c  ->  B"),
+        "no final line end": _TREE[:-1],
+        "a long run of blank lines": _TREE.replace("\n  }", "\n" * 10**5 + "  }"),
+    }
+
+    @pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS)
+    def test_other_layouts_read_to_the_same_document(self, text):
+        assert read_both_ways(parse_tree_lines, text) == (parse(_TREE), repr(parse(_TREE)))
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_parse_hands_the_line_reader_only_a_text_whose_second_line_starts_with_finite(self, name):
+        # A comment or a blank line before ``finite {`` sends the text to the token reader.
+        with mock.patch.object(dsl, "_Parser", wraps=dsl._Parser) as token_reader:
+            assert parse(self.LAYOUTS[name]) == parse(_TREE)
+        assert token_reader.called == (name in ("comments", "blank lines"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _TREE.replace("Alice", "Алиса"),
+            _TREE.replace("c ->", "é_1 ->"),
+            _TREE.replace("leaf(1,0)", "leaf(-0,٣)"),
+        ],
+        ids=["Unicode player", "Unicode label", "signed zero and a non-ASCII decimal digit"],
+    )
+    def test_other_names_and_digits_are_taken(self, text):
+        fast, reference = read_both_ways(parse_tree_lines, text)
+        assert fast is not None and repr(fast) == reference
+
+    # Texts the line reader declines, though some of them the token reader reads.
+    DECLINED = {
+        "root leaf": "players Alice Bertrand\nfinite {\n  leaf(1,2)\n}\n",
+        "separator": _TREE.replace("leaf(0,1)", "leaf(0,1);"),
+        "two branches on a line": _TREE.replace("leaf(0,1)\n    c", "leaf(0,1) c"),
+        "node and branch on a line": _TREE.replace("Bertrand {\n      a", "Bertrand { a"),
+        "finite and the root on a line": _TREE.replace("finite {\n  Alice", "finite { Alice"),
+        "leaf over two lines": _TREE.replace("leaf(0,1)", "leaf(0,\n1)"),
+        "duplicate label": _TREE.replace("c -> leaf(-2,-3)", "a -> leaf(-2,-3)"),
+        "duplicate node label": _TREE.replace("a -> leaf(0,1)", "c -> leaf(0,1)"),
+        "unknown owner": _TREE.replace("c -> Bertrand", "c -> Carol"),
+        "unknown root owner": _TREE.replace("  Alice {", "  Carol {"),
+        "empty node": _TREE.replace("      a -> leaf(1,0)\n      c -> leaf(-2,-3)\n", ""),
+        "no players line": _TREE.partition("\n")[2],
+        "label named leaf": _TREE.replace("a -> leaf(0,1)", "leaf -> leaf(0,1)"),
+        "player named leaf": _TREE.replace("Bertrand", "leaf"),
+        "plus sign": _TREE.replace("leaf(0,1)", "leaf(+0,1)"),
+        "non-decimal digit": _TREE.replace("leaf(0,1)", "leaf(²,1)"),
+        "vertical tab": _TREE.replace("  Alice", "\x0b Alice"),
+        "no-break space": _TREE.replace("  Alice", "\xa0Alice"),
+        "text after the end": _TREE + "}\n",
+        "the root never ends": _TREE[: _TREE.rindex("  }")],
+        "finite never ends": _TREE[: _TREE.rindex("}")],
+        "an empty text": "",
+        "long blanks, then a form feed": " " * 10**5 + "\x0c" + _TREE,
+        "long digits as a payoff": _TREE.replace("leaf(0,1)", f"leaf({'1' * 10**5},1)"),
+    }
+
+    @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+    def test_declined_texts_go_to_the_token_reader(self, text):
+        started = time.perf_counter()
+        fast, reference = read_both_ways(parse_tree_lines, text)
+        assert time.perf_counter() - started < 1.0
+        assert fast is None
+        assert (repr(parse(text)) if isinstance(reference, str) else raised(parse, text)) == reference
+
+    @pytest.mark.parametrize("name", ["matching_pennies_seq.game", "zero_one_6.game", "zero_one_7.game"])
+    def test_parse_reads_a_serialized_tree_without_the_token_reader(self, corpus_dir, name):
+        texts = [(corpus_dir / name).read_text(), serialize(GameDoc(PLAYERS, big_random_tree(random.Random(4), 500)))]
+        references = [repr(dsl._Parser(text).parse_doc()) for text in texts]
+        with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
+            assert [repr(parse(text)) for text in texts] == references
 
 
 def _read_matrix(text: str) -> str:
@@ -705,6 +832,50 @@ def _words_match(text: str) -> bool:
 _REPEATED_LINES = st.lists(
     st.text(alphabet=_TOKEN_CHARS.filter(lambda ch: ch != "\n"), max_size=12), min_size=1, max_size=4
 ).flatmap(lambda lines: st.lists(st.sampled_from(lines), max_size=16).map("\n".join))
+
+
+# Lines of a tree text, and lines of tree tokens and blanks.
+_TREE_LINE = st.one_of(
+    st.sampled_from([
+        "Alice {", "Bertrand {", "a -> leaf(0,1)", "b -> leaf(-1,2)", "c -> Alice {", "a -> Bertrand {", "}", "}",
+        "# note", "leaf(1,2)", "a -> leaf(0,1); b -> leaf(1,0)", "players Alice Bertrand", "finite {", "",
+    ]),
+    st.text(alphabet=st.sampled_from(list("leafplayersAliceBt(){}->,;#_ \t\r0123456789²٣\x0b\xa0")), max_size=14),
+)
+_TREES = st.recursive(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda pair: leaf(*pair)),
+    lambda trees: st.builds(lambda owner, subs: node(owner, *zip("abc", subs)), st.integers(0, 1),
+                            st.lists(trees, min_size=1, max_size=3)),
+    max_leaves=8,
+).filter(lambda tree: isinstance(tree, Node))
+
+
+@st.composite
+def _tree_texts(draw) -> str:
+    """A serialized tree with up to two drawn ``_TREE_LINE`` put in at one place, the line there cut half the
+    time: the line reader takes some and declines others at any step."""
+    lines = serialize(GameDoc(PLAYERS, draw(_TREES))).split("\n")
+    at, cut = draw(st.integers(0, len(lines))), draw(st.integers(0, 1))
+    return "\n".join(lines[:at] + draw(st.lists(_TREE_LINE, max_size=2)) + lines[at + cut:])
+
+
+class TestTreeTexts:
+    @settings(max_examples=600, deadline=None)
+    @given(_tree_texts())
+    def test_parse_returns_a_document_or_raises_a_parse_error(self, text):
+        read = parse_tree_lines(text)  # which never raises
+        try:
+            doc = parse(text)
+        except ParseError:
+            assert read is None
+        else:
+            assert isinstance(doc, GameDoc)
+            assert read is None or repr(GameDoc(*read)) == repr(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(list(" \r\t\x0b\xa0\x0c\x1c\nx#")), max_size=40))
+    def test_lines_are_listed_as_the_pattern_listed_them(self, text):
+        assert dsl._lines(text) == reference_lines(text)
 
 
 class TestTokenizer:

@@ -118,6 +118,19 @@ class TestSolve:
                 solve(game, ties)
 
 
+@pytest.mark.parametrize(
+    "game", [3, None, "finite", [leaf(0, 1)], pennies_seq().branches], ids=lambda game: type(game).__name__
+)
+@pytest.mark.parametrize(
+    "call",
+    [solve, lambda game: check_spe(game, {}), enumerate_equilibria, lambda game: induced_play(game, {})],
+    ids=["solve", "check_spe", "enumerate_equilibria", "induced_play"],
+)
+def test_a_game_that_is_no_tree_is_an_invalid_argument_naming_its_type(call, game):
+    with pytest.raises(InvalidArgument, match=f"^game must be a Leaf or a Node, not {type(game).__name__}$"):
+        call(game)
+
+
 class TestEnumerate:
     def test_pennies_exactly_two(self):
         game = pennies_seq()
