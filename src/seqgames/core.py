@@ -12,9 +12,9 @@ and every operation is a pure function; sharing across threads is safe.
 Every routine over a tree runs on its ``index``: preorder arrays that
 ``TreeIndex`` lays out in one iterative walk of the tree on first use and
 caches on the root, unless the line reader laid them out as it read the
-tree's text (``finite.parse_tree_lines``).  The work
-is linear in the number of nodes (plus the hashing of path keys) and no
-depth exhausts the recursion limit.
+tree's text (``finite.parse_tree_lines``).  The work is linear in the
+number of nodes (plus the hashing of the keys of a profile the package did
+not build) and no depth exhausts the recursion limit.
 """
 
 from __future__ import annotations
@@ -359,10 +359,26 @@ def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
     else), and every choice must be one of that node's branch labels.
     Sibling labels are assumed distinct, as ``parse`` requires, so a count of
     keys suffices; only a profile that does not fit is read again, to name why.
+    A profile keyed by the index's own ``paths`` objects in postorder (as
+    ``finite.solve`` builds it) or preorder (``enumerate_equilibria``, and
+    ``dsl.parse_profile_text`` of a file in preorder) is read by identity and
+    hashes no path; any other, by hashing its keys, to the same picks and errors.
     """
     index = tree_index(game)
-    paths, labels = index.paths, index.labels
-    if len(profile) == len(index.postorder):
+    paths, labels, order = index.paths, index.labels, index.postorder
+    if len(profile) == len(order):
+        try:  # anything that raises here raises again, or is found to be no fault, in the hashing pass below
+            if order and next(iter(profile)) is not paths[order[0]]:
+                order = sorted(order)  # the decision nodes in preorder
+            picks: list[int | None] = [None] * len(paths)
+            for at, (path, action) in zip(order, profile.items()):
+                if path is not paths[at]:
+                    break
+                picks[at] = labels[at].index(action)
+            else:
+                return picks
+        except Exception:
+            pass
         try:
             return [None if path is None else names.index(profile[path]) for path, names in zip(paths, labels)]
         except (KeyError, ValueError):

@@ -23,15 +23,17 @@ emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
 Here are the scanner and the token reader; the readers ``parse`` tries first
-(``_READERS``, by the start of the second line) live with their kernels, and
-the writers in ``dsl_write``, all loaded on first use.  A tree whose second
-line starts with ``finite `` goes to ``finite.parse_tree_lines``, which takes
-one node, branch or ``}`` per line, reads each distinct line once and lays
-out the index as it goes.  A graph or matrix document in exactly the layout
-``serialize`` writes is read by pattern matches, a graph's one per line
-(``parametric.parse_canonical_graph``) and a matrix's one in all
-(``matrix.parse_canonical_matrix``).  Any other text, any text those readers
-decline, and every error go through the scanner and the token reader.
+(``_READERS``, by the start of the second line, or of the second line with a
+token in a text that starts with a comment or a blank line) live with their
+kernels, and the writers in ``dsl_write``, all loaded on first use.  A tree
+whose second such line starts with ``finite `` goes to
+``finite.parse_tree_lines``, which takes one node, branch or ``}`` per line,
+reads each distinct line once and lays out the index as it goes.  A graph or
+matrix document in exactly the layout ``serialize`` writes is read by pattern
+matches, a graph's one per line (``parametric.parse_canonical_graph``) and a
+matrix's one in all (``matrix.parse_canonical_matrix``).  Any other text, any
+text those readers decline, and every error go through the scanner and the
+token reader.
 """
 
 from __future__ import annotations
@@ -340,6 +342,8 @@ def parse(text: str) -> GameDoc:
     graph or matrix document in exactly the layout ``serialize`` writes by pattern matches, are read by the
     reader ``_READERS`` picks; any text it declines, and every error, by the token reader."""
     line = text.find("\n") + 1  # the second line, or a text of one line
+    if text[:1] == "#" or text[:line].isspace():  # a comment or a blank line first: the second line with a token
+        line = _SCAN.match(text, text.find("\n", _SCAN.match(text).start(1)) + 1 or len(text)).start(1)
     reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])  # "" when no blank is near
     if reader is not None:
         read = getattr(_lazy, reader)(text)
@@ -353,6 +357,17 @@ def parse(text: str) -> GameDoc:
 
 def render_tree_path(path: tuple[str, ...]) -> str:
     return " ".join(path) if path else "."
+
+
+def _own_paths(game: FiniteGame) -> dict:
+    """The decision paths of ``game.index`` by the key ``parse_profile_text`` reads as each, so that a profile it
+    reads is keyed by the index's own paths; empty for a tree with a label its key would not give back: one that is
+    no ``str``, is empty or holds a blank, or a ``.`` under the root."""
+    index = game.index
+    names = set(itertools.chain.from_iterable(dict.fromkeys(index.labels)))  # each tuple of labels once
+    if "." in index.labels[0] or not all(isinstance(name, str) and name.split() == [name] for name in names):
+        return {}
+    return {render_tree_path(path): path for path in index.paths if path is not None}
 
 
 def parse_profile_text(text: str, game: Game) -> dict:
@@ -377,8 +392,10 @@ def parse_profile_text(text: str, game: Game) -> dict:
             raise InvalidArgument(f"line {lineno}: duplicate key {key!r}")
         entries[key] = action
     if isinstance(game, (Leaf, Node)):
+        own = _own_paths(game)
         profile = {
-            (() if key == "." else tuple(key.split())): action for key, action in entries.items()
+            own[key] if key in own else () if key == "." else tuple(key.split()): action
+            for key, action in entries.items()
         }
         chosen_branches(game, profile)
         return profile

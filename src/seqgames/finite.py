@@ -230,7 +230,8 @@ def parse_tree_lines(text: str) -> tuple[tuple[str, str], Node] | None:
     leaf(i,j)`` (``-`` may sign a payoff), ``}`` or a comment, and a last ``}`` ends ``finite``.  So it declines,
     among others, a text without ``players``, a root leaf, a ``;``, two branches on a line, a repeated label, an
     unknown owner, an empty node, a keyword as a name, and a number past ``int``'s digit limit.  ``dsl.parse``
-    hands it only a text whose second line starts with ``finite ``."""
+    hands it only a text whose second line, or second line with a token past a first comment or blank line,
+    starts with ``finite ``."""
     from . import dsl  # not ``from .dsl import``, which asks ``dsl``'s lazy ``__getattr__`` for ``__path__``
 
     findall, lines = dsl._SCAN.findall, iter(dsl._lines(text))  # which frees the list once it is read through

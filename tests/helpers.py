@@ -24,8 +24,11 @@ stage-layered ``instantiate``; ``ReferenceParser``, a tree reader with one
 ``reference_lines``, the pattern ``dsl._lines`` replaced, referees it;
 ``read_both_ways`` referees each reader ``dsl.parse`` tries before the token
 reader against the token reader, and the tree line reader's index against
-``TreeIndex``; and ``argparse_reads``, argparse's reading of a command line, referees
-``cli._read``, which reads a plain one from the command table alone.
+``TreeIndex``; ``reference_chosen_branches`` and ``reference_parse_profile_text``, which
+hash every path key as the package did before it read its own profiles by identity, referee
+``chosen_branches`` and ``parse_profile_text`` (``read_profile_both_ways``); and
+``argparse_reads``, argparse's reading of a command line, referees ``cli._read``, which
+reads a plain one from the command table alone.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from fractions import Fraction
 from seqgames import cli
 from seqgames.core import (
     FiniteGame,
+    InvalidArgument,
     Leaf,
     Node,
     NotTwoPlayer,
@@ -52,7 +56,9 @@ from seqgames.core import (
     require_two_players,
     subgame_at,
 )
-from seqgames.dsl import _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan, serialize
+from seqgames.dsl import (
+    _PUNCT, _SCAN, GameDoc, ParseError, _line_column, _offset, _Parser, _scan, parse_profile_text, serialize,
+)
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
 from seqgames.escalation import BeliefNotEquilibrium, BeliefPair, Escalates, Terminates
@@ -826,6 +832,45 @@ def reference_check_spe(game: FiniteGame, profile: dict) -> SpeReport:
     return SpeReport(tuple(violations))
 
 
+def reference_chosen_branches(game: FiniteGame, profile: dict) -> list[int | None]:
+    """``core.chosen_branches`` as it read every profile before its identity pass: by hashing each path key."""
+    index = game.index
+    paths, labels = index.paths, index.labels
+    if len(profile) == len(index.postorder):
+        try:
+            return [None if path is None else names.index(profile[path]) for path, names in zip(paths, labels)]
+        except (KeyError, ValueError):
+            pass
+    decisions, keys = set(paths) - {None}, set(profile)
+    if keys != decisions:
+        missing, extra = sorted(decisions - keys), sorted(keys - decisions)
+        raise ShapeMismatch(f"profile does not match game shape (missing {missing[:3]!r}, extra {extra[:3]!r})")
+    path = next(path for path, names in zip(paths, labels) if path is not None and profile[path] not in names)
+    raise ShapeMismatch(f"choice {profile[path]!r} at {path!r} is not a branch label")
+
+
+def reference_parse_profile_text(text: str, game: FiniteGame) -> dict:
+    """``dsl.parse_profile_text`` on a tree as it read before it keyed a profile by the index's own paths: each
+    key split into a fresh tuple, and the profile checked by ``reference_chosen_branches``."""
+    entries: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidArgument(f"line {lineno}: expected 'key = action'")
+        key, _, action = line.partition("=")
+        key, action = key.strip(), action.strip()
+        if not key or not action:
+            raise InvalidArgument(f"line {lineno}: expected 'key = action'")
+        if key in entries:
+            raise InvalidArgument(f"line {lineno}: duplicate key {key!r}")
+        entries[key] = action
+    profile = {(() if key == "." else tuple(key.split())): action for key, action in entries.items()}
+    reference_chosen_branches(game, profile)
+    return profile
+
+
 def deep_random_tree(rng: random.Random, max_depth: int = 40, max_nodes: int = 60) -> Node:
     """Random two-player tree with 1 to 3 branches per node, payoffs 0..2
     (ties are frequent) and depth up to ``max_depth``: first branches rarely
@@ -1059,6 +1104,32 @@ def referee_canonical_reader(reader, rng: random.Random, bases: list[str], mutat
     accepted = 0
     for _ in range(mutations):
         accepted += read_both_ways(reader, mutate(rng, rng.choice(bases)))[0] is not None
+    return accepted + len(bases), mutations - accepted
+
+
+def read_profile_both_ways(text: str, game: FiniteGame):
+    """``dsl.parse_profile_text(text, game)`` as a list of its items in order, or the type and text of its error;
+    an ``AssertionError`` unless ``reference_parse_profile_text`` reads the text to the same list or error."""
+    got, want = [], []
+    for reader, out in ((parse_profile_text, got), (reference_parse_profile_text, want)):
+        try:
+            out.append(list(reader(text, game).items()))
+        except Exception as exc:  # a stray exception class must fail the comparison too
+            out.append((type(exc), str(exc)))
+    assert got == want, (text, got, want)
+    return got[0]
+
+
+def referee_profile_reader(rng: random.Random, bases: list[tuple[FiniteGame, str]], mutations: int) -> tuple[int, int]:
+    """Each base profile text, then ``mutations`` ``mutate``d ones, read for its tree both ways
+    (``read_profile_both_ways``); how many ``parse_profile_text`` accepted and how many it refused.
+    The bases must all be accepted."""
+    for game, text in bases:
+        assert isinstance(read_profile_both_ways(text, game), list), text
+    accepted = 0
+    for _ in range(mutations):
+        game, text = rng.choice(bases)
+        accepted += isinstance(read_profile_both_ways(mutate(rng, text), game), list)
     return accepted + len(bases), mutations - accepted
 
 

@@ -532,11 +532,39 @@ class TestTreeLineReader:
         assert read_both_ways(parse_tree_lines, text) == (parse(_TREE), repr(parse(_TREE)))
 
     @pytest.mark.parametrize("name", LAYOUTS)
-    def test_parse_hands_the_line_reader_only_a_text_whose_second_line_starts_with_finite(self, name):
-        # A comment or a blank line before ``finite {`` sends the text to the token reader.
+    def test_which_layouts_parse_hands_the_line_reader(self, name):
+        # ``parse`` routes by the second line, or, in a text that starts with a comment or a blank line, by the
+        # second line that holds a token; so a blank line after ``players`` sends the text to the token reader.
         with mock.patch.object(dsl, "_Parser", wraps=dsl._Parser) as token_reader:
             assert parse(self.LAYOUTS[name]) == parse(_TREE)
-        assert token_reader.called == (name in ("comments", "blank lines"))
+        assert token_reader.called == (name == "blank lines")
+
+    @pytest.mark.parametrize("head", ["# a tree\n", "\n", " \t\r\n# a tree\n\n", "#\n  # players\n"])
+    def test_a_text_that_starts_with_a_comment_or_a_blank_line_takes_the_line_reader(self, head):
+        rng = random.Random(4200)
+        for text in [_TREE] + tree_documents(rng, 20) + [serialize(GameDoc(PLAYERS, big_random_tree(rng, 2000)))]:
+            text = head + text
+            with mock.patch.object(dsl, "_Parser", wraps=dsl._Parser) as token_reader:
+                doc = parse(text)
+            assert not token_reader.called
+            assert repr(doc) == repr(dsl._Parser(text).parse_doc())
+            decisions, leaves = [doc.game], set()  # the ids of the tree's ``Leaf`` objects: one per payoff pair
+            for decision in decisions:  # which grows to every decision node of the tree
+                for _, sub in decision.branches:
+                    decisions.append(sub) if isinstance(sub, Node) else leaves.add(id(sub))
+            assert len(leaves) == len(set(doc.game.index.outcomes) - {None})
+
+    def test_other_texts_that_start_with_a_comment_or_a_blank_line_read_as_the_token_reader_does(self, corpus_dir):
+        def read(reader, text):
+            try:
+                return repr(reader(text))
+            except Exception as exc:  # a stray exception class must fail the comparison too
+                return type(exc), str(exc)
+
+        graph, matrix = ((corpus_dir / name).read_text() for name in ("zero_one_cyclic.game", "rps.game"))
+        for text in ("# a graph\n" + graph, "\n" + matrix, "# one line\nplayers A B finite { leaf(1,2) }",
+                     "\n" + _TREE + "# the end", "\n" + _TREE + "}", "# a comment only", "\n\n\n", "\n"):
+            assert read(parse, text) == read(lambda text: dsl._Parser(text).parse_doc(), text)
 
     @pytest.mark.parametrize(
         "text",

@@ -8,7 +8,9 @@ equal that of the same tree built in code, and both must equal
 ``reference_index``, which lays the arrays out by plain recursion, also on
 trees that share subtrees; a parsed tree must compare and hash like the same
 tree built in code, and ``to_dot`` must write the bytes of the referee that
-orders edges with the event walk.
+orders edges with the event walk.  ``chosen_branches`` and
+``parse_profile_text`` must read every profile as the references that hash
+each path key do, and a profile the package built without one lookup by key.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from helpers import (
     random_graph,
     random_profile,
     random_tree,
+    read_profile_both_ways,
+    reference_chosen_branches,
     reference_enumerate_equilibria,
     reference_index,
     reference_parse,
@@ -32,10 +36,13 @@ from helpers import (
     token_spans,
 )
 
-from seqgames.core import Leaf, Node, TreeIndex
+from seqgames.core import Leaf, Node, ShapeMismatch, TreeIndex, chosen_branches, induced_play
 from seqgames.cyclic import unfold
-from seqgames.dsl import GameDoc, ParseError, ValidationError, parse, serialize, to_dot
-from seqgames.finite import enumerate_equilibria, solve
+from seqgames.dsl import (
+    GameDoc, ParseError, ValidationError, parse, parse_profile_text, render_profile, render_tree_path, serialize,
+    to_dot,
+)
+from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
 from seqgames.parametric import dollar_auction, instantiate
 
 PLAYERS = ("Alice", "Bertrand")
@@ -223,3 +230,76 @@ class TestDotReferee:
         doc = GameDoc(('A"\\', "B"), Node(0, (('x"', Leaf((1, 0))), ("y\\", Node(1, (('x"', Leaf((0, 1))),))))))
         assert to_dot(doc) == reference_tree_dot(doc)
         assert to_dot(doc, {(): "y\\", ("y\\",): 'x"'}) == reference_tree_dot(doc, {(): "y\\", ("y\\",): 'x"'})
+
+
+def profile_trees() -> list:
+    """Seeded ``random_tree``s and ``deep_random_tree``s, each as built in code and as read from its text."""
+    trees = random_trees(random.Random(4242))
+    return [game for tree in trees for game in (tree, parse(serialize(GameDoc(PLAYERS, tree))).game)]
+
+
+def package_profiles(game) -> list[dict]:
+    """The profiles the package builds for ``game``: ``solve``'s under both tie policies (keyed in postorder),
+    ``enumerate_equilibria``'s (in preorder) and ``parse_profile_text``'s reading of a rendered one."""
+    profiles = [solve(game, ties) for ties in TiePolicy] + list(enumerate_equilibria(game, 8).profiles)
+    return profiles + [parse_profile_text(render_profile(game, profile), game) for profile in profiles[:2]]
+
+
+def profile_variants(rng: random.Random, game, profile: dict):
+    """``profile``, then copies of it re-keyed with fresh equal tuples, shuffled, with one action no label, with
+    one key dropped, with one extra key, and keyed by the paths of an equal tree's separate index."""
+    items = list(profile.items())
+    path = rng.choice(items)[0]
+    separate = dict(zip(game.index.paths, Node(game.owner, game.branches).index.paths))
+    yield profile
+    yield {tuple(list(key)): action for key, action in items}
+    yield dict(rng.sample(items, len(items)))
+    yield {**profile, path: "w"}
+    yield {key: action for key, action in items if key is not path}
+    yield {**profile, path + ("w",): "x"}
+    yield {separate[key]: action for key, action in items}
+
+
+class TestProfileReads:
+    """``chosen_branches`` and ``parse_profile_text`` against the reads that hash every path key
+    (``reference_chosen_branches``, ``reference_parse_profile_text``): the same picks, profile and key order,
+    or the same error, on the profiles the package builds and on variants that the identity pass cannot read."""
+
+    def test_picks_and_read_profiles_equal_the_hashing_reads(self):
+        rng = random.Random(4343)
+        kinds = set()
+        for game in profile_trees():
+            for profile in package_profiles(game):
+                for variant in profile_variants(rng, game, profile):
+                    got = outcome(lambda profile: chosen_branches(game, profile), variant)
+                    assert got == outcome(lambda profile: reference_chosen_branches(game, profile), variant)
+                    text = "".join(f"{render_tree_path(path)} = {action}\n" for path, action in variant.items())
+                    read = read_profile_both_ways(text, game)
+                    assert isinstance(read, list) == isinstance(got, list)
+                    kinds.add(type(got) if isinstance(got, list) else got[0])
+        assert kinds == {list, ShapeMismatch}
+
+    @pytest.mark.parametrize("label", ["a b", ".", "a\tb", "a  b", 1], ids=["blank", "dot", "tab", "two blanks", "int"])
+    def test_a_label_that_no_key_gives_back(self, label):
+        # A key reads as the path it renders unless a label is not a single word, or is ``.`` under the root.
+        pair = Node(1, (("x", Leaf((0, 1))), ("y", Leaf((1, 0)))))
+        game = Node(0, (("a", Node(1, (("b", pair), ("y", Leaf((1, 1)))))), (label, pair)))
+        lines = [f"{' '.join(map(str, path)) or '.'} = {names[0]}" for path, names in zip(game.index.paths,
+                                                                                      game.index.labels) if names]
+        for text in ("\n".join(lines), "\n".join(lines[:3])):  # the last line is the one under ``label``
+            read_profile_both_ways(text, game)
+
+    def test_a_profile_the_package_built_is_read_without_a_lookup(self):
+        class Unlooked(dict):
+            """A profile that fails every lookup by key, so only the identity pass reads it."""
+
+            def __getitem__(self, key, *default):
+                raise AssertionError(f"a lookup of {key!r}")
+
+            get = __contains__ = __getitem__
+
+        for game in profile_trees():
+            doc = GameDoc(PLAYERS, game)
+            for profile in package_profiles(game):
+                for read in (check_spe, induced_play, render_profile, lambda game, profile: to_dot(doc, profile)):
+                    assert read(game, Unlooked(profile)) == read(game, profile)
