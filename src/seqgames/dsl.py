@@ -23,10 +23,9 @@ emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
 Here are the scanner and the token reader; the readers ``parse`` tries first
-(``_READERS``, by the start of the second line, or of the second line with a
-token in a text that starts with a comment or a blank line) live with their
-kernels, and the writers in ``dsl_write``, all loaded on first use.  A tree
-whose second such line starts with ``finite `` goes to
+(``_READERS``, by the start of the second line that holds a token) live with
+their kernels, and the writers in ``dsl_write``, all loaded on first use.  A
+tree whose second line with a token starts with ``finite `` goes to
 ``finite.parse_tree_lines``, which takes one node, branch or ``}`` per line,
 reads each distinct line once and lays out the index as it goes.  A graph or
 matrix document in exactly the layout ``serialize`` writes is read by pattern
@@ -60,7 +59,7 @@ _GRAPHS = ("cyclic", "param")
 # Loaded on first use through ``_lazy``, this module: the writers, and the readers ``parse`` tries first.
 _LAZY = {**dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write"),
          "parse_canonical_graph": "parametric", "parse_canonical_matrix": "matrix", "parse_tree_lines": "finite"}
-# ``parse``'s reader before the token reader, by the start of the second line up to its first blank.
+# ``parse``'s reader before the token reader, by the start of the second line with a token up to its first blank.
 _READERS = {"cyclic ": "parse_canonical_graph", "param ": "parse_canonical_graph", "matrix ": "parse_canonical_matrix",
             "finite ": "parse_tree_lines"}
 __getattr__, __dir__ = _loader(globals(), _LAZY)
@@ -342,13 +341,14 @@ def parse(text: str) -> GameDoc:
     graph or matrix document in exactly the layout ``serialize`` writes by pattern matches, are read by the
     reader ``_READERS`` picks; any text it declines, and every error, by the token reader."""
     line = text.find("\n") + 1  # the second line, or a text of one line
-    if text[:1] == "#" or text[:line].isspace():  # a comment or a blank line first: the second line with a token
-        line = _SCAN.match(text, text.find("\n", _SCAN.match(text).start(1)) + 1 or len(text)).start(1)
+    if text[:1] == "#" or text[:line].isspace():  # a comment or a blank line first: the line after the first token
+        line = text.find("\n", _SCAN.match(text).start(1)) + 1 or len(text)
     reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])  # "" when no blank is near
-    if reader is not None:
-        read = getattr(_lazy, reader)(text)
-        if read is not None:
-            return GameDoc(*read)
+    if reader is None and text[line:line + 1] in "#\n\r\t ":  # a comment or a blank there: the next line with a token
+        line = _SCAN.match(text, line).start(1)
+        reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])
+    if reader is not None and (read := getattr(_lazy, reader)(text)) is not None:
+        return GameDoc(*read)
     return _Parser(text).parse_doc()
 
 

@@ -151,8 +151,11 @@ def simulate(
     (``equilibria``, by default all of them in ``enumerate_stationary_spe``
     order), afresh, since nothing is remembered, and plays their own action
     in it.  The run stops at the first leaf or when the horizon is hit.
-    Traces are a pure function of (seed, policy, horizon).
+    Traces are a pure function of (seed, policy, horizon), each an ``int``.
     """
+    for field, value in (("horizon", horizon), ("seed", seed)):
+        if value.__class__ is not int:  # a float or str fails only later, and a bool is no count
+            raise InvalidArgument(f"{field} must be an int, got {value!r}")
     if horizon < 0:
         raise InvalidArgument("horizon must be nonnegative")
     beliefs = enumerate_stationary_spe(game) if equilibria is None else list(equilibria)

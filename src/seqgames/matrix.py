@@ -4,8 +4,10 @@ The row player's payoffs are given as a matrix of fractions; the column
 player receives the constant sum minus the entry.  ``solve_constant_sum``
 finds an exact minimax/maximin pair.  The payoffs are scaled once to
 integers; an exact simplex and the fraction-free (Bareiss) elimination of
-square systems both divide only exactly, and fractions are built only for
-the answer, so results carry no rounding at all.
+square systems both divide only exactly, and every mix and value stays an
+integer numerator over a positive denominator until ``solve_constant_sum``
+returns, so results carry no rounding at all: its only ``Fraction``s are
+the answer's entries, one per row and column and one for the value.
 
 Under ties the row mix is the smallest accepted mix on the first row
 support, in lexicographic order over all nonempty subsets, that has an
@@ -45,6 +47,7 @@ import math
 import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from operator import gt, lt, mul
 
 from .core import GameError, InvalidArgument, LimitExceeded, Record
 
@@ -170,9 +173,11 @@ def _lex_supports(items: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(subsets)
 
 
-def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, bool]:
-    """(row mix, column mix, value, strict) of one optimal pair of the game
-    ``matrix``, from the LP max sum(w) s.t. P w <= 1, w >= 0, where P is the
+def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int, int, bool]:
+    """(row mix, column mix, value, denominator, strict) of one optimal pair
+    of the game ``matrix``: the two mixes and the value are integer
+    numerators over the one positive denominator returned after them.  It
+    solves the LP max sum(w) s.t. P w <= 1, w >= 0, where P is the
     game shifted so every entry is at least 1 (von Stengel 2002): the column
     mix is w over sum(w), the row mix the slacks' prices in the objective
     row (the dual) over the same sum, and sum(w) is one over the value of P.
@@ -215,9 +220,8 @@ def _simplex(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], tup
     total, level = objective[-1], [0] * (n + m)  # sum(w) and each basic variable, both times det
     for r, b in enumerate(basis):
         level[b] = tableau[r][-1]
-    row = tuple(Fraction(objective[n + k], total) for k in range(m))
-    column = tuple(Fraction(level[j], total) for j in range(n))
-    return row, column, Fraction(det, total) - shift, all(level[c] or objective[c] for c in range(n + m))
+    strict = all(level[c] or objective[c] for c in range(n + m))
+    return objective[n:n + m], level[:n], det - shift * total, total, strict  # the value: det / total - shift
 
 
 def _sign_masks(lines: Sequence[Sequence[int]], value_num: int, value_den: int) -> tuple[list[int], list[int]]:
@@ -236,6 +240,12 @@ def _sign_masks(lines: Sequence[Sequence[int]], value_num: int, value_den: int) 
     return at_least, at_most
 
 
+def _below(mix: tuple[list[int], int], least: tuple[list[int], int]) -> bool:
+    """Whether ``mix`` is lexicographically below ``least``, each integer numerators over a positive denominator."""
+    (ps, d), (qs, e) = mix, least
+    return [p * e for p in ps] < [q * d for q in qs]  # ps / d < qs / e entry by entry, by cross-multiplication
+
+
 def _first_support_pair(
     mine: tuple[int, ...],
     theirs: tuple[int, ...],
@@ -246,11 +256,13 @@ def _first_support_pair(
     """Scan this side's supports over the strategies ``mine`` in
     lexicographic order; for the first one with any accepted square pair,
     return the accepted ``(x, y)`` whose mix on this side (entry ``side``)
-    is the smallest.  ``signs`` holds, for this side and then the other,
-    each strategy's masks of the opposing strategies against which it gets
-    its player at least the value, and at most.  A pair that fails a sign
-    test (module docstring) is not judged; the pairs left keep their order,
-    so the same accepted pair wins."""
+    is the smallest, each mix as ``judge`` returns it: integer numerators
+    over a positive denominator, compared exactly by cross-multiplication,
+    the first of equal mixes kept.  ``signs`` holds, for this side and then
+    the other, each strategy's masks of the opposing strategies against
+    which it gets its player at least the value, and at most.  A pair that
+    fails a sign test (module docstring) is not judged; the pairs left keep
+    their order, so the same accepted pair wins."""
     (covers, others), (their_covers, their_others) = signs
     full, their_full = (1 << len(covers)) - 1, (1 << len(their_covers)) - 1
     for support in _lex_supports(mine):
@@ -259,7 +271,7 @@ def _first_support_pair(
             cover, other, mask = cover | covers[s], other | others[s], mask | 1 << s
         if cover != their_full:  # an opposing strategy holds the whole support below the value
             continue
-        found = []
+        best = None
         straddling = [t for t in theirs if other >> t & 1]  # the strategies the support can equalize at the value
         for against in itertools.combinations(straddling, len(support)):
             cover = other = 0
@@ -267,10 +279,10 @@ def _first_support_pair(
                 cover, other = cover | their_covers[t], other | their_others[t]
             if cover == full and other & mask == mask:  # the same two tests from the other side
                 accepted = judge(support, against)
-                if accepted is not None:
-                    found.append(accepted)
-        if found:
-            return min(found, key=lambda accepted: accepted[side])
+                if accepted is not None and (best is None or _below(accepted[side], best[side])):
+                    best = accepted
+        if best is not None:
+            return best
     raise AssertionError("no square-kernel solution found; unreachable for valid input")
 
 
@@ -301,52 +313,54 @@ def solve_constant_sum(game: MatrixGame) -> MixedProfile:
         raise TooLarge(f"support enumeration bounded at {SUPPORT_LIMIT}x{SUPPORT_LIMIT}")
     n_rows, n_cols = game.rows, game.cols
     scale = math.lcm(*(entry.denominator for row in game.payoffs for entry in row))
-    scaled = [
-        [entry.numerator * (scale // entry.denominator) for entry in row] for row in game.payoffs
-    ]
-    row_mix, column_mix, value, strict = _simplex(scaled)
+    scaled = [[entry.numerator * (scale // entry.denominator) for entry in row] for row in game.payoffs]
+    row_mix, column_mix, value_num, value_den, strict = _simplex(scaled)
+    value = Fraction(value_num, value_den * scale)
     if strict:  # the only optimal pair
-        return MixedProfile(row_mix, column_mix, value / scale)
-    value_num, value_den = value.numerator, value.denominator
+        return MixedProfile(_fractions(row_mix, value_den), _fractions(column_mix, value_den), value)
     transposed = [[scaled[i][j] for i in range(n_rows)] for j in range(n_cols)]
 
     @functools.cache  # each pair is judged once per call and serves both scans
     def judge(support: tuple[int, ...], against: tuple[int, ...]) -> tuple | None:
+        """The accepted pair's ``((x, d), (y, e))``: integer mixes over every row and column, each over its
+        positive determinant; or None."""
         primal = _equalizing_mix(scaled, support, against)
         if primal is None:
             return None
         xs, v, d = primal
         # x must guarantee >= v against every column and y (below) must cap every row at v, which
         # certifies v as the game value: so a pair at another value than the simplex's fails at once.
-        if v * value_den != d * value_num or any(p < 0 for p in xs):
+        if v * value_den != d * value_num or min(xs) < 0:
             return None
-        if any(sum(p * column[i] for i, p in zip(support, xs)) < v for column in transposed):
+        if any(sum(map(mul, xs, column)) < v for column in zip(*map(scaled.__getitem__, support))):
             return None
         # Nonsingular as the primal is (its bordered matrix, transposed up to signs); w / e = xᵀMy = v / d.
         ys, w, e = _equalizing_mix(transposed, against, support)  # type: ignore[misc]
-        if any(q < 0 for q in ys):
+        if min(ys) < 0:
             return None
-        if any(sum(row[j] * q for j, q in zip(against, ys)) > w for row in scaled):
+        if any(sum(map(mul, row, ys)) > w for row in zip(*map(transposed.__getitem__, against))):
             return None
-        x = [Fraction(0)] * n_rows
+        x, y = [0] * n_rows, [0] * n_cols
         for i, p in zip(support, xs):
-            x[i] = Fraction(p, d)
-        y = [Fraction(0)] * n_cols
+            x[i] = p
         for j, q in zip(against, ys):
-            y[j] = Fraction(q, e)
-        return tuple(x), tuple(y)
+            y[j] = q
+        return (x, d), (y, e)
 
     # One round of strict dominance (module docstring); what only a later round drops is judged and rejected.
-    rows = tuple(i for i, row in enumerate(scaled)
-                 if not any(all(a > b for a, b in zip(other, row)) for other in scaled))
+    rows = tuple(i for i, row in enumerate(scaled) if not any(all(map(gt, other, row)) for other in scaled))
     cols = tuple(j for j, column in enumerate(transposed)
-                 if not any(all(a < b for a, b in zip(other, column)) for other in transposed))
+                 if not any(all(map(lt, other, column)) for other in transposed))
     # A column gets the column player at least its value where it pays the row player at most v.
     row_signs = _sign_masks(scaled, value_num, value_den)
     col_signs = _sign_masks(transposed, value_num, value_den)[::-1]
     x = _first_support_pair(rows, cols, judge, 0, (row_signs, col_signs))[0]
     y = _first_support_pair(cols, rows, lambda mine, theirs: judge(theirs, mine), 1, (col_signs, row_signs))[1]
-    return MixedProfile(x, y, value / scale)
+    return MixedProfile(_fractions(*x), _fractions(*y), value)
+
+
+def _fractions(numerators: Iterable[int], denominator: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(p, denominator) for p in numerators)
 
 
 def best_response_value(

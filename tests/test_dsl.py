@@ -533,11 +533,11 @@ class TestTreeLineReader:
 
     @pytest.mark.parametrize("name", LAYOUTS)
     def test_which_layouts_parse_hands_the_line_reader(self, name):
-        # ``parse`` routes by the second line, or, in a text that starts with a comment or a blank line, by the
-        # second line that holds a token; so a blank line after ``players`` sends the text to the token reader.
+        # ``parse`` routes by the second line that holds a token, so every layout here, a blank line after
+        # ``players`` included, reaches the line reader.
         with mock.patch.object(dsl, "_Parser", wraps=dsl._Parser) as token_reader:
             assert parse(self.LAYOUTS[name]) == parse(_TREE)
-        assert token_reader.called == (name == "blank lines")
+        assert not token_reader.called
 
     @pytest.mark.parametrize("head", ["# a tree\n", "\n", " \t\r\n# a tree\n\n", "#\n  # players\n"])
     def test_a_text_that_starts_with_a_comment_or_a_blank_line_takes_the_line_reader(self, head):
@@ -885,6 +885,50 @@ def _tree_texts(draw) -> str:
     lines = serialize(GameDoc(PLAYERS, draw(_TREES))).split("\n")
     at, cut = draw(st.integers(0, len(lines))), draw(st.integers(0, 1))
     return "\n".join(lines[:at] + draw(st.lists(_TREE_LINE, max_size=2)) + lines[at + cut:])
+
+
+# Lines of graph and matrix texts, and lines of their tokens and blanks.
+_GRAPH_LINE = st.one_of(
+    st.sampled_from([
+        "A: Alice {", "B: Bertrand {", "a -> leaf(0,1)", "c -> B", "c -> advance A", "c -> leaf(1, 2) + 3*s", "}",
+        "# note", "cyclic start=A {", "param start=B {", "matrix sum=1 {", "  1/2 1 0;", "  0 -1 2", "1 2; 3 4",
+        "players P Q", "",
+    ]),
+    st.text(alphabet=st.sampled_from(list("cyclicparamstartmtxsuvnlefAB(){}->,;:=+*/#_ \t\r0123456789²\x0b")),
+            max_size=14),
+)
+
+
+_GRAPH_AND_MATRIX_GAMES = (random_cyclic, random_parametric, lambda rng: random_matrix(rng, 6))
+
+
+@st.composite
+def _graph_and_matrix_texts(draw) -> str:
+    """A serialized cyclic, param or matrix document with up to two drawn ``_GRAPH_LINE`` put in at one place,
+    the line there cut half the time."""
+    rng, build = random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.sampled_from(_GRAPH_AND_MATRIX_GAMES))
+    players = draw(st.sampled_from((PLAYERS, ("P", "Q"))))
+    lines = serialize(GameDoc(players, build(rng))).split("\n")
+    at, cut = draw(st.integers(0, len(lines))), draw(st.integers(0, 1))
+    return "\n".join(lines[:at] + draw(st.lists(_GRAPH_LINE, max_size=2)) + lines[at + cut:])
+
+
+class TestGraphAndMatrixTexts:
+    @settings(max_examples=600, deadline=None)
+    @given(_graph_and_matrix_texts())
+    def test_parse_returns_a_document_or_raises_a_parse_error(self, text):
+        reads = [reader(text) for reader in (parse_canonical_graph, parse_canonical_matrix)]  # which never raise
+        try:
+            reference = repr(dsl._Parser(text).parse_doc())
+        except ParseError:
+            reference = None
+        try:
+            doc = parse(text)
+        except ParseError:
+            assert reference is None
+        else:
+            assert isinstance(doc, GameDoc) and repr(doc) == reference
+        assert all(read is None or repr(GameDoc(*read)) == reference for read in reads)
 
 
 class TestTreeTexts:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from helpers import loop01, random_cyclic, random_graph, random_parametric, reference_detect_escalation, ring
 
-from seqgames.core import ShapeMismatch, leaf
+from seqgames.core import InvalidArgument, ShapeMismatch, leaf
 from seqgames.escalation import (
     BeliefNotEquilibrium,
     BeliefPair,
@@ -228,6 +229,25 @@ class TestSimulate:
     def test_fixed_index_needs_one_index_per_player(self, indices):
         with pytest.raises(ValueError, match=f"^FixedIndex needs one belief index per player, got {len(indices)}$"):
             simulate(dollar_auction(10), 5, 1, FixedIndex(indices))
+
+    @pytest.mark.parametrize(
+        ("horizon", "seed", "field", "value"),
+        [
+            ("x", 0, "horizon", "'x'"),
+            (2.5, 0, "horizon", "2.5"),
+            (3.0, 0, "horizon", "3.0"),
+            (True, 0, "horizon", "True"),
+            (None, 0, "horizon", "None"),
+            (3, "x", "seed", "'x'"),
+            (3, 1.5, "seed", "1.5"),
+            (3, False, "seed", "False"),
+            (3, None, "seed", "None"),
+            ("x", "y", "horizon", "'x'"),  # the horizon is checked first
+        ],
+    )
+    def test_a_horizon_or_seed_that_is_no_int_is_refused(self, horizon, seed, field, value):
+        with pytest.raises(InvalidArgument, match=rf"^{field} must be an int, got {re.escape(value)}$"):
+            simulate(loop01(), horizon, seed)
 
     def test_horizon_zero(self):
         trace = simulate(loop01(), 0, 7)

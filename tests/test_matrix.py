@@ -487,10 +487,40 @@ class TestSimplexFirst:
             if index % 6 == 5:  # dominated strategies carry weight 0 and are worth less than the value
                 game = with_dominated_strategies(rng, game)
             expected = reference_constant_sum(game)
-            row, column, value, flagged = matrix._simplex(scaled_game(game))
+            row, column, value, total, flagged = matrix._simplex(scaled_game(game))  # numerators over total
+            row, column = (tuple(Fraction(p, total) for p in mix) for mix in (row, column))
+            value = Fraction(value, total)
             assert value == expected.value * scale_of(game), game  # every game's, in scaled units
             assert flagged == strictly_complementary(game, expected), game
             if flagged:
                 strict += 1
                 assert (row, column) == (expected.row, expected.column), game
         assert strict >= 200
+
+
+class TestFractionsOnlyForTheAnswer:
+    def test_a_solve_builds_one_fraction_per_entry_of_its_answer(self, monkeypatch):
+        # The solver stays in integers until it returns, so the answer's rows + cols + 1 entries are
+        # the only Fractions it builds: on strict games, on degenerate ones and on games that scan
+        # past strictly dominated strategies.
+        rng, new, built = random.Random(83), Fraction.__new__, []
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        wide = [matrix_game([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)], 0)
+                for size in (2, 3, 4, 5, 6) * 4]
+        ties = [referee_game(rng, 3 * index, 2 + index % 5) for index in range(40)]
+        dominated = [dominated_first(rng, 2 + index % 4, 1 + index % 3) for index in range(20)]
+        strict = []
+        for game in wide + ties + dominated:
+            built.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(Fraction, "__new__", counted)
+                profile = solve_constant_sum(game)
+            assert len(built) == game.rows + game.cols + 1, (game, built)
+            assert best_response_value(game, profile.column, "row") == profile.value
+            assert best_response_value(game, profile.row, "column") == game.total - profile.value
+            strict.append(matrix._simplex(scaled_game(game))[-1])
+        assert strict.count(True) >= 20 and strict.count(False) >= 40
