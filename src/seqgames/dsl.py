@@ -99,9 +99,7 @@ _PUNCT = frozenset({"->", "{", "}", "(", ")", ",", ";", ":", "=", "+", "-", "*",
 # Blanks and comments, then one token: punctuation, a decimal integer, a
 # word, any other character (rejected by ``_scan``) or the end of input.
 # The token group always matches after the greedy skip, so nothing is ever
-# backtracked; ``findall`` returns one or two empty tokens at the end of
-# each string it scans.  ``_scan`` scans each distinct line (``_lines``) once
-# when at least half of a text's lines repeat an earlier one, else the text.
+# backtracked; ``findall`` returns one or two empty tokens at the end.
 _SCAN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(->|[{}(),;:=+\-*/]|\d+|\w+|.|\Z)")
 
 
@@ -135,37 +133,24 @@ def _lines(text: str) -> list[str]:
     return list(filter(None, [line.lstrip(" \t\r") for line in lines]))
 
 
-def _scan(text: str) -> tuple[list[str], set[str]]:
-    """Token texts, ending with one empty string for the end of input, and the set of names and integers.
+def _scan(text: str) -> list[str]:
+    """Token texts, ending with one empty string for the end of input.
 
     A token is punctuation, a run of decimal digits, or a word that starts
     with a letter or ``_`` and goes on with letters, digits or ``_`` (the
     ``str.isalpha``/``str.isalnum`` classes).  Anything else is a
-    ``ParseError`` at the first offending character.  No token runs over a
-    line end, so a text whose lines repeat an earlier one at least half the
-    time (a serialized tree's do) is scanned once per distinct line, any
-    other in one pass: the tokens, words and errors are the same either way.
+    ``ParseError`` at the first offending character.
     """
-    lines = _lines(text)
-    found = dict.fromkeys(lines)
-    if 2 * len(found) <= len(lines):
-        for line in found:
-            found[line] = list(filter(None, _SCAN.findall(line)))  # without its end-of-input matches
-        tokens = [*itertools.chain.from_iterable(map(found.__getitem__, lines)), ""]
-        words = set(itertools.chain.from_iterable(found.values()))
-    else:
-        del lines, found  # no copy of the lines is kept while the text is scanned
-        tokens = _SCAN.findall(text)
-        if len(tokens) > 1 and not tokens[-2]:
-            tokens.pop()
-        words = set(tokens)
-    words -= _PUNCT
+    tokens = _SCAN.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()
+    words = set(tokens) - _PUNCT
     words.discard("")
     bad = {word for word in words if not (word[0].isalpha() or word[0] == "_" or word[0].isdecimal())}
     if bad:
         index = next(index for index, token in enumerate(tokens) if token in bad)
         raise ParseError(*_position(text, index), "a token", repr(tokens[index][0]))
-    return tokens, words
+    return tokens
 
 
 class _Parser:
@@ -174,7 +159,7 @@ class _Parser:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens, self.words = _scan(text)
+        self.tokens = _scan(text)
         self.pos = 0
 
     def fail(self, expected: str, index: int | None = None) -> ParseError:
@@ -208,23 +193,21 @@ class _Parser:
             self.pos += 1
 
     def expect_int(self) -> int:
-        tokens = self.tokens
-        negative = tokens[self.pos] == "-"
+        """Consume ``INT``; a ``ParseError`` at its digits if it has more than
+        ``int`` reads (``sys.get_int_max_str_digits``)."""
+        negative = self.at("-")
         if negative:
             self.pos += 1
-        if not tokens[self.pos][:1].isdecimal():
+        digits = self.tokens[self.pos]
+        if not digits[:1].isdecimal():
             raise self.fail("an integer")
-        self.pos += 1
-        return -self.integer(self.pos - 1) if negative else self.integer(self.pos - 1)
-
-    def integer(self, index: int) -> int:
-        """The digit token at ``index`` as an int; a ``ParseError`` there if it
-        has more digits than ``int`` reads (``sys.get_int_max_str_digits``)."""
         try:
-            return int(self.tokens[index])
+            value = int(digits)
         except ValueError:  # the only one a run of decimal digits raises
             expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
-            raise ParseError(*_position(self.text, index), expected, f"one of {len(self.tokens[index])}") from None
+            raise ParseError(*_position(self.text, self.pos), expected, f"one of {len(digits)}") from None
+        self.pos += 1
+        return -value if negative else value
 
     # --- document -----------------------------------------------------
 
@@ -276,63 +259,39 @@ class _Parser:
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         """``tree`` with an explicit stack of open decision nodes, so any depth
         parses; it builds ``Leaf``s and ``Node``s and nothing else, and leaves
-        the ``index`` to its first use.  ``Owner {``, ``label ->`` (a
-        scanned word that starts with no digit) and ``;`` are matched in
-        place; an owner or label that does not match raises as ``expect*``
-        would, and a leaf goes through ``parse_leaf_int``.  A look-ahead stops
-        at the first token that differs, and only the final token is empty, so
-        it never reads past the end.  A tree text ``parse`` hands to the line
+        the ``index`` to its first use.  A tree text ``parse`` hands to the line
         reader (``finite.parse_tree_lines``) comes here only if it declines."""
         tokens = self.tokens
-        first_player, second_player = players
-        names = {word for word in self.words if not word[0].isdecimal()}
-        # The innermost open node's branches so far (label to subtree) and owner, and in ``frames``
-        # each enclosing node's, with the label it is reading; no node is open while ``branches`` is None.
-        branches: dict | None = None
-        owner = 0
-        frames: list = []
-        label: str | None = None  # the label of the branch being read
-        pos = self.pos
+        frames: list[tuple[int, dict[str, FiniteGame]]] = []  # each open node's owner and branches so far
+        labels: list[str] = []  # the label of the branch being read, per frame
         while True:
-            token = tokens[pos]
-            if token == "leaf":
-                self.pos = pos + 1
+            if self.at("leaf"):
+                self.pos += 1
                 sub: FiniteGame | None = self.parse_leaf_int()
-                pos = self.pos
             else:
-                mover = 0 if token == first_player else 1 if token == second_player else -1
-                if mover < 0 or tokens[pos + 1] != "{":
-                    self.pos = pos
-                    self.owner_index(self.expect_name("'leaf' or a player name"), players)
-                    raise self.fail("'{'")
-                pos += 2
-                frames.append((branches, label, owner))
-                branches, owner = {}, mover
+                owner = self.owner_index(self.expect_name("'leaf' or a player name"), players)
+                self.expect("{")
+                frames.append((owner, {}))
                 sub = None
             while True:
                 if sub is not None:
-                    if branches is None:
-                        self.pos = pos
+                    if not frames:
                         return sub
-                    branches[label] = sub
-                    while tokens[pos] == ";":
-                        pos += 1
-                token = tokens[pos]
-                if token == "}":
+                    frames[-1][1][labels.pop()] = sub
+                    self.skip_separators()
+                owner, branches = frames[-1]
+                if self.at("}"):
                     if not branches:
-                        raise self.fail("at least one branch", pos)
-                    pos += 1
+                        raise self.fail("at least one branch")
+                    self.pos += 1
+                    frames.pop()
                     sub = Node(owner, tuple(branches.items()))
-                    branches, label, owner = frames.pop()
                     continue
-                if token not in names:
-                    raise self.fail("an action label", pos)
-                if token in branches:  # type: ignore[operator]
-                    raise self.invalid(pos, f"duplicate branch label {token!r}")
-                if tokens[pos + 1] != "->":
-                    raise self.fail("'->'", pos + 1)
-                pos += 2
-                label = token
+                index = self.expect_name("an action label")
+                if tokens[index] in branches:
+                    raise self.invalid(index, f"duplicate branch label {tokens[index]!r}")
+                self.expect("->")
+                labels.append(tokens[index])
                 break
 
 

@@ -392,54 +392,39 @@ def best_response_value(
 
 
 def parse_matrix(parser) -> MatrixGame:
-    """``matrix`` for ``dsl._Parser`` ``parser``, imported for a matrix text ``parse_canonical_matrix`` declines.
-
-    The total and then each entry (``d``, ``-d``, ``d/d`` or ``-d/d``) are
-    read in one loop at a local position, as ``parse_tree`` reads a tree; each
-    fault raises through ``parser.fail``, ``invalid`` or ``integer`` at its token."""
-    tokens = parser.tokens
-    parser.expect("sum")
-    parser.expect("=")
-    pos, total, rows, row, width = parser.pos, None, [], [], None
-    while True:
-        token = tokens[pos]
-        if total is not None and not (token.isdecimal() or token == "-"):  # no entry starts here
-            if not row:
-                raise parser.fail("a matrix entry", pos)
-            if len(row) != (width or len(row)):
-                raise parser.fail(f"a row of {width} entries", pos)
-            width = len(row)
-            rows.append(tuple(row))
-            if token != ";":
-                break
-            pos, row = pos + 1, []
-            continue
-        if len(row) == width:
-            raise parser.fail(f"';' after {width} entries", pos)
-        negative = token == "-"
-        pos += negative
-        if not tokens[pos].isdecimal():
-            raise parser.fail("an integer", pos)
-        parts = (-parser.integer(pos) if negative else parser.integer(pos),)  # the numerator, then any denominator
-        pos += 1
-        if tokens[pos] == "/":
-            index = pos + 1
-            pos = index + (tokens[index] == "-")
-            if not tokens[pos].isdecimal():
-                raise parser.fail("an integer", pos)
-            denominator = parser.integer(pos)
+    """``matrix`` for ``dsl._Parser`` ``parser``, imported for a matrix text ``parse_canonical_matrix`` declines."""
+    def parse_rational() -> Fraction:
+        numerator = parser.expect_int()
+        if parser.at("/"):
+            parser.pos += 1
+            index = parser.pos
+            denominator = parser.expect_int()
             if denominator == 0:
                 raise parser.invalid(index, "zero denominator")
-            parts += (-denominator if pos > index else denominator,)
-            pos += 1
-        value = Fraction(*parts)
-        if total is not None:
-            row.append(value)
-            continue
-        total, parser.pos = value, pos
-        parser.expect("{")
-        pos += 1
-    parser.pos = pos
+            return Fraction(numerator, denominator)
+        return Fraction(numerator)
+
+    parser.expect("sum")
+    parser.expect("=")
+    total = parse_rational()
+    parser.expect("{")
+    rows: list[tuple[Fraction, ...]] = []
+    width: int | None = None
+    while True:
+        row: list[Fraction] = []
+        while parser.tokens[parser.pos][:1].isdecimal() or parser.at("-"):  # an entry starts here
+            if len(row) == width:
+                raise parser.fail(f"';' after {width} entries")
+            row.append(parse_rational())
+        if not row:
+            raise parser.fail("a matrix entry")
+        if len(row) != (width or len(row)):
+            raise parser.fail(f"a row of {width} entries")
+        width = len(row)
+        rows.append(tuple(row))
+        if not parser.at(";"):
+            break
+        parser.pos += 1
     parser.expect("}")
     return MatrixGame(tuple(rows), total)
 

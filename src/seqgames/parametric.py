@@ -498,8 +498,12 @@ def instantiate(game: ParametricGame, max_stage: int, terminal: OutcomeVector) -
     payoffs all have slope 0 is the same ``Leaf`` (``AffineLeaf.constant``)
     at every stage, so a cyclic game unrolls to ``max_stage`` decision layers.
     """
+    if max_stage.__class__ is not int:  # a float unfolds as its ceiling, and a bool is no count
+        raise InvalidArgument(f"max_stage must be an int, got {max_stage!r}")
     if max_stage < 1:
         raise InvalidArgument("max_stage must be positive")
+    if not (isinstance(terminal, (tuple, list)) and len(terminal) == 2 and {*map(type, terminal)} == {int}):
+        raise InvalidArgument(f"terminal must be a pair of ints, got {terminal!r}")  # not float leaves, nor one payoff
     shapes = game.shapes
     cut = Leaf(tuple(terminal))
     layers = _layers(game, max_stage)

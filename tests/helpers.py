@@ -17,7 +17,7 @@ character-by-character ``reference_tokenize`` referee the flat-array tree
 routines and the compiled token scan, which ``scan_tokenize`` exposes in the
 same token form; the depth-first ``reference_instantiate`` referees the
 stage-layered ``instantiate``; ``ReferenceParser``, a tree reader with one
-``expect*`` call per token, referees the one that matches tokens in place;
+``expect*`` call per token written apart from the package's, referees it;
 ``reference_tree_dot``, which orders edges with the event walk
 ``reference_edges``, referees the DOT export of trees; the recursive
 ``reference_index`` referees the index arrays that ``TreeIndex`` lays out;
@@ -967,7 +967,7 @@ def scan_tokenize(text: str) -> list[RefToken]:
     ending with one "eof" token.  The parser works on the scan's texts and
     positions only the token an error names; this view is for the tests."""
     tokens = []
-    for token, match in zip(_scan(text)[0], _SCAN.finditer(text)):
+    for token, match in zip(_scan(text), _SCAN.finditer(text)):
         if not token:
             kind = "eof"
         elif token in _PUNCT:
@@ -1165,8 +1165,8 @@ def big_random_tree(rng: random.Random, nodes: int) -> Node:
 
 
 class ReferenceParser(_Parser):
-    """The tree reader without in-place matching: the same grammar, errors
-    and checks, and one ``expect*`` call per token."""
+    """The tree reader written apart from ``_Parser.parse_tree``: the same
+    grammar, errors and checks, and one ``expect*`` call per token."""
 
     def parse_tree(self, players: tuple[str, str]) -> FiniteGame:
         tokens = self.tokens

@@ -9,14 +9,16 @@ from depth 498 and the parser and serializer at about 990.
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import pytest
 from helpers import chain01, loop01
 
+from seqgames import dsl
 from seqgames.cli import run
 from seqgames.core import Record, induced_play, leaf, node
 from seqgames.dsl import GameDoc, parse, parse_profile_text, render_profile, serialize, to_dot
-from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, solve
+from seqgames.finite import TiePolicy, check_spe, enumerate_equilibria, parse_tree_lines, solve
 from seqgames.parametric import instantiate
 
 DEPTH = 2000
@@ -53,6 +55,16 @@ def test_chain_pipeline(deep_text):
     nodes = 2 * DEPTH + 1
     assert len(dot.splitlines()) == 2 + nodes + (nodes - 1)
     assert dot.count("penwidth=2") == DEPTH
+
+
+def test_the_token_reader_reads_a_deep_chain(deep_text):
+    """Without its ``players`` line the text is one the tree line reader declines, so the token reader's tree
+    loop reads all 2,000 levels, on its explicit stack."""
+    text = deep_text.partition("\n")[2]
+    assert text.startswith("finite {") and parse_tree_lines(text) is None
+    with mock.patch.object(dsl, "_Parser", wraps=dsl._Parser) as token_reader:
+        assert parse(text).game == chain01(DEPTH)
+    token_reader.assert_called_once_with(text)
 
 
 def test_enumerate_a_chain_tied_only_at_its_deepest_node():

@@ -12,7 +12,7 @@ from helpers import chain01, instantiate_profile, loop01, random_parametric, ref
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqgames.core import MalformedGame, ShapeMismatch, induced_play, leaf, node
+from seqgames.core import InvalidArgument, MalformedGame, ShapeMismatch, induced_play, leaf, node
 from seqgames.finite import check_spe, enumerate_equilibria, solve, TiePolicy
 from seqgames.parametric import (
     Advance,
@@ -330,6 +330,19 @@ class TestInstantiate:
     def test_max_stage_must_be_positive(self):
         with pytest.raises(ValueError):
             instantiate(dollar_auction(100), 0, (0, 0))
+
+    @pytest.mark.parametrize(
+        "max_stage, terminal, field",
+        [
+            (2.5, (0, 0), "max_stage"),  # which unfolded three stages
+            (True, (0, 0), "max_stage"),  # which was read as 1
+            (3, (0.5, 0), "terminal"),  # which built float leaves that solve then compared
+            (3, (0,), "terminal"),  # which failed only later, as NotTwoPlayer
+        ],
+    )
+    def test_max_stage_and_terminal_must_be_ints(self, max_stage, terminal, field):
+        with pytest.raises(InvalidArgument, match=f"^{field} must be "):
+            instantiate(dollar_auction(3), max_stage, terminal)
 
     def test_value_3_truncation_regression(self):
         # frozen from the finite solver: truncating the auction changes the

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "seqgames"
-LINE_BUDGET = 3239
+LINE_BUDGET = 3187
 
 
 def test_source_lines_stay_within_the_budget():
