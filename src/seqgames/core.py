@@ -409,6 +409,11 @@ def is_player(owner: object) -> bool:
     return owner.__class__ is int and owner in (0, 1)
 
 
+def numeral(text: str) -> bool:
+    """Whether ``text``, from an ASCII document, is 1 to 640 digits, which ``int`` reads under any digit limit."""
+    return text.isdigit() and len(text) <= 640
+
+
 def require_two_players(game: FiniteGame) -> None:
     """``NotTwoPlayer`` unless every payoff vector is a pair and every owner
     is player 0 or 1 (``is_player``); the verdict is found once per index and kept."""

@@ -28,11 +28,10 @@ their kernels, and the writers in ``dsl_write``, all loaded on first use.  A
 tree whose second line with a token starts with ``finite `` goes to
 ``finite.parse_tree_lines``, which takes one node, branch or ``}`` per line,
 reads each distinct line once and lays out the index as it goes.  A graph or
-matrix document in exactly the layout ``serialize`` writes is read by pattern
-matches, a graph's one per line (``parametric.parse_canonical_graph``) and a
-matrix's one in all (``matrix.parse_canonical_matrix``).  Any other text, any
-text those readers decline, and every error go through the scanner and the
-token reader.
+matrix document in exactly the layout ``serialize`` writes is read with ``str``
+methods, one line at a time (``parametric.parse_canonical_graph``) or one row
+(``matrix.parse_canonical_matrix``).  Any other text, any text those readers
+decline, and every error go through the scanner and the token reader.
 """
 
 from __future__ import annotations
@@ -297,8 +296,8 @@ class _Parser:
 
 def parse(text: str) -> GameDoc:
     """Parse a ``.game`` document; structural problems are parse-time errors.  A tree one line at a time, and a
-    graph or matrix document in exactly the layout ``serialize`` writes by pattern matches, are read by the
-    reader ``_READERS`` picks; any text it declines, and every error, by the token reader."""
+    graph or matrix document in exactly the layout ``serialize`` writes, are read by the reader ``_READERS``
+    picks; any text it declines, and every error, by the token reader."""
     line = text.find("\n") + 1  # the second line, or a text of one line
     if text[:1] == "#" or text[:line].isspace():  # a comment or a blank line first: the line after the first token
         line = text.find("\n", _SCAN.match(text).start(1)) + 1 or len(text)

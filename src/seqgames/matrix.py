@@ -44,12 +44,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from operator import gt, lt, mul
 
-from .core import GameError, InvalidArgument, LimitExceeded, Record
+from .core import GameError, InvalidArgument, LimitExceeded, Record, numeral
 
 TYPE_CHECKING = False  # ``typing.TYPE_CHECKING`` without loading ``typing``
 if TYPE_CHECKING:
@@ -429,28 +428,22 @@ def parse_matrix(parser) -> MatrixGame:
     return MatrixGame(tuple(rows), total)
 
 
-# A matrix document exactly as ``serialize`` writes it, compiled on first use (``re.compile`` keeps it).  Every
-# name and entry is ASCII and ends at the fixed character after it, so a failed match takes time linear in the
-# text; an integer has at most 640 digits, fewer than ``int`` can be limited to.
-_RATIONAL, _NAME = r"-?[0-9]{1,640}(?:/[0-9]{1,640})?", "([A-Za-z_][A-Za-z0-9_]*)"
-_ROW = rf"  {_RATIONAL}(?: {_RATIONAL})*"
-_CANONICAL = rf"players {_NAME} {_NAME}\nmatrix sum=({_RATIONAL}) \{{\n((?:{_ROW};\n)*{_ROW}\n)\}}\n\Z"
-
-
 def parse_canonical_matrix(text: str) -> tuple[tuple[str, str], MatrixGame] | None:
-    """A matrix document in exactly the layout ``serialize`` writes, read in one pattern match into its players
-    and what ``parse_matrix`` builds, with one ``Fraction`` per distinct entry text; or None for any other text,
-    a ragged matrix or a zero denominator.  It never raises: ``dsl.parse`` hands what it declines, every error
-    included, to the token reader."""
-    match = re.compile(_CANONICAL).match(text)
-    if not match:
+    """A matrix document in exactly the layout ``serialize`` writes, read with ``str`` methods into its players
+    and what ``parse_matrix`` builds, with one ``Fraction`` per distinct entry text; or None for any other text
+    (one with a non-ASCII character or a number of over 640 digits, say), a ragged matrix or a zero denominator.
+    It never raises: ``dsl.parse`` hands what it declines, every error included, to the token reader."""
+    head, _, rest = text.partition("\nmatrix sum=")
+    total, _, body = rest.partition(" {\n  ")
+    first, _, second = head[8:].partition(" ")
+    rows = [row.split(" ") for row in body[:-3].split(";\n  ")]
+    if not (text.isascii() and head[:8] == "players " and first.isidentifier() and second.isidentifier()
+            and body[-3:] == "\n}\n" and all(len(row) == len(rows[0]) for row in rows)):
         return None
-    first, second, total, body = match.groups()
-    rows = [row.split(" ") for row in body[2:-1].split(";\n  ")]  # without the first indent and the last LF
-    if any(len(row) != len(rows[0]) for row in rows):
-        return None
-    try:
-        values = {entry: Fraction(*map(int, entry.split("/"))) for entry in {total, *itertools.chain(*rows)}}
-    except ZeroDivisionError:
-        return None
+    values: dict[str, Fraction] = {}
+    for entry in {total, *itertools.chain(*rows)}:
+        numerator, slash, denominator = entry.partition("/")
+        if not numeral(numerator.removeprefix("-")) or slash and not (numeral(denominator) and int(denominator)):
+            return None  # not a number, or a zero denominator
+        values[entry] = Fraction(int(numerator), int(denominator)) if slash else Fraction(int(numerator))
     return (first, second), MatrixGame(tuple(tuple(map(values.__getitem__, row)) for row in rows), values[total])

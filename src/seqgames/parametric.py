@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections.abc import Iterator, Mapping
 
 from .core import (
     FiniteGame, GameError, InvalidArgument, Leaf, LimitExceeded, MalformedGame, Node, OutcomeVector, Record,
-    ShapeMismatch, SpeReport, Violation, cached_property, is_player,
+    ShapeMismatch, SpeReport, Violation, cached_property, is_player, numeral,
 )
 
 DEFAULT_SEARCH_BOUND = 2**20
@@ -609,58 +608,62 @@ def parse_graph(parser, players: tuple[str, str], parametric: bool) -> Parametri
     return make_game(definitions, tokens[start])
 
 
-# The lines ``parse_canonical_graph`` matches, exactly as ``serialize`` writes them, compiled on first use
-# (``re.compile`` keeps them), as ``auction`` reads no text.  Every name and number is ASCII and ends at the
-# fixed character after it, so a match fails in time linear in its line; a number has at most 640 digits, fewer
-# than ``int`` can be limited to.
-_NAME, _NUMBER = r"([A-Za-z_][A-Za-z0-9_]*)", r"(-?[0-9]{1,640})"
-_HEADER = rf"players {_NAME} {_NAME}\n(cyclic|param) start={_NAME} \{{\n"
-_OPENING = rf"  {_NAME}: {_NAME} \{{\n|\}}\n\Z"  # a node's line, or the body's end
-_EDGES = {  # an edge's line, or a node's end; a cyclic payoff's slope group is empty
-    kind: rf"    {_NAME} -> (?:leaf\({payoff},{payoff}\)|{target})\n|  \}}\n"
-    for kind, payoff, target in (
-        ("cyclic", _NUMBER + "()", _NAME),
-        ("param", _NUMBER + r"(?:([+-][0-9]{1,640})\*n)?", "advance " + _NAME),
-    )
-}
+def _payoff(text: str, sloped: bool) -> tuple[int, int] | None:
+    """A payoff as ``serialize`` writes it, ``c`` or, when ``sloped``, ``c+s*n`` or ``c-s*n``, as (c, ±s); or None."""
+    const, slope = text, "+0"
+    if sloped and text[-2:] == "*n":
+        cut = max(text.rfind("+"), text.rfind("-"))
+        const, slope = text[:cut], text[cut:-2]
+    return (int(const), int(slope)) if numeral(const.removeprefix("-")) and numeral(slope[1:]) else None
+
+
+def _move(rest: str, sloped: bool, seen: dict) -> AffineLeaf | Advance | None:
+    """What an edge line says after `` -> ``: ``leaf(p,q)``, or a target named neither ``leaf`` nor ``advance``,
+    after ``advance`` in a ``param`` document (``sloped``); or None.  ``seen`` keeps one leaf per payoff pair."""
+    if rest[:5] == "leaf(" and rest[-1:] == ")":
+        first, _, second = rest[5:-1].partition(",")
+        pair = _payoff(first, sloped), _payoff(second, sloped)
+        if None not in pair:  # else None below: ``leaf(`` starts no target name
+            return seen.get(pair) or seen.setdefault(pair, AffineLeaf((AffineValue(*pair[0]), AffineValue(*pair[1]))))
+    target = (rest[8:] if rest[:8] == "advance " else "") if sloped else rest
+    return Advance(target) if target.isidentifier() and target not in ("leaf", "advance") else None
 
 
 def parse_canonical_graph(text: str) -> tuple[tuple[str, str], ParametricGame] | None:
-    """A ``cyclic`` or ``param`` document in exactly the layout ``serialize`` writes, read one line per pattern
-    match into its players and what ``parse_graph`` builds, or None for any other text: one without the
-    ``players`` line, with other blanks or line ends, a comment, a ``;``, a non-ASCII character, a number of
-    over 640 digits, a repeated node or label, an unknown owner, ``leaf`` or ``advance`` as a target, or a game
-    the constructor refuses.  It never raises: ``dsl.parse`` hands what it declines, every error included, to
-    the token reader.  Like ``parse_graph``, it builds one ``AffineLeaf`` per payoff pair and one ``Advance``
-    per target, through their constructors."""
-    match = "#" not in text and ";" not in text and re.compile(_HEADER).match(text)  # declined before any pattern runs
-    if not match:
+    """A ``cyclic`` or ``param`` document in exactly the layout ``serialize`` writes, read one line at a time
+    into its players and what ``parse_graph`` builds, or None for any other text: one without the ``players``
+    line, with other blanks or line ends, a comment, a ``;``, a non-ASCII character, a number of over 640
+    digits, a repeated node or label, an unknown owner, or a game the constructor refuses.  It never raises:
+    ``dsl.parse`` hands what it declines, every error included, to the token reader.  Like ``parse_graph``, it
+    builds one ``AffineLeaf`` per payoff pair and one ``Advance`` per target; it reads each distinct target once."""
+    head, _, body = text.partition(" {\n")  # the first two lines, and the rest
+    header, _, opening = head.partition("\n")
+    first, _, second = header[8:].partition(" ")
+    kind, _, start = opening.partition(" start=")
+    lines = body.split("\n")
+    if not (text.isascii() and header[:8] == "players " and first.isidentifier() and second.isidentifier()
+            and kind in ("cyclic", "param") and start.isidentifier() and lines[-3:] == ["  }", "}", ""]):
         return None
-    first, second, kind, start = match.groups()
-    players, opening, edge = (first, second), re.compile(_OPENING), re.compile(_EDGES[kind])
+    players, sloped, seen = (first, second), kind == "param", {}  # seen: each target text's move, each pair's leaf
     definitions: dict[str, Shape] = {}
-    shared: dict = {}
-    while (match := opening.match(text, match.end())) and match[1]:
-        name, owner = match.groups()
-        if name in definitions or owner not in players:
-            return None
-        moves: dict[str, AffineLeaf | Advance] = {}
-        while (match := edge.match(text, match.end())) and match[1]:
-            label, const, slope, other, other_slope, target = match.groups()
-            if label in moves or target in ("leaf", "advance"):
+    moves: dict | None = None  # the open node's moves, or None between nodes
+    for line in lines[:-2]:
+        if moves is None:
+            name, _, owner = line[2:-2].partition(": ")
+            if not (line[:2] == "  " and line[-2:] == " {" and name.isidentifier() and name not in definitions
+                    and owner in players):
                 return None
-            if target is None:
-                pair = (int(const), int(slope or 0)), (int(other), int(other_slope or 0))
-                leaf = shared.get(pair) or AffineLeaf((AffineValue(*pair[0]), AffineValue(*pair[1])))
-                moves[label] = shared[pair] = leaf
-            else:
-                moves[label] = shared[target] = shared.get(target) or Advance(target)
-        if not match:
-            return None
-        definitions[name] = Shape(players.index(owner), tuple(moves.items()))
-    if not match:
-        return None
+            moves = {}
+        elif line == "  }":
+            definitions[name] = Shape(players.index(owner), tuple(moves.items()))
+            moves = None
+        else:
+            label, _, rest = line[4:].partition(" -> ")
+            move = seen.get(rest) or seen.setdefault(rest, _move(rest, sloped, seen))
+            if not (line[:4] == "    " and label.isidentifier() and label not in moves and move):
+                return None
+            moves[label] = move
     try:
-        return players, (ParametricGame if kind == "param" else CyclicGame)(definitions, start)
+        return players, (ParametricGame if sloped else CyclicGame)(definitions, start)
     except GameError:  # an empty node, or an undefined start or target
         return None

@@ -6,6 +6,7 @@ import inspect
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -341,6 +342,23 @@ class TestCanonicalGraphReader:
         "long blanks, then a form feed": " " * 10**5 + "\x0c" + _LOOP,
         "long blanks, then numbers as players": " " * 10**5 + _LOOP.replace("Alice Bertrand", "1 2", 1),
         "long blanks inside a payoff": _STAGES.replace("3+2*n", "3" + " " * 10**5 + "x"),
+        # What ``int`` or ``str.isdigit`` takes but the layout does not: a reader built on ``str`` methods
+        # must decline each.
+        "underscore in a payoff": _LOOP.replace("leaf(0,1)", "leaf(1_0,1)"),
+        "underscore in a slope": _STAGES.replace("3+2*n", "3+1_0*n"),
+        "superscript digit": _LOOP.replace("leaf(0,1)", "leaf(²,1)"),
+        "full-width digit in a slope": _STAGES.replace("3+2*n", "3+１*n"),
+        "blank inside a payoff": _STAGES.replace("3+2*n", "3 +2*n"),
+        "tab inside a payoff": _LOOP.replace("leaf(0,1)", "leaf(0,\t1)"),
+        "plus sign": _LOOP.replace("leaf(0,1)", "leaf(+1,1)"),
+        "doubled sign": _LOOP.replace("leaf(0,1)", "leaf(--1,1)"),
+        "doubled slope sign": _STAGES.replace("3+2*n", "3--2*n"),
+        "sign after digits": _LOOP.replace("leaf(0,1)", "leaf(1-2,1)"),
+        "slope without digits": _STAGES.replace("3+2*n", "3+*n"),
+        "slope without a constant": _STAGES.replace("3+2*n", "-2*n"),
+        "slope in a cyclic payoff": _LOOP.replace("leaf(0,1)", "leaf(3+2*n,1)"),
+        "three payoffs": _LOOP.replace("leaf(0,1)", "leaf(0,1,2)"),
+        "cyclic target without advance in param": _STAGES.replace("advance B", "B"),
     }
 
     @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
@@ -415,6 +433,20 @@ class TestCanonicalMatrixReader:
         "long digits as an entry": _GRID.replace("12", "1" * 10**5),
         "long digits, then a ragged row": _GRID.replace("1 -2/3 0", " ".join(["1" * 640] * 150)),
         "long blanks after the header": _GRID.replace("{\n", "{" + " " * 10**5 + "\n"),
+        # What ``int`` or ``str.isdigit`` takes but the layout does not: a reader built on ``str`` methods
+        # must decline each.
+        "underscore in an entry": _GRID.replace("12", "1_2"),
+        "underscore in the total": _GRID.replace("sum=1/2", "sum=1_0"),
+        "superscript digit": _GRID.replace("12", "1²"),
+        "full-width digit in a denominator": _GRID.replace("-2/3", "-2/３"),
+        "blank inside an entry": _GRID.replace("-2/3", "-2 /3"),
+        "tab between entries": _GRID.replace("12 -1", "12\t-1"),
+        "plus sign in a denominator": _GRID.replace("-2/3", "-2/+3"),
+        "doubled sign": _GRID.replace("-2/3", "--2/3"),
+        "sign after digits": _GRID.replace("12", "1-2"),
+        "doubled slash": _GRID.replace("-2/3", "-2//3"),
+        "slash without a denominator": _GRID.replace("-2/3", "-2/"),
+        "two slashes": _GRID.replace("-2/3", "-2/3/4"),
     }
 
     @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
@@ -439,6 +471,21 @@ class TestCanonicalMatrixReader:
         reference = repr(dsl._Parser(text).parse_doc())
         with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
             assert repr(parse(text)) == reference
+
+
+def test_canonical_graphs_and_matrices_are_read_without_a_pattern(corpus_dir):
+    """The canonical graph and matrix readers work with ``str`` methods alone: ``parse`` reads the corpus graphs
+    and matrices with no call into ``re``'s compiler or its cache, so a cold command compiles no pattern to read
+    its one document, and without the token reader."""
+    from seqgames import matrix, parametric  # noqa: F401  loaded, with ``fractions``, before ``re`` is closed
+
+    names = ("zero_one_cyclic", "zero_one_param", "dollar_auction_v100", "matching_pennies_matrix", "rps",
+             "rps_zerosum")
+    texts = [(corpus_dir / f"{name}.game").read_text() for name in names]
+    with mock.patch.object(re, "_compile", side_effect=AssertionError("a pattern was compiled")), \
+            mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
+        kinds = [parse(text).game.KIND for text in texts]
+    assert kinds == ["cyclic", "param", "param", "matrix", "matrix", "matrix"]
 
 
 LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise; 0 for no limit
