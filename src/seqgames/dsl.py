@@ -24,12 +24,12 @@ LF line endings, no trailing whitespace.
 
 Here are the scanner and the token reader; the readers ``parse`` tries first
 (``_READERS``, by the start of the second line that holds a token) live with
-their kernels, and the writers in ``dsl_write``, all loaded on first use.  A
-tree whose second line with a token starts with ``finite `` goes to
-``finite.parse_tree_lines``, which takes one node, branch or ``}`` per line,
-reads each distinct line once and lays out the index as it goes.  A graph or
-matrix document in exactly the layout ``serialize`` writes is read with ``str``
-methods, one line at a time (``parametric.parse_canonical_graph``) or one row
+their kernels, and the writers in ``dsl_write``, all loaded on first use.  All
+three read the layout ``serialize`` writes with ``str`` methods: a tree one
+line at a time (``finite.parse_tree_lines``, which also takes any indentation,
+blank lines and whole-line comments, reads each distinct line once and lays out
+the index as it goes), a graph one line at a time
+(``parametric.parse_canonical_graph``) and a matrix one row at a time
 (``matrix.parse_canonical_matrix``).  Any other text, any text those readers
 decline, and every error go through the scanner and the token reader.
 """
@@ -295,9 +295,9 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors.  A tree one line at a time, and a
-    graph or matrix document in exactly the layout ``serialize`` writes, are read by the reader ``_READERS``
-    picks; any text it declines, and every error, by the token reader."""
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A tree, graph or matrix document in
+    the layout ``serialize`` writes (a tree also with any indentation, blank lines and whole-line comments) is read
+    by the reader ``_READERS`` picks; any text it declines, and every error, by the token reader."""
     line = text.find("\n") + 1  # the second line, or a text of one line
     if text[:1] == "#" or text[:line].isspace():  # a comment or a blank line first: the line after the first token
         line = text.find("\n", _SCAN.match(text).start(1)) + 1 or len(text)

@@ -12,12 +12,11 @@ with the kernels, so a graph or matrix command never compiles it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from enum import Enum
 
 from .core import (
     DEFAULT_CAP, FiniteGame, InvalidArgument, Leaf, Node, PlayLine, Record, SpeReport, TreeIndex, TreeProfile,
-    Violation, chosen_branches, require_two_players,
+    Violation, chosen_branches, numeral, require_two_players,
 )
 
 
@@ -184,70 +183,55 @@ _END, _SKIP, _DECLINED = (("end", None, None), ("skip", None, None), ("declined"
 _KEYWORDS = ("leaf", "players", "finite")  # the words that name nothing
 
 
-def _name(token: str) -> bool:
-    """Whether a ``dsl._SCAN`` token is a name: a word that starts with a letter or ``_``, and no keyword."""
-    return (token[0].isalpha() or token[0] == "_") and token not in _KEYWORDS
-
-
-def _form(line: str, findall: Callable[[str], list[str]], owners: dict[str, int], leaves: dict) -> tuple:
-    """What ``line`` says inside a tree: ``label -> Owner {``, ``label -> leaf(i,j)`` (``-`` may sign a payoff),
-    ``}``, or nothing (a comment).  ``leaves`` keeps one ``Leaf`` per payoff pair.  A leaf line as ``serialize``
-    writes it, with an ASCII label and payoffs, is read with ``str`` methods, any other line by its tokens
-    (``findall``, ``dsl._SCAN``'s): a small tree's lines are mostly distinct, and most of them are such leaves."""
+def _form(line: str, owners: dict[str, int], leaves: dict) -> tuple:
+    """What ``line``, from an ASCII text and after its indentation, says inside a tree: ``label -> Owner {``,
+    ``label -> leaf(i,j)`` (``-`` may sign a payoff of 1 to 640 digits), ``}``, or nothing (a whole-line comment);
+    read with ``str`` methods, so any other blank, a trailing comment or a CR makes it no such line.  ``leaves``
+    keeps one ``Leaf`` per payoff pair."""
+    if line == "}" or line[0] == "#":
+        return _END if line == "}" else _SKIP
     label, arrow, rest = line.partition(" -> ")
-    first, _, second = rest[5:-1].partition(",")
-    if not (arrow and rest[:5] == "leaf(" and rest[-1:] == ")" and line.isascii() and label.isidentifier()
-            and label not in _KEYWORDS and first.removeprefix("-").isdigit() and second.removeprefix("-").isdigit()):
-        tokens = list(filter(None, findall(line)))
-        if len(tokens) < 4:
-            return _SKIP if not tokens else _END if tokens == ["}"] else _DECLINED
-        label, arrow, word, bracket = tokens[:4]
-        if arrow != "->" or not _name(label):
-            return _DECLINED
-        if bracket == "{" and len(tokens) == 4:
-            return ("node", label, owners[word]) if word in owners else _DECLINED
-        # Between the brackets, two integer tokens split by ``,``, each after at most one ``-`` token.
-        payoffs = "".join(tokens[4:-1])
-        first, _, second = payoffs.partition(",")
-        if not (word == "leaf" and bracket == "(" and tokens[-1] == ")" and len(tokens) == 8 + payoffs.count("-")
-                and first.removeprefix("-").isdecimal() and second.removeprefix("-").isdecimal()):
-            return _DECLINED
-    try:  # which ``int`` refuses only past its digit limit
-        pair = (int(first), int(second))
-    except ValueError:
+    if not (arrow and label.isidentifier() and label not in _KEYWORDS):
         return _DECLINED
+    if rest[-2:] == " {":
+        return ("node", label, owners[rest[:-2]]) if rest[:-2] in owners else _DECLINED
+    first, _, second = rest[5:-1].partition(",")
+    if not (rest[:5] == "leaf(" and rest[-1:] == ")" and numeral(first.removeprefix("-"))
+            and numeral(second.removeprefix("-"))):
+        return _DECLINED
+    pair = (int(first), int(second))
     return "leaf", label, leaves.get(pair) or leaves.setdefault(pair, Leaf(pair))
 
 
 def parse_tree_lines(text: str) -> tuple[tuple[str, str], Node] | None:
-    """A ``finite`` document read one line at a time into its players and the tree the token reader builds,
-    with one ``Leaf`` per payoff pair and its index laid out in the same walk (``TreeIndex.keep``); or None for
-    any text it declines.  It never raises: ``dsl.parse`` hands what it declines, every error included, to the
-    token reader.  Its time is linear in the text.
+    """A ``finite`` document read one line at a time with ``str`` methods into its players and the tree the token
+    reader builds, with one ``Leaf`` per payoff pair and its index laid out in the same walk (``TreeIndex.keep``);
+    or None for any text it declines.  It never raises: ``dsl.parse`` hands what it declines, every error included,
+    to the token reader.  Its time is linear in the text.
 
-    Each distinct line (``dsl._lines``) is classified once (``_form``).  Past comments, the first three are
-    ``players A B``, ``finite {`` and the root's ``Owner {``; then each is ``label -> Owner {``, ``label ->
-    leaf(i,j)`` (``-`` may sign a payoff), ``}`` or a comment, and a last ``}`` ends ``finite``.  So it declines,
-    among others, a text without ``players``, a root leaf, a ``;``, two branches on a line, a repeated label, an
-    unknown owner, an empty node, a keyword as a name, and a number past ``int``'s digit limit.  ``dsl.parse``
-    hands it only a text whose second line that holds a token starts with ``finite ``."""
+    The text must be ASCII.  Each distinct line (``dsl._lines``: past its indentation, blank lines dropped) is
+    classified once (``_form``).  Past whole-line comments, the first three are ``players A B``, ``finite {`` and
+    the root's ``Owner {``; then each is ``label -> Owner {``, ``label -> leaf(i,j)``, ``}`` or a whole-line
+    comment, and a last ``}`` ends ``finite``, each with single blanks where ``serialize`` writes them.  So it
+    declines, among others, a text without ``players``, with CRLF line ends, another blank between tokens or a
+    trailing comment, a root leaf, a ``;``, two branches on a line, a repeated label, an unknown owner, an empty
+    node, a keyword as a name, and a payoff of more than 640 digits.  ``dsl.parse`` hands it only a text whose
+    second line that holds a token starts with ``finite ``."""
     from . import dsl  # not ``from .dsl import``, which asks ``dsl``'s lazy ``__getattr__`` for ``__path__``
 
-    findall, lines = dsl._SCAN.findall, iter(dsl._lines(text))  # which frees the list once it is read through
-    scanned = (list(filter(None, findall(line))) for line in lines)  # each line's tokens; draws on ``lines``
-    head = list(itertools.islice(filter(None, scanned), 3))
-    if [len(tokens) for tokens in head] != [3, 2, 2] or head[0][0] != "players" or head[1] != ["finite", "{"]:
-        return None
-    (_, first, second), _, (root, bracket) = head
+    lines = iter(dsl._lines(text) if text.isascii() else ())  # which frees the list once it is read through
+    # The first three lines that are no comment, drawn from ``lines``, and "" for each one the text lacks.
+    header, opening, root, *_ = *itertools.islice((line for line in lines if line[0] != "#"), 3), "", "", ""
+    first, _, second = header[8:].partition(" ")
     players, owner_of, forms, leaves = (first, second), {second: 1, first: 0}, {}, {}
-    if not (_name(first) and _name(second) and root in owner_of and bracket == "{"):
+    if not (header[:8] == "players " and opening == "finite {" and root[-2:] == " {"
+            and root[:-2] in owner_of and all(name.isidentifier() and name not in _KEYWORDS for name in players)):
         return None
     # What every other line says, one ``_form`` per distinct line; the lines themselves are freed before the walk.
-    said = iter([forms.get(line) or forms.setdefault(line, _form(line, findall, owner_of, leaves))
-                 for line in lines])
+    said = iter([forms.get(line) or forms.setdefault(line, _form(line, owner_of, leaves)) for line in lines])
     # The innermost open node's branches (label to subtree), child indices, index, path, owner and label, and in
     # ``frames`` each enclosing node's.  The index arrays get a decision node's ``labels`` and ``children`` at its end.
-    branches, kids, at, path, owner, label = {}, [], 0, (), owner_of[root], None
+    branches, kids, at, path, owner, label = {}, [], 0, (), owner_of[root[:-2]], None
     frames: list = []
     owners, paths, outcomes, labels, children, postorder = [owner], [()], [None], [None], [None], []
     for kind, name, value in said:

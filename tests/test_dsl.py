@@ -563,13 +563,12 @@ class TestTreeLineReader:
         tree = parse_tree_lines(_TREE.replace("leaf(-2,-3)", "leaf(0,1)"))[1]
         assert tree.branches[0][1] is tree.branches[1][1].branches[1][1]
 
-    # ``_TREE`` in layouts other than the one ``serialize`` writes, which the line reader takes.
+    # ``_TREE`` in layouts other than the one ``serialize`` writes, which the line reader takes: other indentation,
+    # blank lines and whole-line comments.
     LAYOUTS = {
-        "comments": "# a tree\n" + _TREE.replace("  Alice {\n", "  Alice {  # the root\n    # two branches\n"),
-        "CRLF line ends": _TREE.replace("\n", "\r\n"),
+        "whole-line comments": "# a tree\n" + _TREE.replace("  Alice {\n", "  Alice {\n    # two branches\n"),
         "tabs": _TREE.replace("  ", "\t"),
         "blank lines": _TREE.replace("\n", "\n\n \n"),
-        "blanks between tokens": _TREE.replace("a -> leaf(1,0)", "a->leaf ( 1 , 0 ) ").replace("c -> B", "c  ->  B"),
         "no final line end": _TREE[:-1],
         "a long run of blank lines": _TREE.replace("\n  }", "\n" * 10**5 + "  }"),
     }
@@ -613,18 +612,10 @@ class TestTreeLineReader:
                      "\n" + _TREE + "# the end", "\n" + _TREE + "}", "# a comment only", "\n\n\n", "\n"):
             assert read(parse, text) == read(lambda text: dsl._Parser(text).parse_doc(), text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            _TREE.replace("Alice", "Алиса"),
-            _TREE.replace("c ->", "é_1 ->"),
-            _TREE.replace("leaf(1,0)", "leaf(-0,٣)"),
-        ],
-        ids=["Unicode player", "Unicode label", "signed zero and a non-ASCII decimal digit"],
-    )
-    def test_other_names_and_digits_are_taken(self, text):
-        fast, reference = read_both_ways(parse_tree_lines, text)
-        assert fast is not None and repr(fast) == reference
+    def test_a_payoff_of_640_digits_is_taken(self):
+        digits = "9" * 640
+        fast, reference = read_both_ways(parse_tree_lines, _TREE.replace("leaf(0,1)", f"leaf(-{digits},{digits})"))
+        assert fast is not None and fast.game.branches[0][1] == leaf(-int(digits), int(digits))
 
     # Texts the line reader declines, though some of them the token reader reads.
     DECLINED = {
@@ -652,6 +643,17 @@ class TestTreeLineReader:
         "an empty text": "",
         "long blanks, then a form feed": " " * 10**5 + "\x0c" + _TREE,
         "long digits as a payoff": _TREE.replace("leaf(0,1)", f"leaf({'1' * 10**5},1)"),
+        "a payoff of 641 digits": _TREE.replace("leaf(0,1)", f"leaf({'1' * 641},1)"),
+        # Layouts the token reader reads: a trailing comment, a CR, another blank between tokens, non-ASCII text.
+        "comments": "# a tree\n" + _TREE.replace("  Alice {\n", "  Alice {  # the root\n    # two branches\n"),
+        "CRLF line ends": _TREE.replace("\n", "\r\n"),
+        "blanks between tokens": _TREE.replace("a -> leaf(1,0)", "a->leaf ( 1 , 0 ) ").replace("c -> B", "c  ->  B"),
+        "a tab between tokens": _TREE.replace("a -> leaf(0,1)", "a\t-> leaf(0,1)"),
+        "a comment after a node's end": _TREE.replace("-3)\n    }\n", "-3)\n    } # end\n"),
+        "a blank inside a leaf": _TREE.replace("leaf(1,0)", "leaf( 1,0)"),
+        "Unicode player": _TREE.replace("Alice", "Алиса"),
+        "Unicode label": _TREE.replace("c ->", "é_1 ->"),
+        "signed zero and a non-ASCII decimal digit": _TREE.replace("leaf(1,0)", "leaf(-0,٣)"),
     }
 
     @pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
@@ -667,6 +669,21 @@ class TestTreeLineReader:
         texts = [(corpus_dir / name).read_text(), serialize(GameDoc(PLAYERS, big_random_tree(random.Random(4), 500)))]
         references = [repr(dsl._Parser(text).parse_doc()) for text in texts]
         with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("the token reader ran")):
+            assert [repr(parse(text)) for text in texts] == references
+
+    def test_serialized_trees_are_read_without_the_scanner(self, corpus_dir):
+        """The line reader reads with ``str`` methods alone: with every method of ``dsl._SCAN`` raising, ``parse``
+        still reads the corpus trees and a serialized 2,000-node tree."""
+        names = ("matching_pennies_seq", "zero_one_6", "zero_one_7")
+        texts = [(corpus_dir / f"{name}.game").read_text() for name in names]
+        texts.append(serialize(GameDoc(PLAYERS, big_random_tree(random.Random(46), 2000))))
+        references = [repr(dsl._Parser(text).parse_doc()) for text in texts]
+
+        class Unusable:
+            def __getattr__(self, name):
+                raise AssertionError(f"_SCAN.{name} was used")
+
+        with mock.patch.object(dsl, "_SCAN", Unusable()):
             assert [repr(parse(text)) for text in texts] == references
 
 
