@@ -366,8 +366,8 @@ def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
     """
     index = tree_index(game)
     paths, labels, order = index.paths, index.labels, index.postorder
-    if len(profile) == len(order):
-        try:  # anything that raises here raises again, or is found to be no fault, in the hashing pass below
+    try:  # anything that raises here raises again, or is found to be no fault, in the passes below
+        if len(profile) == len(order):
             if order and next(iter(profile)) is not paths[order[0]]:
                 order = sorted(order)  # the decision nodes in preorder
             picks: list[int | None] = [None] * len(paths)
@@ -377,12 +377,15 @@ def chosen_branches(game: FiniteGame, profile: TreeProfile) -> list[int | None]:
                 picks[at] = labels[at].index(action)
             else:
                 return picks
-        except Exception:
-            pass
-        try:
+    except Exception:
+        pass
+    try:
+        if len(profile) == len(order):
             return [None if path is None else names.index(profile[path]) for path, names in zip(paths, labels)]
-        except (KeyError, ValueError):
-            pass
+    except (KeyError, ValueError, TypeError):  # a TypeError from a profile that is no mapping, refused below
+        pass
+    if not isinstance(profile, Mapping):
+        raise ShapeMismatch(f"profile must be a mapping, got {type(profile).__name__}")
     decisions, keys = set(paths) - {None}, set(profile)
     if keys != decisions:
         missing, extra = sorted(decisions - keys), sorted(keys - decisions)

@@ -23,7 +23,7 @@ emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
 Here are the scanner and the token reader; the readers ``parse`` tries first
-(``_READERS``, by the start of the second line that holds a token) live with
+(``_READERS``, by the first opening of a kind's body the text holds) live with
 their kernels, and the writers in ``dsl_write``, all loaded on first use.  All
 three read the layout ``serialize`` writes with ``str`` methods: a tree one
 line at a time (``finite.parse_tree_lines``, which also takes any indentation,
@@ -58,9 +58,10 @@ _GRAPHS = ("cyclic", "param")
 # Loaded on first use through ``_lazy``, this module: the writers, and the readers ``parse`` tries first.
 _LAZY = {**dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write"),
          "parse_canonical_graph": "parametric", "parse_canonical_matrix": "matrix", "parse_tree_lines": "finite"}
-# ``parse``'s reader before the token reader, by the start of the second line with a token up to its first blank.
-_READERS = {"cyclic ": "parse_canonical_graph", "param ": "parse_canonical_graph", "matrix ": "parse_canonical_matrix",
-            "finite ": "parse_tree_lines"}
+# ``parse``'s reader before the token reader, by the first of these openings of a body (as ``serialize`` writes it)
+# a text holds.  A text a reader takes holds no earlier one, but a graph with a player ``finite`` (``X: finite {``).
+_READERS = {"finite {": "parse_tree_lines", "cyclic start=": "parse_canonical_graph",
+            "param start=": "parse_canonical_graph", "matrix sum=": "parse_canonical_matrix"}
 __getattr__, __dir__ = _loader(globals(), _LAZY)
 _lazy = sys.modules[__name__]
 
@@ -121,15 +122,6 @@ def _position(text: str, index: int) -> tuple[int, int]:
     """1-based line and column of the ``index``-th token of ``text``."""
     match = next(itertools.islice(_SCAN.finditer(text), index, None))
     return _line_column(text, _offset(text, match))
-
-
-def _lines(text: str) -> list[str]:
-    """The lines of ``text`` that hold more than blanks, tabs and CRs, each from its first other character.
-    ``str.lstrip()`` strips those three fast, so it is used on a text without the other blanks it strips."""
-    lines = text.split("\n")
-    if text.isascii() and not any(blank in text for blank in "\x0b\x0c\x1c\x1d\x1e\x1f"):
-        return list(filter(None, map(str.lstrip, lines)))
-    return list(filter(None, [line.lstrip(" \t\r") for line in lines]))
 
 
 def _scan(text: str) -> list[str]:
@@ -295,18 +287,14 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors.  A tree, graph or matrix document in
-    the layout ``serialize`` writes (a tree also with any indentation, blank lines and whole-line comments) is read
-    by the reader ``_READERS`` picks; any text it declines, and every error, by the token reader."""
-    line = text.find("\n") + 1  # the second line, or a text of one line
-    if text[:1] == "#" or text[:line].isspace():  # a comment or a blank line first: the line after the first token
-        line = text.find("\n", _SCAN.match(text).start(1)) + 1 or len(text)
-    reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])  # "" when no blank is near
-    if reader is None and text[line:line + 1] in "#\n\r\t ":  # a comment or a blank there: the next line with a token
-        line = _SCAN.match(text, line).start(1)
-        reader = _READERS.get(text[line:text.find(" ", line, line + 7) + 1])
-    if reader is not None and (read := getattr(_lazy, reader)(text)) is not None:
-        return GameDoc(*read)
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A text that holds an opening in
+    ``_READERS`` goes to the reader of the first one, which reads the layout ``serialize`` writes (a tree also with
+    any indentation, blank lines and whole-line comments); what it declines, and every error, to the token reader."""
+    for opening, reader in _READERS.items():
+        if opening in text:
+            if (read := getattr(_lazy, reader)(text)) is not None:
+                return GameDoc(*read)
+            break
     return _Parser(text).parse_doc()
 
 

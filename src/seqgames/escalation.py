@@ -167,6 +167,8 @@ def simulate(
         if len(selection.indices) != 2:
             raise InvalidArgument(f"FixedIndex needs one belief index per player, got {len(selection.indices)}")
         for index in selection.indices:
+            if index.__class__ is not int:  # a float or str fails only later, and a bool is no index
+                raise InvalidArgument(f"belief index must be an int, got {index!r}")
             if not 0 <= index < len(beliefs):
                 raise InvalidArgument(f"belief index {index} is out of range for {len(beliefs)} beliefs")
     rng = SplitMix64(seed)

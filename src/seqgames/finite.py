@@ -209,17 +209,17 @@ def parse_tree_lines(text: str) -> tuple[tuple[str, str], Node] | None:
     or None for any text it declines.  It never raises: ``dsl.parse`` hands what it declines, every error included,
     to the token reader.  Its time is linear in the text.
 
-    The text must be ASCII.  Each distinct line (``dsl._lines``: past its indentation, blank lines dropped) is
-    classified once (``_form``).  Past whole-line comments, the first three are ``players A B``, ``finite {`` and
-    the root's ``Owner {``; then each is ``label -> Owner {``, ``label -> leaf(i,j)``, ``}`` or a whole-line
-    comment, and a last ``}`` ends ``finite``, each with single blanks where ``serialize`` writes them.  So it
-    declines, among others, a text without ``players``, with CRLF line ends, another blank between tokens or a
-    trailing comment, a root leaf, a ``;``, two branches on a line, a repeated label, an unknown owner, an empty
-    node, a keyword as a name, and a payoff of more than 640 digits.  ``dsl.parse`` hands it only a text whose
-    second line that holds a token starts with ``finite ``."""
-    from . import dsl  # not ``from .dsl import``, which asks ``dsl``'s lazy ``__getattr__`` for ``__path__``
-
-    lines = iter(dsl._lines(text) if text.isascii() else ())  # which frees the list once it is read through
+    The text must be ASCII, without the blanks ``str.lstrip`` strips and the token reader does not skip.  Each
+    distinct line (past its indentation, blank lines dropped) is classified once (``_form``).  Past whole-line
+    comments, the first three are ``players A B``, ``finite {`` and the root's ``Owner {``; then each is
+    ``label -> Owner {``, ``label -> leaf(i,j)``, ``}`` or a whole-line comment, and a last ``}`` ends ``finite``,
+    each with single blanks where ``serialize`` writes them.  So it declines, among others, a text without
+    ``players``, with CRLF line ends, another blank between tokens or a trailing comment, a root leaf, a ``;``, two
+    branches on a line, a repeated label, an unknown owner, an empty node, a keyword as a name, and a payoff of
+    more than 640 digits.  ``dsl.parse`` hands it only a text that holds ``finite {``."""
+    if not text.isascii() or any(blank in text for blank in "\x0b\x0c\x1c\x1d\x1e\x1f"):
+        return None
+    lines = iter(list(filter(None, map(str.lstrip, text.split("\n")))))  # which frees the list once it is read through
     # The first three lines that are no comment, drawn from ``lines``, and "" for each one the text lacks.
     header, opening, root, *_ = *itertools.islice((line for line in lines if line[0] != "#"), 3), "", "", ""
     first, _, second = header[8:].partition(" ")

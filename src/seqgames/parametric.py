@@ -154,6 +154,8 @@ class ParametricGame(Record):
         except Exception:  # whatever the test raises on (unsized, unhashable, not a mapping) is worded or raised below
             pass
         choice = self.CHOICE
+        if not isinstance(profile, Mapping):
+            raise ShapeMismatch(f"profile must be a mapping, got {type(profile).__name__}")
         if profile.keys() != self.shapes.keys():
             raise ShapeMismatch(f"profile must choose exactly one {choice} per {self.POINT}")
         for name, labels in self.labels.items():

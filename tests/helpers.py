@@ -21,7 +21,6 @@ stage-layered ``instantiate``; ``ReferenceParser``, a tree reader with one
 ``reference_tree_dot``, which orders edges with the event walk
 ``reference_edges``, referees the DOT export of trees; the recursive
 ``reference_index`` referees the index arrays that ``TreeIndex`` lays out;
-``reference_lines``, the pattern ``dsl._lines`` replaced, referees it;
 ``read_both_ways`` referees each reader ``dsl.parse`` tries before the token
 reader against the token reader, and the tree line reader's index against
 ``TreeIndex``; ``reference_chosen_branches`` and ``reference_parse_profile_text``, which
@@ -37,7 +36,6 @@ import contextlib
 import io
 import itertools
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -976,16 +974,6 @@ def scan_tokenize(text: str) -> list[RefToken]:
             kind = "int" if token[0].isdecimal() else "name"
         tokens.append(RefToken(kind, token, *_line_column(text, _offset(text, match))))
     return tokens
-
-
-# The pattern that listed ``_scan``'s lines before ``dsl._lines``: blanks, tabs, CRs and line ends, then the
-# rest of a line; each group always matches, so blank lines cost linear time and match empty only at the end.
-_REFERENCE_LINES = re.compile(r"[ \t\r\n]*([^\n]*)")
-
-
-def reference_lines(text: str) -> list[str]:
-    """The lines ``dsl._lines`` lists, by the pattern it replaced, without its empty matches at the end."""
-    return list(filter(None, _REFERENCE_LINES.findall(text)))
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import os
 import pathlib
@@ -30,7 +31,6 @@ from helpers import (
     read_both_ways,
     reference_tokenize,
     referee_canonical_reader,
-    reference_lines,
     ring,
     scan_tokenize,
     tree_documents,
@@ -579,13 +579,15 @@ class TestTreeLineReader:
 
     @pytest.mark.parametrize("name", LAYOUTS)
     def test_which_layouts_parse_hands_the_line_reader(self, name):
-        # ``parse`` routes by the second line that holds a token, so every layout here, a blank line after
-        # ``players`` included, reaches the line reader.
+        # ``parse`` hands a text that holds ``finite {`` to the line reader, so every layout here, a blank line
+        # after ``players`` included, reaches it.
         with mock.patch.object(dsl, "_Parser", wraps=dsl._Parser) as token_reader:
             assert parse(self.LAYOUTS[name]) == parse(_TREE)
         assert not token_reader.called
 
-    @pytest.mark.parametrize("head", ["# a tree\n", "\n", " \t\r\n# a tree\n\n", "#\n  # players\n"])
+    HEADS = ["# a tree\n", "\n", " \t\r\n# a tree\n\n", "#\n  # players\n"]
+
+    @pytest.mark.parametrize("head", HEADS)
     def test_a_text_that_starts_with_a_comment_or_a_blank_line_takes_the_line_reader(self, head):
         rng = random.Random(4200)
         for text in [_TREE] + tree_documents(rng, 20) + [serialize(GameDoc(PLAYERS, big_random_tree(rng, 2000)))]:
@@ -636,6 +638,7 @@ class TestTreeLineReader:
         "plus sign": _TREE.replace("leaf(0,1)", "leaf(+0,1)"),
         "non-decimal digit": _TREE.replace("leaf(0,1)", "leaf(²,1)"),
         "vertical tab": _TREE.replace("  Alice", "\x0b Alice"),
+        "vertical tab in a whole-line comment": _TREE.replace("  Alice {\n", "  Alice {\n    # a\x0bb\n"),
         "no-break space": _TREE.replace("  Alice", "\xa0Alice"),
         "text after the end": _TREE + "}\n",
         "the root never ends": _TREE[: _TREE.rindex("  }")],
@@ -672,11 +675,17 @@ class TestTreeLineReader:
             assert [repr(parse(text)) for text in texts] == references
 
     def test_serialized_trees_are_read_without_the_scanner(self, corpus_dir):
-        """The line reader reads with ``str`` methods alone: with every method of ``dsl._SCAN`` raising, ``parse``
-        still reads the corpus trees and a serialized 2,000-node tree."""
+        """``parse`` routes, and the three readers read, with ``str`` methods alone: with every method of
+        ``dsl._SCAN`` raising, ``parse`` still reads the corpus trees, each also under every head in ``HEADS`` and
+        with a blank line after ``players``, a serialized 2,000-node tree, and the corpus graphs and matrices."""
         names = ("matching_pennies_seq", "zero_one_6", "zero_one_7")
-        texts = [(corpus_dir / f"{name}.game").read_text() for name in names]
+        trees = [(corpus_dir / f"{name}.game").read_text() for name in names]
+        texts = trees + [head + tree for head in self.HEADS for tree in trees]
+        texts += [tree.replace("\n", "\n\n", 1) for tree in trees]
         texts.append(serialize(GameDoc(PLAYERS, big_random_tree(random.Random(46), 2000))))
+        names = ("zero_one_cyclic", "zero_one_param", "dollar_auction_v100", "matching_pennies_matrix", "rps",
+                 "rps_zerosum")
+        texts += [(corpus_dir / f"{name}.game").read_text() for name in names]
         references = [repr(dsl._Parser(text).parse_doc()) for text in texts]
 
         class Unusable:
@@ -685,6 +694,26 @@ class TestTreeLineReader:
 
         with mock.patch.object(dsl, "_SCAN", Unusable()):
             assert [repr(parse(text)) for text in texts] == references
+
+    # Texts and the readers ``parse`` hands each, in order: the reader of the first opening in ``dsl._READERS`` the
+    # text holds, if any, then the token reader (``_Parser``) if that reader declines it.
+    ROUTES = {
+        "an indented opening": (_TREE.replace("finite {", "  finite {"), ["parse_tree_lines"]),
+        "a graph with a player named finite": (
+            serialize(GameDoc(("finite", "Bertrand"), loop01())), ["parse_tree_lines", "_Parser"]),
+        "a tree on one line": ("finite { leaf(0,1) }", ["parse_tree_lines", "_Parser"]),
+        "no opening": (_TREE.replace("finite {", "finite{"), ["_Parser"]),
+    }
+
+    @pytest.mark.parametrize("text, route", ROUTES.values(), ids=ROUTES)
+    def test_parse_hands_a_text_to_the_reader_of_the_first_opening_it_holds(self, text, route):
+        calls = mock.Mock()
+        with contextlib.ExitStack() as stack:
+            for name in ("parse_tree_lines", "parse_canonical_graph", "parse_canonical_matrix", "_Parser"):
+                calls.attach_mock(stack.enter_context(mock.patch.object(dsl, name, wraps=getattr(dsl, name))), name)
+            doc = parse(text)
+        assert [name for name, _, _ in calls.mock_calls] == route
+        assert repr(doc) == repr(dsl._Parser(text).parse_doc())
 
 
 def _read_matrix(text: str) -> str:
@@ -989,10 +1018,15 @@ class TestTreeTexts:
             assert isinstance(doc, GameDoc)
             assert read is None or repr(GameDoc(*read)) == repr(doc)
 
+    # Runs of blanks, line ends, comment marks and junk put at up to three line starts of ``_TREE`` (by line index),
+    # which the line reader must decline or read as the token reader does: about one in six is taken.
     @settings(max_examples=400, deadline=None)
-    @given(st.text(alphabet=st.sampled_from(list(" \r\t\x0b\xa0\x0c\x1c\nx#")), max_size=40))
-    def test_lines_are_listed_as_the_pattern_listed_them(self, text):
-        assert dsl._lines(text) == reference_lines(text)
+    @given(st.dictionaries(st.integers(0, _TREE.count("\n")),
+                           st.text(alphabet=st.sampled_from(list(" \r\t\x0b\xa0\x0c\x1c\nx#")), max_size=6),
+                           max_size=3))
+    def test_runs_at_line_starts_are_declined_or_read_as_the_token_reader_reads_them(self, runs):
+        text = "\n".join(runs.get(at, "") + line for at, line in enumerate(_TREE.split("\n")))
+        read_both_ways(parse_tree_lines, text)
 
 
 class TestTokenizer:

@@ -6,9 +6,11 @@ import random
 import re
 
 import pytest
-from helpers import loop01, random_cyclic, random_graph, random_parametric, reference_detect_escalation, ring
+from helpers import (
+    loop01, pennies_seq, random_cyclic, random_graph, random_parametric, reference_detect_escalation, ring,
+)
 
-from seqgames.core import InvalidArgument, ShapeMismatch, leaf
+from seqgames.core import InvalidArgument, ShapeMismatch, induced_play, leaf
 from seqgames.escalation import (
     BeliefNotEquilibrium,
     BeliefPair,
@@ -21,14 +23,17 @@ from seqgames.escalation import (
     detect_escalation,
     simulate,
 )
-from seqgames.dsl import parse
+from seqgames.dsl import parse, render_profile
+from seqgames.finite import check_spe
 from seqgames.parametric import (
     CyclicGame,
     CyclicNode,
     Divergent,
+    check_spe_param,
     dollar_auction,
     enumerate_stationary_spe,
     from_cyclic,
+    induced_outcome_param,
     stationary_profiles,
 )
 
@@ -204,6 +209,41 @@ class TestDetectMatchesReference:
                 refused += verdict.__class__ is tuple
                 accepted += verdict.__class__ is not tuple
         assert refused > 7000 and accepted > 100
+
+
+# Calls with a profile that is no mapping, or a belief index that is no ``int``, and the error each raises: a
+# ``GameError`` subclass that names the type or the value, where a bare ``AttributeError`` or ``TypeError`` was raised,
+# or a ``True`` index was taken.
+NOT_A_PROFILE = {
+    "check_spe_param": (lambda: check_spe_param(loop01(), None), ShapeMismatch,
+                        "profile must be a mapping, got NoneType"),
+    "induced_outcome_param": (lambda: induced_outcome_param(loop01(), 5), ShapeMismatch,
+                              "profile must be a mapping, got int"),
+    "detect_escalation": (lambda: detect_escalation(loop01(), BeliefPair(1, 2), require_equilibria=False),
+                          ShapeMismatch, "profile must be a mapping, got int"),
+    "simulate's equilibria": (lambda: simulate(loop01(), 3, 0, equilibria=[1]), ShapeMismatch,
+                              "profile must be a mapping, got int"),
+    "render_profile of a graph": (lambda: render_profile(loop01(), None), ShapeMismatch,
+                                  "profile must be a mapping, got NoneType"),
+    "render_profile of a tree": (lambda: render_profile(pennies_seq(), None), ShapeMismatch,
+                                 "profile must be a mapping, got NoneType"),
+    "check_spe": (lambda: check_spe(pennies_seq(), None), ShapeMismatch, "profile must be a mapping, got NoneType"),
+    "induced_play": (lambda: induced_play(pennies_seq(), [(), ("p",), ("p", "p"), ("p", "f"), ("f",), ("f", "p"),
+                                                         ("f", "f")]),  # one entry per decision node
+                     ShapeMismatch, "profile must be a mapping, got list"),
+    "a float index": (lambda: simulate(loop01(), 3, 0, FixedIndex((0.0, 1))), InvalidArgument,
+                      "belief index must be an int, got 0.0"),
+    "a str index": (lambda: simulate(loop01(), 3, 0, FixedIndex(("0", 1))), InvalidArgument,
+                    "belief index must be an int, got '0'"),
+    "a bool index": (lambda: simulate(loop01(), 3, 0, FixedIndex((True, 0))), InvalidArgument,
+                     "belief index must be an int, got True"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", NOT_A_PROFILE.values(), ids=NOT_A_PROFILE)
+def test_a_profile_that_is_no_mapping_or_an_index_that_is_no_int_is_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestSimulate:

@@ -155,16 +155,16 @@ PROFILE_FAULTS = {
         (_Frozen({"A": "a", "B": "c"}), ShapeMismatch, AUCTION_COUNT),
     ),
     "a list": (
-        (["a", "c"], AttributeError, "'list' object has no attribute 'keys'"),
-        (["a", "a", "c"], AttributeError, "'list' object has no attribute 'keys'"),
+        (["a", "c"], ShapeMismatch, "profile must be a mapping, got list"),
+        (["a", "a", "c"], ShapeMismatch, "profile must be a mapping, got list"),
     ),
     "an int": (
-        (5, AttributeError, "'int' object has no attribute 'keys'"),
-        (3, AttributeError, "'int' object has no attribute 'keys'"),
+        (5, ShapeMismatch, "profile must be a mapping, got int"),
+        (3, ShapeMismatch, "profile must be a mapping, got int"),
     ),
     "None": (
-        (None, AttributeError, "'NoneType' object has no attribute 'keys'"),
-        (None, AttributeError, "'NoneType' object has no attribute 'keys'"),
+        (None, ShapeMismatch, "profile must be a mapping, got NoneType"),
+        (None, ShapeMismatch, "profile must be a mapping, got NoneType"),
     ),
 }
 
