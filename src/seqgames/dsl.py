@@ -23,7 +23,7 @@ emits the canonical form: two-space indentation, branch order preserved,
 LF line endings, no trailing whitespace.
 
 Here are the scanner and the token reader; the readers ``parse`` tries first
-(``_READERS``, by the first opening of a kind's body the text holds) live with
+(``_READERS``, by the opening of a kind's body before the first ``{``) live with
 their kernels, and the writers in ``dsl_write``, all loaded on first use.  All
 three read the layout ``serialize`` writes with ``str`` methods: a tree one
 line at a time (``finite.parse_tree_lines``, which also takes any indentation,
@@ -59,7 +59,7 @@ _GRAPHS = ("cyclic", "param")
 _LAZY = {**dict.fromkeys(("Unwritable", "render_profile", "serialize", "to_dot"), "dsl_write"),
          "parse_canonical_graph": "parametric", "parse_canonical_matrix": "matrix", "parse_tree_lines": "finite"}
 # ``parse``'s reader before the token reader, by the first of these openings of a body (as ``serialize`` writes it)
-# a text holds.  A text a reader takes holds no earlier one, but a graph with a player ``finite`` (``X: finite {``).
+# that the text holds up to its first ``{``, where a text a reader takes has its own opening and no earlier one.
 _READERS = {"finite {": "parse_tree_lines", "cyclic start=": "parse_canonical_graph",
             "param start=": "parse_canonical_graph", "matrix sum=": "parse_canonical_matrix"}
 __getattr__, __dir__ = _loader(globals(), _LAZY)
@@ -287,11 +287,11 @@ class _Parser:
 
 
 def parse(text: str) -> GameDoc:
-    """Parse a ``.game`` document; structural problems are parse-time errors.  A text that holds an opening in
-    ``_READERS`` goes to the reader of the first one, which reads the layout ``serialize`` writes (a tree also with
-    any indentation, blank lines and whole-line comments); what it declines, and every error, to the token reader."""
+    """Parse a ``.game`` document; structural problems are parse-time errors.  A text goes to the reader of the first
+    opening in ``_READERS`` it holds up to its first ``{``; what that declines, and every error, to the token reader."""
+    head = text[:text.find("{") + 1]  # empty when the text holds no "{"
     for opening, reader in _READERS.items():
-        if opening in text:
+        if opening in head:
             if (read := getattr(_lazy, reader)(text)) is not None:
                 return GameDoc(*read)
             break

@@ -184,6 +184,13 @@ class ParametricGame(Record):
         """``entry_stages(self)``, built on first use and kept like ``labels``."""
         return entry_stages(self)
 
+    @cached_property
+    def walk_tree(self) -> dict:
+        """The root of the game's walk tree, kept like ``targets`` for ``escalation`` to grow.  A node is a
+        dict that stands for a walk from the start: key 0 holds the shape reached, 1 its owner, and each label
+        chosen there so far (a ``str``, so never 0 or 1) the next node, or the record of the walk's verdict."""
+        return {0: self.start, 1: self.shapes[self.start].owner}
+
 
 class CyclicGame(ParametricGame):
     """A parametric game whose payoffs all have slope 0, named as a graph of nodes and edges."""
@@ -237,19 +244,17 @@ class Divergent(Record):
 InducedParamResult = ConvergesAffine | Divergent
 
 
-def _walk(
-    game: ParametricGame, beliefs: tuple[StationaryProfile, ...], name: str
-) -> tuple[list[str], AffineLeaf | int]:
-    """Induced play from shape ``name``, each move read from its owner's profile in ``beliefs``
-    (one validated profile per player): the shapes visited, then the ``AffineLeaf`` taken or,
-    when play returns to a visited shape, that shape's index in them, where the cycle starts."""
-    shapes, targets = game.shapes, game.targets
+def _walk(game: ParametricGame, profile: StationaryProfile, name: str) -> tuple[list[str], AffineLeaf | int]:
+    """Induced play of the validated ``profile`` from shape ``name``: the shapes visited, then the
+    ``AffineLeaf`` taken or, when play returns to a visited shape, that shape's index in them, where
+    the cycle starts."""
+    targets = game.targets
     path: list[str] = []
     seen: dict[str, int] = {}
     while name not in seen:
         seen[name] = len(path)
         path.append(name)
-        target = targets[name][beliefs[shapes[name].owner][name]]
+        target = targets[name][profile[name]]
         if target.LEAF:
             return path, target
         name = target.shape
@@ -269,7 +274,7 @@ def induced_outcome_param(
     if name not in game.shapes:
         raise UnknownShape(name)
     game.check_profile(profile)
-    path, end = _walk(game, (profile, profile), name)
+    path, end = _walk(game, profile, name)
     if end.__class__ is int:
         return Divergent(stem=tuple(path[:end]), cycle=tuple(path[end:]))
     offset = len(path) - 1  # every earlier move advanced one stage

@@ -8,7 +8,8 @@ induced play step by step (on the cyclic graph itself, or at concrete
 stages of a parametric game), so they can referee ``check_spe_param``,
 the symbolic engine for both kinds; ``reference_detect_escalation``
 composes two beliefs by hand and walks the composed profile with
-``reference_walk``, so it can referee ``detect_escalation``;
+``reference_walk``, so it can referee ``detect_escalation``, and with the label
+positions of each composed walk (``referee_escalation_classes``) ``escalation_classes``;
 ``reference_constant_sum`` solves each side of a matrix game separately with Gaussian elimination over
 Fractions, so it can referee the integer kernel of ``solve_constant_sum``;
 the recursive tree kernels (``reference_solve``, ``reference_check_spe``,
@@ -59,7 +60,9 @@ from seqgames.dsl import (
 )
 from seqgames.finite import DEFAULT_CAP, Enumeration, SpeReport, TiePolicy, Violation
 from seqgames.matrix import MatrixGame, MixedProfile, matrix_game
-from seqgames.escalation import BeliefNotEquilibrium, BeliefPair, Escalates, Terminates
+from seqgames.escalation import (
+    BeliefNotEquilibrium, BeliefPair, Escalates, NoEquilibria, Terminates, detect_escalation, escalation_classes,
+)
 from seqgames.parametric import (
     Advance,
     AffineLeaf,
@@ -405,6 +408,54 @@ def reference_detect_escalation(game: ParametricGame, beliefs: BeliefPair, requi
     if isinstance(play, Divergent):
         return Escalates(play)
     return Terminates(len(play.path) - 1, tuple(value.const for value in play.outcome))
+
+
+def _walk_positions(game: ParametricGame, beliefs: BeliefPair) -> tuple[int, ...]:
+    """The composed walk of ``beliefs`` from the start, each move as the position of its label among its
+    shape's moves, up to the leaf it takes or the move that returns to a shape it passed."""
+    per_player, name, path, positions = (beliefs.belief_of_a, beliefs.belief_of_b), game.start, [], []
+    while name not in path:
+        path.append(name)
+        shape = game.shapes[name]
+        labels = [label for label, _ in shape.moves]
+        positions.append(labels.index(per_player[shape.owner][name]))
+        target = dict(shape.moves)[per_player[shape.owner][name]]
+        if isinstance(target, AffineLeaf):
+            break
+        name = target.shape
+    return tuple(positions)
+
+
+def referee_escalation_classes(game: ParametricGame, equilibria: list[dict] | None = None) -> tuple[int, int]:
+    """Check ``escalation_classes(game, equilibria)`` against every ordered pair of its beliefs (by default
+    ``reference_enumerate_stationary``'s): ``NoEquilibria`` when there are none; otherwise each rectangle's
+    indices are sorted, the rectangles are disjoint and cover every pair, every pair in one has one composed
+    walk, which no other rectangle's pairs have, and the verdict ``reference_detect_escalation`` gives it, the
+    very record ``detect_escalation`` returns; and the rectangles come in the order of their walks' label
+    positions, which is depth first with labels in move order.  Returns the rectangles and the escalating pairs."""
+    beliefs = reference_enumerate_stationary(game) if equilibria is None else equilibria
+    try:
+        classes = escalation_classes(game, equilibria)
+    except NoEquilibria:
+        assert not beliefs
+        return 0, 0
+    walks, cells = [], set()
+    for rectangle in classes:
+        for indices in (rectangle.indices_of_a, rectangle.indices_of_b):
+            assert list(indices) == sorted(set(indices)), indices
+        walk = _walk_positions(game, BeliefPair(beliefs[rectangle.indices_of_a[0]], beliefs[rectangle.indices_of_b[0]]))
+        for cell in itertools.product(rectangle.indices_of_a, rectangle.indices_of_b):
+            assert cell not in cells, cell
+            cells.add(cell)
+            pair = BeliefPair(beliefs[cell[0]], beliefs[cell[1]])
+            assert _walk_positions(game, pair) == walk, cell
+            assert rectangle.verdict == reference_detect_escalation(game, pair, require_equilibria=False), cell
+            assert detect_escalation(game, pair, require_equilibria=False) is rectangle.verdict, cell
+        walks.append(walk)
+    assert cells == set(itertools.product(range(len(beliefs)), repeat=2))
+    assert all(first < second for first, second in zip(walks, walks[1:])), walks
+    escalating = sum(len(r.indices_of_a) * len(r.indices_of_b) for r in classes if isinstance(r.verdict, Escalates))
+    return len(classes), escalating
 
 
 def reference_spe_report_param(game: ParametricGame, profile: dict) -> SpeReport:

@@ -303,8 +303,8 @@ EXPORTS = {
     ),
     cyclic: "enumerate_positional_spe",
     escalation: (
-        "BeliefNotEquilibrium BeliefPair Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
-        " Terminates Uniform compose_beliefs detect_escalation simulate"
+        "BeliefNotEquilibrium BeliefPair EscalationClass Escalates FixedIndex NoEquilibria SimTrace SplitMix64"
+        " Terminates Uniform compose_beliefs detect_escalation escalation_classes simulate"
     ),
     finite: "Enumeration TiePolicy check_spe enumerate_equilibria solve",
     matrix: "MatrixGame MixedProfile best_response_value matrix_game solve_constant_sum",

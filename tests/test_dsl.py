@@ -696,13 +696,15 @@ class TestTreeLineReader:
             assert [repr(parse(text)) for text in texts] == references
 
     # Texts and the readers ``parse`` hands each, in order: the reader of the first opening in ``dsl._READERS`` the
-    # text holds, if any, then the token reader (``_Parser``) if that reader declines it.
+    # text holds up to its first "{", if any, then the token reader (``_Parser``) if that reader declines it.
     ROUTES = {
         "an indented opening": (_TREE.replace("finite {", "  finite {"), ["parse_tree_lines"]),
         "a graph with a player named finite": (
-            serialize(GameDoc(("finite", "Bertrand"), loop01())), ["parse_tree_lines", "_Parser"]),
+            serialize(GameDoc(("finite", "Bertrand"), loop01())), ["parse_canonical_graph"]),
         "a tree on one line": ("finite { leaf(0,1) }", ["parse_tree_lines", "_Parser"]),
         "no opening": (_TREE.replace("finite {", "finite{"), ["_Parser"]),
+        "a comment holding { before the opening": ("# {\n" + _TREE, ["_Parser"]),
+        "an opening after the first {": (_TREE.replace("finite {", "finite{") + "# finite {\n", ["_Parser"]),
     }
 
     @pytest.mark.parametrize("text, route", ROUTES.values(), ids=ROUTES)

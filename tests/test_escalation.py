@@ -7,7 +7,8 @@ import re
 
 import pytest
 from helpers import (
-    loop01, pennies_seq, random_cyclic, random_graph, random_parametric, reference_detect_escalation, ring,
+    loop01, pennies_seq, random_cyclic, random_graph, random_parametric, reference_detect_escalation,
+    referee_escalation_classes, ring,
 )
 
 from seqgames.core import InvalidArgument, ShapeMismatch, induced_play, leaf
@@ -21,9 +22,10 @@ from seqgames.escalation import (
     Terminates,
     compose_beliefs,
     detect_escalation,
+    escalation_classes,
     simulate,
 )
-from seqgames.dsl import parse, render_profile
+from seqgames.dsl import GameDoc, parse, render_profile, serialize
 from seqgames.finite import check_spe
 from seqgames.parametric import (
     CyclicGame,
@@ -211,9 +213,9 @@ class TestDetectMatchesReference:
         assert refused > 7000 and accepted > 100
 
 
-# Calls with a profile that is no mapping, or a belief index that is no ``int``, and the error each raises: a
-# ``GameError`` subclass that names the type or the value, where a bare ``AttributeError`` or ``TypeError`` was raised,
-# or a ``True`` index was taken.
+# Calls with a profile that is no mapping, a belief index that is no ``int``, a game that is no graph or beliefs
+# that are no ``BeliefPair``, and the error each raises: a ``GameError`` subclass that names the type or the value,
+# where a bare ``AttributeError`` or ``TypeError`` was raised, or a ``True`` index was taken.
 NOT_A_PROFILE = {
     "check_spe_param": (lambda: check_spe_param(loop01(), None), ShapeMismatch,
                         "profile must be a mapping, got NoneType"),
@@ -237,6 +239,32 @@ NOT_A_PROFILE = {
                     "belief index must be an int, got '0'"),
     "a bool index": (lambda: simulate(loop01(), 3, 0, FixedIndex((True, 0))), InvalidArgument,
                      "belief index must be an int, got True"),
+    "escalation_classes' equilibria": (lambda: escalation_classes(loop01(), [None]), ShapeMismatch,
+                                       "profile must be a mapping, got NoneType"),
+    "detect_escalation of a tree": (lambda: detect_escalation(pennies_seq(), LOOP_CROSSED), InvalidArgument,
+                                    "game must be a ParametricGame, not Node"),
+    "detect_escalation of None": (lambda: detect_escalation(None, LOOP_CROSSED, require_equilibria=False),
+                                  InvalidArgument, "game must be a ParametricGame, not NoneType"),
+    "detect_escalation of a tuple of beliefs": (
+        lambda: detect_escalation(ring(2), ({"N0": "c", "N1": "a"},) * 2), InvalidArgument,
+        "beliefs must be a BeliefPair, not tuple"),
+    "detect_escalation of no beliefs": (lambda: detect_escalation(ring(2), None, require_equilibria=False),
+                                        InvalidArgument, "beliefs must be a BeliefPair, not NoneType"),
+    "compose_beliefs of a tree": (lambda: compose_beliefs(pennies_seq(), LOOP_CROSSED), InvalidArgument,
+                                  "game must be a ParametricGame, not Node"),
+    "compose_beliefs of None": (lambda: compose_beliefs(None, LOOP_CROSSED), InvalidArgument,
+                                "game must be a ParametricGame, not NoneType"),
+    "compose_beliefs of a tuple of beliefs": (lambda: compose_beliefs(loop01(), (LOOP_CROSSED.belief_of_a,) * 2),
+                                              InvalidArgument, "beliefs must be a BeliefPair, not tuple"),
+    "simulate of a tree": (lambda: simulate(pennies_seq(), 3, 0), InvalidArgument,
+                           "game must be a ParametricGame, not Node"),
+    "simulate of None": (lambda: simulate(None, 3, 0), InvalidArgument, "game must be a ParametricGame, not NoneType"),
+    "simulate of a tree with no beliefs": (lambda: simulate(pennies_seq(), 3, 0, equilibria=[]), InvalidArgument,
+                                           "game must be a ParametricGame, not Node"),
+    "escalation_classes of a tree": (lambda: escalation_classes(pennies_seq()), InvalidArgument,
+                                     "game must be a ParametricGame, not Node"),
+    "escalation_classes of None": (lambda: escalation_classes(None, [LOOP_CROSSED.belief_of_a]), InvalidArgument,
+                                   "game must be a ParametricGame, not NoneType"),
 }
 
 
@@ -244,6 +272,101 @@ NOT_A_PROFILE = {
 def test_a_profile_that_is_no_mapping_or_an_index_that_is_no_int_is_refused(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _tree(node):
+    """A walk tree as nested tuples of its keys and values, in insertion order: equal while the tree is unchanged."""
+    return tuple((key, _tree(value)) for key, value in node.items()) if node.__class__ is dict else node
+
+
+class TestWalkTree:
+    """``detect_escalation`` reads and grows the walk tree each game keeps: any order of calls on any copy of a game
+    gives the reference's verdicts, a refused call leaves the tree alone, and each distinct walk has one record."""
+
+    def test_pairs_in_any_order_on_any_parse_give_the_reference_verdicts(self):
+        rng = random.Random(4801)
+        for i in range(80):
+            text = serialize(GameDoc(("Alice", "Bertrand"), random_cyclic(rng) if i % 2 else random_parametric(rng)))
+            first, second = parse(text).game, parse(text).game
+            profiles = list(stationary_profiles(first))
+            pairs = [BeliefPair(a, b) for a in profiles for b in profiles]
+            expected = [reference_detect_escalation(first, pair, require_equilibria=False) for pair in pairs]
+            assert [detect_escalation(first, pair, require_equilibria=False) for pair in pairs] == expected, text
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+            for k in order:
+                assert detect_escalation(second, pairs[k], require_equilibria=False) == expected[k], (text, pairs[k])
+
+    def test_a_refused_belief_leaves_the_tree_as_it_was(self):
+        game = dollar_auction(100)
+        malformed = BeliefPair({"A0": "c"}, AUCTION_CROSSED.belief_of_b)
+        never_bid = dict.fromkeys(game.shapes, "a")
+        refused = [(malformed, False, ShapeMismatch), (BeliefPair(never_bid, never_bid), True, BeliefNotEquilibrium),
+                   (BeliefPair(AUCTION_CROSSED.belief_of_a, never_bid), True, BeliefNotEquilibrium)]
+        for beliefs, require_equilibria, error in refused:
+            with pytest.raises(error):
+                detect_escalation(game, beliefs, require_equilibria=require_equilibria)
+        assert "walk_tree" not in game.__dict__
+        detect_escalation(game, AUCTION_CROSSED)
+        grown = _tree(game.walk_tree)
+        for beliefs, require_equilibria, error in refused:
+            with pytest.raises(error):
+                detect_escalation(game, beliefs, require_equilibria=require_equilibria)
+            assert _tree(game.walk_tree) == grown
+
+    def test_ring10_has_one_verdict_record_per_distinct_walk(self):
+        game = ring(10)
+        equilibria = enumerate_stationary_spe(game)
+        verdicts = [detect_escalation(game, BeliefPair(a, b), require_equilibria=False)
+                    for a in equilibria for b in equilibria]
+        assert len(verdicts) == 3844 and len({id(verdict) for verdict in verdicts}) == 11
+
+
+class TestEscalationClasses:
+    """``escalation_classes`` against ``referee_escalation_classes``, the closed form on rings and the corpus loops."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rings(self, n):
+        rectangles, escalating = referee_escalation_classes(ring(n))
+        assert rectangles == n + 1
+        if n % 2 == 0:
+            assert escalating == (2 ** (n // 2) - 1) ** 2
+
+    @pytest.mark.parametrize("name, stem, cycle", [
+        ("zero_one_cyclic", (), ("A", "B")), ("zero_one_param", (), ("A", "B")),
+        ("dollar_auction_v100", ("A0",), ("B", "A")),
+    ])
+    def test_corpus_games_escalate_on_one_crossed_pair(self, corpus_dir, name, stem, cycle):
+        game = parse((corpus_dir / f"{name}.game").read_text()).game
+        assert referee_escalation_classes(game) == (3, 1)
+        classes = escalation_classes(game)
+        assert [(r.indices_of_a, r.indices_of_b) for r in classes if isinstance(r.verdict, Escalates)] == [((1,), (0,))]
+        assert next(r.verdict for r in classes if isinstance(r.verdict, Escalates)) == Escalates(Divergent(stem, cycle))
+
+    def test_seeded_random_games(self):
+        """Half the games with their equilibria, half with every stationary profile as a belief."""
+        rng = random.Random(4802)
+        counts = [0, 0]
+        for i in range(500):
+            game = random_cyclic(rng) if i % 2 else random_parametric(rng)
+            beliefs = None if i % 4 < 2 else list(stationary_profiles(game))
+            rectangles, escalating = referee_escalation_classes(game, beliefs)
+            counts[0] += rectangles
+            counts[1] += escalating
+        assert counts[0] > 500 and counts[1] > 500  # both kinds of rectangle are well exercised
+
+    def test_ring20(self):
+        classes = escalation_classes(ring(20))
+        assert len(classes) == 21
+        escalating = [len(r.indices_of_a) * len(r.indices_of_b) for r in classes if isinstance(r.verdict, Escalates)]
+        assert sum(escalating) == 1046529  # (2^10 - 1)^2 of 2,046^2 pairs
+
+    def test_no_beliefs(self):
+        hopeless = CyclicGame({"N": CyclicNode(0, (("c", "N"),))}, "N")
+        with pytest.raises(NoEquilibria):
+            escalation_classes(hopeless)
+        with pytest.raises(NoEquilibria):
+            escalation_classes(loop01(), [])
 
 
 class TestSimulate:
